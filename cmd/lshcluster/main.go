@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	noIncremental := fs.Bool("no-incremental", false, "recompute centroids and cost from scratch each pass instead of incrementally (A/B baseline; results are identical; implies -no-active-filter)")
 	noActive := fs.Bool("no-active-filter", false, "evaluate every item each pass instead of only the active set (A/B baseline; results are identical)")
 	noParallelBoot := fs.Bool("no-parallel-bootstrap", false, "run the serial per-item bootstrap instead of the parallel sign/build/assign pipeline (A/B baseline; results are identical)")
-	noImmediateBatch := fs.Bool("no-immediate-batching", false, "evaluate immediate-update passes item by item instead of in move-bounded blocks (A/B baseline; results are identical)")
 	noReorder := fs.Bool("no-reorder", false, "build the LSH index in original item order instead of the locality-preserving permutation (A/B baseline; results are identical)")
 	chaosSpec := fs.String("chaos-spec", "", "route cross-shard queries through fault-injecting backends with this spec (e.g. \"seed=1;err=0.05;shard2.dead\"); empty spec = direct fan-out, zero-fault spec (\"seed=1\") = resilient path, bit-identical results")
 	retryBudget := fs.Int("retry-budget", 0, "retries after a failed shard-backend call (0 = default, negative = none; needs -chaos-spec)")
@@ -168,7 +167,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		DisableIncremental:       *noIncremental,
 		DisableActiveFilter:      *noActive,
 		DisableParallelBootstrap: *noParallelBoot,
-		DisableImmediateBatching: *noImmediateBatch,
 		DisableReorder:           *noReorder,
 		IndexDir:                 indexDir,
 		DisableMmap:              !*mmapIndex,

@@ -93,15 +93,19 @@
 //     items. Results are bit-identical to the full pass, which
 //     Config.DisableActiveFilter retains as the correctness oracle.
 //
-//   - Snapshot-view passes (deferred updates, parallel workers) gather
-//     candidate shortlists for blocks of items in one band-major sweep
-//     of the frozen index, amortising cache misses and per-item
-//     dispatch across the block. Immediate-update passes batch the
-//     same way with blocks cut at move boundaries: positions decided
-//     before a move saw exactly the live view the per-item loop would
-//     have shown them, and positions after a move are discarded and
-//     re-gathered, so results stay bit-identical to the per-item
-//     oracle (Config.DisableImmediateBatching).
+//   - Every assignment pass runs one block loop: it gathers candidate
+//     shortlists for up to 64 items in one band-major sweep of the
+//     frozen index, amortising cache misses and per-item dispatch
+//     across the block, then decides the block's items in order. The
+//     pass chooses only its view (the live assignment for immediate
+//     updates, a pass-start snapshot for deferred ones), its item
+//     order and its worker count; exact runs use the same loop with
+//     every cluster as the shortlist. Under immediate updates a block
+//     is cut at its first move: positions decided before the move saw
+//     exactly the live view a per-item loop would have shown them, and
+//     positions after it are discarded and re-gathered. Results are
+//     therefore bit-identical to the per-item reference — the same
+//     loop at block length 1 — which only the tests run.
 //
 // # Item-sharded index
 //

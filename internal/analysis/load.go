@@ -68,7 +68,6 @@ type listPackage struct {
 	ImportPath   string
 	Name         string
 	Dir          string
-	ForTest      string
 	Export       string
 	GoFiles      []string
 	TestGoFiles  []string
@@ -116,9 +115,9 @@ func goList(dir string, args ...string) ([]listPackage, error) {
 // (relative to dir, e.g. "./..."). Imports — standard library and
 // module-internal alike — are resolved from compiler export data via
 // `go list -export`, so only the analyzed packages themselves are
-// type-checked from source. External test packages see the source
-// variant of their package under test (so export_test.go helpers
-// resolve).
+// type-checked from source. External test packages resolve imports
+// from the test variants the go tool builds for them (so export_test.go
+// helpers resolve; see testImporter).
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -136,16 +135,15 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 	}
 	// Export data for every dependency, including test-only ones
-	// (testing, etc.). Entries for test variants ("pkg [pkg.test]")
-	// carry ForTest and are skipped: analyzed packages come from
-	// source, and nothing imports another package's test variant.
-	deps, err := goList(dir, append([]string{"-deps", "-test", "-export", "-json=ImportPath,Export,ForTest"}, patterns...)...)
+	// (testing, etc.) and the test variants ("pkg [x.test]") that only
+	// external test packages import.
+	deps, err := goList(dir, append([]string{"-deps", "-test", "-export", "-json=ImportPath,Export"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
 	exports := make(map[string]string)
 	for _, p := range deps {
-		if p.ForTest == "" && p.Export != "" && !strings.HasSuffix(p.ImportPath, ".test") {
+		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
@@ -156,9 +154,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		prog.ModuleDir = roots[0].Module.Dir
 	}
 
-	imp := &exportImporter{
-		base: importer.ForCompiler(prog.Fset, "gc", lookupFrom(exports)),
-	}
+	imp := importer.ForCompiler(prog.Fset, "gc", lookupFrom(exports, ""))
 
 	parse := func(dir string, names []string) ([]*ast.File, error) {
 		var files []*ast.File
@@ -172,7 +168,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 		return files, nil
 	}
-	check := func(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	check := func(imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
 		info := &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
@@ -202,7 +198,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		if len(files) == 0 {
 			continue
 		}
-		tpkg, info, err := check(lp.ImportPath, files)
+		tpkg, info, err := check(imp, lp.ImportPath, files)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
 		}
@@ -221,21 +217,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			if err != nil {
 				return nil, fmt.Errorf("analysis: parsing %s external tests: %v", lp.ImportPath, err)
 			}
-			// The external test package imports the package under test
-			// by path. Resolving that import from export data keeps
-			// type identities consistent with the other dependencies'
-			// own export references, but hides in-package test
-			// declarations (the export_test.go pattern); resolving it
-			// from the source-checked test variant is the reverse
-			// trade. Try export data first and fall back to the source
-			// override — one of the two suffices for any tree the go
-			// tool itself can build.
-			xpkg, xinfo, err := check(lp.ImportPath+"_test", xfiles)
-			if err != nil {
-				imp.overridePath, imp.overridePkg = lp.ImportPath, tpkg
-				xpkg, xinfo, err = check(lp.ImportPath+"_test", xfiles)
-				imp.overridePath, imp.overridePkg = "", nil
-			}
+			xpkg, xinfo, err := check(testImporter(prog.Fset, exports, lp.ImportPath), lp.ImportPath+"_test", xfiles)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: type-checking %s external tests: %v", lp.ImportPath, err)
 			}
@@ -253,26 +235,27 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	return prog, nil
 }
 
-// exportImporter resolves imports from compiler export data, with a
-// single temporary override: while an external test package is being
-// checked, its package under test resolves to the source-checked test
-// variant (so export_test.go declarations are visible).
-type exportImporter struct {
-	base         types.Importer
-	overridePath string
-	overridePkg  *types.Package
+// testImporter resolves the imports of the external test package of
+// pkg the way the go tool builds it: from the "P [pkg.test]" variant
+// of each import P when there is one, else from P's plain export data.
+// The package under test's variant includes its in-package test files
+// (so export_test.go helpers resolve), and every package between the
+// external test and the package under test is rebuilt against that
+// variant, so all of them must come from the same importer for type
+// identities to agree. Each external test package therefore gets an
+// importer of its own.
+func testImporter(fset *token.FileSet, exports map[string]string, pkg string) types.Importer {
+	return importer.ForCompiler(fset, "gc", lookupFrom(exports, " ["+pkg+".test]"))
 }
 
-func (im *exportImporter) Import(path string) (*types.Package, error) {
-	if path == im.overridePath && im.overridePkg != nil {
-		return im.overridePkg, nil
-	}
-	return im.base.Import(path)
-}
-
-func lookupFrom(exports map[string]string) func(path string) (io.ReadCloser, error) {
+// lookupFrom opens the export data of an import path, preferring the
+// entry for path+variant when variant is non-empty.
+func lookupFrom(exports map[string]string, variant string) func(path string) (io.ReadCloser, error) {
 	return func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
+		file, ok := exports[path+variant]
+		if !ok {
+			file, ok = exports[path]
+		}
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}

@@ -43,3 +43,22 @@ func TestLoadModule(t *testing.T) {
 		t.Fatal("core package loaded without its in-package test files")
 	}
 }
+
+// TestLoadExternalTestHelpers loads a fixture whose external test uses
+// an export_test.go helper of its package together with a second
+// package that imports the first. The go tool rebuilds the second
+// package against the test variant, so the external test type-checks
+// only when every import comes from that variant.
+func TestLoadExternalTestHelpers(t *testing.T) {
+	prog, err := Load("testdata/src/xtestfix", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := prog.Lookup("xtestfix/a_test")
+	if x == nil || x.Pkg == nil {
+		t.Fatal("external test package xtestfix/a_test not loaded")
+	}
+	if x.Pkg.Scope().Lookup("TestSize") == nil {
+		t.Fatal("external test package loaded without its test function")
+	}
+}

@@ -38,8 +38,8 @@ const (
 	queryBlockLen = 64
 
 	// ctxPollEvery bounds cancellation latency inside an assignment
-	// pass: every worker (and the serial loops) polls Options.Context
-	// after this many items.
+	// pass: every pass worker polls Options.Context after this many
+	// items.
 	ctxPollEvery = 1024
 
 	// activeAllPct caps the filter's bookkeeping: when the prospective
@@ -52,13 +52,13 @@ const (
 // BlockQuerier is an optional Querier capability: queriers that can
 // compute the shortlists of a whole block of items in one batched index
 // sweep (amortising cache misses across the block; see
-// lsh.Index.CandidatesBatch) implement it. The driver uses it for
-// snapshot-view passes — serial deferred and parallel — where a block's
-// shortlists are independent of the moves decided inside the block,
-// and for the immediate-update pass, which cuts blocks at move
-// boundaries: the moment an item moves, the remaining positions'
-// shortlists are discarded and re-gathered against the updated live
-// view (see driver.immediateBlockPass).
+// lsh.Index.CandidatesBatch) implement it. Every assignment pass
+// gathers its shortlists through it (driver.sweep). Under deferred
+// updates a block's shortlists are independent of the moves decided
+// inside the block; under immediate updates the pass cuts the block at
+// its first move, discarding the remaining positions' shortlists and
+// re-gathering them against the updated live view. Queriers without
+// the capability are adapted one Candidates call per item.
 type BlockQuerier interface {
 	Querier
 	// CandidatesBlock computes Candidates(items[pos], assign) for every
@@ -122,7 +122,7 @@ type activeState struct {
 	// !allPass). Immediate-mode moves set additional flags mid-pass.
 	cur []bool
 	// curList is the current pass's active items in ascending order —
-	// what deferred serial and parallel passes iterate and partition.
+	// the domain deferred passes iterate and partition.
 	curList []int32
 	// next accumulates the following pass's flags between passes.
 	next []bool

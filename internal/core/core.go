@@ -260,16 +260,6 @@ type Options struct {
 	// serial loop is the correctness oracle for that pipeline, and
 	// this switch exists for equivalence tests and A/B benchmarks.
 	DisableParallelBootstrap bool
-	// DisableImmediateBatching forces the immediate-update assignment
-	// pass to its per-item loop even when the querier supports block
-	// queries. By default the immediate pass gathers shortlists in
-	// blocks cut at move boundaries — every position decided before a
-	// move uses exactly the live view the per-item loop would have
-	// seen, and positions after a move are discarded and re-queried —
-	// so results are bit-identical; the per-item loop is the
-	// correctness oracle, and this switch exists for equivalence tests
-	// and A/B benchmarks.
-	DisableImmediateBatching bool
 	// DisableReorder forces the sharded index to build in original item
 	// order even when the accelerator supports locality-preserving
 	// reordering (ReorderConfigurer). By default the bulk frozen build
@@ -373,6 +363,13 @@ type Result struct {
 // clusters, centroid recomputation) until no item moves or the iteration
 // cap is reached.
 func Run(space Space, opts Options) (*Result, error) {
+	return run(space, opts, false)
+}
+
+// run is Run, or with perItem the per-item reference the block passes
+// are tested against: every shortlist comes from its own
+// Querier.Candidates call (see blockQuerier).
+func run(space Space, opts Options, perItem bool) (*Result, error) {
 	n, k := space.NumItems(), space.NumClusters()
 	if n == 0 || k == 0 {
 		return nil, fmt.Errorf("core: empty space (n=%d, k=%d)", n, k)
@@ -389,10 +386,11 @@ func Run(space Space, opts Options) (*Result, error) {
 	}
 
 	d := &driver{
-		space: space,
-		opts:  opts,
-		n:     n,
-		k:     k,
+		space:   space,
+		opts:    opts,
+		perItem: perItem,
+		n:       n,
+		k:       k,
 		assign: func() []int32 {
 			a := make([]int32, n)
 			for i := range a {
@@ -559,8 +557,10 @@ func ctxErr(ctx context.Context) error {
 
 // driver carries the mutable state of one Run.
 type driver struct {
-	space   Space
-	opts    Options
+	space Space
+	opts  Options
+	// perItem selects the per-item reference (run).
+	perItem bool
 	n, k    int
 	assign  []int32
 	querier Querier
@@ -577,16 +577,14 @@ type driver struct {
 	// in near-sequential order. Every assignment write goes through
 	// setAssign to keep the mirror coherent; d.assign stays the
 	// original-ID source of truth for every externally visible artifact.
-	// inv is perm's inverse (inv[internal] = original); unfiltered
-	// deferred passes sweep items in ascending-internal order — the
-	// order the reordered arena was built in, so slot rows and buckets
-	// stream sequentially — and moveSort re-sorts their collected moves
-	// back into ascending-original order before they reach the
-	// incremental space (whose float accumulators are order-sensitive).
+	// inv is perm's inverse (inv[internal] = original), the domain of
+	// unfiltered deferred passes (see pass).
 	perm      []int32
 	inv       []int32
 	assignInt []int32
-	moveSort  []moveRec
+	// moves collects a pass's moves for the fold into the incremental
+	// space after the pass.
+	moves []moveRec
 	// bootSign/bootBuild/bootAssign split the bootstrap wall time into
 	// its signing, index-construction and first-assignment phases
 	// (runstats.Run.Bootstrap* — see those fields for which phases stay
@@ -1036,472 +1034,194 @@ func (d *driver) bestOfLowestIndex(item, cur int, candidates []int32, comps *int
 	return bestC
 }
 
-// pass runs one assignment pass.
+// pass runs one assignment pass (Algorithm 2's loop body): every item
+// of the pass's domain is evaluated against its shortlist — against
+// every cluster in an exact run — and moved to the closest cluster.
+// Three choices shape a pass; one block loop (sweep) runs all of them:
+//
+//   - The view that shortlist queries read. Under UpdateImmediate it is
+//     the live assignment (its internal-ID mirror on a reordered
+//     index), so later items observe earlier moves. Under
+//     UpdateDeferred it is a snapshot taken at pass start.
+//   - The domain. Immediate passes walk item IDs in ascending order and
+//     read active flags live, so a move's colliders activate mid-pass.
+//     Filtered deferred passes walk the active list. Unfiltered ones
+//     walk ascending *internal* order on a reordered index — the order
+//     the permuted arena was built in, so slot rows and buckets stream
+//     sequentially — and item IDs otherwise. Exact runs walk item IDs.
+//   - The worker count. Deferred and exact passes split the domain into
+//     Workers contiguous ranges, each with a querier of its own; their
+//     decisions read only the snapshot, so they are independent.
+//     Immediate passes run on one goroutine.
+//
+// Moves are logged and folded into the incremental space after the
+// pass in ascending original-item order. ApplyMove leaves visible
+// centroids unchanged until FinishPass, so folding late changes no
+// decision, and the order — the one an original-order pass decides in
+// — keeps K-Means' floating-point accumulators bit-identical across
+// domains and worker counts.
 func (d *driver) pass() passStats {
-	if d.opts.Accelerator == nil {
-		return d.exactPass()
-	}
-	// A reordered index emits candidates as internal IDs, so query
-	// views must be indexed in internal space; setAssign keeps the
-	// mirror coherent with d.assign, which stays the original-ID
-	// source of truth (results, stats, active filter).
-	src := d.assign
-	if d.perm != nil {
-		src = d.assignInt
-	}
-	view := src
-	if d.opts.Update == UpdateDeferred {
-		d.snapshot = append(d.snapshot[:0], src...)
-		view = d.snapshot
-	}
-	if d.opts.Workers > 1 && d.opts.Update == UpdateDeferred {
-		return d.parallelPass(view)
-	}
-	if d.opts.Update == UpdateDeferred {
-		if bq, ok := d.querier.(BlockQuerier); ok {
-			return d.serialBlockPass(bq, view)
+	accel := d.opts.Accelerator
+	immediate := accel != nil && d.opts.Update == UpdateImmediate
+	var view, dom []int32
+	if accel != nil {
+		view = d.assign
+		if d.perm != nil {
+			view = d.assignInt
+		}
+		if !immediate {
+			d.snapshot = append(d.snapshot[:0], view...)
+			view = d.snapshot
 		}
 	}
-	if d.opts.Update == UpdateImmediate && !d.opts.DisableImmediateBatching {
-		if bq, ok := d.querier.(BlockQuerier); ok {
-			return d.immediateBlockPass(bq)
+	total, workers := d.n, 1
+	if !immediate {
+		workers, dom = d.opts.Workers, d.inv
+		if d.filtered() {
+			dom = d.act.curList
+			total = len(dom)
 		}
 	}
-	return d.serialPass(view)
-}
-
-// immediateBlockPass is the single-threaded immediate-update pass over
-// a block-capable querier: shortlists are gathered queryBlockLen items
-// at a time against the *live* assignment, and blocks are cut at move
-// boundaries so the live view stays correct. Every shortlist in a
-// block is computed against the assignment as of the block's start;
-// positions decided before the first move saw exactly the state the
-// per-item loop would have shown them (no move happened since the
-// block began), and the mover's own shortlist predates its move. The
-// moment an item moves, the rest of the block is discarded — those
-// positions re-gather from the item after the mover, observing the
-// move and any active-set flags it raised, exactly like the per-item
-// loop. Late sparse passes move almost nothing, so most blocks
-// complete whole and the pass keeps the batched sweep's cache wins;
-// Options.DisableImmediateBatching retains the per-item loop as the
-// bit-identical oracle.
-func (d *driver) immediateBlockPass(bq BlockQuerier) (ps passStats) {
-	filtered := d.filtered()
-	dq, _ := bq.(DegradedQuerier)
-	// The live view the block queries read: the internal-ID mirror on a
-	// reordered index (kept current by setAssign below), d.assign
-	// otherwise.
-	live := d.assign
-	if d.perm != nil {
-		live = d.assignInt
-	}
-	var buf [queryBlockLen]int32
-	poll := 0
-	for next := 0; next < d.n; {
-		// Gather the next block, reading active flags live: flags set by
-		// an earlier move in this pass are honoured exactly as the
-		// per-item loop's cursor would honour them.
-		blk := buf[:0]
-		i := next
-		for ; i < d.n && len(blk) < queryBlockLen; i++ {
-			if filtered && !d.act.cur[i] {
-				continue
-			}
-			blk = append(blk, int32(i))
-		}
-		next = i
-		if len(blk) == 0 {
-			return ps
-		}
-		if poll += len(blk); poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				return ps
+	var (
+		mu sync.Mutex
+		ps passStats
+	)
+	d.moves = d.moves[:0]
+	par.Ranges(total, workers, func(lo, hi int) {
+		var q Querier
+		if accel != nil {
+			q = d.querier
+			if workers > 1 {
+				q = accel.NewQuerier()
 			}
 		}
-		movedAt := -1
-		bq.CandidatesBlock(blk, live, func(pos int, shortlist []int32) {
-			if movedAt >= 0 {
-				return // discarded tail: stale after the move
-			}
-			it := int(blk[pos])
-			cur := d.assign[it]
-			ps.cands += int64(len(shortlist))
-			best := d.bestWithDegraded(dq, it, int(cur), shortlist, &ps)
-			ps.evaluated++
-			if best != cur {
-				d.setAssign(it, best)
-				if d.inc != nil {
-					d.inc.ApplyMove(it, cur, best)
-				}
-				ps.moves++
-				d.noteMove(it)
-				movedAt = pos
-			}
-		})
-		if movedAt >= 0 {
-			next = int(blk[movedAt]) + 1
-		}
-	}
-	return ps
-}
-
-// serialPass is the single-threaded per-item pass: the immediate-mode
-// oracle (DisableImmediateBatching, or a querier without block
-// support), and the deferred fallback for queriers without block
-// support. A filtered pass walks the full index range but only
-// evaluates flagged items — the O(n) flag scan is noise next to a
-// single shortlist query, and it picks up the flags immediate-mode
-// moves set ahead of the cursor.
-func (d *driver) serialPass(view []int32) (ps passStats) {
-	q := d.querier
-	filtered := d.filtered()
-	dq, _ := q.(DegradedQuerier)
-	poll := 0
-	for i := 0; i < d.n; i++ {
-		if filtered && !d.act.cur[i] {
-			continue
-		}
-		if poll++; poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				break
-			}
-		}
-		cur := d.assign[i]
-		shortlist := q.Candidates(int32(i), view)
-		ps.cands += int64(len(shortlist))
-		best := d.bestWithDegraded(dq, i, int(cur), shortlist, &ps)
-		ps.evaluated++
-		if best != cur {
-			// The write below *is* the paper's "update the cluster
-			// reference in the MinHash index": buckets store item IDs
-			// and queries map them through this slice.
-			d.setAssign(i, best)
-			if d.inc != nil {
-				// Immediate mode: fold the move in as it happens.
-				// Visible centroids stay frozen until FinishPass, so
-				// this cannot perturb later decisions in the pass.
-				d.inc.ApplyMove(i, cur, best)
-			}
-			ps.moves++
-			d.noteMove(i)
-		}
-	}
-	return ps
-}
-
-// serialBlockPass is the single-threaded deferred pass over a
-// block-capable querier: shortlists are gathered queryBlockLen items at
-// a time against the snapshot, so the index sweep amortises cache
-// misses. Moves decided inside a block cannot affect the block's other
-// shortlists — that is exactly the deferred-update semantics. On a
-// reordered index the unfiltered sweep walks items in ascending
-// *internal* order (see sweepItem) and the moves are re-sorted into
-// ascending original order before the incremental space folds them —
-// deferred decisions are order-independent, so only the fold order had
-// to be preserved.
-func (d *driver) serialBlockPass(bq BlockQuerier, view []int32) (ps passStats) {
-	filtered := d.filtered()
-	var buf [queryBlockLen]int32
-	var log *[]moveRec
-	if d.perm != nil && d.inc != nil {
-		d.moveSort = d.moveSort[:0]
-		log = &d.moveSort
-	}
-	next, poll := 0, 0
-	for {
-		blk := buf[:0]
-		if filtered {
-			for next < len(d.act.curList) && len(blk) < queryBlockLen {
-				blk = append(blk, d.act.curList[next])
-				next++
-			}
-		} else {
-			for next < d.n && len(blk) < queryBlockLen {
-				blk = append(blk, d.sweepItem(next))
-				next++
-			}
-		}
-		if len(blk) == 0 {
-			break
-		}
-		if poll += len(blk); poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				break
-			}
-		}
-		d.evalBlock(bq, blk, view, &ps, log)
-	}
-	if log != nil {
-		d.applyMovesOriginalOrder(*log)
-	}
-	return ps
-}
-
-// sweepItem maps an unfiltered deferred-pass cursor position to the
-// item evaluated there: position = item on an original-order index,
-// and the position'th item of the *internal* order on a reordered one,
-// so consecutive positions touch consecutive internal IDs and the
-// sweep streams the permuted arena the way it was built. Every item is
-// still evaluated exactly once per pass, decisions read only the
-// snapshot view, and move side effects are re-ordered where they are
-// order-sensitive (applyMovesOriginalOrder), so results are
-// bit-identical to the original-order sweep.
-func (d *driver) sweepItem(pos int) int32 {
-	if d.perm != nil {
-		return d.inv[pos]
-	}
-	return int32(pos)
-}
-
-// applyMovesOriginalOrder folds a deferred pass's collected moves into
-// the incremental space in ascending original-item order — the order
-// the original-order serial pass applies them in. Sorting is what
-// makes the internal-order sweep invisible: K-Means' running sums are
-// floating-point accumulators, so the fold order is part of the
-// bit-identity contract.
-func (d *driver) applyMovesOriginalOrder(moves []moveRec) {
-	slices.SortFunc(moves, func(a, b moveRec) int { return int(a.item) - int(b.item) })
-	for _, mv := range moves {
-		d.inc.ApplyMove(int(mv.item), mv.from, mv.to)
-	}
-}
-
-// evalBlock runs one batched shortlist query and evaluates every item
-// in the block. log, when non-nil, receives the moves instead of the
-// incremental engine — callers batch moves whenever the pass order is
-// not the apply order: parallel workers replay after the join, and
-// reordered serial sweeps re-sort to ascending original first. The
-// serial caller on an unreordered index passes nil and applies
-// immediately.
-func (d *driver) evalBlock(bq BlockQuerier, blk []int32, view []int32, ps *passStats, log *[]moveRec) {
-	dq, _ := bq.(DegradedQuerier)
-	bq.CandidatesBlock(blk, view, func(pos int, shortlist []int32) {
-		i := int(blk[pos])
-		cur := d.assign[i]
-		ps.cands += int64(len(shortlist))
-		best := d.bestWithDegraded(dq, i, int(cur), shortlist, ps)
-		ps.evaluated++
-		if best != cur {
-			d.setAssign(i, best)
-			if log != nil {
-				*log = append(*log, moveRec{int32(i), cur, best})
-			} else if d.inc != nil {
-				d.inc.ApplyMove(i, cur, best)
-			}
-			ps.moves++
-			d.noteMove(i)
-		}
+		var w passWorker
+		d.sweep(&w, q, view, dom, lo, hi, immediate)
+		mu.Lock()
+		ps.add(w.ps)
+		d.moves = append(d.moves, w.moves...)
+		mu.Unlock()
 	})
-}
-
-func (d *driver) exactPass() (ps passStats) {
-	if d.opts.Workers > 1 {
-		return d.parallelExactPass()
-	}
-	poll := 0
-	for i := 0; i < d.n; i++ {
-		if poll++; poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				break
-			}
-		}
-		cur := d.assign[i]
-		best := int32(d.bestExact(i, int(cur), &ps.comps))
-		ps.cands += int64(d.k)
-		ps.evaluated++
-		if best != cur {
-			d.assign[i] = best
-			if d.inc != nil {
-				d.inc.ApplyMove(i, cur, best)
-			}
-			ps.moves++
-		}
-	}
-	return ps
-}
-
-// segStats is one parallel worker's share of a pass.
-type segStats struct {
-	ps    passStats
-	moved []moveRec
-}
-
-// parallelPass splits the accelerated assignment across Workers
-// goroutines. Safe because queries read the immutable snapshot and each
-// item's assignment cell (and moved flag) is written by exactly one
-// worker. A filtered pass partitions the active list instead of the
-// index range, so workers stay balanced on the surviving work; both
-// partitions are contiguous and ascending, which applyMoveLogs relies
-// on.
-func (d *driver) parallelPass(view []int32) passStats {
-	w := d.opts.Workers
-	filtered := d.filtered()
-	total := d.n
-	if filtered {
-		total = len(d.act.curList)
-	}
-	res := make([]segStats, w)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		lo := g * total / w
-		hi := (g + 1) * total / w
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			q := d.opts.Accelerator.NewQuerier()
-			c := &res[g]
-			var log *[]moveRec
-			if d.inc != nil {
-				log = &c.moved
-			}
-			if bq, ok := q.(BlockQuerier); ok {
-				d.workerBlocks(bq, lo, hi, filtered, view, &c.ps, log)
-			} else {
-				d.workerItems(q, lo, hi, filtered, view, &c.ps, log)
-			}
-		}(g, lo, hi)
-	}
-	wg.Wait()
-	var ps passStats
-	for i := range res {
-		ps.add(res[i].ps)
-	}
-	d.applyMoveLogs(w, func(g int) []moveRec { return res[g].moved })
-	return ps
-}
-
-// workerBlocks processes positions [lo, hi) of the worker's domain —
-// the active list when filtered, item IDs otherwise — in batched
-// blocks.
-func (d *driver) workerBlocks(bq BlockQuerier, lo, hi int, filtered bool, view []int32, ps *passStats, log *[]moveRec) {
-	var buf [queryBlockLen]int32
-	poll := 0
-	for next := lo; next < hi; {
-		blk := buf[:0]
-		for next < hi && len(blk) < queryBlockLen {
-			if filtered {
-				blk = append(blk, d.act.curList[next])
-			} else {
-				blk = append(blk, d.sweepItem(next))
-			}
-			next++
-		}
-		if poll += len(blk); poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				return
-			}
-		}
-		d.evalBlock(bq, blk, view, ps, log)
-	}
-}
-
-// workerItems is the per-item worker loop for queriers without block
-// support.
-func (d *driver) workerItems(q Querier, lo, hi int, filtered bool, view []int32, ps *passStats, log *[]moveRec) {
-	dq, _ := q.(DegradedQuerier)
-	poll := 0
-	for pos := lo; pos < hi; pos++ {
-		i := pos
-		if filtered {
-			i = int(d.act.curList[pos])
-		}
-		if poll++; poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				return
-			}
-		}
-		cur := d.assign[i]
-		shortlist := q.Candidates(int32(i), view)
-		ps.cands += int64(len(shortlist))
-		best := d.bestWithDegraded(dq, i, int(cur), shortlist, ps)
-		ps.evaluated++
-		if best != cur {
-			d.setAssign(i, best)
-			if log != nil {
-				*log = append(*log, moveRec{int32(i), cur, best})
-			}
-			ps.moves++
-			d.noteMove(i)
-		}
-	}
-}
-
-// applyMoveLogs replays per-worker move batches into the incremental
-// space after a parallel pass joins. Worker domains are contiguous and
-// ascending, so replaying workers in order applies moves in ascending
-// item order — the same order the single-threaded pass uses. On a
-// reordered index the unfiltered block sweep walks internal order, so
-// the concatenated logs are re-sorted back into ascending original
-// order instead (applyMovesOriginalOrder).
-func (d *driver) applyMoveLogs(w int, log func(g int) []moveRec) {
-	if d.inc == nil {
-		return
-	}
-	if d.perm != nil {
-		d.moveSort = d.moveSort[:0]
-		for g := 0; g < w; g++ {
-			d.moveSort = append(d.moveSort, log(g)...)
-		}
-		d.applyMovesOriginalOrder(d.moveSort)
-		return
-	}
-	for g := 0; g < w; g++ {
-		for _, mv := range log(g) {
+	if d.inc != nil {
+		slices.SortFunc(d.moves, func(a, b moveRec) int { return int(a.item) - int(b.item) })
+		for _, mv := range d.moves {
 			d.inc.ApplyMove(int(mv.item), mv.from, mv.to)
 		}
 	}
+	return ps
 }
 
-func (d *driver) parallelExactPass() passStats {
-	w := d.opts.Workers
-	res := make([]segStats, w)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		lo := g * d.n / w
-		hi := (g + 1) * d.n / w
-		if lo == hi {
+// passWorker is one goroutine's share of a pass: its counters and the
+// moves it decided.
+type passWorker struct {
+	ps    passStats
+	moves []moveRec
+}
+
+// sweep runs the block loop over positions [lo, hi) of the pass domain
+// (dom[pos], or pos itself when dom is nil). It gathers up to a block
+// of items, fetches their shortlists in one CandidatesBlock call
+// against view, and decides each item in order; an exact pass (nil q)
+// compares each item against every cluster instead. Under immediate
+// updates the gather skips items whose live active flag is off, and a
+// block is cut at its first move: the positions after the mover had
+// their shortlists computed before the move, so they are discarded and
+// re-gathered from the item after the mover, observing the move and
+// any flags it raised.
+func (d *driver) sweep(w *passWorker, q Querier, view, dom []int32, lo, hi int, immediate bool) {
+	bq, blockLen := d.blockQuerier(q)
+	dq, _ := q.(DegradedQuerier)
+	live := immediate && d.filtered()
+	var buf [queryBlockLen]int32
+	poll := 0
+	for pos := lo; pos < hi; {
+		blk := buf[:0]
+		for ; pos < hi && len(blk) < blockLen; pos++ {
+			it := int32(pos)
+			if dom != nil {
+				it = dom[pos]
+			}
+			if live && !d.act.cur[it] {
+				continue
+			}
+			blk = append(blk, it)
+		}
+		if len(blk) == 0 {
+			return
+		}
+		if poll += len(blk); poll >= ctxPollEvery {
+			poll = 0
+			if ctxErr(d.opts.Context) != nil {
+				return
+			}
+		}
+		if bq == nil {
+			//lshvet:ignore ctxpollcheck one block, bounded by queryBlockLen
+			for _, it := range blk {
+				i := int(it)
+				w.ps.cands += int64(d.k)
+				d.settle(w, i, int32(d.bestExact(i, int(d.assign[i]), &w.ps.comps)))
+			}
 			continue
 		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			c := &res[g]
-			poll := 0
-			for i := lo; i < hi; i++ {
-				if poll++; poll >= ctxPollEvery {
-					poll = 0
-					if ctxErr(d.opts.Context) != nil {
-						return
-					}
-				}
-				cur := d.assign[i]
-				best := int32(d.bestExact(i, int(cur), &c.ps.comps))
-				c.ps.cands += int64(d.k)
-				c.ps.evaluated++
-				if best != cur {
-					d.assign[i] = best
-					if d.inc != nil {
-						c.moved = append(c.moved, moveRec{int32(i), cur, best})
-					}
-					c.ps.moves++
-				}
+		movedAt := -1
+		bq.CandidatesBlock(blk, view, func(p int, shortlist []int32) {
+			if movedAt >= 0 {
+				return // discarded tail: stale after the move
 			}
-		}(g, lo, hi)
+			i := int(blk[p])
+			w.ps.cands += int64(len(shortlist))
+			if d.settle(w, i, d.bestWithDegraded(dq, i, int(d.assign[i]), shortlist, &w.ps)) && immediate {
+				movedAt = p
+			}
+		})
+		if movedAt >= 0 {
+			pos = int(blk[movedAt]) + 1 // immediate domains are item IDs
+		}
 	}
-	wg.Wait()
-	var ps passStats
-	for i := range res {
-		ps.add(res[i].ps)
+}
+
+// settle records item i's evaluation and, when best differs from its
+// cluster, moves it there. The assignment write *is* the paper's
+// "update the cluster reference in the MinHash index": buckets store
+// item IDs and queries map them through the assignment.
+func (d *driver) settle(w *passWorker, i int, best int32) bool {
+	w.ps.evaluated++
+	cur := d.assign[i]
+	if best == cur {
+		return false
 	}
-	d.applyMoveLogs(w, func(g int) []moveRec { return res[g].moved })
-	return ps
+	d.setAssign(i, best)
+	if d.inc != nil {
+		w.moves = append(w.moves, moveRec{int32(i), cur, best})
+	}
+	w.ps.moves++
+	d.noteMove(i)
+	return true
+}
+
+// blockQuerier returns the block form of q and the block length a
+// sweep gathers. A BlockQuerier is used as is, at queryBlockLen.
+// Other queriers, and every querier of the per-item reference run,
+// go through perItemQuerier at block length 1, so an immediate pass
+// never fetches a shortlist it would discard. A nil q (exact runs)
+// stays nil.
+func (d *driver) blockQuerier(q Querier) (BlockQuerier, int) {
+	if q == nil {
+		return nil, queryBlockLen
+	}
+	if bq, ok := q.(BlockQuerier); ok && !d.perItem {
+		return bq, queryBlockLen
+	}
+	return perItemQuerier{q}, 1
+}
+
+// perItemQuerier adapts a Querier to BlockQuerier with one Candidates
+// call per item.
+type perItemQuerier struct{ Querier }
+
+func (q perItemQuerier) CandidatesBlock(items []int32, assign []int32, emit func(pos int, shortlist []int32)) {
+	for pos, it := range items {
+		emit(pos, q.Candidates(it, assign))
+	}
 }

@@ -81,9 +81,10 @@ type Freezer interface {
 	Freeze()
 }
 
-// moveRec is one recorded item move, applied to an IncrementalSpace
-// after a parallel pass joins (per-worker batching keeps ApplyMove
-// single-threaded without serialising the pass itself).
+// moveRec is one recorded item move. Every pass logs its moves and
+// folds them into the IncrementalSpace after the pass, in ascending
+// item order (driver.pass), which keeps ApplyMove single-threaded
+// without serialising parallel passes.
 type moveRec struct {
 	item     int32
 	from, to int32

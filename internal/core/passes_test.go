@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"lshcluster/internal/kmeans"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
+	"lshcluster/internal/simhash"
 
 	"lshcluster/internal/core"
 )
@@ -66,67 +68,123 @@ func TestSeededBootstrapQueriesGrowingIndex(t *testing.T) {
 	}
 }
 
-// TestImmediateBatchingMatchesPerItem is the equivalence oracle for
-// the move-bounded block pass: immediate-update runs with and without
-// DisableImmediateBatching must be bit-identical in assignments,
-// per-iteration moves, costs, evaluated counts, comparisons and
-// shortlist totals — across tie-break modes and the active-set filter.
-func TestImmediateBatchingMatchesPerItem(t *testing.T) {
-	ds := bootstrapWorkload(t)
-	run := func(tb core.TieBreak, noActive, disableBatch bool) *core.Result {
-		space, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:              accel,
-			Update:                   core.UpdateImmediate,
-			TieBreak:                 tb,
-			MaxIterations:            15,
-			DisableActiveFilter:      noActive,
-			DisableImmediateBatching: disableBatch,
-		})
+// noBlockAccel hides CandidatesBlock from the MinHash accelerator's
+// queriers, so its passes go through the driver's per-item adapter;
+// embedding forwards every other capability.
+type noBlockAccel struct{ *core.MinHashAccelerator }
+
+func (a noBlockAccel) NewQuerier() core.Querier {
+	return noBlockQuerier{a.MinHashAccelerator.NewQuerier()}
+}
+
+type noBlockQuerier struct{ core.Querier }
+
+// assertMatchesPerItem runs opts through core.Run and through the
+// per-item reference and asserts bit-identical assignments and
+// per-iteration moves, comparisons, shortlist totals, evaluated items
+// and costs.
+func assertMatchesPerItem(t *testing.T, mk func() (core.Space, core.Accelerator), opts core.Options) {
+	t.Helper()
+	run := func(fn func(core.Space, core.Options) (*core.Result, error)) *core.Result {
+		space, accel := mk()
+		o := opts
+		o.Accelerator = accel
+		res, err := fn(space, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
-		for _, noActive := range []bool{false, true} {
-			t.Run(fmt.Sprintf("tb=%d/noActive=%v", tb, noActive), func(t *testing.T) {
-				blocked := run(tb, noActive, false)
-				oracle := run(tb, noActive, true)
-				for i := range oracle.Assign {
-					if oracle.Assign[i] != blocked.Assign[i] {
-						t.Fatalf("assign[%d]: blocked %d, per-item %d", i, blocked.Assign[i], oracle.Assign[i])
+	got, ref := run(core.Run), run(core.RunPerItem)
+	for i := range ref.Assign {
+		if got.Assign[i] != ref.Assign[i] {
+			t.Fatalf("assign[%d]: block %d, per-item %d", i, got.Assign[i], ref.Assign[i])
+		}
+	}
+	if got.Stats.Converged != ref.Stats.Converged || len(got.Stats.Iterations) != len(ref.Stats.Iterations) {
+		t.Fatalf("block converged=%v after %d iterations, per-item converged=%v after %d",
+			got.Stats.Converged, len(got.Stats.Iterations), ref.Stats.Converged, len(ref.Stats.Iterations))
+	}
+	for i := range ref.Stats.Iterations {
+		a, b := got.Stats.Iterations[i], ref.Stats.Iterations[i]
+		if a.Moves != b.Moves || a.Comparisons != b.Comparisons || a.CandidatesTotal != b.CandidatesTotal ||
+			a.ActiveItems != b.ActiveItems || a.Cost != b.Cost {
+			t.Fatalf("iteration %d: block (moves %d, comps %d, cands %d, eval %d, cost %v), per-item (moves %d, comps %d, cands %d, eval %d, cost %v)",
+				i+1, a.Moves, a.Comparisons, a.CandidatesTotal, a.ActiveItems, a.Cost,
+				b.Moves, b.Comparisons, b.CandidatesTotal, b.ActiveItems, b.Cost)
+		}
+	}
+}
+
+// TestPassMatchesPerItem is the equivalence test for the block pass
+// loop: every configuration must match the per-item reference bit for
+// bit — MinHash K-Modes and SimHash K-Means, immediate updates and
+// deferred ones at one and four workers, reordering and the active
+// filter on and off, both tie-breaks. The noblock accelerator's block
+// runs go through the per-item adapter.
+func TestPassMatchesPerItem(t *testing.T) {
+	ds := bootstrapWorkload(t)
+	pts, _, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{Points: 800, Clusters: 40, Dim: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kmodesRun := func() (*kmodes.Space, *core.MinHashAccelerator) {
+		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, a
+	}
+	spaces := []struct {
+		name string
+		mk   func() (core.Space, core.Accelerator)
+	}{
+		{"kmodes", func() (core.Space, core.Accelerator) { return kmodesRun() }},
+		{"kmeans", func() (core.Space, core.Accelerator) {
+			s, err := kmeans.NewSpace(pts, 8, kmeans.Config{K: 40, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := simhash.NewAccelerator(s, lsh.Params{Bands: 8, Rows: 8}, 21)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, a
+		}},
+		{"noblock", func() (core.Space, core.Accelerator) {
+			s, a := kmodesRun()
+			return s, noBlockAccel{a}
+		}},
+	}
+	updates := []struct {
+		name    string
+		upd     core.UpdateMode
+		workers int
+	}{
+		{"immediate", core.UpdateImmediate, 1},
+		{"deferred-w1", core.UpdateDeferred, 1},
+		{"deferred-w4", core.UpdateDeferred, 4},
+	}
+	for _, sp := range spaces {
+		for _, u := range updates {
+			for _, reorder := range []bool{true, false} {
+				for _, active := range []bool{true, false} {
+					for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
+						name := fmt.Sprintf("%s/%s/reorder=%v/active=%v/tb=%d", sp.name, u.name, reorder, active, tb)
+						t.Run(name, func(t *testing.T) {
+							assertMatchesPerItem(t, sp.mk, core.Options{
+								Update: u.upd, Workers: u.workers, TieBreak: tb, Shards: 2,
+								DisableReorder: !reorder, DisableActiveFilter: !active,
+								MaxIterations: 15,
+							})
+						})
 					}
 				}
-				if blocked.Stats.Converged != oracle.Stats.Converged {
-					t.Fatalf("converged: blocked %v, per-item %v",
-						blocked.Stats.Converged, oracle.Stats.Converged)
-				}
-				if len(blocked.Stats.Iterations) != len(oracle.Stats.Iterations) {
-					t.Fatalf("iterations: blocked %d, per-item %d",
-						len(blocked.Stats.Iterations), len(oracle.Stats.Iterations))
-				}
-				for i := range oracle.Stats.Iterations {
-					a, b := oracle.Stats.Iterations[i], blocked.Stats.Iterations[i]
-					if a.Moves != b.Moves || a.Cost != b.Cost {
-						t.Fatalf("iteration %d: blocked moves=%d cost=%v, per-item moves=%d cost=%v",
-							i+1, b.Moves, b.Cost, a.Moves, a.Cost)
-					}
-					if a.ActiveItems != b.ActiveItems || a.Comparisons != b.Comparisons ||
-						a.CandidatesTotal != b.CandidatesTotal {
-						t.Fatalf("iteration %d work: blocked (eval %d, comps %d, cands %d), per-item (eval %d, comps %d, cands %d)",
-							i+1, b.ActiveItems, b.Comparisons, b.CandidatesTotal,
-							a.ActiveItems, a.Comparisons, a.CandidatesTotal)
-					}
-				}
-			})
+			}
 		}
 	}
 }

@@ -154,9 +154,10 @@ func TestReorderInvarianceKMeans(t *testing.T) {
 
 // TestReorderOracleCrosses pins the reorder oracle against the other
 // hot-path toggles it interacts with: the active filter off (full
-// passes query every item), immediate batching off (per-item live
-// queries), and the key-probe fan-out (foreign slots off). Every
-// combination must still match the DisableReorder oracle bit for bit.
+// passes query every item) and the key-probe fan-out (foreign slots
+// off). Every combination must still match the DisableReorder oracle
+// bit for bit. Per-item live queries on a reordered index are covered
+// by TestPassMatchesPerItem.
 func TestReorderOracleCrosses(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -171,9 +172,8 @@ func TestReorderOracleCrosses(t *testing.T) {
 		return s, a
 	}
 	muts := map[string]func(*core.Options){
-		"no-active-filter":      func(o *core.Options) { o.DisableActiveFilter = true },
-		"no-immediate-batching": func(o *core.Options) { o.DisableImmediateBatching = true },
-		"no-foreign-slots":      func(o *core.Options) { o.DisableForeignSlots = true },
+		"no-active-filter": func(o *core.Options) { o.DisableActiveFilter = true },
+		"no-foreign-slots": func(o *core.Options) { o.DisableForeignSlots = true },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {

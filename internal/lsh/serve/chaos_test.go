@@ -21,7 +21,7 @@ func (nopBackend) CandidatesBlock(context.Context, int, []uint64, func(int, int,
 	return nil
 }
 func (nopBackend) ReverseSpans(context.Context, []uint64, []int32) error { return nil }
-func (nopBackend) Stats(context.Context) (lsh.Stats, error)             { return lsh.Stats{}, nil }
+func (nopBackend) Stats(context.Context) (lsh.Stats, error)              { return lsh.Stats{}, nil }
 
 func TestParseChaosSpec(t *testing.T) {
 	valid := []string{
@@ -36,8 +36,8 @@ func TestParseChaosSpec(t *testing.T) {
 		"dead",
 		"failn=10",
 		"seed=7;err=0.05;lat=300us~200us;shard2.dead;shard0.failn=10",
-		" seed=1 ; err=0.5 ",     // whitespace tolerated
-		"err=0.05;;shard1.dead",  // empty clause tolerated
+		" seed=1 ; err=0.5 ",    // whitespace tolerated
+		"err=0.05;;shard1.dead", // empty clause tolerated
 		"shard3.stall=0.5:1ms",
 	}
 	for _, spec := range valid {
@@ -54,16 +54,16 @@ func TestParseChaosSpec(t *testing.T) {
 		"lat=banana",
 		"lat=-3ms",
 		"lat=1ms~banana",
-		"stall=0.5",       // missing :DUR
-		"stall=2:1ms",     // rate out of range
-		"stall=0.5:-1ms",  // negative duration
-		"dead=1",          // dead takes no value
+		"stall=0.5",      // missing :DUR
+		"stall=2:1ms",    // rate out of range
+		"stall=0.5:-1ms", // negative duration
+		"dead=1",         // dead takes no value
 		"failn=-3",
 		"failn=x",
 		"bogus=1",
-		"shardx.dead",     // non-numeric shard index
-		"shard-1.dead",    // negative shard index
-		"shard2dead",      // missing dot (parses as unknown fault)
+		"shardx.dead",  // non-numeric shard index
+		"shard-1.dead", // negative shard index
+		"shard2dead",   // missing dot (parses as unknown fault)
 	}
 	for _, spec := range invalid {
 		if _, err := ParseChaosSpec(spec); err == nil {

@@ -69,7 +69,7 @@ func (s *slowShard) CandidatesBlock(context.Context, int, []uint64, func(int, in
 	return nil
 }
 func (s *slowShard) ReverseSpans(context.Context, []uint64, []int32) error { return nil }
-func (s *slowShard) Stats(context.Context) (lsh.Stats, error)             { return lsh.Stats{}, nil }
+func (s *slowShard) Stats(context.Context) (lsh.Stats, error)              { return lsh.Stats{}, nil }
 
 func newShards(n, bands int) ([]*slowShard, []lsh.ShardBackend) {
 	shards := make([]*slowShard, n)

@@ -148,12 +148,6 @@ type Config struct {
 	// are bit-identical either way); this switch is the correctness
 	// oracle and A/B baseline.
 	DisableParallelBootstrap bool
-	// DisableImmediateBatching forces the immediate-update assignment
-	// pass to evaluate items one at a time instead of gathering
-	// shortlists in blocks cut at move boundaries (results are
-	// bit-identical either way); this switch is the correctness oracle
-	// and A/B baseline.
-	DisableImmediateBatching bool
 	// DisableReorder forces the sharded LSH index to build in original
 	// item order instead of applying the locality-preserving
 	// permutation that makes co-colliding items contiguous (results
@@ -236,7 +230,6 @@ func (c Config) coreOptions() core.Options {
 		DisableIncremental:       c.DisableIncremental,
 		DisableActiveFilter:      c.DisableActiveFilter,
 		DisableParallelBootstrap: c.DisableParallelBootstrap,
-		DisableImmediateBatching: c.DisableImmediateBatching,
 		DisableReorder:           c.DisableReorder,
 	}
 	if c.SeededBootstrap {
