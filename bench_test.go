@@ -566,65 +566,6 @@ func benchShardedRun(b *testing.B, shards int) {
 func BenchmarkShardedRun1(b *testing.B) { benchShardedRun(b, 1) }
 func BenchmarkShardedRun4(b *testing.B) { benchShardedRun(b, 4) }
 
-// benchForeignSlots is the cross-shard fan-out A/B at S=4 on the 100k
-// workload: materialised foreign-slot arrays (direct loads) vs the
-// key-probe oracle (DisableForeignSlots). Assignments are bit-identical
-// across the pair — only the fan-out mechanism differs — so iter_ms
-// isolates the probe tax the arrays remove. foreignslot_kb reports the
-// materialised footprint (0 for the probe run), probe_frac the fraction
-// of cross-shard resolutions that fell back to key probing.
-func benchForeignSlots(b *testing.B, disable bool) {
-	const k = 1000
-	ds := signWorkload(b)
-	var merge, iter time.Duration
-	var iters int
-	var bytes, probes, direct int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space, err := kmodes.NewSpace(ds, kmodes.Config{K: k, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 5}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:         accel,
-			SkipCost:            true,
-			MaxIterations:       4,
-			Workers:             4,
-			Update:              core.UpdateDeferred,
-			Shards:              4,
-			DisableForeignSlots: disable,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		merge += res.Stats.CrossShardMerge
-		for _, it := range res.Stats.Iterations {
-			iter += it.Duration
-			iters++
-		}
-		bytes = res.Stats.ForeignSlotBytes
-		probes += res.Stats.CrossShardProbes
-		direct += res.Stats.CrossShardDirect
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(merge.Milliseconds())/n, "crossshard_merge_ms")
-	if iters > 0 {
-		b.ReportMetric(float64(iter.Milliseconds())/float64(iters), "iter_ms")
-	}
-	b.ReportMetric(float64(bytes)/1024, "foreignslot_kb")
-	if total := probes + direct; total > 0 {
-		b.ReportMetric(float64(probes)/float64(total), "probe_frac")
-	}
-}
-
-func BenchmarkAblationForeignSlotsOff(b *testing.B) { benchForeignSlots(b, true) }
-func BenchmarkAblationForeignSlotsOn(b *testing.B)  { benchForeignSlots(b, false) }
-
 // ---- locality-preserving item reordering ----
 
 // benchLocality is the reordering A/B on the 100k workload: a

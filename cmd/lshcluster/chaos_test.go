@@ -73,48 +73,3 @@ func TestClusterChaosSpecRejected(t *testing.T) {
 		t.Fatalf("err = %v, want invalid chaos spec", err)
 	}
 }
-
-// TestServeDemo pins the multi-shard server demo: it serves the
-// requested queries, reports per-shard accounting and straggler order,
-// and composes with chaos injection (dead shard → partial queries).
-func TestServeDemo(t *testing.T) {
-	in := writeWorkload(t)
-	var out, errw bytes.Buffer
-	err := run([]string{
-		"-in", in, "-k", "10", "-bands", "10", "-rows", "2",
-		"-shards", "3", "-serve-queries", "40", "-serve-clients", "3", "-serve-inflight", "2",
-	}, &out, &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr := errw.String()
-	for _, want := range []string{"serve: 40 queries via 3 clients", "bucket recall 1.0000", "shard 0:", "straggler order"} {
-		if !strings.Contains(stderr, want) {
-			t.Fatalf("serve report missing %q:\n%s", want, stderr)
-		}
-	}
-
-	errw.Reset()
-	out.Reset()
-	err = run([]string{
-		"-in", in, "-k", "10", "-bands", "10", "-rows", "2",
-		"-shards", "3", "-serve-queries", "40", "-chaos-spec", "seed=2;shard1.dead",
-	}, &out, &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errw.String(), "partial") {
-		t.Fatalf("chaos serve report missing partial count:\n%s", errw.String())
-	}
-}
-
-// TestServeDemoNeedsAcceleration: -serve-queries with -exact is a
-// usage error.
-func TestServeDemoNeedsAcceleration(t *testing.T) {
-	in := writeWorkload(t)
-	var out, errw bytes.Buffer
-	err := run([]string{"-in", in, "-k", "10", "-exact", "-serve-queries", "10"}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "-serve-queries") {
-		t.Fatalf("err = %v, want -serve-queries usage error", err)
-	}
-}

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -22,7 +21,6 @@ import (
 	"math"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"lshcluster/internal/core"
@@ -30,7 +28,6 @@ import (
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
 	"lshcluster/internal/lsh/persist"
-	"lshcluster/internal/lsh/serve"
 	"lshcluster/internal/metrics"
 	"lshcluster/internal/runstats"
 )
@@ -59,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	statsCSV := fs.String("stats", "", "write per-iteration statistics CSV to this file")
 	workers := fs.Int("workers", 1, "parallel assignment workers (forces deferred updates)")
 	shards := fs.Int("shards", 1, "item-partitioned LSH index shards (1 = unsharded oracle; results are identical for every value)")
-	foreignBudget := fs.Int64("foreign-slot-budget", 0, "byte budget for materialised cross-shard fan-out arrays (0 = 64 MiB default, negative = unlimited; over budget the index keeps key probing)")
-	noForeign := fs.Bool("no-foreign-slots", false, "keep cross-shard fan-out on the key-probe path (A/B baseline; results are identical)")
 	scalarKernels := fs.Bool("scalar-kernels", false, "use scalar reference distance kernels instead of the unrolled ones (A/B baseline; results are identical)")
 	seeded := fs.Bool("seeded-bootstrap", false, "use the seeded-index bootstrap instead of a full first pass")
 	abandon := fs.Bool("early-abandon", false, "enable early-abandon distance evaluation")
@@ -78,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mmapIndex := fs.Bool("mmap-index", true, "memory-map the persisted index zero-copy; -mmap-index=false copies it onto the heap (A/B baseline; results are identical)")
 	memBudget := fs.Int64("shard-memory-budget", 0, "resident-byte cap for the memory-mapped index; whole shards page out past it and page back in on demand (0 = unlimited)")
 	snapshotEvery := fs.Int("snapshot-every", 0, "checkpoint the run state into the index directory every N iterations and resume interrupted runs from it (0 = off; needs -save-index/-load-index)")
-	serveQueries := fs.Int("serve-queries", 0, "after clustering, serve this many shortlist queries through the concurrent multi-shard server demo (0 = off; needs LSH acceleration)")
-	serveClients := fs.Int("serve-clients", 4, "concurrent client goroutines for -serve-queries")
-	serveInflight := fs.Int("serve-inflight", 2, "per-shard in-flight call bound (backpressure) for -serve-queries")
 	initMethod := fs.String("init", "random", "initial centroid selection: random | huang | cao")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -161,8 +153,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		EarlyAbandon:             *abandon,
 		Workers:                  *workers,
 		Shards:                   *shards,
-		ForeignSlotBudget:        *foreignBudget,
-		DisableForeignSlots:      *noForeign,
 		ScalarKernels:            *scalarKernels,
 		DisableIncremental:       *noIncremental,
 		DisableActiveFilter:      *noActive,
@@ -187,9 +177,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *seeded {
 		opts.Bootstrap = core.BootstrapSeeded
 	}
-	var accel *core.MinHashAccelerator
 	if !*exact {
-		accel, err = core.NewMinHashAccelerator(ds, lsh.Params{Bands: *bands, Rows: *rows}, uint64(*seed))
+		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: *bands, Rows: *rows}, uint64(*seed))
 		if err != nil {
 			return err
 		}
@@ -197,9 +186,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *workers > 1 {
 			opts.Update = core.UpdateDeferred
 		}
-	}
-	if *serveQueries > 0 && *exact {
-		return fmt.Errorf("-serve-queries needs LSH acceleration (drop -exact)")
 	}
 	res, err := core.Run(space, opts)
 	if err != nil {
@@ -222,18 +208,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if len(run.BootstrapBuildShards) > 0 {
 			slowestBuild = run.BootstrapBuildShards[slowest]
 		}
-		fanOut := "key-probe fan-out"
-		if run.ForeignSlotBytes > 0 {
-			fanOut = fmt.Sprintf("foreign-slot fan-out, %d KiB", run.ForeignSlotBytes/1024)
-		}
 		locality := ""
 		if frac := run.ShardLocalFrac(); !math.IsNaN(frac) {
 			locality = fmt.Sprintf("; shard-local candidate fraction %.2f", frac)
 		}
-		fmt.Fprintf(stderr, "lshcluster: %d index shards (slowest build: shard %d at %v; cross-shard merge %v; %s, probe fraction %.2f%s)\n",
+		fmt.Fprintf(stderr, "lshcluster: %d index shards (slowest build: shard %d at %v; cross-shard merge %v; foreign-emptiness bitmap %d KiB, key-probe fraction %.4f%s)\n",
 			run.Shards, slowest, slowestBuild.Round(time.Millisecond),
 			run.CrossShardMerge.Round(time.Millisecond),
-			fanOut, run.CrossShardProbeFrac(), locality)
+			run.ForeignSlotBytes/1024, run.CrossShardProbeFrac(), locality)
 	}
 	if run.WarmStart {
 		fmt.Fprintf(stderr, "lshcluster: warm start: index loaded from %s in %v (skipped signing, build and first scan)\n",
@@ -302,101 +284,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *serveQueries > 0 {
-		if err := serveDemo(stderr, accel, ds.NumItems(), *chaosSpec, *serveQueries, *serveClients, *serveInflight); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// serveDemo drives the concurrent multi-shard serving layer over the
-// just-built index: client goroutines issue shortlist queries
-// round-robin over the items, each query fanning out through the
-// server's goroutine-isolated, backpressured shard backends
-// (chaos-wrapped when a spec is given, with an injection stream
-// independent of the clustering run's), and the served buckets are
-// compared against a direct fan-out over the same shards to measure
-// the recall the faults cost.
-func serveDemo(stderr io.Writer, accel *core.MinHashAccelerator, n int, spec string, queries, clients, inflight int) error {
-	ix := accel.Index()
-	bands := accel.Params().Bands
-	locals := ix.LocalBackends()
-	backends := locals
-	if spec != "" {
-		cs, err := serve.ParseChaosSpec(spec)
-		if err != nil {
-			return err
-		}
-		// Salt 2: independent of the clustering run's primaries (salt 0)
-		// and hedge mirrors (salt 1).
-		backends = cs.Wrap(locals, 2)
-	}
-	srv := serve.NewServer(backends, bands, inflight)
-	if clients < 1 {
-		clients = 1
-	}
-	// served/oracle count emitted buckets through the server versus the
-	// direct fan-out; partial counts queries that lost ≥ 1 shard.
-	type clientStats struct {
-		served, oracle int64
-		partial, done  int64
-	}
-	stats := make([]clientStats, clients)
-	ctx := context.Background()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			st := &stats[c]
-			keys := make([]uint64, bands)
-			for q := c; q < queries; q += clients {
-				item := int32(q % n)
-				if !ix.ItemKeysOf(item, keys) {
-					continue
-				}
-				served := 0
-				skipped, err := srv.Candidates(ctx, keys, func(int, []int32) { served++ })
-				if err != nil {
-					continue
-				}
-				oracle := 0
-				for _, b := range locals {
-					_ = b.Candidates(ctx, keys, func(int, []int32) { oracle++ })
-				}
-				st.served += int64(served)
-				st.oracle += int64(oracle)
-				if skipped > 0 {
-					st.partial++
-				}
-				st.done++
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var served, oracle, partial, done int64
-	for i := range stats {
-		served += stats[i].served
-		oracle += stats[i].oracle
-		partial += stats[i].partial
-		done += stats[i].done
-	}
-	recall := 1.0
-	if oracle > 0 {
-		recall = float64(served) / float64(oracle)
-	}
-	fmt.Fprintf(stderr, "lshcluster: serve: %d queries via %d clients in %v (%.0f qps); %d partial; bucket recall %.4f\n",
-		done, clients, elapsed.Round(time.Millisecond),
-		float64(done)/elapsed.Seconds(), partial, recall)
-	for s, rep := range srv.Report() {
-		fmt.Fprintf(stderr, "lshcluster: serve: shard %d: %d calls, %d errors, %d stragglers, mean %v, max %v\n",
-			s, rep.Calls, rep.Errors, rep.Stragglers,
-			rep.Mean.Round(time.Microsecond), rep.Max.Round(time.Microsecond))
-	}
-	fmt.Fprintf(stderr, "lshcluster: serve: straggler order (worst first): %v\n", srv.Slowest())
 	return nil
 }
 

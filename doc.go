@@ -151,20 +151,18 @@
 // Run.ShardLocalFrac (reorder_ms, shard_local_frac in the CSV) report
 // the stage's cost and effect.
 //
-// The fan-out tax is paid by one of two mechanisms. By default, once
-// every shard is frozen the index materialises foreign-slot arrays —
-// for every owner bucket, the matching bucket's span in each foreign
-// shard's item array, precomputed at freeze time — so each cross-shard
-// resolution is a direct array load straight into the foreign items. Materialisation
-// is gated on a byte budget (Config.ForeignSlotBudget; 0 means the
-// 64 MiB default, negative means unlimited): over budget, the index
-// falls back transparently to probing the other shards' key tables per
-// band, the original mechanism, which Config.DisableForeignSlots
-// retains as the bit-identical correctness oracle. Both mechanisms
-// enumerate the same buckets in the same order; only the lookup cost
-// differs. Run.ForeignSlotBytes reports the materialised footprint and
-// Run.CrossShardProbes/CrossShardDirect split the resolutions by
-// mechanism (foreignslot_bytes and crossshard_probe_frac in the CSV).
+// The fan-out reaches foreign shards one way. Per band, the owning
+// shard emits the query item's bucket through its freeze-time slot;
+// the other shards are probed by that bucket's key only when the
+// slot's bit in the foreign-emptiness bitmap is clear. Once every
+// shard is frozen the index records that bitmap — one bit per bucket,
+// set when no other shard holds the same band key — so a set bit
+// stands for S−1 probes that would all miss. After locality
+// reordering nearly every bit is set and a fan-out is one owner-bucket
+// scan. Run.ForeignSlotBytes reports the bitmap's footprint and
+// Run.CrossShardProbes/CrossShardDirect split the cross-shard
+// resolutions into key probes issued and resolutions the bitmap
+// answered (foreignslot_bytes and crossshard_probe_frac in the CSV).
 //
 // # Fault-tolerant shard serving
 //
@@ -198,11 +196,9 @@
 // — bare faults apply to every shard, shardI.-prefixed ones override
 // per shard. A zero-fault spec (e.g. "seed=1") exercises the whole
 // resilient path bit-identically to the direct fan-out, which the
-// equivalence tests pin at every shard count. The same package ships
-// a concurrent multi-shard local server (goroutine-isolated shards,
-// per-shard in-flight backpressure, straggler accounting) behind the
-// CLI's -serve-queries demo. The streaming clusterer takes the same
-// spec via StreamConfig.ChaosSpec, counting StreamStats.DegradedQueries.
+// equivalence tests pin at every shard count. The streaming clusterer
+// takes the same spec via StreamConfig.ChaosSpec, counting
+// StreamStats.DegradedQueries.
 //
 // # Hot-path distance kernels
 //

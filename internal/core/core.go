@@ -216,21 +216,6 @@ type Options struct {
 	// every shard count produces identical runs (enforced by the
 	// shard-invariance equivalence tests).
 	Shards int
-	// ForeignSlotBudget caps the memory (bytes) the sharded index may
-	// spend on materialised cross-shard fan-out arrays (foreign slots),
-	// which turn every foreign-shard bucket resolution into one indexed
-	// load instead of a key-table probe. 0 selects
-	// lsh.DefaultForeignSlotBudget; negative means unlimited. When the
-	// arrays would exceed the budget the index transparently stays on
-	// the probe path — results are identical either way. Ignored
-	// without a ForeignSlotConfigurer accelerator or with Shards < 2.
-	ForeignSlotBudget int64
-	// DisableForeignSlots keeps the cross-shard fan-out on the
-	// key-table probe path even when the foreign-slot arrays would fit
-	// the budget. The probe path is the correctness oracle for the
-	// materialised arrays; this switch exists for equivalence tests and
-	// A/B benchmarks.
-	DisableForeignSlots bool
 	// ScalarKernels routes the hot-loop distance and signing kernels
 	// through their scalar references instead of the unrolled versions
 	// (internal/kernel), on every KernelConfigurable space and
@@ -677,9 +662,6 @@ func (d *driver) bootstrap() error {
 			shards = 1
 		}
 		si.SetShards(shards)
-	}
-	if fc, ok := accel.(ForeignSlotConfigurer); ok {
-		fc.SetForeignSlots(d.opts.ForeignSlotBudget, d.opts.DisableForeignSlots)
 	}
 	if ro, ok := accel.(ReorderConfigurer); ok {
 		ro.SetReorder(d.opts.DisableReorder)

@@ -153,11 +153,10 @@ func TestReorderInvarianceKMeans(t *testing.T) {
 }
 
 // TestReorderOracleCrosses pins the reorder oracle against the other
-// hot-path toggles it interacts with: the active filter off (full
-// passes query every item) and the key-probe fan-out (foreign slots
-// off). Every combination must still match the DisableReorder oracle
-// bit for bit. Per-item live queries on a reordered index are covered
-// by TestPassMatchesPerItem.
+// hot-path toggle it interacts with: the active filter off (full
+// passes query every item). The combination must still match the
+// DisableReorder oracle bit for bit. Per-item live queries on a
+// reordered index are covered by TestPassMatchesPerItem.
 func TestReorderOracleCrosses(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -173,7 +172,6 @@ func TestReorderOracleCrosses(t *testing.T) {
 	}
 	muts := map[string]func(*core.Options){
 		"no-active-filter": func(o *core.Options) { o.DisableActiveFilter = true },
-		"no-foreign-slots": func(o *core.Options) { o.DisableForeignSlots = true },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {

@@ -48,19 +48,14 @@ type UnindexedQuerier interface {
 	CandidatesUnindexed(item int32, assign []int32) []int32
 }
 
-// ForeignSlotConfigurer is an optional Accelerator capability:
-// accelerators whose sharded index can materialise the cross-shard
-// foreign-slot arrays (lsh.Sharded.MaterializeForeignSlots) implement
-// it. The driver forwards Options.ForeignSlotBudget and
-// Options.DisableForeignSlots once per Run, before Reset; the index
-// materialises after its frozen layout is built, falling back to the
-// key-probe fan-out when disabled or over budget. Accelerators without
-// the capability simply keep probing.
+// ForeignSlotConfigurer was the capability through which the driver
+// configured the retired cross-shard foreign-slot span arrays.
+//
+// Deprecated: the span arrays are gone — a sharded index's fan-out is
+// always the foreign-emptiness bitmap plus key probes, with nothing to
+// configure. Nothing implements this interface and Run no longer
+// checks for it; it remains so existing references keep compiling.
 type ForeignSlotConfigurer interface {
-	// SetForeignSlots configures foreign-slot materialisation for the
-	// next Reset: budget is the byte cap (0 = lsh.
-	// DefaultForeignSlotBudget, negative = unlimited), disable pins the
-	// probe-path oracle.
 	SetForeignSlots(budget int64, disable bool)
 }
 
@@ -107,11 +102,12 @@ type ShardStats struct {
 	// CrossShardMerge is the cumulative time spent in cross-shard
 	// candidate sweeps (zero with one shard).
 	CrossShardMerge time.Duration
-	// ForeignSlotBytes is the memory the materialised fan-out arrays
-	// occupy; 0 means the key-probe path served every query.
+	// ForeignSlotBytes is the memory the foreign-emptiness bitmap
+	// occupies (zero with one shard).
 	ForeignSlotBytes int64
 	// ProbeOps/DirectOps count cross-shard bucket resolutions by path:
-	// key-table probes versus direct foreign-slot loads.
+	// key-table probes issued versus resolutions the foreign-emptiness
+	// bitmap answered without one.
 	ProbeOps, DirectOps int64
 	// Retries/Timeouts/HedgedCalls/HedgeWins/SkippedShards mirror the
 	// fault-tolerant fan-out's lsh.ResilienceStats — all zero unless a
@@ -168,7 +164,7 @@ type ResilienceConfigurer interface {
 // ShardStatsReporter is an optional Accelerator capability: report the
 // index's shard layout and per-shard construction cost after a run, so
 // runstats can record the bootstrap-build breakdown, the cross-shard
-// merge overhead and the fan-out mode (Run.Shards,
+// merge overhead and the fan-out counters (Run.Shards,
 // Run.BootstrapBuildShards, Run.CrossShardMerge, Run.ForeignSlotBytes,
 // Run.CrossShardProbes/CrossShardDirect).
 type ShardStatsReporter interface {
@@ -199,11 +195,6 @@ type ShardedIndexBase struct {
 	// (keys[item·Bands+band]); nil until then, released to the index by
 	// BuildFrozen and at Freeze.
 	presigned []uint64
-	// foreignBudget/foreignOff hold the foreign-slot configuration the
-	// driver forwarded (ForeignSlotConfigurer); materialisation runs
-	// once the frozen layout exists (BuildFrozen / Freeze).
-	foreignBudget int64
-	foreignOff    bool
 	// reorderOff holds the locality-reordering configuration the driver
 	// forwarded (ReorderConfigurer); applied at the next ResetIndex.
 	reorderOff bool
@@ -237,30 +228,6 @@ func (b *ShardedIndexBase) SetShards(shards int) {
 		shards = 1
 	}
 	b.shards = shards
-}
-
-// SetForeignSlots configures cross-shard foreign-slot materialisation
-// (core.ForeignSlotConfigurer): budget in bytes (0 = lsh.
-// DefaultForeignSlotBudget, negative = unlimited), disable pins the
-// key-probe oracle.
-func (b *ShardedIndexBase) SetForeignSlots(budget int64, disable bool) {
-	b.foreignBudget = budget
-	b.foreignOff = disable
-}
-
-// materializeForeign builds the cross-shard fan-out arrays once the
-// frozen layout exists, under the configured budget; a no-op when
-// disabled (and, inside the index, for single-shard, stride or
-// over-budget layouts).
-func (b *ShardedIndexBase) materializeForeign() {
-	if b.foreignOff || b.index == nil {
-		return
-	}
-	budget := b.foreignBudget
-	if budget == 0 {
-		budget = lsh.DefaultForeignSlotBudget
-	}
-	b.index.MaterializeForeignSlots(budget)
 }
 
 // SetReorder stores the locality-reordering configuration for the
@@ -342,7 +309,7 @@ func (b *ShardedIndexBase) attachResilience() {
 }
 
 // ShardStats reports the shard layout, per-shard build costs and
-// cross-shard fan-out mode of the current index
+// cross-shard fan-out counters of the current index
 // (core.ShardStatsReporter).
 func (b *ShardedIndexBase) ShardStats() ShardStats {
 	if b.index == nil {
@@ -419,17 +386,15 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 		// fingerprint and reorder setting; any mismatch is a hard error —
 		// a stale index must never silently serve or silently rebuild.
 		ix, rep, err := lsh.OpenSharded(b.persistCfg.Dir, lsh.OpenOptions{
-			Params:        params,
-			Seed:          seed,
-			NumItems:      numItems,
-			Shards:        shards,
-			Reorder:       reorder && numItems >= 2,
-			Fingerprint:   b.fpSource(),
-			Mmap:          mmapWanted(b.persistCfg.DisableMmap),
-			MemoryBudget:  b.persistCfg.MemoryBudget,
-			SkipForeign:   b.foreignOff,
-			ForeignBudget: b.foreignBudget,
-			Workers:       b.persistCfg.Workers,
+			Params:       params,
+			Seed:         seed,
+			NumItems:     numItems,
+			Shards:       shards,
+			Reorder:      reorder && numItems >= 2,
+			Fingerprint:  b.fpSource(),
+			Mmap:         mmapWanted(b.persistCfg.DisableMmap),
+			MemoryBudget: b.persistCfg.MemoryBudget,
+			Workers:      b.persistCfg.Workers,
 		})
 		if err != nil {
 			return fmt.Errorf("core: loading persisted index: %w", err)
@@ -483,7 +448,6 @@ func (b *ShardedIndexBase) BuildFrozen(workers int) error {
 	err := b.index.BuildFrozen(b.presigned, b.n, workers)
 	b.presigned = nil
 	if err == nil {
-		b.materializeForeign()
 		b.attachResilience()
 		if b.persistOn && !b.warm {
 			rep, serr := b.index.Save(b.persistCfg.Dir, b.seed, b.fpSource(), workers)
@@ -534,7 +498,6 @@ func (b *ShardedIndexBase) CandidatesUnindexedWith(item int32, assign []int32, s
 func (b *ShardedIndexBase) Freeze() {
 	if b.index != nil {
 		b.index.Freeze()
-		b.materializeForeign()
 		b.attachResilience()
 	}
 	b.presigned = nil

@@ -17,10 +17,11 @@ import (
 // count, with Shards=1 (the unsharded oracle) as reference, and
 // asserts bit-identical outcomes: assignments, per-iteration moves and
 // costs, convergence, and final centroids. Each sharded count is
-// additionally run against its two hot-path oracles — the key-probe
-// fan-out (DisableForeignSlots, checking the materialised foreign-slot
-// arrays) and the scalar kernels (ScalarKernels, checking the unrolled
-// distance/signing loops) — which must also match the reference.
+// additionally run in original item order (DisableReorder), where far
+// more buckets span shards so the fan-out's key-probe branch does real
+// work, and against the scalar kernels (ScalarKernels, checking the
+// unrolled distance/signing loops) — both must also match the
+// reference.
 func assertShardsEqual(t *testing.T, mk func() (core.Space, core.Accelerator), fingerprint func(core.Space) []byte, opts core.Options, shardCounts []int) {
 	t.Helper()
 	run := func(shards int, mut func(*core.Options)) (*core.Result, []byte) {
@@ -78,24 +79,20 @@ func assertShardsEqual(t *testing.T, mk func() (core.Space, core.Accelerator), f
 		if got.Stats.Shards != shards {
 			t.Fatalf("shards=%d: stats recorded %d shards", shards, got.Stats.Shards)
 		}
-		// These workloads fit the default foreign-slot budget, so the
-		// default sharded run must have materialised and fanned out by
-		// direct loads.
+		// Every sharded run builds the foreign-emptiness bitmap, and
+		// the bitmap answers some cross-shard resolutions without a
+		// probe ("direct").
 		if got.Stats.ForeignSlotBytes <= 0 {
-			t.Fatalf("shards=%d: no foreign-slot bytes recorded", shards)
+			t.Fatalf("shards=%d: no foreign-emptiness bitmap bytes recorded", shards)
 		}
 		if got.Stats.CrossShardDirect <= 0 {
-			t.Fatalf("shards=%d: no direct fan-out ops recorded", shards)
+			t.Fatalf("shards=%d: no bitmap-answered fan-out resolutions recorded", shards)
 		}
-		probeRun, probeCentroids := run(shards, func(o *core.Options) { o.DisableForeignSlots = true })
-		compare(fmt.Sprintf("shards=%d/probe-oracle", shards), probeRun, probeCentroids)
-		if probeRun.Stats.ForeignSlotBytes != 0 {
-			t.Fatalf("shards=%d: probe oracle recorded %d foreign-slot bytes",
-				shards, probeRun.Stats.ForeignSlotBytes)
-		}
-		if probeRun.Stats.CrossShardDirect != 0 {
-			t.Fatalf("shards=%d: probe oracle recorded %d direct fan-out ops",
-				shards, probeRun.Stats.CrossShardDirect)
+		origRun, origCentroids := run(shards, func(o *core.Options) { o.DisableReorder = true })
+		compare(fmt.Sprintf("shards=%d/original-order", shards), origRun, origCentroids)
+		if origRun.Stats.CrossShardProbes <= 0 || origRun.Stats.CrossShardDirect <= 0 {
+			t.Fatalf("shards=%d/original-order: fan-out recorded %d probes, %d bitmap-answered; want both > 0",
+				shards, origRun.Stats.CrossShardProbes, origRun.Stats.CrossShardDirect)
 		}
 		scalarRun, scalarCentroids := run(shards, func(o *core.Options) { o.ScalarKernels = true })
 		compare(fmt.Sprintf("shards=%d/scalar-kernels", shards), scalarRun, scalarCentroids)
@@ -237,10 +234,10 @@ func TestShardStatsRecorded(t *testing.T) {
 		t.Fatal("sharded run recorded no cross-shard merge time")
 	}
 	if st.ForeignSlotBytes <= 0 {
-		t.Fatal("sharded run under the default budget recorded no foreign-slot bytes")
+		t.Fatal("sharded run recorded no foreign-emptiness bitmap bytes")
 	}
 	if st.CrossShardDirect <= 0 {
-		t.Fatal("sharded run recorded no direct fan-out ops")
+		t.Fatal("sharded run recorded no bitmap-answered fan-out resolutions")
 	}
 	st = run(1).Stats
 	if st.Shards != 1 {

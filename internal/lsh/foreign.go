@@ -2,125 +2,95 @@ package lsh
 
 import "sync"
 
-// Cross-shard fan-out without key probes. A sharded query resolves the
-// query item's bucket in its owning shard directly (freeze-time slots),
-// but every *foreign* shard is reached through that shard's per-band
-// key table — one open-addressed probe per (item, band, foreign shard),
-// the dominant memory traffic of the fan-out once shards are frozen.
+// Cross-shard fan-out. A sharded query resolves the query item's bucket
+// in its owning shard directly (freeze-time slots); a foreign shard is
+// reached by probing its per-band key table with the owner bucket's
+// key — one open-addressed probe per (item, band, foreign shard).
 //
-// The probes recompute a pure function of frozen state: foreign shard
-// t's bucket for owner shard s's bucket slot u is tables_t[band(u)].
-// get(keys_s[u]), fixed once every shard is frozen — and so is the CSR
-// span that bucket occupies. MaterializeForeignSlots evaluates the
-// whole chain once per (s, t, u), storing the resolved [lo, hi) spans
-// into the foreign shard's items array — one flat array per owner
-// shard, row-interleaved so slot u's S−1 foreign spans are adjacent.
-// A query's cross-shard fan-out for one band then touches one cache
-// line and goes straight to the foreign items: no key read, no table
-// probe, no offsets load. Candidate streams are unchanged by
-// construction (the arrays cache exactly what the probes would
-// return); the probe path remains in place both as the fallback when
-// the arrays are over budget and as the bit-identical oracle the
-// equivalence tests compare against.
+// Most of those probes would miss. After locality reordering (see
+// reorder.go) collision components are contiguous, so almost every
+// bucket lives in one shard only. The foreign-emptiness bitmap records
+// that once: bit u of shard s's bitmap is set when no other shard's
+// band table holds the key of s's bucket slot u. Every frozen range
+// fan-out — per-item or block, reordered or not, and the reverse
+// view's source marking — emits the owner's bucket through its slot,
+// tests the slot's bit, and probes the other shards only when the bit
+// is clear. A set bit is exactly "every probe would miss", so the
+// candidate stream is the probe path's by construction.
 //
-// Memory cost is 8·(S−1) bytes per bucket, summed over every shard's
-// buckets — quadratic in nothing (buckets are partitioned, not
-// replicated), but still worth gating: the budget keeps the arrays from
-// dwarfing the CSR layout itself on high-S, high-cardinality runs.
+// The bitmap costs one bit per bucket and is built, with no budget,
+// whenever every shard of a range-partitioned S>1 index is frozen
+// (BuildFrozen, Freeze); OpenSharded loads it from the shard files.
 
-// DefaultForeignSlotBudget is the foreign-slot memory budget (bytes)
-// applied when the caller does not choose one: generous next to the
-// frozen CSR arrays of the workloads this repo targets, small next to
-// the datasets themselves.
-const DefaultForeignSlotBudget = 64 << 20
-
-// MaterializeForeignSlots precomputes the cross-shard fan-out arrays,
-// provided every shard is frozen, the partition is range-mode and the
-// arrays fit the budget (bytes; negative means unlimited). It returns
-// the bytes materialised — 0 means the probe path stays in effect
-// (single shard, stride partition, unfrozen shards, or over budget).
-// Idempotent; must not run concurrently with queries.
-func (sh *Sharded) MaterializeForeignSlots(budget int64) int64 {
-	if sh.foreign != nil {
-		return sh.foreignBytes
+// buildForeignEmpty computes the foreign-emptiness bitmap, one
+// goroutine per owner shard. It is a no-op unless the index is a
+// frozen range partition of S>1 shards, and idempotent; it must not
+// run concurrently with queries.
+func (sh *Sharded) buildForeignEmpty() {
+	if sh.foreignEmpty != nil || sh.single != nil || sh.part.stride || !sh.Frozen() {
+		return
 	}
-	if sh.single != nil || sh.part.stride || !sh.Frozen() {
-		return 0
-	}
-	S := len(sh.shards)
-	var need int64
-	for _, ix := range sh.shards {
-		need += int64(len(ix.frozen.offsets)-1) * int64(S-1) * 8
-	}
-	if budget >= 0 && need > budget {
-		return 0
-	}
-	foreign := make([][]int32, S)
-	foreignEmpty := make([][]uint64, S)
-	bands := sh.params.Bands
-	stride := 2 * (S - 1)
+	empty := make([][]uint64, len(sh.shards))
 	var wg sync.WaitGroup
 	for s := range sh.shards {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			own := sh.shards[s].frozen
-			numSlots := len(own.offsets) - 1
-			rows := make([]int32, numSlots*stride)
-			ti := 0
-			for t := range sh.shards {
-				if t == s {
-					continue // owner resolves itself; no diagonal column
-				}
-				tf := sh.shards[t].frozen
-				for b := 0; b < bands; b++ {
-					tbl := &tf.tables[b]
-					for slot := own.bandStart[b]; slot < own.bandStart[b+1]; slot++ {
-						if ts := tbl.get(own.keys[slot]); ts >= 0 {
-							rows[int(slot)*stride+2*ti] = tf.offsets[ts]
-							rows[int(slot)*stride+2*ti+1] = tf.offsets[ts+1]
-						}
+			words := make([]uint64, (len(own.offsets)-1+63)/64)
+			for b := 0; b < sh.params.Bands; b++ {
+				for slot := own.bandStart[b]; slot < own.bandStart[b+1]; slot++ {
+					if !sh.sharedKey(s, b, own.keys[slot]) {
+						words[slot>>6] |= 1 << (slot & 63)
 					}
 				}
-				ti++
 			}
-			// Per-slot emptiness bitmap: bit u set when slot u's whole
-			// row is empty spans, so queries can skip the row read (see
-			// Sharded.foreignEmpty).
-			words := make([]uint64, (numSlots+63)/64)
-			for slot := 0; slot < numSlots; slot++ {
-				empty := true
-				for c := 0; c < stride; c += 2 {
-					if rows[slot*stride+c] != rows[slot*stride+c+1] {
-						empty = false
-						break
-					}
-				}
-				if empty {
-					words[slot>>6] |= 1 << (slot & 63)
-				}
-			}
-			foreign[s] = rows
-			foreignEmpty[s] = words
+			empty[s] = words
 		}(s)
 	}
 	wg.Wait()
-	sh.foreign = foreign
-	sh.foreignEmpty = foreignEmpty
-	sh.foreignBytes = need
-	return need
+	sh.foreignEmpty = empty
 }
 
-// ForeignSlotBytes returns the memory the materialised fan-out arrays
-// occupy, 0 when the probe path is in effect.
+// sharedKey reports whether any shard other than s holds a band-b
+// bucket filed under key.
+func (sh *Sharded) sharedKey(s, b int, key uint64) bool {
+	for t, ix := range sh.shards {
+		if t != s && ix.frozen.tables[b].get(key) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// foreignEmptyAt reports whether owner shard s's bucket slot has no
+// matching bucket in any other shard. The bitmap must exist.
 //
 //lshvet:noescape
-func (sh *Sharded) ForeignSlotBytes() int64 { return sh.foreignBytes }
+func (sh *Sharded) foreignEmptyAt(s int, slot int32) bool {
+	return sh.foreignEmpty[s][slot>>6]&(1<<(slot&63)) != 0
+}
 
-// FanOutOps returns how many cross-shard bucket resolutions ran through
-// each path: key-table probes versus direct foreign-slot loads. Per-item
-// query paths flush their counts in small batches (see
-// Query.addMergeNanos), so a handful of recent samples may be pending.
+// ForeignSlotBytes returns the memory the foreign-emptiness bitmap
+// occupies, 0 when the index has none (single shard, stride partition
+// or unfrozen shards).
+//
+//lshvet:noescape
+func (sh *Sharded) ForeignSlotBytes() int64 {
+	var n int64
+	for _, words := range sh.foreignEmpty {
+		n += 8 * int64(len(words))
+	}
+	return n
+}
+
+// FanOutOps returns how the frozen range fan-out resolved its
+// cross-shard bucket lookups, counted per (item, band, foreign shard):
+// probes is the key-table probes issued, direct the resolutions the
+// foreign-emptiness bitmap answered without one. Key-addressed paths
+// (unfrozen, stride, backend-routed) count probes only. Per-item query
+// paths flush their counts in small batches (see Query.addMergeNanos),
+// so a handful of recent samples may be pending.
 //
 //lshvet:noescape
 func (sh *Sharded) FanOutOps() (probes, direct int64) {

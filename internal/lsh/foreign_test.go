@@ -20,123 +20,168 @@ func buildFrozenSharded(t *testing.T, p Params, seed uint64, sets [][]uint64, sh
 	return sh
 }
 
-// TestForeignSlotsMatchProbePath is the foreign-slot equivalence
-// oracle: with the arrays materialised, every query path — per-item,
-// batched block sweep, reverse view — must reproduce the probe path's
-// candidate stream exactly. The probe index is an identically built
-// twin that never materialised, so the comparison isolates the fan-out
-// mechanism.
+// buildLayout builds a range-sharded index over sets either directly
+// from the presigned arena (BuildFrozen, reordered on request) or
+// through the map builder and Freeze, where the reorder request is
+// inert.
+func buildLayout(t testing.TB, p Params, seed uint64, sets [][]uint64, shards int, freeze, reorder bool) *Sharded {
+	t.Helper()
+	sh, err := NewSharded(p, seed, len(sets), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.SetReorder(reorder)
+	if !freeze {
+		if err := sh.BuildFrozen(signKeysFor(sh, sets, 2), len(sets), 2); err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	for i, s := range sets {
+		if err := sh.Insert(int32(i), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.Freeze()
+	return sh
+}
+
+// assertForeignEmptyBitmap checks the bitmap property on a frozen
+// multi-shard range index: bit u of shard s is set exactly when no
+// other shard's band table holds the key of s's bucket slot u, every
+// bitmap is sized for its shard's buckets with zero padding, and
+// ForeignSlotBytes reports the bitmaps' size.
+func assertForeignEmptyBitmap(t testing.TB, sh *Sharded) {
+	t.Helper()
+	if len(sh.foreignEmpty) != len(sh.shards) {
+		t.Fatalf("%d bitmaps for %d shards", len(sh.foreignEmpty), len(sh.shards))
+	}
+	var bytes int64
+	for s, ix := range sh.shards {
+		fz := ix.frozen
+		numSlots := len(fz.offsets) - 1
+		words := sh.foreignEmpty[s]
+		if len(words) != (numSlots+63)/64 {
+			t.Fatalf("shard %d: %d bitmap words for %d buckets", s, len(words), numSlots)
+		}
+		bytes += 8 * int64(len(words))
+		for b := 0; b < sh.params.Bands; b++ {
+			for slot := fz.bandStart[b]; slot < fz.bandStart[b+1]; slot++ {
+				shared := false
+				for u, other := range sh.shards {
+					if u != s && other.frozen.tables[b].get(fz.keys[slot]) >= 0 {
+						shared = true
+					}
+				}
+				if got := sh.foreignEmptyAt(s, slot); got == shared {
+					t.Fatalf("shard %d band %d slot %d: bit %v, key shared with another shard: %v", s, b, slot, got, shared)
+				}
+			}
+		}
+		for slot := numSlots; slot < 64*len(words); slot++ {
+			if words[slot>>6]&(1<<(slot&63)) != 0 {
+				t.Fatalf("shard %d: padding bit %d set", s, slot)
+			}
+		}
+	}
+	if got := sh.ForeignSlotBytes(); got != bytes {
+		t.Fatalf("ForeignSlotBytes = %d, bitmaps hold %d", got, bytes)
+	}
+}
+
+// TestForeignSlotsMatchProbePath pins the foreign-emptiness bitmap
+// against the key-probe path it short-cuts, on every layout that
+// builds one: S∈{2,3,4}, BuildFrozen with reorder on and off, and the
+// map builder frozen by Freeze. Each bit must equal "every probe of
+// the other shards misses" (assertForeignEmptyBitmap); the per-item
+// and block sweeps over the layout must reproduce the single-index
+// candidate stream; and the block sweep's fan-out counters must
+// account every (item, band, foreign shard) resolution exactly once —
+// as a probe when the owner slot's bit is clear, as answered by the
+// bitmap when it is set.
 func TestForeignSlotsMatchProbePath(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
+	ref := singleReference(t, p, 7, sets, true)
 	for _, shards := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
-			probe := buildFrozenSharded(t, p, 7, sets, shards)
-			fast := buildFrozenSharded(t, p, 7, sets, shards)
-			if got := fast.MaterializeForeignSlots(-1); got <= 0 {
-				t.Fatalf("MaterializeForeignSlots = %d, want > 0", got)
-			}
-			if fast.ForeignSlotBytes() <= 0 {
-				t.Fatal("ForeignSlotBytes not recorded")
-			}
-			pq, fq := probe.NewQuery(), fast.NewQuery()
-			for i := 0; i < n; i++ {
-				want := collectQueryCandidates(pq, int32(i))
-				got := collectQueryCandidates(fq, int32(i))
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("item %d candidates: probe %v, foreign %v", i, want, got)
-				}
-			}
-			for _, blockLen := range []int{1, 7, 64} {
-				for lo := 0; lo < n; lo += blockLen {
-					hi := min(lo+blockLen, n)
-					blk := make([]int32, 0, hi-lo)
-					for i := lo; i < hi; i++ {
-						blk = append(blk, int32(i))
-					}
-					want := make([][]int32, len(blk))
-					got := make([][]int32, len(blk))
-					pq.CandidatesBatch(blk, func(pos int, bucket []int32) {
-						want[pos] = append(want[pos], bucket...)
+			for _, freeze := range []bool{false, true} {
+				for _, reorder := range []bool{false, true} {
+					layout := map[bool]string{false: "build", true: "freeze"}[freeze]
+					t.Run(fmt.Sprintf("%s/reorder=%v", layout, reorder), func(t *testing.T) {
+						sh := buildLayout(t, p, 7, sets, shards, freeze, reorder)
+						assertForeignEmptyBitmap(t, sh)
+						perm, inv := sh.ReorderMap()
+						if (perm != nil) != (reorder && !freeze) {
+							t.Fatalf("reordered=%v, want %v", perm != nil, reorder && !freeze)
+						}
+						toOrig := func(ids []int32) []int32 {
+							if inv == nil {
+								return ids
+							}
+							out := make([]int32, len(ids))
+							for i, id := range ids {
+								out[i] = inv[id]
+							}
+							return out
+						}
+						q := sh.NewQuery()
+						for i := 0; i < n; i++ {
+							want := collectCandidates(ref, int32(i))
+							if got := toOrig(collectQueryCandidates(q, int32(i))); !reflect.DeepEqual(want, got) {
+								t.Fatalf("item %d candidates: want %v, got %v", i, want, got)
+							}
+						}
+						probes0, direct0 := sh.FanOutOps()
+						var wantProbes int64
+						blk := make([]int32, 0, n)
+						for i := 0; i < n; i++ {
+							blk = append(blk, int32(i))
+							internal := int32(i)
+							if perm != nil {
+								internal = perm[i]
+							}
+							s, local, _ := sh.part.locate(internal)
+							own := sh.shards[s].frozen
+							for b := 0; b < p.Bands; b++ {
+								if !sh.foreignEmptyAt(s, own.slots[int(local)*p.Bands+b]) {
+									wantProbes += int64(shards - 1)
+								}
+							}
+						}
+						got := make([][]int32, n)
+						q.CandidatesBatch(blk, func(pos int, bucket []int32) {
+							got[pos] = append(got[pos], bucket...)
+						})
+						for pos, item := range blk {
+							if want := collectCandidates(ref, item); !reflect.DeepEqual(want, toOrig(got[pos])) {
+								t.Fatalf("block item %d: want %v, got %v", item, want, toOrig(got[pos]))
+							}
+						}
+						probes, direct := sh.FanOutOps()
+						total := int64(n) * int64(p.Bands) * int64(shards-1)
+						if probes-probes0 != wantProbes || direct-direct0 != total-wantProbes {
+							t.Fatalf("block sweep FanOutOps delta = (%d probes, %d direct), want (%d, %d)",
+								probes-probes0, direct-direct0, wantProbes, total-wantProbes)
+						}
 					})
-					fq.CandidatesBatch(blk, func(pos int, bucket []int32) {
-						got[pos] = append(got[pos], bucket...)
-					})
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("block [%d,%d): probe and foreign batch sweeps differ", lo, hi)
-					}
 				}
-			}
-			prv, frv := probe.NewReverse(), fast.NewReverse()
-			for _, sources := range [][]int32{{0}, {3, 77, 150}, {n - 1, 0, 42}} {
-				want := map[int32]bool{}
-				got := map[int32]bool{}
-				for _, s := range sources {
-					prv.AddSource(s)
-					frv.AddSource(s)
-				}
-				prv.Emit(func(it int32) bool { want[it] = true; return true })
-				frv.Emit(func(it int32) bool { got[it] = true; return true })
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("sources %v: reverse sets differ (probe %d, foreign %d)",
-						sources, len(want), len(got))
-				}
-			}
-			// The fast index served everything by direct loads, the twin
-			// by probes.
-			if probes, direct := fast.FanOutOps(); direct == 0 || probes != 0 {
-				t.Fatalf("foreign index FanOutOps = (%d probes, %d direct)", probes, direct)
-			}
-			if probes, _ := probe.FanOutOps(); probes == 0 {
-				t.Fatal("probe index recorded no probe ops")
 			}
 		})
 	}
 }
 
-// TestForeignSlotsBudgetGating pins the budget contract: a budget below
-// the need leaves the probe path in effect (return 0, no arrays), a
-// sufficient or unlimited budget materialises exactly the predicted
-// bytes, and the call is idempotent.
-func TestForeignSlotsBudgetGating(t *testing.T) {
-	const n = 120
-	p := Params{Bands: 4, Rows: 2}
-	sets := testSets(n, 9)
-	sh := buildFrozenSharded(t, p, 7, sets, 3)
-	var need int64
-	for _, ix := range sh.shards {
-		need += int64(len(ix.frozen.offsets)-1) * int64(len(sh.shards)-1) * 8
-	}
-	if need <= 0 {
-		t.Fatalf("predicted need %d", need)
-	}
-	if got := sh.MaterializeForeignSlots(need - 1); got != 0 {
-		t.Fatalf("under-budget materialisation returned %d", got)
-	}
-	if sh.foreign != nil || sh.ForeignSlotBytes() != 0 {
-		t.Fatal("under-budget call left arrays behind")
-	}
-	if got := sh.MaterializeForeignSlots(need); got != need {
-		t.Fatalf("exact-budget materialisation returned %d, want %d", got, need)
-	}
-	if got := sh.MaterializeForeignSlots(0); got != need {
-		t.Fatalf("repeat materialisation returned %d, want %d (idempotent)", got, need)
-	}
-	if sh.ForeignSlotBytes() != need {
-		t.Fatalf("ForeignSlotBytes = %d, want %d", sh.ForeignSlotBytes(), need)
-	}
-}
-
-// TestForeignSlotsSkippedLayouts pins the layouts that never
-// materialise: single shard, stride partition, unfrozen shards.
+// TestForeignSlotsSkippedLayouts pins the layouts that build no
+// foreign-emptiness bitmap: single shard, stride partition, unfrozen
+// shards.
 func TestForeignSlotsSkippedLayouts(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(40, 5)
 
 	single := buildFrozenSharded(t, p, 7, sets, 1)
-	if got := single.MaterializeForeignSlots(-1); got != 0 {
-		t.Fatalf("single-shard materialisation returned %d", got)
+	if single.foreignEmpty != nil || single.ForeignSlotBytes() != 0 {
+		t.Fatal("single-shard index built a foreign-emptiness bitmap")
 	}
 
 	stride, err := NewShardedStream(p, 7, 3, len(sets))
@@ -149,8 +194,8 @@ func TestForeignSlotsSkippedLayouts(t *testing.T) {
 		}
 	}
 	stride.Freeze()
-	if got := stride.MaterializeForeignSlots(-1); got != 0 {
-		t.Fatalf("stride materialisation returned %d", got)
+	if stride.foreignEmpty != nil || stride.ForeignSlotBytes() != 0 {
+		t.Fatal("stride index built a foreign-emptiness bitmap")
 	}
 
 	unfrozen, err := NewSharded(p, 7, len(sets), 2)
@@ -162,8 +207,8 @@ func TestForeignSlotsSkippedLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := unfrozen.MaterializeForeignSlots(-1); got != 0 {
-		t.Fatalf("unfrozen materialisation returned %d", got)
+	if unfrozen.foreignEmpty != nil || unfrozen.ForeignSlotBytes() != 0 {
+		t.Fatal("unfrozen index built a foreign-emptiness bitmap")
 	}
 }
 

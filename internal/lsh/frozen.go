@@ -30,7 +30,7 @@ type frozenIndex struct {
 	tables []keyTable
 	// bandStart[b] is the first bucket ID of band b (len bands+1, so
 	// band b owns slots [bandStart[b], bandStart[b+1])) — the range the
-	// foreign-slot materialiser walks to recover each slot's band.
+	// foreign-emptiness bitmap build walks to recover each slot's band.
 	bandStart []int32
 }
 

@@ -1,7 +1,6 @@
 package lsh
 
 import (
-	"reflect"
 	"testing"
 
 	"lshcluster/internal/minhash"
@@ -82,12 +81,14 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 	})
 }
 
-// FuzzForeignSlotSpans fuzzes the cross-shard fan-out identity: with
-// the foreign-slot spans materialised, every per-item query and every
-// batched block sweep must reproduce the key-probe oracle's candidate
-// stream exactly — same items, same order — for any shard count,
-// banding shape and signed value sets.
-func FuzzForeignSlotSpans(f *testing.F) {
+// FuzzForeignEmptyBitmap fuzzes the foreign-emptiness bitmap the
+// cross-shard fan-out trusts to skip key probes: for any shard count,
+// banding shape, signed value sets, reorder setting and construction
+// path (BuildFrozen or map builder + Freeze), bit u of shard s must be
+// set exactly when no other shard's band table holds slot u's key.
+// Candidate-stream equivalence is pinned separately by the S>1-vs-S=1
+// invariance tests.
+func FuzzForeignEmptyBitmap(f *testing.F) {
 	f.Add(uint8(2), uint8(6), uint8(3), uint16(60), uint64(21), []byte("spans"))
 	f.Add(uint8(3), uint8(4), uint8(2), uint16(90), uint64(7), []byte{1, 2, 3, 4})
 	f.Add(uint8(4), uint8(1), uint8(1), uint16(12), uint64(0), []byte{})
@@ -95,52 +96,9 @@ func FuzzForeignSlotSpans(f *testing.F) {
 		S := 2 + int(shards)%3
 		p := Params{Bands: 1 + int(bands)%8, Rows: 1 + int(rows)%4}
 		nn := 2*S + int(n)%120
-		sets := fuzzSets(nn, data)
-
-		build := func() *Sharded {
-			sh, err := NewSharded(p, seed, nn, S)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys := signKeysFor(sh, sets, 2)
-			if err := sh.BuildFrozen(keys, nn, 2); err != nil {
-				t.Fatal(err)
-			}
-			return sh
-		}
-		probe := build()
-		fast := build()
-		if fast.MaterializeForeignSlots(-1) <= 0 {
-			t.Fatal("MaterializeForeignSlots declined with an unlimited budget")
-		}
-
-		pq, fq := probe.NewQuery(), fast.NewQuery()
-		for i := 0; i < nn; i++ {
-			want := collectQueryCandidates(pq, int32(i))
-			got := collectQueryCandidates(fq, int32(i))
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("item %d candidates: probe %v, foreign %v", i, want, got)
-			}
-		}
-
-		blockLen := 1 + int(byteAt(data, 1))%9
-		for lo := 0; lo < nn; lo += blockLen {
-			hi := min(lo+blockLen, nn)
-			blk := make([]int32, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				blk = append(blk, int32(i))
-			}
-			want := make([][]int32, len(blk))
-			got := make([][]int32, len(blk))
-			pq.CandidatesBatch(blk, func(pos int, bucket []int32) {
-				want[pos] = append(want[pos], bucket...)
-			})
-			fq.CandidatesBatch(blk, func(pos int, bucket []int32) {
-				got[pos] = append(got[pos], bucket...)
-			})
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("block [%d,%d): probe and foreign batch sweeps differ", lo, hi)
-			}
-		}
+		reorder := byteAt(data, 0)%2 == 1
+		freeze := byteAt(data, 1)%2 == 1
+		sh := buildLayout(t, p, seed, fuzzSets(nn, data), S, freeze, reorder)
+		assertForeignEmptyBitmap(t, sh)
 	})
 }

@@ -15,7 +15,10 @@ import (
 
 // Shard-file section IDs (internal/lsh/persist format). Each section
 // is the raw memory of one frozen-index slice, so a memory-mapped
-// section is usable as the slice field directly.
+// section is usable as the slice field directly. ID 9 is retired: it
+// held the foreign-slot span arrays, which files saved before their
+// removal still carry; the loader never reads it and no new file
+// writes it.
 const (
 	secOffsets      persist.SectionID = 1
 	secItems        persist.SectionID = 2
@@ -25,7 +28,6 @@ const (
 	secTableSizes   persist.SectionID = 6
 	secTableEntries persist.SectionID = 7
 	secInserted     persist.SectionID = 8
-	secForeign      persist.SectionID = 9
 	secForeignEmpty persist.SectionID = 10
 	secPerm         persist.SectionID = 11
 	secInv          persist.SectionID = 12
@@ -122,7 +124,6 @@ func (sh *Sharded) Save(dir string, seed, fingerprint uint64, workers int) (Save
 		Reordered:     sh.perm != nil,
 		PermHash:      persist.Hex64(0),
 		Fingerprint:   persist.Hex64(fingerprint),
-		ForeignBytes:  sh.foreignBytes,
 		ShardFiles:    make([]string, S),
 		ShardInserted: make([]int, S),
 	}
@@ -143,8 +144,18 @@ func (sh *Sharded) Save(dir string, seed, fingerprint uint64, workers int) (Save
 	return SaveReport{Duration: time.Since(start), Bytes: bytes}, nil
 }
 
-// saveShard assembles shard s's sections and writes its file.
+// saveShard writes shard s's file.
 func (sh *Sharded) saveShard(dir string, s int) error {
+	if err := persist.WriteFile(filepath.Join(dir, shardFileName(s)), sh.shardSections(s)); err != nil {
+		return fmt.Errorf("lsh: saving shard %d: %w", s, err)
+	}
+	return nil
+}
+
+// shardSections assembles shard s's file sections: the frozen arrays,
+// the foreign-emptiness bitmap when the index has one (every S>1
+// range index does), and, in shard 0, the reorder permutation.
+func (sh *Sharded) shardSections(s int) []persist.Section {
 	ix := sh.shards[s]
 	fz := ix.frozen
 	bands := sh.params.Bands
@@ -168,11 +179,8 @@ func (sh *Sharded) saveShard(dir string, s int) error {
 		{ID: secTableEntries, ElemSize: 16, Data: bytesOf(entries)},
 		{ID: secInserted, ElemSize: 1, Data: bytesOf(ix.inserted)},
 	}
-	if sh.foreign != nil {
-		sections = append(sections,
-			persist.Section{ID: secForeign, ElemSize: 4, Data: bytesOf(sh.foreign[s])},
-			persist.Section{ID: secForeignEmpty, ElemSize: 8, Data: bytesOf(sh.foreignEmpty[s])},
-		)
+	if sh.foreignEmpty != nil {
+		sections = append(sections, persist.Section{ID: secForeignEmpty, ElemSize: 8, Data: bytesOf(sh.foreignEmpty[s])})
 	}
 	if s == 0 && sh.perm != nil {
 		sections = append(sections,
@@ -180,10 +188,7 @@ func (sh *Sharded) saveShard(dir string, s int) error {
 			persist.Section{ID: secInv, ElemSize: 4, Data: bytesOf(sh.inv)},
 		)
 	}
-	if err := persist.WriteFile(filepath.Join(dir, shardFileName(s)), sections); err != nil {
-		return fmt.Errorf("lsh: saving shard %d: %w", s, err)
-	}
-	return nil
+	return sections
 }
 
 // OpenOptions configures OpenSharded. Params, Seed, NumItems, Shards,
@@ -210,13 +215,7 @@ type OpenOptions struct {
 	// MemoryBudget, when > 0 with Mmap, caps resident shard bytes via
 	// the residency manager (see residency.go).
 	MemoryBudget int64
-	// SkipForeign drops any persisted foreign-slot arrays so the
-	// key-probe oracle stays in effect (DisableForeignSlots).
-	SkipForeign bool
-	// ForeignBudget is the foreign-slot byte budget (0 = default,
-	// negative = unlimited); persisted arrays over budget are dropped.
-	ForeignBudget int64
-	Workers       int
+	Workers      int
 }
 
 // OpenReport summarises an OpenSharded: wall time and, for mapped
@@ -229,10 +228,12 @@ type OpenReport struct {
 // OpenSharded loads a saved index from dir, verifying the manifest
 // against opt and every shard file's checksums, and reconstructs the
 // Sharded exactly as a fresh build would have left it: same partition,
-// same shared signing scheme, and frozen arrays byte-identical to
-// BuildFrozen's (the persistence equivalence tests pin this). With
-// opt.Mmap the frozen slices alias read-only mappings (zero-copy);
-// otherwise they live on the heap. Shard files load in parallel.
+// same shared signing scheme, and frozen arrays — the foreign-emptiness
+// bitmap included — byte-identical to BuildFrozen's (the persistence
+// equivalence tests pin this). A multi-shard index whose files lack a
+// correctly sized bitmap is rejected as stale. With opt.Mmap the
+// frozen slices alias read-only mappings (zero-copy); otherwise they
+// live on the heap. Shard files load in parallel.
 func OpenSharded(dir string, opt OpenOptions) (*Sharded, OpenReport, error) {
 	start := time.Now()
 	m, err := persist.ReadManifest(dir)
@@ -273,19 +274,10 @@ func OpenSharded(dir string, opt OpenOptions) (*Sharded, OpenReport, error) {
 		workers = S
 	}
 	files := make([]*persist.File, S)
-	foreign := make([][]int32, S)
-	foreignEmpty := make([][]uint64, S)
 	loadTimes := make([]time.Duration, S)
 	errs := make([]error, S)
-	wantForeign := m.ForeignBytes > 0 && !opt.SkipForeign && S > 1
-	if wantForeign {
-		budget := opt.ForeignBudget
-		if budget == 0 {
-			budget = DefaultForeignSlotBudget
-		}
-		if budget >= 0 && m.ForeignBytes > budget {
-			wantForeign = false
-		}
+	if S > 1 {
+		sh.foreignEmpty = make([][]uint64, S)
 	}
 	closeAll := func() {
 		for _, f := range files {
@@ -301,7 +293,7 @@ func OpenSharded(dir string, opt OpenOptions) (*Sharded, OpenReport, error) {
 			defer wg.Done()
 			for s := g; s < S; s += workers {
 				t0 := time.Now()
-				errs[s] = sh.loadShard(dir, m, s, &opt, wantForeign, files, foreign, foreignEmpty)
+				errs[s] = sh.loadShard(dir, m, s, &opt, files)
 				loadTimes[s] = time.Since(t0)
 			}
 		}(g)
@@ -312,15 +304,6 @@ func OpenSharded(dir string, opt OpenOptions) (*Sharded, OpenReport, error) {
 			closeAll()
 			return nil, OpenReport{}, err
 		}
-	}
-	if wantForeign {
-		if err := validateForeign(sh, foreign, foreignEmpty); err != nil {
-			closeAll()
-			return nil, OpenReport{}, err
-		}
-		sh.foreign = foreign
-		sh.foreignEmpty = foreignEmpty
-		sh.foreignBytes = m.ForeignBytes
 	}
 	if m.Reordered {
 		if err := loadReorder(sh, files[0], m); err != nil {
@@ -378,8 +361,9 @@ func checkManifest(m *persist.Manifest, opt *OpenOptions) error {
 
 // loadShard opens shard s's file, validates its structure and installs
 // the frozen arrays (aliasing the file's backing memory — the mapping
-// or the heap copy) into the shard Index.
-func (sh *Sharded) loadShard(dir string, m *persist.Manifest, s int, opt *OpenOptions, wantForeign bool, files []*persist.File, foreign [][]int32, foreignEmpty [][]uint64) error {
+// or the heap copy) into the shard Index, plus the shard's
+// foreign-emptiness bitmap when the index has more than one shard.
+func (sh *Sharded) loadShard(dir string, m *persist.Manifest, s int, opt *OpenOptions, files []*persist.File) error {
 	f, err := persist.Open(filepath.Join(dir, m.ShardFiles[s]), opt.Mmap)
 	if err != nil {
 		return err
@@ -439,17 +423,20 @@ func (sh *Sharded) loadShard(dir string, m *persist.Manifest, s int, opt *OpenOp
 	ix.inserted = inserted
 	ix.numInserted = numInserted
 	f.AdviseRandom(secTableEntries)
-	if wantForeign {
-		if !f.Has(secForeign) || !f.Has(secForeignEmpty) {
-			return fmt.Errorf("lsh: shard %d in %s: manifest promises foreign-slot arrays, file has none", s, dir)
-		}
-		if foreign[s], err = persist.View[int32](f, secForeign); err != nil {
-			return err
-		}
-		if foreignEmpty[s], err = persist.View[uint64](f, secForeignEmpty); err != nil {
-			return err
-		}
+	if sh.foreignEmpty == nil {
+		return nil
 	}
+	if !f.Has(secForeignEmpty) {
+		return fmt.Errorf("lsh: stale index in %s: shard %d has no foreign-emptiness bitmap; rebuild the index", dir, s)
+	}
+	words, err := persist.View[uint64](f, secForeignEmpty)
+	if err != nil {
+		return err
+	}
+	if numSlots := len(fz.offsets) - 1; len(words) != (numSlots+63)/64 {
+		return fmt.Errorf("lsh: shard %d in %s: foreign-emptiness bitmap has %d words for %d buckets", s, dir, len(words), numSlots)
+	}
+	sh.foreignEmpty[s] = words
 	return nil
 }
 
@@ -509,38 +496,6 @@ func validateShardArrays(fz *frozenIndex, sizes []int64, entries []keyEntry, ins
 	for i := range entries {
 		if s := entries[i].slot; s < -1 || int(s) >= numBuckets {
 			return fmt.Errorf("key-table entry %d references bucket %d of %d", i, s, numBuckets)
-		}
-	}
-	return nil
-}
-
-// validateForeign bounds-checks the persisted foreign-slot spans
-// against every foreign shard's items array.
-func validateForeign(sh *Sharded, foreign [][]int32, foreignEmpty [][]uint64) error {
-	S := len(sh.shards)
-	stride := 2 * (S - 1)
-	for s := range sh.shards {
-		numSlots := len(sh.shards[s].frozen.offsets) - 1
-		if len(foreign[s]) != numSlots*stride {
-			return fmt.Errorf("lsh: shard %d: foreign-slot rows cover %d slots, index has %d", s, len(foreign[s])/max(stride, 1), numSlots)
-		}
-		if len(foreignEmpty[s]) != (numSlots+63)/64 {
-			return fmt.Errorf("lsh: shard %d: foreign-emptiness bitmap sized for %d slots, index has %d", s, len(foreignEmpty[s])*64, numSlots)
-		}
-		ti := 0
-		for t := range sh.shards {
-			if t == s {
-				continue
-			}
-			limit := int32(len(sh.shards[t].frozen.items))
-			for slot := 0; slot < numSlots; slot++ {
-				lo := foreign[s][slot*stride+2*ti]
-				hi := foreign[s][slot*stride+2*ti+1]
-				if lo < 0 || lo > hi || hi > limit {
-					return fmt.Errorf("lsh: shard %d: foreign span [%d,%d) of slot %d exceeds shard %d's %d items", s, lo, hi, slot, t, limit)
-				}
-			}
-			ti++
 		}
 	}
 	return nil

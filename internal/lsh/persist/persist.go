@@ -14,8 +14,8 @@
 //
 // Sections carry the frozen arrays exactly as they sit in memory
 // (offsets/items/slots/keys/key-table entries/bandStart, plus the
-// optional foreign-slot, foreign-emptiness and reorder-permutation
-// arrays), so a mapped section is directly usable as the existing
+// foreign-emptiness bitmap of multi-shard indexes and the optional
+// reorder permutation), so a mapped section is directly usable as the existing
 // slice field: LoadMmap aliases the mapping with zero copies, while
 // Load reads the same bytes into heap memory — the portable oracle the
 // equivalence tests pin the mmap path against. Every integrity check
@@ -400,7 +400,6 @@ type Manifest struct {
 	Reordered     bool     `json:"reordered"`
 	PermHash      string   `json:"perm_hash"`
 	Fingerprint   string   `json:"dataset_fingerprint"`
-	ForeignBytes  int64    `json:"foreign_bytes"`
 	ShardFiles    []string `json:"shard_files"`
 	ShardInserted []int    `json:"shard_inserted"`
 }

@@ -6,7 +6,10 @@ import (
 	"hash/fnv"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"lshcluster/internal/lsh/persist"
 )
 
 const (
@@ -16,7 +19,7 @@ const (
 
 // buildPersisted builds a frozen sharded index the way the bootstrap
 // does — BuildFrozen from a presigned arena, optional locality reorder,
-// foreign-slot spans materialised — ready to Save.
+// foreign-emptiness bitmap at S>1 — ready to Save.
 func buildPersisted(t *testing.T, p Params, n, S int, reorder bool) *Sharded {
 	t.Helper()
 	sh, err := NewSharded(p, testPersistSeed, n, S)
@@ -28,14 +31,13 @@ func buildPersisted(t *testing.T, p Params, n, S int, reorder bool) *Sharded {
 	if err := sh.BuildFrozen(keys, n, 2); err != nil {
 		t.Fatal(err)
 	}
-	sh.MaterializeForeignSlots(-1)
 	return sh
 }
 
 // assertShardedEqual asserts that got reproduces want exactly: every
 // frozen array byte-identical per shard, same inserted flags, same
-// reorder permutation, same foreign-slot spans, and an identical
-// candidate stream for every item.
+// reorder permutation, same foreign-emptiness bitmaps, and an
+// identical candidate stream for every item.
 func assertShardedEqual(t *testing.T, want, got *Sharded) {
 	t.Helper()
 	if len(want.shards) != len(got.shards) {
@@ -52,9 +54,6 @@ func assertShardedEqual(t *testing.T, want, got *Sharded) {
 	}
 	if !reflect.DeepEqual(want.perm, got.perm) || !reflect.DeepEqual(want.inv, got.inv) {
 		t.Fatal("reorder permutation differs")
-	}
-	if !reflect.DeepEqual(want.foreign, got.foreign) {
-		t.Fatal("foreign-slot spans differ")
 	}
 	if !reflect.DeepEqual(want.foreignEmpty, got.foreignEmpty) {
 		t.Fatal("foreign-emptiness bitmaps differ")
@@ -173,36 +172,112 @@ func TestOpenShardedRejectsStale(t *testing.T) {
 	})
 }
 
-// TestOpenShardedSkipForeign pins the oracle interaction: loading with
-// SkipForeign (the DisableForeignSlots path) must leave the key-probe
-// oracle in effect, with the same answers.
-func TestOpenShardedSkipForeign(t *testing.T) {
+// rewriteShard replaces shard s's saved file with the sections edit
+// makes of the ones Save writes, as another build could have saved it.
+func rewriteShard(t *testing.T, sh *Sharded, dir string, s int, edit func([]persist.Section) []persist.Section) {
+	t.Helper()
+	if err := persist.WriteFile(filepath.Join(dir, shardFileName(s)), edit(sh.shardSections(s))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// retiredSpans lays out shard s's foreign-slot span rows as the
+// retired materialiser did — per bucket slot, the [lo, hi) items span
+// of the matching bucket in every other shard, 8·(S−1) bytes — so a
+// test can write a shard file the way older builds saved it.
+func retiredSpans(sh *Sharded, s int) []int32 {
+	own := sh.shards[s].frozen
+	stride := 2 * (len(sh.shards) - 1)
+	rows := make([]int32, (len(own.offsets)-1)*stride)
+	ti := 0
+	for t, ix := range sh.shards {
+		if t == s {
+			continue
+		}
+		tf := ix.frozen
+		for b := 0; b < sh.params.Bands; b++ {
+			for slot := own.bandStart[b]; slot < own.bandStart[b+1]; slot++ {
+				if ts := tf.tables[b].get(own.keys[slot]); ts >= 0 {
+					rows[int(slot)*stride+2*ti] = tf.offsets[ts]
+					rows[int(slot)*stride+2*ti+1] = tf.offsets[ts+1]
+				}
+			}
+		}
+		ti++
+	}
+	return rows
+}
+
+// TestOpenShardedForeignSections pins how OpenSharded treats the
+// foreign sections of a multi-shard index, heap and mmap alike: a
+// shard file without the foreign-emptiness bitmap (what a save with
+// the retired span arrays over budget or disabled wrote) or with a
+// bitmap of the wrong length is an error, never a panic or a partial
+// load; a file that still carries the retired span section loads with
+// results identical to a fresh build, because the loader ignores it.
+func TestOpenShardedForeignSections(t *testing.T) {
 	const n = 200
 	p := Params{Bands: 6, Rows: 3}
-	fresh := buildPersisted(t, p, n, 4, false)
-	if fresh.ForeignSlotBytes() <= 0 {
-		t.Fatal("reference build has no foreign-slot spans")
+	const secRetiredSpans persist.SectionID = 9
+	withoutBitmap := func(secs []persist.Section) []persist.Section {
+		out := secs[:0]
+		for _, sec := range secs {
+			if sec.ID != secForeignEmpty {
+				out = append(out, sec)
+			}
+		}
+		return out
 	}
-	dir := t.TempDir()
-	if _, err := fresh.Save(dir, testPersistSeed, testPersistFP, 2); err != nil {
-		t.Fatal(err)
+	resizeBitmap := func(delta int) func([]persist.Section) []persist.Section {
+		return func(secs []persist.Section) []persist.Section {
+			for i, sec := range secs {
+				if sec.ID == secForeignEmpty {
+					secs[i].Data = make([]byte, len(sec.Data)+8*delta)
+				}
+			}
+			return secs
+		}
 	}
-	opt := openOptsFor(fresh, true)
-	opt.SkipForeign = true
-	loaded, _, err := OpenSharded(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.ClosePersist()
-	if loaded.ForeignSlotBytes() != 0 {
-		t.Fatalf("SkipForeign load still holds %d foreign bytes", loaded.ForeignSlotBytes())
-	}
-	fq, lq := fresh.NewQuery(), loaded.NewQuery()
-	for i := 0; i < n; i++ {
-		w := collectQueryCandidates(fq, int32(i))
-		g := collectQueryCandidates(lq, int32(i))
-		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("item %d candidates differ under SkipForeign", i)
+	for _, reorder := range []bool{false, true} {
+		fresh := buildPersisted(t, p, n, 4, reorder)
+		for _, mmap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("reorder=%v/mmap=%v", reorder, mmap), func(t *testing.T) {
+				for name, edit := range map[string]func([]persist.Section) []persist.Section{
+					"no-bitmap":    withoutBitmap,
+					"short-bitmap": resizeBitmap(-1),
+					"long-bitmap":  resizeBitmap(1),
+				} {
+					dir := t.TempDir()
+					if _, err := fresh.Save(dir, testPersistSeed, testPersistFP, 2); err != nil {
+						t.Fatal(err)
+					}
+					rewriteShard(t, fresh, dir, 2, edit)
+					sh, _, err := OpenSharded(dir, openOptsFor(fresh, mmap))
+					if err == nil {
+						sh.ClosePersist()
+						t.Fatalf("%s: shard file accepted", name)
+					}
+					if !strings.Contains(err.Error(), "foreign-emptiness bitmap") {
+						t.Fatalf("%s: error %q does not name the bitmap", name, err)
+					}
+				}
+				dir := t.TempDir()
+				if _, err := fresh.Save(dir, testPersistSeed, testPersistFP, 2); err != nil {
+					t.Fatal(err)
+				}
+				for s := range fresh.shards {
+					rewriteShard(t, fresh, dir, s, func(secs []persist.Section) []persist.Section {
+						spans := persist.Section{ID: secRetiredSpans, ElemSize: 4, Data: bytesOf(retiredSpans(fresh, s))}
+						return append(withoutBitmap(secs), spans, persist.Section{ID: secForeignEmpty, ElemSize: 8, Data: bytesOf(fresh.foreignEmpty[s])})
+					})
+				}
+				loaded, _, err := OpenSharded(dir, openOptsFor(fresh, mmap))
+				if err != nil {
+					t.Fatalf("shard files with the retired span section: %v", err)
+				}
+				defer loaded.ClosePersist()
+				assertShardedEqual(t, fresh, loaded)
+			})
 		}
 	}
 }
@@ -246,9 +321,10 @@ func TestPersistResidencyBudget(t *testing.T) {
 	}
 }
 
-// hashFrozen folds every frozen array of every shard (plus reorder and
-// foreign arrays) into one platform-independent FNV-1a hash, value by
-// value in little-endian order.
+// hashFrozen folds every frozen array of every shard (plus the reorder
+// permutation and the foreign-emptiness bitmaps) into one
+// platform-independent FNV-1a hash, value by value in little-endian
+// order.
 func hashFrozen(sh *Sharded) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -284,9 +360,6 @@ func hashFrozen(sh *Sharded) uint64 {
 	}
 	w32(sh.perm)
 	w32(sh.inv)
-	for _, f := range sh.foreign {
-		w32(f)
-	}
 	for _, f := range sh.foreignEmpty {
 		w64(f)
 	}
@@ -297,11 +370,13 @@ func hashFrozen(sh *Sharded) uint64 {
 // hash: the exact array content the on-disk format persists must not
 // drift with worker count, rebuilds, or accidental nondeterminism in
 // BuildFrozen — a saved index must stay loadable as a byte-exact
-// oracle across runs.
+// oracle across runs. The golden is the hash of the same arrays as
+// built before the foreign-slot span arrays were retired, spans
+// excluded: dropping them moved nothing else.
 func TestPersistGoldenDeterminism(t *testing.T) {
 	const (
 		n      = 300
-		golden = uint64(0x0079e1d067691917)
+		golden = uint64(0x10f99e28a227df8a)
 	)
 	p := Params{Bands: 6, Rows: 3}
 	for _, workers := range []int{1, 4} {
@@ -314,7 +389,6 @@ func TestPersistGoldenDeterminism(t *testing.T) {
 		if err := sh.BuildFrozen(keys, n, workers); err != nil {
 			t.Fatal(err)
 		}
-		sh.MaterializeForeignSlots(-1)
 		if got := hashFrozen(sh); got != golden {
 			t.Fatalf("workers=%d: frozen-layout hash %#x, golden %#x — the persisted layout drifted",
 				workers, got, golden)
@@ -345,9 +419,6 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		keys := signKeysFor(sh, sets, 2)
 		if err := sh.BuildFrozen(keys, nn, 2); err != nil {
 			t.Fatal(err)
-		}
-		if byteAt(data, 1)%2 == 0 {
-			sh.MaterializeForeignSlots(-1)
 		}
 		dir := t.TempDir()
 		if _, err := sh.Save(dir, seed, seed^0x5bd1e995, 2); err != nil {

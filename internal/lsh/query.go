@@ -1,12 +1,16 @@
 package lsh
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Query is the per-caller planner over a Sharded index. It plans each
 // candidate sweep as shard-local sub-queries — the owning shard
-// resolves the query item's band keys, every shard is probed for the
-// matching bucket — and merges the shard-local shortlists back into
-// the exact candidate stream the unsharded index would emit:
+// resolves the query item's bucket, the other shards are probed for
+// the matching bucket unless the foreign-emptiness bitmap rules every
+// match out (foreign.go) — and merges the shard-local shortlists back
+// into the exact candidate stream the unsharded index would emit:
 //
 //   - Range partition: per band, buckets are concatenated in ascending
 //     shard order. Shard buckets hold ascending global IDs from
@@ -34,9 +38,10 @@ type Query struct {
 	locals  []int32
 	keyBuf  []uint64
 	slotBuf []int32
-	// order is the reordered block sweep's position schedule: valid
-	// block positions sorted by internal ID, so the sweep walks the
-	// permuted arena sequentially (candidatesBatchReordered).
+	// order is the frozen block sweep's position schedule: valid block
+	// positions, sorted by internal ID on a reordered index so the
+	// sweep walks the permuted arena sequentially
+	// (candidatesBatchFrozen).
 	order []int32
 	// sigKeys holds the band keys of an out-of-index query signature.
 	sigKeys []uint64
@@ -51,8 +56,8 @@ type Query struct {
 	pendingNanos int64
 	pendingCalls int
 	// pendingProbe/pendingDirect batch the fan-out path counters
-	// (cross-shard bucket resolutions by key probe vs foreign-slot
-	// load) under the same flush cadence.
+	// (cross-shard bucket resolutions by key probe vs answered by the
+	// foreign-emptiness bitmap) under the same flush cadence.
 	pendingProbe  int64
 	pendingDirect int64
 	// pendingLocal/pendingForeign batch the shard-locality candidate
@@ -117,7 +122,9 @@ const mergeFlushEvery = 64
 
 // Candidates invokes fn for every item sharing at least one band
 // bucket with the previously inserted global item, with Index.
-// Candidates' duplication semantics and enumeration order.
+// Candidates' duplication semantics and enumeration order. On a
+// reordered index the emitted candidates are internal IDs in
+// ascending-original order (see reorder.go).
 //
 //lshvet:noescape
 func (q *Query) Candidates(item int32, fn func(other int32)) {
@@ -127,18 +134,10 @@ func (q *Query) Candidates(item int32, fn func(other int32)) {
 		return
 	}
 	if perm := sh.perm; perm != nil {
-		// Reordered index: translate to internal space; emitted
-		// candidates are internal IDs in ascending-original order (see
-		// reorder.go).
 		if item < 0 || int(item) >= len(perm) {
 			return
 		}
-		if sh.single != nil {
-			sh.single.Candidates(perm[item], fn)
-			return
-		}
-		q.candidatesReordered(perm[item], fn)
-		return
+		item = perm[item]
 	}
 	if sh.single != nil {
 		sh.single.Candidates(item, fn)
@@ -150,84 +149,96 @@ func (q *Query) Candidates(item int32, fn func(other int32)) {
 		return
 	}
 	sh.touchShard(s)
-	own := sh.shards[s]
 	bands := sh.params.Bands
-	if fz := own.frozen; fz != nil && !sh.part.stride {
-		// Owner-direct frozen path (range mode freezes every shard in
-		// one step): each band resolves the owner's bucket through its
-		// freeze-time slot — no owner key-table probe — and reaches
-		// foreign shards by foreign-slot load when materialised, key
-		// probe otherwise.
+	cross := int64(len(sh.shards) - 1)
+	if sh.foreignEmpty != nil {
+		// Frozen range fan-out (foreign.go): each band resolves the
+		// owner's bucket through its freeze-time slot and reaches the
+		// other shards by key probe only when the slot's
+		// foreign-emptiness bit is clear.
+		own := sh.shards[s].frozen
 		base := int(local) * bands
+		probed := int64(0)
 		for b := 0; b < bands; b++ {
-			q.fanOutFrozen(s, fz.slots[base+b], b, fn)
-		}
-		cross := int64(bands) * int64(len(sh.shards)-1)
-		if sh.foreign != nil {
-			q.pendingDirect += cross
-		} else {
-			q.pendingProbe += cross
-		}
-		q.addMergeNanos(time.Since(start).Nanoseconds())
-		return
-	}
-	for b := 0; b < bands; b++ {
-		q.fanOutBand(b, own.itemBandKey(local, b), fn)
-	}
-	q.pendingProbe += int64(bands) * int64(len(sh.shards)-1)
-	q.addMergeNanos(time.Since(start).Nanoseconds())
-}
-
-// fanOutFrozen emits one band's bucket across all shards in ascending
-// shard order (range partition, all shards frozen): the owner through
-// its already-resolved bucket slot, foreign shards through the
-// foreign-slot arrays when materialised and by key probe otherwise.
-// Ascending-shard concatenation is the ascending-ID merge, exactly as
-// in fanOutBand.
-//
-//lshvet:noescape
-func (q *Query) fanOutFrozen(s int, slot int32, b int, fn func(other int32)) {
-	sh := q.sh
-	if sh.foreign != nil {
-		stride := 2 * (len(sh.shards) - 1)
-		row := sh.foreign[s][int(slot)*stride : int(slot)*stride+stride]
-		ti := 0
-		for t, ix := range sh.shards {
-			fz := ix.frozen
-			if t == s {
-				lo, hi := fz.offsets[slot], fz.offsets[slot+1]
-				q.pendingLocal += int64(hi - lo)
-				for _, g := range fz.items[lo:hi] {
+			slot := own.slots[base+b]
+			ownerBucket := own.items[own.offsets[slot]:own.offsets[slot+1]]
+			q.pendingLocal += int64(len(ownerBucket))
+			if sh.foreignEmptyAt(s, slot) {
+				for _, g := range ownerBucket {
 					fn(g)
 				}
 				continue
 			}
-			lo, hi := row[2*ti], row[2*ti+1]
-			ti++
-			q.pendingForeign += int64(hi - lo)
-			for _, g := range fz.items[lo:hi] {
-				fn(g)
-			}
+			probed++
+			q.pendingForeign += q.gatherHeads(s, slot, b, ownerBucket)
+			q.drainHeads(fn)
 		}
+		q.pendingProbe += probed * cross
+		q.pendingDirect += (int64(bands) - probed) * cross
+		q.addMergeNanos(time.Since(start).Nanoseconds())
 		return
 	}
-	key := sh.shards[s].frozen.keys[slot]
-	for t, ix := range sh.shards {
+	own := sh.shards[s]
+	for b := 0; b < bands; b++ {
+		q.fanOutBand(b, own.itemBandKey(local, b), fn)
+	}
+	q.pendingProbe += int64(bands) * cross
+	q.addMergeNanos(time.Since(start).Nanoseconds())
+}
+
+// gatherHeads loads q.heads with band b's buckets matching owner shard
+// s's bucket slot, in ascending shard order: the owner's through its
+// slot, every other shard's by key probe (empty results skipped). It
+// returns how many foreign items were gathered.
+//
+//lshvet:noescape
+func (q *Query) gatherHeads(s int, slot int32, b int, ownerBucket []int32) int64 {
+	key := q.sh.shards[s].frozen.keys[slot]
+	q.heads = q.heads[:0]
+	var foreign int64
+	for t, ix := range q.sh.shards {
 		if t == s {
-			fz := ix.frozen
-			lo, hi := fz.offsets[slot], fz.offsets[slot+1]
-			q.pendingLocal += int64(hi - lo)
-			for _, g := range fz.items[lo:hi] {
-				fn(g)
-			}
+			q.heads = append(q.heads, mergeHead{bucket: ownerBucket})
 			continue
 		}
-		bucket := ix.lookupBucket(b, key)
-		q.pendingForeign += int64(len(bucket))
-		for _, g := range bucket {
+		if bucket := ix.lookupBucket(b, key); len(bucket) > 0 {
+			q.heads = append(q.heads, mergeHead{bucket: bucket})
+			foreign += int64(len(bucket))
+		}
+	}
+	return foreign
+}
+
+// drainHeads emits the gathered q.heads in ascending original ID order
+// and empties them: by inv on a reordered index (mergeEmitByInv), by
+// concatenation otherwise — range shards hold disjoint ascending ID
+// ranges and the heads were gathered in shard order, so concatenation
+// is the ascending merge.
+func (q *Query) drainHeads(fn func(other int32)) {
+	if q.sh.inv != nil {
+		q.mergeEmitByInv(fn)
+		return
+	}
+	for _, h := range q.heads {
+		for _, g := range h.bucket {
 			fn(g)
 		}
 	}
+	q.heads = q.heads[:0]
+}
+
+// drainHeadRuns is drainHeads for block sweeps: whole buckets, or on a
+// reordered index maximal single-shard runs (mergeRunsByInv), handed
+// to fn with the block position.
+func (q *Query) drainHeadRuns(pos int, fn func(pos int, bucket []int32)) {
+	if q.sh.inv != nil {
+		q.mergeRunsByInv(pos, fn)
+		return
+	}
+	for _, h := range q.heads {
+		fn(pos, h.bucket)
+	}
+	q.heads = q.heads[:0]
 }
 
 // fanOutBand emits one band's colliding items across all shards in
@@ -281,10 +292,11 @@ func (q *Query) mergeEmit(fn func(other int32)) {
 
 // CandidatesBatch invokes fn with each position's buckets in exactly
 // the per-position sequence Candidates would deliver, band-major
-// across the block so the sweep stays inside one shard's contiguous
-// band region at a time (see Index.CandidatesBatch for why that order
-// amortises cache misses). On range partitions each (item, band,
-// shard) bucket arrives whole, shard-ascending within the band; on
+// across the block so the sweep stays inside one band's contiguous
+// region of each shard at a time (see Index.CandidatesBatch for why
+// that order amortises cache misses). On range partitions each
+// (item, band, shard) bucket arrives whole, shard-ascending within the
+// band (or, reordered, as runs of the ascending-original merge); on
 // stride partitions, whose shard buckets interleave in ID space, each
 // (item, band) emission is the S-way ascending merge delivered as
 // maximal single-shard runs. Bucket slices alias index storage and
@@ -292,223 +304,165 @@ func (q *Query) mergeEmit(fn func(other int32)) {
 // per-item queries to keep their per-position degradation accounting.
 func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)) {
 	sh := q.sh
-	if sh.res != nil && !sh.part.stride {
+	switch {
+	case sh.res != nil && !sh.part.stride:
 		q.backendCandidatesBatch(items, fn)
-		return
-	}
-	if sh.perm != nil {
-		q.candidatesBatchReordered(items, fn)
-		return
-	}
-	if sh.single != nil {
+	case sh.single != nil && sh.perm != nil:
+		q.singleBatchReordered(items, fn)
+	case sh.single != nil:
 		sh.single.CandidatesBatch(items, fn)
-		return
-	}
-	if sh.part.stride {
-		if sh.res != nil {
-			q.ensureBlockDeg(len(items))
-			for pos, item := range items {
-				q.Candidates(item, func(other int32) {
-					q.oneBuf[0] = other
-					fn(pos, q.oneBuf[:])
-				})
-				q.blockDeg[pos] = q.lastDeg
-			}
-			return
+	case sh.foreignEmpty != nil:
+		q.candidatesBatchFrozen(items, fn)
+	case sh.res != nil:
+		q.ensureBlockDeg(len(items))
+		for pos, item := range items {
+			q.Candidates(item, func(other int32) {
+				q.oneBuf[0] = other
+				fn(pos, q.oneBuf[:])
+			})
+			q.blockDeg[pos] = q.lastDeg
 		}
-		q.candidatesBatchStride(items, fn)
-		return
+	default:
+		q.candidatesBatchKeys(items, fn)
 	}
-	start := time.Now()
-	n := len(items)
+}
+
+// blockScratch sizes the per-position scratch of a block sweep.
+func (q *Query) blockScratch(n int) {
 	if cap(q.owners) < n {
 		q.owners = make([]int32, n)
 		q.locals = make([]int32, n)
 		q.keyBuf = make([]uint64, n)
 		q.slotBuf = make([]int32, n)
+		q.order = make([]int32, 0, n)
 	}
-	owners, locals, keyBuf := q.owners[:n], q.locals[:n], q.keyBuf[:n]
-	valid := 0
-	for pos, item := range items {
-		s, local, ok := sh.part.locate(item)
-		if ok && sh.shards[s].isInserted(local) {
-			owners[pos], locals[pos] = int32(s), local
-			valid++
-		} else {
-			owners[pos] = -1
-		}
-	}
-	sh.touchOwners(owners)
-	bands := sh.params.Bands
-	cross := int64(valid) * int64(bands) * int64(len(sh.shards)-1)
-	frozenAll := true
-	for _, ix := range sh.shards {
-		if ix.frozen == nil {
-			frozenAll = false
-			break
-		}
-	}
-	if frozenAll && sh.foreign != nil {
-		// Foreign-slot fast path: the owning shard resolves each
-		// position's bucket slot directly and every foreign shard's
-		// bucket span is one indexed load off that — band keys are
-		// never read, tables never probed, foreign offsets never
-		// touched. Range blocks are (nearly) sorted by global ID, so
-		// positions cluster into runs owned by one shard; each run
-		// hoists its shard and foreign-row lookups, and the interleaved
-		// rows keep a position's whole fan-out on the cache line its
-		// first foreign load pulled in.
-		stride := 2 * (len(sh.shards) - 1)
-		slotBuf := q.slotBuf[:n]
-		var localC, foreignC int64
-		for b := 0; b < bands; b++ {
-			for pos := 0; pos < n; {
-				o := owners[pos]
-				if o < 0 {
-					pos++
-					continue
-				}
-				end := pos + 1
-				for end < n && owners[end] == o {
-					end++
-				}
-				fz := sh.shards[o].frozen
-				slots, loc := fz.slots, locals
-				for p := pos; p < end; p++ {
-					slotBuf[p] = slots[int(loc[p])*bands+b]
-				}
-				pos = end
-			}
-			for t, ix := range sh.shards {
-				fz := ix.frozen
-				offs, bucketed := fz.offsets, fz.items
-				for pos := 0; pos < n; {
-					o := owners[pos]
-					if o < 0 {
-						pos++
-						continue
-					}
-					end := pos + 1
-					for end < n && owners[end] == o {
-						end++
-					}
-					if o == int32(t) {
-						for p := pos; p < end; p++ {
-							slot := slotBuf[p]
-							if lo, hi := offs[slot], offs[slot+1]; hi > lo {
-								localC += int64(hi - lo)
-								fn(p, bucketed[lo:hi])
-							}
-						}
-					} else {
-						frows := sh.foreign[o]
-						ti := t
-						if t > int(o) {
-							ti = t - 1
-						}
-						for p := pos; p < end; p++ {
-							at := int(slotBuf[p])*stride + 2*ti
-							if lo, hi := frows[at], frows[at+1]; hi > lo {
-								foreignC += int64(hi - lo)
-								fn(p, bucketed[lo:hi])
-							}
-						}
-					}
-					pos = end
-				}
-			}
-		}
-		sh.directOps.Add(cross)
-		sh.localCands.Add(localC)
-		sh.foreignCands.Add(foreignC)
-		sh.mergeNanos.Add(time.Since(start).Nanoseconds())
-		return
-	}
-	if frozenAll {
-		// Frozen probe path: the owning shard resolves each position's
-		// bucket slot directly (no probe) and its key feeds the foreign
-		// probes, each of which is one interleaved-table cache line.
-		slotBuf := q.slotBuf[:n]
-		var localC, foreignC int64
-		for b := 0; b < bands; b++ {
-			for pos := range items {
-				if owners[pos] < 0 {
-					continue
-				}
-				fz := sh.shards[owners[pos]].frozen
-				slot := fz.slots[int(locals[pos])*bands+b]
-				slotBuf[pos] = slot
-				keyBuf[pos] = fz.keys[slot]
-			}
-			for s, ix := range sh.shards {
-				fz := ix.frozen
-				tbl := &fz.tables[b]
-				for pos := range items {
-					if owners[pos] < 0 {
-						continue
-					}
-					slot := slotBuf[pos]
-					local := owners[pos] == int32(s)
-					if !local {
-						if slot = tbl.get(keyBuf[pos]); slot < 0 {
-							continue
-						}
-					}
-					if lo, hi := fz.offsets[slot], fz.offsets[slot+1]; hi > lo {
-						if local {
-							localC += int64(hi - lo)
-						} else {
-							foreignC += int64(hi - lo)
-						}
-						fn(pos, fz.items[lo:hi])
-					}
-				}
-			}
-		}
-		sh.probeOps.Add(cross)
-		sh.localCands.Add(localC)
-		sh.foreignCands.Add(foreignC)
-		sh.mergeNanos.Add(time.Since(start).Nanoseconds())
-		return
-	}
-	for b := 0; b < bands; b++ {
-		for pos := range items {
-			if owners[pos] >= 0 {
-				keyBuf[pos] = sh.shards[owners[pos]].itemBandKey(locals[pos], b)
-			}
-		}
-		for _, ix := range sh.shards {
-			for pos := range items {
-				if owners[pos] < 0 {
-					continue
-				}
-				if bucket := ix.lookupBucket(b, keyBuf[pos]); len(bucket) > 0 {
-					fn(pos, bucket)
-				}
-			}
-		}
-	}
-	sh.probeOps.Add(cross)
-	sh.mergeNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// candidatesBatchStride is the stride-partition block sweep: band-major
-// like the range paths, with each position's (item, band) emission an
-// S-way ascending merge of the per-shard buckets delivered as maximal
-// single-shard runs (mergeRuns) — the same candidate sequence the
-// per-item Candidates fallback produced one element at a time, without
-// its per-candidate closure dispatch and with the key resolutions
-// hoisted band-major. Equivalence tests pin the sequences identical.
-func (q *Query) candidatesBatchStride(items []int32, fn func(pos int, bucket []int32)) {
+// singleBatchReordered is the block sweep of a single reordered shard:
+// the block is scheduled by ascending internal ID (see
+// candidatesBatchFrozen), translated and delegated — the one shard's
+// buckets are already in ascending-original order — with the
+// callback's position remapped back through the schedule.
+func (q *Query) singleBatchReordered(items []int32, fn func(pos int, bucket []int32)) {
+	perm := q.sh.perm
+	q.blockScratch(len(items))
+	order := q.scheduleBlock(items, perm)
+	tmp := q.locals[:len(order)]
+	for j, pos := range order {
+		tmp[j] = perm[items[pos]]
+	}
+	q.sh.single.CandidatesBatch(tmp, func(j int, bucket []int32) {
+		fn(int(order[j]), bucket)
+	})
+}
+
+// scheduleBlock returns the block positions whose items are inside the
+// permutation, sorted by internal ID (q.order's storage).
+func (q *Query) scheduleBlock(items, perm []int32) []int32 {
+	order := q.order[:0]
+	for pos, it := range items {
+		if it >= 0 && int(it) < len(perm) {
+			order = append(order, int32(pos))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return int(perm[items[a]]) - int(perm[items[b]])
+	})
+	q.order = order
+	return order
+}
+
+// candidatesBatchFrozen is the frozen range block sweep (S>1, every
+// shard frozen, so the foreign-emptiness bitmap exists). Items are
+// original IDs. A reordered index translates them and schedules the
+// positions by ascending internal ID (q.order): the core cuts blocks
+// in original-ID order, which the permutation scatters across the
+// arena, and the schedule makes slot-row and bucket reads walk the
+// permuted arena forward — the sequential access an unreordered block
+// gets for free. Per band, each position emits its owner bucket alone
+// when the slot's foreign-emptiness bit is set (after reordering, the
+// overwhelming case: one bit read instead of S−1 probes), and
+// otherwise every shard's matching bucket merged in ascending original
+// order. Each position's candidate stream is therefore exactly the
+// per-item Candidates sequence; only the cross-position interleaving,
+// which block gatherers never observe, differs.
+func (q *Query) candidatesBatchFrozen(items []int32, fn func(pos int, bucket []int32)) {
 	sh := q.sh
 	start := time.Now()
 	n := len(items)
-	if cap(q.owners) < n {
-		q.owners = make([]int32, n)
-		q.locals = make([]int32, n)
-		q.keyBuf = make([]uint64, n)
-		q.slotBuf = make([]int32, n)
+	q.blockScratch(n)
+	owners, locals, slotBuf := q.owners[:n], q.locals[:n], q.slotBuf[:n]
+	var order []int32
+	if perm := sh.perm; perm != nil {
+		order = q.scheduleBlock(items, perm)
+		for _, pos := range order {
+			s, local, _ := sh.part.locate(perm[items[pos]])
+			owners[pos], locals[pos] = int32(s), local
+		}
+	} else {
+		order = q.order[:0]
+		for pos, item := range items {
+			if s, local, ok := sh.part.locate(item); ok && sh.shards[s].isInserted(local) {
+				owners[pos], locals[pos] = int32(s), local
+				order = append(order, int32(pos))
+			}
+		}
+		q.order = order
 	}
+	sh.touchRuns(order, owners)
+	bands := sh.params.Bands
+	var localC, foreignC, probed int64
+	for b := 0; b < bands; b++ {
+		// The schedule groups positions by owning shard, so the slots
+		// pointer hoists per run.
+		for i := 0; i < len(order); {
+			o := owners[order[i]]
+			slots := sh.shards[o].frozen.slots
+			for ; i < len(order) && owners[order[i]] == o; i++ {
+				pos := order[i]
+				slotBuf[pos] = slots[int(locals[pos])*bands+b]
+			}
+		}
+		for _, pos32 := range order {
+			pos := int(pos32)
+			o := int(owners[pos])
+			slot := slotBuf[pos]
+			own := sh.shards[o].frozen
+			ownerBucket := own.items[own.offsets[slot]:own.offsets[slot+1]]
+			localC += int64(len(ownerBucket))
+			if sh.foreignEmptyAt(o, slot) {
+				fn(pos, ownerBucket)
+				continue
+			}
+			probed++
+			foreignC += q.gatherHeads(o, slot, b, ownerBucket)
+			q.drainHeadRuns(pos, fn)
+		}
+	}
+	cross := int64(len(sh.shards) - 1)
+	sh.probeOps.Add(probed * cross)
+	sh.directOps.Add((int64(len(order))*int64(bands) - probed) * cross)
+	sh.localCands.Add(localC)
+	sh.foreignCands.Add(foreignC)
+	sh.mergeNanos.Add(time.Since(start).Nanoseconds())
+}
+
+// candidatesBatchKeys is the key-addressed block sweep, for shards
+// that are not all frozen (map-built range shards, stride streams):
+// band-major like the frozen sweep, each position's band keys resolved
+// through its owning shard and every shard looked up by key. A range
+// position's shard buckets arrive whole in shard order (concatenation
+// is the merge, as in fanOutBand); a stride position's (item, band)
+// emission is the S-way ascending merge of the per-shard buckets
+// delivered as maximal single-shard runs (mergeRuns) — the same
+// candidate sequence the per-item Candidates path produces, without
+// its per-candidate closure dispatch. Equivalence tests pin the
+// sequences identical.
+func (q *Query) candidatesBatchKeys(items []int32, fn func(pos int, bucket []int32)) {
+	sh := q.sh
+	start := time.Now()
+	n := len(items)
+	q.blockScratch(n)
 	owners, locals, keyBuf := q.owners[:n], q.locals[:n], q.keyBuf[:n]
 	valid := 0
 	for pos, item := range items {
@@ -529,6 +483,14 @@ func (q *Query) candidatesBatchStride(items []int32, fn func(pos int, bucket []i
 		}
 		for pos := 0; pos < n; pos++ {
 			if owners[pos] < 0 {
+				continue
+			}
+			if !sh.part.stride {
+				for _, ix := range sh.shards {
+					if bucket := ix.lookupBucket(b, keyBuf[pos]); len(bucket) > 0 {
+						fn(pos, bucket)
+					}
+				}
 				continue
 			}
 			q.heads = q.heads[:0]

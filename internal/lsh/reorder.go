@@ -9,7 +9,7 @@ package lsh
 // run, the SignAll arena is permuted once, and the range partitioner
 // then cuts shards over the *permuted* order. A query's candidates are
 // its co-colliders, i.e. its own component, so collisions concentrate
-// in the owning shard — most foreign-slot spans come back empty and a
+// in the owning shard — almost every foreign-emptiness bit is set and a
 // fan-out degenerates to a single owner-bucket scan — and the
 // per-candidate assignment reads of a shortlist sweep stay
 // cache-resident instead of striding the whole assignment array.
@@ -21,7 +21,7 @@ package lsh
 //     the index (assignments, datasets, runstats, CLI output) stays in
 //     this space.
 //   - internal IDs — the permuted numbering the shards, buckets,
-//     foreign-slot spans and reverse marks are built over.
+//     foreign-emptiness bitmaps and reverse marks are built over.
 //
 // perm[original] = internal and inv[internal] = original map between
 // them at the index boundary: queries translate the item argument on
@@ -42,7 +42,6 @@ package lsh
 // build.
 
 import (
-	"slices"
 	"time"
 
 	"lshcluster/internal/par"
@@ -268,87 +267,6 @@ func (sh *Sharded) reorderBucketItems(workers int) {
 	})
 }
 
-// candidatesReordered is the reordered multi-shard per-item sweep:
-// internal is the already-translated query item. Per band the owner
-// bucket resolves through its freeze-time slot and foreign spans come
-// from the foreign-slot arrays (key probes otherwise); spans merge by
-// inv so candidates emit in ascending *original* order, exactly the
-// oracle's enumeration — but as internal IDs.
-func (q *Query) candidatesReordered(internal int32, fn func(other int32)) {
-	sh := q.sh
-	start := time.Now()
-	s, local, ok := sh.part.locate(internal)
-	if !ok {
-		return
-	}
-	sh.touchShard(s)
-	own := sh.shards[s].frozen
-	bands := sh.params.Bands
-	base := int(local) * bands
-	nsh := len(sh.shards)
-	fstride := 2 * (nsh - 1)
-	for b := 0; b < bands; b++ {
-		slot := own.slots[base+b]
-		ownerBucket := own.items[own.offsets[slot]:own.offsets[slot+1]]
-		if sh.foreign != nil && sh.foreignEmpty[s][slot>>6]&(1<<(slot&63)) != 0 {
-			// Every foreign span is empty — the bucket is single-shard
-			// (the overwhelming case after reordering), so skip the span
-			// row and emit the owner bucket directly.
-			q.pendingLocal += int64(len(ownerBucket))
-			for _, g := range ownerBucket {
-				fn(g)
-			}
-			continue
-		}
-		q.heads = q.heads[:0]
-		foreignLen := 0
-		if sh.foreign != nil {
-			row := sh.foreign[s][int(slot)*fstride : int(slot)*fstride+fstride]
-			ti := 0
-			for t := 0; t < nsh; t++ {
-				if t == s {
-					q.heads = append(q.heads, mergeHead{bucket: ownerBucket})
-					continue
-				}
-				lo, hi := row[2*ti], row[2*ti+1]
-				ti++
-				if hi > lo {
-					q.heads = append(q.heads, mergeHead{bucket: sh.shards[t].frozen.items[lo:hi]})
-					foreignLen += int(hi - lo)
-				}
-			}
-		} else {
-			key := own.keys[slot]
-			for t, ix := range sh.shards {
-				if t == s {
-					q.heads = append(q.heads, mergeHead{bucket: ownerBucket})
-					continue
-				}
-				if bucket := ix.lookupBucket(b, key); len(bucket) > 0 {
-					q.heads = append(q.heads, mergeHead{bucket: bucket})
-					foreignLen += len(bucket)
-				}
-			}
-		}
-		q.pendingLocal += int64(len(ownerBucket))
-		q.pendingForeign += int64(foreignLen)
-		if len(q.heads) == 1 {
-			for _, g := range ownerBucket {
-				fn(g)
-			}
-		} else {
-			q.mergeEmitByInv(fn)
-		}
-	}
-	cross := int64(bands) * int64(nsh-1)
-	if sh.foreign != nil {
-		q.pendingDirect += cross
-	} else {
-		q.pendingProbe += cross
-	}
-	q.addMergeNanos(time.Since(start).Nanoseconds())
-}
-
 // mergeEmitByInv drains q.heads in ascending *original* ID order:
 // buckets hold internal IDs sorted by inv (reorderBucketItems), shards
 // hold disjoint items, so a repeated min-head scan on inv reproduces
@@ -414,155 +332,4 @@ func (q *Query) mergeRunsByInv(pos int, fn func(pos int, bucket []int32)) {
 			q.heads = q.heads[:last]
 		}
 	}
-}
-
-// candidatesBatchReordered is the reordered block sweep: items are
-// original IDs, translated on entry; buckets emit internal IDs in
-// ascending-original merged order, as runs (mergeRunsByInv). The core
-// cuts blocks in original-ID order, which the permutation scatters
-// across the arena, so the sweep schedules positions by ascending
-// *internal* ID (q.order): slot-row and bucket reads then walk the
-// permuted arena forward, exactly the sequential access the direct
-// fast path gets for free. Per-position emission is untouched — the
-// band-major loop still hands every position its bands in order, so
-// each position's candidate stream is bit-identical and only the
-// cross-position interleaving (which block gatherers never observe)
-// differs. The per-position cross-shard gather reads only the foreign
-// row (or probes the key tables when spans are not materialised), so
-// empty foreign spans — the overwhelming case after reordering — cost
-// one cache line, not a bucket scan.
-func (q *Query) candidatesBatchReordered(items []int32, fn func(pos int, bucket []int32)) {
-	sh := q.sh
-	perm := sh.perm
-	n := len(items)
-	if cap(q.order) < n {
-		q.order = make([]int32, 0, n)
-	}
-	order := q.order[:0]
-	for pos, it := range items {
-		if it >= 0 && int(it) < len(perm) {
-			order = append(order, int32(pos))
-		}
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		return int(perm[items[a]]) - int(perm[items[b]])
-	})
-	if sh.single != nil {
-		// Single reordered shard: translate the scheduled block and
-		// delegate — the one shard's buckets are already in
-		// ascending-original order — remapping the callback's position
-		// back through the schedule.
-		if cap(q.locals) < n {
-			q.locals = make([]int32, n)
-		}
-		tmp := q.locals[:len(order)]
-		for j, pos := range order {
-			tmp[j] = perm[items[pos]]
-		}
-		sh.single.CandidatesBatch(tmp, func(j int, bucket []int32) {
-			fn(int(order[j]), bucket)
-		})
-		return
-	}
-	start := time.Now()
-	if cap(q.owners) < n {
-		q.owners = make([]int32, n)
-		q.locals = make([]int32, n)
-		q.keyBuf = make([]uint64, n)
-		q.slotBuf = make([]int32, n)
-	}
-	owners, locals := q.owners[:n], q.locals[:n]
-	lastTouched := -1
-	for _, pos := range order {
-		s, local, _ := sh.part.locate(perm[items[pos]])
-		owners[pos], locals[pos] = int32(s), local
-		if sh.resi != nil && s != lastTouched {
-			// The schedule ascends in internal ID, so owners arrive in
-			// runs: one residency touch per run, not per position.
-			sh.touchShard(s)
-			lastTouched = s
-		}
-	}
-	valid := len(order)
-	bands := sh.params.Bands
-	nsh := len(sh.shards)
-	fstride := 2 * (nsh - 1)
-	slotBuf := q.slotBuf[:n]
-	var localC, foreignC int64
-	for b := 0; b < bands; b++ {
-		// Sorted order groups positions by owning shard, so the slots
-		// pointer hoists per run.
-		for i := 0; i < len(order); {
-			o := owners[order[i]]
-			j := i
-			for j < len(order) && owners[order[j]] == o {
-				j++
-			}
-			slots := sh.shards[o].frozen.slots
-			for ; i < j; i++ {
-				pos := order[i]
-				slotBuf[pos] = slots[int(locals[pos])*bands+b]
-			}
-		}
-		for _, pos32 := range order {
-			pos := int(pos32)
-			o := owners[pos]
-			slot := slotBuf[pos]
-			own := sh.shards[o].frozen
-			ownerBucket := own.items[own.offsets[slot]:own.offsets[slot+1]]
-			if sh.foreign != nil && sh.foreignEmpty[o][slot>>6]&(1<<(slot&63)) != 0 {
-				// Single-shard bucket (see candidatesReordered): one bit
-				// read instead of the span row and merge-head setup.
-				localC += int64(len(ownerBucket))
-				fn(pos, ownerBucket)
-				continue
-			}
-			q.heads = q.heads[:0]
-			foreignLen := 0
-			if sh.foreign != nil {
-				row := sh.foreign[o][int(slot)*fstride : int(slot)*fstride+fstride]
-				ti := 0
-				for t := 0; t < nsh; t++ {
-					if int32(t) == o {
-						q.heads = append(q.heads, mergeHead{bucket: ownerBucket})
-						continue
-					}
-					lo, hi := row[2*ti], row[2*ti+1]
-					ti++
-					if hi > lo {
-						q.heads = append(q.heads, mergeHead{bucket: sh.shards[t].frozen.items[lo:hi]})
-						foreignLen += int(hi - lo)
-					}
-				}
-			} else {
-				key := own.keys[slot]
-				for t, ix := range sh.shards {
-					if int32(t) == o {
-						q.heads = append(q.heads, mergeHead{bucket: ownerBucket})
-						continue
-					}
-					if bucket := ix.lookupBucket(b, key); len(bucket) > 0 {
-						q.heads = append(q.heads, mergeHead{bucket: bucket})
-						foreignLen += len(bucket)
-					}
-				}
-			}
-			localC += int64(len(ownerBucket))
-			foreignC += int64(foreignLen)
-			if len(q.heads) == 1 {
-				fn(pos, ownerBucket)
-			} else {
-				q.mergeRunsByInv(pos, fn)
-			}
-		}
-	}
-	cross := int64(valid) * int64(bands) * int64(nsh-1)
-	if sh.foreign != nil {
-		sh.directOps.Add(cross)
-	} else {
-		sh.probeOps.Add(cross)
-	}
-	sh.localCands.Add(localC)
-	sh.foreignCands.Add(foreignC)
-	sh.mergeNanos.Add(time.Since(start).Nanoseconds())
 }

@@ -179,14 +179,6 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 				if !reflect.DeepEqual(wantK, toOrig(gotK)) {
 					t.Fatalf("of-keys: want %v, got %v", wantK, toOrig(gotK))
 				}
-				// ItemKeysOf answers for original IDs.
-				buf := make([]uint64, p.Bands)
-				if !sh.ItemKeysOf(0, buf) {
-					t.Fatal("ItemKeysOf(0) failed on reordered index")
-				}
-				if !reflect.DeepEqual(buf, refKeys[:p.Bands]) {
-					t.Fatalf("ItemKeysOf(0) = %v, want %v", buf, refKeys[:p.Bands])
-				}
 				if shards > 1 {
 					local, foreign := sh.FanOutLocality()
 					if local <= 0 {

@@ -126,17 +126,17 @@ func (sh *Sharded) touchShard(s int) {
 	}
 }
 
-// touchOwners touches each distinct owner shard of a block sweep.
-// Range blocks arrive (nearly) sorted, so deduplicating consecutive
-// owners reduces this to ~one touch per shard run.
-func (sh *Sharded) touchOwners(owners []int32) {
+// touchRuns touches the owner shard of each run of consecutive block
+// positions in order (owners indexed by position). Block schedules
+// ascend in (internal) item ID, so this is ~one touch per shard.
+func (sh *Sharded) touchRuns(order, owners []int32) {
 	r := sh.resi
 	if r == nil {
 		return
 	}
 	last := int32(-1)
-	for _, o := range owners {
-		if o >= 0 && o != last {
+	for _, pos := range order {
+		if o := owners[pos]; o != last {
 			r.touch(int(o))
 			last = o
 		}

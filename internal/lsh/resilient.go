@@ -222,12 +222,7 @@ func (q *Query) backendCandidatesBatch(items []int32, fn func(pos int, bucket []
 	n := len(items)
 	deg := q.ensureBlockDeg(n)
 	start := time.Now()
-	if cap(q.owners) < n {
-		q.owners = make([]int32, n)
-		q.locals = make([]int32, n)
-		q.keyBuf = make([]uint64, n)
-		q.slotBuf = make([]int32, n)
-	}
+	q.blockScratch(n)
 	owners, locals := q.owners[:n], q.locals[:n]
 	for pos, item := range items {
 		s, local, ok := sh.part.locate(item)

@@ -1,9 +1,7 @@
 // Package serve holds the shard-serving side of the fault-tolerance
 // layer: the deterministic chaos backend the tests and soak runs
-// inject faults with, and a concurrent multi-shard local server with
-// per-shard backpressure and straggler accounting. It sits strictly
-// above internal/lsh — everything here wraps or drives
-// lsh.ShardBackend implementations.
+// inject faults with. It sits strictly above internal/lsh — everything
+// here wraps lsh.ShardBackend implementations.
 package serve
 
 import (

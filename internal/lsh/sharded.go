@@ -69,31 +69,16 @@ type Sharded struct {
 	// S = 1, where no fan-out exists. Atomic: parallel pass workers
 	// query concurrently.
 	mergeNanos atomic.Int64
-	// foreign, when non-nil, holds the materialised cross-shard fan-out
-	// arrays, one per owner shard s, row-interleaved so a bucket's
-	// foreign spans share a cache line: foreign[s][u·2(S−1)+2ti] and
-	// the following entry are the [lo, hi) span in foreign shard t's
-	// items array of the bucket matching owner shard s's bucket slot u
-	// (same band, same key), lo == hi when shard t has no such bucket;
-	// ti skips the owner (ti = t for t < s, t−1 for t > s — the owner
-	// resolves itself through its freeze-time slots). See
-	// MaterializeForeignSlots in foreign.go.
-	foreign      [][]int32
-	foreignBytes int64
-	// foreignEmpty[s] is a per-slot bitmap over owner shard s's bucket
-	// slots: bit u set when every foreign span of slot u is empty — no
-	// other shard has a bucket for that (band, key). Set alongside
-	// foreign (MaterializeForeignSlots; ~1/64th of its size, not
-	// counted against the budget). The reordered sweeps test the bit
-	// before touching the span row: a reordered build makes almost
-	// every bucket single-shard (collision components are contiguous),
-	// so the common case collapses to one bit read and a direct owner
-	// emission. Unreordered paths skip the bitmap — their hit rate is
-	// too low to pay for the extra branch.
+	// foreignEmpty[s] is owner shard s's foreign-emptiness bitmap: bit
+	// u set when no other shard holds a bucket for slot u's (band, key),
+	// so the frozen fan-out emits the owner bucket alone and skips the
+	// key probes. Built whenever every shard of a range S>1 index is
+	// frozen; nil otherwise. See foreign.go.
 	foreignEmpty [][]uint64
 	// probeOps/directOps count cross-shard bucket resolutions by path —
-	// key-table probe versus foreign-slot load — for the runstats
-	// fan-out-mode report. Atomic for the same reason as mergeNanos.
+	// key-table probe versus answered by the foreign-emptiness bitmap —
+	// for the runstats fan-out report. Atomic for the same reason as
+	// mergeNanos.
 	probeOps  atomic.Int64
 	directOps atomic.Int64
 	// res, when non-nil, routes every cross-shard sweep through the
@@ -301,28 +286,6 @@ func (sh *Sharded) Stats() Stats {
 	return st
 }
 
-// ItemKeysOf writes the band keys (len Bands) of an inserted global
-// item into keys, reporting false for unknown or uninserted items.
-// Read-only: safe for concurrent use once construction is done — the
-// key-resolution step a serving client runs before fanning a query out
-// to shard backends.
-func (sh *Sharded) ItemKeysOf(global int32, keys []uint64) bool {
-	if perm := sh.perm; perm != nil {
-		if global < 0 || int(global) >= len(perm) {
-			return false
-		}
-		global = perm[global]
-	}
-	s, local, ok := sh.part.locate(global)
-	if !ok || !sh.shards[s].isInserted(local) {
-		return false
-	}
-	for b := 0; b < sh.params.Bands; b++ {
-		keys[b] = sh.shards[s].itemBandKey(local, b)
-	}
-	return true
-}
-
 // route resolves a global item for an insert, rejecting IDs outside
 // the partition.
 func (sh *Sharded) route(global int32) (*Index, int32, error) {
@@ -390,7 +353,8 @@ func (sh *Sharded) InsertKeys(global int32, keys []uint64) error {
 // the shards are range-cut over the permuted order; ReorderMap then
 // reports the permutation and candidate enumeration emits internal
 // IDs. Results observed through the translated boundaries are
-// bit-identical either way.
+// bit-identical either way. With more than one shard the build ends by
+// computing the foreign-emptiness bitmap (foreign.go).
 func (sh *Sharded) BuildFrozen(keys []uint64, n, workers int) error {
 	if workers < 1 {
 		workers = 1
@@ -399,7 +363,11 @@ func (sh *Sharded) BuildFrozen(keys []uint64, n, workers int) error {
 	if !sh.reorder || sh.part.stride || n < 2 || len(keys) != n*bands {
 		// Direct build; mismatched arguments also land here so the
 		// direct path surfaces its usual validation errors.
-		return sh.buildFrozenDirect(keys, n, workers)
+		if err := sh.buildFrozenDirect(keys, n, workers); err != nil {
+			return err
+		}
+		sh.buildForeignEmpty()
+		return nil
 	}
 	start := time.Now()
 	perm, inv := deriveReorder(keys, n, bands)
@@ -412,6 +380,7 @@ func (sh *Sharded) BuildFrozen(keys []uint64, n, workers int) error {
 	start = time.Now()
 	sh.reorderBucketItems(workers)
 	sh.reorderDur = prep + time.Since(start)
+	sh.buildForeignEmpty()
 	return nil
 }
 
@@ -473,6 +442,8 @@ func (sh *Sharded) buildFrozenDirect(keys []uint64, n, workers int) error {
 // Freeze compacts every not-yet-frozen shard's map buckets into the
 // frozen CSR layout (the seeded bootstrap's path; idempotent),
 // recording per-shard compaction times when this call did the work.
+// A range partition of more than one shard then gets its
+// foreign-emptiness bitmap, exactly as after BuildFrozen.
 func (sh *Sharded) Freeze() {
 	times := make([]time.Duration, len(sh.shards))
 	froze := false
@@ -488,6 +459,7 @@ func (sh *Sharded) Freeze() {
 	if froze && sh.buildTimes == nil {
 		sh.buildTimes = times
 	}
+	sh.buildForeignEmpty()
 }
 
 // NewReverse returns a reverse-collision view spanning every shard, or
@@ -548,17 +520,14 @@ func (r *ShardedReverse) AddSource(global int32) {
 	own := sh.shards[s].frozen
 	bands := sh.params.Bands
 	base := int(local) * bands
-	// The reverse view marks buckets by slot, which the foreign span
-	// arrays no longer carry — so sources resolve foreign buckets by
-	// key probe. The emptiness bitmap still applies: a set bit means no
-	// foreign shard has the key, so all S−1 probes would miss and the
-	// fan-out can be skipped outright (on a reordered index that is
-	// nearly every bucket). Probing is otherwise acceptable: sources
-	// are the changed clusters of a pass (≤ k), not the item stream.
+	// The same fan-out as the query paths: the owner's bucket through
+	// its slot, the others by key probe unless the foreign-emptiness
+	// bitmap says every probe would miss (on a reordered index, nearly
+	// every bucket).
 	for b := 0; b < bands; b++ {
 		slot := own.slots[base+b]
 		r.revs[s].markSlot(slot)
-		if sh.foreignEmpty != nil && sh.foreignEmpty[s][slot>>6]&(1<<(slot&63)) != 0 {
+		if sh.foreignEmpty != nil && sh.foreignEmptyAt(s, slot) {
 			continue
 		}
 		key := own.keys[slot]

@@ -82,13 +82,14 @@ type Run struct {
 	// whole run. Always zero with a single shard, where no fan-out
 	// exists.
 	CrossShardMerge time.Duration
-	// ForeignSlotBytes is the memory the index spent on materialised
-	// cross-shard fan-out arrays (foreign slots); 0 when the key-probe
-	// path served every query (single shard, disabled, or over budget).
+	// ForeignSlotBytes is the memory the index spent on its cross-shard
+	// foreign-emptiness bitmap (one bit per bucket); 0 with a single
+	// shard.
 	ForeignSlotBytes int64
 	// CrossShardProbes and CrossShardDirect count cross-shard bucket
-	// resolutions by path: key-table probes versus direct foreign-slot
-	// loads. Both zero with a single shard.
+	// resolutions, one per (item, band, foreign shard), by path:
+	// key-table probes issued versus resolutions the foreign-emptiness
+	// bitmap answered without a probe. Both zero with a single shard.
 	CrossShardProbes int64
 	CrossShardDirect int64
 	// ReorderTime is the wall time the locality-reordering stage spent
@@ -197,9 +198,10 @@ func (r *Run) TotalMoves() int {
 }
 
 // CrossShardProbeFrac returns the share of cross-shard bucket
-// resolutions that went through the key-probe path — 1 with foreign
-// slots off, 0 when the materialised arrays served every fan-out, NaN
-// when no cross-shard resolution ran (single shard).
+// resolutions that needed a key probe — 0 when the foreign-emptiness
+// bitmap answered every one, 1 on layouts without it (unfrozen or
+// stride shards), NaN when no cross-shard resolution ran (single
+// shard).
 func (r *Run) CrossShardProbeFrac() float64 {
 	total := r.CrossShardProbes + r.CrossShardDirect
 	if total == 0 {

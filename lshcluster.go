@@ -101,17 +101,6 @@ type Config struct {
 	// every shard count. Values < 2 keep the unsharded index (the
 	// oracle). Ignored for exact runs.
 	Shards int
-	// ForeignSlotBudget caps the memory (bytes) a sharded LSH index may
-	// spend on materialised cross-shard fan-out arrays, which replace
-	// per-query key-table probes of foreign shards with direct indexed
-	// loads. 0 selects the default budget (64 MiB), negative means
-	// unlimited; over budget the index transparently keeps probing.
-	// Results are bit-identical either way. Ignored with Shards < 2.
-	ForeignSlotBudget int64
-	// DisableForeignSlots pins the cross-shard fan-out to the key-probe
-	// path regardless of budget (the correctness oracle and A/B
-	// baseline for the materialised arrays).
-	DisableForeignSlots bool
 	// ScalarKernels routes the hot-loop distance and signing kernels
 	// through their scalar references instead of the unrolled versions
 	// (results are bit-identical either way); this switch is the
@@ -214,8 +203,6 @@ func (c Config) coreOptions() core.Options {
 		EarlyAbandon:             c.EarlyAbandon,
 		Workers:                  c.Workers,
 		Shards:                   c.Shards,
-		ForeignSlotBudget:        c.ForeignSlotBudget,
-		DisableForeignSlots:      c.DisableForeignSlots,
 		ScalarKernels:            c.ScalarKernels,
 		IndexDir:                 c.IndexDir,
 		DisableMmap:              c.DisableMmap,
