@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: build test perfbench-test lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke chaos persist-bench clean
+.PHONY: build test perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke chaos persist-bench clean
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,18 @@ test:
 # that breaks its decorators surfaces here instead of at benchmark time.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...
+
+# Bit-identity gate: one short untraced run of every benchmark workload
+# at seed 1, the seed whose final assignment, iteration count and
+# purity the benchmark pins. Each run's result line must report
+# "correct":true and "failed":0.
+perfbench-smoke:
+	@for w in kmodes-cold kmodes-warm stream-ingest kmeans-simhash; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$(echo "$$line" | cut -c1-60)"; \
+		echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -Eq '"failed":0[,}]' || \
+			{ echo "perfbench-smoke: $$w is incorrect or failed"; exit 1; }; \
+	done
 
 lint: gofmt lshvet allocheck staticcheck govulncheck
 
@@ -72,6 +84,8 @@ fuzz-smoke:
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzForeignEmptyBitmap -fuzztime=30s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReorderIdentity -fuzztime=30s
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzPersistRoundTrip -fuzztime=30s
+	$(GO) test ./internal/lsh/serve -run='^$$' -fuzz=FuzzParseChaosSpec -fuzztime=30s
+	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s
 
 # Warm-start A/B: the cold save-and-scan bootstrap against the mmap and
 # heap warm starts on the 100k/S=4 workload, with the derived headline

@@ -227,7 +227,9 @@ func BenchmarkActiveFilterOn(b *testing.B)  { benchActiveFilter(b, false) }
 
 // benchShortlists measures shortlist construction for every item on
 // the frozen index: the per-item Candidates path versus the batched
-// band-major CandidatesBlock path the deferred passes use.
+// band-major CandidatesBlock path every accelerated pass uses, which
+// records each block position's buckets and resolves them into the
+// shortlist just before its emit.
 func benchShortlists(b *testing.B, block bool) {
 	ds := ablWorkload(b)
 	const k = 800

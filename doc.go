@@ -93,19 +93,23 @@
 //     items. Results are bit-identical to the full pass, which
 //     Config.DisableActiveFilter retains as the correctness oracle.
 //
-//   - Every assignment pass runs one block loop: it gathers candidate
-//     shortlists for up to 64 items in one band-major sweep of the
-//     frozen index, amortising cache misses and per-item dispatch
+//   - Every assignment pass runs one block loop: it gathers the
+//     colliding buckets of up to 64 items in one band-major sweep of
+//     the frozen index, amortising cache misses and per-item dispatch
 //     across the block, then decides the block's items in order. The
 //     pass chooses only its view (the live assignment for immediate
 //     updates, a pass-start snapshot for deferred ones), its item
 //     order and its worker count; exact runs use the same loop with
-//     every cluster as the shortlist. Under immediate updates a block
-//     is cut at its first move: positions decided before the move saw
-//     exactly the live view a per-item loop would have shown them, and
-//     positions after it are discarded and re-gathered. Results are
-//     therefore bit-identical to the per-item reference — the same
-//     loop at block length 1 — which only the tests run.
+//     every cluster as the shortlist. Only the bucket-to-cluster
+//     mapping reads the view, so each item's buckets are mapped to its
+//     shortlist just before the item is decided: under immediate
+//     updates every position sees the moves decided before it, exactly
+//     as a per-item loop would, and blocks run whole. The one cut left
+//     is in a filtered immediate pass, when a move activates an item
+//     the gather skipped after the mover; the rest of the block is
+//     then re-gathered from the item after the mover. Results are
+//     bit-identical to the per-item reference — the same loop at block
+//     length 1 — which only the tests run.
 //
 // # Item-sharded index
 //

@@ -34,7 +34,7 @@ const (
 	// queryBlockLen is the number of items gathered per batched
 	// shortlist query (BlockQuerier): large enough to amortise the
 	// band-major sweep of the frozen index, small enough that the
-	// per-block dedup scratch stays cache-resident.
+	// block's recorded bucket slices stay cache-resident.
 	queryBlockLen = 64
 
 	// ctxPollEvery bounds cancellation latency inside an assignment
@@ -50,25 +50,24 @@ const (
 )
 
 // BlockQuerier is an optional Querier capability: queriers that can
-// compute the shortlists of a whole block of items in one batched index
-// sweep (amortising cache misses across the block; see
+// gather the colliding buckets of a whole block of items in one
+// batched index sweep (amortising cache misses across the block; see
 // lsh.Index.CandidatesBatch) implement it. Every assignment pass
-// gathers its shortlists through it (driver.sweep). Under deferred
-// updates a block's shortlists are independent of the moves decided
-// inside the block; under immediate updates the pass cuts the block at
-// its first move, discarding the remaining positions' shortlists and
-// re-gathering them against the updated live view. Queriers without
-// the capability are adapted one Candidates call per item.
+// gathers its shortlists through it (driver.sweep). The sweep never
+// reads the assignment; each shortlist is resolved against it just
+// before its emit, so under immediate updates a move decided inside a
+// block is seen by the block's later positions, and under deferred
+// updates the snapshot view makes moves invisible anyway. Queriers
+// without the capability are adapted one Candidates call per item.
 type BlockQuerier interface {
 	Querier
-	// CandidatesBlock computes Candidates(items[pos], assign) for every
-	// pos — every shortlist against assign as observed at call time —
-	// and calls emit once per pos in ascending order. Each shortlist
-	// has exactly the contents and enumeration order the per-item
-	// Candidates call would produce and is valid only inside its emit
-	// invocation. Mutations emit makes to assign must not leak into the
-	// same block's other shortlists (the move-boundary pass relies on
-	// discarding instead).
+	// CandidatesBlock calls emit once per pos in ascending order with
+	// Candidates(items[pos], assign), resolved against assign as it
+	// stands when that emit call starts: writes an emit makes to
+	// assign are visible to every later position in the block. Each
+	// shortlist has exactly the contents and enumeration order the
+	// per-item Candidates call would produce at that moment and is
+	// valid only inside its emit invocation.
 	CandidatesBlock(items []int32, assign []int32, emit func(pos int, shortlist []int32))
 }
 
@@ -121,6 +120,10 @@ type activeState struct {
 	// cur flags the current pass's active items (valid when
 	// !allPass). Immediate-mode moves set additional flags mid-pass.
 	cur []bool
+	// woke is the lowest item above the latest immediate-mode mover
+	// whose flag that move's expansion raised (n when none): the sweep
+	// cuts its block when the gather skipped it.
+	woke int32
 	// curList is the current pass's active items in ascending order —
 	// the domain deferred passes iterate and partition.
 	curList []int32
@@ -179,7 +182,8 @@ func (d *driver) filtered() bool { return d.act.enabled && !d.act.allPass }
 // items within the pass: their live-view shortlists now differ from
 // last pass, so items later in the iteration order must re-evaluate
 // (earlier ones are caught by the between-pass expansion of the moved
-// set). Deferred passes skip the expansion — their snapshot view cannot
+// set), and it leaves the lowest newly activated later item in woke.
+// Deferred passes skip the expansion — their snapshot view cannot
 // observe intra-pass moves — which also keeps this callable from
 // parallel workers, where only the disjoint moved-flag writes happen.
 func (d *driver) noteMove(i int) {
@@ -189,9 +193,15 @@ func (d *driver) noteMove(i int) {
 	}
 	a.moved[i] = true
 	if d.opts.Update == UpdateImmediate && !a.allPass {
+		a.woke = int32(d.n)
 		d.rev.AddSource(int32(i))
 		d.rev.Emit(func(other int32) bool {
-			a.cur[other] = true
+			if !a.cur[other] {
+				a.cur[other] = true
+				if other > int32(i) && other < a.woke {
+					a.woke = other
+				}
+			}
 			return true
 		})
 		if revDegraded(d.rev) {

@@ -293,61 +293,124 @@ func TestCancellationMidPass(t *testing.T) {
 // TestCandidatesBlockMatchesCandidates asserts the block querier's
 // contract: for every item, CandidatesBlock emits exactly the
 // shortlist — contents and order — that the per-item Candidates call
-// produces.
+// produces against assign as it stands when that emit starts. The
+// mutating case reassigns each emitted item and every third of its
+// colliders inside emit, as an immediate pass's moves do, so every
+// later position of the block must observe those writes. Covered on
+// the map-built index (before and after Freeze) and on bulk-built,
+// reordered indexes at S∈{1,4}.
 func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 	ds := kmodesMatrixWorkload(t)
-	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const k = 30
-	if err := accel.Reset(k); err != nil {
-		t.Fatal(err)
-	}
 	n := ds.NumItems()
-	assign := make([]int32, n)
-	for i := range assign {
-		assign[i] = int32(i % k)
-	}
-	for i := 0; i < n; i++ {
-		if err := accel.Insert(int32(i)); err != nil {
+	newAccel := func(t *testing.T, shards int) *core.MinHashAccelerator {
+		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+		if err != nil {
 			t.Fatal(err)
 		}
+		accel.SetShards(shards)
+		if err := accel.Reset(k); err != nil {
+			t.Fatal(err)
+		}
+		return accel
 	}
-	for _, frozen := range []bool{false, true} {
-		t.Run(fmt.Sprintf("frozen=%v", frozen), func(t *testing.T) {
-			if frozen {
+	mapBuilt := func(freeze bool) func(t *testing.T) *core.MinHashAccelerator {
+		return func(t *testing.T) *core.MinHashAccelerator {
+			accel := newAccel(t, 1)
+			for i := 0; i < n; i++ {
+				if err := accel.Insert(int32(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if freeze {
 				accel.Freeze()
 			}
-			ref := accel.NewQuerier()
-			bq, ok := accel.NewQuerier().(core.BlockQuerier)
-			if !ok {
-				t.Fatal("IndexQuerier does not implement BlockQuerier")
+			return accel
+		}
+	}
+	bulkBuilt := func(shards int) func(t *testing.T) *core.MinHashAccelerator {
+		return func(t *testing.T) *core.MinHashAccelerator {
+			accel := newAccel(t, shards)
+			if err := accel.SignAll(2, nil); err != nil {
+				t.Fatal(err)
 			}
-			// Oddly-sized blocks straddle block boundaries on purpose.
-			for _, blockLen := range []int{1, 7, 64, 129} {
-				for lo := 0; lo < n; lo += blockLen {
-					hi := lo + blockLen
-					if hi > n {
-						hi = n
+			if err := accel.BuildFrozen(2); err != nil {
+				t.Fatal(err)
+			}
+			if perm, _ := accel.ReorderMap(); perm == nil {
+				t.Fatal("bulk build did not reorder")
+			}
+			return accel
+		}
+	}
+	layouts := []struct {
+		name  string
+		build func(t *testing.T) *core.MinHashAccelerator
+	}{
+		{"frozen=false", mapBuilt(false)},
+		{"frozen=true", mapBuilt(true)},
+		{"bulk-reordered/s=1", bulkBuilt(1)},
+		{"bulk-reordered/s=4", bulkBuilt(4)},
+	}
+	for _, lay := range layouts {
+		t.Run(lay.name, func(t *testing.T) {
+			for _, mutate := range []bool{false, true} {
+				t.Run(fmt.Sprintf("mutate=%v", mutate), func(t *testing.T) {
+					accel := lay.build(t)
+					// Queries read the internal-ID view on a reordered index.
+					perm, _ := accel.ReorderMap()
+					ref := accel.NewQuerier()
+					bq, ok := accel.NewQuerier().(core.BlockQuerier)
+					if !ok {
+						t.Fatal("IndexQuerier does not implement BlockQuerier")
 					}
-					blk := make([]int32, 0, hi-lo)
-					for i := lo; i < hi; i++ {
-						blk = append(blk, int32(i))
+					colliders := accel.Index().NewQuery()
+					view := make([]int32, n)
+					for i := range view {
+						view[i] = int32(i % k)
 					}
-					bq.CandidatesBlock(blk, assign, func(pos int, shortlist []int32) {
-						want := ref.Candidates(blk[pos], assign)
-						if len(shortlist) != len(want) {
-							t.Fatalf("item %d: block shortlist %v, per-item %v", blk[pos], shortlist, want)
-						}
-						for j := range want {
-							if shortlist[j] != want[j] {
-								t.Fatalf("item %d pos %d: block %d, per-item %d",
-									blk[pos], j, shortlist[j], want[j])
+					emits := 0
+					// Oddly-sized blocks straddle block boundaries on purpose.
+					for _, blockLen := range []int{1, 7, 64, 129} {
+						for lo := 0; lo < n; lo += blockLen {
+							hi := min(lo+blockLen, n)
+							blk := make([]int32, 0, hi-lo)
+							for i := lo; i < hi; i++ {
+								blk = append(blk, int32(i))
 							}
+							bq.CandidatesBlock(blk, view, func(pos int, shortlist []int32) {
+								emits++
+								want := ref.Candidates(blk[pos], view)
+								if len(shortlist) != len(want) {
+									t.Fatalf("item %d: block shortlist %v, per-item %v", blk[pos], shortlist, want)
+								}
+								for j := range want {
+									if shortlist[j] != want[j] {
+										t.Fatalf("item %d pos %d: block %d, per-item %d",
+											blk[pos], j, shortlist[j], want[j])
+									}
+								}
+								if !mutate {
+									return
+								}
+								self := blk[pos]
+								if perm != nil {
+									self = perm[self]
+								}
+								view[self] = (view[self] + 1) % k
+								seen := 0
+								colliders.Candidates(blk[pos], func(other int32) {
+									if seen++; seen%3 == 0 {
+										view[other] = (view[other] + 7) % k
+									}
+								})
+							})
 						}
-					})
-				}
+					}
+					if emits != 4*n {
+						t.Fatalf("emit ran %d times, want %d", emits, 4*n)
+					}
+				})
 			}
 		})
 	}

@@ -1104,12 +1104,15 @@ type passWorker struct {
 // (dom[pos], or pos itself when dom is nil). It gathers up to a block
 // of items, fetches their shortlists in one CandidatesBlock call
 // against view, and decides each item in order; an exact pass (nil q)
-// compares each item against every cluster instead. Under immediate
-// updates the gather skips items whose live active flag is off, and a
-// block is cut at its first move: the positions after the mover had
-// their shortlists computed before the move, so they are discarded and
-// re-gathered from the item after the mover, observing the move and
-// any flags it raised.
+// compares each item against every cluster instead. Each shortlist is
+// resolved against view as it stands when its item is decided
+// (BlockQuerier), so under immediate updates a move is seen by the
+// rest of its block exactly as by a per-item loop, and blocks run
+// whole. The one cut left is in a filtered immediate pass, whose
+// gather skips items with their live active flag off: when a move
+// activates an item the gather skipped after the mover, that item must
+// be decided at its own position, so the rest of the block is dropped
+// and re-gathered from the item after the mover.
 func (d *driver) sweep(w *passWorker, q Querier, view, dom []int32, lo, hi int, immediate bool) {
 	bq, blockLen := d.blockQuerier(q)
 	dq, _ := q.(DegradedQuerier)
@@ -1146,19 +1149,21 @@ func (d *driver) sweep(w *passWorker, q Querier, view, dom []int32, lo, hi int, 
 			}
 			continue
 		}
-		movedAt := -1
+		// The gather scanned every item below end; a filtered immediate
+		// pass cuts when a move wakes one of them it skipped.
+		end, cutAt := int32(pos), -1
 		bq.CandidatesBlock(blk, view, func(p int, shortlist []int32) {
-			if movedAt >= 0 {
-				return // discarded tail: stale after the move
+			if cutAt >= 0 {
+				return // dropped tail: re-gathered after the cut
 			}
 			i := int(blk[p])
 			w.ps.cands += int64(len(shortlist))
-			if d.settle(w, i, d.bestWithDegraded(dq, i, int(d.assign[i]), shortlist, &w.ps)) && immediate {
-				movedAt = p
+			if d.settle(w, i, d.bestWithDegraded(dq, i, int(d.assign[i]), shortlist, &w.ps)) && live && d.act.woke < end {
+				cutAt = p
 			}
 		})
-		if movedAt >= 0 {
-			pos = int(blk[movedAt]) + 1 // immediate domains are item IDs
+		if cutAt >= 0 {
+			pos = int(blk[cutAt]) + 1 // immediate domains are item IDs
 		}
 	}
 }
@@ -1185,9 +1190,10 @@ func (d *driver) settle(w *passWorker, i int, best int32) bool {
 // blockQuerier returns the block form of q and the block length a
 // sweep gathers. A BlockQuerier is used as is, at queryBlockLen.
 // Other queriers, and every querier of the per-item reference run,
-// go through perItemQuerier at block length 1, so an immediate pass
-// never fetches a shortlist it would discard. A nil q (exact runs)
-// stays nil.
+// go through perItemQuerier at block length 1, so the per-item
+// reference shares no cut logic with the block path: a one-item
+// gather ends right after its item, so no move can wake an item it
+// skipped. A nil q (exact runs) stays nil.
 func (d *driver) blockQuerier(q Querier) (BlockQuerier, int) {
 	if q == nil {
 		return nil, queryBlockLen

@@ -153,22 +153,22 @@ func (a *MinHashAccelerator) CandidatesUnindexed(item int32, assign []int32) []i
 // IndexQuerier adapts a populated lsh.Sharded index into a Querier:
 // colliding items are mapped through the live assignment and
 // deduplicated into a cluster shortlist with an epoch-stamp array (no
-// per-query clearing). Candidate enumeration goes through the
-// lsh.Query planner, which fans sub-queries out across shards and
-// merges them back into the single-index order — so shortlist contents
-// and first-occurrence order are independent of the shard count. Any
-// LSH family that feeds an lsh.Index — MinHash here, SimHash in the
-// numeric extension — gets shortlist semantics from this adapter.
+// per-query clearing), one item at a time (Candidates) or per block
+// position just before its emit (CandidatesBlock). Candidate
+// enumeration goes through the lsh.Query planner, which fans
+// sub-queries out across shards and merges them back into the
+// single-index order — so shortlist contents and first-occurrence
+// order are independent of the shard count. Any LSH family that feeds
+// an lsh.Index — MinHash here, SimHash in the numeric extension — gets
+// shortlist semantics from this adapter.
 type IndexQuerier struct {
 	q      *lsh.Query
 	stamps []uint32
 	epoch  uint32
 	buf    []int32
-	// marks and lists are the per-block dedup scratch of
-	// CandidatesBlock: one k-bit set and one shortlist buffer per block
-	// position.
-	marks []uint64
-	lists [][]int32
+	// spans is CandidatesBlock's scratch: per block position, the
+	// bucket slices the band-major sweep delivered, in delivery order.
+	spans [][][]int32
 	// degPartial/degOwnerDown mirror the lsh.Query's degradation report
 	// for the most recent shortlist (core.DegradedQuerier); always false
 	// without fault-tolerant backend routing.
@@ -246,52 +246,38 @@ func (q *IndexQuerier) CandidatesOfSignature(sig []uint64, assign []int32) []int
 	return q.buf
 }
 
-// CandidatesBlock computes the shortlists of a whole block of items in
-// one band-major index sweep (core.BlockQuerier; see
-// lsh.Index.CandidatesBatch for why that order amortises cache
-// misses). Buckets for the block's positions arrive interleaved, so
-// deduplication uses a k-bit mark set per position instead of the
-// sequential epoch stamps; per position the buckets still arrive in
-// ascending band order (and ascending shard order within a band),
-// making each emitted shortlist — contents and first-occurrence order
-// — identical to Candidates. Shortlists are valid only inside their
-// emit invocation.
+// CandidatesBlock computes the shortlists of a whole block of items
+// (core.BlockQuerier) in two steps split at the assignment. One
+// band-major index sweep (lsh.Query.CandidatesBatch; see
+// lsh.Index.CandidatesBatch for why that order amortises cache misses)
+// records each position's bucket slices; no bucket depends on assign.
+// Each position's shortlist is then resolved just before its emit:
+// the recorded buckets, which arrive per position in ascending band
+// order (and ascending shard order within a band), are mapped through
+// assign and deduplicated with the epoch stamps — the per-item
+// Candidates sequence, contents and first-occurrence order, against
+// assign as it stands at that moment, so a move an earlier emit wrote
+// is seen exactly as the per-item loop sees it. Shortlists are valid
+// only inside their emit invocation.
 func (q *IndexQuerier) CandidatesBlock(items []int32, assign []int32, emit func(pos int, shortlist []int32)) {
-	nb := len(items)
-	words := (len(q.stamps) + 63) / 64
-	if len(q.marks) < nb*words {
-		q.marks = make([]uint64, nb*words)
+	for len(q.spans) < len(items) {
+		q.spans = append(q.spans, nil)
 	}
-	for len(q.lists) < nb {
-		q.lists = append(q.lists, nil)
-	}
-	for pos := 0; pos < nb; pos++ {
-		q.lists[pos] = q.lists[pos][:0]
+	spans := q.spans[:len(items)]
+	for pos := range spans {
+		spans[pos] = spans[pos][:0]
 	}
 	q.q.CandidatesBatch(items, func(pos int, bucket []int32) {
-		row := q.marks[pos*words : (pos+1)*words]
-		list := q.lists[pos]
-		for _, other := range bucket {
-			c := assign[other]
-			if c < 0 {
-				continue // not yet assigned (seeded bootstrap)
-			}
-			w, bit := int(c)>>6, uint64(1)<<(uint(c)&63)
-			if row[w]&bit == 0 {
-				row[w] |= bit
-				list = append(list, c)
-			}
-		}
-		q.lists[pos] = list
+		spans[pos] = append(spans[pos], bucket)
 	})
-	for pos := 0; pos < nb; pos++ {
-		q.degPartial, q.degOwnerDown = q.q.BlockDegraded(pos)
-		emit(pos, q.lists[pos])
-		// Clear only the bits this position set, keeping the block's
-		// dedup cost proportional to shortlist sizes, not to nb·k.
-		row := q.marks[pos*words : (pos+1)*words]
-		for _, c := range q.lists[pos] {
-			row[int(c)>>6] &^= uint64(1) << (uint(c) & 63)
+	for pos, buckets := range spans {
+		q.beginDedup()
+		for _, bucket := range buckets {
+			for _, other := range bucket {
+				q.collect(other, assign)
+			}
 		}
+		q.degPartial, q.degOwnerDown = q.q.BlockDegraded(pos)
+		emit(pos, q.buf)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lshcluster/internal/datagen"
 	"lshcluster/internal/kmeans"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
@@ -79,11 +80,33 @@ func (a noBlockAccel) NewQuerier() core.Querier {
 
 type noBlockQuerier struct{ core.Querier }
 
+// countingAccel wraps the MinHash accelerator so its queriers count
+// the block positions handed to CandidatesBlock; embedding forwards
+// every other capability.
+type countingAccel struct {
+	*core.MinHashAccelerator
+	positions *int64
+}
+
+func (a countingAccel) NewQuerier() core.Querier {
+	return countingQuerier{a.MinHashAccelerator.NewQuerier().(*core.IndexQuerier), a.positions}
+}
+
+type countingQuerier struct {
+	*core.IndexQuerier
+	positions *int64
+}
+
+func (q countingQuerier) CandidatesBlock(items []int32, assign []int32, emit func(pos int, shortlist []int32)) {
+	*q.positions += int64(len(items))
+	q.IndexQuerier.CandidatesBlock(items, assign, emit)
+}
+
 // assertMatchesPerItem runs opts through core.Run and through the
 // per-item reference and asserts bit-identical assignments and
 // per-iteration moves, comparisons, shortlist totals, evaluated items
-// and costs.
-func assertMatchesPerItem(t *testing.T, mk func() (core.Space, core.Accelerator), opts core.Options) {
+// and costs. It returns the core.Run result.
+func assertMatchesPerItem(t *testing.T, mk func() (core.Space, core.Accelerator), opts core.Options) *core.Result {
 	t.Helper()
 	run := func(fn func(core.Space, core.Options) (*core.Result, error)) *core.Result {
 		space, accel := mk()
@@ -113,6 +136,56 @@ func assertMatchesPerItem(t *testing.T, mk func() (core.Space, core.Accelerator)
 				i+1, a.Moves, a.Comparisons, a.CandidatesTotal, a.ActiveItems, a.Cost,
 				b.Moves, b.Comparisons, b.CandidatesTotal, b.ActiveItems, b.Cost)
 		}
+	}
+	return got
+}
+
+// TestImmediateBlocksRunWhole pins what an immediate pass gathers.
+// Shortlists resolve at emit time, so an unfiltered pass runs every
+// block whole: the positions handed to CandidatesBlock equal the items
+// evaluated. A filtered pass keeps one cut — re-gathering after a
+// mover that woke an item the gather skipped — so it gathers more
+// positions than it evaluates, which proves the cut fired, and must
+// still match the per-item reference. The workload is noisy enough
+// (weak cluster rules, k twice the generator's clusters) that late
+// filtered passes are sparse and still move items.
+func TestImmediateBlocksRunWhole(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Items: 600, Clusters: 30, Attrs: 16, Domain: 200,
+		MinRuleFrac: 0.3, MaxRuleFrac: 0.5, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, active := range []bool{false, true} {
+		t.Run(fmt.Sprintf("active=%v", active), func(t *testing.T) {
+			var positions int64
+			mk := func() (core.Space, core.Accelerator) {
+				s, err := kmodes.NewSpace(ds, kmodes.Config{K: 60, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 16, Rows: 4}, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, countingAccel{a, &positions}
+			}
+			res := assertMatchesPerItem(t, mk, core.Options{
+				Update: core.UpdateImmediate, Shards: 2,
+				DisableActiveFilter: !active, MaxIterations: 15,
+			})
+			var evaluated int64
+			for _, it := range res.Stats.Iterations {
+				evaluated += int64(it.ActiveItems)
+			}
+			if !active && positions != evaluated {
+				t.Fatalf("unfiltered: %d positions gathered for %d items evaluated, want equal", positions, evaluated)
+			}
+			if active && positions <= evaluated {
+				t.Fatalf("filtered: %d positions gathered for %d items evaluated: no activation cut fired", positions, evaluated)
+			}
+		})
 	}
 }
 

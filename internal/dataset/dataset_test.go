@@ -302,17 +302,50 @@ func TestCSVUnlabelled(t *testing.T) {
 	}
 }
 
+// csvErrorCases are inputs ReadCSV must reject; they also seed
+// FuzzReadCSV.
+var csvErrorCases = []string{
+	"",                 // no header
+	"a,b,_label\n",     // no items
+	"a,_label\nx,oops", // bad label
+}
+
 func TestCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                 // no header
-		"a,b,_label\n",     // no items
-		"a,_label\nx,oops", // bad label
-	}
-	for _, c := range cases {
+	for _, c := range csvErrorCases {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("ReadCSV(%q) succeeded, want error", c)
 		}
 	}
+}
+
+// FuzzReadCSV feeds arbitrary bytes to the CSV reader: it returns an
+// error or a dataset with at least one item, every row holding
+// NumAttrs values and, when labelled, one label per item — and it
+// never panics.
+func FuzzReadCSV(f *testing.F) {
+	for _, c := range csvErrorCases {
+		f.Add(c)
+	}
+	f.Add("a,b,_label\nx,y,0\nx,z,1\n")
+	f.Add("a,b\n\"q,\"\"\",y\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		ds, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		m := ds.NumAttrs()
+		if m == 0 || ds.NumItems() == 0 {
+			t.Fatalf("%q: accepted with %d attributes and %d items", in, m, ds.NumItems())
+		}
+		for i := 0; i < ds.NumItems(); i++ {
+			if len(ds.Row(i)) != m {
+				t.Fatalf("%q: row %d has %d values, want %d", in, i, len(ds.Row(i)), m)
+			}
+		}
+		if ds.Labeled() && len(ds.Labels()) != ds.NumItems() {
+			t.Fatalf("%q: %d labels for %d items", in, len(ds.Labels()), ds.NumItems())
+		}
+	})
 }
 
 func TestCSVNumericIDDataset(t *testing.T) {

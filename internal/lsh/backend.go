@@ -24,10 +24,11 @@ import (
 //     global item — is coordinator metadata, not a backend concern).
 //   - Emit callbacks run synchronously inside the call, band-ascending
 //     (and, for CandidatesBlock, position-ascending within each band).
-//     Emitted bucket slices are read-only views owned by the backend
-//     and are only valid until the call returns to the planner's
-//     gather buffer — the planner copies nothing, so an in-process
-//     backend must keep them alive (frozen storage does).
+//     Emitted bucket slices are read-only views owned by the backend.
+//     The planner copies nothing: it gathers them, replays them after
+//     the call returns and hands them on, valid until the caller's
+//     next query (Query.CandidatesBatch), so an in-process backend
+//     must keep them alive (frozen storage does).
 //   - A non-nil error means the results are unusable; the planner
 //     never mixes buckets from a failed call into a shortlist.
 type ShardBackend interface {

@@ -180,10 +180,7 @@ func TestBackendFanOutMatchesDirect(t *testing.T) {
 							for i := lo; i < hi; i++ {
 								blk = append(blk, int32(i))
 							}
-							got := make([][]int32, len(blk))
-							q.CandidatesBatch(blk, func(pos int, bucket []int32) {
-								got[pos] = append(got[pos], bucket...)
-							})
+							got := collectBatch(q, blk)
 							for pos, item := range blk {
 								if !reflect.DeepEqual(wantItems[item], got[pos]) {
 									t.Fatalf("block item %d: want %v, got %v", item, wantItems[item], got[pos])
@@ -348,10 +345,7 @@ func TestBackendErrorPropagation(t *testing.T) {
 		attach("CandidatesBlock")
 		defer sh.DetachBackends()
 		blk := []int32{ownedBy(0), ownedBy(bad), ownedBy(2)}
-		got := make([][]int32, len(blk))
-		q.CandidatesBatch(blk, func(pos int, bucket []int32) {
-			got[pos] = append(got[pos], bucket...)
-		})
+		got := collectBatch(q, blk)
 		for pos, item := range blk {
 			partial, ownerDown := q.BlockDegraded(pos)
 			if !partial {

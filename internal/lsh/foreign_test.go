@@ -150,10 +150,7 @@ func TestForeignSlotsMatchProbePath(t *testing.T) {
 								}
 							}
 						}
-						got := make([][]int32, n)
-						q.CandidatesBatch(blk, func(pos int, bucket []int32) {
-							got[pos] = append(got[pos], bucket...)
-						})
+						got := collectBatch(q, blk)
 						for pos, item := range blk {
 							if want := collectCandidates(ref, item); !reflect.DeepEqual(want, toOrig(got[pos])) {
 								t.Fatalf("block item %d: want %v, got %v", item, want, toOrig(got[pos]))

@@ -47,9 +47,10 @@ type Query struct {
 	sigKeys []uint64
 	// heads is the stride-merge cursor scratch.
 	heads []mergeHead
-	// oneBuf wraps single merged candidates as one-element buckets for
-	// the stride-mode batch fallback.
-	oneBuf [1]int32
+	// strideOut holds the stride-mode backend batch fallback's
+	// per-position candidate streams, emitted as sub-slices that stay
+	// valid until the next CandidatesBatch call.
+	strideOut []int32
 	// pendingNanos/pendingCalls batch per-item merge-time samples
 	// locally so the hottest per-item paths (seeded interleave,
 	// streaming) pay the shared atomic once per flush, not per query.
@@ -299,9 +300,12 @@ func (q *Query) mergeEmit(fn func(other int32)) {
 // band (or, reordered, as runs of the ascending-original merge); on
 // stride partitions, whose shard buckets interleave in ID space, each
 // (item, band) emission is the S-way ascending merge delivered as
-// maximal single-shard runs. Bucket slices alias index storage and
-// must not be modified. Backend-routed stride sweeps fall back to
-// per-item queries to keep their per-position degradation accounting.
+// maximal single-shard runs. Bucket slices alias index (or backend)
+// storage and must not be modified; they stay valid until the next
+// call on the same Query, so a caller may record them during the sweep
+// and read them afterwards. Backend-routed stride sweeps fall back to
+// per-item queries to keep their per-position degradation accounting,
+// each position's merged stream emitted as one bucket.
 func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)) {
 	sh := q.sh
 	switch {
@@ -315,13 +319,18 @@ func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32))
 		q.candidatesBatchFrozen(items, fn)
 	case sh.res != nil:
 		q.ensureBlockDeg(len(items))
+		out := q.strideOut[:0]
 		for pos, item := range items {
-			q.Candidates(item, func(other int32) {
-				q.oneBuf[0] = other
-				fn(pos, q.oneBuf[:])
-			})
+			start := len(out)
+			q.Candidates(item, func(other int32) { out = append(out, other) })
 			q.blockDeg[pos] = q.lastDeg
+			if len(out) > start {
+				// Capped, and never written again this call: a later
+				// append reallocates or writes past it.
+				fn(pos, out[start:len(out):len(out)])
+			}
 		}
+		q.strideOut = out
 	default:
 		q.candidatesBatchKeys(items, fn)
 	}

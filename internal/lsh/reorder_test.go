@@ -159,10 +159,7 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 						for i := lo; i < hi; i++ {
 							blk = append(blk, int32(i))
 						}
-						got := make([][]int32, len(blk))
-						q.CandidatesBatch(blk, func(pos int, bucket []int32) {
-							got[pos] = append(got[pos], bucket...)
-						})
+						got := collectBatch(q, blk)
 						for pos, item := range blk {
 							want := collectCandidates(ref, item)
 							if !reflect.DeepEqual(want, toOrig(got[pos])) {
@@ -293,10 +290,7 @@ func TestStrideBatchBlockMerge(t *testing.T) {
 						for i := lo; i < hi; i++ {
 							blk = append(blk, int32(i))
 						}
-						got := make([][]int32, len(blk))
-						q.CandidatesBatch(blk, func(pos int, bucket []int32) {
-							got[pos] = append(got[pos], bucket...)
-						})
+						got := collectBatch(q, blk)
 						for pos, item := range blk {
 							want := collectCandidates(ref, item)
 							if !reflect.DeepEqual(want, got[pos]) {

@@ -118,7 +118,7 @@ func parseFault(fault string) (faultOp, error) {
 	switch key {
 	case "err":
 		p, err := strconv.ParseFloat(val, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !validRate(p) {
 			return faultOp{}, fmt.Errorf("chaos: bad error rate %q", val)
 		}
 		return faultOp{kind: faultErr, p: p}, nil
@@ -141,7 +141,7 @@ func parseFault(fault string) (faultOp, error) {
 			return faultOp{}, fmt.Errorf("chaos: stall wants P:DUR, got %q", val)
 		}
 		p, err := strconv.ParseFloat(prob, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !validRate(p) {
 			return faultOp{}, fmt.Errorf("chaos: bad stall rate %q", prob)
 		}
 		d, err := time.ParseDuration(dur)
@@ -164,6 +164,10 @@ func parseFault(fault string) (faultOp, error) {
 		return faultOp{}, fmt.Errorf("chaos: unknown fault %q", fault)
 	}
 }
+
+// validRate reports whether p is a probability. Written so that NaN,
+// which fails every comparison, is rejected too.
+func validRate(p float64) bool { return p >= 0 && p <= 1 }
 
 // Seed returns the spec's PRNG seed.
 func (c *ChaosSpec) Seed() uint64 { return c.seed }

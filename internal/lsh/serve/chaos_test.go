@@ -23,8 +23,10 @@ func (nopBackend) CandidatesBlock(context.Context, int, []uint64, func(int, int,
 func (nopBackend) ReverseSpans(context.Context, []uint64, []int32) error { return nil }
 func (nopBackend) Stats(context.Context) (lsh.Stats, error)              { return lsh.Stats{}, nil }
 
-func TestParseChaosSpec(t *testing.T) {
-	valid := []string{
+// validChaosSpecs and invalidChaosSpecs are TestParseChaosSpec's
+// cases and FuzzParseChaosSpec's seed corpus.
+var (
+	validChaosSpecs = []string{
 		"",
 		"seed=7",
 		"err=0.05",
@@ -40,22 +42,19 @@ func TestParseChaosSpec(t *testing.T) {
 		"err=0.05;;shard1.dead", // empty clause tolerated
 		"shard3.stall=0.5:1ms",
 	}
-	for _, spec := range valid {
-		if _, err := ParseChaosSpec(spec); err != nil {
-			t.Errorf("ParseChaosSpec(%q) = %v, want nil", spec, err)
-		}
-	}
-	invalid := []string{
+	invalidChaosSpecs = []string{
 		"seed=abc",
 		"seed=-1",
 		"err=1.5",
 		"err=-0.1",
 		"err=x",
+		"err=NaN", // fails both range comparisons, so must be caught apart
 		"lat=banana",
 		"lat=-3ms",
 		"lat=1ms~banana",
 		"stall=0.5",      // missing :DUR
 		"stall=2:1ms",    // rate out of range
+		"stall=nan:1ms",  // NaN rate
 		"stall=0.5:-1ms", // negative duration
 		"dead=1",         // dead takes no value
 		"failn=-3",
@@ -65,11 +64,53 @@ func TestParseChaosSpec(t *testing.T) {
 		"shard-1.dead", // negative shard index
 		"shard2dead",   // missing dot (parses as unknown fault)
 	}
-	for _, spec := range invalid {
+)
+
+func TestParseChaosSpec(t *testing.T) {
+	for _, spec := range validChaosSpecs {
+		if _, err := ParseChaosSpec(spec); err != nil {
+			t.Errorf("ParseChaosSpec(%q) = %v, want nil", spec, err)
+		}
+	}
+	for _, spec := range invalidChaosSpecs {
 		if _, err := ParseChaosSpec(spec); err == nil {
 			t.Errorf("ParseChaosSpec(%q) accepted, want error", spec)
 		}
 	}
+}
+
+// FuzzParseChaosSpec feeds arbitrary specs to the parser: it may
+// reject them, but never panics, and every spec it accepts resolves,
+// for every shard it names and a few it does not, to rates in [0,1]
+// and non-negative durations and counts.
+func FuzzParseChaosSpec(f *testing.F) {
+	for _, spec := range validChaosSpecs {
+		f.Add(spec)
+	}
+	for _, spec := range invalidChaosSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseChaosSpec(spec)
+		if err != nil {
+			return
+		}
+		shards := []int{0, 1, 2, 3}
+		for _, op := range c.ops {
+			if op.shard >= 0 {
+				shards = append(shards, op.shard)
+			}
+		}
+		for _, s := range shards {
+			f := c.faultsFor(s)
+			if !(f.errRate >= 0 && f.errRate <= 1) || !(f.stallRate >= 0 && f.stallRate <= 1) {
+				t.Fatalf("%q: shard %d rates err=%v stall=%v outside [0,1]", spec, s, f.errRate, f.stallRate)
+			}
+			if f.latBase < 0 || f.latJitter < 0 || f.stallDur < 0 || f.failN < 0 {
+				t.Fatalf("%q: shard %d has a negative duration or count: %+v", spec, s, f)
+			}
+		}
+	})
 }
 
 func TestChaosSeed(t *testing.T) {

@@ -132,6 +132,25 @@ func collectQueryCandidates(q *Query, item int32) []int32 {
 	return out
 }
 
+// collectBatch runs one CandidatesBatch sweep over blk and returns each
+// position's candidate stream. It records the bucket slices during the
+// sweep and reads them only after the sweep returns, so every caller
+// also checks the slice-lifetime contract: buckets stay valid until
+// the next call on the same Query.
+func collectBatch(q *Query, blk []int32) [][]int32 {
+	buckets := make([][][]int32, len(blk))
+	q.CandidatesBatch(blk, func(pos int, bucket []int32) {
+		buckets[pos] = append(buckets[pos], bucket)
+	})
+	got := make([][]int32, len(blk))
+	for pos, bs := range buckets {
+		for _, b := range bs {
+			got[pos] = append(got[pos], b...)
+		}
+	}
+	return got
+}
+
 // TestShardedQueriesMatchSingle is the planner's merge-semantics
 // oracle: for every shard count, every query path — per-item, batched
 // block sweep, by presigned keys, by signature — must reproduce the
@@ -183,10 +202,7 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 						for i := lo; i < hi; i++ {
 							blk = append(blk, int32(i))
 						}
-						got := make([][]int32, len(blk))
-						q.CandidatesBatch(blk, func(pos int, bucket []int32) {
-							got[pos] = append(got[pos], bucket...)
-						})
+						got := collectBatch(q, blk)
 						for pos, item := range blk {
 							want := collectCandidates(ref, item)
 							if !reflect.DeepEqual(want, got[pos]) {
