@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: build test perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke chaos persist-bench clean
+.PHONY: build test perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke persist-bench clean
 
 build:
 	$(GO) build ./...
@@ -63,28 +63,11 @@ govulncheck:
 		echo "govulncheck not installed; skipped (CI installs and enforces it)" | tee govulncheck-report.txt; \
 	fi
 
-# Fault-injection gate: the resilience/chaos test suite under the race
-# detector, then a degraded-mode soak — 100k items at S=4 with 5%
-# transient backend errors and one permanently dead shard — which must
-# complete and report its degradation accounting in
-# chaos-soak-stats.csv (shard_retries … skipped_shards columns; CI
-# uploads it as an artifact).
-chaos:
-	$(GO) test -race -count=1 \
-		-run 'Backend|Chaos|Stream|Resilien|Degraded' \
-		./internal/lsh/ ./internal/lsh/serve/ ./internal/core/ ./internal/stream/ ./cmd/lshcluster/ .
-	$(GO) run ./cmd/datagen -items 100000 -clusters 2000 -attrs 60 -domain 20000 -seed 1 -o chaos-soak-in.csv
-	$(GO) run ./cmd/lshcluster -in chaos-soak-in.csv -k 2000 -bands 20 -rows 5 -shards 4 \
-		-chaos-spec "seed=1;err=0.05;shard2.dead" -maxiter 10 -stats chaos-soak-stats.csv
-	rm -f chaos-soak-in.csv
-	@grep -q ',skipped_shards' chaos-soak-stats.csv || { echo "chaos: stats CSV missing resilience columns"; exit 1; }
-
 fuzz-smoke:
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzBuildFrozenIdentity -fuzztime=30s
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzForeignEmptyBitmap -fuzztime=30s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReorderIdentity -fuzztime=30s
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzPersistRoundTrip -fuzztime=30s
-	$(GO) test ./internal/lsh/serve -run='^$$' -fuzz=FuzzParseChaosSpec -fuzztime=30s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s
 
 # Warm-start A/B: the cold save-and-scan bootstrap against the mmap and
@@ -96,4 +79,4 @@ persist-bench:
 	$(GO) run ./scripts/benchjson -in bench-persist.txt -out BENCH_10.json
 
 clean:
-	rm -f *-report.txt bench-*.txt BENCH_*.json chaos-soak-in.csv chaos-soak-stats.csv
+	rm -f *-report.txt bench-*.txt BENCH_*.json

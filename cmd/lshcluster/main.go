@@ -64,10 +64,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	noActive := fs.Bool("no-active-filter", false, "evaluate every item each pass instead of only the active set (A/B baseline; results are identical)")
 	noParallelBoot := fs.Bool("no-parallel-bootstrap", false, "run the serial per-item bootstrap instead of the parallel sign/build/assign pipeline (A/B baseline; results are identical)")
 	noReorder := fs.Bool("no-reorder", false, "build the LSH index in original item order instead of the locality-preserving permutation (A/B baseline; results are identical)")
-	chaosSpec := fs.String("chaos-spec", "", "route cross-shard queries through fault-injecting backends with this spec (e.g. \"seed=1;err=0.05;shard2.dead\"); empty spec = direct fan-out, zero-fault spec (\"seed=1\") = resilient path, bit-identical results")
-	retryBudget := fs.Int("retry-budget", 0, "retries after a failed shard-backend call (0 = default, negative = none; needs -chaos-spec)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "straggler threshold before hedging a shard call to its mirror (0 = default, negative disables; needs -chaos-spec)")
-	noHedging := fs.Bool("no-hedging", false, "disable hedged shard-backend requests, keeping deadlines and retries (A/B baseline; results are identical)")
 	saveIndex := fs.String("save-index", "", "persist the frozen LSH index (and first assignment) into this directory after a cold bootstrap; later runs warm-start from it")
 	loadIndex := fs.String("load-index", "", "warm-start from the saved index in this directory (must exist; stale indexes are rejected, bit-identical results)")
 	mmapIndex := fs.Bool("mmap-index", true, "memory-map the persisted index zero-copy; -mmap-index=false copies it onto the heap (A/B baseline; results are identical)")
@@ -162,10 +158,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		DisableMmap:              !*mmapIndex,
 		ShardMemoryBudget:        *memBudget,
 		SnapshotEvery:            *snapshotEvery,
-		ChaosSpec:                *chaosSpec,
-		RetryBudget:              *retryBudget,
-		HedgeAfter:               *hedgeAfter,
-		DisableHedging:           *noHedging,
 		OnIteration: func(it runstats.Iteration) {
 			fmt.Fprintf(stderr, "lshcluster: iter %d: %v, %d moves, avg shortlist %.2f\n",
 				it.Index, it.Duration.Round(it.Duration/100+1), it.Moves, it.AvgShortlist)
@@ -237,11 +229,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if run.ReorderTime > 0 {
 		fmt.Fprintf(stderr, "lshcluster: locality reorder %v (items permuted so co-colliding IDs are contiguous; output stays in original-ID space)\n",
 			run.ReorderTime.Round(time.Millisecond))
-	}
-	if run.DegradedItems > 0 || run.SkippedShards > 0 || run.ShardRetries > 0 || run.HedgedCalls > 0 {
-		fmt.Fprintf(stderr, "lshcluster: DEGRADED: %d item evaluations on partial shortlists; %d shard(s) failed past the retry budget (%d retries, %d timeouts, %d hedged calls, %d hedge wins)\n",
-			run.DegradedItems, run.SkippedShards,
-			run.ShardRetries, run.ShardTimeouts, run.HedgedCalls, run.HedgeWins)
 	}
 	if *exact {
 		run.Name = "K-Modes"

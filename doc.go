@@ -168,42 +168,6 @@
 // resolutions into key probes issued and resolutions the bitmap
 // answered (foreignslot_bytes and crossshard_probe_frac in the CSV).
 //
-// # Fault-tolerant shard serving
-//
-// The sharded index's cross-shard fan-out can be routed through a
-// backend interface (internal/lsh's ShardBackend: per-shard key
-// resolution, candidate sweeps, block sweeps, reverse spans) instead
-// of direct memory access — the seam a networked shard service plugs
-// into. The in-process backend is the zero-overhead default and the
-// bit-identity oracle. With Config.ChaosSpec set, every backend call
-// carries a deadline, failed calls retry under a bounded budget with
-// jittered exponential backoff (Config.RetryBudget), straggling calls
-// are hedged to a mirror replica after a threshold
-// (Config.HedgeAfter; first success wins, the loser is cancelled;
-// Config.DisableHedging is the A/B baseline), and a shard that keeps
-// failing is held down by a circuit breaker that sheds calls and
-// probes for recovery.
-//
-// Failures degrade, never corrupt: a query that loses shards serves a
-// partial shortlist (always a subset of the oracle's), items whose
-// own shard is unreachable fall back to exact evaluation, and a
-// degraded reverse-collision expansion forces the next pass to run
-// full rather than trust an incomplete active set. The accounting
-// lands in Run.ShardRetries, ShardTimeouts, HedgedCalls, HedgeWins,
-// DegradedItems and SkippedShards (shard_retries … skipped_shards in
-// the CSV), and the CLI prints a DEGRADED line whenever a run was
-// touched.
-//
-// Faults are injected by a seeded, deterministic chaos wrapper
-// (internal/lsh/serve) scripted by a spec grammar:
-// "seed=N;err=P;lat=DUR~JITTER;stall=P:DUR;shardI.dead;shardI.failn=N"
-// — bare faults apply to every shard, shardI.-prefixed ones override
-// per shard. A zero-fault spec (e.g. "seed=1") exercises the whole
-// resilient path bit-identically to the direct fan-out, which the
-// equivalence tests pin at every shard count. The streaming clusterer
-// takes the same spec via StreamConfig.ChaosSpec, counting
-// StreamStats.DegradedQueries.
-//
 // # Hot-path distance kernels
 //
 // The innermost distance loops — categorical mismatch counting

@@ -89,23 +89,6 @@ type ReverseQuerier interface {
 	NewReverse() ReverseView
 }
 
-// DegradedReverse is an optional ReverseView capability: views routed
-// through the fault-tolerant shard backends (Options.ChaosSpec) report
-// whether the most recent expansion cycle lost collisions to shard
-// failures. An incomplete expansion may omit items whose decision
-// inputs changed, so the driver responds by running the next pass full
-// — skipping is only sound when the expansion is known complete.
-type DegradedReverse interface {
-	Degraded() bool
-}
-
-// revDegraded reports whether the view's last expansion was degraded
-// (false for views without the capability — they never lose sources).
-func revDegraded(rv ReverseView) bool {
-	dr, ok := rv.(DegradedReverse)
-	return ok && dr.Degraded()
-}
-
 // activeState is the driver's active-set bookkeeping.
 type activeState struct {
 	// enabled reports whether filtering is on for this run: an
@@ -137,10 +120,6 @@ type activeState struct {
 	changed []bool
 	// sources is scratch for the between-pass source item list.
 	sources []int32
-	// degraded poisons the filter until the next full pass: a mid-pass
-	// reverse expansion lost collisions to shard failures, so the
-	// accumulated activation state cannot be trusted.
-	degraded bool
 }
 
 // initActive enables active-set filtering when every required
@@ -204,12 +183,6 @@ func (d *driver) noteMove(i int) {
 			}
 			return true
 		})
-		if revDegraded(d.rev) {
-			// Some colliding items may not have been activated; the items
-			// already skipped this pass are re-evaluated by the forced
-			// full pass that follows.
-			a.degraded = true
-		}
 	}
 }
 
@@ -259,13 +232,7 @@ func (d *driver) prepareNextActive() {
 			}
 			return count <= limit
 		})
-		// A degraded expansion may have missed colliding items whose
-		// shortlists change next pass — skipping is then unsound.
-		full = count > limit || revDegraded(d.rev)
-	}
-	if a.degraded {
-		a.degraded = false
-		full = true
+		full = count > limit
 	}
 	if full {
 		a.allPass = true

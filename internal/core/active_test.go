@@ -246,9 +246,36 @@ func (s *countingSpace) BoundedDissimilarity(item, cluster int, bound float64) f
 func (s *countingSpace) RecomputeCentroids(assign []int32) {}
 func (s *countingSpace) Cost(assign []int32) float64       { return 0 }
 
+// cancellingAccel wraps a MinHash accelerator so that the first block
+// of shortlists any querier fetches cancels the run: the cancellation
+// lands inside the first iteration pass. It counts the positions
+// queried.
+type cancellingAccel struct {
+	*core.MinHashAccelerator
+	cancel    context.CancelFunc
+	positions atomic.Int64
+}
+
+func (a *cancellingAccel) NewQuerier() core.Querier {
+	return &cancellingQuerier{IndexQuerier: a.MinHashAccelerator.NewQuerier().(*core.IndexQuerier), a: a}
+}
+
+type cancellingQuerier struct {
+	*core.IndexQuerier
+	a *cancellingAccel
+}
+
+func (q *cancellingQuerier) CandidatesBlock(items, assign []int32, emit func(pos int, shortlist []int32)) {
+	q.a.cancel()
+	q.a.positions.Add(int64(len(items)))
+	q.IndexQuerier.CandidatesBlock(items, assign, emit)
+}
+
 // TestCancellationMidPass verifies that a cancelled context stops the
 // assignment pass itself — workers poll inside their loops — instead of
 // running every worker to completion and only noticing between passes.
+// It covers the exact pass and the accelerated pass at S=4, immediate
+// and deferred.
 func TestCancellationMidPass(t *testing.T) {
 	const n, k = 40_000, 4
 	for _, workers := range []int{1, 4} {
@@ -285,6 +312,45 @@ func TestCancellationMidPass(t *testing.T) {
 			budget := int64(workers) * 2048 * k
 			if extra < 0 || extra > budget {
 				t.Fatalf("post-bootstrap distance calls = %d, want (0, %d]", extra, budget)
+			}
+		})
+	}
+
+	ds, err := datagen.Generate(datagen.Config{
+		Items: 8000, Clusters: 40, Attrs: 16, Domain: 200,
+		MinRuleFrac: 0.7, MaxRuleFrac: 0.9, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]core.Options{
+		"minhash-s4/immediate":   {Shards: 4},
+		"minhash-s4/deferred-w2": {Shards: 4, Workers: 2, Update: core.UpdateDeferred},
+	} {
+		t.Run(name, func(t *testing.T) {
+			space, err := kmodes.NewSpace(ds, kmodes.Config{K: 40, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mh, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			accel := &cancellingAccel{MinHashAccelerator: mh, cancel: cancel}
+			opts.Accelerator = accel
+			opts.MaxIterations = 5
+			opts.Context = ctx
+			if res, err := core.Run(space, opts); err != context.Canceled {
+				t.Fatalf("Run = %v, %v; want context.Canceled", res, err)
+			}
+			// Each worker stops at its next poll: at most one poll
+			// interval of positions, far short of the full first pass.
+			workers := max(opts.Workers, 1)
+			got, budget := accel.positions.Load(), int64(workers)*2048
+			if got <= 0 || got > budget {
+				t.Fatalf("positions queried after cancellation = %d, want (0, %d]", got, budget)
 			}
 		})
 	}

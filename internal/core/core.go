@@ -75,22 +75,6 @@ type Querier interface {
 	Candidates(item int32, assign []int32) []int32
 }
 
-// DegradedQuerier is an optional Querier capability: queriers routed
-// through the fault-tolerant shard backends (Options.ChaosSpec) report,
-// after every shortlist call, whether that shortlist was degraded by
-// shard failures. The driver consults it per item to keep a run with
-// down shards correct instead of silently lossy.
-type DegradedQuerier interface {
-	// LastDegraded describes the most recent shortlist: partial means at
-	// least one shard's candidates are missing (the shortlist
-	// under-recalls); ownerDown means the item's own shard could not be
-	// consulted at all, so the shortlist may omit even the item's
-	// current cluster — the driver then falls back to an exact scan over
-	// all k clusters for that item. Queriers without fault-tolerant
-	// routing never degrade and simply don't implement the capability.
-	LastDegraded() (partial, ownerDown bool)
-}
-
 // Accelerator is the search-space reduction component of the framework.
 type Accelerator interface {
 	// Reset prepares an empty index for a clustering over numClusters
@@ -254,8 +238,7 @@ type Options struct {
 	// in original-ID space and every tie-break stays on original ID, so
 	// results are bit-identical; the original-order build is the
 	// correctness oracle, and this switch exists for equivalence tests
-	// and A/B benchmarks. Implied by ChaosSpec (the backend fan-out
-	// requires identity order).
+	// and A/B benchmarks.
 	DisableReorder bool
 	// IndexDir, when non-empty, makes the bootstrap durable (see
 	// persist.go): the frozen LSH index and the exact first assignment
@@ -284,34 +267,9 @@ type Options struct {
 	// SnapshotEvery, when > 0, checkpoints the run state (assignment +
 	// iteration stats) into IndexDir every SnapshotEvery iterations, and
 	// resumes from the latest checkpoint on the next run instead of
-	// restarting at iteration 1. A checkpoint for a different run shape
-	// is an error. Requires IndexDir.
+	// restarting at iteration 1. A corrupt checkpoint, or one for a
+	// different run shape, is an error. Requires IndexDir.
 	SnapshotEvery int
-	// ChaosSpec, when non-empty, routes the sharded index's cross-shard
-	// fan-out through the fault-tolerant backend layer with the given
-	// serve.ParseChaosSpec fault-injection script (ResilienceConfigurer
-	// accelerators only; others ignore it). Backend calls then carry
-	// deadlines, bounded retries and — unless DisableHedging — hedged
-	// requests to a mirror replica; shards that stay down past the retry
-	// budget degrade the run to partial shortlists instead of failing it
-	// (see Run.DegradedItems). A spec injecting zero faults (e.g.
-	// "seed=1") exercises the whole resilient path bit-identically to
-	// the direct fan-out. Empty keeps the zero-overhead direct fan-out.
-	ChaosSpec string
-	// RetryBudget is the number of retries after a failed backend call
-	// (0 = lsh.DefaultRetryBudget, negative = none). Ignored without
-	// ChaosSpec.
-	RetryBudget int
-	// HedgeAfter is the straggler threshold after which a backend call
-	// is hedged to its mirror replica (0 = lsh.DefaultHedgeAfter,
-	// negative disables hedging). Ignored without ChaosSpec.
-	HedgeAfter time.Duration
-	// DisableHedging turns hedged backend requests off entirely, leaving
-	// deadlines and retries in place. Unhedged calls are the correctness
-	// oracle for the hedge race (first success wins, loser cancelled —
-	// results are bit-identical either way); this switch exists for
-	// equivalence tests and A/B benchmarks. Ignored without ChaosSpec.
-	DisableHedging bool
 	// OnIteration, when non-nil, receives each iteration's statistics
 	// as it completes (progress reporting).
 	OnIteration func(runstats.Iteration)
@@ -481,7 +439,6 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 		if ps.evaluated > 0 {
 			it.AvgShortlist = float64(ps.cands) / float64(ps.evaluated)
 		}
-		res.Stats.DegradedItems += int64(ps.degraded)
 		if !opts.SkipCost {
 			if d.inc != nil {
 				it.Cost = d.inc.IncrementalCost(d.assign)
@@ -494,7 +451,7 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 			opts.OnIteration(it)
 		}
 		if snapPath != "" && iter%opts.SnapshotEvery == 0 {
-			if err := d.saveRunState(snapPath, iter+1, res.Stats.Iterations); err != nil {
+			if err := writeRunState(snapPath, d.n, d.k, iter+1, d.assign, res.Stats.Iterations); err != nil {
 				return nil, err
 			}
 		}
@@ -517,11 +474,6 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 		res.Stats.ReorderTime = ss.ReorderTime
 		res.Stats.ShardLocalCands = ss.LocalCands
 		res.Stats.ShardForeignCands = ss.ForeignCands
-		res.Stats.ShardRetries = ss.Retries
-		res.Stats.ShardTimeouts = ss.Timeouts
-		res.Stats.HedgedCalls = ss.HedgedCalls
-		res.Stats.HedgeWins = ss.HedgeWins
-		res.Stats.SkippedShards = ss.SkippedShards
 		res.Stats.IndexSaveTime = ss.SaveTime
 		res.Stats.IndexLoadTime = ss.LoadTime
 		res.Stats.MmapBytes = ss.MmapBytes
@@ -589,40 +541,15 @@ type driver struct {
 type passStats struct {
 	moves     int
 	evaluated int
-	// degraded counts the evaluated items whose shortlist was degraded
-	// by shard failures (partial recall or owner-shard fallback); zero
-	// without Options.ChaosSpec.
-	degraded int
-	comps    int64
-	cands    int64
+	comps     int64
+	cands     int64
 }
 
 func (p *passStats) add(o passStats) {
 	p.moves += o.moves
 	p.evaluated += o.evaluated
-	p.degraded += o.degraded
 	p.comps += o.comps
 	p.cands += o.cands
-}
-
-// bestWithDegraded resolves one item's assignment with degraded-mode
-// handling: when the querier reports the shortlist's owner shard down,
-// the shortlist may omit even the item's current cluster, so the item
-// falls back to an exact scan over all k clusters (correct, just
-// unaccelerated); a merely partial shortlist is still evaluated — the
-// item's own cluster is present, so the move decision stays sound,
-// only recall suffers. Both cases count into ps.degraded. With a nil
-// dq (no fault-tolerant routing) this is exactly bestOf.
-func (d *driver) bestWithDegraded(dq DegradedQuerier, item, cur int, shortlist []int32, ps *passStats) int32 {
-	if dq != nil {
-		if partial, ownerDown := dq.LastDegraded(); ownerDown {
-			ps.degraded++
-			return int32(d.bestExact(item, cur, &ps.comps))
-		} else if partial {
-			ps.degraded++
-		}
-	}
-	return d.bestOf(item, cur, shortlist, &ps.comps)
 }
 
 // bootstrap produces the initial assignment and, for accelerated runs,
@@ -665,15 +592,6 @@ func (d *driver) bootstrap() error {
 	}
 	if ro, ok := accel.(ReorderConfigurer); ok {
 		ro.SetReorder(d.opts.DisableReorder)
-	}
-	if rc, ok := accel.(ResilienceConfigurer); ok {
-		rc.SetResilience(ResilienceConfig{
-			ChaosSpec:      d.opts.ChaosSpec,
-			RetryBudget:    d.opts.RetryBudget,
-			HedgeAfter:     d.opts.HedgeAfter,
-			DisableHedging: d.opts.DisableHedging,
-			Context:        d.opts.Context,
-		})
 	}
 	if ip, ok := accel.(IndexPersister); ok {
 		// Forwarded unconditionally (an empty Dir clears any previous
@@ -1115,7 +1033,6 @@ type passWorker struct {
 // and re-gathered from the item after the mover.
 func (d *driver) sweep(w *passWorker, q Querier, view, dom []int32, lo, hi int, immediate bool) {
 	bq, blockLen := d.blockQuerier(q)
-	dq, _ := q.(DegradedQuerier)
 	live := immediate && d.filtered()
 	var buf [queryBlockLen]int32
 	poll := 0
@@ -1158,7 +1075,7 @@ func (d *driver) sweep(w *passWorker, q Querier, view, dom []int32, lo, hi int, 
 			}
 			i := int(blk[p])
 			w.ps.cands += int64(len(shortlist))
-			if d.settle(w, i, d.bestWithDegraded(dq, i, int(d.assign[i]), shortlist, &w.ps)) && live && d.act.woke < end {
+			if d.settle(w, i, d.bestOf(i, int(d.assign[i]), shortlist, &w.ps.comps)) && live && d.act.woke < end {
 				cutAt = p
 			}
 		})

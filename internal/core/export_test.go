@@ -6,3 +6,8 @@ package core
 func RunPerItem(space Space, opts Options) (*Result, error) {
 	return run(space, opts, true)
 }
+
+// WriteRunState writes an iteration checkpoint exactly as a run's
+// SnapshotEvery does, so tests can hand Run checkpoints whose contents
+// are consistent with the container but not with each other.
+var WriteRunState = writeRunState

@@ -169,10 +169,6 @@ type IndexQuerier struct {
 	// spans is CandidatesBlock's scratch: per block position, the
 	// bucket slices the band-major sweep delivered, in delivery order.
 	spans [][][]int32
-	// degPartial/degOwnerDown mirror the lsh.Query's degradation report
-	// for the most recent shortlist (core.DegradedQuerier); always false
-	// without fault-tolerant backend routing.
-	degPartial, degOwnerDown bool
 }
 
 // NewIndexQuerier creates a querier over index for a clustering with
@@ -211,18 +207,7 @@ func (q *IndexQuerier) collect(other int32, assign []int32) {
 func (q *IndexQuerier) Candidates(item int32, assign []int32) []int32 {
 	q.beginDedup()
 	q.q.Candidates(item, func(other int32) { q.collect(other, assign) })
-	q.degPartial, q.degOwnerDown = q.q.LastDegraded()
 	return q.buf
-}
-
-// LastDegraded reports whether the most recent shortlist was degraded
-// by shard failures (core.DegradedQuerier): partial means at least one
-// shard's candidates are missing, ownerDown that the item's own shard
-// was unreachable. Both stay false on the direct in-memory fan-out.
-// For CandidatesBlock the report covers the position most recently
-// emitted, so it is valid inside each emit invocation.
-func (q *IndexQuerier) LastDegraded() (partial, ownerDown bool) {
-	return q.degPartial, q.degOwnerDown
 }
 
 // CandidatesOfKeys returns the deduplicated cluster shortlist of an
@@ -232,7 +217,6 @@ func (q *IndexQuerier) LastDegraded() (partial, ownerDown bool) {
 func (q *IndexQuerier) CandidatesOfKeys(keys []uint64, assign []int32) []int32 {
 	q.beginDedup()
 	q.q.CandidatesOfKeys(keys, func(other int32) { q.collect(other, assign) })
-	q.degPartial, q.degOwnerDown = q.q.LastDegraded()
 	return q.buf
 }
 
@@ -242,7 +226,6 @@ func (q *IndexQuerier) CandidatesOfKeys(keys []uint64, assign []int32) []int32 {
 func (q *IndexQuerier) CandidatesOfSignature(sig []uint64, assign []int32) []int32 {
 	q.beginDedup()
 	q.q.CandidatesOfSignature(sig, func(other int32) { q.collect(other, assign) })
-	q.degPartial, q.degOwnerDown = q.q.LastDegraded()
 	return q.buf
 }
 
@@ -277,7 +260,6 @@ func (q *IndexQuerier) CandidatesBlock(items []int32, assign []int32, emit func(
 				q.collect(other, assign)
 			}
 		}
-		q.degPartial, q.degOwnerDown = q.q.BlockDegraded(pos)
 		emit(pos, q.buf)
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"unsafe"
 
@@ -24,8 +26,10 @@ import (
 // bootstrap assignment is spot-checked by recomputing a sample of items
 // exactly (drift falls back to a full rescan that overwrites the stale
 // file). Options.SnapshotEvery additionally checkpoints the run state
-// every few iterations, so an interrupted long run resumes from its
-// last checkpoint instead of iteration 1. Warm and cold runs are
+// every few iterations, in the same checksummed container, so an
+// interrupted long run resumes from its last checkpoint instead of
+// iteration 1; a corrupt or inconsistent checkpoint is an error, never
+// a silent resume from damaged state. Warm and cold runs are
 // bit-identical — same assignment, same moves — which the persistence
 // equivalence tests pin at the facade level with DisableMmap as the
 // plumbed heap-vs-mmap oracle toggle.
@@ -67,10 +71,13 @@ const (
 	runStateFile        = "state.snap"
 )
 
-// Bootstrap-assignment section IDs (persist container).
+// Section IDs (persist container). Both files hold a shape header and
+// an assignment; the run-state checkpoint adds the completed
+// iterations' stats.
 const (
-	secAssignHeader persist.SectionID = 1 // []int64{n, k}
-	secAssignment   persist.SectionID = 2 // []int32 assignment
+	secHeader     persist.SectionID = 1 // []int64{n, k}, plus nextIter in the checkpoint
+	secAssignment persist.SectionID = 2 // []int32 assignment
+	secIterations persist.SectionID = 3 // gob-encoded []runstats.Iteration
 )
 
 // assignSampleSize is how many items a restored bootstrap assignment is
@@ -119,7 +126,7 @@ func (d *driver) bootstrapAssign(workers int) error {
 
 func (d *driver) saveBootstrapAssign(path string) error {
 	sections := []persist.Section{
-		{ID: secAssignHeader, ElemSize: 8, Data: rawI64([]int64{int64(d.n), int64(d.k)})},
+		{ID: secHeader, ElemSize: 8, Data: rawI64([]int64{int64(d.n), int64(d.k)})},
 		{ID: secAssignment, ElemSize: 4, Data: rawI32(d.assign)},
 	}
 	if err := persist.WriteFile(path, sections); err != nil {
@@ -137,7 +144,7 @@ func (d *driver) restoreBootstrapAssign(path string) bool {
 		return false
 	}
 	defer f.Close()
-	hdr, err := persist.View[int64](f, secAssignHeader)
+	hdr, err := persist.View[int64](f, secHeader)
 	if err != nil || len(hdr) != 2 || int(hdr[0]) != d.n || int(hdr[1]) != d.k {
 		return false
 	}
@@ -170,74 +177,78 @@ func (d *driver) restoreBootstrapAssign(path string) bool {
 	return true
 }
 
-// runState is the gob-encoded iteration checkpoint of a resumable run.
-type runState struct {
-	N, K       int
-	NextIter   int
-	Assign     []int32
-	Iterations []runstats.Iteration
-}
-
-// saveRunState checkpoints the run after an iteration (atomic: temp +
-// rename, 0644).
-func (d *driver) saveRunState(path string, nextIter int, iters []runstats.Iteration) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+// writeRunState writes an iteration checkpoint as a persist container
+// (atomic, 0644): {n, k, nextIter}, the assignment, and the completed
+// iterations' stats, each section CRC32-C checked on load.
+func writeRunState(path string, n, k, nextIter int, assign []int32, iters []runstats.Iteration) error {
+	var stats bytes.Buffer
+	if err := gob.NewEncoder(&stats).Encode(iters); err != nil {
 		return fmt.Errorf("core: saving run state: %w", err)
 	}
-	st := runState{N: d.n, K: d.k, NextIter: nextIter, Assign: d.assign, Iterations: iters}
-	if err := gob.NewEncoder(tmp).Encode(&st); err == nil {
-		err = tmp.Chmod(0o644)
-		if err == nil {
-			err = tmp.Close()
-		}
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-		if err == nil {
-			return nil
-		}
-	} else {
-		tmp.Close()
+	sections := []persist.Section{
+		{ID: secHeader, ElemSize: 8, Data: rawI64([]int64{int64(n), int64(k), int64(nextIter)})},
+		{ID: secAssignment, ElemSize: 4, Data: rawI32(assign)},
+		{ID: secIterations, ElemSize: 1, Data: stats.Bytes()},
 	}
-	os.Remove(tmp.Name())
-	return fmt.Errorf("core: saving run state to %s", path)
+	if err := persist.WriteFile(path, sections); err != nil {
+		return fmt.Errorf("core: saving run state: %w", err)
+	}
+	return nil
 }
 
 // restoreRunState loads an iteration checkpoint, overwriting the
 // driver's assignment (and its internal-ID mirror) and returning the
 // iteration to resume from plus the already-completed iteration stats.
-// A missing file returns 0 (start from iteration 1); a checkpoint for a
-// different run shape is an error — stale state is rejected, never
-// silently reinterpreted.
+// A missing file returns 0 (start from iteration 1). A corrupt file, a
+// checkpoint for a different run shape, or one whose iteration stats
+// do not run 1…nextIter−1 is an error — damaged or stale state is
+// rejected, never silently reinterpreted.
 func (d *driver) restoreRunState(path string) (int, []runstats.Iteration, error) {
-	f, err := os.Open(path)
+	f, err := persist.Open(path, false)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil, nil
 		}
 		return 0, nil, fmt.Errorf("core: reading run state: %w", err)
 	}
 	defer f.Close()
-	var st runState
-	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return 0, nil, fmt.Errorf("core: decoding run state %s: %w", path, err)
+	hdr, err := persist.View[int64](f, secHeader)
+	if err != nil || len(hdr) != 3 || hdr[0] != int64(d.n) || hdr[1] != int64(d.k) {
+		return 0, nil, fmt.Errorf("core: run state %s was not saved for a run of n=%d k=%d", path, d.n, d.k)
 	}
-	if st.N != d.n || st.K != d.k || len(st.Assign) != d.n || st.NextIter < 1 {
-		return 0, nil, fmt.Errorf("core: run state %s was saved for n=%d k=%d, run has n=%d k=%d", path, st.N, st.K, d.n, d.k)
+	saved, err := persist.View[int32](f, secAssignment)
+	if err != nil || len(saved) != d.n {
+		return 0, nil, fmt.Errorf("core: run state %s holds no assignment of %d items", path, d.n)
 	}
-	for _, c := range st.Assign {
+	for _, c := range saved {
 		if c < 0 || int(c) >= d.k {
 			return 0, nil, fmt.Errorf("core: run state %s holds an out-of-range cluster", path)
 		}
 	}
-	copy(d.assign, st.Assign)
+	var iters []runstats.Iteration
+	raw, err := persist.View[byte](f, secIterations)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(raw)).Decode(&iters)
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: decoding run state %s: %w", path, err)
+	}
+	nextIter := hdr[2]
+	if nextIter < 1 || int64(len(iters)) != nextIter-1 {
+		return 0, nil, fmt.Errorf("core: run state %s resumes at iteration %d but records %d iterations", path, nextIter, len(iters))
+	}
+	for j, it := range iters {
+		if it.Index != j+1 {
+			return 0, nil, fmt.Errorf("core: run state %s records iteration %d at position %d", path, it.Index, j+1)
+		}
+	}
+	copy(d.assign, saved)
 	if d.perm != nil {
 		for i, c := range d.assign {
 			d.assignInt[d.perm[i]] = c
 		}
 	}
-	return st.NextIter, st.Iterations, nil
+	return int(nextIter), iters, nil
 }
 
 // validatePersistOptions rejects option combinations index persistence

@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +15,7 @@ import (
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
 	"lshcluster/internal/lsh/persist"
+	"lshcluster/internal/runstats"
 	"lshcluster/internal/simhash"
 
 	"lshcluster/internal/core"
@@ -319,6 +323,138 @@ func TestSnapshotResume(t *testing.T) {
 	if !bytes.Equal(baseCentroids, resumedCentroids) {
 		t.Fatal("final centroids differ between resumed and uninterrupted runs")
 	}
+}
+
+// checkpointAt runs the persistence workload for two iterations with a
+// checkpoint after each, returning the directory and the truncated
+// run, whose final state is exactly what state.snap holds.
+func checkpointAt(t *testing.T) (string, *core.Result) {
+	t.Helper()
+	dir := t.TempDir()
+	space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
+	o := persistOpts(dir, 2)
+	o.Accelerator = accel
+	o.SnapshotEvery = 1
+	o.MaxIterations = 2
+	res, err := core.Run(space, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats.Iterations) != 2 {
+		t.Fatalf("checkpointed run logged %d iterations, want 2", len(res.Stats.Iterations))
+	}
+	return dir, res
+}
+
+// resumeCheckpoint runs the workload against dir's checkpoint with the
+// iteration cap at the checkpoint, so Run returns the restored state
+// itself: no pass runs after the resume.
+func resumeCheckpoint(t *testing.T, dir string) (*core.Result, error) {
+	t.Helper()
+	space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
+	o := persistOpts(dir, 2)
+	o.Accelerator = accel
+	o.SnapshotEvery = 1
+	o.MaxIterations = 2
+	return core.Run(space, o)
+}
+
+// assertRestored checks that a resumed run reports exactly the
+// checkpointed state: iteration 3 next, the saved assignment and the
+// saved iteration stats.
+func assertRestored(t *testing.T, label string, want, got *core.Result) {
+	t.Helper()
+	if got.Stats.ResumedAt != 3 {
+		t.Fatalf("%s: ResumedAt = %d, want 3", label, got.Stats.ResumedAt)
+	}
+	if !slices.Equal(got.Assign, want.Assign) {
+		t.Fatalf("%s: restored assignment differs from the checkpointed one", label)
+	}
+	if !reflect.DeepEqual(got.Stats.Iterations, want.Stats.Iterations) {
+		t.Fatalf("%s: restored iterations %+v, checkpointed %+v", label, got.Stats.Iterations, want.Stats.Iterations)
+	}
+}
+
+// TestSnapshotCorruptionRejected flips one byte at a time across the
+// whole checkpoint — header, section table and every section. Each
+// flip must either fail the run or, where it lands in bytes no
+// checksum covers (the header reserve, section padding), restore
+// exactly the saved state; a damaged checkpoint never resumes.
+func TestSnapshotCorruptionRejected(t *testing.T) {
+	dir, saved := checkpointAt(t)
+	path := filepath.Join(dir, "state.snap")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact, err := resumeCheckpoint(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRestored(t, "intact checkpoint", saved, intact)
+
+	const stride = 7
+	flips, rejected := 0, 0
+	for off := 0; off < len(raw); off += stride {
+		bad := slices.Clone(raw)
+		bad[off] ^= 0xFF
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flips++
+		res, err := resumeCheckpoint(t, dir)
+		if err != nil {
+			if !strings.Contains(err.Error(), "run state") {
+				t.Fatalf("flip at %d: error %q does not name the run state", off, err)
+			}
+			rejected++
+			continue
+		}
+		assertRestored(t, fmt.Sprintf("flip at %d", off), saved, res)
+	}
+	if flips < 64 {
+		t.Fatalf("only %d flips over a %d-byte checkpoint", flips, len(raw))
+	}
+	if rejected == 0 {
+		t.Fatal("no flip was rejected")
+	}
+}
+
+// TestSnapshotInconsistentRejected hands Run checkpoints whose
+// container is intact but whose contents disagree with each other:
+// the iteration stats must run 1…nextIter−1.
+func TestSnapshotInconsistentRejected(t *testing.T) {
+	dir, saved := checkpointAt(t)
+	path := filepath.Join(dir, "state.snap")
+	its := saved.Stats.Iterations
+	skipped := slices.Clone(its)
+	skipped[1].Index = 3
+	cases := map[string]struct {
+		next  int
+		iters []runstats.Iteration
+	}{
+		"no iterations":     {3, nil},
+		"missing iteration": {3, its[:1]},
+		"extra iteration":   {2, its},
+		"wrong index":       {3, skipped},
+		"next iteration 0":  {0, nil},
+	}
+	for name, c := range cases {
+		if err := core.WriteRunState(path, len(saved.Assign), 30, c.next, saved.Assign, c.iters); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := resumeCheckpoint(t, dir); err == nil || !strings.Contains(err.Error(), "run state") {
+			t.Fatalf("%s: Run error = %v, want a run-state error", name, err)
+		}
+	}
+	if err := core.WriteRunState(path, len(saved.Assign), 30, 3, saved.Assign, its); err != nil {
+		t.Fatal(err)
+	}
+	res, err := resumeCheckpoint(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRestored(t, "consistent checkpoint", saved, res)
 }
 
 // TestBootstrapAssignCorruptRescans: a damaged bootstrap-assignment

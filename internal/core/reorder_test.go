@@ -182,10 +182,9 @@ func TestReorderOracleCrosses(t *testing.T) {
 	}
 }
 
-// TestReorderDisabledPaths checks the layouts that must never reorder:
-// the chaos-spec backend fan-out (replay merges assume identity order)
-// and the seeded bootstrap (map-built index). Both must run clean and
-// record zero reorder time.
+// TestReorderDisabledPaths checks the layout that must never reorder:
+// the seeded bootstrap (map-built index). It must run clean and record
+// zero reorder time.
 func TestReorderDisabledPaths(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -200,8 +199,7 @@ func TestReorderDisabledPaths(t *testing.T) {
 		return s, a
 	}
 	cases := map[string]core.Options{
-		"chaos-spec": {Shards: 4, MaxIterations: 8, ChaosSpec: "seed=1"},
-		"seeded":     {Shards: 4, MaxIterations: 8, Bootstrap: core.BootstrapSeeded},
+		"seeded": {Shards: 4, MaxIterations: 8, Bootstrap: core.BootstrapSeeded},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -1,25 +1,21 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"lshcluster/internal/lsh"
-	"lshcluster/internal/lsh/serve"
 )
 
 // Sharding capabilities. The LSH index layer can partition its hash
 // tables by item into S independent shards (lsh.Sharded): shards build
 // in parallel from disjoint slices of the signing arena, stay
-// individually cache-resident, and are independently freezable — the
-// groundwork for serving tens of millions of items, where a future
-// layout places shards on separate machines. Queries fan out across
-// shards and merge the shard-local shortlists back into the exact
-// candidate stream a single index would produce, so sharding never
-// changes results: Options.Shards = 1 (the default) IS the unsharded
-// oracle, and every shard count is bit-identical to it (pinned by the
-// shard-invariance equivalence tests).
+// individually cache-resident, and are independently freezable.
+// Queries fan out across shards and merge the shard-local shortlists
+// back into the exact candidate stream a single index would produce,
+// so sharding never changes results: Options.Shards = 1 (the default)
+// IS the unsharded oracle, and every shard count is bit-identical to
+// it (pinned by the shard-invariance equivalence tests).
 
 // ShardedIndexer is an optional Accelerator capability: accelerators
 // whose index supports item partitioning implement it. The driver
@@ -57,6 +53,37 @@ type UnindexedQuerier interface {
 // checks for it; it remains so existing references keep compiling.
 type ForeignSlotConfigurer interface {
 	SetForeignSlots(budget int64, disable bool)
+}
+
+// ResilienceConfigurer was the capability through which the driver
+// configured the retired fault-tolerant shard-backend fan-out.
+//
+// Deprecated: the backend layer is gone — every cross-shard sweep
+// reads shard memory directly, with nothing to configure. Nothing
+// implements this interface and Run no longer checks for it; it
+// remains so existing references keep compiling.
+type ResilienceConfigurer interface {
+	SetResilience(spec string)
+}
+
+// DegradedQuerier was the Querier capability that reported shortlists
+// degraded by failed shard backends.
+//
+// Deprecated: in-memory shards cannot fail, so no shortlist degrades.
+// Nothing implements this interface and Run no longer checks for it;
+// it remains so existing references keep compiling.
+type DegradedQuerier interface {
+	LastDegraded() (partial, ownerDown bool)
+}
+
+// DegradedReverse was the ReverseView capability that reported
+// expansions degraded by failed shard backends.
+//
+// Deprecated: in-memory shards cannot fail, so no expansion degrades.
+// Nothing implements this interface and Run no longer checks for it;
+// it remains so existing references keep compiling.
+type DegradedReverse interface {
+	Degraded() bool
 }
 
 // ReorderConfigurer is an optional Accelerator capability:
@@ -109,12 +136,6 @@ type ShardStats struct {
 	// key-table probes issued versus resolutions the foreign-emptiness
 	// bitmap answered without one.
 	ProbeOps, DirectOps int64
-	// Retries/Timeouts/HedgedCalls/HedgeWins/SkippedShards mirror the
-	// fault-tolerant fan-out's lsh.ResilienceStats — all zero unless a
-	// backend layer was attached (Options.ChaosSpec).
-	Retries, Timeouts      int64
-	HedgedCalls, HedgeWins int64
-	SkippedShards          int
 	// SaveTime/LoadTime are the wall times spent persisting the frozen
 	// index to disk and warm-loading it back (zero when persistence was
 	// off, and SaveTime stays zero on warm runs — nothing to save).
@@ -130,35 +151,6 @@ type ShardStats struct {
 	// cumulative demote/promote transitions. All zero without a budget.
 	ResidentShards        int
 	Promotions, Demotions int64
-}
-
-// ResilienceConfig is the fault-tolerance configuration the driver
-// forwards to a ResilienceConfigurer before Reset: the run context
-// (per-call deadlines and cancellation derive from it), the retry and
-// hedging policy knobs, and the chaos spec that — when non-empty —
-// routes the cross-shard fan-out through fault-injecting backends.
-type ResilienceConfig struct {
-	// ChaosSpec is the serve.ParseChaosSpec fault script. Empty keeps
-	// the direct in-memory fan-out (no backend layer at all); a
-	// non-empty spec — even one injecting zero faults, e.g. "seed=1" —
-	// attaches chaos-wrapped backends, which is also how the
-	// bit-identity tests exercise the whole resilient path.
-	ChaosSpec string
-	// RetryBudget/HedgeAfter/DisableHedging map onto lsh.Policy.
-	RetryBudget    int
-	HedgeAfter     time.Duration
-	DisableHedging bool
-	// Context bounds every backend call (nil = context.Background()).
-	Context context.Context
-}
-
-// ResilienceConfigurer is an optional Accelerator capability:
-// accelerators whose sharded index supports the fault-tolerant backend
-// fan-out implement it. The driver forwards the resilience options
-// once per Run, before Reset; the index attaches the backends once its
-// frozen layout exists.
-type ResilienceConfigurer interface {
-	SetResilience(cfg ResilienceConfig)
 }
 
 // ShardStatsReporter is an optional Accelerator capability: report the
@@ -198,13 +190,6 @@ type ShardedIndexBase struct {
 	// reorderOff holds the locality-reordering configuration the driver
 	// forwarded (ReorderConfigurer); applied at the next ResetIndex.
 	reorderOff bool
-	// resCfg/resSpec/resErr hold the resilience configuration the
-	// driver forwarded (ResilienceConfigurer): the parsed chaos spec
-	// (nil when no spec, i.e. the direct fan-out), or the parse error
-	// surfaced at the next ResetIndex.
-	resCfg  ResilienceConfig
-	resSpec *serve.ChaosSpec
-	resErr  error
 	// persistCfg/persistOn hold the persistence configuration the driver
 	// forwarded (IndexPersister); fpSource supplies the dataset
 	// fingerprint the saved index is pinned to (set once by the
@@ -247,23 +232,6 @@ func (b *ShardedIndexBase) ReorderMap() (perm, inv []int32) {
 	return b.index.ReorderMap()
 }
 
-// SetResilience stores the fault-tolerance configuration for the next
-// ResetIndex (core.ResilienceConfigurer). An unparsable ChaosSpec is
-// surfaced as the next ResetIndex's error.
-func (b *ShardedIndexBase) SetResilience(cfg ResilienceConfig) {
-	b.resCfg = cfg
-	b.resSpec, b.resErr = nil, nil
-	if cfg.ChaosSpec == "" {
-		return
-	}
-	spec, err := serve.ParseChaosSpec(cfg.ChaosSpec)
-	if err != nil {
-		b.resErr = err
-		return
-	}
-	b.resSpec = spec
-}
-
 // SetPersist stores the index-persistence configuration for the next
 // ResetIndex (core.IndexPersister). An empty Dir disables persistence.
 func (b *ShardedIndexBase) SetPersist(cfg PersistConfig) {
@@ -283,31 +251,6 @@ func (b *ShardedIndexBase) SetFingerprintSource(fp func() uint64) {
 // disk instead of preparing a fresh build (core.IndexPersister).
 func (b *ShardedIndexBase) WarmLoaded() bool { return b.warm }
 
-// attachResilience routes the index's cross-shard fan-out through
-// chaos-wrapped backends once the frozen layout exists. Primaries and
-// hedge mirrors are independent replicas under the same fault spec
-// (different injection streams, same fault model — a dead shard stays
-// dead on its mirror, so permanent failures remain measured recall
-// loss instead of being masked). A no-op without a chaos spec: the
-// zero-overhead direct fan-out stays in place.
-func (b *ShardedIndexBase) attachResilience() {
-	if b.resSpec == nil || b.index == nil {
-		return
-	}
-	locals := b.index.LocalBackends()
-	backends := b.resSpec.Wrap(locals, 0)
-	mirrors := b.resSpec.Wrap(locals, 1)
-	pol := lsh.Policy{
-		RetryBudget:    b.resCfg.RetryBudget,
-		HedgeAfter:     b.resCfg.HedgeAfter,
-		DisableHedging: b.resCfg.DisableHedging,
-		Seed:           b.resSpec.Seed() + 1,
-	}
-	// AttachBackends only errors on a shard-count mismatch, impossible
-	// for backends derived from the index itself.
-	_ = b.index.AttachBackends(b.resCfg.Context, backends, mirrors, pol)
-}
-
 // ShardStats reports the shard layout, per-shard build costs and
 // cross-shard fan-out counters of the current index
 // (core.ShardStatsReporter).
@@ -317,7 +260,6 @@ func (b *ShardedIndexBase) ShardStats() ShardStats {
 	}
 	probes, direct := b.index.FanOutOps()
 	local, foreign := b.index.FanOutLocality()
-	res := b.index.ResilienceStats()
 	ss := ShardStats{
 		Shards:           b.index.NumShards(),
 		BuildTimes:       b.index.BuildTimes(),
@@ -328,11 +270,6 @@ func (b *ShardedIndexBase) ShardStats() ShardStats {
 		ForeignSlotBytes: b.index.ForeignSlotBytes(),
 		ProbeOps:         probes,
 		DirectOps:        direct,
-		Retries:          res.Retries,
-		Timeouts:         res.Timeouts,
-		HedgedCalls:      res.HedgedCalls,
-		HedgeWins:        res.HedgeWins,
-		SkippedShards:    res.SkippedShards,
 		SaveTime:         b.saveDur,
 		LoadTime:         b.loadDur,
 		WarmStart:        b.warm,
@@ -358,9 +295,6 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 	if numClusters < 1 {
 		return fmt.Errorf("core: numClusters must be ≥ 1, got %d", numClusters)
 	}
-	if b.resErr != nil {
-		return fmt.Errorf("core: invalid chaos spec: %w", b.resErr)
-	}
 	shards := b.shards
 	if shards < 1 {
 		shards = 1
@@ -373,10 +307,7 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 	b.index = nil
 	b.warm = false
 	b.saveDur, b.loadDur = 0, 0
-	// Locality reordering is incompatible with the backend fan-out
-	// (replay merges assume identity item order), so a chaos spec pins
-	// the original-order build regardless of DisableReorder.
-	reorder := !b.reorderOff && b.resSpec == nil
+	reorder := !b.reorderOff
 	if b.persistOn && b.fpSource == nil {
 		return fmt.Errorf("core: index persistence requires a dataset fingerprint, which this accelerator does not provide")
 	}
@@ -408,7 +339,6 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 		b.presigned = nil
 		b.warm = true
 		b.loadDur = rep.Duration
-		b.attachResilience()
 		return nil
 	}
 	ix, err := lsh.NewSharded(params, seed, numItems, shards)
@@ -447,15 +377,12 @@ func (b *ShardedIndexBase) BuildFrozen(workers int) error {
 	}
 	err := b.index.BuildFrozen(b.presigned, b.n, workers)
 	b.presigned = nil
-	if err == nil {
-		b.attachResilience()
-		if b.persistOn && !b.warm {
-			rep, serr := b.index.Save(b.persistCfg.Dir, b.seed, b.fpSource(), workers)
-			if serr != nil {
-				return fmt.Errorf("core: saving index: %w", serr)
-			}
-			b.saveDur = rep.Duration
+	if err == nil && b.persistOn && !b.warm {
+		rep, serr := b.index.Save(b.persistCfg.Dir, b.seed, b.fpSource(), workers)
+		if serr != nil {
+			return fmt.Errorf("core: saving index: %w", serr)
 		}
+		b.saveDur = rep.Duration
 	}
 	return err
 }
@@ -498,7 +425,6 @@ func (b *ShardedIndexBase) CandidatesUnindexedWith(item int32, assign []int32, s
 func (b *ShardedIndexBase) Freeze() {
 	if b.index != nil {
 		b.index.Freeze()
-		b.attachResilience()
 	}
 	b.presigned = nil
 }

@@ -88,7 +88,7 @@ func (sh *Sharded) ForeignSlotBytes() int64 {
 // cross-shard bucket lookups, counted per (item, band, foreign shard):
 // probes is the key-table probes issued, direct the resolutions the
 // foreign-emptiness bitmap answered without one. Key-addressed paths
-// (unfrozen, stride, backend-routed) count probes only. Per-item query
+// (unfrozen, stride) count probes only. Per-item query
 // paths flush their counts in small batches (see Query.addMergeNanos),
 // so a handful of recent samples may be pending.
 //

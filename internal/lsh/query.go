@@ -47,10 +47,6 @@ type Query struct {
 	sigKeys []uint64
 	// heads is the stride-merge cursor scratch.
 	heads []mergeHead
-	// strideOut holds the stride-mode backend batch fallback's
-	// per-position candidate streams, emitted as sub-slices that stay
-	// valid until the next CandidatesBatch call.
-	strideOut []int32
 	// pendingNanos/pendingCalls batch per-item merge-time samples
 	// locally so the hottest per-item paths (seeded interleave,
 	// streaming) pay the shared atomic once per flush, not per query.
@@ -66,18 +62,6 @@ type Query struct {
 	// shard_local_frac report) under the same flush cadence.
 	pendingLocal   int64
 	pendingForeign int64
-	// Backend-routed sweep state (resilient.go): gather buffers for the
-	// per-shard fan-out, replay cursors, and the degradation outcome of
-	// the most recent sweep. Unused (and unallocated) on the direct
-	// path.
-	lastDeg     degradedState
-	blockDeg    []degradedState
-	perShard    [][]bucketHit
-	cursors     []int
-	blockKeys   []uint64
-	groupLocals []int32
-	groupPos    []int32
-	posMap      []int32
 }
 
 type mergeHead struct {
@@ -130,10 +114,6 @@ const mergeFlushEvery = 64
 //lshvet:noescape
 func (q *Query) Candidates(item int32, fn func(other int32)) {
 	sh := q.sh
-	if sh.res != nil {
-		q.backendCandidates(item, fn)
-		return
-	}
 	if perm := sh.perm; perm != nil {
 		if item < 0 || int(item) >= len(perm) {
 			return
@@ -300,37 +280,19 @@ func (q *Query) mergeEmit(fn func(other int32)) {
 // band (or, reordered, as runs of the ascending-original merge); on
 // stride partitions, whose shard buckets interleave in ID space, each
 // (item, band) emission is the S-way ascending merge delivered as
-// maximal single-shard runs. Bucket slices alias index (or backend)
-// storage and must not be modified; they stay valid until the next
-// call on the same Query, so a caller may record them during the sweep
-// and read them afterwards. Backend-routed stride sweeps fall back to
-// per-item queries to keep their per-position degradation accounting,
-// each position's merged stream emitted as one bucket.
+// maximal single-shard runs. Bucket slices alias index storage and
+// must not be modified; they stay valid until the next call on the
+// same Query, so a caller may record them during the sweep and read
+// them afterwards.
 func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)) {
 	sh := q.sh
 	switch {
-	case sh.res != nil && !sh.part.stride:
-		q.backendCandidatesBatch(items, fn)
 	case sh.single != nil && sh.perm != nil:
 		q.singleBatchReordered(items, fn)
 	case sh.single != nil:
 		sh.single.CandidatesBatch(items, fn)
 	case sh.foreignEmpty != nil:
 		q.candidatesBatchFrozen(items, fn)
-	case sh.res != nil:
-		q.ensureBlockDeg(len(items))
-		out := q.strideOut[:0]
-		for pos, item := range items {
-			start := len(out)
-			q.Candidates(item, func(other int32) { out = append(out, other) })
-			q.blockDeg[pos] = q.lastDeg
-			if len(out) > start {
-				// Capped, and never written again this call: a later
-				// append reallocates or writes past it.
-				fn(pos, out[start:len(out):len(out)])
-			}
-		}
-		q.strideOut = out
 	default:
 		q.candidatesBatchKeys(items, fn)
 	}
@@ -563,10 +525,6 @@ func (q *Query) mergeRuns(pos int, fn func(pos int, bucket []int32)) {
 // like every other candidate path.
 func (q *Query) CandidatesOfKeys(keys []uint64, fn func(other int32)) {
 	sh := q.sh
-	if sh.res != nil {
-		q.backendCandidatesOfKeys(keys, fn)
-		return
-	}
 	if sh.single != nil {
 		sh.single.CandidatesOfKeys(keys, fn)
 		return
@@ -607,7 +565,7 @@ func (q *Query) CandidatesOfKeys(keys []uint64, fn func(other int32)) {
 // query and the subsequent InsertSignature.
 func (q *Query) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
 	sh := q.sh
-	if sh.single != nil && sh.res == nil {
+	if sh.single != nil {
 		sh.single.CandidatesOfSignature(sig, fn)
 		return
 	}

@@ -35,11 +35,10 @@ package lsh
 // dependent tie-break downstream, is bit-identical to the unreordered
 // oracle (Options.DisableReorder in core).
 //
-// Reordering applies only to BuildFrozen on a range partition without
-// attached backends; map-built (seeded), stride (streaming) and
-// backend-routed indexes never reorder, and SetReorder is off by
-// default so the frozen-layout identity tests keep pinning the direct
-// build.
+// Reordering applies only to BuildFrozen on a range partition;
+// map-built (seeded) and stride (streaming) indexes never reorder, and
+// SetReorder is off by default so the frozen-layout identity tests
+// keep pinning the direct build.
 
 import (
 	"time"

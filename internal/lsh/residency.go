@@ -14,11 +14,10 @@ import (
 // back on use (MADV_WILLNEED prefetches before the queries fault the
 // pages anyway). A demoted shard is never absent — its mapping stays
 // valid and accesses simply fault pages back in, so correctness is
-// untouched and only latency changes (the same "slow, not missing"
-// contract the ShardBackend seam established). The budget is therefore
-// best-effort: cross-shard fan-out into a demoted shard refaults pages
-// the next demotion drops again, keeping steady-state residency near
-// the budget rather than exactly under it.
+// untouched and only latency changes: slow, never missing. The budget
+// is therefore best-effort: cross-shard fan-out into a demoted shard
+// refaults pages the next demotion drops again, keeping steady-state
+// residency near the budget rather than exactly under it.
 //
 // Queries touch their item's *owning* shard (the source of most
 // candidates, overwhelmingly so on reordered builds); the touch is one

@@ -16,8 +16,8 @@ import (
 // partitioner. It is the scale-out layout of the banding index — shards
 // build in parallel from disjoint slices of the SignAll arena, stay
 // individually cache-resident where one monolithic index would not, and
-// are independently freezable (and, in a future serving layout,
-// evictable or placeable on separate machines).
+// are independently freezable and, once memory-mapped, evictable
+// (residency.go).
 //
 // Partitioning is by *item*, orthogonal to BuildFrozen's per-band
 // layout within each shard: a query for one item fans out to every
@@ -81,11 +81,6 @@ type Sharded struct {
 	// mergeNanos.
 	probeOps  atomic.Int64
 	directOps atomic.Int64
-	// res, when non-nil, routes every cross-shard sweep through the
-	// fault-tolerant backend layer (AttachBackends): deadline-bounded,
-	// retried, optionally hedged calls with graceful degradation. Nil
-	// is the direct in-memory path.
-	res *resilience
 	// reorder requests locality-preserving item reordering for the next
 	// BuildFrozen (SetReorder); perm/inv are the resulting permutation
 	// pair — perm[original] = internal, inv[internal] = original — nil
@@ -487,11 +482,6 @@ func (sh *Sharded) NewReverse() *ShardedReverse {
 type ShardedReverse struct {
 	sh   *Sharded
 	revs []*Reverse
-	// degraded latches backend failures during source marking (see
-	// Degraded in resilient.go); emitted delimits the mark/Emit cycles
-	// the latch resets across.
-	degraded bool
-	emitted  bool
 }
 
 // AddSource marks every bucket the global source item occupies, across
@@ -499,10 +489,6 @@ type ShardedReverse struct {
 // a reordered index translates them to internal space on entry.
 func (r *ShardedReverse) AddSource(global int32) {
 	sh := r.sh
-	if sh.res != nil {
-		r.addSourceBackend(global)
-		return
-	}
 	if perm := sh.perm; perm != nil {
 		if global < 0 || int(global) >= len(perm) {
 			return
@@ -550,7 +536,6 @@ func (r *ShardedReverse) AddSource(global int32) {
 // anyway (callers dedupe into flags), so the translation is free to
 // ride the shard-major scan.
 func (r *ShardedReverse) Emit(fn func(item int32) bool) {
-	r.emitted = true
 	if inv := r.sh.inv; inv != nil {
 		orig := fn
 		fn = func(it int32) bool { return orig(inv[it]) }

@@ -104,27 +104,6 @@ type Run struct {
 	// (no fan-out) and on stride layouts.
 	ShardLocalCands   int64
 	ShardForeignCands int64
-	// ShardRetries and ShardTimeouts count failed shard-backend calls
-	// that were retried, and the subset that failed by deadline. All of
-	// the resilience counters below stay zero unless the run routed its
-	// cross-shard fan-out through the fault-tolerant backend layer
-	// (core.Options.ChaosSpec).
-	ShardRetries  int64
-	ShardTimeouts int64
-	// HedgedCalls counts backend calls that launched a hedge to the
-	// mirror replica after the straggler threshold; HedgeWins counts the
-	// hedges that beat the primary.
-	HedgedCalls int64
-	HedgeWins   int64
-	// DegradedItems counts item evaluations (summed over iteration
-	// passes) whose candidate shortlist was degraded by shard failures —
-	// partial recall, or an exact-scan fallback when the item's own
-	// shard was unreachable.
-	DegradedItems int64
-	// SkippedShards counts the shards that failed at least one backend
-	// call past its retry budget during the run — the shards whose
-	// absence DegradedItems measures.
-	SkippedShards int
 	// IndexSaveTime and IndexLoadTime are the wall times spent
 	// persisting the frozen index to disk after a cold bootstrap and
 	// warm-loading it back at the start of a later run
@@ -292,18 +271,6 @@ var columns = []column{
 		func(r *Run) string { return f(ms(r.ReorderTime)) }, none},
 	{"shard_local_frac",
 		func(r *Run) string { return f(r.ShardLocalFrac()) }, none},
-	{"shard_retries",
-		func(r *Run) string { return strconv.FormatInt(r.ShardRetries, 10) }, none},
-	{"shard_timeouts",
-		func(r *Run) string { return strconv.FormatInt(r.ShardTimeouts, 10) }, none},
-	{"hedged_calls",
-		func(r *Run) string { return strconv.FormatInt(r.HedgedCalls, 10) }, none},
-	{"hedge_wins",
-		func(r *Run) string { return strconv.FormatInt(r.HedgeWins, 10) }, none},
-	{"degraded_items",
-		func(r *Run) string { return strconv.FormatInt(r.DegradedItems, 10) }, none},
-	{"skipped_shards",
-		func(r *Run) string { return strconv.Itoa(r.SkippedShards) }, none},
 	{"index_save_ms",
 		func(r *Run) string { return f(ms(r.IndexSaveTime)) }, none},
 	{"index_load_ms",

@@ -26,7 +26,6 @@ import (
 	"lshcluster/internal/dataset"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
-	"lshcluster/internal/lsh/serve"
 	"lshcluster/internal/minhash"
 )
 
@@ -55,8 +54,7 @@ type Config struct {
 	// Shards partitions the banding index into this many item shards
 	// (item i routes to shard i mod Shards), so inserts no longer all
 	// land in one set of map builders: each shard's maps stay smaller
-	// and cache-resident, and shards are the unit a future serving
-	// layout distributes. Queries fan out across shards and merge the
+	// and cache-resident. Queries fan out across shards and merge the
 	// shard-local buckets back into ascending item order, so
 	// shortlists — and therefore assignments — are bit-identical to
 	// the single-shard default (values < 2).
@@ -67,16 +65,6 @@ type Config struct {
 	// switch is the correctness oracle for the kernels, mirroring the
 	// batch driver's core.Options.ScalarKernels.
 	ScalarKernels bool
-	// ChaosSpec, when non-empty, routes the index's cross-shard
-	// shortlist queries through the fault-tolerant backend layer with
-	// the given fault-injection script (see internal/lsh/serve for the
-	// grammar). A query that loses shards to faults degrades to a
-	// partial shortlist — counted in Stats.DegradedQueries — and an
-	// empty one falls back to the full mode scan, so the stream keeps
-	// absorbing items through shard failures. A spec injecting zero
-	// faults (e.g. "seed=1") exercises the resilient path with
-	// bit-identical assignments.
-	ChaosSpec string
 }
 
 // Stats counts the stream-side behaviour of the index.
@@ -90,11 +78,6 @@ type Stats struct {
 	CandidatesTotal int64
 	// Comparisons counts item-to-mode distance evaluations.
 	Comparisons int64
-	// DegradedQueries counts items whose shortlist query lost at least
-	// one shard to injected faults (Config.ChaosSpec): the assignment
-	// still completed, on a partial shortlist or the full-scan
-	// fallback. Always zero without a chaos spec.
-	DegradedQueries int
 }
 
 // Clusterer assigns a stream of categorical items to k evolving modes.
@@ -145,20 +128,6 @@ func New(cfg Config) (*Clusterer, error) {
 	ix, err := lsh.NewShardedStream(cfg.Params, cfg.Seed, cfg.Shards, cfg.CapacityHint)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ChaosSpec != "" {
-		spec, err := serve.ParseChaosSpec(cfg.ChaosSpec)
-		if err != nil {
-			return nil, err
-		}
-		locals := ix.LocalBackends()
-		// Primaries and hedge mirrors draw independent injection streams
-		// under the same fault model (salt 0 and 1; a dead shard is dead
-		// on its mirror too).
-		if err := ix.AttachBackends(nil, spec.Wrap(locals, 0), spec.Wrap(locals, 1),
-			lsh.Policy{Seed: spec.Seed() + 1}); err != nil {
-			return nil, err
-		}
 	}
 	c := &Clusterer{
 		k:      k,
@@ -266,9 +235,6 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 			c.short = append(c.short, cl)
 		}
 	})
-	if partial, ownerDown := c.query.LastDegraded(); partial || ownerDown {
-		c.stats.DegradedQueries++
-	}
 
 	best := -1
 	bestD := c.m + 1

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"lshcluster/internal/core"
 	"lshcluster/internal/datagen"
@@ -142,7 +141,7 @@ type Config struct {
 	// permutation that makes co-colliding items contiguous (results
 	// are bit-identical either way — assignments, stats and CSV always
 	// report original item IDs); this switch is the correctness oracle
-	// and A/B baseline. Implied by ChaosSpec.
+	// and A/B baseline.
 	DisableReorder bool
 	// IndexDir, when non-empty, makes the LSH bootstrap durable: a cold
 	// run saves the frozen index and the exact first assignment into
@@ -168,28 +167,6 @@ type Config struct {
 	// every SnapshotEvery iterations and resumes interrupted runs from
 	// the latest checkpoint. Requires IndexDir.
 	SnapshotEvery int
-	// ChaosSpec, when non-empty, routes the sharded LSH index's
-	// cross-shard fan-out through the fault-tolerant backend layer with
-	// the given fault-injection script (see internal/lsh/serve for the
-	// grammar, e.g. "seed=1;err=0.05;shard2.dead"). Backend calls then
-	// carry deadlines, bounded retries and hedged requests; shards down
-	// past the retry budget degrade the run to partial shortlists —
-	// recorded in Stats.DegradedItems — instead of failing it. A spec
-	// injecting zero faults exercises the whole resilient path
-	// bit-identically to the direct fan-out.
-	ChaosSpec string
-	// RetryBudget is the number of retries after a failed shard-backend
-	// call (0 = default, negative = none). Ignored without ChaosSpec.
-	RetryBudget int
-	// HedgeAfter is the straggler threshold after which a shard-backend
-	// call is hedged to a mirror replica (0 = default, negative disables
-	// hedging). Ignored without ChaosSpec.
-	HedgeAfter time.Duration
-	// DisableHedging turns hedged shard-backend requests off, leaving
-	// deadlines and retries in place (results are bit-identical either
-	// way); this switch is the correctness oracle and A/B baseline for
-	// the hedge race. Ignored without ChaosSpec.
-	DisableHedging bool
 	// OnIteration, when non-nil, receives each iteration's statistics
 	// as it completes.
 	OnIteration func(Iteration)
@@ -208,10 +185,6 @@ func (c Config) coreOptions() core.Options {
 		DisableMmap:              c.DisableMmap,
 		ShardMemoryBudget:        c.ShardMemoryBudget,
 		SnapshotEvery:            c.SnapshotEvery,
-		ChaosSpec:                c.ChaosSpec,
-		RetryBudget:              c.RetryBudget,
-		HedgeAfter:               c.HedgeAfter,
-		DisableHedging:           c.DisableHedging,
 		OnIteration:              c.OnIteration,
 		Context:                  c.Context,
 		DisableIncremental:       c.DisableIncremental,
