@@ -164,3 +164,44 @@ func TestClusterBootstrapModes(t *testing.T) {
 		t.Fatal("parallel and serial bootstrap produced different assignments")
 	}
 }
+
+// TestClusterChaosZeroFaultQuiet: a -shards 3 run, whose in-memory
+// shards cannot fail, must report its shards on stderr and otherwise
+// produce the same summary as the unsharded run.
+func TestClusterChaosZeroFaultQuiet(t *testing.T) {
+	in := writeWorkload(t)
+	runOnce := func(extra ...string) (string, string) {
+		var out, errw bytes.Buffer
+		args := append([]string{"-in", in, "-k", "10", "-bands", "10", "-rows", "2"}, extra...)
+		if err := run(args, &out, &errw); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), errw.String()
+	}
+	refOut, _ := runOnce()
+	gotOut, gotErr := runOnce("-shards", "3")
+	if !strings.Contains(gotErr, "lshcluster: 3 index shards") {
+		t.Fatalf("stderr missing the shard report:\n%s", gotErr)
+	}
+	// Compare the summary row minus its wall-clock columns (bootstrap,
+	// mean iter, total are indices 4–6 of the markdown row).
+	row := func(out string) []string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "MH-K-Modes") {
+				cells := strings.Split(line, "|")
+				return append(cells[:4:4], cells[7:]...)
+			}
+		}
+		t.Fatalf("summary row missing:\n%s", out)
+		return nil
+	}
+	ref, got := row(refOut), row(gotOut)
+	if len(ref) != len(got) {
+		t.Fatalf("summary rows have %d and %d cells", len(ref), len(got))
+	}
+	for i := range ref {
+		if ref[i] != got[i] {
+			t.Fatalf("summaries diverged at cell %d: unsharded %q, sharded %q", i, ref[i], got[i])
+		}
+	}
+}

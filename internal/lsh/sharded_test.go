@@ -3,6 +3,7 @@ package lsh
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -338,6 +339,162 @@ func TestShardedReverseMatchesSingle(t *testing.T) {
 			rv.Emit(func(int32) bool { count++; return true })
 			if count == 0 {
 				t.Fatal("reverse view not reusable after an early-stopped Emit")
+			}
+		})
+	}
+}
+
+// buildSharded constructs a populated index: frozen range partition or
+// map-phase stride partition.
+func buildSharded(t *testing.T, p Params, sets [][]uint64, shards int, stride bool) *Sharded {
+	t.Helper()
+	n := len(sets)
+	var sh *Sharded
+	var err error
+	if stride {
+		sh, err = NewShardedStream(p, 7, shards, n)
+	} else {
+		sh, err = NewSharded(p, 7, n, shards)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stride {
+		for i, s := range sets {
+			if err := sh.Insert(int32(i), s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	} else {
+		keys := signKeysFor(sh, sets, 2)
+		if err := sh.BuildFrozen(keys, n, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sh
+}
+
+// TestBackendFanOutMatchesDirect pins every fan-out path of the
+// planner — per-item, batched block sweep, by signature — to the
+// direct candidate stream of one unsharded index, for range and stride
+// partitions at every shard count. hedged=true issues every query
+// twice, from two Query handles racing on separate goroutines over the
+// same index (the concurrent use the Query contract allows); each must
+// reproduce the stream exactly.
+func TestBackendFanOutMatchesDirect(t *testing.T) {
+	const n = 240
+	p := Params{Bands: 6, Rows: 3}
+	sets := testSets(n, 21)
+	probe := []uint64{100, 101, 102, 103, 104}
+	for _, stride := range []bool{false, true} {
+		ref := singleReference(t, p, 7, sets, !stride)
+		wantItems := make([][]int32, n)
+		for i := range wantItems {
+			wantItems[i] = collectCandidates(ref, int32(i))
+		}
+		sig := make([]uint64, p.SignatureLen())
+		ref.Scheme().Sign(probe, sig)
+		var wantSig []int32
+		ref.CandidatesOfSignature(sig, func(o int32) { wantSig = append(wantSig, o) })
+		for _, shards := range []int{1, 2, 4} {
+			for _, hedged := range []bool{false, true} {
+				t.Run(fmt.Sprintf("stride=%v/s=%d/hedged=%v", stride, shards, hedged), func(t *testing.T) {
+					sh := buildSharded(t, p, sets, shards, stride)
+					check := func(q *Query) error {
+						for i := 0; i < n; i++ {
+							if got := collectQueryCandidates(q, int32(i)); !reflect.DeepEqual(wantItems[i], got) {
+								return fmt.Errorf("item %d: want %v, got %v", i, wantItems[i], got)
+							}
+						}
+						var gotSig []int32
+						q.CandidatesOfSignature(sig, func(o int32) { gotSig = append(gotSig, o) })
+						if !reflect.DeepEqual(wantSig, gotSig) {
+							return fmt.Errorf("of-signature: want %v, got %v", wantSig, gotSig)
+						}
+						for _, blockLen := range []int{1, 7, 64} {
+							for lo := 0; lo < n; lo += blockLen {
+								hi := min(lo+blockLen, n)
+								blk := make([]int32, 0, hi-lo)
+								for i := lo; i < hi; i++ {
+									blk = append(blk, int32(i))
+								}
+								got := collectBatch(q, blk)
+								for pos, item := range blk {
+									if !reflect.DeepEqual(wantItems[item], got[pos]) {
+										return fmt.Errorf("block item %d: want %v, got %v", item, wantItems[item], got[pos])
+									}
+								}
+							}
+						}
+						return nil
+					}
+					errs := make([]error, 1)
+					if hedged {
+						errs = make([]error, 2)
+					}
+					var wg sync.WaitGroup
+					for h := range errs {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							errs[h] = check(sh.NewQuery())
+						}()
+					}
+					wg.Wait()
+					for h, err := range errs {
+						if err != nil {
+							t.Fatalf("query handle %d: %v", h, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBackendReverseMatchesDirect pins the reverse-collision view to
+// the direct fan-out: the items it emits for a source set are exactly
+// the union of the sources' Query.Candidates streams (collision is
+// symmetric, and every item shares its own buckets), and a second view
+// over the same index replays the identical emission order.
+func TestBackendReverseMatchesDirect(t *testing.T) {
+	const n = 200
+	p := Params{Bands: 5, Rows: 3}
+	sets := testSets(n, 5)
+	for _, shards := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
+			sh := buildSharded(t, p, sets, shards, false)
+			sources := []int32{0, 3, 17, int32(n - 1)}
+
+			q := sh.NewQuery()
+			want := map[int32]bool{}
+			for _, s := range sources {
+				for _, it := range collectQueryCandidates(q, s) {
+					want[it] = true
+				}
+			}
+			emit := func() []int32 {
+				rv := sh.NewReverse()
+				if rv == nil {
+					t.Fatal("NewReverse returned nil on a frozen index")
+				}
+				for _, s := range sources {
+					rv.AddSource(s)
+				}
+				var out []int32
+				rv.Emit(func(item int32) bool { out = append(out, item); return true })
+				return out
+			}
+			first := emit()
+			got := map[int32]bool{}
+			for _, it := range first {
+				got[it] = true
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("reverse emission: %d distinct items, direct fan-out %d (sets differ)", len(got), len(want))
+			}
+			if again := emit(); !reflect.DeepEqual(first, again) {
+				t.Fatalf("reverse emission not replayable: %v then %v", first, again)
 			}
 		})
 	}
