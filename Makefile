@@ -69,6 +69,9 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReorderIdentity -fuzztime=30s
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzPersistRoundTrip -fuzztime=30s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s
+	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzFreqTable -fuzztime=30s
+	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzNearestScan -fuzztime=30s
+	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzLoadModel -fuzztime=30s
 
 # Warm-start A/B: the cold save-and-scan bootstrap against the mmap and
 # heap warm starts on the 100k/S=4 workload, with the derived headline

@@ -165,10 +165,10 @@ func TestClusterBootstrapModes(t *testing.T) {
 	}
 }
 
-// TestClusterChaosZeroFaultQuiet: a -shards 3 run, whose in-memory
-// shards cannot fail, must report its shards on stderr and otherwise
-// produce the same summary as the unsharded run.
-func TestClusterChaosZeroFaultQuiet(t *testing.T) {
+// TestClusterShardsMatchUnsharded: a -shards 3 run must report its
+// shards on stderr and otherwise produce the same summary as the
+// unsharded run.
+func TestClusterShardsMatchUnsharded(t *testing.T) {
 	in := writeWorkload(t)
 	runOnce := func(extra ...string) (string, string) {
 		var out, errw bytes.Buffer

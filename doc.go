@@ -41,7 +41,8 @@
 //
 //   - Both clustering spaces implement the internal IncrementalSpace
 //     capability: item moves are folded into per-cluster state as they
-//     happen (Huang's frequency-based mode update for K-Modes; running
+//     happen (Huang's frequency-based mode update for K-Modes, over
+//     value-sorted count runs per cluster and attribute; running
 //     counts with a dirty-cluster refresh for K-Means), and only the
 //     clusters whose membership changed have their centroids refreshed
 //     at the end of each pass. The per-iteration objective is maintained
@@ -68,6 +69,12 @@
 //     bands, each band an independent shard owning a contiguous
 //     bucket-ID range (the groundwork for multi-shard serving); and
 //     the exact first assignment shards items like any parallel pass.
+//     Every first assignment — the exact baseline's included — goes
+//     through the space's nearest-centroid capability when it has one:
+//     K-Modes lists, per attribute, the clusters whose mode holds each
+//     value, and walking an item's m lists counts its matches with
+//     every cluster at once, instead of k row comparisons. Exact
+//     passes still compare the item with all k modes, as in the paper.
 //     Results are bit-identical to the serial per-item bootstrap,
 //     which Config.DisableParallelBootstrap retains as the
 //     correctness oracle; per-phase timings land in

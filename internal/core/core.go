@@ -99,6 +99,24 @@ type KernelConfigurable interface {
 	SetScalarKernels(scalar bool)
 }
 
+// NearestScanner is an optional Space capability: an exact scan that
+// assigns items to their nearest of all k centroids for less than k
+// Dissimilarity calls per item (K-Modes counts matches through
+// per-attribute posting lists over its modes). The driver runs every
+// full-scan first assignment through it — the bulk pipeline's, the
+// DisableParallelBootstrap oracle's and the exact baseline's — one
+// ctxPollEvery chunk per call, so cancellation stays bounded. Exact
+// passes still compare every centroid (bestExact): they are the
+// paper's baseline.
+type NearestScanner interface {
+	// NearestScan returns a function that sets out[i], for every i in
+	// [lo, hi), to the cluster nearest to item i over all k with ties
+	// to the lowest index — bestExact(i, −1) under either TieBreak,
+	// with or without EarlyAbandon. The function is valid until the
+	// centroids change; calls on disjoint ranges may run concurrently.
+	NearestScan() func(lo, hi int, out []int32)
+}
+
 // BootstrapMode selects how the initial assignment and the index are
 // produced.
 type BootstrapMode int
@@ -777,26 +795,29 @@ func (d *driver) setAssign(i int, c int32) {
 }
 
 // bootstrapScan runs the exact first assignment over all n items —
-// every item against every centroid, current assignment −1 — sharded
-// across workers goroutines when parallel. Items are independent
-// (Space reads are concurrency-safe, each assignment cell written by
-// one worker), so the result is bit-identical to the serial scan.
-// Moves are not logged: the incremental engine initialises from the
-// complete bootstrap assignment afterwards. Every shard polls
-// Options.Context each ctxPollEvery items and stops early on
-// cancellation; the caller returns the context error, discarding the
-// partial assignment with the run.
+// every item's nearest of all k centroids, current assignment −1 —
+// sharded across workers goroutines when parallel. A NearestScanner
+// space scans through its capability; any other compares every
+// centroid (fullScanRange). Items are independent (Space reads are
+// concurrency-safe, each assignment cell written by one worker), so
+// the result is bit-identical to the serial scan. Moves are not
+// logged: the incremental engine initialises from the complete
+// bootstrap assignment afterwards. Every shard polls Options.Context
+// each ctxPollEvery items and stops early on cancellation; the caller
+// returns the context error, discarding the partial assignment with
+// the run.
 func (d *driver) bootstrapScan(workers int, parallel bool) {
 	if !parallel {
 		workers = 1
 	}
+	scan := func(lo, hi int, out []int32) { d.fullScanRange(lo, hi, out, nil) }
+	if ns, ok := d.space.(NearestScanner); ok {
+		scan = ns.NearestScan()
+	}
 	par.Ranges(d.n, workers, func(lo, hi int) {
 		for next := lo; next < hi; {
-			end := next + ctxPollEvery
-			if end > hi {
-				end = hi
-			}
-			d.fullScanRange(next, end, d.assign, nil)
+			end := min(next+ctxPollEvery, hi)
+			scan(next, end, d.assign)
 			next = end
 			if ctxErr(d.opts.Context) != nil {
 				return

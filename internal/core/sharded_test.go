@@ -300,7 +300,7 @@ type fixedShortlistQuerier struct{ buf []int32 }
 func (q fixedShortlistQuerier) Candidates(int32, []int32) []int32 { return q.buf }
 
 // shardedRunWorkload builds the standard 600-item K-Modes space and
-// MinHash accelerator pair the sharded soak, concurrency and
+// MinHash accelerator pair the sharded replay, worker and
 // cancellation tests run over.
 func shardedRunWorkload(t *testing.T) func() (core.Space, *core.MinHashAccelerator) {
 	t.Helper()
@@ -355,12 +355,12 @@ func assertSameRun(t *testing.T, label string, a, b *core.Result, printA, printB
 	}
 }
 
-// TestChaosSoakDeterministic is the sharded soak: a serial run at S=4
-// must replay bit-identically — assignments, final modes, every
+// TestShardedRunReplaysBitIdentically: a serial run at S=4 must
+// replay bit-identically — assignments, final modes, every
 // per-iteration counter and the cross-shard fan-out counters (key
 // probes, bitmap-answered resolutions, owner- and foreign-shard
 // candidates).
-func TestChaosSoakDeterministic(t *testing.T) {
+func TestShardedRunReplaysBitIdentically(t *testing.T) {
 	mk := shardedRunWorkload(t)
 	opts := core.Options{Shards: 4, Workers: 1, MaxIterations: 6}
 	resA, printA := runSharded(t, mk, opts)
@@ -379,12 +379,12 @@ func TestChaosSoakDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosParallelWorkersComplete is the concurrency smoke (run under
-// -race in CI): four deferred pass workers share one S=4 index, each
-// through its own querier. The run must complete, account its
-// cross-shard fan-out, and match the serial deferred run
+// TestShardedDeferredWorkersMatchSerial is the concurrency check (run
+// under -race in CI): four deferred pass workers share one S=4 index,
+// each through its own querier. The run must complete, account its
+// cross-shard fan-out, and match the one-worker deferred run
 // bit-identically.
-func TestChaosParallelWorkersComplete(t *testing.T) {
+func TestShardedDeferredWorkersMatchSerial(t *testing.T) {
 	mk := shardedRunWorkload(t)
 	opts := core.Options{Shards: 4, Update: core.UpdateDeferred, MaxIterations: 5}
 	opts.Workers = 1
@@ -426,12 +426,12 @@ func (q *stallingQuerier) CandidatesBlock(items, assign []int32, emit func(pos i
 	q.IndexQuerier.CandidatesBlock(items, assign, emit)
 }
 
-// TestChaosCancelledRunReturnsPromptly is the stalled-pass
-// cancellation regression at S=4: the first shortlist block of the
+// TestShardedCancelledPassReturnsPromptly is the stalled-pass
+// cancellation check at S=4: the first shortlist block of the
 // first iteration stalls, another goroutine cancels the run context
 // while it does, and Run must return context.Canceled without waiting
 // any stall out.
-func TestChaosCancelledRunReturnsPromptly(t *testing.T) {
+func TestShardedCancelledPassReturnsPromptly(t *testing.T) {
 	space, mh := shardedRunWorkload(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -146,3 +146,46 @@ func BenchmarkHammingPacked100(b *testing.B) {
 		sinkInt = Hamming(px, py)
 	}
 }
+
+// The nearest-centroid scan pair on the kmodes-cold shape: k = 1000
+// centroids of m = 24 attributes over a domain of 200. The scalar
+// reference compares a row with every centroid; the kernel counts its
+// matches through the centroids' posting lists.
+const (
+	benchNearestK      = 1000
+	benchNearestDomain = 200
+)
+
+func benchNearestRows() (centroids, rows []uint32) {
+	rng := rand.New(rand.NewSource(14))
+	centroids = make([]uint32, benchNearestK*benchShort)
+	for i := range centroids {
+		centroids[i] = rng.Uint32() % benchNearestDomain
+	}
+	rows = make([]uint32, 256*benchShort)
+	for i := range rows {
+		rows[i] = rng.Uint32() % benchNearestDomain
+	}
+	return centroids, rows
+}
+
+func BenchmarkNearestScalar(b *testing.B) {
+	centroids, rows := benchNearestRows()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % 256 * benchShort
+		sinkInt = NearestScalar(centroids, rows[off:off+benchShort])
+	}
+}
+
+func BenchmarkNearestKernel(b *testing.B) {
+	centroids, rows := benchNearestRows()
+	p := NewPostings(centroids, benchShort)
+	counts := make([]int32, benchNearestK)
+	touched := make([]int32, benchNearestK)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % 256 * benchShort
+		sinkInt = NearestByPostings(p, rows[off:off+benchShort], counts, touched)
+	}
+}

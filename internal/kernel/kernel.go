@@ -1,7 +1,8 @@
 // Package kernel holds the innermost distance loops of the hot paths —
-// categorical mismatch counting, K-Means squared distance, SimHash dot
-// products and Hamming distance — in two forms each: an optimised
-// kernel (8-way unrolled, branchless, or bit-packed) and a plain scalar
+// categorical mismatch counting, the nearest-centroid scan over
+// categorical centroids, K-Means squared distance, SimHash dot products
+// and Hamming distance — in two forms each: an optimised kernel (8-way
+// unrolled, branchless, bit-packed or value-indexed) and a plain scalar
 // reference carrying the Scalar suffix.
 //
 // The scalar references are the oracles. Every optimised kernel is
@@ -11,6 +12,9 @@
 //     count; counting is order-free, so unrolling cannot change the
 //     result. MismatchesBounded additionally reproduces the reference's
 //     early-exit return value exactly (see its comment).
+//   - NearestByPostings counts matches through per-attribute posting
+//     lists instead of comparing rows; mismatches are m minus matches,
+//     so its lowest-index winner is NearestScalar's.
 //   - The floating-point kernels (SquaredDistance, Dot) unroll the
 //     loads and the subtract/multiply work but keep a single
 //     accumulator updated in the reference's element order, so the

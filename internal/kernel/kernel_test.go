@@ -213,3 +213,50 @@ func FuzzHamming(f *testing.F) {
 		}
 	})
 }
+
+// TestNearestByPostingsMatchesScalar pins the posting-count scan to the
+// per-centroid reference on random centroids and rows, across small
+// domains (ties everywhere), value IDs at the top of the uint32 range,
+// duplicate centroids and rows that match no centroid at all.
+func TestNearestByPostingsMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		k, m := 1+rng.Intn(40), 1+rng.Intn(9)
+		domain := uint32(1 + rng.Intn(6))
+		value := func() uint32 {
+			v := rng.Uint32() % domain
+			if v%2 == 1 {
+				v = ^v // IDs near 2^32−1
+			}
+			return v
+		}
+		centroids := make([]uint32, k*m)
+		for i := range centroids {
+			centroids[i] = value()
+		}
+		if k > 1 && trial%3 == 0 {
+			copy(centroids[(k-1)*m:], centroids[:m]) // a duplicate centroid
+		}
+		p := NewPostings(centroids, m)
+		counts := make([]int32, k)
+		touched := make([]int32, k)
+		row := make([]uint32, m)
+		for r := 0; r < 20; r++ {
+			for a := range row {
+				row[a] = value()
+				if r == 0 {
+					row[a] = 3 // odd IDs are complemented, so no centroid holds 3
+				}
+			}
+			want := NearestScalar(centroids, row)
+			if got := NearestByPostings(p, row, counts, touched); got != want {
+				t.Fatalf("k=%d m=%d row %v: NearestByPostings = %d, scalar %d", k, m, row, got, want)
+			}
+			for c, n := range counts {
+				if n != 0 {
+					t.Fatalf("counts[%d] = %d left behind", c, n)
+				}
+			}
+		}
+	}
+}

@@ -72,3 +72,26 @@ func BenchmarkFreqTableMove(b *testing.B) {
 		ft.Move(to, from, ds.Row(item))
 	}
 }
+
+// BenchmarkFreqTableBuild prices BeginIncremental's one-pass table
+// build on the kmodes-cold shape: 100k items × 24 attributes over a
+// domain of 200, k = 1000, from the exact first assignment.
+func BenchmarkFreqTableBuild(b *testing.B) {
+	ds, err := datagen.Generate(datagen.Config{
+		Items: 100_000, Clusters: 1000, Attrs: 24, Domain: 200, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSpace(ds, Config{K: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := make([]int32, ds.NumItems())
+	s.NearestScan()(0, len(assign), assign)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.BeginIncremental(assign, false)
+	}
+}

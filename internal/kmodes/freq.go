@@ -1,36 +1,166 @@
 package kmodes
 
-import "lshcluster/internal/dataset"
+import (
+	"slices"
+
+	"lshcluster/internal/dataset"
+)
 
 // FreqTable maintains per-cluster per-attribute value frequencies and
 // the induced modes *incrementally* — Huang's "frequency based updating
 // of modes" (paper §III-A1) — so that moving one item between clusters
-// updates both affected modes in O(m) amortised instead of recomputing
-// from members.
+// updates both affected modes without recomputing them from members.
+//
+// Each (cluster, attribute) cell is a run of (value, count) entries
+// sorted by value, and the table caches the count of each cell's mode.
+// An update costs one binary search per attribute; a cell is rescanned
+// only when the count of its mode value drops. Memory is one entry per
+// distinct value a cell has seen, whatever the value IDs are.
 //
 // The maintained mode matches Space.RecomputeCentroids exactly: per
 // attribute, the most frequent value among members, ties to the smallest
 // value ID. An empty cluster keeps its last mode (the KeepMode policy).
 type FreqTable struct {
-	k, m   int
-	counts []map[dataset.Value]int32 // k·m maps, indexed c·m+a
-	modes  []dataset.Value           // k·m current argmax values
-	sizes  []int32
+	k, m  int
+	cells [][]freqEntry   // k·m value-sorted runs, indexed c·m+a
+	modes []dataset.Value // k·m current argmax values
+	// modeN[j] is the count of modes[j] in cell j, 0 when the value is
+	// absent — an emptied cell, or a SetMode placeholder no member holds.
+	modeN []int32
+	sizes []int32
+}
+
+// freqEntry is one value's member count within a cell.
+type freqEntry struct {
+	v dataset.Value
+	n int32
 }
 
 // NewFreqTable creates an empty table for k clusters over m attributes.
 func NewFreqTable(k, m int) *FreqTable {
-	t := &FreqTable{
-		k:      k,
-		m:      m,
-		counts: make([]map[dataset.Value]int32, k*m),
-		modes:  make([]dataset.Value, k*m),
-		sizes:  make([]int32, k),
+	return &FreqTable{
+		k:     k,
+		m:     m,
+		cells: make([][]freqEntry, k*m),
+		modes: make([]dataset.Value, k*m),
+		modeN: make([]int32, k*m),
+		sizes: make([]int32, k),
 	}
-	for i := range t.counts {
-		t.counts[i] = make(map[dataset.Value]int32)
+}
+
+// buildFreqTable builds the table for a complete assignment of ds's
+// items to k clusters in one pass instead of n·m Adds: it counting-sorts
+// the items by cluster, sorts each cluster's member columns and
+// run-lengths them into an arena of exactly the needed size. Every cell
+// comes out as the Adds would leave it; a cluster without members keeps
+// its mode from modes (k·m), the placeholder an empty cluster keeps. No
+// scratch is sized by value ID, only by the largest cluster.
+//
+// Each cluster gets an arena of its own. One arena for the whole table
+// is a single multi-megabyte allocation: on the 100k-item cold run it
+// read 3–6% more peak RSS, as idle heap pages grew, where per-cluster
+// arenas kept it level with the map-based table.
+func buildFreqTable(ds *dataset.Dataset, assign []int32, k int, modes []dataset.Value) *FreqTable {
+	m := ds.NumAttrs()
+	t := NewFreqTable(k, m)
+	copy(t.modes, modes)
+	start := make([]int32, k+1) // cluster c's members are members[start[c]:start[c+1]]
+	largest := int32(0)
+	for _, c := range assign {
+		start[c+1]++
+	}
+	for c := 0; c < k; c++ {
+		t.sizes[c] = start[c+1]
+		largest = max(largest, start[c+1])
+		start[c+1] += start[c]
+	}
+	members := make([]int32, len(assign))
+	next := slices.Clone(start[:k])
+	for i, c := range assign {
+		members[next[c]] = int32(i)
+		next[c]++
+	}
+	// cols holds one cluster's member columns, attribute-major; runs
+	// collects the cluster's cells before they move to its arena.
+	cols := make([]dataset.Value, int(largest)*m)
+	buf := make([]dataset.Value, largest)
+	var runs []freqEntry
+	ends := make([]int, m)
+	for c := 0; c < k; c++ {
+		items := members[start[c]:start[c+1]]
+		size := len(items)
+		if size == 0 {
+			continue
+		}
+		for j, it := range items {
+			for a, v := range ds.Row(int(it)) {
+				cols[a*size+j] = v
+			}
+		}
+		runs = runs[:0]
+		for a := 0; a < m; a++ {
+			j := c*m + a
+			col := cols[a*size : (a+1)*size]
+			sortValues(col, buf)
+			for lo := 0; lo < len(col); {
+				hi := lo + 1
+				for hi < len(col) && col[hi] == col[lo] {
+					hi++
+				}
+				n := int32(hi - lo)
+				runs = append(runs, freqEntry{col[lo], n})
+				// Ascending values: the first highest count has the
+				// smallest ID.
+				if n > t.modeN[j] {
+					t.modes[j], t.modeN[j] = col[lo], n
+				}
+				lo = hi
+			}
+			ends[a] = len(runs)
+		}
+		// A full cap makes a cell's first insert move it off the arena
+		// instead of overwriting its neighbour.
+		arena, first := slices.Clone(runs), 0
+		for a, end := range ends {
+			t.cells[c*m+a] = arena[first:end:end]
+			first = end
+		}
 	}
 	return t
+}
+
+// sortValues sorts col in place: a least-significant-digit radix sort
+// over the values' bytes, ping-ponging through buf (at least len(col)
+// long). A byte on which every value agrees costs no pass, so small
+// value IDs sort in one.
+func sortValues(col, buf []dataset.Value) {
+	and, or := ^dataset.Value(0), dataset.Value(0)
+	for _, v := range col {
+		and &= v
+		or |= v
+	}
+	src, dst := col, buf[:len(col)]
+	for shift := 0; shift < 32; shift += 8 {
+		if (and^or)>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int32
+		for _, v := range src {
+			at[v>>shift&0xff]++
+		}
+		sum := int32(0)
+		for b, n := range at {
+			at[b] = sum
+			sum += n
+		}
+		for _, v := range src {
+			b := v >> shift & 0xff
+			dst[at[b]] = v
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(col, src)
 }
 
 // NumClusters returns k.
@@ -54,7 +184,29 @@ func (t *FreqTable) SetMode(c int, mode []dataset.Value) {
 	if len(mode) != t.m {
 		panic("kmodes: SetMode arity mismatch")
 	}
-	copy(t.Mode(c), mode)
+	base := c * t.m
+	for a, v := range mode {
+		t.modes[base+a] = v
+		t.modeN[base+a] = 0
+		if i, ok := search(t.cells[base+a], v); ok {
+			t.modeN[base+a] = t.cells[base+a][i].n
+		}
+	}
+}
+
+// search returns the position of v in the value-sorted cell, or where
+// it would be inserted, and whether it is there.
+func search(cell []freqEntry, v dataset.Value) (int, bool) {
+	lo, hi := 0, len(cell)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if cell[h].v < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(cell) && cell[lo].v == v
 }
 
 // Add registers row as a member of cluster c and updates the mode.
@@ -64,17 +216,7 @@ func (t *FreqTable) Add(c int, row []dataset.Value) {
 	}
 	base := c * t.m
 	for a, v := range row {
-		counts := t.counts[base+a]
-		n := counts[v] + 1
-		counts[v] = n
-		cur := t.modes[base+a]
-		best := counts[cur]
-		// With ≥1 member the mode must be a counted value; adopt v on
-		// strictly higher count, or on ties when v has a smaller ID or
-		// the stored mode is a seeded (uncounted) placeholder.
-		if n > best || (n == best && (v < cur || best == 0)) {
-			t.modes[base+a] = v
-		}
+		t.inc(base+a, v)
 	}
 	t.sizes[c]++
 }
@@ -88,9 +230,9 @@ func (t *FreqTable) Add(c int, row []dataset.Value) {
 //
 // A masked-added row is only partially counted: Remove and Move
 // decrement the full row, so calling either on such a row corrupts the
-// table (counts of never-incremented values go negative). Rows folded
-// in with a mask must be removed or moved with the same mask semantics
-// — or, as in the streaming clusterer, never.
+// table (counts of other members' values drop). Rows folded in with a
+// mask must be removed or moved with the same mask semantics — or, as
+// in the streaming clusterer, never.
 func (t *FreqTable) AddMasked(c int, row []dataset.Value, present []bool) {
 	if present == nil {
 		t.Add(c, row)
@@ -101,19 +243,31 @@ func (t *FreqTable) AddMasked(c int, row []dataset.Value, present []bool) {
 	}
 	base := c * t.m
 	for a, v := range row {
-		if !present[a] {
-			continue
-		}
-		counts := t.counts[base+a]
-		n := counts[v] + 1
-		counts[v] = n
-		cur := t.modes[base+a]
-		best := counts[cur]
-		if n > best || (n == best && (v < cur || best == 0)) {
-			t.modes[base+a] = v
+		if present[a] {
+			t.inc(base+a, v)
 		}
 	}
 	t.sizes[c]++
+}
+
+// inc counts one more v in cell j. Only v's count rises, so the mode
+// changes only if v now beats the mode's cached count, or ties it with
+// a smaller ID (v == mode always beats it, keeping the cache exact). A
+// mode no member holds has count 0, so the first value counted into an
+// emptied or placeholder cell always takes over.
+func (t *FreqTable) inc(j int, v dataset.Value) {
+	cell := t.cells[j]
+	i, ok := search(cell, v)
+	n := int32(1)
+	if ok {
+		cell[i].n++
+		n = cell[i].n
+	} else {
+		t.cells[j] = slices.Insert(cell, i, freqEntry{v, 1})
+	}
+	if n > t.modeN[j] || (n == t.modeN[j] && v < t.modes[j]) {
+		t.modes[j], t.modeN[j] = v, n
+	}
 }
 
 // Remove unregisters row from cluster c and updates the mode. Removing a
@@ -125,17 +279,17 @@ func (t *FreqTable) Remove(c int, row []dataset.Value) {
 	}
 	base := c * t.m
 	for a, v := range row {
-		counts := t.counts[base+a]
-		n := counts[v] - 1
-		if n <= 0 {
-			delete(counts, v)
-		} else {
-			counts[v] = n
+		j := base + a
+		cell := t.cells[j]
+		if i, ok := search(cell, v); ok {
+			if cell[i].n--; cell[i].n == 0 {
+				t.cells[j] = slices.Delete(cell, i, i+1)
+			}
 		}
 		// Only a decrement of the current mode value can change the
-		// argmax; rescan that attribute's map.
-		if t.modes[base+a] == v {
-			t.rescan(c, a)
+		// argmax; rescan that cell.
+		if t.modes[j] == v {
+			t.rescan(j)
 		}
 	}
 	t.sizes[c]--
@@ -150,21 +304,22 @@ func (t *FreqTable) Move(from, to int, row []dataset.Value) {
 	t.Add(to, row)
 }
 
-// rescan recomputes the argmax of (c, a) from the frequency map. An
-// emptied attribute keeps the previous mode value (KeepMode semantics).
-func (t *FreqTable) rescan(c, a int) {
-	counts := t.counts[c*t.m+a]
-	if len(counts) == 0 {
+// rescan recomputes the argmax of cell j: the first highest count in
+// value order is the smallest-ID winner. An emptied cell keeps the
+// previous mode value (KeepMode semantics) with a count of 0.
+func (t *FreqTable) rescan(j int) {
+	cell := t.cells[j]
+	if len(cell) == 0 {
+		t.modeN[j] = 0
 		return
 	}
-	var bestVal dataset.Value
-	var bestCount int32 = -1
-	for v, n := range counts {
-		if n > bestCount || (n == bestCount && v < bestVal) {
-			bestCount, bestVal = n, v
+	best := 0
+	for i := 1; i < len(cell); i++ {
+		if cell[i].n > cell[best].n {
+			best = i
 		}
 	}
-	t.modes[c*t.m+a] = bestVal
+	t.modes[j], t.modeN[j] = cell[best].v, cell[best].n
 }
 
 // Model snapshots the current modes.

@@ -55,6 +55,19 @@ func TestFreqTableEmptyClusterKeepsMode(t *testing.T) {
 	}
 }
 
+// TestFreqTableRefillAfterEmpty: an emptied cell keeps its mode, but
+// no member holds it any more, so the next value added takes over even
+// when its ID is larger.
+func TestFreqTableRefillAfterEmpty(t *testing.T) {
+	ft := NewFreqTable(1, 1)
+	ft.Add(0, []dataset.Value{4})
+	ft.Remove(0, []dataset.Value{4})
+	ft.Add(0, []dataset.Value{9})
+	if ft.Mode(0)[0] != 9 {
+		t.Fatalf("refilled cell mode = %v, want 9", ft.Mode(0))
+	}
+}
+
 func TestFreqTableSetMode(t *testing.T) {
 	ft := NewFreqTable(1, 2)
 	ft.SetMode(0, []dataset.Value{8, 9})

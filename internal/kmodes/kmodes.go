@@ -62,15 +62,17 @@ type Space struct {
 	// (core.IncrementalSpace); nil until BeginIncremental.
 	inc *incremental
 
-	// scalarKernels routes distance evaluations through the scalar
-	// reference kernels instead of the unrolled ones — the oracle the
-	// kernel equivalence runs compare against (core.KernelConfigurable).
+	// scalarKernels routes distance evaluations and the nearest scan
+	// through the scalar reference kernels instead of the optimised
+	// ones — the oracle the kernel equivalence runs compare against
+	// (core.KernelConfigurable).
 	scalarKernels bool
 }
 
-// SetScalarKernels switches the space between the unrolled mismatch
-// kernels (false, the default) and their scalar references (true, the
-// bit-identical oracle). Set before a run, not during one.
+// SetScalarKernels switches the space between the optimised kernels —
+// unrolled mismatch counts and the posting scan of NearestScan (false,
+// the default) — and their scalar references (true, the bit-identical
+// oracle). Set before a run, not during one.
 func (s *Space) SetScalarKernels(scalar bool) { s.scalarKernels = scalar }
 
 // mismatches counts full-row mismatches through the configured kernel.

@@ -68,7 +68,8 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if wire.Version != 1 {
 		return nil, fmt.Errorf("kmodes: unsupported model version %d", wire.Version)
 	}
-	if wire.K < 1 || wire.M < 1 || len(wire.Modes) != wire.K*wire.M {
+	// K·M can overflow int, so the length is divided, never multiplied.
+	if wire.K < 1 || wire.M < 1 || len(wire.Modes)%wire.M != 0 || len(wire.Modes)/wire.M != wire.K {
 		return nil, fmt.Errorf("kmodes: corrupt model (k=%d m=%d len=%d)", wire.K, wire.M, len(wire.Modes))
 	}
 	m := &Model{K: wire.K, M: wire.M, Modes: make([]dataset.Value, len(wire.Modes))}
