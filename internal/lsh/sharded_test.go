@@ -374,14 +374,14 @@ func buildSharded(t *testing.T, p Params, sets [][]uint64, shards int, stride bo
 	return sh
 }
 
-// TestShardedFanOutMatchesUnsharded pins every fan-out path of the
+// TestBackendFanOutMatchesDirect pins every fan-out path of the
 // planner — per-item, batched block sweep, by signature — to the
-// candidate stream of one unsharded index, for range and stride
+// direct candidate stream of one unsharded index, for range and stride
 // partitions at every shard count. hedged=true issues every query
 // twice, from two Query handles racing on separate goroutines over the
 // same index (the concurrent use the Query contract allows); each must
 // reproduce the stream exactly.
-func TestShardedFanOutMatchesUnsharded(t *testing.T) {
+func TestBackendFanOutMatchesDirect(t *testing.T) {
 	const n = 240
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
