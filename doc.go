@@ -41,8 +41,8 @@
 //
 //   - Both clustering spaces implement the internal IncrementalSpace
 //     capability: item moves are folded into per-cluster state as they
-//     happen (Huang's frequency-based mode update for K-Modes, over
-//     value-sorted count runs per cluster and attribute; running
+//     happen (Huang's frequency-based mode update for K-Modes, over a
+//     small hash table of value counts per cluster and attribute; running
 //     counts with a dirty-cluster refresh for K-Means), and only the
 //     clusters whose membership changed have their centroids refreshed
 //     at the end of each pass. The per-iteration objective is maintained
@@ -73,8 +73,11 @@
 //     through the space's nearest-centroid capability when it has one:
 //     K-Modes lists, per attribute, the clusters whose mode holds each
 //     value, and walking an item's m lists counts its matches with
-//     every cluster at once, instead of k row comparisons. Exact
-//     passes still compare the item with all k modes, as in the paper.
+//     every cluster at once, instead of k row comparisons. Where the
+//     lists would be long — few values per attribute, or one value
+//     most modes share, as in binary bag-of-words data — it compares
+//     the item with every mode instead. Exact passes always compare
+//     the item with all k modes, as in the paper.
 //     Results are bit-identical to the serial per-item bootstrap,
 //     which Config.DisableParallelBootstrap retains as the
 //     correctness oracle; per-phase timings land in

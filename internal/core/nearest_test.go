@@ -11,6 +11,7 @@ import (
 
 	"lshcluster/internal/core"
 	"lshcluster/internal/dataset"
+	"lshcluster/internal/kernel"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
 )
@@ -29,19 +30,31 @@ func (s *firstAssignSpace) BeginIncremental(assign []int32, trackCost bool) {
 }
 
 // TestFirstScanKnobMatrix runs K-Modes, exact and MinHash-accelerated,
-// on a dataset where most items sit at the same distance from several
+// on datasets where most items sit at the same distance from several
 // modes, so the first assignment is mostly tie-breaking. Under each
 // TieBreak, every combination of ScalarKernels, EarlyAbandon, Workers
 // {1, 2} and DisableParallelBootstrap must give the same run:
 // assignments, final modes and per-iteration counters. Every run's
 // first assignment must be the lowest-index argmin over Dissimilarity,
-// whatever the TieBreak.
+// whatever the TieBreak. The three-value dataset takes the posting
+// scan; the binary one, mostly 0, makes the postings unselective and
+// takes the per-mode loop.
 func TestFirstScanKnobMatrix(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		t.Run(fmt.Sprintf("binary=%v", binary), func(t *testing.T) { testFirstScanKnobs(t, binary) })
+	}
+}
+
+func testFirstScanKnobs(t *testing.T, binary bool) {
 	const n, m, k = 480, 6, 48
 	rng := rand.New(rand.NewSource(3))
 	values := make([]dataset.Value, n*m)
 	for i := range values {
-		values[i] = dataset.Value(rng.Intn(3))
+		if binary {
+			values[i] = dataset.Value(rng.Intn(10) / 9)
+		} else {
+			values[i] = dataset.Value(rng.Intn(3))
+		}
 	}
 	ds, err := dataset.New(make([]string, m), values, nil, nil)
 	if err != nil {
@@ -55,6 +68,13 @@ func TestFirstScanKnobMatrix(t *testing.T) {
 		return s
 	}
 	ref := newSpace()
+	var modes []dataset.Value
+	for c := 0; c < k; c++ {
+		modes = append(modes, ref.Mode(c)...)
+	}
+	if kernel.NewPostings(modes, m).Selective() == binary {
+		t.Fatalf("binary=%v: postings selective = %v", binary, !binary)
+	}
 	want := make([]int32, n)
 	ties := 0
 	for i := range want {

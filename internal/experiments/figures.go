@@ -327,7 +327,7 @@ func printSeries(w io.Writer, title string, runs []*runstats.Run, col func(runst
 // printTotals renders a total-time bar-chart equivalent with speedups
 // against the baseline, and a note on what the baseline compares: its
 // passes are the paper's exact per-centroid loop, but its first
-// assignment shares the accelerated runs' posting scan.
+// assignment shares the accelerated runs' nearest-mode scan.
 func printTotals(w io.Writer, cmp *Comparison) {
 	base := cmp.BaselineRun()
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -342,7 +342,7 @@ func printTotals(w io.Writer, cmp *Comparison) {
 			r.Total().Round(time.Millisecond), speed)
 	}
 	tw.Flush()
-	fmt.Fprintln(w, "note: every run's first assignment, the exact baseline's included, uses the posting scan; exact passes compare every centroid, as in the paper.")
+	fmt.Fprintln(w, "note: every run's first assignment, the exact baseline's included, uses the nearest-mode scan (mode postings, or every mode when they are not selective); exact passes compare every centroid, as in the paper.")
 }
 
 // printPurity renders the purity bars of Figures 8 and 9e.

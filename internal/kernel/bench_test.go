@@ -147,45 +147,76 @@ func BenchmarkHammingPacked100(b *testing.B) {
 	}
 }
 
-// The nearest-centroid scan pair on the kmodes-cold shape: k = 1000
-// centroids of m = 24 attributes over a domain of 200. The scalar
-// reference compares a row with every centroid; the kernel counts its
-// matches through the centroids' posting lists.
-const (
-	benchNearestK      = 1000
-	benchNearestDomain = 200
+// The nearest-centroid scans on two shapes. On the kmodes-cold shape —
+// k = 1000 centroids of m = 24 attributes over a domain of 200 — the
+// postings are selective: the scalar reference and the unrolled loop
+// compare a row with every centroid, the posting kernel counts its
+// matches through the centroids' posting lists. On the binary shape —
+// k = 300 centroids of m = 400 attributes, 97% of them 0, like the
+// bag-of-words rows of the text workload — nearly every centroid shares
+// each row's 0s, the lists are long, and NearestScan runs the unrolled
+// loop instead; the Binary pair times both to show why.
+type nearestShape struct {
+	k, m   int
+	values func(rng *rand.Rand) uint32
+}
+
+var (
+	nearestCold = nearestShape{1000, benchShort, func(rng *rand.Rand) uint32 {
+		return rng.Uint32() % 200
+	}}
+	nearestBinary = nearestShape{300, 400, func(rng *rand.Rand) uint32 {
+		if rng.Intn(100) < 3 {
+			return 1
+		}
+		return 0
+	}}
 )
 
-func benchNearestRows() (centroids, rows []uint32) {
+const nearestRows = 256
+
+func (sh nearestShape) rows() (centroids, rows []uint32) {
 	rng := rand.New(rand.NewSource(14))
-	centroids = make([]uint32, benchNearestK*benchShort)
+	centroids = make([]uint32, sh.k*sh.m)
 	for i := range centroids {
-		centroids[i] = rng.Uint32() % benchNearestDomain
+		centroids[i] = sh.values(rng)
 	}
-	rows = make([]uint32, 256*benchShort)
+	rows = make([]uint32, nearestRows*sh.m)
 	for i := range rows {
-		rows[i] = rng.Uint32() % benchNearestDomain
+		rows[i] = sh.values(rng)
 	}
 	return centroids, rows
 }
 
-func BenchmarkNearestScalar(b *testing.B) {
-	centroids, rows := benchNearestRows()
+func benchNearestLoop(b *testing.B, sh nearestShape, fn func(centroids, row []uint32) int) {
+	centroids, rows := sh.rows()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off := i % 256 * benchShort
-		sinkInt = NearestScalar(centroids, rows[off:off+benchShort])
+		off := i % nearestRows * sh.m
+		sinkInt = fn(centroids, rows[off:off+sh.m])
 	}
 }
 
-func BenchmarkNearestKernel(b *testing.B) {
-	centroids, rows := benchNearestRows()
-	p := NewPostings(centroids, benchShort)
-	counts := make([]int32, benchNearestK)
-	touched := make([]int32, benchNearestK)
+func benchNearestPostings(b *testing.B, sh nearestShape) {
+	centroids, rows := sh.rows()
+	p := NewPostings(centroids, sh.m)
+	counts := make([]int32, sh.k)
+	touched := make([]int32, sh.k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off := i % 256 * benchShort
-		sinkInt = NearestByPostings(p, rows[off:off+benchShort], counts, touched)
+		off := i % nearestRows * sh.m
+		sinkInt = NearestByPostings(p, rows[off:off+sh.m], counts, touched)
 	}
 }
+
+func BenchmarkNearestScalar(b *testing.B) {
+	benchNearestLoop(b, nearestCold, NearestScalar[uint32])
+}
+func BenchmarkNearestUnrolled(b *testing.B) {
+	benchNearestLoop(b, nearestCold, Nearest[uint32])
+}
+func BenchmarkNearestKernel(b *testing.B) { benchNearestPostings(b, nearestCold) }
+func BenchmarkNearestUnrolledBinary(b *testing.B) {
+	benchNearestLoop(b, nearestBinary, Nearest[uint32])
+}
+func BenchmarkNearestKernelBinary(b *testing.B) { benchNearestPostings(b, nearestBinary) }

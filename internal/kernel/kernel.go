@@ -12,9 +12,10 @@
 //     count; counting is order-free, so unrolling cannot change the
 //     result. MismatchesBounded additionally reproduces the reference's
 //     early-exit return value exactly (see its comment).
-//   - NearestByPostings counts matches through per-attribute posting
+//   - Nearest is NearestScalar's loop over Mismatches.
+//     NearestByPostings counts matches through per-attribute posting
 //     lists instead of comparing rows; mismatches are m minus matches,
-//     so its lowest-index winner is NearestScalar's.
+//     so its lowest-index winner is NearestScalar's too.
 //   - The floating-point kernels (SquaredDistance, Dot) unroll the
 //     loads and the subtract/multiply work but keep a single
 //     accumulator updated in the reference's element order, so the

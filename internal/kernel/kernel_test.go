@@ -214,11 +214,12 @@ func FuzzHamming(f *testing.F) {
 	})
 }
 
-// TestNearestByPostingsMatchesScalar pins the posting-count scan to the
-// per-centroid reference on random centroids and rows, across small
-// domains (ties everywhere), value IDs at the top of the uint32 range,
-// duplicate centroids and rows that match no centroid at all.
-func TestNearestByPostingsMatchesScalar(t *testing.T) {
+// TestNearestScansMatchScalar pins the posting-count scan and the
+// unrolled per-centroid loop to the scalar reference on random
+// centroids and rows, across small domains (ties everywhere), value IDs
+// at the top of the uint32 range, duplicate centroids and rows that
+// match no centroid at all.
+func TestNearestScansMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
 		k, m := 1+rng.Intn(40), 1+rng.Intn(9)
@@ -252,11 +253,46 @@ func TestNearestByPostingsMatchesScalar(t *testing.T) {
 			if got := NearestByPostings(p, row, counts, touched); got != want {
 				t.Fatalf("k=%d m=%d row %v: NearestByPostings = %d, scalar %d", k, m, row, got, want)
 			}
+			if got := Nearest(centroids, row); got != want {
+				t.Fatalf("k=%d m=%d row %v: Nearest = %d, scalar %d", k, m, row, got, want)
+			}
 			for c, n := range counts {
 				if n != 0 {
 					t.Fatalf("counts[%d] = %d left behind", c, n)
 				}
 			}
 		}
+	}
+}
+
+// TestPostingsSelective checks the index's cost estimate at both ends:
+// centroids spread over many values make short lists, binary centroids
+// that are mostly 0 make the 0 list hold nearly every centroid, and
+// exactly half of the k·m entries is not yet selective.
+func TestPostingsSelective(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const k, m = 100, 8
+	spread := make([]uint32, k*m)
+	binary := make([]uint32, k*m)
+	for i := range spread {
+		spread[i] = rng.Uint32() % 200
+		if rng.Intn(20) == 0 {
+			binary[i] = 1
+		}
+	}
+	if !NewPostings(spread, m).Selective() {
+		t.Error("200-value centroids: postings not selective")
+	}
+	if NewPostings(binary, m).Selective() {
+		t.Error("mostly-0 binary centroids: postings selective")
+	}
+	// Two values, each held by half the centroids: 2·(k/2)² entries
+	// walked per attribute, k²/2 — half of k·m·k, on the boundary.
+	half := make([]uint32, k*m)
+	for i := range half {
+		half[i] = uint32(i / m % 2)
+	}
+	if NewPostings(half, m).Selective() {
+		t.Error("two equal lists per attribute: postings selective")
 	}
 }

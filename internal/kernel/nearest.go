@@ -17,6 +17,9 @@ type Postings[E ~uint32] struct {
 	// holding vals[j].
 	listStart []int32
 	lists     []int32
+	// selective records whether the index beats row comparisons (see
+	// Selective).
+	selective bool
 }
 
 // NewPostings indexes k = len(rows)/m centroid rows stored row-major.
@@ -44,8 +47,26 @@ func NewPostings[E ~uint32](rows []E, m int) *Postings[E] {
 		p.attrStart[a+1] = int32(len(p.vals))
 	}
 	p.listStart = append(p.listStart, int32(len(p.lists)))
+	// A row whose values are spread like the centroids' holds a value
+	// shared by l centroids with probability l/k, and then walks its l
+	// entries: Σl²/k entries per row in all. Nearest compares k·m values
+	// per row; an entry costs about twice a compared value.
+	walk := 0
+	for j := 0; j+1 < len(p.listStart); j++ {
+		l := int(p.listStart[j+1] - p.listStart[j])
+		walk += l * l
+	}
+	p.selective = 2*walk < k*k*m
 	return p
 }
+
+// Selective reports whether NearestByPostings is expected to beat
+// Nearest on rows whose values are spread like the centroids': whether
+// such a row walks fewer than half of the k·m entries Nearest compares.
+// Attributes with few values, or one value most centroids share — the 0
+// of a binary bag-of-words column — make the lists long and the index
+// unselective.
+func (p *Postings[E]) Selective() bool { return p.selective }
 
 // NearestByPostings returns the centroid of p nearest to row under the
 // categorical mismatch count: the one sharing the most attribute values
@@ -92,10 +113,26 @@ func NearestByPostings[E ~uint32](p *Postings[E], row []E, counts, touched []int
 	return best
 }
 
-// NearestScalar is the scalar reference for NearestByPostings: the
-// per-comparison loop it replaces. It compares row with each of the
-// len(rows)/len(row) centroid rows (row-major) in ascending order and
-// keeps the first strict minimum of MismatchesScalar.
+// Nearest returns the centroid nearest to row among the len(rows)/len(row)
+// centroid rows (row-major) under the categorical mismatch count, ties
+// to the lowest index: it compares row with each centroid in ascending
+// order through Mismatches and keeps the first strict minimum. It is
+// the scan for inputs whose postings are not Selective.
+//
+//lshvet:noescape
+func Nearest[E ~uint32](rows, row []E) int {
+	m := len(row)
+	best, bestD := 0, m+1
+	for c, off := 0, 0; off+m <= len(rows) && m > 0; c, off = c+1, off+m {
+		if d := Mismatches(row, rows[off:off+m:off+m]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// NearestScalar is the scalar reference for Nearest and
+// NearestByPostings: Nearest's loop over MismatchesScalar.
 //
 //lshvet:noescape
 func NearestScalar[E ~uint32](rows, row []E) int {

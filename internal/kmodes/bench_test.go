@@ -51,31 +51,39 @@ func BenchmarkRecomputeCentroids(b *testing.B) {
 	}
 }
 
-func BenchmarkFreqTableMove(b *testing.B) {
+func BenchmarkFreqTableMove(b *testing.B) { benchFreqTableMove(b, 1000, 100, 50) }
+
+// BenchmarkFreqTableMoveFewClusters moves items between k = 10 clusters
+// of 10,000 members over a domain of 40,000, where each cell holds
+// thousands of distinct values: an update must not cost in proportion
+// to them.
+func BenchmarkFreqTableMoveFewClusters(b *testing.B) { benchFreqTableMove(b, 100_000, 10, 24) }
+
+func benchFreqTableMove(b *testing.B, n, k, m int) {
 	ds, err := datagen.Generate(datagen.Config{
-		Items: 1000, Clusters: 100, Attrs: 50, Domain: 40000, Seed: 3,
+		Items: n, Clusters: k, Attrs: m, Domain: 40000, Seed: 3,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ft := NewFreqTable(100, 50)
-	for i := 0; i < 1000; i++ {
-		ft.Add(i%100, ds.Row(i))
+	ft := NewFreqTable(k, m)
+	for i := 0; i < n; i++ {
+		ft.Add(i%k, ds.Row(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		item := i % 1000
-		from := item % 100
-		to := (item + 1) % 100
+		item := i % n
+		from := item % k
+		to := (item + 1) % k
 		ft.Move(from, to, ds.Row(item))
 		ft.Move(to, from, ds.Row(item))
 	}
 }
 
-// BenchmarkFreqTableBuild prices BeginIncremental's one-pass table
-// build on the kmodes-cold shape: 100k items × 24 attributes over a
-// domain of 200, k = 1000, from the exact first assignment.
+// BenchmarkFreqTableBuild prices BeginIncremental's table build, one
+// Add per item, on the kmodes-cold shape: 100k items × 24 attributes
+// over a domain of 200, k = 1000, from the exact first assignment.
 func BenchmarkFreqTableBuild(b *testing.B) {
 	ds, err := datagen.Generate(datagen.Config{
 		Items: 100_000, Clusters: 1000, Attrs: 24, Domain: 200, Seed: 1,

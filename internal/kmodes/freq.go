@@ -11,18 +11,21 @@ import (
 // of modes" (paper §III-A1) — so that moving one item between clusters
 // updates both affected modes without recomputing them from members.
 //
-// Each (cluster, attribute) cell is a run of (value, count) entries
-// sorted by value, and the table caches the count of each cell's mode.
-// An update costs one binary search per attribute; a cell is rescanned
-// only when the count of its mode value drops. Memory is one entry per
-// distinct value a cell has seen, whatever the value IDs are.
+// Each (cluster, attribute) cell is a small open-addressed hash table of
+// (value, count) entries — linear probing, at most 3/4 full, a zero
+// count marking a free slot — and the table caches the count of each
+// cell's mode. An update costs one expected-O(1) probe per attribute
+// however many distinct values a cell holds; a cell is rescanned only
+// when the count of its mode value drops. Memory is at most four slots
+// per distinct value a cell holds, whatever the value IDs are.
 //
 // The maintained mode matches Space.RecomputeCentroids exactly: per
 // attribute, the most frequent value among members, ties to the smallest
 // value ID. An empty cluster keeps its last mode (the KeepMode policy).
 type FreqTable struct {
 	k, m  int
-	cells [][]freqEntry   // k·m value-sorted runs, indexed c·m+a
+	cells [][]freqEntry   // k·m tables, indexed c·m+a; nil or a power-of-two length
+	live  []int32         // entries in each cell
 	modes []dataset.Value // k·m current argmax values
 	// modeN[j] is the count of modes[j] in cell j, 0 when the value is
 	// absent — an emptied cell, or a SetMode placeholder no member holds.
@@ -30,7 +33,8 @@ type FreqTable struct {
 	sizes []int32
 }
 
-// freqEntry is one value's member count within a cell.
+// freqEntry is one value's member count within a cell; n == 0 marks a
+// free slot.
 type freqEntry struct {
 	v dataset.Value
 	n int32
@@ -42,125 +46,80 @@ func NewFreqTable(k, m int) *FreqTable {
 		k:     k,
 		m:     m,
 		cells: make([][]freqEntry, k*m),
+		live:  make([]int32, k*m),
 		modes: make([]dataset.Value, k*m),
 		modeN: make([]int32, k*m),
 		sizes: make([]int32, k),
 	}
 }
 
-// buildFreqTable builds the table for a complete assignment of ds's
-// items to k clusters in one pass instead of n·m Adds: it counting-sorts
-// the items by cluster, sorts each cluster's member columns and
-// run-lengths them into an arena of exactly the needed size. Every cell
-// comes out as the Adds would leave it; a cluster without members keeps
-// its mode from modes (k·m), the placeholder an empty cluster keeps. No
-// scratch is sized by value ID, only by the largest cluster.
-//
-// Each cluster gets an arena of its own. One arena for the whole table
-// is a single multi-megabyte allocation: on the 100k-item cold run it
-// read 3–6% more peak RSS, as idle heap pages grew, where per-cluster
-// arenas kept it level with the map-based table.
-func buildFreqTable(ds *dataset.Dataset, assign []int32, k int, modes []dataset.Value) *FreqTable {
-	m := ds.NumAttrs()
-	t := NewFreqTable(k, m)
-	copy(t.modes, modes)
-	start := make([]int32, k+1) // cluster c's members are members[start[c]:start[c+1]]
-	largest := int32(0)
+// addAll adds every item of ds to its cluster in assign, leaving the
+// counts and modes n·m Adds would, on a table no item was added to yet.
+// It groups the items by cluster and counts each member column of a
+// cluster in a scratch table, then copies the counts into a cell table
+// of its final size — no table grows, and the scratch is sized by the
+// largest cluster, never by value ID.
+func (t *FreqTable) addAll(ds *dataset.Dataset, assign []int32) {
+	start := make([]int32, t.k+1) // cluster c's members are members[start[c]:start[c+1]]
 	for _, c := range assign {
 		start[c+1]++
 	}
-	for c := 0; c < k; c++ {
+	largest := int32(0)
+	for c := 0; c < t.k; c++ {
 		t.sizes[c] = start[c+1]
 		largest = max(largest, start[c+1])
 		start[c+1] += start[c]
 	}
 	members := make([]int32, len(assign))
-	next := slices.Clone(start[:k])
+	next := slices.Clone(start[:t.k])
 	for i, c := range assign {
 		members[next[c]] = int32(i)
 		next[c]++
 	}
-	// cols holds one cluster's member columns, attribute-major; runs
-	// collects the cluster's cells before they move to its arena.
-	cols := make([]dataset.Value, int(largest)*m)
-	buf := make([]dataset.Value, largest)
-	var runs []freqEntry
-	ends := make([]int, m)
-	for c := 0; c < k; c++ {
+	scratch := make([]freqEntry, tableLen(int(largest)))
+	used := make([]int32, largest) // the scratch slots holding a value
+	for c := 0; c < t.k; c++ {
 		items := members[start[c]:start[c+1]]
-		size := len(items)
-		if size == 0 {
-			continue
+		if len(items) == 0 {
+			continue // its cells stay empty, keeping the placeholder mode
 		}
-		for j, it := range items {
-			for a, v := range ds.Row(int(it)) {
-				cols[a*size+j] = v
-			}
-		}
-		runs = runs[:0]
-		for a := 0; a < m; a++ {
-			j := c*m + a
-			col := cols[a*size : (a+1)*size]
-			sortValues(col, buf)
-			for lo := 0; lo < len(col); {
-				hi := lo + 1
-				for hi < len(col) && col[hi] == col[lo] {
-					hi++
+		tab := scratch[:tableLen(len(items))]
+		for a := 0; a < t.m; a++ {
+			live := 0
+			for _, it := range items {
+				v := ds.Row(int(it))[a]
+				i, ok := slot(tab, v)
+				if !ok {
+					tab[i].v = v
+					used[live] = int32(i)
+					live++
 				}
-				n := int32(hi - lo)
-				runs = append(runs, freqEntry{col[lo], n})
-				// Ascending values: the first highest count has the
-				// smallest ID.
-				if n > t.modeN[j] {
-					t.modes[j], t.modeN[j] = col[lo], n
-				}
-				lo = hi
+				tab[i].n++
 			}
-			ends[a] = len(runs)
-		}
-		// A full cap makes a cell's first insert move it off the arena
-		// instead of overwriting its neighbour.
-		arena, first := slices.Clone(runs), 0
-		for a, end := range ends {
-			t.cells[c*m+a] = arena[first:end:end]
-			first = end
+			j := c*t.m + a
+			cell := make([]freqEntry, tableLen(live))
+			for _, i := range used[:live] {
+				e := tab[i]
+				tab[i] = freqEntry{}
+				p, _ := slot(cell, e.v)
+				cell[p] = e
+				if e.n > t.modeN[j] || (e.n == t.modeN[j] && e.v < t.modes[j]) {
+					t.modes[j], t.modeN[j] = e.v, e.n
+				}
+			}
+			t.cells[j], t.live[j] = cell, int32(live)
 		}
 	}
-	return t
 }
 
-// sortValues sorts col in place: a least-significant-digit radix sort
-// over the values' bytes, ping-ponging through buf (at least len(col)
-// long). A byte on which every value agrees costs no pass, so small
-// value IDs sort in one.
-func sortValues(col, buf []dataset.Value) {
-	and, or := ^dataset.Value(0), dataset.Value(0)
-	for _, v := range col {
-		and &= v
-		or |= v
+// tableLen is the cell table length for live entries: the smallest
+// power of two, at least 4, that they fill at most 3/4 of.
+func tableLen(live int) int {
+	n := 4
+	for 4*live > 3*n {
+		n *= 2
 	}
-	src, dst := col, buf[:len(col)]
-	for shift := 0; shift < 32; shift += 8 {
-		if (and^or)>>shift&0xff == 0 {
-			continue
-		}
-		var at [256]int32
-		for _, v := range src {
-			at[v>>shift&0xff]++
-		}
-		sum := int32(0)
-		for b, n := range at {
-			at[b] = sum
-			sum += n
-		}
-		for _, v := range src {
-			b := v >> shift & 0xff
-			dst[at[b]] = v
-			at[b]++
-		}
-		src, dst = dst, src
-	}
-	copy(col, src)
+	return n
 }
 
 // NumClusters returns k.
@@ -188,25 +147,33 @@ func (t *FreqTable) SetMode(c int, mode []dataset.Value) {
 	for a, v := range mode {
 		t.modes[base+a] = v
 		t.modeN[base+a] = 0
-		if i, ok := search(t.cells[base+a], v); ok {
-			t.modeN[base+a] = t.cells[base+a][i].n
+		if cell := t.cells[base+a]; len(cell) > 0 {
+			if i, ok := slot(cell, v); ok {
+				t.modeN[base+a] = cell[i].n
+			}
 		}
 	}
 }
 
-// search returns the position of v in the value-sorted cell, or where
-// it would be inserted, and whether it is there.
-func search(cell []freqEntry, v dataset.Value) (int, bool) {
-	lo, hi := 0, len(cell)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if cell[h].v < v {
-			lo = h + 1
-		} else {
-			hi = h
+// slot returns the position of v in cell, or the free slot where it
+// would go, and whether it is there. cell has a free slot.
+func slot(cell []freqEntry, v dataset.Value) (int, bool) {
+	mask := len(cell) - 1
+	for i := home(v, mask); ; i = (i + 1) & mask {
+		if cell[i].n == 0 {
+			return i, false
+		}
+		if cell[i].v == v {
+			return i, true
 		}
 	}
-	return lo, lo < len(cell) && cell[lo].v == v
+}
+
+// home is v's first probe in a table of mask+1 slots: the high half of
+// a 64-bit multiplicative hash, to which every bit of v contributes, so
+// neither small dense IDs nor IDs sharing their low bits pile up.
+func home(v dataset.Value, mask int) int {
+	return int(uint64(v)*0x9e3779b97f4a7c15>>32) & mask
 }
 
 // Add registers row as a member of cluster c and updates the mode.
@@ -257,17 +224,36 @@ func (t *FreqTable) AddMasked(c int, row []dataset.Value, present []bool) {
 // emptied or placeholder cell always takes over.
 func (t *FreqTable) inc(j int, v dataset.Value) {
 	cell := t.cells[j]
-	i, ok := search(cell, v)
-	n := int32(1)
-	if ok {
-		cell[i].n++
-		n = cell[i].n
-	} else {
-		t.cells[j] = slices.Insert(cell, i, freqEntry{v, 1})
+	i, ok := 0, false
+	if len(cell) > 0 {
+		i, ok = slot(cell, v)
 	}
-	if n > t.modeN[j] || (n == t.modeN[j] && v < t.modes[j]) {
+	if !ok {
+		if t.live[j]++; 4*int(t.live[j]) > 3*len(cell) {
+			cell = t.grow(j)
+			i, _ = slot(cell, v)
+		}
+		cell[i].v = v
+	}
+	cell[i].n++
+	if n := cell[i].n; n > t.modeN[j] || (n == t.modeN[j] && v < t.modes[j]) {
 		t.modes[j], t.modeN[j] = v, n
 	}
+}
+
+// grow doubles cell j's table (a new cell gets 4 slots) and reinserts
+// its entries.
+func (t *FreqTable) grow(j int) []freqEntry {
+	old := t.cells[j]
+	cell := make([]freqEntry, max(2*len(old), tableLen(0)))
+	for _, e := range old {
+		if e.n != 0 {
+			i, _ := slot(cell, e.v)
+			cell[i] = e
+		}
+	}
+	t.cells[j] = cell
+	return cell
 }
 
 // Remove unregisters row from cluster c and updates the mode. Removing a
@@ -280,10 +266,12 @@ func (t *FreqTable) Remove(c int, row []dataset.Value) {
 	base := c * t.m
 	for a, v := range row {
 		j := base + a
-		cell := t.cells[j]
-		if i, ok := search(cell, v); ok {
-			if cell[i].n--; cell[i].n == 0 {
-				t.cells[j] = slices.Delete(cell, i, i+1)
+		if cell := t.cells[j]; len(cell) > 0 {
+			if i, ok := slot(cell, v); ok {
+				if cell[i].n--; cell[i].n == 0 {
+					free(cell, i)
+					t.live[j]--
+				}
 			}
 		}
 		// Only a decrement of the current mode value can change the
@@ -304,22 +292,34 @@ func (t *FreqTable) Move(from, to int, row []dataset.Value) {
 	t.Add(to, row)
 }
 
-// rescan recomputes the argmax of cell j: the first highest count in
-// value order is the smallest-ID winner. An emptied cell keeps the
-// previous mode value (KeepMode semantics) with a count of 0.
-func (t *FreqTable) rescan(j int) {
-	cell := t.cells[j]
-	if len(cell) == 0 {
-		t.modeN[j] = 0
-		return
-	}
-	best := 0
-	for i := 1; i < len(cell); i++ {
-		if cell[i].n > cell[best].n {
-			best = i
+// free empties slot i of cell, shifting later entries of its probe run
+// back into the gap so that each stays reachable from its home slot.
+func free(cell []freqEntry, i int) {
+	mask := len(cell) - 1
+	for j := (i + 1) & mask; cell[j].n != 0; j = (j + 1) & mask {
+		// cell[j] may fill the gap unless its home lies after the gap.
+		if (j-home(cell[j].v, mask))&mask >= (j-i)&mask {
+			cell[i] = cell[j]
+			i = j
 		}
 	}
-	t.modes[j], t.modeN[j] = cell[best].v, cell[best].n
+	cell[i] = freqEntry{}
+}
+
+// rescan recomputes the argmax of cell j: the highest count, ties to the
+// smallest ID. An emptied cell keeps the previous mode value (KeepMode
+// semantics) with a count of 0.
+func (t *FreqTable) rescan(j int) {
+	best := freqEntry{}
+	for _, e := range t.cells[j] {
+		if e.n > best.n || (e.n == best.n && e.n != 0 && e.v < best.v) {
+			best = e
+		}
+	}
+	if best.n != 0 {
+		t.modes[j] = best.v
+	}
+	t.modeN[j] = best.n
 }
 
 // Model snapshots the current modes.

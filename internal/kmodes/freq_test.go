@@ -170,3 +170,41 @@ func TestFreqTableModelSnapshot(t *testing.T) {
 		t.Fatal("mode not updated")
 	}
 }
+
+// TestFreqTableManyValues churns one cell through hundreds of distinct
+// values — growing its table, and emptying slots in the middle of long
+// probe runs — and checks the mode against a recount after every
+// update.
+func TestFreqTableManyValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ft := NewFreqTable(1, 1)
+	counts := map[dataset.Value]int{}
+	var members []dataset.Value
+	for step := 0; step < 20000; step++ {
+		if len(members) > 0 && rng.Intn(5) < 2+step/8000 {
+			i := rng.Intn(len(members))
+			v := members[i]
+			members[i] = members[len(members)-1]
+			members = members[:len(members)-1]
+			ft.Remove(0, []dataset.Value{v})
+			counts[v]--
+		} else {
+			v := dataset.Value(rng.Intn(600))
+			if v%3 == 0 {
+				v = ^v // IDs near 2^32−1
+			}
+			members = append(members, v)
+			ft.Add(0, []dataset.Value{v})
+			counts[v]++
+		}
+		best, want := 0, ft.Mode(0)[0]
+		for v, n := range counts {
+			if n > best || (n == best && n > 0 && v < want) {
+				best, want = n, v
+			}
+		}
+		if got := ft.Mode(0)[0]; got != want || ft.Size(0) != len(members) {
+			t.Fatalf("step %d: mode %d size %d, recount %d size %d", step, got, ft.Size(0), want, len(members))
+		}
+	}
+}

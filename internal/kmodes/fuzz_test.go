@@ -194,6 +194,10 @@ func FuzzNearestScan(f *testing.F) {
 	f.Add([]byte{5, 3, 2, 0, 1, 2, 3, 4, 5, 0, 0, 1, 1, 2, 2, 0, 0, 1, 3, 3})
 	f.Add([]byte{9, 1, 8, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 1})
 	f.Add([]byte{0, 4, 0, 1, 2, 3, 4, 0, 0})
+	// Six modes that differ on every attribute: short posting lists, so
+	// the scan takes the postings (the seeds above take the per-mode
+	// loop).
+	f.Add([]byte{7, 3, 5, 0, 1, 2, 3, 1, 2, 3, 4, 2, 3, 4, 5, 3, 4, 5, 0, 4, 5, 0, 1, 5, 0, 1, 2, 0, 2, 4, 1, 5, 5, 5, 5, 0, 1, 2, 3, 4, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		n, m := 1+in.next()%12, 1+in.next()%5

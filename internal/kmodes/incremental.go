@@ -9,9 +9,9 @@ import (
 // per-cluster FreqTable, so that after bootstrap each iteration costs
 // O(moves·m) for the moves plus an O(n) membership scan for objective
 // bookkeeping, instead of the O(n·m) full RecomputeCentroids + O(n·m)
-// full Cost the batch path pays. A move costs a binary search per
-// attribute in each of its two clusters' value-sorted count runs, plus
-// a rescan of a run only when the count of its mode value drops.
+// full Cost the batch path pays. A move costs one hash probe per
+// attribute in each of its two clusters' count tables, plus a rescan of
+// a table only when the count of its mode value drops.
 //
 // Exactness contract: the published modes and the incremental cost are
 // bit-identical to RecomputeCentroids/Cost on the same assignment —
@@ -38,12 +38,11 @@ type incremental struct {
 }
 
 // BeginIncremental builds the frequency tables from a complete
-// assignment in one pass (buildFreqTable: members grouped by cluster,
-// each member column sorted and run-length encoded) and publishes the
-// induced modes — the incremental equivalent of the first
-// RecomputeCentroids(assign) call, including the empty-cluster policy
-// (with identical rand draws). trackCost=false skips objective
-// bookkeeping; IncrementalCost then falls back to a full Cost scan.
+// assignment and publishes the induced modes — the incremental
+// equivalent of the first RecomputeCentroids(assign) call, including the
+// empty-cluster policy (with identical rand draws). trackCost=false
+// skips objective bookkeeping; IncrementalCost then falls back to a
+// full Cost scan.
 func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 	n := s.NumItems()
 	if len(assign) != n {
@@ -54,12 +53,16 @@ func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 		inc = &incremental{}
 		s.inc = inc
 	}
-	// Current modes become the placeholders an empty cluster keeps.
-	inc.freq = buildFreqTable(s.ds, assign, s.k, s.modes)
+	inc.freq = NewFreqTable(s.k, s.m)
 	inc.dirty = make([]bool, s.k)
 	inc.changed = make([]bool, s.k)
 	inc.dirtyList = inc.dirtyList[:0]
 	inc.trackCost = trackCost
+	for c := 0; c < s.k; c++ {
+		// Current modes become the placeholders an empty cluster keeps.
+		inc.freq.SetMode(c, s.mode(c))
+	}
+	inc.freq.addAll(s.ds, assign)
 	if s.policy == ReseedRandomItem {
 		for c := 0; c < s.k; c++ {
 			if inc.freq.Size(c) == 0 {

@@ -70,9 +70,9 @@ type Space struct {
 }
 
 // SetScalarKernels switches the space between the optimised kernels —
-// unrolled mismatch counts and the posting scan of NearestScan (false,
-// the default) — and their scalar references (true, the bit-identical
-// oracle). Set before a run, not during one.
+// unrolled mismatch counts and NearestScan's posting or unrolled scan
+// (false, the default) — and their scalar references (true, the
+// bit-identical oracle). Set before a run, not during one.
 func (s *Space) SetScalarKernels(scalar bool) { s.scalarKernels = scalar }
 
 // mismatches counts full-row mismatches through the configured kernel.
