@@ -21,16 +21,20 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...
 
-# Bit-identity gate: one short untraced run of every benchmark workload
-# at seed 1, the seed whose final assignment, iteration count and
-# purity the benchmark pins. Each run's result line must report
-# "correct":true and "failed":0.
+# Bit-identity and work gate: one short traced run of every benchmark
+# workload at seed 1, the seed whose final assignment, iteration count
+# and purity the benchmark pins. Each run's result line must report
+# "correct":true and "failed":0, and its deterministic work counters
+# must equal the committed work ledger, scripts/workledger/ledger.json.
+# A change that alters the work on purpose updates the ledger and says
+# why in CHANGES.md.
 perfbench-smoke:
 	@for w in kmodes-cold kmodes-warm stream-ingest kmeans-simhash; do \
-		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 | tail -n 1); \
 		echo "$$w: $$(echo "$$line" | cut -c1-60)"; \
 		echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -Eq '"failed":0[,}]' || \
 			{ echo "perfbench-smoke: $$w is incorrect or failed"; exit 1; }; \
+		echo "$$line" | $(GO) run ./scripts/workledger -ledger scripts/workledger/ledger.json -workload $$w || exit 1; \
 	done
 
 lint: gofmt lshvet allocheck staticcheck govulncheck
@@ -72,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzFreqTable -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzNearestScan -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzLoadModel -fuzztime=30s
+	$(GO) test ./internal/minhash -run='^$$' -fuzz=FuzzSign -fuzztime=30s
 
 # Warm-start A/B: the cold save-and-scan bootstrap against the mmap and
 # heap warm starts on the 100k/S=4 workload, with the derived headline

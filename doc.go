@@ -84,12 +84,18 @@
 //     Run.BootstrapSign/BootstrapBuild/BootstrapAssign and the stats
 //     CSV.
 //
-//   - Bootstrap signing memoizes per-value MinHash columns when the
-//     value dictionary is compact enough to stay cache-resident, so
-//     each distinct categorical value is hashed once instead of once
-//     per occurrence; the parallel pipeline pre-fills the memo (each
-//     column computed exactly once, in parallel), after which all
-//     signing workers share it read-only. Streaming clusterers can opt
+//   - Bootstrap signing memoizes per-value MinHash columns when values
+//     repeat and the column table is no larger than the band-key arena
+//     the signing fills anyway ((largest value ID + 1)·rows ≤ items),
+//     so each distinct categorical value is hashed once instead of once
+//     per occurrence and an item's signature is an element-wise minimum
+//     over its values' columns. In the parallel pipeline the first
+//     signing worker fills the memo (each column computed exactly once,
+//     in parallel) before any item is signed, all signing workers share
+//     it read-only, and it is released when signing ends. Without the
+//     memo, signing reduces a chunk of the
+//     item's values once and runs each hash function over the chunk
+//     with its minimum in a register. Streaming clusterers can opt
 //     into the same memo (StreamConfig.Memoize).
 //
 //   - The assignment pass itself is O(active), not O(n): an item is

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"lshcluster/internal/dataset"
 	"lshcluster/internal/lsh"
@@ -63,16 +64,19 @@ func (a *MinHashAccelerator) Reset(numClusters int) error {
 	}
 	// Categorical values repeat across items, so each distinct value's
 	// hash column can be computed once and signing becomes element-wise
-	// mins over cached columns — identical signatures, far cheaper
-	// bootstrap. Memoisation only pays when values actually repeat AND
-	// the column table stays cache-resident (min-scans over a table
-	// that spills past L2 lose to re-hashing in registers); gate on
-	// both, falling back to direct hashing otherwise.
+	// minima over cached columns: identical signatures, far cheaper
+	// bootstrap. The memo needs values to repeat (memoMinReuse), and its
+	// column table, (maxVal+1)·Bands·Rows words, must be no larger than
+	// the n·Bands-word band-key arena SignAll allocates anyway, that is
+	// (maxVal+1)·Rows ≤ n. Inside that bound the memo signed faster than
+	// direct hashing at every table size measured (up to 15 MB at 100k
+	// items); far past it, re-hashing wins over min-scans of a table
+	// that no cache holds.
 	a.memo = nil
-	occurrences := int64(a.ds.NumItems()) * int64(a.ds.NumAttrs())
-	footprint := (int64(a.maxVal) + 1) * int64(a.mhParam.SignatureLen()) * 8
-	if occurrences >= memoMinReuse*(int64(a.maxVal)+1) && footprint <= memoMaxFootprint {
-		a.memo = a.Index().Scheme().NewMemo(int(a.maxVal) + 1)
+	values := int64(a.maxVal) + 1
+	n := int64(a.ds.NumItems())
+	if n*int64(a.ds.NumAttrs()) >= memoMinReuse*values && values <= n/int64(a.mhParam.Rows) {
+		a.memo = a.Index().Scheme().NewMemo(int(values))
 	}
 	a.sigBuf = make([]uint64, a.mhParam.SignatureLen())
 	return nil
@@ -83,14 +87,8 @@ func (a *MinHashAccelerator) Reset(numClusters int) error {
 // computation outweighs the per-occurrence saving.
 const memoMinReuse = 8
 
-// memoMaxFootprint caps the memo column table at a cache-resident size.
-// Measured on the synthetic workload (sig len 100), signing is ~2.3×
-// faster at an 80 KB table, ~1.3× at 800 KB, and ~1.1× *slower* at
-// 1.6 MB, so 1 MB is the crossover-safe bound.
-const memoMaxFootprint = 1 << 20
-
-// Insert MinHashes item (via the memoized hash columns when the value
-// dictionary is dense enough) and files it in its owning shard.
+// Insert MinHashes item (via the memoized hash columns when Reset
+// enabled them) and files it in its owning shard.
 func (a *MinHashAccelerator) Insert(item int32) error {
 	ix := a.Index()
 	if ix == nil {
@@ -105,27 +103,35 @@ func (a *MinHashAccelerator) Insert(item int32) error {
 
 // SignAll computes every item's band keys into a flat arena, sharding
 // the signing across workers goroutines with per-worker scratch
-// (core.BulkIndexer). When the hash-column memo is enabled it is
-// pre-filled first — each distinct value's column computed exactly
-// once, in parallel — after which the shared memo is read-only and
-// safe for all signing workers; without the memo each worker hashes
-// with its own buffers. Keys are bit-identical to per-item Insert
-// signing.
+// (core.BulkIndexer). When the hash-column memo is enabled, the first
+// signing worker to start fills it — each distinct value's column
+// computed exactly once, in parallel — while the others wait, after
+// which the shared memo is read-only and safe for all of them; without
+// the memo each worker hashes directly. Keys are bit-identical to
+// per-item Insert signing. The memo is released on return: after bulk
+// signing the pipeline signs nothing (BuildFrozen reads the arena, the
+// seeded bootstrap queries presigned keys).
 func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 	ix := a.Index()
 	if ix == nil {
 		return fmt.Errorf("core: SignAll before Reset")
 	}
-	if a.memo != nil {
-		a.memo.Fill(workers)
-	}
+	memo := a.memo
+	a.memo = nil
+	// Filling inside the first worker puts the fill after lsh.SignAll
+	// has allocated the arena, so the collection that allocation
+	// triggers does not find the memo live: a memo live there raises
+	// every later heap goal, which cost the 100k-item bootstrap about
+	// 9% of its peak RSS.
+	var fill sync.Once
 	scheme := ix.Scheme()
 	return a.SignAllInto(workers, func() lsh.SignFunc {
 		var set []uint64
-		if a.memo != nil {
+		if memo != nil {
+			fill.Do(func() { memo.Fill(workers) })
 			return func(item int32, sig []uint64) {
 				set = a.ds.PresentValues(int(item), set[:0])
-				a.memo.Sign(set, sig)
+				memo.Sign(set, sig)
 			}
 		}
 		return func(item int32, sig []uint64) {

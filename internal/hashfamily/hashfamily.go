@@ -76,6 +76,16 @@ func AddMod61(a, b uint64) uint64 {
 	return s
 }
 
+// MulAddMod61 returns (a·x + b) mod (2^61−1) for a, x and b below the
+// prime: AddMod61(MulMod61(a, x), b) with one reduction instead of
+// three. The product's folded halves are each below 2^61 (as in
+// MulMod61), so with b the sum stays below 3·2^61 and one fold by
+// mod61 reduces it fully.
+func MulAddMod61(a, x, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, x)
+	return mod61((lo & MersennePrime61) + (hi<<3 | lo>>61) + b)
+}
+
 // Func is a single universal hash function h(x) = (A·x + B) mod 2^61−1.
 // The zero value is the identity-to-B constant function and is not useful;
 // obtain Funcs from a Family.

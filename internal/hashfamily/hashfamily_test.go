@@ -52,6 +52,37 @@ func TestAddMod61(t *testing.T) {
 	}
 }
 
+// TestMulAddMod61 pins the fused multiply-add against big-integer
+// arithmetic and against AddMod61(MulMod61(a, x), b), on random inputs
+// below the prime and on the edges where a partial sum lands on or
+// next to a multiple of the prime.
+func TestMulAddMod61(t *testing.T) {
+	p := MersennePrime61
+	bp := new(big.Int).SetUint64(p)
+	agree := func(a, x, b uint64) bool {
+		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(x))
+		want.Add(want, new(big.Int).SetUint64(b))
+		want.Mod(want, bp)
+		got := MulAddMod61(a, x, b)
+		return got == want.Uint64() && got == AddMod61(MulMod61(a, x), b)
+	}
+	check := func(a, x, b uint64) bool { return agree(a%p, x%p, b%p) }
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	edges := []uint64{0, 1, 2, 7, 8, 1 << 58, 1<<60 - 1, 1 << 60, p - 8, p - 2, p - 1}
+	for _, a := range edges {
+		for _, x := range edges {
+			for _, b := range edges {
+				if !agree(a, x, b) {
+					t.Errorf("MulAddMod61(%d, %d, %d) = %d, want %d", a, x, b,
+						MulAddMod61(a, x, b), AddMod61(MulMod61(a, x), b))
+				}
+			}
+		}
+	}
+}
+
 func TestFuncHashInRange(t *testing.T) {
 	fam := New(16, 42)
 	check := func(x uint64, i uint8) bool {

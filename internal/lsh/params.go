@@ -18,13 +18,18 @@ type Params struct {
 	Rows  int
 }
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable. The signature
+// length Bands·Rows must not exceed math.MaxInt32; the bound is checked
+// by division, so a product that would wrap around is never computed.
 func (p Params) Validate() error {
 	if p.Bands < 1 {
 		return fmt.Errorf("lsh: bands must be ≥ 1, got %d", p.Bands)
 	}
 	if p.Rows < 1 {
 		return fmt.Errorf("lsh: rows must be ≥ 1, got %d", p.Rows)
+	}
+	if p.Rows > math.MaxInt32/p.Bands {
+		return fmt.Errorf("lsh: bands·rows must be ≤ %d, got %d bands of %d rows", math.MaxInt32, p.Bands, p.Rows)
 	}
 	return nil
 }

@@ -17,6 +17,32 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestParamsValidateSignatureLenBound pins the signature-length bound:
+// Bands·Rows ≤ math.MaxInt32 passes, one more fails, and so does every
+// banding whose product would wrap around an int.
+func TestParamsValidateSignatureLenBound(t *testing.T) {
+	const big = math.MaxInt>>1 + 1 // 1<<62 on 64-bit platforms; ×4 wraps to 0
+	for _, tc := range []struct {
+		p  Params
+		ok bool
+	}{
+		{Params{Bands: big, Rows: 4}, false},
+		{Params{Bands: math.MaxInt, Rows: 2}, false},
+		{Params{Bands: 2, Rows: math.MaxInt}, false},
+		{Params{Bands: 1, Rows: math.MaxInt32}, true},
+		{Params{Bands: math.MaxInt32, Rows: 1}, true},
+		{Params{Bands: 2, Rows: math.MaxInt32 / 2}, true},
+		{Params{Bands: 2, Rows: math.MaxInt32/2 + 1}, false},
+		{Params{Bands: 46341, Rows: 46340}, true},
+		{Params{Bands: 46341, Rows: 46341}, false},
+	} {
+		err := tc.p.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("Validate(%d bands, %d rows) = %v, want ok=%v", tc.p.Bands, tc.p.Rows, err, tc.ok)
+		}
+	}
+}
+
 func TestSignatureLenAndString(t *testing.T) {
 	p := Params{Bands: 20, Rows: 5}
 	if p.SignatureLen() != 100 {

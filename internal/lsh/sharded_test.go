@@ -374,14 +374,14 @@ func buildSharded(t *testing.T, p Params, sets [][]uint64, shards int, stride bo
 	return sh
 }
 
-// TestBackendFanOutMatchesDirect pins every fan-out path of the
+// TestShardedFanOutMatchesUnsharded pins every fan-out path of the
 // planner — per-item, batched block sweep, by signature — to the
-// direct candidate stream of one unsharded index, for range and stride
+// candidate stream of one unsharded index, for range and stride
 // partitions at every shard count. hedged=true issues every query
 // twice, from two Query handles racing on separate goroutines over the
 // same index (the concurrent use the Query contract allows); each must
 // reproduce the stream exactly.
-func TestBackendFanOutMatchesDirect(t *testing.T) {
+func TestShardedFanOutMatchesUnsharded(t *testing.T) {
 	const n = 240
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)

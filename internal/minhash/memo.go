@@ -94,26 +94,34 @@ func (m *Memo) Len() int { return len(m.cols) }
 
 // Sign computes the MinHash signature of set into dst and returns dst,
 // exactly as Scheme.Sign would, memoizing each distinct element's hash
-// column along the way.
+// column along the way. Each element costs one branch-free
+// element-wise minimum over its cached column; an element at or above
+// the growth limit is hashed directly, without caching.
+//
+//lshvet:noescape
 func (m *Memo) Sign(set []uint64, dst []uint64) []uint64 {
 	if len(dst) != m.scheme.SignatureLen() {
-		panic("minhash: Sign dst length mismatch")
+		panic(errSignLen)
 	}
 	for i := range dst {
 		dst[i] = EmptySlot
 	}
-	for _, x := range set {
+	for j, x := range set {
 		col := m.col(x)
-		for i, h := range col {
-			if h < dst[i] {
-				dst[i] = h
-			}
+		if col == nil {
+			m.scheme.fold(set[j:j+1], dst)
+			continue
+		}
+		col = col[:len(dst)]
+		for i := range dst {
+			dst[i] = min(dst[i], col[i])
 		}
 	}
 	return dst
 }
 
-// col returns the cached hash column for x, computing it on first use.
+// col returns the cached hash column for x, computing it on first use,
+// or nil when x is at or above memoLimit.
 func (m *Memo) col(x uint64) []uint64 {
 	if x < uint64(len(m.cols)) {
 		if c := m.cols[x]; c != nil {
@@ -132,8 +140,7 @@ func (m *Memo) col(x uint64) []uint64 {
 		copy(grown, m.cols)
 		m.cols = grown
 	} else {
-		// Out-of-range ID: hash without caching.
-		return m.scheme.fam.HashAll(x, make([]uint64, m.scheme.SignatureLen()))
+		return nil
 	}
 	c := m.scheme.fam.HashAll(x, m.newCol())
 	m.cols[x] = c

@@ -10,6 +10,7 @@
 package minhash
 
 import (
+	"errors"
 	"math"
 
 	"lshcluster/internal/hashfamily"
@@ -18,6 +19,12 @@ import (
 // EmptySlot is the signature value assigned to every position when the
 // input set is empty (Algorithm 1 line 2 initialises each slot to ∞).
 const EmptySlot = math.MaxUint64
+
+// errSignLen is the panic value of a Sign call whose dst is not
+// SignatureLen long. Panicking with a package-level value keeps the
+// signing loops free of the escape diagnostics (a string converted to
+// an interface "escapes") that allocheck fails on.
+var errSignLen = errors.New("minhash: Sign dst length mismatch")
 
 // Scheme is an immutable, seeded MinHash signature generator. It is safe
 // for concurrent use.
@@ -40,27 +47,54 @@ func (s *Scheme) SignatureLen() int { return s.fam.Size() }
 // Algorithm 2 lines 1–5); duplicates are harmless. An empty set yields
 // EmptySlot in every position.
 //
-// This is Algorithm 1 of the paper: for every element, every hash
-// function is evaluated and the per-function minimum retained.
+// This is Algorithm 1 of the paper: every hash function is evaluated at
+// every element and the per-function minimum retained. The loop runs
+// function-major over chunks of the set (see fold), so each function's
+// running minimum stays in a register; a minimum does not depend on
+// evaluation order, so the signature is the same in any loop order.
+//
+//lshvet:noescape
 func (s *Scheme) Sign(set []uint64, dst []uint64) []uint64 {
 	if len(dst) != s.fam.Size() {
-		panic("minhash: Sign dst length mismatch")
+		panic(errSignLen)
 	}
 	for i := range dst {
 		dst[i] = EmptySlot
 	}
+	s.fold(set, dst)
+	return dst
+}
+
+// signChunk is how many reduced elements fold holds on the stack at a
+// time.
+const signChunk = 64
+
+// fold lowers every dst[i] to the minimum of dst[i] and h_i(x) over
+// the elements x of set. It reduces up to signChunk elements modulo the
+// prime into a stack array once, then, function by function, keeps the
+// running minimum in a register across the chunk and folds it into dst:
+// one load and one store of dst[i] per chunk instead of per element,
+// and no branch on the minimum. len(dst) must be SignatureLen.
+//
+//lshvet:noescape
+func (s *Scheme) fold(set []uint64, dst []uint64) {
 	funcs := s.fam.Funcs()
-	for _, x := range set {
-		// Inline Func.Hash over all functions with x reduced once.
-		xr := x % hashfamily.MersennePrime61
+	funcs = funcs[:len(dst)]
+	var chunk [signChunk]uint64
+	for len(set) > 0 {
+		xr := chunk[:min(len(set), signChunk)]
+		for j := range xr {
+			xr[j] = set[j] % hashfamily.MersennePrime61
+		}
+		set = set[len(xr):]
 		for i, f := range funcs {
-			h := hashfamily.AddMod61(hashfamily.MulMod61(f.A, xr), f.B)
-			if h < dst[i] {
-				dst[i] = h
+			h := dst[i]
+			for _, x := range xr {
+				h = min(h, hashfamily.MulAddMod61(f.A, x, f.B))
 			}
+			dst[i] = h
 		}
 	}
-	return dst
 }
 
 // Signature allocates and returns the signature of set.
