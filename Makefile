@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: build test perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke persist-bench clean
+.PHONY: build test perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -78,13 +78,5 @@ fuzz-smoke:
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzLoadModel -fuzztime=30s
 	$(GO) test ./internal/minhash -run='^$$' -fuzz=FuzzSign -fuzztime=30s
 
-# Warm-start A/B: the cold save-and-scan bootstrap against the mmap and
-# heap warm starts on the 100k/S=4 workload, with the derived headline
-# numbers (warm_start_speedup, mmap_vs_heap) in BENCH_10.json — the
-# same capture CI uploads as an artifact.
-persist-bench:
-	set -o pipefail; $(GO) test -run XXX -bench 'BenchmarkPersist' -benchtime 2x . | tee bench-persist.txt
-	$(GO) run ./scripts/benchjson -in bench-persist.txt -out BENCH_10.json
-
 clean:
-	rm -f *-report.txt bench-*.txt BENCH_*.json
+	rm -f *-report.txt bench-*.txt

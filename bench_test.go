@@ -128,19 +128,10 @@ func runAblOpts(b *testing.B, opts core.Options, withAccel bool) {
 }
 
 // Headline comparison: the exact baseline vs the accelerated algorithm
-// on the same workload (the per-run equivalent of Figure 7).
+// (the paper's full-scan bootstrap) on the same workload (the per-run
+// equivalent of Figure 7).
 func BenchmarkRunExactKModes(b *testing.B) { runAbl(b, core.Options{}, false) }
 func BenchmarkRunMHKModes(b *testing.B)    { runAbl(b, core.Options{}, true) }
-
-// Ablation: bootstrap strategy (paper full-scan first pass vs seeded
-// incremental index).
-func BenchmarkAblationBootstrapFullScan(b *testing.B) {
-	runAbl(b, core.Options{Bootstrap: core.BootstrapFullScan}, true)
-}
-
-func BenchmarkAblationBootstrapSeeded(b *testing.B) {
-	runAbl(b, core.Options{Bootstrap: core.BootstrapSeeded}, true)
-}
 
 // Ablation: immediate (paper) vs deferred cluster-reference updates.
 func BenchmarkAblationUpdateImmediate(b *testing.B) {

@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 1, "parallel assignment workers (forces deferred updates)")
 	shards := fs.Int("shards", 1, "item-partitioned LSH index shards (1 = unsharded oracle; results are identical for every value)")
 	scalarKernels := fs.Bool("scalar-kernels", false, "use scalar reference distance kernels instead of the unrolled ones (A/B baseline; results are identical)")
-	seeded := fs.Bool("seeded-bootstrap", false, "use the seeded-index bootstrap instead of a full first pass")
 	abandon := fs.Bool("early-abandon", false, "enable early-abandon distance evaluation")
 	lowestTie := fs.Bool("lowest-index-ties", false, "break distance ties to the lowest cluster index (numpy-style)")
 	noIncremental := fs.Bool("no-incremental", false, "recompute centroids and cost from scratch each pass instead of incrementally (A/B baseline; results are identical; implies -no-active-filter)")
@@ -165,9 +164,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *lowestTie {
 		opts.TieBreak = core.TieBreakLowestIndex
-	}
-	if *seeded {
-		opts.Bootstrap = core.BootstrapSeeded
 	}
 	if !*exact {
 		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: *bands, Rows: *rows}, uint64(*seed))

@@ -53,14 +53,15 @@
 //   - The MinHash banding index serves iteration from a frozen layout:
 //     flat CSR arrays (offsets + item IDs, with per-item bucket slots
 //     resolved up front), so the recurring collision lookups are
-//     allocation-free scans of contiguous memory. The index has three
-//     construction lifecycles: build-frozen (the batch full-scan
-//     bootstrap constructs the frozen layout directly from presigned
-//     band keys, never materialising the hash maps),
-//     build-map-then-freeze (the seeded bootstrap, whose query/insert
-//     interleave needs the mutable builder, compacts it afterwards)
-//     and streaming-unfrozen (stream clusterers keep the map-based
-//     builder and may insert indefinitely).
+//     allocation-free scans of contiguous memory. The batch bootstrap
+//     builds the index once, after the exact first assignment, as in
+//     the paper: it constructs the frozen layout directly from
+//     presigned band keys, never materialising the hash maps. Only two
+//     users keep the map-based builder: the serial bootstrap oracle
+//     (Config.DisableParallelBootstrap), which inserts item by item
+//     and freezes before the first query, and the streaming clusterer,
+//     which keeps inserting and querying one unsharded map-built index
+//     and never freezes it.
 //
 //   - The bootstrap itself is a parallel pipeline, individually timed
 //     per phase (sign → build → assign): signing shards items across
@@ -95,8 +96,9 @@
 //     it read-only, and it is released when signing ends. Without the
 //     memo, signing reduces a chunk of the
 //     item's values once and runs each hash function over the chunk
-//     with its minimum in a register. Streaming clusterers can opt
-//     into the same memo (StreamConfig.Memoize).
+//     with its minimum in a register. Streaming clusterers always sign
+//     directly: their value range is not known up front, so no memory
+//     bound for a memo exists.
 //
 //   - The assignment pass itself is O(active), not O(n): an item is
 //     re-evaluated only when its cluster neighbourhood changed — a
@@ -138,20 +140,21 @@
 // (routing is a re-slice, not a scatter), stay individually
 // cache-resident where one monolithic table would not, and are
 // independently freezable — the unit a future serving layout evicts or
-// places on separate machines. The streaming clusterer shards too
-// (StreamConfig.Shards), routing item i to shard i mod S so no single
-// map builder serialises the stream.
+// places on separate machines. A multi-shard index answers queries
+// only once every shard is frozen. The streaming clusterer does not
+// shard.
 //
 // Sharding never changes results. A query planner fans each candidate
 // sweep out across shards and merges the shard-local buckets back into
-// ascending global-ID order — free concatenation for range shards, an
-// S-way merge for stream (stride) shards — and bucket contents are
-// kept in ascending ID order as an index invariant, so candidate
-// enumeration (and therefore tie-breaking, and therefore every
-// assignment) is a function of bucket membership alone, independent of
-// the partition. Full runs are bit-identical across shard counts,
-// enforced by equivalence tests over both spaces, both bootstrap
-// modes, and worker counts. The cost is an explicit, measured fan-out
+// ascending global-ID order — free concatenation, since shards own
+// disjoint ascending ranges — and bucket contents are kept in
+// ascending ID order as an index invariant, so candidate enumeration
+// (and therefore tie-breaking, and therefore every assignment) is a
+// function of bucket membership alone, independent of the partition.
+// Full runs are bit-identical across shard counts, enforced by
+// equivalence tests over both spaces, both bootstrap paths (the
+// parallel pipeline and the serial oracle) and worker counts. The
+// cost is an explicit, measured fan-out
 // tax on queries, reported as Run.CrossShardMerge and the
 // crossshard_merge_ms CSV column, alongside the per-shard build
 // breakdown (Run.BootstrapBuildShards).
@@ -200,19 +203,6 @@
 // and by full-run equivalence under Config.ScalarKernels, which routes
 // all spaces and accelerators through the scalar references as the
 // correctness oracle.
-//
-// # Seeded bootstrap semantics
-//
-// BootstrapSeeded now does what it describes: after the k seeds are
-// indexed, every other item queries the growing index with its own
-// band keys (presigned, or signed on the spot on the serial oracle
-// path) before being inserted, falling back to an exact scan only when
-// the shortlist is genuinely empty. Earlier versions queried through
-// the inserted-items-only path, so every non-seed shortlist came back
-// empty and the exact fallback always ran; seeded-bootstrap
-// assignments differ accordingly from those versions (the equivalence
-// tests re-baseline, and the serial/parallel and sharded variants
-// remain bit-identical to each other).
 //
 // # Persistent index and warm start
 //

@@ -51,15 +51,13 @@ var GovernedPackages = []string{
 var WorkMarkers = map[string]bool{
 	// shortlist queries
 	"Candidates": true, "CandidatesBlock": true, "CandidatesBatch": true,
-	"CandidatesUnindexed": true, "CandidatesOfKeys": true,
 	"CandidatesOfSignature": true, "CandidatesOfSet": true,
 	// distance evaluation
 	"Dissimilarity": true, "BoundedDissimilarity": true,
 	"bestOf": true, "bestExact": true, "bestOfLowestIndex": true,
 	"fullScanRange": true, "dist": true,
 	// indexing and signing
-	"Insert": true, "InsertKeys": true, "InsertSignature": true,
-	"InsertPresigned": true, "insert": true, "sign": true,
+	"Insert": true, "InsertSignature": true, "insert": true, "sign": true,
 }
 
 func governed(path string) bool {

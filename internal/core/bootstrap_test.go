@@ -86,9 +86,9 @@ func kmodesFingerprint(t *testing.T) func(core.Space) []byte {
 }
 
 // TestParallelBootstrapMatchesSerialKModes is the headline equivalence
-// matrix: MinHash-accelerated K-Modes across bootstrap modes, update
-// modes and worker counts (including workers=1, where the pipeline
-// still takes the presign + direct-to-frozen path).
+// matrix: MinHash-accelerated K-Modes across update modes and worker
+// counts (including workers=1, where the pipeline still takes the
+// presign + direct-to-frozen path).
 func TestParallelBootstrapMatchesSerialKModes(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -102,20 +102,18 @@ func TestParallelBootstrapMatchesSerialKModes(t *testing.T) {
 		}
 		return s, a
 	}
-	for _, boot := range []core.BootstrapMode{core.BootstrapFullScan, core.BootstrapSeeded} {
-		for _, upd := range []core.UpdateMode{core.UpdateImmediate, core.UpdateDeferred} {
-			for _, workers := range []int{1, 4} {
-				if workers > 1 && upd != core.UpdateDeferred {
-					continue // rejected by core.Run
-				}
-				name := fmt.Sprintf("boot=%d/upd=%d/w=%d", boot, upd, workers)
-				t.Run(name, func(t *testing.T) {
-					assertBootstrapEqual(t, mk, kmodesFingerprint(t), core.Options{
-						Bootstrap: boot, Update: upd, Workers: workers,
-						MaxIterations: 15,
-					})
-				})
+	// boot=0 names the full-scan bootstrap, the only one.
+	for _, upd := range []core.UpdateMode{core.UpdateImmediate, core.UpdateDeferred} {
+		for _, workers := range []int{1, 4} {
+			if workers > 1 && upd != core.UpdateDeferred {
+				continue // rejected by core.Run
 			}
+			name := fmt.Sprintf("boot=0/upd=%d/w=%d", upd, workers)
+			t.Run(name, func(t *testing.T) {
+				assertBootstrapEqual(t, mk, kmodesFingerprint(t), core.Options{
+					Update: upd, Workers: workers, MaxIterations: 15,
+				})
+			})
 		}
 	}
 }
@@ -148,15 +146,13 @@ func TestParallelBootstrapMatchesSerialKMeans(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, boot := range []core.BootstrapMode{core.BootstrapFullScan, core.BootstrapSeeded} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("boot=%d/w=%d", boot, workers), func(t *testing.T) {
-				assertBootstrapEqual(t, mk, fingerprint, core.Options{
-					Bootstrap: boot, Update: core.UpdateDeferred, Workers: workers,
-					MaxIterations: 15,
-				})
+	// boot=0 names the full-scan bootstrap, the only one.
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("boot=0/w=%d", workers), func(t *testing.T) {
+			assertBootstrapEqual(t, mk, fingerprint, core.Options{
+				Update: core.UpdateDeferred, Workers: workers, MaxIterations: 15,
 			})
-		}
+		})
 	}
 }
 

@@ -118,33 +118,6 @@ type NearestScanner interface {
 	NearestScan() func(lo, hi int, out []int32)
 }
 
-// BootstrapMode selects how the initial assignment and the index are
-// produced.
-type BootstrapMode int
-
-const (
-	// BootstrapFullScan follows the paper (§III-B step list): the first
-	// assignment compares every item against every centroid exactly;
-	// the index is built afterwards in a single pass. Its cost is
-	// reported in Run.Bootstrap, matching the paper's remark that the
-	// "initial extra step" is captured by total-time analysis.
-	BootstrapFullScan BootstrapMode = iota
-	// BootstrapSeeded is an ablation variant: the k seed items are
-	// indexed and assigned to their own clusters first; every other
-	// item is then queried against the growing index — by its own band
-	// keys, before its insertion, via the accelerator's
-	// UnindexedQuerier capability — falling back to an exact scan when
-	// its shortlist is empty, and indexed immediately after. Both
-	// built-in accelerators implement the capability (the serial oracle
-	// signs the item on the spot; the presigned pipeline reuses the
-	// SignAll arena — identical keys, so the paths stay bit-identical).
-	// An accelerator without the capability degrades to the historical
-	// behaviour, where Querier.Candidates answers only for indexed
-	// items, every non-seed shortlist is empty and the exact-scan
-	// fallback always runs.
-	BootstrapSeeded
-)
-
 // UpdateMode selects when cluster references observed by LSH queries are
 // refreshed.
 type UpdateMode int
@@ -180,12 +153,6 @@ const (
 	TieBreakLowestIndex
 )
 
-// Seeder is an optional Space capability: spaces that know which items
-// their initial centroids came from expose them for BootstrapSeeded.
-type Seeder interface {
-	Seeds() []int32
-}
-
 // Options configures Run. The zero value runs the exact baseline with
 // paper-faithful settings.
 type Options struct {
@@ -195,8 +162,6 @@ type Options struct {
 	// MaxIterations caps the number of passes after bootstrap.
 	// 0 means DefaultMaxIterations.
 	MaxIterations int
-	// Bootstrap selects the bootstrap strategy (accelerated runs only).
-	Bootstrap BootstrapMode
 	// Update selects reference-update semantics (accelerated runs only).
 	Update UpdateMode
 	// EarlyAbandon enables bounded dissimilarity evaluation. The
@@ -266,8 +231,8 @@ type Options struct {
 	// construction and the first full scan — with identical results. The
 	// saved index is validated against the run's parameters, seed and
 	// dataset fingerprint; a mismatch is an error, never a silent
-	// rebuild. Requires an IndexPersister + BulkIndexer accelerator, the
-	// parallel bootstrap and BootstrapFullScan.
+	// rebuild. Requires an IndexPersister + BulkIndexer accelerator and
+	// the parallel bootstrap.
 	IndexDir string
 	// DisableMmap loads a persisted index by copying it onto the heap
 	// instead of memory-mapping it zero-copy. The heap load is the
@@ -292,14 +257,11 @@ type Options struct {
 	// OnIteration, when non-nil, receives each iteration's statistics
 	// as it completes (progress reporting).
 	OnIteration func(runstats.Iteration)
-	// SeedItems overrides the seed items used by BootstrapSeeded; when
-	// nil the Space must implement Seeder.
-	SeedItems []int32
 	// Context, when non-nil, cancels the run: it is checked between
 	// passes and polled inside every assignment loop (serial and
 	// per-worker, every ctxPollEvery items) and inside the bootstrap
-	// (scan shards, signing workers and insert interleaves poll at the
-	// same cadence, with a check after each pipeline phase), so
+	// (scan shards, signing workers and the serial insert loop poll at
+	// the same cadence, with a check after each pipeline phase), so
 	// cancellation latency is a fraction of a pass or bootstrap, not a
 	// whole one. Run returns the context error, discarding partial
 	// progress. Large-k runs take minutes to hours; this is the off
@@ -574,15 +536,16 @@ func (p *passStats) add(o passStats) {
 // bootstrap produces the initial assignment and, for accelerated runs,
 // the index.
 //
-// With a BulkIndexer accelerator (and unless DisableParallelBootstrap
-// selects the serial oracle), it runs as an explicit pipeline whose
+// The first assignment is the paper's exact scan (§III-B): every item
+// against every centroid, before the index answers any query. With a
+// BulkIndexer accelerator (and unless DisableParallelBootstrap selects
+// the serial oracle), the bootstrap runs as an explicit pipeline whose
 // phases are individually parallel and individually timed: sign every
 // item into a flat key arena across Workers goroutines, build the
-// index from the keys (direct to the frozen layout for the full-scan
-// mode; the serial presigned interleave for the seeded mode, whose
-// query/insert ordering is semantically load-bearing), then the exact
-// first assignment, itself sharded across Workers. Every phase is
-// bit-identical to its serial counterpart.
+// frozen index directly from the keys, then the exact first
+// assignment, itself sharded across Workers. The serial oracle scans
+// on one goroutine and inserts item by item; run then freezes its
+// index. Every phase is bit-identical to its serial counterpart.
 func (d *driver) bootstrap() error {
 	accel := d.opts.Accelerator
 	workers := d.opts.Workers
@@ -591,7 +554,7 @@ func (d *driver) bootstrap() error {
 	}
 	// Bootstrap is now the dominant wall-clock phase, so it honours
 	// Options.Context like the iteration passes do: every long loop
-	// (scan shards, signing workers, insert interleaves) polls each
+	// (scan shards, signing workers, the serial insert loop) polls each
 	// ctxPollEvery items, and each pipeline phase ends with a
 	// cancellation check, keeping latency a fraction of the bootstrap.
 	stop := func() bool { return ctxErr(d.opts.Context) != nil }
@@ -630,42 +593,39 @@ func (d *driver) bootstrap() error {
 	if serialOracle {
 		bulk = nil
 	}
-	switch d.opts.Bootstrap {
-	case BootstrapFullScan:
-		if bulk != nil {
-			// A warm-started Reset loaded the frozen index from disk:
-			// signing and construction have nothing left to do, and the
-			// first assignment restores from the directory too (falling
-			// back to the scan if its file fails validation).
-			warm := false
-			if ip, ok := accel.(IndexPersister); ok {
-				warm = ip.WarmLoaded()
-			}
-			if !warm {
-				start := time.Now()
-				if err := bulk.SignAll(workers, stop); err != nil {
-					return fmt.Errorf("core: signing items: %w", err)
-				}
-				d.bootSign = time.Since(start)
-				if err := ctxErr(d.opts.Context); err != nil {
-					return err // the partially signed arena is discarded with the run
-				}
-				start = time.Now()
-				if err := bulk.BuildFrozen(workers); err != nil {
-					return fmt.Errorf("core: building frozen index: %w", err)
-				}
-				d.bootBuild = time.Since(start)
-				if err := ctxErr(d.opts.Context); err != nil {
-					return err
-				}
-			}
+	if bulk != nil {
+		// A warm-started Reset loaded the frozen index from disk: signing
+		// and construction have nothing left to do, and the first
+		// assignment restores from the directory too (falling back to the
+		// scan if its file fails validation).
+		warm := false
+		if ip, ok := accel.(IndexPersister); ok {
+			warm = ip.WarmLoaded()
+		}
+		if !warm {
 			start := time.Now()
-			if err := d.bootstrapAssign(workers); err != nil {
+			if err := bulk.SignAll(workers, stop); err != nil {
+				return fmt.Errorf("core: signing items: %w", err)
+			}
+			d.bootSign = time.Since(start)
+			if err := ctxErr(d.opts.Context); err != nil {
+				return err // the partially signed arena is discarded with the run
+			}
+			start = time.Now()
+			if err := bulk.BuildFrozen(workers); err != nil {
+				return fmt.Errorf("core: building frozen index: %w", err)
+			}
+			d.bootBuild = time.Since(start)
+			if err := ctxErr(d.opts.Context); err != nil {
 				return err
 			}
-			d.bootAssign = time.Since(start)
-			break
 		}
+		start := time.Now()
+		if err := d.bootstrapAssign(workers); err != nil {
+			return err
+		}
+		d.bootAssign = time.Since(start)
+	} else {
 		start := time.Now()
 		d.bootstrapScan(workers, !serialOracle)
 		d.bootAssign = time.Since(start)
@@ -686,91 +646,13 @@ func (d *driver) bootstrap() error {
 			}
 		}
 		d.bootBuild = time.Since(start) // includes interleaved signing
-	case BootstrapSeeded:
-		seeds := d.opts.SeedItems
-		if seeds == nil {
-			s, ok := d.space.(Seeder)
-			if !ok {
-				return fmt.Errorf("core: BootstrapSeeded requires SeedItems or a Seeder space")
-			}
-			seeds = s.Seeds()
-		}
-		if len(seeds) != d.k {
-			return fmt.Errorf("core: %d seed items for %d clusters", len(seeds), d.k)
-		}
-		insert := accel.Insert
-		if bulk != nil {
-			start := time.Now()
-			if err := bulk.SignAll(workers, stop); err != nil {
-				return fmt.Errorf("core: signing items: %w", err)
-			}
-			d.bootSign = time.Since(start)
-			if err := ctxErr(d.opts.Context); err != nil {
-				return err
-			}
-			insert = bulk.InsertPresigned
-		}
-		start := time.Now()
-		isSeed := make([]bool, d.n)
-		//lshvet:ignore ctxpollcheck k seed inserts only, bounded by the cluster count, not by n
-		for c, item := range seeds {
-			if item < 0 || int(item) >= d.n {
-				return fmt.Errorf("core: seed item %d out of range", item)
-			}
-			d.assign[item] = int32(c)
-			isSeed[item] = true
-			if err := insert(item); err != nil {
-				return fmt.Errorf("core: indexing seed %d: %w", item, err)
-			}
-		}
-		// Query the growing index with each item's own band keys
-		// (UnindexedQuerier) so non-seed items genuinely consult what
-		// has been indexed so far; a Querier.Candidates call would
-		// answer only for already-inserted items and always come back
-		// empty. Accelerators without the capability keep the legacy
-		// empty-shortlist interleave.
-		uq, _ := accel.(UnindexedQuerier)
-		var q Querier
-		if uq == nil {
-			q = accel.NewQuerier()
-		}
-		poll := 0
-		for i := 0; i < d.n; i++ {
-			if isSeed[i] {
-				continue
-			}
-			if poll++; poll >= ctxPollEvery {
-				poll = 0
-				if err := ctxErr(d.opts.Context); err != nil {
-					return err
-				}
-			}
-			var shortlist []int32
-			if uq != nil {
-				shortlist = uq.CandidatesUnindexed(int32(i), d.assign)
-			} else {
-				shortlist = q.Candidates(int32(i), d.assign)
-			}
-			if len(shortlist) == 0 {
-				d.fullScanRange(i, i+1, d.assign, nil)
-			} else {
-				d.assign[i] = d.bestOf(i, -1, shortlist, nil)
-			}
-			if err := insert(int32(i)); err != nil {
-				return fmt.Errorf("core: indexing item %d: %w", i, err)
-			}
-		}
-		d.bootAssign = time.Since(start) // includes interleaved inserts and queries
-	default:
-		return fmt.Errorf("core: unknown bootstrap mode %d", d.opts.Bootstrap)
 	}
 	d.querier = accel.NewQuerier()
 	// A reordered index emits candidates in internal-ID space, so the
 	// iteration passes need an internal-ID mirror of the assignment for
-	// their query views. The bootstrap itself never queries a reordered
-	// index with an assignment view (the bulk path's first assignment
-	// is the exact scan; the seeded and serial paths build in original
-	// order), so initialising the mirror once here is sufficient.
+	// their query views. The bootstrap itself never queries the index
+	// (the first assignment is the exact scan), so initialising the
+	// mirror once here is sufficient.
 	if rm, ok := accel.(ReorderMapper); ok {
 		if perm, inv := rm.ReorderMap(); perm != nil {
 			d.perm, d.inv = perm, inv
@@ -882,9 +764,8 @@ func (d *driver) bestExact(item, cur int, comps *int64) int {
 // With neither a current cluster nor any candidate there is nothing to
 // compare against; rather than silently electing cluster 0 (or −1
 // under lowest-index ties), bestOf falls back to an exact scan over
-// all k clusters. No current call site reaches this — every bootstrap
-// path either supplies cur ≥ 0 or checks for an empty shortlist first
-// — but a future bootstrap mode that forgets the check mis-assigns
+// all k clusters. No current call site reaches this — every pass
+// supplies cur ≥ 0 — but a caller that forgets would mis-assign
 // silently without it.
 func (d *driver) bestOf(item, cur int, candidates []int32, comps *int64) int32 {
 	if cur < 0 && len(candidates) == 0 {

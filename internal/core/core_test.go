@@ -268,57 +268,6 @@ func TestWorkersRequireDeferred(t *testing.T) {
 	}
 }
 
-func TestBootstrapSeeded(t *testing.T) {
-	ds, seeds := testWorkload(t, 300, 15, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 2}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(newSpace(t, ds, seeds), Options{
-		Accelerator: accel,
-		Bootstrap:   BootstrapSeeded,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := purityOf(t, ds, res.Assign); p < 0.85 {
-		t.Fatalf("seeded-bootstrap purity = %v", p)
-	}
-}
-
-// hideSeeds wraps a space, masking the Seeder capability.
-type hideSeeds struct{ *kmodes.Space }
-
-func (h hideSeeds) Seeds() {} // shadows kmodes.Space.Seeds with a non-conforming method
-
-func TestBootstrapSeededRequiresSeeds(t *testing.T) {
-	ds, seeds := testWorkload(t, 100, 5, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(hideSeeds{newSpace(t, ds, seeds)}, Options{
-		Accelerator: accel,
-		Bootstrap:   BootstrapSeeded,
-	})
-	if err == nil {
-		t.Fatal("expected error without seed items")
-	}
-	// Supplying SeedItems explicitly must fix it.
-	accel2, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(hideSeeds{newSpace(t, ds, seeds)}, Options{
-		Accelerator: accel2,
-		Bootstrap:   BootstrapSeeded,
-		SeedItems:   seeds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxIterationsCap(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
 	res, err := Run(newSpace(t, ds, seeds), Options{MaxIterations: 1})

@@ -22,9 +22,9 @@ func (s *rankedSpace) Cost(assign []int32) float64       { return 0 }
 // of bestOf: with no current cluster and an empty candidate list it
 // must run an exact scan instead of electing cluster 0 (under
 // prefer-current ties) or returning the -1 sentinel (under
-// lowest-index ties). No current bootstrap mode reaches this state —
-// the seeded bootstrap checks for an empty shortlist first — so the
-// test drives the driver directly.
+// lowest-index ties). No caller reaches this state — every pass
+// supplies the item's current cluster — so the test drives the driver
+// directly.
 func TestBestOfEmptyShortlistFallsBackToExact(t *testing.T) {
 	space := &rankedSpace{n: 4, k: 5}
 	for _, tb := range []TieBreak{TieBreakPreferCurrent, TieBreakLowestIndex} {

@@ -109,8 +109,7 @@ func (a *MinHashAccelerator) Insert(item int32) error {
 // which the shared memo is read-only and safe for all of them; without
 // the memo each worker hashes directly. Keys are bit-identical to
 // per-item Insert signing. The memo is released on return: after bulk
-// signing the pipeline signs nothing (BuildFrozen reads the arena, the
-// seeded bootstrap queries presigned keys).
+// signing the pipeline signs nothing (BuildFrozen reads the arena).
 func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 	ix := a.Index()
 	if ix == nil {
@@ -139,21 +138,6 @@ func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 			scheme.Sign(set, sig)
 		}
 	}, stop)
-}
-
-// CandidatesUnindexed returns the candidate-cluster shortlist of a
-// not-yet-indexed item by querying the growing index with the item's
-// band keys (core.UnindexedQuerier): the presigned arena when SignAll
-// ran, a fresh signing otherwise (the serial bootstrap oracle). Serial
-// use only (shares signing and dedup scratch).
-func (a *MinHashAccelerator) CandidatesUnindexed(item int32, assign []int32) []int32 {
-	return a.CandidatesUnindexedWith(item, assign, func(item int32) []uint64 {
-		a.setBuf = a.ds.PresentValues(int(item), a.setBuf[:0])
-		if a.memo != nil {
-			return a.memo.Sign(a.setBuf, a.sigBuf)
-		}
-		return a.Index().Scheme().Sign(a.setBuf, a.sigBuf)
-	})
 }
 
 // IndexQuerier adapts a populated lsh.Sharded index into a Querier:
@@ -200,7 +184,7 @@ func (q *IndexQuerier) beginDedup() {
 func (q *IndexQuerier) collect(other int32, assign []int32) {
 	c := assign[other]
 	if c < 0 {
-		return // not yet assigned (seeded bootstrap)
+		return // not yet assigned (the Querier contract)
 	}
 	if q.stamps[c] != q.epoch {
 		q.stamps[c] = q.epoch
@@ -213,25 +197,6 @@ func (q *IndexQuerier) collect(other int32, assign []int32) {
 func (q *IndexQuerier) Candidates(item int32, assign []int32) []int32 {
 	q.beginDedup()
 	q.q.Candidates(item, func(other int32) { q.collect(other, assign) })
-	return q.buf
-}
-
-// CandidatesOfKeys returns the deduplicated cluster shortlist of an
-// un-inserted item identified by its presigned band keys — the seeded
-// bootstrap's query-before-insert. The returned slice is reused by the
-// next call.
-func (q *IndexQuerier) CandidatesOfKeys(keys []uint64, assign []int32) []int32 {
-	q.beginDedup()
-	q.q.CandidatesOfKeys(keys, func(other int32) { q.collect(other, assign) })
-	return q.buf
-}
-
-// CandidatesOfSignature returns the deduplicated cluster shortlist of
-// an un-inserted item identified by its signature. The returned slice
-// is reused by the next call.
-func (q *IndexQuerier) CandidatesOfSignature(sig []uint64, assign []int32) []int32 {
-	q.beginDedup()
-	q.q.CandidatesOfSignature(sig, func(other int32) { q.collect(other, assign) })
 	return q.buf
 }
 

@@ -13,62 +13,6 @@ import (
 	"lshcluster/internal/core"
 )
 
-// countingSeededAccel wraps the MinHash accelerator to observe the
-// seeded bootstrap's unindexed queries; embedding forwards every other
-// capability (BulkIndexer, Freezer, ReverseQuerier, ShardedIndexer).
-type countingSeededAccel struct {
-	*core.MinHashAccelerator
-	queries  int
-	nonEmpty int
-}
-
-func (c *countingSeededAccel) CandidatesUnindexed(item int32, assign []int32) []int32 {
-	s := c.MinHashAccelerator.CandidatesUnindexed(item, assign)
-	c.queries++
-	if len(s) > 0 {
-		c.nonEmpty++
-	}
-	return s
-}
-
-// TestSeededBootstrapQueriesGrowingIndex pins the repaired seeded
-// semantics: non-seed items query the growing index by their own band
-// keys, and on a collision-dense workload most of those shortlists are
-// non-empty — the exact-scan fallback no longer always runs. Covered
-// for both the presigned pipeline and the serial signing oracle (whose
-// equivalence the bootstrap tests enforce).
-func TestSeededBootstrapQueriesGrowingIndex(t *testing.T) {
-	ds := bootstrapWorkload(t)
-	for _, serial := range []bool{false, true} {
-		t.Run(fmt.Sprintf("serialOracle=%v", serial), func(t *testing.T) {
-			space, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 2}, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			accel := &countingSeededAccel{MinHashAccelerator: inner}
-			_, err = core.Run(space, core.Options{
-				Accelerator:              accel,
-				Bootstrap:                core.BootstrapSeeded,
-				MaxIterations:            3,
-				DisableParallelBootstrap: serial,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := ds.NumItems() - 30; accel.queries != want {
-				t.Fatalf("unindexed queries = %d, want one per non-seed item (%d)", accel.queries, want)
-			}
-			if accel.nonEmpty == 0 {
-				t.Fatal("every seeded-bootstrap shortlist was empty: the growing index is not being consulted")
-			}
-		})
-	}
-}
-
 // noBlockAccel hides CandidatesBlock from the MinHash accelerator's
 // queriers, so its passes go through the driver's per-item adapter;
 // embedding forwards every other capability.

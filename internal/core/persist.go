@@ -269,9 +269,6 @@ func validatePersistOptions(opts *Options) error {
 	if _, ok := opts.Accelerator.(IndexPersister); !ok {
 		return fmt.Errorf("core: the accelerator does not support index persistence")
 	}
-	if opts.Bootstrap == BootstrapSeeded {
-		return fmt.Errorf("core: IndexDir is incompatible with BootstrapSeeded (the seeded query-before-insert interleave cannot be warm-started)")
-	}
 	if opts.DisableParallelBootstrap {
 		return fmt.Errorf("core: IndexDir requires the parallel bootstrap (drop DisableParallelBootstrap)")
 	}

@@ -41,7 +41,6 @@ func persistSpaceAccel(t *testing.T, seed uint64, params lsh.Params) (core.Space
 
 func persistOpts(dir string, shards int) core.Options {
 	return core.Options{
-		Bootstrap:     core.BootstrapFullScan,
 		Update:        core.UpdateDeferred,
 		Workers:       4,
 		Shards:        shards,
@@ -205,9 +204,6 @@ func TestPersistOptionValidation(t *testing.T) {
 		}, "SnapshotEvery"},
 		{"IndexDir without accelerator", func(o *core.Options) {
 			o.Accelerator = nil
-		}, "IndexDir"},
-		{"IndexDir with seeded bootstrap", func(o *core.Options) {
-			o.Bootstrap = core.BootstrapSeeded
 		}, "IndexDir"},
 		{"IndexDir with serial bootstrap", func(o *core.Options) {
 			o.DisableParallelBootstrap = true

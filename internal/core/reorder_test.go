@@ -183,8 +183,8 @@ func TestReorderOracleCrosses(t *testing.T) {
 }
 
 // TestReorderDisabledPaths checks the layout that must never reorder:
-// the seeded bootstrap (map-built index). It must run clean and record
-// zero reorder time.
+// the serial bootstrap oracle's map-built index (per-item Insert, then
+// Freeze). It must run clean and record zero reorder time.
 func TestReorderDisabledPaths(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -199,7 +199,7 @@ func TestReorderDisabledPaths(t *testing.T) {
 		return s, a
 	}
 	cases := map[string]core.Options{
-		"seeded": {Shards: 4, MaxIterations: 8, Bootstrap: core.BootstrapSeeded},
+		"serial": {Shards: 4, MaxIterations: 8, DisableParallelBootstrap: true},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // Sharding capabilities. The LSH index layer can partition its hash
 // tables by item into S independent shards (lsh.Sharded): shards build
 // in parallel from disjoint slices of the signing arena, stay
-// individually cache-resident, and are independently freezable.
+// individually cache-resident, and are queried once frozen.
 // Queries fan out across shards and merge the shard-local shortlists
 // back into the exact candidate stream a single index would produce,
 // so sharding never changes results: Options.Shards = 1 (the default)
@@ -27,21 +27,6 @@ type ShardedIndexer interface {
 	// < 2 select the single-shard oracle. Implementations may clamp
 	// (e.g. to the item count).
 	SetShards(shards int)
-}
-
-// UnindexedQuerier is an optional Accelerator capability: produce the
-// candidate-cluster shortlist of an item that has *not yet been
-// inserted*, by signing the item (or reusing its presigned band keys)
-// and probing the growing index. The seeded bootstrap uses it so every
-// non-seed item actually consults the index built so far — the
-// behaviour the mode describes — instead of the always-empty shortlist
-// a Querier.Candidates call on an un-inserted item yields. The result
-// follows Querier.Candidates semantics (deduplicated, assignment
-// entries < 0 skipped, valid until the next call); the serial oracle
-// and the presigned pipeline must produce identical shortlists, which
-// the bootstrap equivalence tests enforce.
-type UnindexedQuerier interface {
-	CandidatesUnindexed(item int32, assign []int32) []int32
 }
 
 // ForeignSlotConfigurer was the capability through which the driver
@@ -86,6 +71,26 @@ type DegradedReverse interface {
 	Degraded() bool
 }
 
+// UnindexedQuerier was the capability through which the retired seeded
+// bootstrap queried the growing index for a not-yet-inserted item.
+//
+// Deprecated: the bootstrap's first assignment is always the exact
+// scan, which queries no index. Nothing implements this interface and
+// Run no longer checks for it; it remains so existing references keep
+// compiling.
+type UnindexedQuerier interface {
+	CandidatesUnindexed(item int32, assign []int32) []int32
+}
+
+// Seeder was the Space capability that named the seed items of the
+// retired seeded bootstrap.
+//
+// Deprecated: Run no longer checks for it; it remains so existing
+// references keep compiling. The spaces' Seeds accessors stay.
+type Seeder interface {
+	Seeds() []int32
+}
+
 // ReorderConfigurer is an optional Accelerator capability:
 // accelerators whose sharded index supports the locality-preserving
 // item reordering (lsh.Sharded.SetReorder) implement it. The driver
@@ -124,7 +129,7 @@ type ShardStats struct {
 	// served by the queried item's owning shard versus fanned out from
 	// the other shards. Their ratio (runstats' shard_local_frac) is the
 	// locality measure reordering exists to raise. Counted only on
-	// multi-shard range partitions — zero at S=1 and on stride layouts.
+	// multi-shard indexes — zero at S=1.
 	LocalCands, ForeignCands int64
 	// CrossShardMerge is the cumulative time spent in cross-shard
 	// candidate sweeps (zero with one shard).
@@ -166,26 +171,22 @@ type ShardStatsReporter interface {
 // ShardedIndexBase is the sharded-index state machine shared by the
 // accelerators built on lsh.Sharded (MinHash here, SimHash in
 // internal/simhash): one index plus the presigned-arena lifecycle
-// behind the BulkIndexer, Freezer, ReverseQuerier, ShardedIndexer,
-// UnindexedQuerier and ShardStatsReporter capabilities. Embedding it
-// promotes everything signing-agnostic — SetShards, ShardStats,
-// Params, Index, BuildFrozen, InsertPresigned, Freeze, NewQuerier,
-// NewReverse — so the arena lifecycle lives in exactly one place; the
-// embedding accelerator supplies only what varies, the signing: the
-// parallel worker factory (SignAllInto) and the serial single-item
-// signer (CandidatesUnindexedWith).
+// behind the BulkIndexer, Freezer, ReverseQuerier, ShardedIndexer and
+// ShardStatsReporter capabilities. Embedding it promotes everything
+// signing-agnostic — SetShards, ShardStats, Params, Index,
+// BuildFrozen, Freeze, NewQuerier, NewReverse — so the arena lifecycle
+// lives in exactly one place; the embedding accelerator supplies only
+// what varies, the signing: the parallel worker factory (SignAllInto)
+// and the serial per-item Insert.
 type ShardedIndexBase struct {
 	params lsh.Params
 	index  *lsh.Sharded
 	n      int
 	k      int
 	shards int
-	// selfQ serves CandidatesUnindexedWith (the seeded bootstrap's
-	// query-before-insert); created lazily, serial use only.
-	selfQ *IndexQuerier
 	// presigned is the flat band-key arena SignAllInto computed
 	// (keys[item·Bands+band]); nil until then, released to the index by
-	// BuildFrozen and at Freeze.
+	// BuildFrozen.
 	presigned []uint64
 	// reorderOff holds the locality-reordering configuration the driver
 	// forwarded (ReorderConfigurer); applied at the next ResetIndex.
@@ -335,7 +336,6 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 		b.n = numItems
 		b.k = numClusters
 		b.seed = seed
-		b.selfQ = nil
 		b.presigned = nil
 		b.warm = true
 		b.loadDur = rep.Duration
@@ -351,7 +351,6 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 	b.n = numItems
 	b.k = numClusters
 	b.seed = seed
-	b.selfQ = nil
 	b.presigned = nil
 	return nil
 }
@@ -387,46 +386,13 @@ func (b *ShardedIndexBase) BuildFrozen(workers int) error {
 	return err
 }
 
-// InsertPresigned files one item under its presigned band keys in its
-// owning shard's map-based builder (core.BulkIndexer).
-func (b *ShardedIndexBase) InsertPresigned(item int32) error {
-	if b.presigned == nil {
-		return fmt.Errorf("core: InsertPresigned before SignAll")
-	}
-	bands := b.params.Bands
-	return b.index.InsertKeys(item, b.presigned[int(item)*bands:(int(item)+1)*bands])
-}
-
-// CandidatesUnindexedWith returns the candidate-cluster shortlist of a
-// not-yet-indexed item: by its presigned band keys when SignAllInto
-// ran, otherwise by the signature signNow produces on the spot (the
-// serial bootstrap oracle) — identical keys either way, so the two
-// paths stay bit-identical. Serial use only (shares dedup scratch);
-// the embedding accelerator wraps it as CandidatesUnindexed with its
-// own signer.
-func (b *ShardedIndexBase) CandidatesUnindexedWith(item int32, assign []int32, signNow func(item int32) []uint64) []int32 {
-	if b.index == nil {
-		return nil
-	}
-	if b.selfQ == nil {
-		b.selfQ = NewIndexQuerier(b.index, b.k)
-	}
-	if b.presigned != nil {
-		bands := b.params.Bands
-		return b.selfQ.CandidatesOfKeys(b.presigned[int(item)*bands:(int(item)+1)*bands], assign)
-	}
-	return b.selfQ.CandidatesOfSignature(signNow(item), assign)
-}
-
-// Freeze compacts every shard for the iteration phase (core.Freezer).
-// It also releases the presigned key arena: after the seeded
-// bootstrap's interleave every key has been filed into the index, so
-// retaining the arena through the iterations would only duplicate it.
+// Freeze compacts every shard for the iteration phase after the serial
+// per-item Insert loop (core.Freezer); a no-op on an index BuildFrozen
+// or a warm load produced.
 func (b *ShardedIndexBase) Freeze() {
 	if b.index != nil {
 		b.index.Freeze()
 	}
-	b.presigned = nil
 }
 
 // NewQuerier returns a query handle with its own deduplication scratch.

@@ -108,7 +108,7 @@ func assertShardsEqual(t *testing.T, mk func() (core.Space, core.Accelerator), f
 
 // TestShardInvarianceKModes is the headline shard-count equivalence
 // matrix for MH-K-Modes: full runs must be bit-identical across
-// Shards ∈ {1, 2, 4} for both bootstrap modes and both worker counts.
+// Shards ∈ {1, 2, 4} for both worker counts.
 func TestShardInvarianceKModes(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -122,19 +122,17 @@ func TestShardInvarianceKModes(t *testing.T) {
 		}
 		return s, a
 	}
-	for _, boot := range []core.BootstrapMode{core.BootstrapFullScan, core.BootstrapSeeded} {
-		for _, workers := range []int{1, 4} {
-			upd := core.UpdateImmediate
-			if workers > 1 {
-				upd = core.UpdateDeferred
-			}
-			t.Run(fmt.Sprintf("boot=%d/w=%d", boot, workers), func(t *testing.T) {
-				assertShardsEqual(t, mk, kmodesFingerprint(t), core.Options{
-					Bootstrap: boot, Update: upd, Workers: workers,
-					MaxIterations: 15,
-				}, []int{1, 2, 4})
-			})
+	// boot=0 names the full-scan bootstrap, the only one.
+	for _, workers := range []int{1, 4} {
+		upd := core.UpdateImmediate
+		if workers > 1 {
+			upd = core.UpdateDeferred
 		}
+		t.Run(fmt.Sprintf("boot=0/w=%d", workers), func(t *testing.T) {
+			assertShardsEqual(t, mk, kmodesFingerprint(t), core.Options{
+				Update: upd, Workers: workers, MaxIterations: 15,
+			}, []int{1, 2, 4})
+		})
 	}
 }
 
@@ -166,15 +164,13 @@ func TestShardInvarianceKMeans(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, boot := range []core.BootstrapMode{core.BootstrapFullScan, core.BootstrapSeeded} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("boot=%d/w=%d", boot, workers), func(t *testing.T) {
-				assertShardsEqual(t, mk, fingerprint, core.Options{
-					Bootstrap: boot, Update: core.UpdateDeferred, Workers: workers,
-					MaxIterations: 15,
-				}, []int{1, 2, 4})
-			})
-		}
+	// boot=0 names the full-scan bootstrap, the only one.
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("boot=0/w=%d", workers), func(t *testing.T) {
+			assertShardsEqual(t, mk, fingerprint, core.Options{
+				Update: core.UpdateDeferred, Workers: workers, MaxIterations: 15,
+			}, []int{1, 2, 4})
+		})
 	}
 }
 
@@ -194,13 +190,12 @@ func TestShardInvarianceSerialOracle(t *testing.T) {
 		}
 		return s, a
 	}
-	for _, boot := range []core.BootstrapMode{core.BootstrapFullScan, core.BootstrapSeeded} {
-		t.Run(fmt.Sprintf("boot=%d", boot), func(t *testing.T) {
-			assertShardsEqual(t, mk, kmodesFingerprint(t), core.Options{
-				Bootstrap: boot, MaxIterations: 12, DisableParallelBootstrap: true,
-			}, []int{1, 4})
-		})
-	}
+	// boot=0 names the full-scan bootstrap, the only one.
+	t.Run("boot=0", func(t *testing.T) {
+		assertShardsEqual(t, mk, kmodesFingerprint(t), core.Options{
+			MaxIterations: 12, DisableParallelBootstrap: true,
+		}, []int{1, 4})
+	})
 }
 
 // TestShardStatsRecorded checks the ShardStatsReporter plumbing: a

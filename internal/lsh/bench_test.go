@@ -30,15 +30,15 @@ func BenchmarkIndexMapBuild(b *testing.B) {
 }
 
 // BenchmarkIndexMapFile isolates the filing half of the map build —
-// presigned keys, InsertKeys only — the path the NewIndex per-band
-// capacity hint (n/Bands) targets: pre-sized maps skip the doubling
-// rehashes of a from-zero build. Measured at n=20k, 10 bands: on
-// high-cardinality streams (distinct keys ≈ n per band) the hint cuts
-// allocated bytes ~4.5% at neutral wall time; on tightly clustered
-// shapes (distinct ≈ n/19) it overshoots ~2× with a small wall-time
-// cost, bounded by the hint being a Bands-th of the worst case. The
-// batch path no longer touches these maps at all (BuildFrozen), so
-// the hint only affects streaming inserts.
+// presigned signatures, InsertSignature only (the stream's insert) —
+// the path the NewIndex per-band capacity hint (n/Bands) targets:
+// pre-sized maps skip the doubling rehashes of a from-zero build.
+// Measured at n=20k, 10 bands: on high-cardinality streams (distinct
+// keys ≈ n per band) the hint cuts allocated bytes ~4.5% at neutral
+// wall time; on tightly clustered shapes (distinct ≈ n/19) it
+// overshoots ~2× with a small wall-time cost, bounded by the hint
+// being a Bands-th of the worst case. The batch path never touches
+// these maps (BuildFrozen), so the hint only affects streaming inserts.
 func BenchmarkIndexMapFile(b *testing.B) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
@@ -47,7 +47,11 @@ func BenchmarkIndexMapFile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys := SignAll(p, n, 1, setSigner(seedIx, sets), nil)
+	sl := p.SignatureLen()
+	sigs := make([]uint64, n*sl)
+	for item := 0; item < n; item++ {
+		seedIx.Scheme().Sign(sets[item], sigs[item*sl:(item+1)*sl])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,7 +60,7 @@ func BenchmarkIndexMapFile(b *testing.B) {
 			b.Fatal(err)
 		}
 		for item := 0; item < n; item++ {
-			if err := ix.InsertKeys(int32(item), keys[item*p.Bands:(item+1)*p.Bands]); err != nil {
+			if err := ix.InsertSignature(int32(item), sigs[item*sl:(item+1)*sl]); err != nil {
 				b.Fatal(err)
 			}
 		}

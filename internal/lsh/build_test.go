@@ -92,51 +92,6 @@ func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 	}
 }
 
-// TestInsertKeysMatchesInsert pins the seeded-bootstrap presigned
-// path: filing items under SignAll keys (InsertKeys) must produce the
-// same map build — and, after Freeze, the same frozen arrays — as
-// signing inside Insert, even with an interleave that files seeds out
-// of ascending order first.
-func TestInsertKeysMatchesInsert(t *testing.T) {
-	const n = 120
-	p := Params{Bands: 6, Rows: 3}
-	sets := testSets(n, 99)
-	order := make([]int32, 0, n)
-	for i := n / 2; i < n; i += 7 { // a few "seeds" first
-		order = append(order, int32(i))
-	}
-	for i := 0; i < n; i++ {
-		dup := false
-		for _, o := range order {
-			if o == int32(i) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			order = append(order, int32(i))
-		}
-	}
-
-	ref := mustIndex(t, p, 3, n)
-	for _, i := range order {
-		if err := ref.Insert(i, sets[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref.Freeze()
-
-	ix := mustIndex(t, p, 3, n)
-	keys := SignAll(p, n, 4, setSigner(ix, sets), nil)
-	for _, i := range order {
-		if err := ix.InsertKeys(i, keys[int(i)*p.Bands:(int(i)+1)*p.Bands]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix.Freeze()
-	assertFrozenIdentical(t, ref, ix)
-}
-
 func TestBuildFrozenErrors(t *testing.T) {
 	p := Params{Bands: 2, Rows: 2}
 	sets := testSets(4, 1)
@@ -159,8 +114,8 @@ func TestBuildFrozenErrors(t *testing.T) {
 	if err := ix2.BuildFrozen(keys, 4, 1); err == nil {
 		t.Fatal("BuildFrozen on a frozen index accepted")
 	}
-	if err := ix2.InsertKeys(5, keys[:p.Bands]); err == nil {
-		t.Fatal("InsertKeys on a frozen index accepted")
+	if err := ix2.Insert(5, sets[0]); err == nil {
+		t.Fatal("Insert on a frozen index accepted")
 	}
 }
 

@@ -19,15 +19,16 @@ import "sync"
 // candidate stream is the probe path's by construction.
 //
 // The bitmap costs one bit per bucket and is built, with no budget,
-// whenever every shard of a range-partitioned S>1 index is frozen
-// (BuildFrozen, Freeze); OpenSharded loads it from the shard files.
+// whenever every shard of an S>1 index is frozen (BuildFrozen,
+// Freeze); OpenSharded loads it from the shard files. Its presence is
+// the multi-shard query precondition Query checks.
 
 // buildForeignEmpty computes the foreign-emptiness bitmap, one
 // goroutine per owner shard. It is a no-op unless the index is a
-// frozen range partition of S>1 shards, and idempotent; it must not
-// run concurrently with queries.
+// frozen partition of S>1 shards, and idempotent; it must not run
+// concurrently with queries.
 func (sh *Sharded) buildForeignEmpty() {
-	if sh.foreignEmpty != nil || sh.single != nil || sh.part.stride || !sh.Frozen() {
+	if sh.foreignEmpty != nil || sh.single != nil || !sh.Frozen() {
 		return
 	}
 	empty := make([][]uint64, len(sh.shards))
@@ -72,8 +73,8 @@ func (sh *Sharded) foreignEmptyAt(s int, slot int32) bool {
 }
 
 // ForeignSlotBytes returns the memory the foreign-emptiness bitmap
-// occupies, 0 when the index has none (single shard, stride partition
-// or unfrozen shards).
+// occupies, 0 when the index has none (single shard or unfrozen
+// shards).
 //
 //lshvet:noescape
 func (sh *Sharded) ForeignSlotBytes() int64 {
@@ -84,13 +85,12 @@ func (sh *Sharded) ForeignSlotBytes() int64 {
 	return n
 }
 
-// FanOutOps returns how the frozen range fan-out resolved its
-// cross-shard bucket lookups, counted per (item, band, foreign shard):
-// probes is the key-table probes issued, direct the resolutions the
-// foreign-emptiness bitmap answered without one. Key-addressed paths
-// (unfrozen, stride) count probes only. Per-item query
-// paths flush their counts in small batches (see Query.addMergeNanos),
-// so a handful of recent samples may be pending.
+// FanOutOps returns how the fan-out resolved its cross-shard bucket
+// lookups, counted per (item, band, foreign shard): probes is the
+// key-table probes issued, direct the resolutions the
+// foreign-emptiness bitmap answered without one. Per-item query paths
+// flush their counts in small batches (see Query.addMergeNanos), so a
+// handful of recent samples may be pending.
 //
 //lshvet:noescape
 func (sh *Sharded) FanOutOps() (probes, direct int64) {

@@ -170,8 +170,7 @@ func TestForeignSlotsMatchProbePath(t *testing.T) {
 }
 
 // TestForeignSlotsSkippedLayouts pins the layouts that build no
-// foreign-emptiness bitmap: single shard, stride partition, unfrozen
-// shards.
+// foreign-emptiness bitmap: single shard, unfrozen shards.
 func TestForeignSlotsSkippedLayouts(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(40, 5)
@@ -179,20 +178,6 @@ func TestForeignSlotsSkippedLayouts(t *testing.T) {
 	single := buildFrozenSharded(t, p, 7, sets, 1)
 	if single.foreignEmpty != nil || single.ForeignSlotBytes() != 0 {
 		t.Fatal("single-shard index built a foreign-emptiness bitmap")
-	}
-
-	stride, err := NewShardedStream(p, 7, 3, len(sets))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sets {
-		if err := stride.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stride.Freeze()
-	if stride.foreignEmpty != nil || stride.ForeignSlotBytes() != 0 {
-		t.Fatal("stride index built a foreign-emptiness bitmap")
 	}
 
 	unfrozen, err := NewSharded(p, 7, len(sets), 2)

@@ -9,9 +9,10 @@ package lsh
 //   - slots[item·bands+band] resolves an *inserted* item directly to
 //     its bucket (no hashing at query time): the hot path of the
 //     clustering iteration.
-//   - an open-addressed key→bucket table per band serves
-//     CandidatesOfSet queries for items outside the index (streaming
-//     assignment against a frozen batch index).
+//   - an open-addressed key→bucket table per band serves key lookups:
+//     a sharded query's probes of the other shards, and
+//     CandidatesOfSet/CandidatesOfSignature queries for items outside
+//     the index.
 //
 // Bucket IDs are global across bands; each band's buckets occupy a
 // contiguous ID range, and every bucket's item order is preserved from

@@ -20,16 +20,14 @@ import (
 // time, "updating the reference" after a move is a single slice store —
 // exactly the O(1) pointer update described in §III-B.
 //
-// The index has three construction lifecycles: a map-based *build*
-// phase that accepts streaming inserts, an optional *frozen* phase
-// (Freeze) that compacts the buckets into flat CSR arrays for
-// cache-friendly, allocation-free candidate lookups during iteration,
-// and a *direct-to-frozen* batch build (BuildFrozen) that constructs
-// the frozen layout straight from presigned band keys, skipping the
-// map phase entirely. Batch clustering either freezes after bootstrap
-// (seeded mode, which interleaves queries with inserts) or builds
-// frozen directly (full-scan mode); the streaming clusterer keeps
-// inserting and never freezes.
+// The index has two construction lifecycles. The batch build
+// (BuildFrozen) constructs the frozen layout — flat CSR arrays for
+// cache-friendly, allocation-free candidate lookups during iteration —
+// straight from presigned band keys. The map-based *build* phase
+// accepts one insert at a time: the streaming clusterer keeps
+// inserting into it and queries it between inserts, and the serial
+// bootstrap oracle inserts every item and then compacts the maps into
+// the same frozen layout (Freeze) before its first query.
 //
 // An Index is not safe for concurrent mutation. Insert and
 // CandidatesOfSet additionally share internal signing scratch
@@ -69,15 +67,12 @@ type Index struct {
 	numInserted int
 	frozen      *frozenIndex
 	sigBuf      []uint64
-	// idBase/idStride map this index's local item IDs to the global IDs
-	// stored in buckets: global = idBase + local·idStride. A standalone
-	// index uses (0, 1), where local and global coincide; a shard member
-	// of a Sharded index carries its partition's affine map (range
-	// shards: base = the shard's first global item, stride 1; stride
-	// shards: base = the shard number, stride = the shard count), so
-	// bucket scans emit global IDs with no per-item translation.
-	idBase   int32
-	idStride int32
+	// idBase maps this index's local item IDs to the global IDs stored
+	// in buckets: global = idBase + local. A standalone index uses 0,
+	// where local and global coincide; a shard of a Sharded index uses
+	// its first global item, so bucket scans emit global IDs with no
+	// per-item translation.
+	idBase int32
 }
 
 // NewIndex creates an index for the given banding parameters, seeded
@@ -91,30 +86,28 @@ func NewIndex(p Params, seed uint64, numItems int) (*Index, error) {
 		numItems = 0
 	}
 	return &Index{
-		params:   p,
-		scheme:   minhash.NewScheme(p.SignatureLen(), seed),
-		capHint:  numItems,
-		sigBuf:   make([]uint64, p.SignatureLen()),
-		idStride: 1,
+		params:  p,
+		scheme:  minhash.NewScheme(p.SignatureLen(), seed),
+		capHint: numItems,
+		sigBuf:  make([]uint64, p.SignatureLen()),
 	}, nil
 }
 
 // newShardIndex creates one shard of a Sharded index: the scheme is
-// shared (every shard signs identically) and the affine local→global
-// map is the shard's slice of the partition.
-func newShardIndex(p Params, scheme *minhash.Scheme, capHint int, base, stride int32) *Index {
+// shared (every shard signs identically) and base is the shard's first
+// global item.
+func newShardIndex(p Params, scheme *minhash.Scheme, capHint int, base int32) *Index {
 	return &Index{
-		params:   p,
-		scheme:   scheme,
-		capHint:  capHint,
-		sigBuf:   make([]uint64, p.SignatureLen()),
-		idBase:   base,
-		idStride: stride,
+		params:  p,
+		scheme:  scheme,
+		capHint: capHint,
+		sigBuf:  make([]uint64, p.SignatureLen()),
+		idBase:  base,
 	}
 }
 
 // globalID maps a local item ID to the global ID stored in buckets.
-func (ix *Index) globalID(local int32) int32 { return ix.idBase + local*ix.idStride }
+func (ix *Index) globalID(local int32) int32 { return ix.idBase + local }
 
 // isInserted reports whether local item ID has been inserted.
 func (ix *Index) isInserted(local int32) bool {
@@ -181,7 +174,7 @@ func (ix *Index) bandKey(sig []uint64, band int) uint64 {
 // Insert signs into scratch shared with CandidatesOfSet: it must not be
 // called concurrently with itself or with CandidatesOfSet. Parallel
 // batch construction signs with per-worker scratch via SignAll +
-// BuildFrozen (or InsertKeys) instead.
+// BuildFrozen instead.
 func (ix *Index) Insert(item int32, presentValues []uint64) error {
 	return ix.InsertSignature(item, ix.scheme.Sign(presentValues, ix.sigBuf))
 }
@@ -214,36 +207,6 @@ func (ix *Index) InsertSignature(item int32, sig []uint64) error {
 	return nil
 }
 
-// InsertKeys files item under precomputed band keys — one per band, as
-// produced by SignAll — in the map-based build phase. It is the insert
-// half of the seeded bootstrap's query/insert interleave once signing
-// has been hoisted out and parallelised: the interleave itself stays
-// serial (and semantically identical), but each insert is reduced to
-// Bands map appends.
-func (ix *Index) InsertKeys(item int32, keys []uint64) error {
-	if item < 0 {
-		return fmt.Errorf("lsh: negative item ID %d", item)
-	}
-	if len(keys) != ix.params.Bands {
-		return fmt.Errorf("lsh: %d band keys, want %d", len(keys), ix.params.Bands)
-	}
-	if ix.frozen != nil {
-		return fmt.Errorf("lsh: index is frozen")
-	}
-	ix.ensureBuild()
-	ix.grow(int(item) + 1)
-	if ix.inserted[item] {
-		return fmt.Errorf("lsh: item %d already inserted", item)
-	}
-	base := int(item) * ix.params.Bands
-	for b, key := range keys {
-		ix.file(b, key, item, base)
-	}
-	ix.inserted[item] = true
-	ix.numInserted++
-	return nil
-}
-
 // file adds item (as its global ID) to band b's bucket under key,
 // recording the key's first appearance in keyOrder (the deterministic
 // Freeze ordering) and retaining it in the per-item key store.
@@ -251,12 +214,11 @@ func (ix *Index) InsertKeys(item int32, keys []uint64) error {
 // Buckets are kept in ascending global-ID order — an index invariant
 // that makes candidate enumeration a function of the bucket's
 // *membership*, independent of insertion order, and therefore
-// identical across shard partitions (a sharded query concatenates or
-// merges per-shard buckets in ascending ID order). Ascending insert
-// sequences (the full-scan bootstrap, streaming) take the append path
-// unchanged; only out-of-order inserts — the seeded bootstrap's k
-// seeds-first interleave — pay the insertion-sort shifts, bounded by
-// the handful of larger seeds sharing the bucket.
+// identical across shard partitions (a sharded query concatenates
+// per-shard buckets in ascending shard order). Ascending insert
+// sequences (the serial bootstrap oracle, streaming) take the append
+// path unchanged; only an out-of-order insert pays insertion-sort
+// shifts.
 func (ix *Index) file(b int, key uint64, item int32, base int) {
 	ix.keys[base+b] = key
 	bucket, ok := ix.buckets[b][key]
@@ -372,9 +334,9 @@ func (ix *Index) CandidatesOfSet(presentValues []uint64, fn func(other int32)) {
 // CandidatesOfSignature reports the items colliding with a precomputed
 // signature of length SignatureLen, with the same duplication semantics
 // as Candidates. It lets callers that sign externally — the streaming
-// clusterer signs once per arriving item, via minhash.Memo when
-// memoization is on, and reuses the signature for both this query and
-// the subsequent InsertSignature — avoid re-hashing the item per use.
+// clusterer signs once per arriving item and reuses the signature for
+// both this query and the subsequent InsertSignature — avoid
+// re-hashing the item per use.
 func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
 	if len(sig) != ix.params.SignatureLen() {
 		panic("lsh: CandidatesOfSignature signature length mismatch")
@@ -401,49 +363,17 @@ func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
 	}
 }
 
-// CandidatesOfKeys reports the items colliding with precomputed band
-// keys — one per band, as produced by SignAll — with the same
-// duplication semantics as Candidates. It is the query half of the
-// presigned seeded bootstrap (the keys were computed up front, the
-// item itself is not yet inserted) and of cross-shard fan-out, where
-// non-owning shards are probed by key.
-func (ix *Index) CandidatesOfKeys(keys []uint64, fn func(other int32)) {
-	if len(keys) != ix.params.Bands {
-		panic("lsh: CandidatesOfKeys key count mismatch")
-	}
-	for b, key := range keys {
-		for _, other := range ix.lookupBucket(b, key) {
-			fn(other)
-		}
-	}
-}
-
-// itemBandKey returns the band-b key of a previously inserted local
-// item, on either layout: the build phase retains per-item keys, the
-// frozen layout resolves the item's bucket slot and reads the bucket's
-// key. Callers must check isInserted first.
-func (ix *Index) itemBandKey(local int32, b int) uint64 {
-	if fz := ix.frozen; fz != nil {
-		return fz.keys[fz.slots[int(local)*ix.params.Bands+b]]
-	}
-	return ix.keys[int(local)*ix.params.Bands+b]
-}
-
 // lookupBucket returns band b's bucket filed under key (nil when
-// absent), on either layout. The returned slice aliases index storage
-// and must not be modified; its entries are global item IDs.
+// absent) on a frozen index — the cross-shard key probe. The returned
+// slice aliases index storage and must not be modified; its entries
+// are global item IDs.
 func (ix *Index) lookupBucket(b int, key uint64) []int32 {
-	if fz := ix.frozen; fz != nil {
-		slot := fz.tables[b].get(key)
-		if slot < 0 {
-			return nil
-		}
-		return fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
+	fz := ix.frozen
+	slot := fz.tables[b].get(key)
+	if slot < 0 {
+		return nil
 	}
-	if ix.buckets == nil {
-		return nil // nothing inserted yet (build storage is lazy)
-	}
-	return ix.buckets[b][key]
+	return fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
 }
 
 // Stats summarises bucket occupancy for diagnostics.

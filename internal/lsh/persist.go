@@ -83,9 +83,6 @@ func (sh *Sharded) Save(dir string, seed, fingerprint uint64, workers int) (Save
 	if !sh.Frozen() {
 		return SaveReport{}, fmt.Errorf("lsh: Save before the index is frozen")
 	}
-	if sh.part.stride {
-		return SaveReport{}, fmt.Errorf("lsh: Save on a stride-partitioned (streaming) index")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return SaveReport{}, fmt.Errorf("lsh: Save: %w", err)
 	}
@@ -262,7 +259,7 @@ func OpenSharded(dir string, opt OpenOptions) (*Sharded, OpenReport, error) {
 	} else {
 		scheme := minhash.NewScheme(p.SignatureLen(), opt.Seed)
 		for s := 0; s < S; s++ {
-			sh.shards[s] = newShardIndex(p, scheme, int(cuts[s+1]-cuts[s]), cuts[s], 1)
+			sh.shards[s] = newShardIndex(p, scheme, int(cuts[s+1]-cuts[s]), cuts[s])
 		}
 	}
 

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"errors"
 	"slices"
 	"time"
 )
@@ -10,46 +11,41 @@ import (
 // resolves the query item's bucket, the other shards are probed for
 // the matching bucket unless the foreign-emptiness bitmap rules every
 // match out (foreign.go) — and merges the shard-local shortlists back
-// into the exact candidate stream the unsharded index would emit:
+// into the exact candidate stream the unsharded index would emit.
+// Shard buckets hold ascending global IDs from disjoint contiguous
+// ranges, so per band the concatenation in ascending shard order IS
+// the ascending-ID merge (on a reordered index, a merge by original ID;
+// see reorder.go). A consumer therefore observes exactly the sequence
+// the single-index Candidates/CandidatesBatch calls would deliver — the
+// property the full-run shard-invariance tests pin, since the driver's
+// tie-breaking depends on enumeration order.
 //
-//   - Range partition: per band, buckets are concatenated in ascending
-//     shard order. Shard buckets hold ascending global IDs from
-//     disjoint contiguous ranges, so the concatenation IS the
-//     ascending-ID merge — order-preserving at zero comparison cost.
+// With more than one shard, every shard must be frozen (BuildFrozen,
+// Freeze or OpenSharded) before the first query: the fan-out reads the
+// frozen slots and the foreign-emptiness bitmap, and a query on
+// unfrozen shards panics. With a single shard every method delegates
+// straight to the underlying Index, on either layout.
 //
-//   - Stride partition: per band, an S-way ascending merge interleaves
-//     the shard buckets back into global-ID order.
-//
-// Either way a consumer observes exactly the sequence the single-index
-// Candidates/CandidatesBatch/CandidatesOfSignature calls would
-// deliver — the property the full-run shard-invariance tests pin,
-// since the driver's tie-breaking depends on enumeration order.
-//
-// A Query owns private scratch (block key buffers, merge heads): a
-// single Query must not be used concurrently, but distinct Queries
-// over one Sharded index may be — the driver creates one per pass
-// worker. With a single shard every method delegates straight to the
-// underlying Index.
+// A Query owns private scratch (block buffers, merge heads): a single
+// Query must not be used concurrently, but distinct Queries over one
+// Sharded index may be — the driver creates one per pass worker.
 type Query struct {
 	sh *Sharded
-	// owners/locals/keyBuf/slotBuf are the per-position scratch of the
-	// batched block sweep.
+	// owners/locals/slotBuf are the per-position scratch of the batched
+	// block sweep.
 	owners  []int32
 	locals  []int32
-	keyBuf  []uint64
 	slotBuf []int32
 	// order is the frozen block sweep's position schedule: valid block
 	// positions, sorted by internal ID on a reordered index so the
 	// sweep walks the permuted arena sequentially
 	// (candidatesBatchFrozen).
 	order []int32
-	// sigKeys holds the band keys of an out-of-index query signature.
-	sigKeys []uint64
-	// heads is the stride-merge cursor scratch.
+	// heads is the cross-shard merge cursor scratch.
 	heads []mergeHead
 	// pendingNanos/pendingCalls batch per-item merge-time samples
-	// locally so the hottest per-item paths (seeded interleave,
-	// streaming) pay the shared atomic once per flush, not per query.
+	// locally so the per-item query path pays the shared atomic once per
+	// flush, not per query.
 	pendingNanos int64
 	pendingCalls int
 	// pendingProbe/pendingDirect batch the fan-out path counters
@@ -109,7 +105,12 @@ const mergeFlushEvery = 64
 // bucket with the previously inserted global item, with Index.
 // Candidates' duplication semantics and enumeration order. On a
 // reordered index the emitted candidates are internal IDs in
-// ascending-original order (see reorder.go).
+// ascending-original order (see reorder.go). With more than one shard
+// it panics unless every shard is frozen.
+//
+// Each band resolves the owner's bucket through its freeze-time slot
+// and reaches the other shards by key probe only when the slot's
+// foreign-emptiness bit is clear (foreign.go).
 //
 //lshvet:noescape
 func (q *Query) Candidates(item int32, fn func(other int32)) {
@@ -124,6 +125,7 @@ func (q *Query) Candidates(item int32, fn func(other int32)) {
 		sh.single.Candidates(item, fn)
 		return
 	}
+	sh.mustBeFrozen()
 	start := time.Now()
 	s, local, ok := sh.part.locate(item)
 	if !ok || !sh.shards[s].isInserted(local) {
@@ -131,40 +133,41 @@ func (q *Query) Candidates(item int32, fn func(other int32)) {
 	}
 	sh.touchShard(s)
 	bands := sh.params.Bands
-	cross := int64(len(sh.shards) - 1)
-	if sh.foreignEmpty != nil {
-		// Frozen range fan-out (foreign.go): each band resolves the
-		// owner's bucket through its freeze-time slot and reaches the
-		// other shards by key probe only when the slot's
-		// foreign-emptiness bit is clear.
-		own := sh.shards[s].frozen
-		base := int(local) * bands
-		probed := int64(0)
-		for b := 0; b < bands; b++ {
-			slot := own.slots[base+b]
-			ownerBucket := own.items[own.offsets[slot]:own.offsets[slot+1]]
-			q.pendingLocal += int64(len(ownerBucket))
-			if sh.foreignEmptyAt(s, slot) {
-				for _, g := range ownerBucket {
-					fn(g)
-				}
-				continue
-			}
-			probed++
-			q.pendingForeign += q.gatherHeads(s, slot, b, ownerBucket)
-			q.drainHeads(fn)
-		}
-		q.pendingProbe += probed * cross
-		q.pendingDirect += (int64(bands) - probed) * cross
-		q.addMergeNanos(time.Since(start).Nanoseconds())
-		return
-	}
-	own := sh.shards[s]
+	own := sh.shards[s].frozen
+	base := int(local) * bands
+	probed := int64(0)
 	for b := 0; b < bands; b++ {
-		q.fanOutBand(b, own.itemBandKey(local, b), fn)
+		slot := own.slots[base+b]
+		ownerBucket := own.items[own.offsets[slot]:own.offsets[slot+1]]
+		q.pendingLocal += int64(len(ownerBucket))
+		if sh.foreignEmptyAt(s, slot) {
+			for _, g := range ownerBucket {
+				fn(g)
+			}
+			continue
+		}
+		probed++
+		q.pendingForeign += q.gatherHeads(s, slot, b, ownerBucket)
+		q.drainHeads(fn)
 	}
-	q.pendingProbe += int64(bands) * cross
+	cross := int64(len(sh.shards) - 1)
+	q.pendingProbe += probed * cross
+	q.pendingDirect += (int64(bands) - probed) * cross
 	q.addMergeNanos(time.Since(start).Nanoseconds())
+}
+
+// errUnfrozenQuery is the panic value of a multi-shard query on
+// unfrozen shards. Panicking with a package-level value keeps the
+// annotated query paths free of the escape diagnostic (a string
+// converted to an interface "escapes") that allocheck fails on.
+var errUnfrozenQuery = errors.New("lsh: multi-shard query on unfrozen shards (call BuildFrozen or Freeze first)")
+
+// mustBeFrozen panics unless the multi-shard fan-out's precondition
+// holds: every shard frozen, so the foreign-emptiness bitmap exists.
+func (sh *Sharded) mustBeFrozen() {
+	if sh.foreignEmpty == nil {
+		panic(errUnfrozenQuery)
+	}
 }
 
 // gatherHeads loads q.heads with band b's buckets matching owner shard
@@ -191,13 +194,13 @@ func (q *Query) gatherHeads(s int, slot int32, b int, ownerBucket []int32) int64
 }
 
 // drainHeads emits the gathered q.heads in ascending original ID order
-// and empties them: by inv on a reordered index (mergeEmitByInv), by
+// and empties them: by inv on a reordered index (emitByInv), by
 // concatenation otherwise — range shards hold disjoint ascending ID
 // ranges and the heads were gathered in shard order, so concatenation
 // is the ascending merge.
 func (q *Query) drainHeads(fn func(other int32)) {
 	if q.sh.inv != nil {
-		q.mergeEmitByInv(fn)
+		q.emitByInv(fn)
 		return
 	}
 	for _, h := range q.heads {
@@ -209,11 +212,11 @@ func (q *Query) drainHeads(fn func(other int32)) {
 }
 
 // drainHeadRuns is drainHeads for block sweeps: whole buckets, or on a
-// reordered index maximal single-shard runs (mergeRunsByInv), handed
+// reordered index maximal single-shard runs (emitRunsByInv), handed
 // to fn with the block position.
 func (q *Query) drainHeadRuns(pos int, fn func(pos int, bucket []int32)) {
 	if q.sh.inv != nil {
-		q.mergeRunsByInv(pos, fn)
+		q.emitRunsByInv(pos, fn)
 		return
 	}
 	for _, h := range q.heads {
@@ -222,68 +225,17 @@ func (q *Query) drainHeadRuns(pos int, fn func(pos int, bucket []int32)) {
 	q.heads = q.heads[:0]
 }
 
-// fanOutBand emits one band's colliding items across all shards in
-// ascending global-ID order: concatenation for range shards, an S-way
-// merge for stride shards.
-//
-//lshvet:noescape
-func (q *Query) fanOutBand(b int, key uint64, fn func(other int32)) {
-	sh := q.sh
-	if !sh.part.stride {
-		for _, ix := range sh.shards {
-			for _, g := range ix.lookupBucket(b, key) {
-				fn(g)
-			}
-		}
-		return
-	}
-	q.heads = q.heads[:0]
-	for _, ix := range sh.shards {
-		if bucket := ix.lookupBucket(b, key); len(bucket) > 0 {
-			q.heads = append(q.heads, mergeHead{bucket: bucket})
-		}
-	}
-	q.mergeEmit(fn)
-}
-
-// mergeEmit drains q.heads in ascending global-ID order. Every bucket
-// is strictly ascending (items insert in ascending global order within
-// a shard) and shards hold disjoint IDs, so a repeated min-head scan —
-// S is small — reproduces the unsharded bucket exactly.
-//
-//lshvet:noescape
-func (q *Query) mergeEmit(fn func(other int32)) {
-	for len(q.heads) > 0 {
-		minAt := 0
-		for h := 1; h < len(q.heads); h++ {
-			if q.heads[h].bucket[q.heads[h].next] < q.heads[minAt].bucket[q.heads[minAt].next] {
-				minAt = h
-			}
-		}
-		head := &q.heads[minAt]
-		fn(head.bucket[head.next])
-		head.next++
-		if head.next == len(head.bucket) {
-			last := len(q.heads) - 1
-			q.heads[minAt] = q.heads[last]
-			q.heads = q.heads[:last]
-		}
-	}
-}
-
 // CandidatesBatch invokes fn with each position's buckets in exactly
 // the per-position sequence Candidates would deliver, band-major
 // across the block so the sweep stays inside one band's contiguous
 // region of each shard at a time (see Index.CandidatesBatch for why
-// that order amortises cache misses). On range partitions each
-// (item, band, shard) bucket arrives whole, shard-ascending within the
-// band (or, reordered, as runs of the ascending-original merge); on
-// stride partitions, whose shard buckets interleave in ID space, each
-// (item, band) emission is the S-way ascending merge delivered as
-// maximal single-shard runs. Bucket slices alias index storage and
-// must not be modified; they stay valid until the next call on the
-// same Query, so a caller may record them during the sweep and read
-// them afterwards.
+// that order amortises cache misses). Each (item, band, shard) bucket
+// arrives whole, shard-ascending within the band (or, reordered, as
+// runs of the ascending-original merge). Bucket slices alias index
+// storage and must not be modified; they stay valid until the next
+// call on the same Query, so a caller may record them during the sweep
+// and read them afterwards. With more than one shard it panics unless
+// every shard is frozen.
 func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)) {
 	sh := q.sh
 	switch {
@@ -291,10 +243,9 @@ func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32))
 		q.singleBatchReordered(items, fn)
 	case sh.single != nil:
 		sh.single.CandidatesBatch(items, fn)
-	case sh.foreignEmpty != nil:
-		q.candidatesBatchFrozen(items, fn)
 	default:
-		q.candidatesBatchKeys(items, fn)
+		sh.mustBeFrozen()
+		q.candidatesBatchFrozen(items, fn)
 	}
 }
 
@@ -303,7 +254,6 @@ func (q *Query) blockScratch(n int) {
 	if cap(q.owners) < n {
 		q.owners = make([]int32, n)
 		q.locals = make([]int32, n)
-		q.keyBuf = make([]uint64, n)
 		q.slotBuf = make([]int32, n)
 		q.order = make([]int32, 0, n)
 	}
@@ -343,7 +293,7 @@ func (q *Query) scheduleBlock(items, perm []int32) []int32 {
 	return order
 }
 
-// candidatesBatchFrozen is the frozen range block sweep (S>1, every
+// candidatesBatchFrozen is the multi-shard block sweep (S>1, every
 // shard frozen, so the foreign-emptiness bitmap exists). Items are
 // original IDs. A reordered index translates them and schedules the
 // positions by ascending internal ID (q.order): the core cuts blocks
@@ -416,168 +366,4 @@ func (q *Query) candidatesBatchFrozen(items []int32, fn func(pos int, bucket []i
 	sh.localCands.Add(localC)
 	sh.foreignCands.Add(foreignC)
 	sh.mergeNanos.Add(time.Since(start).Nanoseconds())
-}
-
-// candidatesBatchKeys is the key-addressed block sweep, for shards
-// that are not all frozen (map-built range shards, stride streams):
-// band-major like the frozen sweep, each position's band keys resolved
-// through its owning shard and every shard looked up by key. A range
-// position's shard buckets arrive whole in shard order (concatenation
-// is the merge, as in fanOutBand); a stride position's (item, band)
-// emission is the S-way ascending merge of the per-shard buckets
-// delivered as maximal single-shard runs (mergeRuns) — the same
-// candidate sequence the per-item Candidates path produces, without
-// its per-candidate closure dispatch. Equivalence tests pin the
-// sequences identical.
-func (q *Query) candidatesBatchKeys(items []int32, fn func(pos int, bucket []int32)) {
-	sh := q.sh
-	start := time.Now()
-	n := len(items)
-	q.blockScratch(n)
-	owners, locals, keyBuf := q.owners[:n], q.locals[:n], q.keyBuf[:n]
-	valid := 0
-	for pos, item := range items {
-		s, local, ok := sh.part.locate(item)
-		if ok && sh.shards[s].isInserted(local) {
-			owners[pos], locals[pos] = int32(s), local
-			valid++
-		} else {
-			owners[pos] = -1
-		}
-	}
-	bands := sh.params.Bands
-	for b := 0; b < bands; b++ {
-		for pos := range items {
-			if owners[pos] >= 0 {
-				keyBuf[pos] = sh.shards[owners[pos]].itemBandKey(locals[pos], b)
-			}
-		}
-		for pos := 0; pos < n; pos++ {
-			if owners[pos] < 0 {
-				continue
-			}
-			if !sh.part.stride {
-				for _, ix := range sh.shards {
-					if bucket := ix.lookupBucket(b, keyBuf[pos]); len(bucket) > 0 {
-						fn(pos, bucket)
-					}
-				}
-				continue
-			}
-			q.heads = q.heads[:0]
-			for _, ix := range sh.shards {
-				if bucket := ix.lookupBucket(b, keyBuf[pos]); len(bucket) > 0 {
-					q.heads = append(q.heads, mergeHead{bucket: bucket})
-				}
-			}
-			q.mergeRuns(pos, fn)
-		}
-	}
-	sh.probeOps.Add(int64(valid) * int64(bands) * int64(len(sh.shards)-1))
-	sh.mergeNanos.Add(time.Since(start).Nanoseconds())
-}
-
-// mergeRuns drains q.heads in ascending global-ID order, emitting
-// maximal single-shard runs as bucket sub-slices: the head with the
-// smallest front ID advances until the next-smallest other head would
-// overtake it, and the stretch is handed to fn in one call. Buckets are
-// strictly ascending with disjoint IDs across shards, so the
-// concatenation of emitted runs is exactly the mergeEmit sequence.
-func (q *Query) mergeRuns(pos int, fn func(pos int, bucket []int32)) {
-	for len(q.heads) > 0 {
-		if len(q.heads) == 1 {
-			h := &q.heads[0]
-			fn(pos, h.bucket[h.next:])
-			q.heads = q.heads[:0]
-			return
-		}
-		minAt := 0
-		minV := q.heads[0].bucket[q.heads[0].next]
-		limit := int32((1 << 31) - 1)
-		for h := 1; h < len(q.heads); h++ {
-			v := q.heads[h].bucket[q.heads[h].next]
-			if v < minV {
-				limit = minV
-				minV, minAt = v, h
-			} else if v < limit {
-				limit = v
-			}
-		}
-		head := &q.heads[minAt]
-		runStart := head.next
-		for head.next < len(head.bucket) && head.bucket[head.next] < limit {
-			head.next++
-		}
-		fn(pos, head.bucket[runStart:head.next])
-		if head.next == len(head.bucket) {
-			last := len(q.heads) - 1
-			q.heads[minAt] = q.heads[last]
-			q.heads = q.heads[:last]
-		}
-	}
-}
-
-// CandidatesOfKeys reports the items colliding with precomputed band
-// keys (one per band), with Candidates' duplication semantics and
-// enumeration order — the query half of the sharded seeded bootstrap,
-// probing every shard's growing (or frozen) tables. On a reordered
-// index the emitted IDs are internal, in ascending-original order,
-// like every other candidate path.
-func (q *Query) CandidatesOfKeys(keys []uint64, fn func(other int32)) {
-	sh := q.sh
-	if sh.single != nil {
-		sh.single.CandidatesOfKeys(keys, fn)
-		return
-	}
-	if len(keys) != sh.params.Bands {
-		panic("lsh: CandidatesOfKeys key count mismatch")
-	}
-	start := time.Now()
-	if sh.inv != nil {
-		for b, key := range keys {
-			q.heads = q.heads[:0]
-			for _, ix := range sh.shards {
-				if bucket := ix.lookupBucket(b, key); len(bucket) > 0 {
-					q.heads = append(q.heads, mergeHead{bucket: bucket})
-				}
-			}
-			if len(q.heads) == 1 {
-				for _, g := range q.heads[0].bucket {
-					fn(g)
-				}
-				q.heads = q.heads[:0]
-			} else {
-				q.mergeEmitByInv(fn)
-			}
-		}
-	} else {
-		for b, key := range keys {
-			q.fanOutBand(b, key, fn)
-		}
-	}
-	q.pendingProbe += int64(len(keys)) * int64(len(sh.shards)-1)
-	q.addMergeNanos(time.Since(start).Nanoseconds())
-}
-
-// CandidatesOfSignature reports the items colliding with a precomputed
-// signature of length SignatureLen — the streaming query path, where
-// the arriving item is signed once and the signature serves both this
-// query and the subsequent InsertSignature.
-func (q *Query) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
-	sh := q.sh
-	if sh.single != nil {
-		sh.single.CandidatesOfSignature(sig, fn)
-		return
-	}
-	if len(sig) != sh.params.SignatureLen() {
-		panic("lsh: CandidatesOfSignature signature length mismatch")
-	}
-	if cap(q.sigKeys) < sh.params.Bands {
-		q.sigKeys = make([]uint64, sh.params.Bands)
-	}
-	keys := q.sigKeys[:sh.params.Bands]
-	for b := range keys {
-		keys[b] = bandKeyOf(sh.params, sig, b)
-	}
-	q.CandidatesOfKeys(keys, fn)
 }

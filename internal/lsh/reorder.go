@@ -35,10 +35,10 @@ package lsh
 // dependent tie-break downstream, is bit-identical to the unreordered
 // oracle (Options.DisableReorder in core).
 //
-// Reordering applies only to BuildFrozen on a range partition;
-// map-built (seeded) and stride (streaming) indexes never reorder, and
-// SetReorder is off by default so the frozen-layout identity tests
-// keep pinning the direct build.
+// Reordering applies only to BuildFrozen; map-built indexes (the
+// serial bootstrap oracle's Insert-then-Freeze, the stream) never
+// reorder, and SetReorder is off by default so the frozen-layout
+// identity tests keep pinning the direct build.
 
 import (
 	"time"
@@ -48,7 +48,7 @@ import (
 
 // SetReorder requests locality-preserving reordering for a subsequent
 // BuildFrozen. It must be called before BuildFrozen; it has no effect
-// on stride partitions or the map-built seeded path.
+// on an index built by Insert and Freeze.
 func (sh *Sharded) SetReorder(on bool) { sh.reorder = on }
 
 // ReorderMap returns the active permutation pair — perm[original] =
@@ -62,11 +62,11 @@ func (sh *Sharded) ReorderMap() (perm, inv []int32) { return sh.perm, sh.inv }
 // applying the reorder permutation (zero when not reordered).
 func (sh *Sharded) ReorderTime() time.Duration { return sh.reorderDur }
 
-// FanOutLocality reports how many shortlist candidates the frozen
-// range fan-out paths served from the query item's owning shard versus
-// foreign shards — the shard_local_frac numerator/denominator runstats
-// reports. Zero with a single shard (no fan-out exists) and on stride
-// partitions. Per-item paths flush in small batches like MergeTime.
+// FanOutLocality reports how many shortlist candidates the fan-out
+// served from the query item's owning shard versus foreign shards —
+// the shard_local_frac numerator/denominator runstats reports. Zero
+// with a single shard (no fan-out exists). Per-item paths flush in
+// small batches like MergeTime.
 func (sh *Sharded) FanOutLocality() (local, foreign int64) {
 	return sh.localCands.Load(), sh.foreignCands.Load()
 }
@@ -266,11 +266,11 @@ func (sh *Sharded) reorderBucketItems(workers int) {
 	})
 }
 
-// mergeEmitByInv drains q.heads in ascending *original* ID order:
+// emitByInv drains q.heads in ascending *original* ID order:
 // buckets hold internal IDs sorted by inv (reorderBucketItems), shards
 // hold disjoint items, so a repeated min-head scan on inv reproduces
 // the unreordered bucket order exactly.
-func (q *Query) mergeEmitByInv(fn func(other int32)) {
+func (q *Query) emitByInv(fn func(other int32)) {
 	inv := q.sh.inv
 	for len(q.heads) > 0 {
 		minAt := 0
@@ -291,14 +291,14 @@ func (q *Query) mergeEmitByInv(fn func(other int32)) {
 	}
 }
 
-// mergeRunsByInv drains q.heads in ascending original order, emitting
+// emitRunsByInv drains q.heads in ascending original order, emitting
 // maximal single-shard runs as bucket sub-slices: the head with the
 // smallest front inv advances until the next-smallest other head would
 // overtake it, and that stretch is handed to fn in one call. With
 // reordered shards most buckets collapse to one head before this is
 // reached, and the rest are a few long runs — so the batch sweep keeps
 // its whole-slice emission granularity.
-func (q *Query) mergeRunsByInv(pos int, fn func(pos int, bucket []int32)) {
+func (q *Query) emitRunsByInv(pos int, fn func(pos int, bucket []int32)) {
 	inv := q.sh.inv
 	for len(q.heads) > 0 {
 		if len(q.heads) == 1 {

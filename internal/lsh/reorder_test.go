@@ -168,14 +168,6 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 						}
 					}
 				}
-				// Out-of-index key queries emit internal IDs too.
-				keys := refKeys[:p.Bands] // item 0's keys
-				var wantK, gotK []int32
-				ref.CandidatesOfKeys(keys, func(o int32) { wantK = append(wantK, o) })
-				q.CandidatesOfKeys(keys, func(o int32) { gotK = append(gotK, o) })
-				if !reflect.DeepEqual(wantK, toOrig(gotK)) {
-					t.Fatalf("of-keys: want %v, got %v", wantK, toOrig(gotK))
-				}
 				if shards > 1 {
 					local, foreign := sh.FanOutLocality()
 					if local <= 0 {
@@ -220,27 +212,12 @@ func TestReorderedReverseMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestReorderInertLayouts pins the layouts that must never reorder
-// even with SetReorder(true): stride partitions (streaming) and the
-// map-built Insert/Freeze path.
+// TestReorderInertLayouts pins the layout that must never reorder even
+// with SetReorder(true): the map-built Insert/Freeze path.
 func TestReorderInertLayouts(t *testing.T) {
 	const n = 120
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(n, 9)
-	st, err := NewShardedStream(p, 7, 3, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetReorder(true)
-	for i, s := range sets {
-		if err := st.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Freeze()
-	if perm, _ := st.ReorderMap(); perm != nil {
-		t.Fatal("stride index reordered")
-	}
 	sh, err := NewSharded(p, 7, n, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -254,58 +231,5 @@ func TestReorderInertLayouts(t *testing.T) {
 	sh.Freeze()
 	if perm, _ := sh.ReorderMap(); perm != nil {
 		t.Fatal("map-built index reordered")
-	}
-}
-
-// TestStrideBatchBlockMerge is the satellite equivalence test: on
-// stride-partitioned (streaming) shards, the batched block sweep must
-// reproduce the per-item S-way merge exactly — same items, same order —
-// for every block size, now that CandidatesBatch runs its own
-// band-major run merge instead of falling back to per-item queries.
-func TestStrideBatchBlockMerge(t *testing.T) {
-	const n = 240
-	p := Params{Bands: 6, Rows: 3}
-	sets := testSets(n, 33)
-	ref := singleReference(t, p, 7, sets, false)
-	for _, frozen := range []bool{false, true} {
-		for _, shards := range []int{2, 3, 4} {
-			t.Run(fmt.Sprintf("frozen=%v/s=%d", frozen, shards), func(t *testing.T) {
-				st, err := NewShardedStream(p, 7, shards, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, s := range sets {
-					if err := st.Insert(int32(i), s); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if frozen {
-					st.Freeze()
-				}
-				q := st.NewQuery()
-				for _, blockLen := range []int{1, 5, 64, 129} {
-					for lo := 0; lo < n; lo += blockLen {
-						hi := min(lo+blockLen, n)
-						blk := make([]int32, 0, hi-lo)
-						for i := lo; i < hi; i++ {
-							blk = append(blk, int32(i))
-						}
-						got := collectBatch(q, blk)
-						for pos, item := range blk {
-							want := collectCandidates(ref, item)
-							if !reflect.DeepEqual(want, got[pos]) {
-								t.Fatalf("block item %d: want %v, got %v", item, want, got[pos])
-							}
-						}
-					}
-				}
-				// Blocks containing uninserted items skip them silently.
-				q.CandidatesBatch([]int32{3, int32(n + 9)}, func(pos int, bucket []int32) {
-					if pos != 0 {
-						t.Fatalf("uninserted item produced a bucket at pos %d", pos)
-					}
-				})
-			})
-		}
 	}
 }

@@ -23,21 +23,12 @@ import (
 // layout within each shard: a query for one item fans out to every
 // shard (an item's colliding neighbours may live anywhere), and the
 // planner (Query) merges the shard-local buckets back into the exact
-// candidate stream the unsharded index would produce. Two partitioners
-// exist:
-//
-//   - Range (NewSharded, batch clustering): shard s owns the contiguous
-//     global items [cuts[s], cuts[s+1]) with cuts = ShardCuts(n, S).
-//     Because each shard's buckets hold ascending global IDs from its
-//     own range, concatenating per-band buckets in ascending shard
-//     order IS the ascending-ID merge — cross-shard queries are
-//     order-preserving without any comparison work.
-//
-//   - Stride (NewShardedStream, streaming): shard = item mod S, for
-//     streams whose length is unknown up front. Per-band buckets from
-//     different shards interleave in ID space, so the planner runs a
-//     real S-way ascending merge to keep enumeration order identical
-//     to the single-index oracle.
+// candidate stream the unsharded index would produce. Shard s owns the
+// contiguous global items [cuts[s], cuts[s+1]) with cuts =
+// ShardCuts(n, S). Because each shard's buckets hold ascending global
+// IDs from its own range, concatenating per-band buckets in ascending
+// shard order IS the ascending-ID merge — cross-shard queries are
+// order-preserving without any comparison work.
 //
 // With one shard (the default), every operation delegates to the plain
 // Index with no translation — the S=1 path is bit-identical to the
@@ -45,13 +36,16 @@ import (
 // to it.
 //
 // Shard members store *global* item IDs in their buckets (Index's
-// affine local→global map), so the hot candidate-enumeration path
-// never translates IDs; only insert routing and per-item addressing
-// use shard-local IDs.
+// idBase offset), so the hot candidate-enumeration path never
+// translates IDs; only insert routing and per-item addressing use
+// shard-local IDs.
 //
 // Concurrency matches Index: construction is single-writer (or
 // internally parallel via BuildFrozen); concurrent queries are safe
 // once construction is done, with per-caller scratch held by Query.
+// With more than one shard, queries require every shard frozen
+// (BuildFrozen, Freeze or OpenSharded): the map builder serves only
+// the per-item Insert loop that Freeze then compacts.
 type Sharded struct {
 	params Params
 	part   partition
@@ -61,8 +55,8 @@ type Sharded struct {
 	// Index.
 	single *Index
 	// buildTimes records the wall time each shard spent constructing its
-	// frozen layout (BuildFrozen, or Freeze for the map-built seeded
-	// path) — the per-shard bootstrap-build breakdown runstats reports.
+	// frozen layout (BuildFrozen, or Freeze after per-item Inserts) —
+	// the per-shard bootstrap-build breakdown runstats reports.
 	buildTimes []time.Duration
 	// mergeNanos accumulates time spent inside cross-shard candidate
 	// sweeps (plan + fan-out + merge), at call granularity; zero when
@@ -71,9 +65,10 @@ type Sharded struct {
 	mergeNanos atomic.Int64
 	// foreignEmpty[s] is owner shard s's foreign-emptiness bitmap: bit
 	// u set when no other shard holds a bucket for slot u's (band, key),
-	// so the frozen fan-out emits the owner bucket alone and skips the
-	// key probes. Built whenever every shard of a range S>1 index is
-	// frozen; nil otherwise. See foreign.go.
+	// so the fan-out emits the owner bucket alone and skips the key
+	// probes. Built whenever every shard of an S>1 index is frozen; nil
+	// otherwise, which is what Query checks before a multi-shard query.
+	// See foreign.go.
 	foreignEmpty [][]uint64
 	// probeOps/directOps count cross-shard bucket resolutions by path —
 	// key-table probe versus answered by the foreign-emptiness bitmap —
@@ -89,8 +84,8 @@ type Sharded struct {
 	perm       []int32
 	inv        []int32
 	reorderDur time.Duration
-	// localCands/foreignCands count shortlist candidates the frozen
-	// range fan-out served from the owning shard versus foreign shards
+	// localCands/foreignCands count shortlist candidates the fan-out
+	// served from the owning shard versus foreign shards
 	// (the shard_local_frac report). Atomic like mergeNanos.
 	localCands   atomic.Int64
 	foreignCands atomic.Int64
@@ -104,27 +99,19 @@ type Sharded struct {
 	resi         *residency
 }
 
-// partition routes global item IDs to (shard, local) pairs.
+// partition routes global item IDs to (shard, local) pairs: shard t
+// owns the contiguous range [cuts[t], cuts[t+1]) of [0, n).
 type partition struct {
-	// stride selects round-robin routing (shard = item mod s); false is
-	// contiguous ranges over [0, n).
-	stride bool
-	n      int
-	s      int
-	cuts   []int32 // range mode: len s+1, shard t owns [cuts[t], cuts[t+1])
+	n    int
+	s    int
+	cuts []int32 // len s+1
 }
 
 // locate resolves a global item ID to its owning shard and shard-local
-// ID. ok is false for negative IDs and, in range mode, IDs at or past
-// the partitioned range.
+// ID. ok is false for negative IDs and IDs at or past the partitioned
+// range.
 func (p *partition) locate(global int32) (shard int, local int32, ok bool) {
-	if global < 0 {
-		return 0, 0, false
-	}
-	if p.stride {
-		return int(global) % p.s, global / int32(p.s), true
-	}
-	if int(global) >= p.n {
+	if global < 0 || int(global) >= p.n {
 		return 0, 0, false
 	}
 	// Largest t with t·n/s ≤ global, the closed form of a cuts search.
@@ -182,46 +169,7 @@ func NewSharded(p Params, seed uint64, numItems, shards int) (*Sharded, error) {
 	scheme := minhash.NewScheme(p.SignatureLen(), seed)
 	sh.shards = make([]*Index, shards)
 	for s := 0; s < shards; s++ {
-		sh.shards[s] = newShardIndex(p, scheme, int(cuts[s+1]-cuts[s]), cuts[s], 1)
-	}
-	return sh, nil
-}
-
-// NewShardedStream creates a stride-partitioned index for streaming
-// inserts, where the item count is unknown up front: item i routes to
-// shard i mod S, so every shard's map builder grows evenly and no
-// single map serialises the stream. capHint is the expected total item
-// count (0 for unknown).
-func NewShardedStream(p Params, seed uint64, shards, capHint int) (*Sharded, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if capHint < 0 {
-		capHint = 0
-	}
-	if shards == 1 {
-		ix, err := NewIndex(p, seed, capHint)
-		if err != nil {
-			return nil, err
-		}
-		return &Sharded{
-			params: p,
-			part:   partition{n: capHint, s: 1, cuts: []int32{0, int32(capHint)}},
-			shards: []*Index{ix},
-			single: ix,
-		}, nil
-	}
-	scheme := minhash.NewScheme(p.SignatureLen(), seed)
-	sh := &Sharded{
-		params: p,
-		part:   partition{stride: true, s: shards},
-		shards: make([]*Index, shards),
-	}
-	for s := 0; s < shards; s++ {
-		sh.shards[s] = newShardIndex(p, scheme, (capHint+shards-1)/shards, int32(s), int32(shards))
+		sh.shards[s] = newShardIndex(p, scheme, int(cuts[s+1]-cuts[s]), cuts[s])
 	}
 	return sh, nil
 }
@@ -318,20 +266,6 @@ func (sh *Sharded) InsertSignature(global int32, sig []uint64) error {
 	return ix.InsertSignature(local, sig)
 }
 
-// InsertKeys files the global item under precomputed band keys (one
-// per band, as produced by SignAll), in its owning shard — the insert
-// half of the sharded seeded bootstrap's query/insert interleave.
-func (sh *Sharded) InsertKeys(global int32, keys []uint64) error {
-	if sh.single != nil {
-		return sh.single.InsertKeys(global, keys)
-	}
-	ix, local, err := sh.route(global)
-	if err != nil {
-		return err
-	}
-	return ix.InsertKeys(local, keys)
-}
-
 // BuildFrozen constructs every shard's frozen layout directly from the
 // flat SignAll arena (keys[item·Bands+band] for global items [0, n)).
 // The range partitioner makes routing free: shard s's slice of the
@@ -355,7 +289,7 @@ func (sh *Sharded) BuildFrozen(keys []uint64, n, workers int) error {
 		workers = 1
 	}
 	bands := sh.params.Bands
-	if !sh.reorder || sh.part.stride || n < 2 || len(keys) != n*bands {
+	if !sh.reorder || n < 2 || len(keys) != n*bands {
 		// Direct build; mismatched arguments also land here so the
 		// direct path surfaces its usual validation errors.
 		if err := sh.buildFrozenDirect(keys, n, workers); err != nil {
@@ -389,9 +323,6 @@ func (sh *Sharded) buildFrozenDirect(keys []uint64, n, workers int) error {
 			sh.buildTimes = []time.Duration{time.Since(start)}
 		}
 		return err
-	}
-	if sh.part.stride {
-		return fmt.Errorf("lsh: BuildFrozen on a stride-partitioned (streaming) index")
 	}
 	if n != sh.part.n {
 		return fmt.Errorf("lsh: BuildFrozen over %d items, index partitioned over %d", n, sh.part.n)
@@ -435,10 +366,10 @@ func (sh *Sharded) buildFrozenDirect(keys []uint64, n, workers int) error {
 }
 
 // Freeze compacts every not-yet-frozen shard's map buckets into the
-// frozen CSR layout (the seeded bootstrap's path; idempotent),
+// frozen CSR layout (after a per-item Insert loop; idempotent),
 // recording per-shard compaction times when this call did the work.
-// A range partition of more than one shard then gets its
-// foreign-emptiness bitmap, exactly as after BuildFrozen.
+// An index of more than one shard then gets its foreign-emptiness
+// bitmap, exactly as after BuildFrozen, and becomes queryable.
 func (sh *Sharded) Freeze() {
 	times := make([]time.Duration, len(sh.shards))
 	froze := false

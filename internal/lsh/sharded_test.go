@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -79,7 +80,7 @@ func TestShardCuts(t *testing.T) {
 // determinism: for a fixed (n, S) and key arena, every shard's frozen
 // arrays are byte-identical whether the sharded index was built
 // directly from the arena (BuildFrozen, any worker count) or through
-// the map phase (InsertKeys in ascending order, then Freeze) — the
+// the map phase (Insert in ascending order, then Freeze) — the
 // shard-level analogue of TestBuildFrozenMatchesInsertFreeze.
 func TestShardedBuildDeterministic(t *testing.T) {
 	const n = 230
@@ -91,8 +92,8 @@ func TestShardedBuildDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		keys := signKeysFor(ref, sets, 2)
-		for i := 0; i < n; i++ {
-			if err := ref.InsertKeys(int32(i), keys[i*p.Bands:(i+1)*p.Bands]); err != nil {
+		for i, set := range sets {
+			if err := ref.Insert(int32(i), set); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,11 +153,27 @@ func collectBatch(q *Query, blk []int32) [][]int32 {
 	return got
 }
 
+// mustPanicUnfrozen fails unless fn panics with the multi-shard
+// query precondition (every shard frozen).
+func mustPanicUnfrozen(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if err, _ := r.(error); !errors.Is(err, errUnfrozenQuery) {
+			t.Fatalf("%s on unfrozen shards: recovered %v, want the frozen-shards precondition panic", what, r)
+		}
+	}()
+	fn()
+}
+
 // TestShardedQueriesMatchSingle is the planner's merge-semantics
-// oracle: for every shard count, every query path — per-item, batched
-// block sweep, by presigned keys, by signature — must reproduce the
-// single-index candidate stream exactly (same items, same enumeration
-// order), on both the map-built and the frozen layout.
+// oracle: for every shard count, the per-item and batched block query
+// paths must reproduce the single-index candidate stream exactly (same
+// items, same enumeration order). A single shard is queried on either
+// layout, and by signature too (the stream's query). Several shards
+// are queried only once frozen: on map-built shards both paths must
+// panic with the precondition, and after Freeze they must match the
+// oracle like a BuildFrozen index.
 func TestShardedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
@@ -183,6 +200,11 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 					}
 				}
 				q := sh.NewQuery()
+				if !frozen && shards > 1 {
+					mustPanicUnfrozen(t, "Candidates", func() { q.Candidates(0, func(int32) {}) })
+					mustPanicUnfrozen(t, "CandidatesBatch", func() { q.CandidatesBatch([]int32{0, 1}, func(int, []int32) {}) })
+					sh.Freeze()
+				}
 				for i := 0; i < n; i++ {
 					want := collectCandidates(ref, int32(i))
 					got := collectQueryCandidates(q, int32(i))
@@ -212,84 +234,28 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 						}
 					}
 				}
-				// Out-of-index queries: by signature and by band keys.
-				sig := make([]uint64, p.SignatureLen())
-				sh.Scheme().Sign(probe, sig)
-				var wantSig, gotSig []int32
-				ref.CandidatesOfSignature(sig, func(o int32) { wantSig = append(wantSig, o) })
-				q.CandidatesOfSignature(sig, func(o int32) { gotSig = append(gotSig, o) })
-				if !reflect.DeepEqual(wantSig, gotSig) {
-					t.Fatalf("of-signature: want %v, got %v", wantSig, gotSig)
-				}
-				keys := refKeys[:p.Bands] // item 0's keys
-				var wantK, gotK []int32
-				ref.CandidatesOfKeys(keys, func(o int32) { wantK = append(wantK, o) })
-				q.CandidatesOfKeys(keys, func(o int32) { gotK = append(gotK, o) })
-				if !reflect.DeepEqual(wantK, gotK) {
-					t.Fatalf("of-keys: want %v, got %v", wantK, gotK)
-				}
-				if shards > 1 && frozen && sh.MergeTime() <= 0 {
+				// Blocks containing uninserted items skip them silently.
+				q.CandidatesBatch([]int32{3, int32(n + 9)}, func(pos int, bucket []int32) {
+					if pos != 0 {
+						t.Fatalf("uninserted item produced a bucket at pos %d", pos)
+					}
+				})
+				if shards == 1 {
+					// The single shard answers an out-of-index signature
+					// like the oracle.
+					sig := make([]uint64, p.SignatureLen())
+					sh.Scheme().Sign(probe, sig)
+					var wantSig, gotSig []int32
+					ref.CandidatesOfSignature(sig, func(o int32) { wantSig = append(wantSig, o) })
+					sh.single.CandidatesOfSignature(sig, func(o int32) { gotSig = append(gotSig, o) })
+					if !reflect.DeepEqual(wantSig, gotSig) {
+						t.Fatalf("of-signature: want %v, got %v", wantSig, gotSig)
+					}
+				} else if sh.MergeTime() <= 0 {
 					t.Fatal("cross-shard queries recorded no merge time")
 				}
 			})
 		}
-	}
-}
-
-// TestShardedStreamMatchesSingle covers the stride partitioner: a
-// streaming (map-phase) sharded index must answer signature queries
-// with exactly the single-index candidate stream — the S-way ascending
-// merge at work — and route inserts without collision.
-func TestShardedStreamMatchesSingle(t *testing.T) {
-	const n = 240
-	p := Params{Bands: 6, Rows: 3}
-	sets := testSets(n, 33)
-	ref := singleReference(t, p, 7, sets, false)
-	for _, shards := range []int{1, 2, 3, 5} {
-		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
-			sh, err := NewShardedStream(p, 7, shards, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sig := make([]uint64, p.SignatureLen())
-			q := sh.NewQuery()
-			for i, set := range sets {
-				// Query before insert (the stream's order), comparing
-				// against the reference restricted to items < i is
-				// awkward; instead insert everything first below.
-				sh.Scheme().Sign(set, sig)
-				if err := sh.InsertSignature(int32(i), sig); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := sh.NumInserted(); got != n {
-				t.Fatalf("NumInserted = %d, want %d", got, n)
-			}
-			for i, set := range sets {
-				sh.Scheme().Sign(set, sig)
-				var want, got []int32
-				ref.CandidatesOfSignature(sig, func(o int32) { want = append(want, o) })
-				q.CandidatesOfSignature(sig, func(o int32) { got = append(got, o) })
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("item %d of-signature: want %v, got %v", i, want, got)
-				}
-			}
-			// Stats aggregate over shard-local buckets: a key spanning
-			// shards is several (smaller) buckets, so the bucket count
-			// can only grow, while the item total is invariant.
-			ws, rs := ref.Stats(), sh.Stats()
-			if rs.Items != ws.Items || rs.Bands != ws.Bands {
-				t.Fatalf("stats: single %+v, sharded %+v", ws, rs)
-			}
-			if rs.Buckets < ws.Buckets {
-				t.Fatalf("sharded bucket count %d below single %d", rs.Buckets, ws.Buckets)
-			}
-			wTotal := ws.MeanBucketLen * float64(ws.Buckets)
-			rTotal := rs.MeanBucketLen * float64(rs.Buckets)
-			if wTotal != rTotal {
-				t.Fatalf("bucketed item total: single %v, sharded %v", wTotal, rTotal)
-			}
-		})
 	}
 }
 
@@ -344,110 +310,81 @@ func TestShardedReverseMatchesSingle(t *testing.T) {
 	}
 }
 
-// buildSharded constructs a populated index: frozen range partition or
-// map-phase stride partition.
-func buildSharded(t *testing.T, p Params, sets [][]uint64, shards int, stride bool) *Sharded {
+// buildSharded constructs a frozen range-sharded index over sets.
+func buildSharded(t *testing.T, p Params, sets [][]uint64, shards int) *Sharded {
 	t.Helper()
-	n := len(sets)
-	var sh *Sharded
-	var err error
-	if stride {
-		sh, err = NewShardedStream(p, 7, shards, n)
-	} else {
-		sh, err = NewSharded(p, 7, n, shards)
-	}
+	sh, err := NewSharded(p, 7, len(sets), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stride {
-		for i, s := range sets {
-			if err := sh.Insert(int32(i), s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	} else {
-		keys := signKeysFor(sh, sets, 2)
-		if err := sh.BuildFrozen(keys, n, 2); err != nil {
-			t.Fatal(err)
-		}
+	if err := sh.BuildFrozen(signKeysFor(sh, sets, 2), len(sets), 2); err != nil {
+		t.Fatal(err)
 	}
 	return sh
 }
 
-// TestShardedFanOutMatchesUnsharded pins every fan-out path of the
-// planner — per-item, batched block sweep, by signature — to the
-// candidate stream of one unsharded index, for range and stride
-// partitions at every shard count. hedged=true issues every query
-// twice, from two Query handles racing on separate goroutines over the
-// same index (the concurrent use the Query contract allows); each must
-// reproduce the stream exactly.
+// TestShardedFanOutMatchesUnsharded pins both fan-out paths of the
+// planner — per-item and batched block sweep — to the candidate stream
+// of one unsharded index at every shard count. hedged=true issues
+// every query twice, from two Query handles racing on separate
+// goroutines over the same index (the concurrent use the Query
+// contract allows); each must reproduce the stream exactly. The
+// stride=false prefix names the range partition, the only one.
 func TestShardedFanOutMatchesUnsharded(t *testing.T) {
 	const n = 240
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
-	probe := []uint64{100, 101, 102, 103, 104}
-	for _, stride := range []bool{false, true} {
-		ref := singleReference(t, p, 7, sets, !stride)
-		wantItems := make([][]int32, n)
-		for i := range wantItems {
-			wantItems[i] = collectCandidates(ref, int32(i))
-		}
-		sig := make([]uint64, p.SignatureLen())
-		ref.Scheme().Sign(probe, sig)
-		var wantSig []int32
-		ref.CandidatesOfSignature(sig, func(o int32) { wantSig = append(wantSig, o) })
-		for _, shards := range []int{1, 2, 4} {
-			for _, hedged := range []bool{false, true} {
-				t.Run(fmt.Sprintf("stride=%v/s=%d/hedged=%v", stride, shards, hedged), func(t *testing.T) {
-					sh := buildSharded(t, p, sets, shards, stride)
-					check := func(q *Query) error {
-						for i := 0; i < n; i++ {
-							if got := collectQueryCandidates(q, int32(i)); !reflect.DeepEqual(wantItems[i], got) {
-								return fmt.Errorf("item %d: want %v, got %v", i, wantItems[i], got)
+	ref := singleReference(t, p, 7, sets, true)
+	wantItems := make([][]int32, n)
+	for i := range wantItems {
+		wantItems[i] = collectCandidates(ref, int32(i))
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, hedged := range []bool{false, true} {
+			t.Run(fmt.Sprintf("stride=false/s=%d/hedged=%v", shards, hedged), func(t *testing.T) {
+				sh := buildSharded(t, p, sets, shards)
+				check := func(q *Query) error {
+					for i := 0; i < n; i++ {
+						if got := collectQueryCandidates(q, int32(i)); !reflect.DeepEqual(wantItems[i], got) {
+							return fmt.Errorf("item %d: want %v, got %v", i, wantItems[i], got)
+						}
+					}
+					for _, blockLen := range []int{1, 7, 64} {
+						for lo := 0; lo < n; lo += blockLen {
+							hi := min(lo+blockLen, n)
+							blk := make([]int32, 0, hi-lo)
+							for i := lo; i < hi; i++ {
+								blk = append(blk, int32(i))
 							}
-						}
-						var gotSig []int32
-						q.CandidatesOfSignature(sig, func(o int32) { gotSig = append(gotSig, o) })
-						if !reflect.DeepEqual(wantSig, gotSig) {
-							return fmt.Errorf("of-signature: want %v, got %v", wantSig, gotSig)
-						}
-						for _, blockLen := range []int{1, 7, 64} {
-							for lo := 0; lo < n; lo += blockLen {
-								hi := min(lo+blockLen, n)
-								blk := make([]int32, 0, hi-lo)
-								for i := lo; i < hi; i++ {
-									blk = append(blk, int32(i))
-								}
-								got := collectBatch(q, blk)
-								for pos, item := range blk {
-									if !reflect.DeepEqual(wantItems[item], got[pos]) {
-										return fmt.Errorf("block item %d: want %v, got %v", item, wantItems[item], got[pos])
-									}
+							got := collectBatch(q, blk)
+							for pos, item := range blk {
+								if !reflect.DeepEqual(wantItems[item], got[pos]) {
+									return fmt.Errorf("block item %d: want %v, got %v", item, wantItems[item], got[pos])
 								}
 							}
 						}
-						return nil
 					}
-					errs := make([]error, 1)
-					if hedged {
-						errs = make([]error, 2)
+					return nil
+				}
+				errs := make([]error, 1)
+				if hedged {
+					errs = make([]error, 2)
+				}
+				var wg sync.WaitGroup
+				for h := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[h] = check(sh.NewQuery())
+					}()
+				}
+				wg.Wait()
+				for h, err := range errs {
+					if err != nil {
+						t.Fatalf("query handle %d: %v", h, err)
 					}
-					var wg sync.WaitGroup
-					for h := range errs {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							errs[h] = check(sh.NewQuery())
-						}()
-					}
-					wg.Wait()
-					for h, err := range errs {
-						if err != nil {
-							t.Fatalf("query handle %d: %v", h, err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -463,7 +400,7 @@ func TestShardedReverseEmitsSourceUnion(t *testing.T) {
 	sets := testSets(n, 5)
 	for _, shards := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
-			sh := buildSharded(t, p, sets, shards, false)
+			sh := buildSharded(t, p, sets, shards)
 			sources := []int32{0, 3, 17, int32(n - 1)}
 
 			q := sh.NewQuery()
@@ -531,12 +468,5 @@ func TestShardedInsertErrors(t *testing.T) {
 	}
 	if err := sh2.BuildFrozen(make([]uint64, 4*p.Bands), 4, 1); err == nil {
 		t.Fatal("wrong item count accepted")
-	}
-	st, err := NewShardedStream(p, 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.BuildFrozen(make([]uint64, 0), 0, 1); err == nil {
-		t.Fatal("BuildFrozen on a stride-partitioned index accepted")
 	}
 }

@@ -6,9 +6,8 @@ import "lshcluster/internal/par"
 // the dataset" (paper §III-B, Algorithm 2 lines 1–9) decomposed so the
 // expensive half — computing every item's signature and band keys — is
 // sharded across worker goroutines into a flat preallocated arena,
-// while the cheap half (filing items under buckets) proceeds either
-// serially on the map builder (InsertKeys, seeded bootstrap) or as a
-// parallel direct-to-frozen build (BuildFrozen, full-scan bootstrap).
+// while the cheap half (filing items under buckets) runs as a parallel
+// direct-to-frozen build (BuildFrozen).
 
 // SignFunc fills sig — a scratch slice of length Params.SignatureLen
 // owned by the calling worker — with one item's signature. A SignFunc
@@ -35,9 +34,9 @@ const signPollEvery = 1024
 // arena is partially filled — callers must discard it (the clustering
 // driver maps stop to context cancellation and aborts the run).
 //
-// The arena is exactly what Index.BuildFrozen and Index.InsertKeys
-// consume; keys are identical to what Insert would compute for the
-// same items, regardless of workers.
+// The arena is exactly what Index.BuildFrozen consumes; keys are
+// identical to what Insert would compute for the same items,
+// regardless of workers.
 func SignAll(p Params, n, workers int, newSigner func() SignFunc, stop func() bool) []uint64 {
 	keys := make([]uint64, n*p.Bands)
 	par.Ranges(n, workers, func(lo, hi int) {

@@ -56,11 +56,9 @@ type Run struct {
 	// BootstrapSign, BootstrapBuild and BootstrapAssign split Bootstrap
 	// into its pipeline phases: signing every item (computing MinHash /
 	// SimHash band keys), constructing the index, and the first
-	// assignment. Phases that a path interleaves into another stay
-	// zero: the serial full-scan bootstrap signs inside its insert loop
-	// (charged to BootstrapBuild), and the seeded bootstrap interleaves
-	// inserts with assignment (charged to BootstrapAssign, with
-	// BootstrapSign non-zero only on the presigned parallel path).
+	// assignment. A phase that a path interleaves into another stays
+	// zero: the serial bootstrap signs inside its insert loop (charged
+	// to BootstrapBuild), so its BootstrapSign is zero.
 	// Their sum is at most Bootstrap; the remainder is untimed setup
 	// (accelerator reset, incremental-engine initialisation).
 	BootstrapSign   time.Duration
@@ -101,7 +99,7 @@ type Run struct {
 	// by origin: served by the queried item's owning shard versus fanned
 	// out from the other shards. Their ratio is the locality measure the
 	// reordering stage exists to raise. Both zero with a single shard
-	// (no fan-out) and on stride layouts.
+	// (no fan-out).
 	ShardLocalCands   int64
 	ShardForeignCands int64
 	// IndexSaveTime and IndexLoadTime are the wall times spent
@@ -178,9 +176,8 @@ func (r *Run) TotalMoves() int {
 
 // CrossShardProbeFrac returns the share of cross-shard bucket
 // resolutions that needed a key probe — 0 when the foreign-emptiness
-// bitmap answered every one, 1 on layouts without it (unfrozen or
-// stride shards), NaN when no cross-shard resolution ran (single
-// shard).
+// bitmap answered every one, NaN when no cross-shard resolution ran
+// (single shard).
 func (r *Run) CrossShardProbeFrac() float64 {
 	total := r.CrossShardProbes + r.CrossShardDirect
 	if total == 0 {
@@ -191,8 +188,8 @@ func (r *Run) CrossShardProbeFrac() float64 {
 
 // ShardLocalFrac returns the share of shortlist candidates served by
 // the queried item's owning shard — the locality measure item
-// reordering raises. NaN when no multi-shard range fan-out ran (single
-// shard, stride layout, or no queries).
+// reordering raises. NaN when no multi-shard fan-out ran (single shard,
+// or no queries).
 func (r *Run) ShardLocalFrac() float64 {
 	total := r.ShardLocalCands + r.ShardForeignCands
 	if total == 0 {

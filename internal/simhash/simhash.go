@@ -183,17 +183,6 @@ func (a *Accelerator) SignAll(workers int, stop func() bool) error {
 	}, stop)
 }
 
-// CandidatesUnindexed returns the candidate-cluster shortlist of a
-// not-yet-indexed point by querying the growing index with the point's
-// band keys (core.UnindexedQuerier): the presigned arena when SignAll
-// ran, a fresh signing otherwise. Serial use only (shares signing and
-// dedup scratch).
-func (a *Accelerator) CandidatesUnindexed(item int32, assign []int32) []int32 {
-	return a.CandidatesUnindexedWith(item, assign, func(item int32) []uint64 {
-		return a.scheme.Sign(a.space.Point(int(item)), a.sigBuf)
-	})
-}
-
 // Insert signs point item and files it under its band buckets.
 func (a *Accelerator) Insert(item int32) error {
 	ix := a.Index()

@@ -8,11 +8,12 @@
 //  1. MinHash the item's present values and query the index: the
 //     clusters of colliding *previously seen* items form the shortlist
 //     (exactly the batch framework's candidate construction, applied to
-//     an out-of-index item via lsh.Index.CandidatesOfSet);
+//     an out-of-index item via lsh.Index.CandidatesOfSignature);
 //  2. compare the item against the shortlist modes only, falling back
 //     to a full scan when the shortlist is empty (early stream, or an
 //     item unlike anything seen);
-//  3. insert the item into the index and fold it into its cluster's
+//  3. insert the item into the index (lsh.Index.InsertSignature, reusing
+//     the signature from step 1) and fold it into its cluster's
 //     frequency table, which maintains the mode incrementally (Huang's
 //     frequency-based update) — no batch recomputation ever runs.
 //
@@ -26,7 +27,6 @@ import (
 	"lshcluster/internal/dataset"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
-	"lshcluster/internal/minhash"
 )
 
 // Config parameterises a streaming clusterer.
@@ -43,22 +43,6 @@ type Config struct {
 	NumAttrs int
 	// CapacityHint pre-sizes per-item storage (optional).
 	CapacityHint int
-	// Memoize enables the per-value MinHash hash-column memo
-	// (minhash.Memo) for stream signing: each distinct present value's
-	// hash column is computed once and every later occurrence becomes
-	// an element-wise min over the cached column. Worthwhile on
-	// streams whose value dictionary is compact and heavily reused
-	// (the census-like K-Modes regime); signatures — and therefore
-	// assignments — are bit-identical with or without it.
-	Memoize bool
-	// Shards partitions the banding index into this many item shards
-	// (item i routes to shard i mod Shards), so inserts no longer all
-	// land in one set of map builders: each shard's maps stay smaller
-	// and cache-resident. Queries fan out across shards and merge the
-	// shard-local buckets back into ascending item order, so
-	// shortlists — and therefore assignments — are bit-identical to
-	// the single-shard default (values < 2).
-	Shards int
 	// ScalarKernels routes item-to-mode distance evaluations through
 	// the scalar reference kernels instead of the unrolled ones
 	// (internal/kernel). Assignments are bit-identical either way; the
@@ -83,16 +67,11 @@ type Stats struct {
 // Clusterer assigns a stream of categorical items to k evolving modes.
 // It is not safe for concurrent use.
 type Clusterer struct {
-	k, m   int
-	params lsh.Params
-	// index is the stride-sharded banding index (a single shard by
-	// default); query is its planner, which merges per-shard buckets
-	// back into ascending item order so sharding never changes
-	// shortlists.
-	index   *lsh.Sharded
-	query   *lsh.Query
+	k, m int
+	// index is the map-built banding index: queried by signature before
+	// each insert, never frozen.
+	index   *lsh.Index
 	freq    *kmodes.FreqTable
-	memo    *minhash.Memo // nil unless Config.Memoize
 	assign  []int32
 	stats   Stats
 	presBuf []uint64
@@ -125,23 +104,18 @@ func New(cfg Config) (*Clusterer, error) {
 			len(cfg.InitialModes), cfg.NumAttrs)
 	}
 	k := len(cfg.InitialModes) / cfg.NumAttrs
-	ix, err := lsh.NewShardedStream(cfg.Params, cfg.Seed, cfg.Shards, cfg.CapacityHint)
+	ix, err := lsh.NewIndex(cfg.Params, cfg.Seed, cfg.CapacityHint)
 	if err != nil {
 		return nil, err
 	}
 	c := &Clusterer{
 		k:      k,
 		m:      cfg.NumAttrs,
-		params: cfg.Params,
 		index:  ix,
-		query:  ix.NewQuery(),
 		freq:   kmodes.NewFreqTable(k, cfg.NumAttrs),
 		sigBuf: make([]uint64, cfg.Params.SignatureLen()),
 		stamps: make([]uint32, k),
 		scalar: cfg.ScalarKernels,
-	}
-	if cfg.Memoize {
-		c.memo = ix.Scheme().NewMemo(0)
 	}
 	for cl := 0; cl < k; cl++ {
 		c.freq.SetMode(cl, cfg.InitialModes[cl*c.m:(cl+1)*c.m])
@@ -211,13 +185,8 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 	}
 
 	// Sign once; the signature serves both the shortlist query and the
-	// index insert below (via minhash.Memo when memoization is on).
-	var sig []uint64
-	if c.memo != nil {
-		sig = c.memo.Sign(c.presBuf, c.sigBuf)
-	} else {
-		sig = c.index.Scheme().Sign(c.presBuf, c.sigBuf)
-	}
+	// index insert below.
+	sig := c.index.Scheme().Sign(c.presBuf, c.sigBuf)
 
 	// Shortlist via the index (deduplicated with epoch stamps).
 	c.epoch++
@@ -228,7 +197,7 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 		c.epoch = 1
 	}
 	c.short = c.short[:0]
-	c.query.CandidatesOfSignature(sig, func(other int32) {
+	c.index.CandidatesOfSignature(sig, func(other int32) {
 		cl := c.assign[other]
 		if c.stamps[cl] != c.epoch {
 			c.stamps[cl] = c.epoch

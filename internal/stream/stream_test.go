@@ -203,51 +203,6 @@ func TestPresenceMaskExcludedFromDistance(t *testing.T) {
 	}
 }
 
-// TestMemoizedStreamMatchesPlain asserts the memoized signing path is
-// behaviour-identical: same assignments, same index statistics.
-func TestMemoizedStreamMatchesPlain(t *testing.T) {
-	ds, modes := streamWorkload(t)
-	mk := func(memoize bool) *Clusterer {
-		c, err := New(Config{
-			Params:       lsh.Params{Bands: 20, Rows: 2},
-			Seed:         3,
-			InitialModes: modes,
-			NumAttrs:     24,
-			CapacityHint: ds.NumItems(),
-			Memoize:      memoize,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	plain, memo := mk(false), mk(true)
-	present := make([]bool, 24)
-	for a := range present {
-		present[a] = a%5 != 0 // exercise the masked path too
-	}
-	for i := 0; i < ds.NumItems(); i++ {
-		mask := present
-		if i%2 == 0 {
-			mask = nil
-		}
-		a, err := plain.Add(ds.Row(i), mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := memo.Add(ds.Row(i), mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("item %d: plain cluster %d, memoized %d", i, a, b)
-		}
-	}
-	if plain.Stats() != memo.Stats() {
-		t.Fatalf("stats diverged: plain %+v, memoized %+v", plain.Stats(), memo.Stats())
-	}
-}
-
 func TestFromModel(t *testing.T) {
 	ds, modes := streamWorkload(t)
 	model := &kmodes.Model{K: 20, M: 24, Modes: modes}

@@ -108,9 +108,6 @@ type Config struct {
 	// EarlyAbandon stops distance evaluations that provably cannot beat
 	// the best candidate so far.
 	EarlyAbandon bool
-	// SeededBootstrap replaces the paper's exact first pass with the
-	// incremental seeded-index bootstrap.
-	SeededBootstrap bool
 	// DeferredUpdates makes LSH queries read the assignment snapshot
 	// from the start of each pass (the paper updates references
 	// immediately).
@@ -151,7 +148,7 @@ type Config struct {
 	// is pinned to the dataset fingerprint, parameters, seed, shard
 	// count and reorder setting; any mismatch is an error, never a
 	// silent rebuild. Requires an LSH run with the parallel bootstrap
-	// (not SeededBootstrap, not DisableParallelBootstrap).
+	// (not DisableParallelBootstrap).
 	IndexDir string
 	// DisableMmap loads a persisted index by copying it onto the heap
 	// instead of memory-mapping it zero-copy (results are bit-identical
@@ -170,7 +167,10 @@ type Config struct {
 	// OnIteration, when non-nil, receives each iteration's statistics
 	// as it completes.
 	OnIteration func(Iteration)
-	// Context, when non-nil, cancels the run between passes.
+	// Context, when non-nil, cancels the run: it is checked between
+	// passes and polled inside every pass and the bootstrap, so a
+	// cancelled run stops within a fraction of one and returns the
+	// context error.
 	Context context.Context
 }
 
@@ -191,9 +191,6 @@ func (c Config) coreOptions() core.Options {
 		DisableActiveFilter:      c.DisableActiveFilter,
 		DisableParallelBootstrap: c.DisableParallelBootstrap,
 		DisableReorder:           c.DisableReorder,
-	}
-	if c.SeededBootstrap {
-		opts.Bootstrap = core.BootstrapSeeded
 	}
 	if c.DeferredUpdates || c.Workers > 1 {
 		opts.Update = core.UpdateDeferred

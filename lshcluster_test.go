@@ -51,7 +51,6 @@ func TestClusterOptionsPlumbing(t *testing.T) {
 	res, err := Cluster(ds, Config{
 		K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2},
 		Workers:         3,
-		SeededBootstrap: false,
 		DeferredUpdates: true,
 		LowestIndexTies: true,
 		EarlyAbandon:    true,
@@ -101,8 +100,7 @@ func TestClusterParallelBootstrapEquivalence(t *testing.T) {
 
 // TestClusterShardEquivalence checks the facade-level shard A/B: an
 // item-sharded index must produce the identical clustering to the
-// unsharded oracle, for batch K-Modes (with shard stats recorded) and
-// for the streaming clusterer.
+// unsharded oracle, with shard stats recorded.
 func TestClusterShardEquivalence(t *testing.T) {
 	ds := syntheticDataset(t)
 	cfg := Config{K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, MaxIterations: 6}
@@ -125,31 +123,6 @@ func TestClusterShardEquivalence(t *testing.T) {
 	}
 	if len(sharded.Stats.BootstrapBuildShards) != 3 {
 		t.Fatalf("BootstrapBuildShards has %d entries, want 3", len(sharded.Stats.BootstrapBuildShards))
-	}
-
-	stream := func(shards int) []int32 {
-		sc, err := NewStream(StreamConfig{
-			Params:       Params{Bands: 10, Rows: 2},
-			Seed:         7,
-			InitialModes: append(append([]Value{}, ds.Row(0)...), ds.Row(1)...),
-			NumAttrs:     ds.NumAttrs(),
-			Shards:       shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < ds.NumItems(); i++ {
-			if _, err := sc.Add(ds.Row(i), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sc.Assignments()
-	}
-	one, four := stream(1), stream(4)
-	for i := range one {
-		if one[i] != four[i] {
-			t.Fatalf("stream item %d: sharded %d, oracle %d", i, four[i], one[i])
-		}
 	}
 }
 
