@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzNearestScan -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzLoadModel -fuzztime=30s
 	$(GO) test ./internal/minhash -run='^$$' -fuzz=FuzzSign -fuzztime=30s
+	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzStreamMatchesNaive -fuzztime=30s
 
 clean:
 	rm -f *-report.txt bench-*.txt

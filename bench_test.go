@@ -625,8 +625,8 @@ func BenchmarkLocalityReorderOff4(b *testing.B) { benchLocality(b, 4, true) }
 func BenchmarkLocalityReorderOn4(b *testing.B)  { benchLocality(b, 4, false) }
 
 // benchCandidates measures the recurring per-iteration collision
-// lookup over every indexed item, on the map-based builder layout vs
-// the frozen CSR layout.
+// lookup over every indexed item, on the unfrozen build-phase layout (a
+// table probe per band) vs the frozen CSR layout.
 func benchCandidates(b *testing.B, frozen bool) {
 	ds := ablWorkload(b)
 	ix, err := lsh.NewIndex(lsh.Params{Bands: 20, Rows: 5}, 7, ds.NumItems())
@@ -655,8 +655,8 @@ func benchCandidates(b *testing.B, frozen bool) {
 	_ = hits
 }
 
-func BenchmarkCandidatesMap(b *testing.B)    { benchCandidates(b, false) }
-func BenchmarkCandidatesFrozen(b *testing.B) { benchCandidates(b, true) }
+func BenchmarkCandidatesBuildPhase(b *testing.B) { benchCandidates(b, false) }
+func BenchmarkCandidatesFrozen(b *testing.B)     { benchCandidates(b, true) }
 
 // ---- persistent index warm start ----
 

@@ -56,12 +56,15 @@
 //     allocation-free scans of contiguous memory. The batch bootstrap
 //     builds the index once, after the exact first assignment, as in
 //     the paper: it constructs the frozen layout directly from
-//     presigned band keys, never materialising the hash maps. Only two
-//     users keep the map-based builder: the serial bootstrap oracle
+//     presigned band keys. Only two users file items one at a time
+//     into the index's build phase — per band a flat, pointer-free key
+//     table locating each bucket's run of item IDs in one shared
+//     arena: the serial bootstrap oracle
 //     (Config.DisableParallelBootstrap), which inserts item by item
-//     and freezes before the first query, and the streaming clusterer,
-//     which keeps inserting and querying one unsharded map-built index
-//     and never freezes it.
+//     and freezes before the first query (Freeze lays the stored keys
+//     out with the batch build's own passes), and the streaming
+//     clusterer, which queries and files each arriving item in one
+//     probe per band and never freezes its index.
 //
 //   - The bootstrap itself is a parallel pipeline, individually timed
 //     per phase (sign → build → assign): signing shards items across

@@ -363,7 +363,7 @@ func TestCancellationMidPass(t *testing.T) {
 // mutating case reassigns each emitted item and every third of its
 // colliders inside emit, as an immediate pass's moves do, so every
 // later position of the block must observe those writes. Covered on
-// the map-built index (before and after Freeze) and on bulk-built,
+// the per-item Insert index (before and after Freeze) and on bulk-built,
 // reordered indexes at S∈{1,4}.
 func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 	ds := kmodesMatrixWorkload(t)

@@ -759,42 +759,23 @@ func (d *driver) bestExact(item, cur int, comps *int64) int {
 	return bestC
 }
 
-// bestOf returns the closest cluster to item among candidates plus the
-// current cluster when cur ≥ 0, resolving ties per Options.TieBreak.
-// With neither a current cluster nor any candidate there is nothing to
-// compare against; rather than silently electing cluster 0 (or −1
-// under lowest-index ties), bestOf falls back to an exact scan over
-// all k clusters. No current call site reaches this — every pass
-// supplies cur ≥ 0 — but a caller that forgets would mis-assign
-// silently without it.
+// bestOf returns the closest cluster to item among its current
+// cluster cur (≥ 0: every pass assigns items before it evaluates them)
+// and the candidates, resolving ties per Options.TieBreak.
 func (d *driver) bestOf(item, cur int, candidates []int32, comps *int64) int32 {
-	if cur < 0 && len(candidates) == 0 {
-		return int32(d.bestExact(item, cur, comps))
-	}
 	if d.opts.TieBreak == TieBreakLowestIndex {
 		return d.bestOfLowestIndex(item, cur, candidates, comps)
 	}
-	var bestC int32
-	var bestD float64
-	evaluated := false
-	if cur >= 0 {
-		bestC, bestD = int32(cur), d.space.Dissimilarity(item, cur)
-		evaluated = true
-		if comps != nil {
-			*comps++
-		}
+	bestC, bestD := int32(cur), d.space.Dissimilarity(item, cur)
+	if comps != nil {
+		*comps++
 	}
 	for _, c := range candidates {
-		if evaluated && c == bestC {
-			continue
-		}
-		if cur >= 0 && c == int32(cur) {
+		if c == bestC || c == int32(cur) {
 			continue
 		}
 		var dist float64
-		if !evaluated {
-			dist = d.space.Dissimilarity(item, int(c))
-		} else if d.opts.EarlyAbandon {
+		if d.opts.EarlyAbandon {
 			dist = d.space.BoundedDissimilarity(item, int(c), bestD)
 		} else {
 			dist = d.space.Dissimilarity(item, int(c))
@@ -802,9 +783,8 @@ func (d *driver) bestOf(item, cur int, candidates []int32, comps *int64) int32 {
 		if comps != nil {
 			*comps++
 		}
-		if !evaluated || dist < bestD {
+		if dist < bestD {
 			bestD, bestC = dist, c
-			evaluated = true
 		}
 	}
 	return bestC
@@ -814,16 +794,12 @@ func (d *driver) bestOf(item, cur int, candidates []int32, comps *int64) int32 {
 // minimum over the union of the current cluster and the candidates wins,
 // even when that means moving on a tie.
 func (d *driver) bestOfLowestIndex(item, cur int, candidates []int32, comps *int64) int32 {
-	bestC := int32(-1)
-	bestD := math.Inf(1)
-	if cur >= 0 {
-		bestC, bestD = int32(cur), d.space.Dissimilarity(item, cur)
-		if comps != nil {
-			*comps++
-		}
+	bestC, bestD := int32(cur), d.space.Dissimilarity(item, cur)
+	if comps != nil {
+		*comps++
 	}
 	for _, c := range candidates {
-		if cur >= 0 && c == int32(cur) {
+		if c == int32(cur) {
 			continue
 		}
 		dist := d.space.Dissimilarity(item, int(c))

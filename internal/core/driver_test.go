@@ -3,8 +3,7 @@ package core
 import "testing"
 
 // rankedSpace is a minimal Space whose best cluster for every item is
-// k-1 (distance decreases with the cluster index), making "silently
-// returns cluster 0" distinguishable from a correct exact fallback.
+// k-1 (distance decreases with the cluster index).
 type rankedSpace struct{ n, k int }
 
 func (s *rankedSpace) NumItems() int    { return s.n }
@@ -18,33 +17,21 @@ func (s *rankedSpace) BoundedDissimilarity(item, cluster int, bound float64) flo
 func (s *rankedSpace) RecomputeCentroids(assign []int32) {}
 func (s *rankedSpace) Cost(assign []int32) float64       { return 0 }
 
-// TestBestOfEmptyShortlistFallsBackToExact pins the defensive contract
-// of bestOf: with no current cluster and an empty candidate list it
-// must run an exact scan instead of electing cluster 0 (under
-// prefer-current ties) or returning the -1 sentinel (under
-// lowest-index ties). No caller reaches this state — every pass
-// supplies the item's current cluster — so the test drives the driver
-// directly.
-func TestBestOfEmptyShortlistFallsBackToExact(t *testing.T) {
+// TestBestOfWeighsCurrentAgainstShortlist pins bestOf's contract under
+// both tie-breaks: the item's current cluster competes with the
+// shortlist, so an empty shortlist keeps the item where it is after one
+// comparison, and a closer candidate wins over the current cluster.
+func TestBestOfWeighsCurrentAgainstShortlist(t *testing.T) {
 	space := &rankedSpace{n: 4, k: 5}
 	for _, tb := range []TieBreak{TieBreakPreferCurrent, TieBreakLowestIndex} {
 		d := &driver{space: space, opts: Options{TieBreak: tb}, n: space.n, k: space.k}
 		var comps int64
-		got := d.bestOf(2, -1, nil, &comps)
-		if got != int32(space.k-1) {
-			t.Fatalf("tiebreak %d: bestOf(cur=-1, no candidates) = %d, want exact best %d",
-				tb, got, space.k-1)
+		if got := d.bestOf(2, 4, nil, &comps); got != 4 || comps != 1 {
+			t.Fatalf("tiebreak %d: bestOf(cur=4, no candidates) = %d after %d comparisons, want 4 after 1",
+				tb, got, comps)
 		}
-		if comps == 0 {
-			t.Fatalf("tiebreak %d: fallback did not evaluate any distances", tb)
-		}
-		// The non-empty and cur-supplied paths are unchanged by the
-		// fallback: a real candidate list still wins over the scan.
-		if got := d.bestOf(2, -1, []int32{1, 3}, nil); got != 3 {
-			t.Fatalf("tiebreak %d: bestOf over {1,3} = %d, want 3", tb, got)
-		}
-		if got := d.bestOf(2, 4, nil, nil); got != 4 {
-			t.Fatalf("tiebreak %d: bestOf(cur=4, no candidates) = %d, want 4", tb, got)
+		if got := d.bestOf(2, 0, []int32{1, 3}, nil); got != 3 {
+			t.Fatalf("tiebreak %d: bestOf(cur=0, {1,3}) = %d, want 3", tb, got)
 		}
 	}
 }

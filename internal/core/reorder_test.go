@@ -183,7 +183,7 @@ func TestReorderOracleCrosses(t *testing.T) {
 }
 
 // TestReorderDisabledPaths checks the layout that must never reorder:
-// the serial bootstrap oracle's map-built index (per-item Insert, then
+// the serial bootstrap oracle's index (per-item Insert, then
 // Freeze). It must run clean and record zero reorder time.
 func TestReorderDisabledPaths(t *testing.T) {
 	ds := bootstrapWorkload(t)

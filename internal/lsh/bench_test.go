@@ -8,9 +8,9 @@ func benchSets(n int) [][]uint64 {
 	return testSets(n, 12345)
 }
 
-// BenchmarkIndexMapBuild measures the streaming (map-based) build
-// path end to end: per-item signing plus bucket filing for n items.
-func BenchmarkIndexMapBuild(b *testing.B) {
+// BenchmarkBuildPhaseInsert measures the build phase end to end:
+// per-item signing plus filing (Insert) for n items.
+func BenchmarkBuildPhaseInsert(b *testing.B) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
 	sets := benchSets(n)
@@ -29,17 +29,12 @@ func BenchmarkIndexMapBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexMapFile isolates the filing half of the map build —
-// presigned signatures, InsertSignature only (the stream's insert) —
-// the path the NewIndex per-band capacity hint (n/Bands) targets:
-// pre-sized maps skip the doubling rehashes of a from-zero build.
-// Measured at n=20k, 10 bands: on high-cardinality streams (distinct
-// keys ≈ n per band) the hint cuts allocated bytes ~4.5% at neutral
-// wall time; on tightly clustered shapes (distinct ≈ n/19) it
-// overshoots ~2× with a small wall-time cost, bounded by the hint
-// being a Bands-th of the worst case. The batch path never touches
-// these maps (BuildFrozen), so the hint only affects streaming inserts.
-func BenchmarkIndexMapFile(b *testing.B) {
+// BenchmarkBuildPhaseFile isolates the filing half of the build phase
+// — presigned signatures, InsertSignature only, the stream's per-item
+// probe-and-file (QueryInsert) without a query callback — for n items
+// into band tables and an arena pre-sized from the n capacity hint.
+// The batch path never files into the build phase (BuildFrozen).
+func BenchmarkBuildPhaseFile(b *testing.B) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
 	sets := benchSets(n)

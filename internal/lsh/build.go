@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// Direct-to-frozen index construction. The batch full-scan bootstrap
-// knows every item's band keys up front (SignAll), so the map-based
-// build phase — per-band hash maps, per-bucket append slices, a Freeze
-// compaction at the end — is pure overhead. BuildFrozen constructs the
-// frozen CSR layout straight from the flat key arena in two
-// counting passes, each parallel across bands:
+// Frozen index construction. The batch full-scan bootstrap knows every
+// item's band keys up front (SignAll), so filing items one at a time
+// into a build-phase table only to compact it afterwards is pure
+// overhead. BuildFrozen constructs the frozen CSR layout straight from
+// the flat key arena in two counting passes, each parallel across
+// bands:
 //
 //  1. Per band, resolve every item's key to a local bucket slot with
 //     an open-addressed key table (no sorting, no radix passes),
@@ -20,16 +20,21 @@ import (
 //     compact query key table.
 //
 // Bands are independent shards: each owns a contiguous bucket-ID range
-// and a contiguous region of the items array (every item appears
-// exactly once per band, so band b's items occupy [b·n, (b+1)·n)).
-// That is the same per-band sharding a future multi-shard serving
-// layout partitions by, and it is why construction parallelises with
-// no cross-band synchronisation beyond one barrier between the passes.
+// and a contiguous region of the items array (every inserted item
+// appears exactly once per band, so with m items band b's occupy
+// [b·m, (b+1)·m)). That is the same per-band sharding a future
+// multi-shard serving layout partitions by, and it is why construction
+// parallelises with no cross-band synchronisation beyond one barrier
+// between the passes.
 //
-// The resulting arrays are byte-identical to inserting items 0…n−1 in
-// ascending order and calling Freeze — enforced by equivalence tests —
-// so every frozen-path consumer (Candidates, CandidatesBatch, Reverse,
-// key-table queries) is oblivious to which construction ran.
+// Freeze runs the same two passes (freezeKeys) over the build phase's
+// stored per-item keys, skipping IDs never inserted. Bucket IDs follow
+// each key's first occurrence in ascending item order, so the frozen
+// arrays depend only on which items hold which keys: inserting items
+// 0…n−1 in any order and calling Freeze yields, byte for byte, what
+// BuildFrozen yields from the same keys — enforced by equivalence
+// tests — and every frozen-path consumer (Candidates, CandidatesBatch,
+// Reverse, key-table queries) is oblivious to which construction ran.
 
 // bandBuild is one band's state between the two passes.
 type bandBuild struct {
@@ -137,10 +142,27 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	if n < 0 {
 		return fmt.Errorf("lsh: BuildFrozen with negative n %d", n)
 	}
-	bands := ix.params.Bands
-	if len(keys) != n*bands {
-		return fmt.Errorf("lsh: %d band keys for %d items × %d bands", len(keys), n, bands)
+	if len(keys) != n*ix.params.Bands {
+		return fmt.Errorf("lsh: %d band keys for %d items × %d bands", len(keys), n, ix.params.Bands)
 	}
+	inserted := make([]bool, n)
+	for i := range inserted {
+		inserted[i] = true
+	}
+	ix.numInserted = n
+	ix.freezeKeys(keys, inserted, workers)
+	return nil
+}
+
+// freezeKeys builds the frozen layout from band keys — keys[item·Bands
+// +band] for items [0, len(inserted)), those with inserted[item] false
+// skipped — and makes it the index's only storage. It is the one
+// constructor of every frozen layout: BuildFrozen passes a presigned
+// arena with every item inserted, Freeze the build phase's stored keys.
+// ix.numInserted must already count the inserted items.
+func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
+	bands := ix.params.Bands
+	n, m := len(inserted), ix.numInserted
 	if workers > bands {
 		workers = bands
 	}
@@ -155,10 +177,10 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	builds := make([]bandBuild, bands)
 
 	// Pass 1: per-band bucket-slot resolution. Bands write disjoint
-	// strided entries of slots (local IDs for now) and disjoint builds
-	// elements; each worker lazily grows one table from the same
-	// n/Bands cardinality estimate NewIndex uses for its map hints and
-	// reuses it across its bands.
+	// strided entries of slots (local IDs for now, −1 for an item never
+	// inserted) and disjoint builds elements; each worker lazily grows
+	// one table from the same m/Bands cardinality estimate the build
+	// phase sizes its tables with and reuses it across its bands.
 	parallelBands(bands, workers, func(bandSeq func() (int, bool)) {
 		var tbl *buildTable
 		for {
@@ -167,13 +189,17 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 				return
 			}
 			if tbl == nil {
-				tbl = newBuildTable(n / bands)
+				tbl = newBuildTable(m / bands)
 			} else {
 				tbl.reset()
 			}
 			var counts []int32
 			var order []uint64
 			for item := 0; item < n; item++ {
+				if !inserted[item] {
+					fz.slots[item*bands+b] = -1
+					continue
+				}
 				key := keys[item*bands+b]
 				s, added := tbl.lookupOrAdd(key, int32(len(counts)))
 				if added {
@@ -197,12 +223,12 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	base[bands] = int32(total)
 	fz.bandStart = base
 	fz.offsets = make([]int32, total+1)
-	fz.items = make([]int32, n*bands)
+	fz.items = make([]int32, m*bands)
 	fz.keys = make([]uint64, total)
-	fz.offsets[total] = int32(n * bands)
+	fz.offsets[total] = int32(m * bands)
 
 	// Pass 2: per-band CSR fill. Each band writes its own offsets
-	// entries [base[b], base[b+1]), its own items region [b·n, (b+1)·n)
+	// entries [base[b], base[b+1]), its own items region [b·m, (b+1)·m)
 	// and its own strided slots entries (now globalised), so bands
 	// remain write-disjoint.
 	parallelBands(bands, workers, func(bandSeq func() (int, bool)) {
@@ -212,7 +238,7 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 				return
 			}
 			bb := &builds[b]
-			off := int32(b * n)
+			off := int32(b * m)
 			for j, c := range bb.counts {
 				fz.offsets[int(base[b])+j] = off
 				bb.counts[j] = off // becomes the scatter cursor
@@ -222,6 +248,9 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 			for item := 0; item < n; item++ {
 				idx := item*bands + b
 				s := fz.slots[idx]
+				if s < 0 {
+					continue
+				}
 				fz.items[bb.counts[s]] = ix.globalID(int32(item))
 				bb.counts[s]++
 				fz.slots[idx] = gb + s
@@ -235,17 +264,11 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 		}
 	})
 
-	inserted := make([]bool, n)
-	for i := range inserted {
-		inserted[i] = true
-	}
 	ix.inserted = inserted
-	ix.numInserted = n
 	ix.frozen = fz
-	ix.buckets = nil
-	ix.keyOrder = nil
+	ix.runs = nil
+	ix.arena = nil
 	ix.keys = nil
-	return nil
 }
 
 // parallelBands runs fn on workers goroutines; each invocation pulls

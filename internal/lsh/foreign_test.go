@@ -22,8 +22,8 @@ func buildFrozenSharded(t *testing.T, p Params, seed uint64, sets [][]uint64, sh
 
 // buildLayout builds a range-sharded index over sets either directly
 // from the presigned arena (BuildFrozen, reordered on request) or
-// through the map builder and Freeze, where the reorder request is
-// inert.
+// through per-item inserts into the build phase and Freeze, where the
+// reorder request is inert.
 func buildLayout(t testing.TB, p Params, seed uint64, sets [][]uint64, shards int, freeze, reorder bool) *Sharded {
 	t.Helper()
 	sh, err := NewSharded(p, seed, len(sets), shards)
@@ -92,7 +92,7 @@ func assertForeignEmptyBitmap(t testing.TB, sh *Sharded) {
 // TestForeignSlotsMatchProbePath pins the foreign-emptiness bitmap
 // against the key-probe path it short-cuts, on every layout that
 // builds one: S∈{2,3,4}, BuildFrozen with reorder on and off, and the
-// map builder frozen by Freeze. Each bit must equal "every probe of
+// build phase frozen by Freeze. Each bit must equal "every probe of
 // the other shards misses" (assertForeignEmptyBitmap); the per-item
 // and block sweeps over the layout must reproduce the single-index
 // candidate stream; and the block sweep's fan-out counters must

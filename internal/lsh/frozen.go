@@ -1,10 +1,10 @@
 package lsh
 
-// Frozen index layout. Freeze compacts the map-based band buckets into
-// flat CSR arrays — a concatenation of every bucket's item IDs plus an
-// offsets array — so the per-iteration Candidates lookups walk
-// contiguous memory instead of chasing map buckets. Two access paths
-// are built:
+// Frozen index layout. BuildFrozen and Freeze lay the band buckets out
+// as flat CSR arrays — a concatenation of every bucket's item IDs plus
+// an offsets array — so the per-iteration Candidates lookups walk
+// contiguous memory instead of probing a key table per band. Two
+// access paths are built:
 //
 //   - slots[item·bands+band] resolves an *inserted* item directly to
 //     its bucket (no hashing at query time): the hot path of the
@@ -15,9 +15,9 @@ package lsh
 //     the index.
 //
 // Bucket IDs are global across bands; each band's buckets occupy a
-// contiguous ID range, and every bucket's item order is preserved from
-// the build phase, so frozen and unfrozen queries enumerate candidates
-// in the identical order.
+// contiguous ID range, and every bucket lists its items in ascending
+// ID order, as the build phase's runs do, so frozen and unfrozen
+// queries enumerate candidates in the identical order.
 type frozenIndex struct {
 	offsets []int32 // len totalBuckets+1; bucket s holds items[offsets[s]:offsets[s+1]]
 	items   []int32 // all buckets' item IDs (global), concatenated
@@ -91,77 +91,32 @@ func (t *keyTable) get(key uint64) int32 {
 // Frozen reports whether the index has been compacted.
 func (ix *Index) Frozen() bool { return ix.frozen != nil }
 
-// Freeze compacts the map-based buckets into the flat CSR layout and
-// releases the build-phase storage. After Freeze the index is
-// immutable: Insert returns an error, queries are allocation-free and
-// return exactly what they returned before freezing (same candidates,
-// same enumeration order). Freeze is idempotent.
+// Freeze builds the flat CSR layout from the build phase's stored
+// per-item keys and releases the build-phase storage. After Freeze the
+// index is immutable: Insert returns an error, queries are
+// allocation-free and return exactly what they returned before
+// freezing (same candidates, same enumeration order). Freeze is
+// idempotent.
 //
-// Bucket IDs are assigned band by band in each key's first-insertion
-// order (keyOrder), not map iteration order, so the frozen arrays are
-// a deterministic function of the insertion sequence — and, when items
-// were inserted in ascending ID order, byte-identical to what
-// BuildFrozen produces from the same band keys.
+// The layout comes from BuildFrozen's own two passes (freezeKeys),
+// which skip IDs never inserted, so it is a function of which items
+// hold which keys, not of the insertion order: with items 0…n−1
+// inserted it is byte-identical to what BuildFrozen produces from the
+// same band keys. Per-item storage is trimmed to the highest inserted
+// ID.
 //
-// Batch clustering calls this once after bootstrap (via the
-// core.Freezer capability); the streaming clusterer, which inserts for
-// the lifetime of the stream, never does.
+// Batch clustering calls this once after the serial bootstrap oracle's
+// inserts (via the core.Freezer capability); the streaming clusterer,
+// which inserts for the lifetime of the stream, never does.
 func (ix *Index) Freeze() {
 	if ix.frozen != nil {
 		return
 	}
-	bands := ix.params.Bands
-	totalBuckets, totalItems := 0, 0
-	for _, band := range ix.buckets {
-		totalBuckets += len(band)
-		for _, items := range band {
-			totalItems += len(items)
-		}
+	n := len(ix.inserted)
+	for n > 0 && !ix.inserted[n-1] {
+		n--
 	}
-	fz := &frozenIndex{
-		offsets:   make([]int32, 1, totalBuckets+1),
-		items:     make([]int32, 0, totalItems),
-		keys:      make([]uint64, 0, totalBuckets),
-		tables:    make([]keyTable, bands),
-		bandStart: make([]int32, bands+1),
-	}
-	bucketID := int32(0)
-	// Iterate band indices, not ix.buckets: with nothing inserted the
-	// lazy build storage was never materialised (buckets nil) and every
-	// band still needs a valid empty key table for post-freeze queries.
-	for b := 0; b < bands; b++ {
-		fz.bandStart[b] = bucketID
-		var band map[uint64][]int32
-		var order []uint64
-		if ix.buckets != nil {
-			band, order = ix.buckets[b], ix.keyOrder[b]
-		}
-		tbl := newKeyTable(len(band))
-		for _, key := range order {
-			fz.items = append(fz.items, band[key]...)
-			fz.offsets = append(fz.offsets, int32(len(fz.items)))
-			fz.keys = append(fz.keys, key)
-			tbl.put(key, bucketID)
-			bucketID++
-		}
-		fz.tables[b] = tbl
-	}
-	fz.bandStart[bands] = bucketID
-	fz.slots = make([]int32, len(ix.inserted)*bands)
-	for item, ok := range ix.inserted {
-		base := item * bands
-		if !ok {
-			for b := 0; b < bands; b++ {
-				fz.slots[base+b] = -1
-			}
-			continue
-		}
-		for b := 0; b < bands; b++ {
-			fz.slots[base+b] = fz.tables[b].get(ix.keys[base+b])
-		}
-	}
-	ix.frozen = fz
-	ix.buckets = nil // release the build-phase maps
-	ix.keyOrder = nil
-	ix.keys = nil
+	keys, inserted := ix.keys[:n*ix.params.Bands], ix.inserted[:n]
+	ix.runs, ix.arena = nil, nil // the passes read only the stored keys
+	ix.freezeKeys(keys, inserted, 1)
 }

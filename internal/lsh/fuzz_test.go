@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"math/rand"
 	"testing"
 
 	"lshcluster/internal/minhash"
@@ -42,11 +43,12 @@ func setSignerFor(scheme *minhash.Scheme, sets [][]uint64) func() SignFunc {
 	}
 }
 
-// FuzzBuildFrozenIdentity fuzzes the bootstrap's layout identity: for
-// any banding shape, item count, scheme seed, signed value sets and
-// worker count, building the frozen index directly from the presigned
-// key arena (BuildFrozen) must reproduce, byte for byte, the frozen
-// arrays of inserting every item in ascending order and freezing.
+// FuzzBuildFrozenIdentity fuzzes the layout identity: for any banding
+// shape, item count, scheme seed, signed value sets and worker count,
+// building the frozen index directly from the presigned key arena
+// (BuildFrozen) must reproduce, byte for byte, the frozen arrays of
+// inserting every item — in an order shuffled by the scheme seed — and
+// freezing.
 func FuzzBuildFrozenIdentity(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(17), uint64(7), []byte("seed-corpus"))
 	f.Add(uint8(1), uint8(1), uint16(1), uint64(0), []byte{})
@@ -62,8 +64,8 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, s := range sets {
-			if err := ref.Insert(int32(i), s); err != nil {
+		for _, i := range rand.New(rand.NewSource(int64(seed))).Perm(nn) {
+			if err := ref.Insert(int32(i), sets[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -84,7 +86,7 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 // FuzzForeignEmptyBitmap fuzzes the foreign-emptiness bitmap the
 // cross-shard fan-out trusts to skip key probes: for any shard count,
 // banding shape, signed value sets, reorder setting and construction
-// path (BuildFrozen or map builder + Freeze), bit u of shard s must be
+// path (BuildFrozen or build-phase inserts + Freeze), bit u of shard s must be
 // set exactly when no other shard's band table holds slot u's key.
 // Candidate-stream equivalence is pinned separately by the S>1-vs-S=1
 // invariance tests.

@@ -2,6 +2,8 @@ package lsh
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"lshcluster/internal/hashfamily"
 	"lshcluster/internal/minhash"
@@ -23,11 +25,13 @@ import (
 // The index has two construction lifecycles. The batch build
 // (BuildFrozen) constructs the frozen layout — flat CSR arrays for
 // cache-friendly, allocation-free candidate lookups during iteration —
-// straight from presigned band keys. The map-based *build* phase
-// accepts one insert at a time: the streaming clusterer keeps
-// inserting into it and queries it between inserts, and the serial
-// bootstrap oracle inserts every item and then compacts the maps into
-// the same frozen layout (Freeze) before its first query.
+// straight from presigned band keys. The *build* phase accepts one
+// insert at a time into a pointer-free banding table (runTable): the
+// streaming clusterer keeps inserting into it and querying it
+// (QueryInsert), and the serial bootstrap oracle inserts every item and
+// then freezes (Freeze) before its first query. Freeze builds from the
+// stored per-item keys with BuildFrozen's own passes, so every frozen
+// layout comes from one constructor.
 //
 // An Index is not safe for concurrent mutation. Insert and
 // CandidatesOfSet additionally share internal signing scratch
@@ -43,25 +47,27 @@ type Index struct {
 	// capHint is the NewIndex numItems capacity hint, consumed when the
 	// build-phase storage is materialised.
 	capHint int
-	// buckets[band] maps a band key to the IDs of the items whose
-	// signature hashed to it. Separate maps per band implement the
-	// paper's requirement that "there will be b sets of buckets to map
-	// to, one set for each band so no overlapping between bands can
-	// occur"; keys are additionally salted with the band number.
-	// Allocated lazily on the first insert (ensureBuild) so the
-	// direct-to-frozen batch build, which never files into maps, pays
-	// nothing for them; nil once frozen.
-	buckets []map[uint64][]int32
-	// keyOrder[band] lists the band's distinct keys in first-insertion
-	// order. Freeze assigns bucket IDs in this order, which makes the
-	// frozen layout a deterministic function of the insertion sequence
-	// (map iteration order is randomised) and lets BuildFrozen — which
-	// processes items in ascending ID order — reproduce it byte for
-	// byte. Nil once frozen.
-	keyOrder [][]uint64
-	// keys[item·bands+band] is the stored band key of an inserted item.
-	// Nil once frozen (the frozen layout resolves items to bucket slots
-	// directly).
+	// runs[band] is one band's build-phase table: it maps a band key to
+	// the run of arena holding its bucket. Separate tables per band
+	// implement the paper's requirement that "there will be b sets of
+	// buckets to map to, one set for each band so no overlapping between
+	// bands can occur"; keys are additionally salted with the band
+	// number. Allocated lazily on the first insert (ensureBuild) so the
+	// direct-to-frozen batch build pays nothing for it; nil once frozen.
+	runs []runTable
+	// arena holds every build-phase bucket as a run of ascending global
+	// IDs. A run's room is its length rounded up to a power of two; a
+	// full run moves to the arena's end with twice the room (addToRun),
+	// leaving its old room unused. Nil once frozen.
+	arena []int32
+	// maxRun is the longest run's length, which bounds how far one
+	// insert can extend the arena (QueryInsert keeps run offsets inside
+	// int32).
+	maxRun int32
+	// keys[item·bands+band] is the stored band key of an inserted item:
+	// what unfrozen per-item queries look up and what Freeze builds
+	// from. Nil once frozen (the frozen layout resolves items to bucket
+	// slots directly).
 	keys        []uint64
 	inserted    []bool
 	numInserted int
@@ -114,27 +120,27 @@ func (ix *Index) isInserted(local int32) bool {
 	return int(local) < len(ix.inserted) && ix.inserted[local]
 }
 
-// ensureBuild materialises the map-based build storage on first use.
+// ensureBuild materialises the build-phase storage on first use.
 // Deferred out of NewIndex so BuildFrozen — which resolves buckets
-// straight into the frozen layout — never allocates the maps, the
-// key-order lists or the per-item key arena it would immediately
-// discard.
+// straight into the frozen layout — never allocates the tables, the
+// arena or the per-item key store it would immediately discard.
 func (ix *Index) ensureBuild() {
-	if ix.buckets != nil {
+	if ix.runs != nil {
 		return
 	}
-	// Pre-size each band's bucket map so the streaming build phase does
-	// not pay log(buckets) incremental rehashes. Distinct keys per band
-	// range from ~1 (degenerate all-identical data) to numItems (all
-	// singletons); numItems/Bands is a middle-ground hint that removes
-	// most growth steps without over-reserving Bands× the worst case.
-	hint := ix.capHint / ix.params.Bands
-	ix.buckets = make([]map[uint64][]int32, ix.params.Bands)
-	for b := range ix.buckets {
-		ix.buckets[b] = make(map[uint64][]int32, hint)
+	// Distinct keys per band range from ~1 (degenerate all-identical
+	// data) to numItems (all singletons); numItems/Bands is a
+	// middle-ground hint that removes most doublings without reserving
+	// Bands× the worst case.
+	bands := ix.params.Bands
+	ix.runs = make([]runTable, bands)
+	for b := range ix.runs {
+		ix.runs[b] = newRunTable(ix.capHint / bands)
 	}
-	ix.keyOrder = make([][]uint64, ix.params.Bands)
-	ix.keys = make([]uint64, ix.capHint*ix.params.Bands)
+	// Each item takes one arena entry per band, so the hint's items
+	// need at least capHint·Bands.
+	ix.arena = make([]int32, 0, ix.capHint*bands)
+	ix.keys = make([]uint64, ix.capHint*bands)
 	ix.inserted = make([]bool, ix.capHint)
 }
 
@@ -184,6 +190,22 @@ func (ix *Index) Insert(item int32, presentValues []uint64) error {
 // the random-hyperplane (SimHash) signatures of the numeric extension —
 // to reuse the banding index.
 func (ix *Index) InsertSignature(item int32, sig []uint64) error {
+	return ix.QueryInsert(item, sig, nil)
+}
+
+// QueryInsert files item under the band buckets of a precomputed
+// signature and, in the same probe of each band, hands fn (when
+// non-nil) that band's bucket as it stood before item joined it:
+// exactly what CandidatesOfSignature reports before InsertSignature,
+// band by band in ascending band order, buckets in ascending ID order.
+// Empty buckets are not reported. The bucket slice aliases index
+// storage and is valid only during the call; fn must not modify it or
+// touch the index.
+//
+// The streaming clusterer queries and files every arriving item this
+// way, probing each band once. The arguments are validated before any
+// band is touched, so an error leaves the index unchanged.
+func (ix *Index) QueryInsert(item int32, sig []uint64, fn func(bucket []int32)) error {
 	if item < 0 {
 		return fmt.Errorf("lsh: negative item ID %d", item)
 	}
@@ -193,43 +215,63 @@ func (ix *Index) InsertSignature(item int32, sig []uint64) error {
 	if ix.frozen != nil {
 		return fmt.Errorf("lsh: index is frozen")
 	}
-	ix.ensureBuild()
-	ix.grow(int(item) + 1)
-	if ix.inserted[item] {
+	if ix.isInserted(item) {
 		return fmt.Errorf("lsh: item %d already inserted", item)
 	}
-	base := int(item) * ix.params.Bands
-	for b := 0; b < ix.params.Bands; b++ {
-		ix.file(b, ix.bandKey(sig, b), item, base)
+	// Each band may move a full run to the arena's end with twice its
+	// room, or start a run of one.
+	if bands := int64(ix.params.Bands); int64(len(ix.arena))+bands*(2*int64(ix.maxRun)+1) > math.MaxInt32 {
+		return fmt.Errorf("lsh: build-phase arena holds %d entries, too many to file item %d within int32 offsets",
+			len(ix.arena), item)
+	}
+	ix.ensureBuild()
+	ix.grow(int(item) + 1)
+	id := ix.globalID(item)
+	keys := ix.keys[int(item)*ix.params.Bands:][:ix.params.Bands]
+	for b := range keys {
+		key := ix.bandKey(sig, b)
+		keys[b] = key
+		t := &ix.runs[b]
+		e := t.find(key)
+		if e.n == 0 {
+			e = t.claim(e, key)
+		} else if fn != nil {
+			fn(ix.arena[e.off : e.off+e.n])
+		}
+		ix.addToRun(e, id)
 	}
 	ix.inserted[item] = true
 	ix.numInserted++
 	return nil
 }
 
-// file adds item (as its global ID) to band b's bucket under key,
-// recording the key's first appearance in keyOrder (the deterministic
-// Freeze ordering) and retaining it in the per-item key store.
+// addToRun files id into e's run. Runs are kept in ascending global-ID
+// order — an index invariant that makes candidate enumeration a
+// function of the bucket's *membership*, independent of insertion
+// order, and therefore identical across shard partitions (a sharded
+// query concatenates per-shard buckets in ascending shard order).
+// Ascending insert sequences (the serial bootstrap oracle, streaming)
+// append; only an out-of-order insert pays insertion-sort shifts.
 //
-// Buckets are kept in ascending global-ID order — an index invariant
-// that makes candidate enumeration a function of the bucket's
-// *membership*, independent of insertion order, and therefore
-// identical across shard partitions (a sharded query concatenates
-// per-shard buckets in ascending shard order). Ascending insert
-// sequences (the serial bootstrap oracle, streaming) take the append
-// path unchanged; only an out-of-order insert pays insertion-sort
-// shifts.
-func (ix *Index) file(b int, key uint64, item int32, base int) {
-	ix.keys[base+b] = key
-	bucket, ok := ix.buckets[b][key]
-	if !ok {
-		ix.keyOrder[b] = append(ix.keyOrder[b], key)
+// A run of n items has room for n rounded up to a power of two. When n
+// is a power of two the run is full: it moves to the arena's end with
+// room for 2n, so a bucket of n items is copied fewer than 2n times in
+// all. A new run (n = 0) starts at the arena's end with room for one.
+func (ix *Index) addToRun(e *runEntry, id int32) {
+	n := e.n
+	if n&(n-1) == 0 {
+		end, room := len(ix.arena), max(2*int(n), 1)
+		ix.arena = slices.Grow(ix.arena, room)[:end+room]
+		copy(ix.arena[end:], ix.arena[e.off:e.off+n])
+		e.off = int32(end)
 	}
-	bucket = append(bucket, ix.globalID(item))
-	for i := len(bucket) - 1; i > 0 && bucket[i-1] > bucket[i]; i-- {
-		bucket[i-1], bucket[i] = bucket[i], bucket[i-1]
+	run := ix.arena[e.off : e.off+n+1]
+	run[n] = id
+	for i := n; i > 0 && run[i-1] > run[i]; i-- {
+		run[i-1], run[i] = run[i], run[i-1]
 	}
-	ix.buckets[b][key] = bucket
+	e.n = n + 1
+	ix.maxRun = max(ix.maxRun, e.n)
 }
 
 // grow extends the per-item storage to hold at least n items, doubling
@@ -251,6 +293,82 @@ func (ix *Index) grow(n int) {
 	ix.keys = keys
 }
 
+// runEntry is one cell of a band's build-phase table: a band key and
+// its bucket's run, arena[off : off+n]. n == 0 marks an empty cell: a
+// filed bucket holds at least one item.
+type runEntry struct {
+	key uint64
+	off int32
+	n   int32
+}
+
+// runTable is one band's build-phase table: linear probing over
+// runEntry cells, kept at most three quarters full by doubling. Band
+// keys are already avalanche-mixed 64-bit hashes, so the raw key masks
+// straight into the table, and a probe steps through 16-byte cells,
+// four to a cache line. It holds no pointers, so the collector never
+// scans it. Most stream buckets are singletons (99% of 2.8M on the
+// stream-ingest benchmark), so the table, not the arena, is most of
+// the build phase's memory; at half full it took 80 MB more there.
+type runTable struct {
+	cells []runEntry
+	mask  uint64
+	used  int
+}
+
+// minRunTable is the smallest table size, in cells.
+const minRunTable = 16
+
+// newRunTable sizes a table for keys distinct keys.
+func newRunTable(keys int) runTable {
+	size := minRunTable
+	for 3*size < 4*keys {
+		size *= 2
+	}
+	return runTable{cells: make([]runEntry, size), mask: uint64(size - 1)}
+}
+
+// find returns the cell filed under key, or the empty cell where a
+// probe for key ends.
+func (t *runTable) find(key uint64) *runEntry {
+	i := key & t.mask
+	for {
+		e := &t.cells[i]
+		if e.n == 0 || e.key == key {
+			return e
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// claim files key in empty, the cell find(key) returned, and returns
+// the claimed cell. When one more key would fill the table past three
+// quarters, the table doubles first and key goes where a probe of the
+// new table ends. The caller sets the run.
+func (t *runTable) claim(empty *runEntry, key uint64) *runEntry {
+	if 4*(t.used+1) > 3*len(t.cells) {
+		old := t.cells
+		t.cells = make([]runEntry, 2*len(old))
+		t.mask = uint64(len(t.cells) - 1)
+		for _, e := range old {
+			if e.n > 0 {
+				*t.find(e.key) = e
+			}
+		}
+		empty = t.find(key)
+	}
+	t.used++
+	empty.key = key
+	return empty
+}
+
+// buildBucket returns band b's build-phase bucket filed under key
+// (empty when absent). The slice aliases the arena.
+func (ix *Index) buildBucket(b int, key uint64) []int32 {
+	e := ix.runs[b].find(key)
+	return ix.arena[e.off : e.off+e.n]
+}
+
 // Candidates invokes fn for every item sharing at least one band bucket
 // with the previously inserted item. The item itself is reported (it
 // trivially collides with itself in every band), and an item sharing
@@ -260,11 +378,11 @@ func (ix *Index) Candidates(item int32, fn func(other int32)) {
 	if int(item) >= len(ix.inserted) || !ix.inserted[item] {
 		return
 	}
+	base := int(item) * ix.params.Bands
 	if fz := ix.frozen; fz != nil {
 		// Frozen fast path: the item's bucket slots were resolved at
 		// Freeze time, so each band is two array reads plus a
-		// contiguous scan — no hashing, no map probes, no allocation.
-		base := int(item) * ix.params.Bands
+		// contiguous scan — no hashing, no table probes, no allocation.
 		for b := 0; b < ix.params.Bands; b++ {
 			slot := fz.slots[base+b]
 			for _, other := range fz.items[fz.offsets[slot]:fz.offsets[slot+1]] {
@@ -273,9 +391,8 @@ func (ix *Index) Candidates(item int32, fn func(other int32)) {
 		}
 		return
 	}
-	base := int(item) * ix.params.Bands
 	for b := 0; b < ix.params.Bands; b++ {
-		for _, other := range ix.buckets[b][ix.keys[base+b]] {
+		for _, other := range ix.buildBucket(b, ix.keys[base+b]) {
 			fn(other)
 		}
 	}
@@ -310,10 +427,9 @@ func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)
 	}
 	for b := 0; b < bands; b++ {
 		for pos, item := range items {
-			if int(item) >= len(ix.inserted) || !ix.inserted[item] {
-				continue
+			if ix.isInserted(item) {
+				fn(pos, ix.buildBucket(b, ix.keys[int(item)*bands+b]))
 			}
-			fn(pos, ix.buckets[b][ix.keys[int(item)*bands+b]])
 		}
 	}
 }
@@ -333,38 +449,31 @@ func (ix *Index) CandidatesOfSet(presentValues []uint64, fn func(other int32)) {
 
 // CandidatesOfSignature reports the items colliding with a precomputed
 // signature of length SignatureLen, with the same duplication semantics
-// as Candidates. It lets callers that sign externally — the streaming
-// clusterer signs once per arriving item and reuses the signature for
-// both this query and the subsequent InsertSignature — avoid
-// re-hashing the item per use.
+// as Candidates. It lets callers that sign externally avoid re-hashing
+// the item per use.
 func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
 	if len(sig) != ix.params.SignatureLen() {
 		panic("lsh: CandidatesOfSignature signature length mismatch")
 	}
-	if ix.frozen == nil && ix.buckets == nil {
+	if ix.frozen == nil && ix.runs == nil {
 		return // nothing inserted yet (build storage is lazy)
 	}
-	if fz := ix.frozen; fz != nil {
-		for b := 0; b < ix.params.Bands; b++ {
-			slot := fz.tables[b].get(ix.bandKey(sig, b))
-			if slot < 0 {
-				continue
-			}
-			for _, other := range fz.items[fz.offsets[slot]:fz.offsets[slot+1]] {
-				fn(other)
-			}
-		}
-		return
-	}
 	for b := 0; b < ix.params.Bands; b++ {
-		for _, other := range ix.buckets[b][ix.bandKey(sig, b)] {
+		var bucket []int32
+		if ix.frozen != nil {
+			bucket = ix.lookupBucket(b, ix.bandKey(sig, b))
+		} else {
+			bucket = ix.buildBucket(b, ix.bandKey(sig, b))
+		}
+		for _, other := range bucket {
 			fn(other)
 		}
 	}
 }
 
 // lookupBucket returns band b's bucket filed under key (nil when
-// absent) on a frozen index — the cross-shard key probe. The returned
+// absent) on a frozen index — the cross-shard key probe and the
+// frozen path of CandidatesOfSignature. The returned
 // slice aliases index storage and must not be modified; its entries
 // are global item IDs.
 func (ix *Index) lookupBucket(b int, key uint64) []int32 {
@@ -417,9 +526,11 @@ func (ix *Index) statsInto(st *Stats, singles, total *int) {
 			bucketLen(int(fz.offsets[s+1] - fz.offsets[s]))
 		}
 	} else {
-		for _, band := range ix.buckets {
-			for _, items := range band {
-				bucketLen(len(items))
+		for _, t := range ix.runs {
+			for _, e := range t.cells {
+				if e.n > 0 {
+					bucketLen(int(e.n))
+				}
 			}
 		}
 	}

@@ -35,8 +35,8 @@ package lsh
 // dependent tie-break downstream, is bit-identical to the unreordered
 // oracle (Options.DisableReorder in core).
 //
-// Reordering applies only to BuildFrozen; map-built indexes (the
-// serial bootstrap oracle's Insert-then-Freeze, the stream) never
+// Reordering applies only to BuildFrozen; indexes filled item by item
+// (the serial bootstrap oracle's Insert-then-Freeze, the stream) never
 // reorder, and SetReorder is off by default so the frozen-layout
 // identity tests keep pinning the direct build.
 

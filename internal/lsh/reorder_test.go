@@ -213,7 +213,7 @@ func TestReorderedReverseMatchesSingle(t *testing.T) {
 }
 
 // TestReorderInertLayouts pins the layout that must never reorder even
-// with SetReorder(true): the map-built Insert/Freeze path.
+// with SetReorder(true): the per-item Insert/Freeze path.
 func TestReorderInertLayouts(t *testing.T) {
 	const n = 120
 	p := Params{Bands: 4, Rows: 2}
@@ -230,6 +230,6 @@ func TestReorderInertLayouts(t *testing.T) {
 	}
 	sh.Freeze()
 	if perm, _ := sh.ReorderMap(); perm != nil {
-		t.Fatal("map-built index reordered")
+		t.Fatal("Insert/Freeze index reordered")
 	}
 }

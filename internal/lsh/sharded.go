@@ -44,8 +44,8 @@ import (
 // internally parallel via BuildFrozen); concurrent queries are safe
 // once construction is done, with per-caller scratch held by Query.
 // With more than one shard, queries require every shard frozen
-// (BuildFrozen, Freeze or OpenSharded): the map builder serves only
-// the per-item Insert loop that Freeze then compacts.
+// (BuildFrozen, Freeze or OpenSharded): the build phase serves only
+// the per-item Insert loop that Freeze then lays out.
 type Sharded struct {
 	params Params
 	part   partition

@@ -171,7 +171,7 @@ func mustPanicUnfrozen(t *testing.T, what string, fn func()) {
 // paths must reproduce the single-index candidate stream exactly (same
 // items, same enumeration order). A single shard is queried on either
 // layout, and by signature too (the stream's query). Several shards
-// are queried only once frozen: on map-built shards both paths must
+// are queried only once frozen: on unfrozen shards both paths must
 // panic with the precondition, and after Freeze they must match the
 // oracle like a BuildFrozen index.
 func TestShardedQueriesMatchSingle(t *testing.T) {

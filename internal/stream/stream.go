@@ -5,17 +5,22 @@
 // A Clusterer holds k modes and the MinHash banding index. Each arriving
 // item is assigned in one shot:
 //
-//  1. MinHash the item's present values and query the index: the
-//     clusters of colliding *previously seen* items form the shortlist
-//     (exactly the batch framework's candidate construction, applied to
-//     an out-of-index item via lsh.Index.CandidatesOfSignature);
+//  1. MinHash the item's present values and file it in the index with
+//     lsh.Index.QueryInsert, which probes each band once: the bucket
+//     it hands back as it stood — the *previously seen* colliding
+//     items — and the clusters of those items form the shortlist
+//     (exactly the batch framework's candidate construction, applied
+//     to an arriving item);
 //  2. compare the item against the shortlist modes only, falling back
 //     to a full scan when the shortlist is empty (early stream, or an
 //     item unlike anything seen);
-//  3. insert the item into the index (lsh.Index.InsertSignature, reusing
-//     the signature from step 1) and fold it into its cluster's
-//     frequency table, which maintains the mode incrementally (Huang's
-//     frequency-based update) — no batch recomputation ever runs.
+//  3. fold the item into its cluster's frequency table, which
+//     maintains the mode incrementally (Huang's frequency-based
+//     update) — no batch recomputation ever runs.
+//
+// The index stays in its build phase for the life of the stream: per
+// band, a pointer-free key table locating each bucket's run of
+// ascending item IDs in one shared arena.
 //
 // The result is an any-time clusterer: modes, assignments and statistics
 // are valid after every item.
@@ -41,8 +46,6 @@ type Config struct {
 	InitialModes []dataset.Value
 	// NumAttrs is m. Required.
 	NumAttrs int
-	// CapacityHint pre-sizes per-item storage (optional).
-	CapacityHint int
 	// ScalarKernels routes item-to-mode distance evaluations through
 	// the scalar reference kernels instead of the unrolled ones
 	// (internal/kernel). Assignments are bit-identical either way; the
@@ -68,8 +71,8 @@ type Stats struct {
 // It is not safe for concurrent use.
 type Clusterer struct {
 	k, m int
-	// index is the map-built banding index: queried by signature before
-	// each insert, never frozen.
+	// index is the build-phase banding index: each Add queries and
+	// files its item in one QueryInsert; never frozen.
 	index   *lsh.Index
 	freq    *kmodes.FreqTable
 	assign  []int32
@@ -104,7 +107,7 @@ func New(cfg Config) (*Clusterer, error) {
 			len(cfg.InitialModes), cfg.NumAttrs)
 	}
 	k := len(cfg.InitialModes) / cfg.NumAttrs
-	ix, err := lsh.NewIndex(cfg.Params, cfg.Seed, cfg.CapacityHint)
+	ix, err := lsh.NewIndex(cfg.Params, cfg.Seed, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -184,11 +187,9 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 		}
 	}
 
-	// Sign once; the signature serves both the shortlist query and the
-	// index insert below.
+	// Shortlist via the index (deduplicated with epoch stamps), filing
+	// the item in the same probe of each band.
 	sig := c.index.Scheme().Sign(c.presBuf, c.sigBuf)
-
-	// Shortlist via the index (deduplicated with epoch stamps).
 	c.epoch++
 	if c.epoch == 0 {
 		for i := range c.stamps {
@@ -197,13 +198,19 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 		c.epoch = 1
 	}
 	c.short = c.short[:0]
-	c.index.CandidatesOfSignature(sig, func(other int32) {
-		cl := c.assign[other]
-		if c.stamps[cl] != c.epoch {
-			c.stamps[cl] = c.epoch
-			c.short = append(c.short, cl)
+	item := int32(len(c.assign))
+	err := c.index.QueryInsert(item, sig, func(bucket []int32) {
+		for _, other := range bucket {
+			cl := c.assign[other]
+			if c.stamps[cl] != c.epoch {
+				c.stamps[cl] = c.epoch
+				c.short = append(c.short, cl)
+			}
 		}
 	})
+	if err != nil {
+		return 0, fmt.Errorf("stream: indexing item %d: %w", item, err)
+	}
 
 	best := -1
 	bestD := c.m + 1
@@ -230,11 +237,7 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 		}
 	}
 
-	item := int32(len(c.assign))
 	c.assign = append(c.assign, int32(best))
-	if err := c.index.InsertSignature(item, sig); err != nil {
-		return 0, fmt.Errorf("stream: indexing item %d: %w", item, err)
-	}
 	c.freq.AddMasked(best, row, present)
 	c.stats.Items++
 	return best, nil

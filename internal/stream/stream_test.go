@@ -49,7 +49,6 @@ func TestStreamingRecoversClusters(t *testing.T) {
 		Seed:         3,
 		InitialModes: modes,
 		NumAttrs:     24,
-		CapacityHint: ds.NumItems(),
 	})
 	if err != nil {
 		t.Fatal(err)
