@@ -9,7 +9,6 @@ package lshcluster
 import (
 	"io"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -173,108 +172,6 @@ func BenchmarkAblationTieBreakPreferCurrent(b *testing.B) {
 func BenchmarkAblationTieBreakLowestIndex(b *testing.B) {
 	runAbl(b, core.Options{TieBreak: core.TieBreakLowestIndex}, true)
 }
-
-// ---- active-set assignment pass ----
-
-// benchActiveFilter times full accelerated runs with and without the
-// active-set filter on the ablation workload, whose random seeding
-// yields several passes of sparse-tail iterations — the regime the
-// filter targets (late passes re-evaluate only the items whose cluster
-// neighbourhood changed). Assignments are bit-identical across the
-// pair; only the work differs. The reported active_frac_last metric is
-// the final pass's evaluated fraction — the acceptance criterion is
-// that it sits at or below 0.10 for the filtered run.
-func benchActiveFilter(b *testing.B, disable bool) {
-	ds := ablWorkload(b)
-	var lastFrac float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space, err := kmodes.NewSpace(ds, kmodes.Config{K: 800, Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 5}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:         accel,
-			SkipCost:            true,
-			MaxIterations:       12,
-			DisableActiveFilter: disable,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Stats.Iterations[len(res.Stats.Iterations)-1]
-		lastFrac = float64(last.ActiveItems) / float64(ds.NumItems())
-	}
-	b.ReportMetric(lastFrac, "active_frac_last")
-}
-
-func BenchmarkActiveFilterOff(b *testing.B) { benchActiveFilter(b, true) }
-func BenchmarkActiveFilterOn(b *testing.B)  { benchActiveFilter(b, false) }
-
-// benchShortlists measures shortlist construction for every item on
-// the frozen index: the per-item Candidates path versus the batched
-// band-major CandidatesBlock path every accelerated pass uses, which
-// records each block position's buckets and resolves them into the
-// shortlist just before its emit.
-func benchShortlists(b *testing.B, block bool) {
-	ds := ablWorkload(b)
-	const k = 800
-	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 5}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := accel.Reset(k); err != nil {
-		b.Fatal(err)
-	}
-	n := ds.NumItems()
-	assign := make([]int32, n)
-	rng := rand.New(rand.NewSource(4))
-	for i := range assign {
-		assign[i] = int32(rng.Intn(k))
-	}
-	for i := 0; i < n; i++ {
-		if err := accel.Insert(int32(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	accel.Freeze()
-	var sink int
-	b.ReportAllocs()
-	b.ResetTimer()
-	if block {
-		bq := accel.NewQuerier().(core.BlockQuerier)
-		blk := make([]int32, 0, 64)
-		for i := 0; i < b.N; i++ {
-			sink = 0
-			for lo := 0; lo < n; lo += cap(blk) {
-				blk = blk[:0]
-				for j := lo; j < n && len(blk) < cap(blk); j++ {
-					blk = append(blk, int32(j))
-				}
-				bq.CandidatesBlock(blk, assign, func(pos int, shortlist []int32) {
-					sink += len(shortlist)
-				})
-			}
-		}
-	} else {
-		q := accel.NewQuerier()
-		for i := 0; i < b.N; i++ {
-			sink = 0
-			for item := 0; item < n; item++ {
-				sink += len(q.Candidates(int32(item), assign))
-			}
-		}
-	}
-	_ = sink
-}
-
-func BenchmarkShortlistPerItem(b *testing.B) { benchShortlists(b, false) }
-func BenchmarkShortlistBlock(b *testing.B)   { benchShortlists(b, true) }
 
 // ---- numeric extension ----
 
@@ -452,58 +349,6 @@ func benchBootstrapSigning(b *testing.B, memoized bool) {
 func BenchmarkBootstrapSigningPlain(b *testing.B)    { benchBootstrapSigning(b, false) }
 func BenchmarkBootstrapSigningMemoized(b *testing.B) { benchBootstrapSigning(b, true) }
 
-// ---- parallel bootstrap pipeline ----
-
-// benchBootstrapPipeline times the bootstrap phase of a full-scan
-// accelerated run on the 100k signing workload — the regime where
-// bootstrap dominates end-to-end cost. serial=true runs the per-item
-// sign+insert oracle (DisableParallelBootstrap); otherwise the
-// sign → build → assign pipeline runs at the given worker count.
-// Results are bit-identical across all variants (enforced by the
-// equivalence tests); only the bootstrap cost differs, reported as
-// bootstrap_ms with its per-phase split.
-func benchBootstrapPipeline(b *testing.B, workers int, serial bool) {
-	const k = 1000
-	ds := signWorkload(b)
-	var boot, sign, build, assign time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space, err := kmodes.NewSpace(ds, kmodes.Config{K: k, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 5}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:              accel,
-			SkipCost:                 true,
-			MaxIterations:            1,
-			Workers:                  workers,
-			Update:                   core.UpdateDeferred,
-			DisableParallelBootstrap: serial,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		boot += res.Stats.Bootstrap
-		sign += res.Stats.BootstrapSign
-		build += res.Stats.BootstrapBuild
-		assign += res.Stats.BootstrapAssign
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(boot.Milliseconds())/n, "bootstrap_ms")
-	b.ReportMetric(float64(sign.Milliseconds())/n, "sign_ms")
-	b.ReportMetric(float64(build.Milliseconds())/n, "build_ms")
-	b.ReportMetric(float64(assign.Milliseconds())/n, "assign_ms")
-}
-
-func BenchmarkBootstrapSerialOracle(b *testing.B) { benchBootstrapPipeline(b, 1, true) }
-func BenchmarkBootstrapPipeline1(b *testing.B)    { benchBootstrapPipeline(b, 1, false) }
-func BenchmarkBootstrapPipeline4(b *testing.B)    { benchBootstrapPipeline(b, 4, false) }
-
 // ---- item-sharded index ----
 
 // benchShardedRun is the shard A/B on the 100k workload: a full-scan
@@ -657,80 +502,3 @@ func benchCandidates(b *testing.B, frozen bool) {
 
 func BenchmarkCandidatesBuildPhase(b *testing.B) { benchCandidates(b, false) }
 func BenchmarkCandidatesFrozen(b *testing.B)     { benchCandidates(b, true) }
-
-// ---- persistent index warm start ----
-
-// benchPersist prices the out-of-core warm start on the 100k workload
-// at S=4, MaxIterations=1 — the time to be ready for (and finish) the
-// first iteration, which is what the warm start exists to shrink. The
-// cold case signs, builds, saves and full-scans into an empty
-// directory every round; the warm cases open the saved shards — mmap
-// zero-copy by default, heap-deserialising under DisableMmap (the
-// portable oracle) — and restore the cached bootstrap assignment.
-// bootstrap_ms is the headline; save_ms/load_ms split out the
-// persistence layer's own cost.
-func benchPersist(b *testing.B, warm, useMmap bool) {
-	const k = 1000
-	ds := signWorkload(b)
-	dir := b.TempDir()
-	run := func() *core.Result {
-		space, err := kmodes.NewSpace(ds, kmodes.Config{K: k, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 5}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:   accel,
-			SkipCost:      true,
-			MaxIterations: 1,
-			Workers:       4,
-			Update:        core.UpdateDeferred,
-			Shards:        4,
-			IndexDir:      dir,
-			DisableMmap:   !useMmap,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	if warm {
-		run() // seed the on-disk index outside the timer
-	}
-	var boot, save, load time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !warm {
-			b.StopTimer()
-			if err := os.RemoveAll(dir); err != nil {
-				b.Fatal(err)
-			}
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		res := run()
-		boot += res.Stats.Bootstrap
-		save += res.Stats.IndexSaveTime
-		load += res.Stats.IndexLoadTime
-		if warm && !res.Stats.WarmStart {
-			b.Fatal("expected a warm start")
-		}
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(boot.Milliseconds())/n, "bootstrap_ms")
-	if !warm {
-		b.ReportMetric(float64(save.Milliseconds())/n, "save_ms")
-	} else {
-		b.ReportMetric(float64(load.Milliseconds())/n, "load_ms")
-	}
-}
-
-func BenchmarkPersistColdBootstrap(b *testing.B) { benchPersist(b, false, true) }
-func BenchmarkPersistWarmMmap(b *testing.B)      { benchPersist(b, true, true) }
-func BenchmarkPersistWarmHeap(b *testing.B)      { benchPersist(b, true, false) }

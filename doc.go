@@ -132,6 +132,27 @@
 //     bit-identical to the per-item reference — the same loop at block
 //     length 1 — which only the tests run.
 //
+//   - The index keeps the cluster reference, as the paper's Algorithm 2
+//     does. Every frozen bucket of at least 16 items (one 64-byte line
+//     of item IDs; lsh.SummaryMinLen) also holds its members' distinct
+//     clusters in first-appearance order, and the block loop reads that
+//     cluster summary instead of mapping every member through the
+//     assignment. A long bucket's members fall into few clusters (on
+//     the SimHash K-Means benchmark an item's buckets hold about 1,350
+//     entries in about 20 clusters), so the shortlist query shrinks by
+//     that ratio; shorter buckets, mostly singletons on a selective
+//     banding, are walked as before, because a walk of them reads no
+//     more memory than a summary would. The summaries are built from
+//     the assignment after the bootstrap (or a snapshot resume). A move
+//     recomputes the summaries of the mover's long buckets from the
+//     assignment: at once under immediate updates, before the next
+//     item is decided, and from the pass's move log after a deferred
+//     pass, whose decisions read the pass-start snapshot. A recompute
+//     reads exactly the entries the mover's own shortlist query read.
+//     Summaries live on the heap and are never persisted. The shortlist,
+//     its order and every tie are those of the walk, which the per-item
+//     reference still takes.
+//
 // # Item-sharded index
 //
 // The banding index can be partitioned by item into S independent

@@ -63,12 +63,34 @@ type BlockQuerier interface {
 	Querier
 	// CandidatesBlock calls emit once per pos in ascending order with
 	// Candidates(items[pos], assign), resolved against assign as it
-	// stands when that emit call starts: writes an emit makes to
-	// assign are visible to every later position in the block. Each
-	// shortlist has exactly the contents and enumeration order the
-	// per-item Candidates call would produce at that moment and is
-	// valid only inside its emit invocation.
+	// stands when that emit call starts. A write to assign is visible
+	// to the block's later positions once it is reported through the
+	// accelerator's ClusterSummarizer hook (when the accelerator has
+	// one): an emit that moves an item writes assign, then reports the
+	// write, before it returns. Each shortlist has exactly the contents
+	// and enumeration order the per-item Candidates call would produce
+	// at that moment and is valid only inside its emit invocation.
 	CandidatesBlock(items []int32, assign []int32, emit func(pos int, shortlist []int32))
+}
+
+// ClusterSummarizer is an optional Accelerator capability: accelerators
+// whose frozen index keeps cluster summaries of its long buckets (the
+// paper's cluster reference in the index; see lsh.SummaryMinLen)
+// implement it, and their block queriers read a summary where they
+// would otherwise map every member of the bucket through the
+// assignment. A summary describes the assignment view it was computed
+// from, so the driver reports every write to that view: it summarises
+// the view once after the bootstrap (or a snapshot resume), reports
+// each immediate-update move in settle, before the next emit, and
+// folds a deferred pass's move log after the pass. The views are
+// indexed by the IDs the index's buckets hold: the internal-ID mirror
+// on a reordered index.
+type ClusterSummarizer interface {
+	// SummarizeClusters (re)builds every summary from view.
+	SummarizeClusters(view []int32)
+	// Resummarize refreshes the summaries of the buckets holding item
+	// (an original item ID) after view's entry for item changed.
+	Resummarize(item int32, view []int32)
 }
 
 // ReverseView is a reverse-collision view over an accelerator's index

@@ -360,11 +360,13 @@ func TestCancellationMidPass(t *testing.T) {
 // contract: for every item, CandidatesBlock emits exactly the
 // shortlist — contents and order — that the per-item Candidates call
 // produces against assign as it stands when that emit starts. The
+// view is summarised (ClusterSummarizer) before the first query. The
 // mutating case reassigns each emitted item and every third of its
-// colliders inside emit, as an immediate pass's moves do, so every
-// later position of the block must observe those writes. Covered on
-// the per-item Insert index (before and after Freeze) and on bulk-built,
-// reordered indexes at S∈{1,4}.
+// colliders inside emit, as an immediate pass's moves do, and reports
+// each write through Resummarize, so every later position of the block
+// must observe those writes. Covered on the per-item Insert index
+// (before and after Freeze) and on bulk-built, reordered indexes at
+// S∈{1,4}.
 func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 	ds := kmodesMatrixWorkload(t)
 	const k = 30
@@ -410,21 +412,29 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 		}
 	}
 	layouts := []struct {
-		name  string
-		build func(t *testing.T) *core.MinHashAccelerator
+		name   string
+		build  func(t *testing.T) *core.MinHashAccelerator
+		frozen bool
 	}{
-		{"frozen=false", mapBuilt(false)},
-		{"frozen=true", mapBuilt(true)},
-		{"bulk-reordered/s=1", bulkBuilt(1)},
-		{"bulk-reordered/s=4", bulkBuilt(4)},
+		{"frozen=false", mapBuilt(false), false},
+		{"frozen=true", mapBuilt(true), true},
+		{"bulk-reordered/s=1", bulkBuilt(1), true},
+		{"bulk-reordered/s=4", bulkBuilt(4), true},
 	}
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
 			for _, mutate := range []bool{false, true} {
 				t.Run(fmt.Sprintf("mutate=%v", mutate), func(t *testing.T) {
 					accel := lay.build(t)
-					// Queries read the internal-ID view on a reordered index.
-					perm, _ := accel.ReorderMap()
+					// Queries read the internal-ID view on a reordered index;
+					// a write is reported under the item's original ID.
+					perm, inv := accel.ReorderMap()
+					original := func(internal int32) int32 {
+						if inv != nil {
+							return inv[internal]
+						}
+						return internal
+					}
 					ref := accel.NewQuerier()
 					bq, ok := accel.NewQuerier().(core.BlockQuerier)
 					if !ok {
@@ -435,6 +445,7 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 					for i := range view {
 						view[i] = int32(i % k)
 					}
+					accel.SummarizeClusters(view)
 					emits := 0
 					// Oddly-sized blocks straddle block boundaries on purpose.
 					for _, blockLen := range []int{1, 7, 64, 129} {
@@ -464,10 +475,12 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 									self = perm[self]
 								}
 								view[self] = (view[self] + 1) % k
+								accel.Resummarize(blk[pos], view)
 								seen := 0
 								colliders.Candidates(blk[pos], func(other int32) {
 									if seen++; seen%3 == 0 {
 										view[other] = (view[other] + 7) % k
+										accel.Resummarize(original(other), view)
 									}
 								})
 							})
@@ -475,6 +488,11 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 					}
 					if emits != 4*n {
 						t.Fatalf("emit ran %d times, want %d", emits, 4*n)
+					}
+					// Only a frozen index keeps summaries; there the
+					// workload's long buckets must have been read through them.
+					if reads := bq.(*core.IndexQuerier).SummaryReads(); lay.frozen != (reads > 0) {
+						t.Fatalf("frozen=%v index: %d summaries read", lay.frozen, reads)
 					}
 				})
 			}

@@ -376,6 +376,13 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 			restoredIters = iters
 		}
 	}
+	// Cluster summaries describe the view the shortlists read, so they
+	// are built from the bootstrap (or resumed) assignment. The per-item
+	// reference walks every bucket and reads none.
+	if cs, ok := opts.Accelerator.(ClusterSummarizer); ok && !perItem {
+		d.summ = cs
+		cs.SummarizeClusters(d.liveView())
+	}
 	if d.inc != nil {
 		d.inc.BeginIncremental(d.assign, !opts.SkipCost)
 	} else {
@@ -501,8 +508,12 @@ type driver struct {
 	inv       []int32
 	assignInt []int32
 	// moves collects a pass's moves for the fold into the incremental
-	// space after the pass.
+	// space and the cluster summaries after the pass.
 	moves []moveRec
+	// summ is the accelerator's cluster-summary hook (nil when it keeps
+	// no summaries, and in the per-item reference); every write to the
+	// live view is reported to it (settle, pass).
+	summ ClusterSummarizer
 	// bootSign/bootBuild/bootAssign split the bootstrap wall time into
 	// its signing, index-construction and first-assignment phases
 	// (runstats.Run.Bootstrap* — see those fields for which phases stay
@@ -663,6 +674,15 @@ func (d *driver) bootstrap() error {
 		}
 	}
 	return ctxErr(d.opts.Context)
+}
+
+// liveView is the assignment as the index's buckets address it: the
+// internal-ID mirror on a reordered index, the assignment otherwise.
+func (d *driver) liveView() []int32 {
+	if d.perm != nil {
+		return d.assignInt
+	}
+	return d.assign
 }
 
 // setAssign records item i's move to cluster c in the original-ID
@@ -838,16 +858,16 @@ func (d *driver) bestOfLowestIndex(item, cur int, candidates []int32, comps *int
 // centroids unchanged until FinishPass, so folding late changes no
 // decision, and the order — the one an original-order pass decides in
 // — keeps K-Means' floating-point accumulators bit-identical across
-// domains and worker counts.
+// domains and worker counts. A deferred pass's shortlists read the
+// pass-start snapshot, which the accelerator's cluster summaries still
+// describe; the move log refreshes them from the live view after the
+// pass. (An immediate pass refreshes them move by move, in settle.)
 func (d *driver) pass() passStats {
 	accel := d.opts.Accelerator
 	immediate := accel != nil && d.opts.Update == UpdateImmediate
 	var view, dom []int32
 	if accel != nil {
-		view = d.assign
-		if d.perm != nil {
-			view = d.assignInt
-		}
+		view = d.liveView()
 		if !immediate {
 			d.snapshot = append(d.snapshot[:0], view...)
 			view = d.snapshot
@@ -885,6 +905,12 @@ func (d *driver) pass() passStats {
 		slices.SortFunc(d.moves, func(a, b moveRec) int { return int(a.item) - int(b.item) })
 		for _, mv := range d.moves {
 			d.inc.ApplyMove(int(mv.item), mv.from, mv.to)
+		}
+	}
+	if d.summ != nil && !immediate {
+		live := d.liveView()
+		for _, mv := range d.moves {
+			d.summ.Resummarize(mv.item, live)
 		}
 	}
 	return ps
@@ -965,9 +991,13 @@ func (d *driver) sweep(w *passWorker, q Querier, view, dom []int32, lo, hi int, 
 }
 
 // settle records item i's evaluation and, when best differs from its
-// cluster, moves it there. The assignment write *is* the paper's
-// "update the cluster reference in the MinHash index": buckets store
-// item IDs and queries map them through the assignment.
+// cluster, moves it there: the paper's "update the cluster reference
+// in the MinHash index". Buckets store item IDs, so the reference is
+// the assignment write, plus, when the accelerator keeps cluster
+// summaries of its long buckets, their refresh. An immediate pass's
+// later shortlists read the live view, so the summaries of i's buckets
+// are refreshed here, before the next emit; a deferred pass logs the
+// move for the fold after the pass.
 func (d *driver) settle(w *passWorker, i int, best int32) bool {
 	w.ps.evaluated++
 	cur := d.assign[i]
@@ -975,8 +1005,11 @@ func (d *driver) settle(w *passWorker, i int, best int32) bool {
 		return false
 	}
 	d.setAssign(i, best)
-	if d.inc != nil {
+	if d.inc != nil || d.summ != nil {
 		w.moves = append(w.moves, moveRec{int32(i), cur, best})
+	}
+	if d.summ != nil && d.opts.Update == UpdateImmediate {
+		d.summ.Resummarize(int32(i), d.liveView())
 	}
 	w.ps.moves++
 	d.noteMove(i)

@@ -11,3 +11,7 @@ func RunPerItem(space Space, opts Options) (*Result, error) {
 // SnapshotEvery does, so tests can hand Run checkpoints whose contents
 // are consistent with the container but not with each other.
 var WriteRunState = writeRunState
+
+// SummaryReads returns how many cluster summaries q's block queries
+// have read.
+func (q *IndexQuerier) SummaryReads() int64 { return q.summaries }

@@ -84,7 +84,10 @@ type Freezer interface {
 // moveRec is one recorded item move. Every pass logs its moves and
 // folds them into the IncrementalSpace after the pass, in ascending
 // item order (driver.pass), which keeps ApplyMove single-threaded
-// without serialising parallel passes.
+// without serialising parallel passes. A deferred pass also refreshes
+// the accelerator's cluster summaries from the log
+// (ClusterSummarizer), so the log is kept whenever either consumer
+// exists.
 type moveRec struct {
 	item     int32
 	from, to int32

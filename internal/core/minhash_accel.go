@@ -144,7 +144,8 @@ func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 // colliding items are mapped through the live assignment and
 // deduplicated into a cluster shortlist with an epoch-stamp array (no
 // per-query clearing), one item at a time (Candidates) or per block
-// position just before its emit (CandidatesBlock). Candidate
+// position just before its emit (CandidatesBlock), where a long
+// bucket's cluster summary stands in for its members. Candidate
 // enumeration goes through the lsh.Query planner, which fans
 // sub-queries out across shards and merges them back into the
 // single-index order — so shortlist contents and first-occurrence
@@ -158,7 +159,18 @@ type IndexQuerier struct {
 	buf    []int32
 	// spans is CandidatesBlock's scratch: per block position, the
 	// bucket slices the band-major sweep delivered, in delivery order.
-	spans [][][]int32
+	spans [][]span
+	// summaries counts the cluster summaries CandidatesBlock read, so
+	// tests can tell a run that read summaries from one that walked
+	// every bucket.
+	summaries int64
+}
+
+// span is one bucket slice a block sweep delivered, with its
+// cluster-summary handle (-1 when it is walked).
+type span struct {
+	bucket []int32
+	sum    int32
 }
 
 // NewIndexQuerier creates a querier over index for a clustering with
@@ -182,10 +194,13 @@ func (q *IndexQuerier) beginDedup() {
 // collect folds one colliding item into the deduplicated cluster
 // shortlist under assign.
 func (q *IndexQuerier) collect(other int32, assign []int32) {
-	c := assign[other]
-	if c < 0 {
-		return // not yet assigned (the Querier contract)
+	if c := assign[other]; c >= 0 { // < 0: not yet assigned (the Querier contract)
+		q.add(c)
 	}
+}
+
+// add appends cluster c to the shortlist unless it is already there.
+func (q *IndexQuerier) add(c int32) {
 	if q.stamps[c] != q.epoch {
 		q.stamps[c] = q.epoch
 		q.buf = append(q.buf, c)
@@ -193,7 +208,9 @@ func (q *IndexQuerier) collect(other int32, assign []int32) {
 }
 
 // Candidates returns the deduplicated cluster shortlist for item. The
-// returned slice is reused by the next call.
+// returned slice is reused by the next call. It walks every colliding
+// item, so it is the reference the block path's summaries are tested
+// against.
 func (q *IndexQuerier) Candidates(item int32, assign []int32) []int32 {
 	q.beginDedup()
 	q.q.Candidates(item, func(other int32) { q.collect(other, assign) })
@@ -204,15 +221,13 @@ func (q *IndexQuerier) Candidates(item int32, assign []int32) []int32 {
 // (core.BlockQuerier) in two steps split at the assignment. One
 // band-major index sweep (lsh.Query.CandidatesBatch; see
 // lsh.Index.CandidatesBatch for why that order amortises cache misses)
-// records each position's bucket slices; no bucket depends on assign.
-// Each position's shortlist is then resolved just before its emit:
-// the recorded buckets, which arrive per position in ascending band
-// order (and ascending shard order within a band), are mapped through
-// assign and deduplicated with the epoch stamps — the per-item
-// Candidates sequence, contents and first-occurrence order, against
-// assign as it stands at that moment, so a move an earlier emit wrote
-// is seen exactly as the per-item loop sees it. Shortlists are valid
-// only inside their emit invocation.
+// records each position's bucket slices and their cluster-summary
+// handles; no bucket depends on assign. Each position's shortlist is
+// then resolved just before its emit (resolve), against assign and the
+// summaries as they stand at that moment, so a move an earlier emit
+// wrote and reported through ClusterSummarizer.Resummarize is seen
+// exactly as the per-item loop sees it. Shortlists are valid only
+// inside their emit invocation.
 func (q *IndexQuerier) CandidatesBlock(items []int32, assign []int32, emit func(pos int, shortlist []int32)) {
 	for len(q.spans) < len(items) {
 		q.spans = append(q.spans, nil)
@@ -221,16 +236,34 @@ func (q *IndexQuerier) CandidatesBlock(items []int32, assign []int32, emit func(
 	for pos := range spans {
 		spans[pos] = spans[pos][:0]
 	}
-	q.q.CandidatesBatch(items, func(pos int, bucket []int32) {
-		spans[pos] = append(spans[pos], bucket)
+	q.q.CandidatesBatch(items, func(pos int, bucket []int32, sum int32) {
+		spans[pos] = append(spans[pos], span{bucket, sum})
 	})
 	for pos, buckets := range spans {
-		q.beginDedup()
-		for _, bucket := range buckets {
-			for _, other := range bucket {
+		q.resolve(buckets, assign)
+		emit(pos, q.buf)
+	}
+}
+
+// resolve builds one position's shortlist from its recorded spans in
+// delivery order: a span with a summary handle folds in the bucket's
+// distinct clusters, any other maps its members through assign. Both
+// fold the same clusters in the same first-appearance order, so the
+// shortlist is the per-item Candidates walk's.
+//
+//lshvet:noescape
+func (q *IndexQuerier) resolve(spans []span, assign []int32) {
+	q.beginDedup()
+	for _, sp := range spans {
+		if sp.sum < 0 {
+			for _, other := range sp.bucket {
 				q.collect(other, assign)
 			}
+			continue
 		}
-		emit(pos, q.buf)
+		q.summaries++
+		for _, c := range q.q.Summary(sp.sum) {
+			q.add(c)
+		}
 	}
 }

@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"lshcluster/internal/datagen"
+	"lshcluster/internal/dataset"
 	"lshcluster/internal/kmeans"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
@@ -45,6 +47,45 @@ func (q countingQuerier) CandidatesBlock(items []int32, assign []int32, emit fun
 	*q.positions += int64(len(items))
 	q.IndexQuerier.CandidatesBlock(items, assign, emit)
 }
+
+// querierLog records the shortlist queriers an accelerator hands out
+// (parallel pass workers create theirs concurrently), so a test can
+// count the cluster summaries its runs read.
+type querierLog struct {
+	mu sync.Mutex
+	qs []*core.IndexQuerier
+}
+
+func (l *querierLog) add(q core.Querier) core.Querier {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.qs = append(l.qs, q.(*core.IndexQuerier))
+	return q
+}
+
+func (l *querierLog) summaryReads() int64 {
+	var n int64
+	for _, q := range l.qs {
+		n += q.SummaryReads()
+	}
+	return n
+}
+
+// loggedMinHash and loggedSimHash log their queriers; embedding
+// forwards every other capability.
+type loggedMinHash struct {
+	*core.MinHashAccelerator
+	log *querierLog
+}
+
+func (a loggedMinHash) NewQuerier() core.Querier { return a.log.add(a.MinHashAccelerator.NewQuerier()) }
+
+type loggedSimHash struct {
+	*simhash.Accelerator
+	log *querierLog
+}
+
+func (a loggedSimHash) NewQuerier() core.Querier { return a.log.add(a.Accelerator.NewQuerier()) }
 
 // assertMatchesPerItem runs opts through core.Run and through the
 // per-item reference and asserts bit-identical assignments and
@@ -138,44 +179,81 @@ func TestImmediateBlocksRunWhole(t *testing.T) {
 // bit — MinHash K-Modes and SimHash K-Means, immediate updates and
 // deferred ones at one and four workers, reordering and the active
 // filter on and off, both tie-breaks. The noblock accelerator's block
-// runs go through the per-item adapter.
+// runs go through the per-item adapter. The long shapes band with few
+// rows, so most buckets pass lsh.SummaryMinLen and the block runs read
+// cluster summaries where the per-item reference walks every bucket;
+// they run at S=1 and at S=4, where some bands have the
+// foreign-emptiness bit clear and reordered merges split buckets into
+// runs, under the default tie-break, and each must have read at least
+// one summary.
 func TestPassMatchesPerItem(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	pts, _, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{Points: 800, Clusters: 40, Dim: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kmodesRun := func() (*kmodes.Space, *core.MinHashAccelerator) {
+	// The long shapes' inputs have few large clusters: their buckets
+	// pass SummaryMinLen inside each of four shards, and some pass the
+	// reorder stage's union cap, so components interleave in original
+	// ID and reordered merges split buckets into runs.
+	longDs, err := datagen.Generate(datagen.Config{
+		Items: 2400, Clusters: 10, Attrs: 16, Domain: 200,
+		MinRuleFrac: 0.7, MaxRuleFrac: 0.9, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	longPts, _, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{Points: 600, Clusters: 2, Dim: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kmodesRun := func(ds *dataset.Dataset, p lsh.Params) (*kmodes.Space, *core.MinHashAccelerator) {
 		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+		a, err := core.NewMinHashAccelerator(ds, p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, a
+	}
+	kmeansRun := func(pts []float64, k int, p lsh.Params) (*kmeans.Space, *simhash.Accelerator) {
+		s, err := kmeans.NewSpace(pts, 8, kmeans.Config{K: k, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := simhash.NewAccelerator(s, p, 21)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s, a
 	}
 	spaces := []struct {
-		name string
-		mk   func() (core.Space, core.Accelerator)
+		name   string
+		mk     func(log *querierLog) (core.Space, core.Accelerator)
+		shards []int
+		// summarised requires the block runs to read a summary.
+		summarised bool
 	}{
-		{"kmodes", func() (core.Space, core.Accelerator) { return kmodesRun() }},
-		{"kmeans", func() (core.Space, core.Accelerator) {
-			s, err := kmeans.NewSpace(pts, 8, kmeans.Config{K: 40, Seed: 9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := simhash.NewAccelerator(s, lsh.Params{Bands: 8, Rows: 8}, 21)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, a
-		}},
-		{"noblock", func() (core.Space, core.Accelerator) {
-			s, a := kmodesRun()
+		{"kmodes", func(*querierLog) (core.Space, core.Accelerator) {
+			return kmodesRun(ds, lsh.Params{Bands: 8, Rows: 4})
+		}, []int{2}, false},
+		{"kmeans", func(*querierLog) (core.Space, core.Accelerator) {
+			return kmeansRun(pts, 40, lsh.Params{Bands: 8, Rows: 8})
+		}, []int{2}, false},
+		{"noblock", func(*querierLog) (core.Space, core.Accelerator) {
+			s, a := kmodesRun(ds, lsh.Params{Bands: 8, Rows: 4})
 			return s, noBlockAccel{a}
-		}},
+		}, []int{2}, false},
+		{"kmodes-long", func(log *querierLog) (core.Space, core.Accelerator) {
+			s, a := kmodesRun(longDs, lsh.Params{Bands: 6, Rows: 1})
+			return s, loggedMinHash{a, log}
+		}, []int{1, 4}, true},
+		{"kmeans-long", func(log *querierLog) (core.Space, core.Accelerator) {
+			s, a := kmeansRun(longPts, 10, lsh.Params{Bands: 4, Rows: 6})
+			return s, loggedSimHash{a, log}
+		}, []int{1, 4}, true},
 	}
 	updates := []struct {
 		name    string
@@ -187,18 +265,30 @@ func TestPassMatchesPerItem(t *testing.T) {
 		{"deferred-w4", core.UpdateDeferred, 4},
 	}
 	for _, sp := range spaces {
-		for _, u := range updates {
-			for _, reorder := range []bool{true, false} {
-				for _, active := range []bool{true, false} {
-					for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
-						name := fmt.Sprintf("%s/%s/reorder=%v/active=%v/tb=%d", sp.name, u.name, reorder, active, tb)
-						t.Run(name, func(t *testing.T) {
-							assertMatchesPerItem(t, sp.mk, core.Options{
-								Update: u.upd, Workers: u.workers, TieBreak: tb, Shards: 2,
-								DisableReorder: !reorder, DisableActiveFilter: !active,
-								MaxIterations: 15,
+		for _, shards := range sp.shards {
+			for _, u := range updates {
+				for _, reorder := range []bool{true, false} {
+					for _, active := range []bool{true, false} {
+						for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
+							if sp.summarised && tb != core.TieBreakPreferCurrent {
+								continue // summaries do not depend on the tie-break; the other shapes cover both
+							}
+							name := fmt.Sprintf("%s/%s/reorder=%v/active=%v/tb=%d", sp.name, u.name, reorder, active, tb)
+							if len(sp.shards) > 1 {
+								name = fmt.Sprintf("%s/s=%d/%s/reorder=%v/active=%v/tb=%d", sp.name, shards, u.name, reorder, active, tb)
+							}
+							t.Run(name, func(t *testing.T) {
+								log := &querierLog{}
+								assertMatchesPerItem(t, func() (core.Space, core.Accelerator) { return sp.mk(log) }, core.Options{
+									Update: u.upd, Workers: u.workers, TieBreak: tb, Shards: shards,
+									DisableReorder: !reorder, DisableActiveFilter: !active,
+									MaxIterations: 15,
+								})
+								if reads := log.summaryReads(); sp.summarised && reads == 0 {
+									t.Fatal("the block runs read no cluster summary")
+								}
 							})
-						})
+						}
 					}
 				}
 			}

@@ -395,6 +395,22 @@ func (b *ShardedIndexBase) Freeze() {
 	}
 }
 
+// SummarizeClusters builds the frozen index's cluster summaries from
+// view (core.ClusterSummarizer); a no-op before Reset.
+func (b *ShardedIndexBase) SummarizeClusters(view []int32) {
+	if b.index != nil {
+		b.index.SummarizeClusters(view)
+	}
+}
+
+// Resummarize refreshes the summaries of item's long buckets from view
+// after a write to item's cluster (core.ClusterSummarizer).
+func (b *ShardedIndexBase) Resummarize(item int32, view []int32) {
+	if b.index != nil {
+		b.index.Resummarize(item, view)
+	}
+}
+
 // NewQuerier returns a query handle with its own deduplication scratch.
 func (b *ShardedIndexBase) NewQuerier() Querier {
 	return NewIndexQuerier(b.index, b.k)

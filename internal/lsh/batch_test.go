@@ -38,7 +38,7 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 					blk = append(blk, int32(i))
 				}
 				got := make([][]int32, len(blk))
-				ix.CandidatesBatch(blk, func(pos int, bucket []int32) {
+				ix.CandidatesBatch(blk, func(pos int, bucket []int32, _ int32) {
 					got[pos] = append(got[pos], bucket...)
 				})
 				for pos, item := range blk {
@@ -60,7 +60,7 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 	// Uninserted items are skipped, not reported empty-bucketed.
 	ix2 := buildTestIndex(t, 10)
 	calls := 0
-	ix2.CandidatesBatch([]int32{3, 1000}, func(pos int, bucket []int32) {
+	ix2.CandidatesBatch([]int32{3, 1000}, func(pos int, bucket []int32, _ int32) {
 		if pos != 0 {
 			t.Fatalf("uninserted item produced a bucket at pos %d", pos)
 		}

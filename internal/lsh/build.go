@@ -1,7 +1,9 @@
 package lsh
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -127,6 +129,11 @@ func (t *buildTable) grow() {
 	}
 }
 
+// errFrozenOverflow rejects a BuildFrozen whose n·Bands bucket entries
+// would overflow the frozen layout's int32 offsets. A fixed value, so
+// the rejection allocates nothing.
+var errFrozenOverflow = errors.New("lsh: BuildFrozen: n·Bands bucket entries exceed the frozen layout's int32 offsets")
+
 // BuildFrozen builds the frozen index directly from presigned band
 // keys — the arena SignAll returns, keys[item·Bands+band] for items
 // [0, n) — sharding the per-band work across workers goroutines. The
@@ -141,6 +148,11 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	}
 	if n < 0 {
 		return fmt.Errorf("lsh: BuildFrozen with negative n %d", n)
+	}
+	// The frozen offsets, items and slots are int32-addressed, like the
+	// build phase's arena (QueryInsert).
+	if int64(n)*int64(ix.params.Bands) > math.MaxInt32 {
+		return errFrozenOverflow
 	}
 	if len(keys) != n*ix.params.Bands {
 		return fmt.Errorf("lsh: %d band keys for %d items × %d bands", len(keys), n, ix.params.Bands)

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -116,6 +117,34 @@ func TestBuildFrozenErrors(t *testing.T) {
 	}
 	if err := ix2.Insert(5, sets[0]); err == nil {
 		t.Fatal("Insert on a frozen index accepted")
+	}
+}
+
+// TestBuildFrozenRejectsInt32Overflow pins the frozen layout's int32
+// limit: a build over n·Bands > MaxInt32 entries is an error raised
+// before the key-count check and before any allocation, on a plain
+// index and through a single-shard Sharded one.
+func TestBuildFrozenRejectsInt32Overflow(t *testing.T) {
+	p := Params{Bands: 20, Rows: 2}
+	n := math.MaxInt32/p.Bands + 1
+	ix := mustIndex(t, p, 1, 0)
+	sh, err := NewSharded(p, 1, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() error{
+		"index":   func() error { return ix.BuildFrozen(nil, n, 1) },
+		"sharded": func() error { return sh.BuildFrozen(nil, n, 1) },
+	} {
+		if err := build(); err == nil {
+			t.Fatalf("%s: BuildFrozen over %d items × %d bands accepted", name, n, p.Bands)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { _ = build() }); allocs != 0 {
+			t.Fatalf("%s: rejected BuildFrozen allocated %v times", name, allocs)
+		}
+	}
+	if ix.Frozen() || sh.Frozen() {
+		t.Fatal("rejected BuildFrozen froze the index")
 	}
 }
 

@@ -41,7 +41,7 @@ func assertBuildPhase(t *testing.T, ix *Index, keys []uint64, inserted []bool) {
 	for i := range inserted {
 		block[i] = int32(i)
 	}
-	ix.CandidatesBatch(block, func(pos int, bucket []int32) {
+	ix.CandidatesBatch(block, func(pos int, bucket []int32, _ int32) {
 		batch[pos] = append(batch[pos], bucket...)
 	})
 	for i, ok := range inserted {

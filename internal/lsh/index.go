@@ -16,11 +16,14 @@ import (
 //
 // Band keys for every inserted item are also retained, so the recurring
 // per-iteration query "which items collide with item i" is a pure lookup
-// that never re-hashes the item. The paper's per-item *cluster reference*
-// lives outside the index, in the caller's assignment slice: because
-// buckets store item IDs and the caller maps IDs to clusters at query
-// time, "updating the reference" after a move is a single slice store —
-// exactly the O(1) pointer update described in §III-B.
+// that never re-hashes the item. Buckets store item IDs, and the
+// caller's assignment slice maps them to clusters at query time, so
+// "updating the cluster reference" after a move (§III-B) starts with a
+// single slice store. The frozen index also keeps the paper's cluster
+// reference itself for every bucket of at least SummaryMinLen items:
+// the members' distinct clusters, which a block query reads in place of
+// the members (summary.go). Those summaries are refreshed when the
+// caller reports a move (Sharded.Resummarize).
 //
 // The index has two construction lifecycles. The batch build
 // (BuildFrozen) constructs the frozen layout — flat CSR arrays for
@@ -79,6 +82,10 @@ type Index struct {
 	// its first global item, so bucket scans emit global IDs with no
 	// per-item translation.
 	idBase int32
+	// sums maps this shard's long frozen buckets to their cluster
+	// summaries in the owning Sharded's store (summary.go); empty until
+	// SummarizeClusters.
+	sums summaryTable
 }
 
 // NewIndex creates an index for the given banding parameters, seeded
@@ -409,9 +416,10 @@ func (ix *Index) Candidates(item int32, fn func(other int32)) {
 // item order intact, so a per-pos consumer observes exactly the
 // sequence Candidates(items[pos]) would deliver; handing whole bucket
 // slices to fn additionally removes Candidates' per-colliding-item
-// closure dispatch. The bucket slices alias index storage and must not
-// be modified.
-func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)) {
+// closure dispatch. sum is the bucket's cluster-summary handle
+// (summary.go), -1 when it keeps none. The bucket slices alias index
+// storage and must not be modified.
+func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32, sum int32)) {
 	bands := ix.params.Bands
 	if fz := ix.frozen; fz != nil {
 		for b := 0; b < bands; b++ {
@@ -420,7 +428,8 @@ func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)
 					continue
 				}
 				slot := fz.slots[int(item)*bands+b]
-				fn(pos, fz.items[fz.offsets[slot]:fz.offsets[slot+1]])
+				bucket := fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
+				fn(pos, bucket, ix.summaryOf(slot, len(bucket)))
 			}
 		}
 		return
@@ -428,7 +437,7 @@ func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)
 	for b := 0; b < bands; b++ {
 		for pos, item := range items {
 			if ix.isInserted(item) {
-				fn(pos, ix.buildBucket(b, ix.keys[int(item)*bands+b]))
+				fn(pos, ix.buildBucket(b, ix.keys[int(item)*bands+b]), -1)
 			}
 		}
 	}
@@ -461,7 +470,7 @@ func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
 	for b := 0; b < ix.params.Bands; b++ {
 		var bucket []int32
 		if ix.frozen != nil {
-			bucket = ix.lookupBucket(b, ix.bandKey(sig, b))
+			bucket, _ = ix.lookupBucket(b, ix.bandKey(sig, b))
 		} else {
 			bucket = ix.buildBucket(b, ix.bandKey(sig, b))
 		}
@@ -471,18 +480,18 @@ func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
 	}
 }
 
-// lookupBucket returns band b's bucket filed under key (nil when
-// absent) on a frozen index — the cross-shard key probe and the
-// frozen path of CandidatesOfSignature. The returned
+// lookupBucket returns band b's bucket filed under key and its slot
+// (nil and −1 when absent) on a frozen index — the cross-shard key
+// probe and the frozen path of CandidatesOfSignature. The returned
 // slice aliases index storage and must not be modified; its entries
 // are global item IDs.
-func (ix *Index) lookupBucket(b int, key uint64) []int32 {
+func (ix *Index) lookupBucket(b int, key uint64) ([]int32, int32) {
 	fz := ix.frozen
 	slot := fz.tables[b].get(key)
 	if slot < 0 {
-		return nil
+		return nil, -1
 	}
-	return fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
+	return fz.items[fz.offsets[slot]:fz.offsets[slot+1]], slot
 }
 
 // Stats summarises bucket occupancy for diagnostics.

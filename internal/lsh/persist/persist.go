@@ -1,6 +1,7 @@
 // Package persist is the versioned, checksummed on-disk format for
-// frozen LSH shards (ROADMAP open item 2: persistent shard storage and
-// mmap'd zero-copy loading).
+// frozen LSH shards: persistent shard storage and mmap'd zero-copy
+// loading. The cluster summaries of long buckets are never persisted;
+// they describe an assignment and are rebuilt per run.
 //
 // A shard file (<dir>/shard-<i>.lshz) is a fixed 64-byte header, a
 // section table, and the sections themselves, each padded to a 64-byte

@@ -60,8 +60,11 @@ type Query struct {
 	pendingForeign int64
 }
 
+// mergeHead is one shard's bucket in a cross-shard merge: its
+// cluster-summary handle (-1 when it keeps none) and the merge cursor.
 type mergeHead struct {
 	bucket []int32
+	sum    int32
 	next   int
 }
 
@@ -172,21 +175,23 @@ func (sh *Sharded) mustBeFrozen() {
 
 // gatherHeads loads q.heads with band b's buckets matching owner shard
 // s's bucket slot, in ascending shard order: the owner's through its
-// slot, every other shard's by key probe (empty results skipped). It
-// returns how many foreign items were gathered.
+// slot, every other shard's by key probe (empty results skipped), each
+// with its cluster-summary handle. It returns how many foreign items
+// were gathered.
 //
 //lshvet:noescape
 func (q *Query) gatherHeads(s int, slot int32, b int, ownerBucket []int32) int64 {
-	key := q.sh.shards[s].frozen.keys[slot]
+	owner := q.sh.shards[s]
+	key := owner.frozen.keys[slot]
 	q.heads = q.heads[:0]
 	var foreign int64
 	for t, ix := range q.sh.shards {
 		if t == s {
-			q.heads = append(q.heads, mergeHead{bucket: ownerBucket})
+			q.heads = append(q.heads, mergeHead{bucket: ownerBucket, sum: owner.summaryOf(slot, len(ownerBucket))})
 			continue
 		}
-		if bucket := ix.lookupBucket(b, key); len(bucket) > 0 {
-			q.heads = append(q.heads, mergeHead{bucket: bucket})
+		if bucket, other := ix.lookupBucket(b, key); len(bucket) > 0 {
+			q.heads = append(q.heads, mergeHead{bucket: bucket, sum: ix.summaryOf(other, len(bucket))})
 			foreign += int64(len(bucket))
 		}
 	}
@@ -211,16 +216,16 @@ func (q *Query) drainHeads(fn func(other int32)) {
 	q.heads = q.heads[:0]
 }
 
-// drainHeadRuns is drainHeads for block sweeps: whole buckets, or on a
-// reordered index maximal single-shard runs (emitRunsByInv), handed
-// to fn with the block position.
-func (q *Query) drainHeadRuns(pos int, fn func(pos int, bucket []int32)) {
+// drainHeadRuns is drainHeads for block sweeps: whole buckets with
+// their summary handles, or on a reordered index maximal single-shard
+// runs (emitRunsByInv), handed to fn with the block position.
+func (q *Query) drainHeadRuns(pos int, fn func(pos int, bucket []int32, sum int32)) {
 	if q.sh.inv != nil {
 		q.emitRunsByInv(pos, fn)
 		return
 	}
 	for _, h := range q.heads {
-		fn(pos, h.bucket)
+		fn(pos, h.bucket, h.sum)
 	}
 	q.heads = q.heads[:0]
 }
@@ -231,12 +236,14 @@ func (q *Query) drainHeadRuns(pos int, fn func(pos int, bucket []int32)) {
 // region of each shard at a time (see Index.CandidatesBatch for why
 // that order amortises cache misses). Each (item, band, shard) bucket
 // arrives whole, shard-ascending within the band (or, reordered, as
-// runs of the ascending-original merge). Bucket slices alias index
+// runs of the ascending-original merge). sum is the delivered slice's
+// cluster-summary handle (Summary): set only when the slice is a whole
+// bucket that keeps a summary, -1 otherwise. Bucket slices alias index
 // storage and must not be modified; they stay valid until the next
 // call on the same Query, so a caller may record them during the sweep
 // and read them afterwards. With more than one shard it panics unless
 // every shard is frozen.
-func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32)) {
+func (q *Query) CandidatesBatch(items []int32, fn func(pos int, bucket []int32, sum int32)) {
 	sh := q.sh
 	switch {
 	case sh.single != nil && sh.perm != nil:
@@ -264,7 +271,7 @@ func (q *Query) blockScratch(n int) {
 // candidatesBatchFrozen), translated and delegated — the one shard's
 // buckets are already in ascending-original order — with the
 // callback's position remapped back through the schedule.
-func (q *Query) singleBatchReordered(items []int32, fn func(pos int, bucket []int32)) {
+func (q *Query) singleBatchReordered(items []int32, fn func(pos int, bucket []int32, sum int32)) {
 	perm := q.sh.perm
 	q.blockScratch(len(items))
 	order := q.scheduleBlock(items, perm)
@@ -272,8 +279,8 @@ func (q *Query) singleBatchReordered(items []int32, fn func(pos int, bucket []in
 	for j, pos := range order {
 		tmp[j] = perm[items[pos]]
 	}
-	q.sh.single.CandidatesBatch(tmp, func(j int, bucket []int32) {
-		fn(int(order[j]), bucket)
+	q.sh.single.CandidatesBatch(tmp, func(j int, bucket []int32, sum int32) {
+		fn(int(order[j]), bucket, sum)
 	})
 }
 
@@ -307,7 +314,7 @@ func (q *Query) scheduleBlock(items, perm []int32) []int32 {
 // order. Each position's candidate stream is therefore exactly the
 // per-item Candidates sequence; only the cross-position interleaving,
 // which block gatherers never observe, differs.
-func (q *Query) candidatesBatchFrozen(items []int32, fn func(pos int, bucket []int32)) {
+func (q *Query) candidatesBatchFrozen(items []int32, fn func(pos int, bucket []int32, sum int32)) {
 	sh := q.sh
 	start := time.Now()
 	n := len(items)
@@ -352,7 +359,7 @@ func (q *Query) candidatesBatchFrozen(items []int32, fn func(pos int, bucket []i
 			ownerBucket := own.items[own.offsets[slot]:own.offsets[slot+1]]
 			localC += int64(len(ownerBucket))
 			if sh.foreignEmptyAt(o, slot) {
-				fn(pos, ownerBucket)
+				fn(pos, ownerBucket, sh.shards[o].summaryOf(slot, len(ownerBucket)))
 				continue
 			}
 			probed++

@@ -297,13 +297,14 @@ func (q *Query) emitByInv(fn func(other int32)) {
 // overtake it, and that stretch is handed to fn in one call. With
 // reordered shards most buckets collapse to one head before this is
 // reached, and the rest are a few long runs — so the batch sweep keeps
-// its whole-slice emission granularity.
-func (q *Query) emitRunsByInv(pos int, fn func(pos int, bucket []int32)) {
+// its whole-slice emission granularity. A run that is its head's whole
+// bucket carries the head's summary handle; a partial run carries -1.
+func (q *Query) emitRunsByInv(pos int, fn func(pos int, bucket []int32, sum int32)) {
 	inv := q.sh.inv
 	for len(q.heads) > 0 {
 		if len(q.heads) == 1 {
 			h := &q.heads[0]
-			fn(pos, h.bucket[h.next:])
+			fn(pos, h.bucket[h.next:], h.runSum(h.next, len(h.bucket)))
 			q.heads = q.heads[:0]
 			return
 		}
@@ -324,11 +325,20 @@ func (q *Query) emitRunsByInv(pos int, fn func(pos int, bucket []int32)) {
 		for head.next < len(head.bucket) && inv[head.bucket[head.next]] < limit {
 			head.next++
 		}
-		fn(pos, head.bucket[runStart:head.next])
+		fn(pos, head.bucket[runStart:head.next], head.runSum(runStart, head.next))
 		if head.next == len(head.bucket) {
 			last := len(q.heads) - 1
 			q.heads[minAt] = q.heads[last]
 			q.heads = q.heads[:last]
 		}
 	}
+}
+
+// runSum is the summary handle of the run bucket[lo:hi]: the head's
+// when the run is the whole bucket, -1 otherwise.
+func (h *mergeHead) runSum(lo, hi int) int32 {
+	if lo == 0 && hi == len(h.bucket) {
+		return h.sum
+	}
+	return -1
 }

@@ -97,6 +97,9 @@ type Sharded struct {
 	persistFiles []*persist.File
 	persistBytes int64
 	resi         *residency
+	// sums is the cluster-summary store (summary.go): nil until
+	// SummarizeClusters, and never persisted.
+	sums *clusterSummaries
 }
 
 // partition routes global item IDs to (shard, local) pairs: shard t

@@ -141,7 +141,7 @@ func collectQueryCandidates(q *Query, item int32) []int32 {
 // the next call on the same Query.
 func collectBatch(q *Query, blk []int32) [][]int32 {
 	buckets := make([][][]int32, len(blk))
-	q.CandidatesBatch(blk, func(pos int, bucket []int32) {
+	q.CandidatesBatch(blk, func(pos int, bucket []int32, _ int32) {
 		buckets[pos] = append(buckets[pos], bucket)
 	})
 	got := make([][]int32, len(blk))
@@ -202,7 +202,7 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 				q := sh.NewQuery()
 				if !frozen && shards > 1 {
 					mustPanicUnfrozen(t, "Candidates", func() { q.Candidates(0, func(int32) {}) })
-					mustPanicUnfrozen(t, "CandidatesBatch", func() { q.CandidatesBatch([]int32{0, 1}, func(int, []int32) {}) })
+					mustPanicUnfrozen(t, "CandidatesBatch", func() { q.CandidatesBatch([]int32{0, 1}, func(int, []int32, int32) {}) })
 					sh.Freeze()
 				}
 				for i := 0; i < n; i++ {
@@ -235,7 +235,7 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 					}
 				}
 				// Blocks containing uninserted items skip them silently.
-				q.CandidatesBatch([]int32{3, int32(n + 9)}, func(pos int, bucket []int32) {
+				q.CandidatesBatch([]int32{3, int32(n + 9)}, func(pos int, bucket []int32, _ int32) {
 					if pos != 0 {
 						t.Fatalf("uninserted item produced a bucket at pos %d", pos)
 					}
