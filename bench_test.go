@@ -161,7 +161,7 @@ func BenchmarkAblationEngineIncremental(b *testing.B) {
 }
 
 func BenchmarkAblationEngineBatch(b *testing.B) {
-	runAblOpts(b, core.Options{DisableIncremental: true}, true)
+	runAblOpts(b, core.Options{Oracles: core.Oracles{DisableIncremental: true}}, true)
 }
 
 // Ablation: tie-breaking policy.
@@ -435,13 +435,13 @@ func benchLocality(b *testing.B, shards int, disable bool) {
 			b.Fatal(err)
 		}
 		res, err := core.Run(space, core.Options{
-			Accelerator:    accel,
-			SkipCost:       true,
-			MaxIterations:  4,
-			Workers:        4,
-			Update:         core.UpdateDeferred,
-			Shards:         shards,
-			DisableReorder: disable,
+			Accelerator:   accel,
+			SkipCost:      true,
+			MaxIterations: 4,
+			Workers:       4,
+			Update:        core.UpdateDeferred,
+			Shards:        shards,
+			Oracles:       core.Oracles{DisableReorder: disable},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -7,6 +7,18 @@
 // cluster purity. Assignments are written as CSV (item,cluster), and a
 // per-iteration statistics summary is printed to stderr.
 //
+// -in-binary reads the columnar format -write-binary writes, memory-mapped
+// where the platform supports it. -save-index and -load-index persist the
+// frozen index and the first assignment; a warm start maps the saved
+// index zero-copy where the platform supports it.
+//
+// Every flag configures the algorithm or its inputs and outputs; none
+// selects a reference implementation. The reference twins of the fast
+// paths (scalar kernels, batch centroid updates, full passes, the serial
+// bootstrap, the original-order index, heap index loads) are reachable
+// only from tests, which check each against the default run
+// (TestOraclesMatchDefault in internal/core).
+//
 // Examples:
 //
 //	lshcluster -in synth.csv -k 2000 -bands 20 -rows 5 -assign out.csv
@@ -56,17 +68,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	statsCSV := fs.String("stats", "", "write per-iteration statistics CSV to this file")
 	workers := fs.Int("workers", 1, "parallel assignment workers (forces deferred updates)")
 	shards := fs.Int("shards", 1, "item-partitioned LSH index shards (1 = unsharded oracle; results are identical for every value)")
-	scalarKernels := fs.Bool("scalar-kernels", false, "use scalar reference distance kernels instead of the unrolled ones (A/B baseline; results are identical)")
 	abandon := fs.Bool("early-abandon", false, "enable early-abandon distance evaluation")
 	lowestTie := fs.Bool("lowest-index-ties", false, "break distance ties to the lowest cluster index (numpy-style)")
-	noIncremental := fs.Bool("no-incremental", false, "recompute centroids and cost from scratch each pass instead of incrementally (A/B baseline; results are identical; implies -no-active-filter)")
-	noActive := fs.Bool("no-active-filter", false, "evaluate every item each pass instead of only the active set (A/B baseline; results are identical)")
-	noParallelBoot := fs.Bool("no-parallel-bootstrap", false, "run the serial per-item bootstrap instead of the parallel sign/build/assign pipeline (A/B baseline; results are identical)")
-	noReorder := fs.Bool("no-reorder", false, "build the LSH index in original item order instead of the locality-preserving permutation (A/B baseline; results are identical)")
 	saveIndex := fs.String("save-index", "", "persist the frozen LSH index (and first assignment) into this directory after a cold bootstrap; later runs warm-start from it")
 	loadIndex := fs.String("load-index", "", "warm-start from the saved index in this directory (must exist; stale indexes are rejected, bit-identical results)")
-	mmapIndex := fs.Bool("mmap-index", true, "memory-map the persisted index zero-copy; -mmap-index=false copies it onto the heap (A/B baseline; results are identical)")
-	memBudget := fs.Int64("shard-memory-budget", 0, "resident-byte cap for the memory-mapped index; whole shards page out past it and page back in on demand (0 = unlimited)")
 	snapshotEvery := fs.Int("snapshot-every", 0, "checkpoint the run state into the index directory every N iterations and resume interrupted runs from it (0 = off; needs -save-index/-load-index)")
 	initMethod := fs.String("init", "random", "initial centroid selection: random | huang | cao")
 	if err := fs.Parse(args); err != nil {
@@ -96,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-in and -in-binary are mutually exclusive")
 		}
 		var closeDS func() error
-		ds, closeDS, err = dataset.OpenBinary(*inBinary, *mmapIndex && persist.MmapSupported)
+		ds, closeDS, err = dataset.OpenBinary(*inBinary, persist.MmapSupported)
 		if err != nil {
 			return err
 		}
@@ -144,19 +149,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	opts := core.Options{
-		MaxIterations:            *maxIter,
-		EarlyAbandon:             *abandon,
-		Workers:                  *workers,
-		Shards:                   *shards,
-		ScalarKernels:            *scalarKernels,
-		DisableIncremental:       *noIncremental,
-		DisableActiveFilter:      *noActive,
-		DisableParallelBootstrap: *noParallelBoot,
-		DisableReorder:           *noReorder,
-		IndexDir:                 indexDir,
-		DisableMmap:              !*mmapIndex,
-		ShardMemoryBudget:        *memBudget,
-		SnapshotEvery:            *snapshotEvery,
+		MaxIterations: *maxIter,
+		EarlyAbandon:  *abandon,
+		Workers:       *workers,
+		Shards:        *shards,
+		IndexDir:      indexDir,
+		SnapshotEvery: *snapshotEvery,
 		OnIteration: func(it runstats.Iteration) {
 			fmt.Fprintf(stderr, "lshcluster: iter %d: %v, %d moves, avg shortlist %.2f\n",
 				it.Index, it.Duration.Round(it.Duration/100+1), it.Moves, it.AvgShortlist)
@@ -214,10 +212,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if run.MmapBytes > 0 {
 		fmt.Fprintf(stderr, "lshcluster: index served zero-copy from a %d KiB memory mapping\n", run.MmapBytes/1024)
-	}
-	if run.ShardPromotions > 0 || run.ShardDemotions > 0 {
-		fmt.Fprintf(stderr, "lshcluster: residency: %d shard(s) resident at end under the %d KiB budget (%d promotions, %d demotions)\n",
-			run.ResidentShards, *memBudget/1024, run.ShardPromotions, run.ShardDemotions)
 	}
 	if run.ResumedAt > 1 {
 		fmt.Fprintf(stderr, "lshcluster: resumed from checkpoint at iteration %d\n", run.ResumedAt)

@@ -115,6 +115,19 @@ func TestClusterFlagsRejected(t *testing.T) {
 	if err := run([]string{"-in", in, "-k", "3", "-init", "bogus"}, &out, &errw); err == nil {
 		t.Fatal("expected error for unknown init method")
 	}
+	// No flag selects a reference path (those are core.Oracles fields,
+	// which only tests set) or caps the mapped index's residency.
+	for _, removed := range [][]string{
+		{"-scalar-kernels"}, {"-no-incremental"}, {"-no-active-filter"},
+		{"-no-parallel-bootstrap"}, {"-no-reorder"}, {"-mmap-index=false"},
+		{"-shard-memory-budget", "1024"},
+	} {
+		args := append([]string{"-in", in, "-k", "3"}, removed...)
+		err := run(args, &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%v: err = %v, want an undefined-flag parse error", removed, err)
+		}
+	}
 }
 
 func TestClusterInitMethods(t *testing.T) {
@@ -131,37 +144,20 @@ func TestClusterInitMethods(t *testing.T) {
 	}
 }
 
-// TestClusterBootstrapModes runs the parallel bootstrap pipeline and
-// its serial oracle on the same input and checks identical assignments
-// plus the per-phase bootstrap report.
+// TestClusterBootstrapModes checks the per-phase bootstrap report of
+// the parallel sign → build → assign pipeline. Its serial oracle is no
+// CLI flag: internal/core's TestOraclesMatchDefault checks it.
 func TestClusterBootstrapModes(t *testing.T) {
 	in := writeWorkload(t)
-	dir := t.TempDir()
-	assigns := map[string]string{}
-	for _, mode := range []string{"parallel", "serial"} {
-		args := []string{"-in", in, "-k", "10", "-bands", "10", "-rows", "2",
-			"-workers", "2", "-seed", "3"}
-		out := filepath.Join(dir, mode+".csv")
-		if mode == "serial" {
-			args = append(args, "-no-parallel-bootstrap")
-		}
-		args = append(args, "-assign", out)
-		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if !strings.Contains(stderr.String(), "bootstrap") ||
-			!strings.Contains(stderr.String(), "sign") {
-			t.Fatalf("%s: stderr missing bootstrap phase report: %q", mode, stderr.String())
-		}
-		b, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assigns[mode] = string(b)
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-in", in, "-k", "10", "-bands", "10", "-rows", "2",
+		"-workers", "2", "-seed", "3"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
 	}
-	if assigns["parallel"] != assigns["serial"] {
-		t.Fatal("parallel and serial bootstrap produced different assignments")
+	for _, phase := range []string{"lshcluster: bootstrap ", "(sign ", ", build ", ", assign "} {
+		if !strings.Contains(stderr.String(), phase) {
+			t.Fatalf("stderr missing %q of the bootstrap phase report: %q", phase, stderr.String())
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // The suite (see internal/README.md for the full contracts):
 //
-//	oraclecheck   Disable*/ScalarKernels toggles reach Config, CLI, tests
+//	oraclecheck   only tests set core.Oracles, each field in some test; no public oracles
 //	kernelcheck   hot loops route through internal/kernel
 //	ctxpollcheck  per-item driver loops poll Options.Context
 //	statscheck    runstats structs and the CSV columns table agree

@@ -60,9 +60,10 @@
 //     into the index's build phase — per band a flat, pointer-free key
 //     table locating each bucket's run of item IDs in one shared
 //     arena: the serial bootstrap oracle
-//     (Config.DisableParallelBootstrap), which inserts item by item
-//     and freezes before the first query (Freeze lays the stored keys
-//     out with the batch build's own passes), and the streaming
+//     (core.Oracles.DisableParallelBootstrap, set only by tests),
+//     which inserts item by item and freezes before the first query
+//     (Freeze lays the stored keys out with the batch build's own
+//     passes), and the streaming
 //     clusterer, which queries and files each arriving item in one
 //     probe per band and never freezes its index.
 //
@@ -83,8 +84,8 @@
 //     the item with every mode instead. Exact passes always compare
 //     the item with all k modes, as in the paper.
 //     Results are bit-identical to the serial per-item bootstrap,
-//     which Config.DisableParallelBootstrap retains as the
-//     correctness oracle; per-phase timings land in
+//     which the tests keep as the correctness oracle; per-phase
+//     timings land in
 //     Run.BootstrapSign/BootstrapBuild/BootstrapAssign and the stats
 //     CSV.
 //
@@ -111,8 +112,8 @@
 //     changed clusters after each pass and a reverse-collision view
 //     over the frozen index expands them into the next pass's active
 //     set; late sparse passes typically evaluate a few percent of the
-//     items. Results are bit-identical to the full pass, which
-//     Config.DisableActiveFilter retains as the correctness oracle.
+//     items. Results are bit-identical to the full pass, which the
+//     tests keep as the correctness oracle.
 //
 //   - Every assignment pass runs one block loop: it gathers the
 //     colliding buckets of up to 64 items in one band-major sweep of
@@ -191,8 +192,8 @@
 // striding the whole assignment array. The permutation is invisible
 // from outside: everything the caller sees stays in original item IDs,
 // every tie-break is kept in original-ID order, and results are
-// bit-identical to the original-order build, which
-// Config.DisableReorder retains as the correctness oracle. See
+// bit-identical to the original-order build, which the tests keep as
+// the correctness oracle. See
 // internal/README.md, "ID spaces: locality-preserving item
 // reordering", for the two-ID-space contract; Run.ReorderTime and
 // Run.ShardLocalFrac (reorder_ms, shard_local_frac in the CSV) report
@@ -224,9 +225,16 @@
 // the floating-point kernels keep a single accumulator in element
 // order, so results are bit-identical to the scalar loops — enforced
 // by property tests over random lengths (including every tail length)
-// and by full-run equivalence under Config.ScalarKernels, which routes
-// all spaces and accelerators through the scalar references as the
-// correctness oracle.
+// and by full-run equivalence tests that route every space and
+// accelerator through the scalar references.
+//
+// Every reference twin named above — the scalar kernels, the batch
+// centroid update, the full pass, the serial bootstrap, the
+// original-order build and the heap index load — is a field of
+// core.Oracles, which only tests set: none is a Config field or a CLI
+// flag. TestOraclesMatchDefault (internal/core) runs each one, alone
+// and all together, against the default configuration and requires
+// identical assignments and statistics.
 //
 // # Persistent index and warm start
 //
@@ -237,22 +245,21 @@
 // recording the banding, signing seed, shard count, reorder mode and a
 // fingerprint of the dataset. A later run with the same configuration
 // opens the files instead of rebuilding: the frozen arrays are
-// memory-mapped zero-copy by default (pages fault in as iterations
-// touch them), or heap-deserialised under Config.DisableMmap, the
-// portable oracle — cold, warm-mmap and warm-heap runs are
+// memory-mapped zero-copy wherever the platform supports it (pages
+// fault in as iterations touch them, and the kernel drops clean pages
+// under memory pressure), or heap-deserialised elsewhere and by the
+// tests' portable oracle — cold, warm-mmap and warm-heap runs are
 // bit-identical. Anything stale (different dataset, banding, seed or
 // shard count) is rejected with an error, never silently reused. The
 // first full-scan assignment is cached next to the index and validated
 // by spot recomputation on restore, so a warm start skips signing,
-// build and the bootstrap scan entirely. Config.ShardMemoryBudget
-// bounds warm-shard residency — shards demote to mapping-only and
-// promote back on touch — so a run can execute against an index larger
-// than memory. Config.SnapshotEvery checkpoints assignment state every
-// N iterations and a restarted run resumes from the last checkpoint
-// with final results identical to an uninterrupted run. The CLI wires
-// all of this through -save-index, -load-index, -mmap-index,
-// -shard-memory-budget and -snapshot-every, and -write-binary /
-// -in-binary store the dataset itself in the same mmap-able container.
+// build and the bootstrap scan entirely. Config.SnapshotEvery
+// checkpoints assignment state every N iterations and a restarted run
+// resumes from the last checkpoint with final results identical to an
+// uninterrupted run. The CLI wires
+// all of this through -save-index, -load-index and -snapshot-every,
+// and -write-binary / -in-binary store the dataset itself in the same
+// mmap-able container.
 //
 // The cmd/ directory provides datagen (paper-style synthetic workloads),
 // lshcluster (clustering CLI), lshtune (banding-parameter exploration,

@@ -4,7 +4,7 @@
 // The repo's kernel discipline: inner loops that accumulate floating
 // point (squared distance, dot products) or count categorical
 // mismatches live in internal/kernel, in two forms — an unrolled kernel
-// and a scalar reference — selected by core.Options.ScalarKernels. A
+// and a scalar reference — selected by core.Oracles.ScalarKernels. A
 // new fast path that hand-rolls such a loop in kmodes/kmeans/simhash/
 // dataset/stream silently bypasses both the kernel and its oracle, so
 // this analyzer flags the two recognisable loop shapes:

@@ -1,31 +1,30 @@
-// Package oraclecheck enforces the repo's oracle discipline end to end.
+// Package oraclecheck enforces the repo's oracle discipline: reference
+// implementations are selected by tests, never through the public API.
 //
-// Every ablation toggle on core.Options — the Disable* switches and
-// ScalarKernels — exists so that a fast path can be checked bit-for-bit
-// against its reference twin. A toggle that users cannot reach, or that
-// no test flips, is an oracle in name only. oraclecheck therefore
-// requires, for each oracle field on core.Options:
+// core.Oracles holds the switches that route a fast path back to the
+// reference twin it is checked against (the Disable* switches and
+// ScalarKernels). They exist so that a test can compare the two bit for
+// bit; a switch no test flips checks nothing, and a switch that users
+// can reach is a public knob that exists only as an oracle.
+// oraclecheck therefore requires:
 //
-//   - a field of the same name on the facade Config struct (the module
-//     root package), so library users can reach the toggle;
-//   - an assignment into core.Options somewhere in the facade (the
-//     Config → Options plumbing actually carries it);
-//   - a reference from a main package under cmd/, so the CLI exposes a
-//     flag for it;
-//   - a reference from at least one _test.go file anywhere, so some
-//     test actually exercises the toggle.
+//   - only _test.go files write a field of core.Oracles, whether through
+//     a composite-literal element or an assignment (taking the field's
+//     address counts as a write: flag.BoolVar writes through it);
+//   - every field of core.Oracles is written by at least one _test.go
+//     file, so each reference path keeps a test that selects it;
+//   - neither the facade Config (the module root package) nor
+//     stream.Config declares an exported oracle-named field.
 //
-// It also flags the reverse rot: an oracle-named field on the facade
-// Config with no counterpart on core.Options.
+// Reading a switch is allowed anywhere: the driver reads them.
 //
-// The analyzer is whole-program: the invariant ties four parts of the
-// tree together and cannot be checked one package at a time.
+// The analyzer is whole-program: a field's writes may sit in any
+// package's tests.
 package oraclecheck
 
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 
 	"lshcluster/internal/analysis"
@@ -37,188 +36,153 @@ const Name = "oraclecheck"
 // Analyzer is the oraclecheck instance.
 var Analyzer = &analysis.Analyzer{
 	Name:         Name,
-	Doc:          "every Disable*/ScalarKernels oracle toggle on core.Options must reach the facade Config, a CLI flag and a test",
+	Doc:          "core.Oracles fields are written only in _test.go files, each by at least one; public Configs carry no oracle switches",
 	Run:          run,
 	WholeProgram: true,
 }
 
 // CorePackage is the import-path suffix of the package declaring
-// Options.
-const CorePackage = "internal/core"
+// Oracles; StreamPackage that of the streaming clusterer's Config.
+const (
+	CorePackage   = "internal/core"
+	StreamPackage = "internal/stream"
+)
 
 // isOracleField reports whether an exported field name is an oracle
-// toggle.
+// switch.
 func isOracleField(name string) bool {
 	return strings.HasPrefix(name, "Disable") || name == "ScalarKernels"
 }
 
-// reach is the set of contexts a field reference was seen in.
-type reach struct {
-	facade bool // assigned into core.Options inside the facade package
-	cli    bool // referenced from a main package under cmd/
-	test   bool // referenced from any _test.go file
+// write is one write of a core.Oracles field.
+type write struct {
+	pos   token.Pos
+	field string
 }
 
 func run(pass *analysis.Pass) error {
 	prog := pass.Prog
-	core := findCore(prog)
+	core := findPackage(prog, CorePackage)
 	if core == nil {
 		// Fixture or tree without a core package: nothing to enforce.
 		return nil
 	}
-	_, options := analysis.StructNamed(core, "Options")
-	if options == nil {
+	_, oracles := analysis.StructNamed(core, "Oracles")
+	if oracles == nil {
 		pass.Reportf(core.Files[0].Pos(),
-			"%s declares no Options struct; oraclecheck cannot verify the oracle toggles", core.Path)
+			"%s declares no Oracles struct; oraclecheck cannot verify the oracle switches", core.Path)
 		return nil
 	}
-
-	// The oracle fields, with their declaration positions.
-	oracle := map[string]token.Pos{}
-	for i := 0; i < options.NumFields(); i++ {
-		f := options.Field(i)
-		if f.Exported() && isOracleField(f.Name()) {
-			oracle[f.Name()] = f.Pos()
-		}
-	}
-	if len(oracle) == 0 {
-		return nil
+	fields := make([]string, oracles.NumFields())
+	for i := range fields {
+		fields[i] = oracles.Field(i).Name()
 	}
 
-	seen := map[string]*reach{}
-	for name := range oracle {
-		seen[name] = &reach{}
-	}
-
-	var configStruct *types.Struct
+	tested := map[string]bool{}
 	for _, pkg := range prog.Pkgs {
-		if pkg.Path == prog.ModulePath {
-			if _, st := analysis.StructNamed(pkg, "Config"); st != nil {
-				configStruct = st
-			}
-		}
-	}
-
-	for _, pkg := range prog.Pkgs {
-		isFacade := pkg.Path == prog.ModulePath
-		isCLI := pkg.Name == "main" && strings.Contains(pkg.Path, "/cmd/")
 		for _, file := range pkg.Files {
 			inTest := prog.IsTestFile(file.Pos())
-			if !isFacade && !isCLI && !inTest {
-				continue
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
-				for _, name := range optionsFieldRefs(pkg, n, oracle) {
-					r := seen[name]
+				for _, w := range oracleWrites(pkg, n, fields) {
 					if inTest {
-						r.test = true
-					}
-					if isFacade && !inTest {
-						r.facade = true
-					}
-					if isCLI && !inTest {
-						r.cli = true
+						tested[w.field] = true
+					} else {
+						pass.Reportf(w.pos,
+							"Oracles.%s is written outside a _test.go file; oracle switches select reference paths for tests only", w.field)
 					}
 				}
 				return true
 			})
 		}
 	}
-
-	for name, pos := range oracle {
-		r := seen[name]
-		if configStruct == nil {
-			// Reported once below against the module root.
-		} else if !configFieldExists(configStruct, name) {
-			pass.Reportf(pos,
-				"oracle toggle Options.%s is not mirrored on the facade Config struct; library users cannot reach it", name)
-		}
-		if !r.facade {
-			pass.Reportf(pos,
-				"oracle toggle Options.%s is never assigned into core.Options by the facade; the Config plumbing does not carry it", name)
-		}
-		if !r.cli {
-			pass.Reportf(pos,
-				"oracle toggle Options.%s is not referenced from any cmd/ main package; the CLI exposes no flag for it", name)
-		}
-		if !r.test {
-			pass.Reportf(pos,
-				"oracle toggle Options.%s is not referenced from any _test.go file; no test exercises the oracle", name)
+	for i := 0; i < oracles.NumFields(); i++ {
+		if f := oracles.Field(i); !tested[f.Name()] {
+			pass.Reportf(f.Pos(),
+				"oracle switch Oracles.%s is written by no _test.go file; no test selects its reference path", f.Name())
 		}
 	}
 
-	if configStruct == nil {
-		root := prog.Lookup(prog.ModulePath)
-		if root != nil && len(root.Files) > 0 {
-			pass.Reportf(root.Files[0].Pos(),
-				"module root package declares no Config struct; the %d oracle toggles on core.Options are unreachable for library users", len(oracle))
-		}
-	} else {
-		// Reverse rot: oracle-named Config fields with no Options twin.
-		for i := 0; i < configStruct.NumFields(); i++ {
-			f := configStruct.Field(i)
-			if !f.Exported() || !isOracleField(f.Name()) {
-				continue
-			}
-			if _, ok := oracle[f.Name()]; !ok {
-				pass.Reportf(f.Pos(),
-					"facade Config.%s has no counterpart field on core.Options; remove the stale toggle or plumb it", f.Name())
-			}
-		}
+	if root := prog.Lookup(prog.ModulePath); root != nil {
+		reportPublicOracles(pass, root, "facade Config")
+	}
+	if stream := findPackage(prog, StreamPackage); stream != nil {
+		reportPublicOracles(pass, stream, "stream.Config")
 	}
 	return nil
 }
 
-// findCore returns the source-checked core package (the non-xtest
-// variant whose path ends in internal/core), or nil.
-func findCore(prog *analysis.Program) *analysis.Package {
+// findPackage returns the source-checked package (not the external
+// test variant) whose path ends in suffix, or nil.
+func findPackage(prog *analysis.Program, suffix string) *analysis.Package {
 	for _, pkg := range prog.Pkgs {
-		if analysis.HasPathSuffix(pkg.Path, CorePackage) && !strings.HasSuffix(pkg.Path, "_test") {
+		if analysis.HasPathSuffix(pkg.Path, suffix) && !strings.HasSuffix(pkg.Path, "_test") {
 			return pkg
 		}
 	}
 	return nil
 }
 
-// optionsFieldRefs returns the oracle-field names n references, via
-// either a core.Options composite-literal key or a selector on an
-// Options-typed expression.
-func optionsFieldRefs(pkg *analysis.Package, n ast.Node, oracle map[string]token.Pos) []string {
-	var names []string
+// oracleWrites returns the core.Oracles field writes n makes: the
+// elements of an Oracles composite literal (keyed, or unkeyed in field
+// order), the selectors assigned to, and the selectors whose address is
+// taken.
+func oracleWrites(pkg *analysis.Package, n ast.Node, fields []string) []write {
+	var ws []write
 	switch e := n.(type) {
 	case *ast.CompositeLit:
-		if t := pkg.Info.TypeOf(e); t == nil || !analysis.NamedType(t, CorePackage, "Options") {
+		if t := pkg.Info.TypeOf(e); t == nil || !analysis.NamedType(t, CorePackage, "Oracles") {
 			return nil
 		}
-		for _, el := range e.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			if id, ok := kv.Key.(*ast.Ident); ok {
-				if _, isOracle := oracle[id.Name]; isOracle {
-					names = append(names, id.Name)
+		for i, el := range e.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					ws = append(ws, write{kv.Pos(), id.Name})
 				}
+			} else if i < len(fields) {
+				ws = append(ws, write{el.Pos(), fields[i]})
 			}
 		}
-	case *ast.SelectorExpr:
-		if _, isOracle := oracle[e.Sel.Name]; !isOracle {
-			return nil
+	case *ast.AssignStmt:
+		for _, lhs := range e.Lhs {
+			if field, ok := oracleSelector(pkg, lhs); ok {
+				ws = append(ws, write{lhs.Pos(), field})
+			}
 		}
-		if t := pkg.Info.TypeOf(e.X); t != nil && analysis.NamedType(t, CorePackage, "Options") {
-			names = append(names, e.Sel.Name)
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			if field, ok := oracleSelector(pkg, e.X); ok {
+				ws = append(ws, write{e.Pos(), field})
+			}
 		}
 	}
-	return names
+	return ws
 }
 
-// configFieldExists reports whether the facade Config struct declares an
-// exported field with the given name.
-func configFieldExists(st *types.Struct, name string) bool {
+// oracleSelector reports whether x selects a field of a core.Oracles
+// value (or pointer), and which.
+func oracleSelector(pkg *analysis.Package, x ast.Expr) (string, bool) {
+	sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	t := pkg.Info.TypeOf(sel.X)
+	if t == nil || !analysis.NamedType(t, CorePackage, "Oracles") {
+		return "", false
+	}
+	return sel.Sel.Name, true
+}
+
+// reportPublicOracles flags every exported oracle-named field of pkg's
+// Config struct.
+func reportPublicOracles(pass *analysis.Pass, pkg *analysis.Package, label string) {
+	_, st := analysis.StructNamed(pkg, "Config")
+	if st == nil {
+		return
+	}
 	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == name {
-			return true
+		if f := st.Field(i); f.Exported() && isOracleField(f.Name()) {
+			pass.Reportf(f.Pos(),
+				"%s.%s is an oracle switch on a public config; reference paths are selected through core.Oracles, by tests only", label, f.Name())
 		}
 	}
-	return false
 }

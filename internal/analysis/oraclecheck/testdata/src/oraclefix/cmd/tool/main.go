@@ -1,5 +1,5 @@
-// Command tool is the fixture CLI: it exposes flags for every oracle
-// toggle except DisableNoCLI.
+// Command tool is the fixture CLI: every write it makes to an oracle
+// switch is a finding, whatever the form.
 package main
 
 import (
@@ -10,18 +10,13 @@ import (
 )
 
 func main() {
-	noGood := flag.Bool("no-good", false, "disable the good path")
-	noConfig := flag.Bool("no-config", false, "disable the configless path")
-	noTest := flag.Bool("no-test", false, "disable the untested path")
-	unplumbed := flag.Bool("unplumbed", false, "disable the unplumbed path")
 	scalar := flag.Bool("scalar-kernels", false, "use scalar kernels")
-	flag.Parse()
 	opts := core.Options{
-		DisableGood:      *noGood,
-		DisableNoConfig:  *noConfig,
-		DisableNoTest:    *noTest,
-		DisableUnplumbed: *unplumbed,
-		ScalarKernels:    *scalar,
+		Clusters: 3,
+		Oracles:  core.Oracles{DisableGood: true}, // want `Oracles\.DisableGood is written outside a _test\.go file`
 	}
+	opts.Oracles.ScalarKernels = *scalar                                                // want `Oracles\.ScalarKernels is written outside a _test\.go file`
+	flag.BoolVar(&opts.Oracles.DisableUntested, "untested", false, "the untested path") // want `Oracles\.DisableUntested is written outside a _test\.go file`
+	flag.Parse()
 	fmt.Println(core.Run(opts))
 }

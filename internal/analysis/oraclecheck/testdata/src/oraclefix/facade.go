@@ -1,5 +1,4 @@
-// Package oraclefix is the fixture's facade: Config mirrors the oracle
-// toggles and coreOptions plumbs them into core.Options.
+// Package oraclefix is the fixture's facade.
 package oraclefix
 
 import "oraclefix/internal/core"
@@ -7,25 +6,18 @@ import "oraclefix/internal/core"
 // Config is the user-facing configuration.
 type Config struct {
 	Clusters int
-
-	DisableGood      bool
-	DisableNoCLI     bool
-	DisableNoTest    bool
-	DisableUnplumbed bool
-	ScalarKernels    bool
-	// DisableStale has no counterpart on core.Options.
-	DisableStale bool // want `Config\.DisableStale has no counterpart field on core\.Options`
+	// DisableStale re-exposes an oracle switch to library users.
+	DisableStale bool // want `facade Config\.DisableStale is an oracle switch on a public config`
+	// disableQuiet is unexported: no user can reach it.
+	disableQuiet bool
 }
 
 func (c Config) coreOptions() core.Options {
-	return core.Options{
-		Clusters:        c.Clusters,
-		DisableGood:     c.DisableGood,
-		DisableNoConfig: false,
-		DisableNoCLI:    c.DisableNoCLI,
-		DisableNoTest:   c.DisableNoTest,
-		ScalarKernels:   c.ScalarKernels,
+	o := core.Options{Clusters: c.Clusters}
+	if c.DisableStale || c.disableQuiet {
+		o.Oracles = core.Oracles{false, true, false} // want `Oracles\.DisableGood is written outside` `Oracles\.ScalarKernels is written outside` `Oracles\.DisableUntested is written outside`
 	}
+	return o
 }
 
 // Cluster runs the fixture engine.

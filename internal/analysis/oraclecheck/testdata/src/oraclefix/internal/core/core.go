@@ -1,37 +1,26 @@
-// Package core is an oraclecheck fixture mimicking the engine Options.
+// Package core is an oraclecheck fixture mimicking the engine options.
 package core
 
-// Options mirrors the real driver options: each oracle toggle below
-// exercises one of the analyzer's reach requirements.
+// Options mirrors the real driver options.
 type Options struct {
 	Clusters int
-
-	// DisableGood is plumbed everywhere: facade Config, CLI, tests.
-	DisableGood bool
-	// DisableNoConfig is set by the facade and CLI and tested, but the
-	// facade Config struct has no mirror field.
-	DisableNoConfig bool // want `Options\.DisableNoConfig is not mirrored on the facade Config struct`
-	// DisableNoCLI is mirrored, plumbed and tested, but no cmd/ main
-	// references it.
-	DisableNoCLI bool // want `Options\.DisableNoCLI is not referenced from any cmd/ main package`
-	// DisableNoTest is mirrored, plumbed and flagged, but no test
-	// flips it.
-	DisableNoTest bool // want `Options\.DisableNoTest is not referenced from any _test\.go file`
-	// DisableUnplumbed is mirrored on Config, but coreOptions never
-	// copies it into Options.
-	DisableUnplumbed bool // want `Options\.DisableUnplumbed is never assigned into core\.Options by the facade`
-	// ScalarKernels checks the non-Disable oracle name; fully plumbed.
-	ScalarKernels bool
-
-	// threshold is unexported: not an oracle toggle.
-	threshold float64
+	Oracles  Oracles
 }
 
-// Run consumes the options so the fixture has some behaviour.
+// Oracles mirrors the real oracle switches.
+type Oracles struct {
+	// DisableGood is written only by tests.
+	DisableGood bool
+	// ScalarKernels is written by a test and, wrongly, by the CLI.
+	ScalarKernels bool
+	// DisableUntested is read by the engine, but no test writes it.
+	DisableUntested bool // want `Oracles\.DisableUntested is written by no _test\.go file`
+}
+
+// Run consumes the options: reading a switch is allowed anywhere.
 func Run(o Options) int {
-	if o.DisableGood || o.DisableNoConfig || o.DisableNoCLI || o.DisableNoTest || o.DisableUnplumbed || o.ScalarKernels {
+	if o.Oracles.DisableGood || o.Oracles.ScalarKernels || o.Oracles.DisableUntested {
 		return o.Clusters
 	}
-	_ = o.threshold
 	return 0
 }

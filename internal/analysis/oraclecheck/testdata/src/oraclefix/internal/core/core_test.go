@@ -4,11 +4,11 @@ import "testing"
 
 func TestOracles(t *testing.T) {
 	var o Options
-	o.DisableGood = true
-	o.DisableNoConfig = true
-	o.DisableNoCLI = true
-	o.DisableUnplumbed = true
-	o.ScalarKernels = true
+	o.Oracles.DisableGood = true
+	if Run(o) != 0 {
+		t.Log("exercised")
+	}
+	o.Oracles = Oracles{ScalarKernels: true}
 	if Run(o) != 0 {
 		t.Log("exercised")
 	}

@@ -22,7 +22,7 @@ package core
 // colliding items become the next pass's active set; everything else is
 // skipped. Skipping never changes results: the active pass is
 // bit-identical to the full pass, enforced by equivalence tests against
-// the Options.DisableActiveFilter oracle.
+// the Options.Oracles.DisableActiveFilter oracle.
 //
 // Under UpdateImmediate the shortlist view is live, so a move made
 // mid-pass additionally activates the mover's colliding items within
@@ -149,7 +149,7 @@ type activeState struct {
 // and the incremental engine is initialised; the first pass always runs
 // full (bootstrap recomputed every centroid).
 func (d *driver) initActive() {
-	if d.opts.DisableActiveFilter || d.opts.Accelerator == nil || d.inc == nil {
+	if d.opts.Oracles.DisableActiveFilter || d.opts.Accelerator == nil || d.inc == nil {
 		return
 	}
 	chg, ok := d.space.(ChangeReporter)

@@ -25,7 +25,7 @@ func assertActiveEqual(t *testing.T, mk func() (core.Space, core.Accelerator), o
 	t.Helper()
 	run := func(disable bool) *core.Result {
 		o := opts
-		o.DisableActiveFilter = disable
+		o.Oracles.DisableActiveFilter = disable
 		space, accel := mk()
 		o.Accelerator = accel
 		res, err := core.Run(space, o)

@@ -26,7 +26,7 @@ func assertBootstrapEqual(t *testing.T, mk func() (core.Space, core.Accelerator)
 	t.Helper()
 	run := func(disable bool) (*core.Result, []byte) {
 		o := opts
-		o.DisableParallelBootstrap = disable
+		o.Oracles.DisableParallelBootstrap = disable
 		space, accel := mk()
 		o.Accelerator = accel
 		res, err := core.Run(space, o)
@@ -190,7 +190,7 @@ func TestBootstrapPhaseTimings(t *testing.T) {
 		}
 		res, err := core.Run(s, core.Options{
 			Accelerator: a, Workers: 2, Update: core.UpdateDeferred,
-			MaxIterations: 3, DisableParallelBootstrap: disable,
+			MaxIterations: 3, Oracles: core.Oracles{DisableParallelBootstrap: disable},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,7 @@ package core
 // the serial per-item Insert loop (see driver.bootstrap). Results are
 // bit-identical either way — signing is deterministic per item and
 // filing order is preserved — with the serial loop retained as the
-// equivalence oracle behind Options.DisableParallelBootstrap.
+// equivalence oracle behind Options.Oracles.DisableParallelBootstrap.
 //
 // The driver calls Reset, SignAll, BuildFrozen, then runs the
 // (parallel) exact first assignment. The index comes up already

@@ -90,9 +90,9 @@ type Accelerator interface {
 // KernelConfigurable is an optional Space/Accelerator capability:
 // implementations whose hot loops run through the unrolled kernels of
 // internal/kernel expose the switch back to their scalar references.
-// The driver forwards Options.ScalarKernels to both the space and the
-// accelerator once per Run, before any distance or signature is
-// computed. The unrolled kernels preserve the scalar accumulation
+// The driver forwards Options.Oracles.ScalarKernels to both the space
+// and the accelerator once per Run, before any distance or signature
+// is computed. The unrolled kernels preserve the scalar accumulation
 // order, so results are bit-identical either way — the switch is the
 // oracle the kernel-equivalence tests run under.
 type KernelConfigurable interface {
@@ -184,46 +184,10 @@ type Options struct {
 	// every shard count produces identical runs (enforced by the
 	// shard-invariance equivalence tests).
 	Shards int
-	// ScalarKernels routes the hot-loop distance and signing kernels
-	// through their scalar references instead of the unrolled versions
-	// (internal/kernel), on every KernelConfigurable space and
-	// accelerator. Results are bit-identical either way; the switch is
-	// the correctness oracle for the kernels and exists for equivalence
-	// tests and A/B benchmarks.
-	ScalarKernels bool
-	// DisableIncremental forces full RecomputeCentroids/Cost passes
-	// even when the Space implements IncrementalSpace. The batch path
-	// is the correctness oracle for the incremental engine; this switch
-	// exists for equivalence tests and A/B benchmarks. It implies
-	// DisableActiveFilter (the filter needs the engine's change
-	// reports).
-	DisableIncremental bool
-	// DisableActiveFilter forces every assignment pass to evaluate all
-	// n items even when the run qualifies for active-set filtering
-	// (accelerated, incremental engine on, ChangeReporter space,
-	// ReverseQuerier accelerator — see active.go). The full pass is
-	// the correctness oracle for the filter; this switch exists for
-	// equivalence tests and A/B benchmarks.
-	DisableActiveFilter bool
-	// DisableParallelBootstrap forces the serial bootstrap: the
-	// single-threaded first assignment and the per-item sign+insert
-	// loop, even when Workers > 1 or the accelerator implements
-	// BulkIndexer. By default the bootstrap runs as a parallel
-	// sign → build → assign pipeline (bit-identical results); the
-	// serial loop is the correctness oracle for that pipeline, and
-	// this switch exists for equivalence tests and A/B benchmarks.
-	DisableParallelBootstrap bool
-	// DisableReorder forces the sharded index to build in original item
-	// order even when the accelerator supports locality-preserving
-	// reordering (ReorderConfigurer). By default the bulk frozen build
-	// permutes items so co-colliding ones become contiguous — shard
-	// fan-out concentrates in the owning shard and shortlist scans turn
-	// near-sequential — while every externally visible artifact stays
-	// in original-ID space and every tie-break stays on original ID, so
-	// results are bit-identical; the original-order build is the
-	// correctness oracle, and this switch exists for equivalence tests
-	// and A/B benchmarks.
-	DisableReorder bool
+	// Oracles selects reference implementations in place of the fast
+	// paths they check (see Oracles). The zero value runs every fast
+	// path; only tests set it.
+	Oracles Oracles
 	// IndexDir, when non-empty, makes the bootstrap durable (see
 	// persist.go): the frozen LSH index and the exact first assignment
 	// are saved into this directory after a cold run's bootstrap, and
@@ -234,20 +198,6 @@ type Options struct {
 	// rebuild. Requires an IndexPersister + BulkIndexer accelerator and
 	// the parallel bootstrap.
 	IndexDir string
-	// DisableMmap loads a persisted index by copying it onto the heap
-	// instead of memory-mapping it zero-copy. The heap load is the
-	// portable correctness oracle for the mapped one (the bytes are
-	// identical either way); this switch exists for equivalence tests
-	// and A/B benchmarks. Ignored without IndexDir; mapping is also
-	// skipped on platforms without mmap support.
-	DisableMmap bool
-	// ShardMemoryBudget, when > 0, caps the resident bytes of a
-	// memory-mapped persisted index: whole shards are advised out when
-	// the mapping exceeds the budget and paged back in when queries
-	// touch them (best-effort madvise — a non-resident shard is slow,
-	// never absent, so results are unchanged). Ignored without IndexDir
-	// or under DisableMmap.
-	ShardMemoryBudget int64
 	// SnapshotEvery, when > 0, checkpoints the run state (assignment +
 	// iteration stats) into IndexDir every SnapshotEvery iterations, and
 	// resumes from the latest checkpoint on the next run instead of
@@ -267,6 +217,49 @@ type Options struct {
 	// progress. Large-k runs take minutes to hours; this is the off
 	// switch.
 	Context context.Context
+}
+
+// Oracles switches individual fast paths back to the reference twins
+// they are checked against. Every switch leaves results bit-identical
+// (assignments, moves, costs, centroids); only the work counters of
+// the work a fast path skips or localises change. Each exists so that
+// the equivalence tests (TestOraclesMatchDefault and the per-path A/B
+// tests) and the root benchmarks can run the reference. The lshvet
+// analyzer oraclecheck keeps writes to these fields inside _test.go
+// files and requires a test for each.
+type Oracles struct {
+	// ScalarKernels routes the hot-loop distance and signing kernels
+	// through their scalar references instead of the unrolled versions
+	// (internal/kernel), on every KernelConfigurable space and
+	// accelerator.
+	ScalarKernels bool
+	// DisableIncremental forces full RecomputeCentroids/Cost passes
+	// even when the Space implements IncrementalSpace (the batch
+	// oracle for the incremental engine). It implies
+	// DisableActiveFilter: the filter needs the engine's change
+	// reports.
+	DisableIncremental bool
+	// DisableActiveFilter forces every assignment pass to evaluate all
+	// n items even when the run qualifies for active-set filtering
+	// (accelerated, incremental engine on, ChangeReporter space,
+	// ReverseQuerier accelerator — see active.go).
+	DisableActiveFilter bool
+	// DisableParallelBootstrap forces the serial bootstrap: the
+	// single-threaded first assignment and the per-item sign+insert
+	// loop, even when Workers > 1 or the accelerator implements
+	// BulkIndexer. Run rejects it together with IndexDir.
+	DisableParallelBootstrap bool
+	// DisableReorder forces the sharded index to build in original item
+	// order even when the accelerator supports locality-preserving
+	// reordering (ReorderConfigurer). Reordered runs keep every
+	// externally visible artifact in original-ID space and every
+	// tie-break on original ID.
+	DisableReorder bool
+	// DisableMmap loads a persisted index by copying it onto the heap
+	// instead of memory-mapping it zero-copy (the bytes are identical
+	// either way). Ignored without IndexDir; mapping is also skipped on
+	// platforms without mmap support.
+	DisableMmap bool
 }
 
 // DefaultMaxIterations caps runs whose options leave MaxIterations zero.
@@ -324,7 +317,7 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 		}(),
 	}
 
-	if !opts.DisableIncremental {
+	if !opts.Oracles.DisableIncremental {
 		if inc, ok := space.(IncrementalSpace); ok {
 			d.inc = inc
 		}
@@ -335,10 +328,10 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 	// so it is forwarded before bootstrap, to the space and the
 	// accelerator alike.
 	if kc, ok := space.(KernelConfigurable); ok {
-		kc.SetScalarKernels(opts.ScalarKernels)
+		kc.SetScalarKernels(opts.Oracles.ScalarKernels)
 	}
 	if kc, ok := opts.Accelerator.(KernelConfigurable); ok {
-		kc.SetScalarKernels(opts.ScalarKernels)
+		kc.SetScalarKernels(opts.Oracles.ScalarKernels)
 	}
 
 	if err := ctxErr(opts.Context); err != nil {
@@ -466,9 +459,6 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 		res.Stats.IndexLoadTime = ss.LoadTime
 		res.Stats.MmapBytes = ss.MmapBytes
 		res.Stats.WarmStart = ss.WarmStart
-		res.Stats.ResidentShards = ss.ResidentShards
-		res.Stats.ShardPromotions = ss.Promotions
-		res.Stats.ShardDemotions = ss.Demotions
 	}
 	return res, nil
 }
@@ -549,14 +539,15 @@ func (p *passStats) add(o passStats) {
 //
 // The first assignment is the paper's exact scan (§III-B): every item
 // against every centroid, before the index answers any query. With a
-// BulkIndexer accelerator (and unless DisableParallelBootstrap selects
-// the serial oracle), the bootstrap runs as an explicit pipeline whose
-// phases are individually parallel and individually timed: sign every
-// item into a flat key arena across Workers goroutines, build the
-// frozen index directly from the keys, then the exact first
-// assignment, itself sharded across Workers. The serial oracle scans
-// on one goroutine and inserts item by item; run then freezes its
-// index. Every phase is bit-identical to its serial counterpart.
+// BulkIndexer accelerator (and unless Oracles.DisableParallelBootstrap
+// selects the serial oracle), the bootstrap runs as an explicit
+// pipeline whose phases are individually parallel and individually
+// timed: sign every item into a flat key arena across Workers
+// goroutines, build the frozen index directly from the keys, then the
+// exact first assignment, itself sharded across Workers. The serial
+// oracle scans on one goroutine and inserts item by item; run then
+// freezes its index. Every phase is bit-identical to its serial
+// counterpart.
 func (d *driver) bootstrap() error {
 	accel := d.opts.Accelerator
 	workers := d.opts.Workers
@@ -569,7 +560,7 @@ func (d *driver) bootstrap() error {
 	// ctxPollEvery items, and each pipeline phase ends with a
 	// cancellation check, keeping latency a fraction of the bootstrap.
 	stop := func() bool { return ctxErr(d.opts.Context) != nil }
-	serialOracle := d.opts.DisableParallelBootstrap
+	serialOracle := d.opts.Oracles.DisableParallelBootstrap
 	if accel == nil {
 		start := time.Now()
 		d.bootstrapScan(workers, !serialOracle)
@@ -584,17 +575,16 @@ func (d *driver) bootstrap() error {
 		si.SetShards(shards)
 	}
 	if ro, ok := accel.(ReorderConfigurer); ok {
-		ro.SetReorder(d.opts.DisableReorder)
+		ro.SetReorder(d.opts.Oracles.DisableReorder)
 	}
 	if ip, ok := accel.(IndexPersister); ok {
 		// Forwarded unconditionally (an empty Dir clears any previous
 		// configuration on a reused accelerator), before Reset, which is
 		// where the warm load happens.
 		ip.SetPersist(PersistConfig{
-			Dir:          d.opts.IndexDir,
-			DisableMmap:  d.opts.DisableMmap,
-			MemoryBudget: d.opts.ShardMemoryBudget,
-			Workers:      workers,
+			Dir:         d.opts.IndexDir,
+			DisableMmap: d.opts.Oracles.DisableMmap,
+			Workers:     workers,
 		})
 	}
 	if err := accel.Reset(d.k); err != nil {

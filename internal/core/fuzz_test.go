@@ -53,7 +53,7 @@ func FuzzReorderIdentity(f *testing.F) {
 			}
 			res, err := core.Run(space, core.Options{
 				Accelerator: accel, Update: upd, Workers: workers,
-				Shards: shards, MaxIterations: 5, DisableReorder: disable,
+				Shards: shards, MaxIterations: 5, Oracles: core.Oracles{DisableReorder: disable},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -16,7 +16,7 @@ package core
 // what RecomputeCentroids (and Cost) would produce on the same
 // assignments. The driver relies on this equivalence; it is what lets
 // accelerated runs keep the batch path as a correctness oracle (see
-// Options.DisableIncremental and the equivalence tests).
+// Options.Oracles.DisableIncremental and the equivalence tests).
 //
 // Call sequence, enforced by the driver:
 //

@@ -22,7 +22,7 @@ func assertRunsEqual(t *testing.T, mkSpace func() core.Space, mkAccel func(core.
 	t.Helper()
 	run := func(disable bool) *core.Result {
 		o := opts
-		o.DisableIncremental = disable
+		o.Oracles.DisableIncremental = disable
 		space := mkSpace()
 		if mkAccel != nil {
 			o.Accelerator = mkAccel(space)

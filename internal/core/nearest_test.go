@@ -101,12 +101,14 @@ func testFirstScanKnobs(t *testing.T, binary bool) {
 			var basePrint []byte
 			for knobs := 0; knobs < 16; knobs++ {
 				opts := core.Options{
-					TieBreak:                 tb,
-					ScalarKernels:            knobs&1 != 0,
-					EarlyAbandon:             knobs&2 != 0,
-					Workers:                  1 + knobs>>2&1,
-					DisableParallelBootstrap: knobs&8 != 0,
-					MaxIterations:            8,
+					TieBreak:      tb,
+					EarlyAbandon:  knobs&2 != 0,
+					Workers:       1 + knobs>>2&1,
+					MaxIterations: 8,
+					Oracles: core.Oracles{
+						ScalarKernels:            knobs&1 != 0,
+						DisableParallelBootstrap: knobs&8 != 0,
+					},
 				}
 				if accel {
 					mh, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 6, Rows: 2}, 9)
@@ -116,7 +118,7 @@ func testFirstScanKnobs(t *testing.T, binary bool) {
 					opts.Accelerator, opts.Update = mh, core.UpdateDeferred
 				}
 				label := fmt.Sprintf("accel=%v/tb=%d/scalar=%v/abandon=%v/w=%d/serial=%v",
-					accel, tb, opts.ScalarKernels, opts.EarlyAbandon, opts.Workers, opts.DisableParallelBootstrap)
+					accel, tb, opts.Oracles.ScalarKernels, opts.EarlyAbandon, opts.Workers, opts.Oracles.DisableParallelBootstrap)
 				space := &firstAssignSpace{Space: newSpace()}
 				res, err := core.Run(space, opts)
 				if err != nil {

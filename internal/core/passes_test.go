@@ -157,8 +157,8 @@ func TestImmediateBlocksRunWhole(t *testing.T) {
 				return s, countingAccel{a, &positions}
 			}
 			res := assertMatchesPerItem(t, mk, core.Options{
-				Update: core.UpdateImmediate, Shards: 2,
-				DisableActiveFilter: !active, MaxIterations: 15,
+				Update: core.UpdateImmediate, Shards: 2, MaxIterations: 15,
+				Oracles: core.Oracles{DisableActiveFilter: !active},
 			})
 			var evaluated int64
 			for _, it := range res.Stats.Iterations {
@@ -281,8 +281,8 @@ func TestPassMatchesPerItem(t *testing.T) {
 								log := &querierLog{}
 								assertMatchesPerItem(t, func() (core.Space, core.Accelerator) { return sp.mk(log) }, core.Options{
 									Update: u.upd, Workers: u.workers, TieBreak: tb, Shards: shards,
-									DisableReorder: !reorder, DisableActiveFilter: !active,
 									MaxIterations: 15,
+									Oracles:       core.Oracles{DisableReorder: !reorder, DisableActiveFilter: !active},
 								})
 								if reads := log.summaryReads(); sp.summarised && reads == 0 {
 									t.Fatal("the block runs read no cluster summary")

@@ -17,7 +17,7 @@ import (
 // bootstrap's expensive artifacts become durable: the frozen LSH index
 // is saved after its first build (internal/lsh persist format) and
 // warm-started on the next run — memory-mapped zero-copy by default,
-// heap-copied under Options.DisableMmap — and the exact first
+// heap-copied under Options.Oracles.DisableMmap — and the exact first
 // assignment is saved alongside it, so a warm run skips signing, index
 // construction AND the full first scan. Everything is
 // validate-or-reject: the index manifest pins seed, dataset
@@ -31,8 +31,8 @@ import (
 // iteration 1; a corrupt or inconsistent checkpoint is an error, never
 // a silent resume from damaged state. Warm and cold runs are
 // bit-identical — same assignment, same moves — which the persistence
-// equivalence tests pin at the facade level with DisableMmap as the
-// plumbed heap-vs-mmap oracle toggle.
+// equivalence tests pin with Oracles.DisableMmap as the heap-vs-mmap
+// oracle.
 
 // PersistConfig is the index-persistence configuration the driver
 // forwards to an IndexPersister accelerator once per Run, before Reset.
@@ -44,10 +44,6 @@ type PersistConfig struct {
 	// byte-identical either way). Mapping is also skipped on platforms
 	// without mmap support.
 	DisableMmap bool
-	// MemoryBudget, when > 0, caps the resident bytes of a mapped index
-	// via the shard residency manager (whole shards demote and promote;
-	// a non-resident shard is slow, never absent).
-	MemoryBudget int64
 	// Workers bounds the parallel per-shard file IO.
 	Workers int
 }
@@ -269,8 +265,8 @@ func validatePersistOptions(opts *Options) error {
 	if _, ok := opts.Accelerator.(IndexPersister); !ok {
 		return fmt.Errorf("core: the accelerator does not support index persistence")
 	}
-	if opts.DisableParallelBootstrap {
-		return fmt.Errorf("core: IndexDir requires the parallel bootstrap (drop DisableParallelBootstrap)")
+	if opts.Oracles.DisableParallelBootstrap {
+		return fmt.Errorf("core: IndexDir requires the parallel bootstrap (drop Oracles.DisableParallelBootstrap)")
 	}
 	if _, ok := opts.Accelerator.(BulkIndexer); !ok {
 		return fmt.Errorf("core: IndexDir requires a bulk-indexing accelerator")

@@ -126,7 +126,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 			}
 			assertPersistEqual(t, "warm mmap", cold, warm, coldCentroids, warmCentroids)
 
-			heap, heapCentroids := run(func(o *core.Options) { o.DisableMmap = true })
+			heap, heapCentroids := run(func(o *core.Options) { o.Oracles.DisableMmap = true })
 			if !heap.Stats.WarmStart {
 				t.Fatal("heap-load run did not warm-start")
 			}
@@ -206,7 +206,7 @@ func TestPersistOptionValidation(t *testing.T) {
 			o.Accelerator = nil
 		}, "IndexDir"},
 		{"IndexDir with serial bootstrap", func(o *core.Options) {
-			o.DisableParallelBootstrap = true
+			o.Oracles.DisableParallelBootstrap = true
 		}, "IndexDir"},
 	}
 	for _, tc := range cases {
@@ -492,41 +492,5 @@ func TestBootstrapAssignCorruptRescans(t *testing.T) {
 	}
 	if bytes.Equal(healed, raw) {
 		t.Fatal("rescan did not rewrite the corrupt assignment cache")
-	}
-}
-
-// TestShardMemoryBudget runs the warm start under a budget far smaller
-// than any shard, forcing the residency manager to demote and promote
-// on demand — results must stay identical and the accounting visible.
-func TestShardMemoryBudget(t *testing.T) {
-	if !persist.MmapSupported {
-		t.Skip("residency management requires mmap support")
-	}
-	dir := t.TempDir()
-	run := func(budget int64) (*core.Result, []byte) {
-		space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-		o := persistOpts(dir, 4)
-		o.Accelerator = accel
-		o.ShardMemoryBudget = budget
-		res, err := core.Run(space, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, kmodesFingerprint(t)(space)
-	}
-	cold, coldCentroids := run(0)
-	tight, tightCentroids := run(1)
-	if !tight.Stats.WarmStart {
-		t.Fatal("budgeted run did not warm-start")
-	}
-	assertPersistEqual(t, "budget=1", cold, tight, coldCentroids, tightCentroids)
-	if tight.Stats.ShardPromotions <= 0 {
-		t.Fatal("tight budget recorded no shard promotions")
-	}
-	if tight.Stats.ShardDemotions <= 0 {
-		t.Fatal("tight budget recorded no shard demotions")
-	}
-	if tight.Stats.ResidentShards < 1 {
-		t.Fatalf("ResidentShards = %d, want at least the pinned shard", tight.Stats.ResidentShards)
 	}
 }

@@ -23,7 +23,7 @@ func assertReorderEqual(t *testing.T, mk func() (core.Space, core.Accelerator), 
 	t.Helper()
 	run := func(disable bool) (*core.Result, []byte) {
 		o := opts
-		o.DisableReorder = disable
+		o.Oracles.DisableReorder = disable
 		space, accel := mk()
 		o.Accelerator = accel
 		res, err := core.Run(space, o)
@@ -171,7 +171,7 @@ func TestReorderOracleCrosses(t *testing.T) {
 		return s, a
 	}
 	muts := map[string]func(*core.Options){
-		"no-active-filter": func(o *core.Options) { o.DisableActiveFilter = true },
+		"no-active-filter": func(o *core.Options) { o.Oracles.DisableActiveFilter = true },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {
@@ -199,7 +199,7 @@ func TestReorderDisabledPaths(t *testing.T) {
 		return s, a
 	}
 	cases := map[string]core.Options{
-		"serial": {Shards: 4, MaxIterations: 8, DisableParallelBootstrap: true},
+		"serial": {Shards: 4, MaxIterations: 8, Oracles: core.Oracles{DisableParallelBootstrap: true}},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -94,8 +94,8 @@ type Seeder interface {
 // ReorderConfigurer is an optional Accelerator capability:
 // accelerators whose sharded index supports the locality-preserving
 // item reordering (lsh.Sharded.SetReorder) implement it. The driver
-// forwards Options.DisableReorder once per Run, before Reset; the
-// index derives and applies the permutation during its bulk frozen
+// forwards Options.Oracles.DisableReorder once per Run, before Reset;
+// the index derives and applies the permutation during its bulk frozen
 // build. Accelerators without the capability simply build in original
 // order.
 type ReorderConfigurer interface {
@@ -151,11 +151,6 @@ type ShardStats struct {
 	// MmapBytes is the total size of the index's live memory mappings
 	// (zero on heap loads and fresh builds).
 	MmapBytes int64
-	// ResidentShards/Promotions/Demotions mirror the residency manager
-	// (Options.ShardMemoryBudget): shards currently advised in, and the
-	// cumulative demote/promote transitions. All zero without a budget.
-	ResidentShards        int
-	Promotions, Demotions int64
 }
 
 // ShardStatsReporter is an optional Accelerator capability: report the
@@ -261,7 +256,7 @@ func (b *ShardedIndexBase) ShardStats() ShardStats {
 	}
 	probes, direct := b.index.FanOutOps()
 	local, foreign := b.index.FanOutLocality()
-	ss := ShardStats{
+	return ShardStats{
 		Shards:           b.index.NumShards(),
 		BuildTimes:       b.index.BuildTimes(),
 		ReorderTime:      b.index.ReorderTime(),
@@ -276,10 +271,6 @@ func (b *ShardedIndexBase) ShardStats() ShardStats {
 		WarmStart:        b.warm,
 		MmapBytes:        b.index.MmapBytes(),
 	}
-	if resident, prom, dem, ok := b.index.ResidencyStats(); ok {
-		ss.ResidentShards, ss.Promotions, ss.Demotions = resident, prom, dem
-	}
-	return ss
 }
 
 // Params returns the banding configuration.
@@ -318,15 +309,14 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 		// fingerprint and reorder setting; any mismatch is a hard error —
 		// a stale index must never silently serve or silently rebuild.
 		ix, rep, err := lsh.OpenSharded(b.persistCfg.Dir, lsh.OpenOptions{
-			Params:       params,
-			Seed:         seed,
-			NumItems:     numItems,
-			Shards:       shards,
-			Reorder:      reorder && numItems >= 2,
-			Fingerprint:  b.fpSource(),
-			Mmap:         mmapWanted(b.persistCfg.DisableMmap),
-			MemoryBudget: b.persistCfg.MemoryBudget,
-			Workers:      b.persistCfg.Workers,
+			Params:      params,
+			Seed:        seed,
+			NumItems:    numItems,
+			Shards:      shards,
+			Reorder:     reorder && numItems >= 2,
+			Fingerprint: b.fpSource(),
+			Mmap:        mmapWanted(b.persistCfg.DisableMmap),
+			Workers:     b.persistCfg.Workers,
 		})
 		if err != nil {
 			return fmt.Errorf("core: loading persisted index: %w", err)

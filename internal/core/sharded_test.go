@@ -92,17 +92,17 @@ func assertShardsEqual(t *testing.T, mk func() (core.Space, core.Accelerator), f
 		if got.Stats.CrossShardDirect <= 0 {
 			t.Fatalf("shards=%d: no bitmap-answered fan-out resolutions recorded", shards)
 		}
-		origRun, origCentroids := run(shards, func(o *core.Options) { o.DisableReorder = true })
+		origRun, origCentroids := run(shards, func(o *core.Options) { o.Oracles.DisableReorder = true })
 		compare(fmt.Sprintf("shards=%d/original-order", shards), origRun, origCentroids)
 		if origRun.Stats.CrossShardProbes <= 0 || origRun.Stats.CrossShardDirect <= 0 {
 			t.Fatalf("shards=%d/original-order: fan-out recorded %d probes, %d bitmap-answered; want both > 0",
 				shards, origRun.Stats.CrossShardProbes, origRun.Stats.CrossShardDirect)
 		}
-		scalarRun, scalarCentroids := run(shards, func(o *core.Options) { o.ScalarKernels = true })
+		scalarRun, scalarCentroids := run(shards, func(o *core.Options) { o.Oracles.ScalarKernels = true })
 		compare(fmt.Sprintf("shards=%d/scalar-kernels", shards), scalarRun, scalarCentroids)
 	}
 	// The kernel oracle must hold on the unsharded reference path too.
-	scalarRef, scalarRefCentroids := run(1, func(o *core.Options) { o.ScalarKernels = true })
+	scalarRef, scalarRefCentroids := run(1, func(o *core.Options) { o.Oracles.ScalarKernels = true })
 	compare("shards=1/scalar-kernels", scalarRef, scalarRefCentroids)
 }
 
@@ -193,7 +193,7 @@ func TestShardInvarianceSerialOracle(t *testing.T) {
 	// boot=0 names the full-scan bootstrap, the only one.
 	t.Run("boot=0", func(t *testing.T) {
 		assertShardsEqual(t, mk, kmodesFingerprint(t), core.Options{
-			MaxIterations: 12, DisableParallelBootstrap: true,
+			MaxIterations: 12, Oracles: core.Oracles{DisableParallelBootstrap: true},
 		}, []int{1, 4})
 	})
 }

@@ -206,7 +206,7 @@ func Mismatches(x, y []Value) int {
 }
 
 // MismatchesScalar is the scalar reference for Mismatches — the oracle
-// the kernel equivalence tests (and core.Options.ScalarKernels runs)
+// the kernel equivalence tests (and core.Oracles.ScalarKernels runs)
 // compare against.
 func MismatchesScalar(x, y []Value) int {
 	if len(x) != len(y) {

@@ -22,7 +22,7 @@
 //     rounding sequence — and therefore the bits of the result — is
 //     unchanged. Do not "optimise" them into multiple accumulators:
 //     that reorders the additions and breaks the full-run bit-identity
-//     the equivalence tests pin (core.Options.ScalarKernels runs the
+//     the equivalence tests pin (core.Oracles.ScalarKernels runs the
 //     references as the oracle).
 //
 // The property/fuzz tests in this package enforce exact equality on

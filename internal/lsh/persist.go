@@ -209,10 +209,8 @@ type OpenOptions struct {
 	// Mmap selects the zero-copy mapped load; false is the heap-copy
 	// oracle (Load).
 	Mmap bool
-	// MemoryBudget, when > 0 with Mmap, caps resident shard bytes via
-	// the residency manager (see residency.go).
-	MemoryBudget int64
-	Workers      int
+	// Workers bounds the parallel shard-file loads.
+	Workers int
 }
 
 // OpenReport summarises an OpenSharded: wall time and, for mapped
@@ -317,9 +315,6 @@ func OpenSharded(dir string, opt OpenOptions) (*Sharded, OpenReport, error) {
 		}
 	}
 	sh.persistBytes = rep.MmapBytes
-	if opt.Mmap && opt.MemoryBudget > 0 {
-		sh.resi = newResidency(files, opt.MemoryBudget)
-	}
 	rep.Duration = time.Since(start)
 	return sh, rep, nil
 }
@@ -538,7 +533,6 @@ func (sh *Sharded) MmapBytes() int64 { return sh.persistBytes }
 func (sh *Sharded) ClosePersist() error {
 	files := sh.persistFiles
 	sh.persistFiles = nil
-	sh.resi = nil
 	var first error
 	for _, f := range files {
 		if f == nil {

@@ -10,11 +10,7 @@ import (
 // MmapSupported reports whether this build can memory-map shard files.
 const MmapSupported = false
 
-const (
-	adviceRandom   = 0
-	adviceDontNeed = 0
-	adviceWillNeed = 0
-)
+const adviceRandom = 0
 
 func mmapFile(*os.File, int64) ([]byte, error) {
 	return nil, fmt.Errorf("memory mapping is not supported on this platform")

@@ -12,11 +12,7 @@ import (
 // available.
 const MmapSupported = true
 
-const (
-	adviceRandom   = syscall.MADV_RANDOM
-	adviceDontNeed = syscall.MADV_DONTNEED
-	adviceWillNeed = syscall.MADV_WILLNEED
-)
+const adviceRandom = syscall.MADV_RANDOM
 
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size == 0 {

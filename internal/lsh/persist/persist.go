@@ -347,24 +347,6 @@ func (f *File) AdviseRandom(id SectionID) {
 	}
 }
 
-// Demote tells the kernel the whole mapping's pages are not needed
-// (madvise MADV_DONTNEED): resident memory drops to ~0 and later
-// accesses fault pages back in from disk — the shard looks slow, not
-// absent. No-op on heap copies.
-func (f *File) Demote() {
-	if f.mapped && len(f.data) > 0 {
-		madvise(f.data, adviceDontNeed)
-	}
-}
-
-// Promote asks the kernel to read the mapping back in (madvise
-// MADV_WILLNEED). No-op on heap copies.
-func (f *File) Promote() {
-	if f.mapped && len(f.data) > 0 {
-		madvise(f.data, adviceWillNeed)
-	}
-}
-
 // Close releases the mapping (or the heap copy). Any slice returned by
 // View is invalid afterwards; the caller must guarantee no concurrent
 // readers remain.

@@ -95,8 +95,6 @@ func TestRoundTrip(t *testing.T) {
 		}
 		// Advice must be safe on any section and load mode.
 		f.AdviseRandom(2)
-		f.Demote()
-		f.Promote()
 		_ = want
 	})
 }

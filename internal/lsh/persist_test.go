@@ -282,45 +282,6 @@ func TestOpenShardedForeignSections(t *testing.T) {
 	}
 }
 
-// TestPersistResidencyBudget runs a mapped index under a budget
-// smaller than any shard: every shard but the first starts demoted,
-// queries promote shards on use and evict others, and — the "slow,
-// not missing" contract — every answer stays identical.
-func TestPersistResidencyBudget(t *testing.T) {
-	const n = 300
-	p := Params{Bands: 6, Rows: 3}
-	fresh := buildPersisted(t, p, n, 4, true)
-	dir := t.TempDir()
-	if _, err := fresh.Save(dir, testPersistSeed, testPersistFP, 2); err != nil {
-		t.Fatal(err)
-	}
-	opt := openOptsFor(fresh, true)
-	opt.MemoryBudget = 1
-	loaded, _, err := OpenSharded(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.ClosePersist()
-	if res, _, dem, ok := loaded.ResidencyStats(); !ok || res != 1 || dem < 3 {
-		t.Fatalf("after open: resident=%d demotions=%d ok=%v, want 1 resident, >=3 demoted", res, dem, ok)
-	}
-	fq, lq := fresh.NewQuery(), loaded.NewQuery()
-	for i := 0; i < n; i++ {
-		w := collectQueryCandidates(fq, int32(i))
-		g := collectQueryCandidates(lq, int32(i))
-		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("item %d candidates differ under memory budget", i)
-		}
-	}
-	if _, prom, _, _ := loaded.ResidencyStats(); prom < 3 {
-		t.Fatalf("sweep over all shards recorded only %d promotions", prom)
-	}
-	// An unbudgeted heap load must report no residency manager.
-	if _, _, _, ok := fresh.ResidencyStats(); ok {
-		t.Fatal("fresh index reports a residency manager")
-	}
-}
-
 // hashFrozen folds every frozen array of every shard (plus the reorder
 // permutation and the foreign-emptiness bitmaps) into one
 // platform-independent FNV-1a hash, value by value in little-endian

@@ -134,7 +134,6 @@ func (q *Query) Candidates(item int32, fn func(other int32)) {
 	if !ok || !sh.shards[s].isInserted(local) {
 		return
 	}
-	sh.touchShard(s)
 	bands := sh.params.Bands
 	own := sh.shards[s].frozen
 	base := int(local) * bands
@@ -337,7 +336,6 @@ func (q *Query) candidatesBatchFrozen(items []int32, fn func(pos int, bucket []i
 		}
 		q.order = order
 	}
-	sh.touchRuns(order, owners)
 	bands := sh.params.Bands
 	var localC, foreignC, probed int64
 	for b := 0; b < bands; b++ {

@@ -33,7 +33,7 @@ package lsh
 // in ascending original ID (reorderBucketItems), and cross-shard merges
 // compare inv — so enumeration order, and therefore every order-
 // dependent tie-break downstream, is bit-identical to the unreordered
-// oracle (Options.DisableReorder in core).
+// oracle (Options.Oracles.DisableReorder in core).
 //
 // Reordering applies only to BuildFrozen; indexes filled item by item
 // (the serial bootstrap oracle's Insert-then-Freeze, the stream) never

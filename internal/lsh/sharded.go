@@ -16,8 +16,7 @@ import (
 // partitioner. It is the scale-out layout of the banding index — shards
 // build in parallel from disjoint slices of the SignAll arena, stay
 // individually cache-resident where one monolithic index would not, and
-// are independently freezable and, once memory-mapped, evictable
-// (residency.go).
+// are independently freezable.
 //
 // Partitioning is by *item*, orthogonal to BuildFrozen's per-band
 // layout within each shard: a query for one item fans out to every
@@ -89,14 +88,12 @@ type Sharded struct {
 	// (the shard_local_frac report). Atomic like mergeNanos.
 	localCands   atomic.Int64
 	foreignCands atomic.Int64
-	// persistFiles/persistBytes/resi are set by OpenSharded: the
-	// per-shard backing files the frozen slices alias (mmap or heap
-	// copy), the total mapped bytes, and — under a memory budget — the
-	// shard residency manager (see persist.go, residency.go). All nil/0
-	// for freshly built indexes.
+	// persistFiles/persistBytes are set by OpenSharded: the per-shard
+	// backing files the frozen slices alias (mmap or heap copy) and the
+	// total mapped bytes (see persist.go). Both nil/0 for freshly built
+	// indexes.
 	persistFiles []*persist.File
 	persistBytes int64
-	resi         *residency
 	// sums is the cluster-summary store (summary.go): nil until
 	// SummarizeClusters, and never persisted.
 	sums *clusterSummaries

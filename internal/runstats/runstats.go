@@ -111,8 +111,8 @@ type Run struct {
 	IndexLoadTime time.Duration
 	// MmapBytes is the total size of the index's live memory mappings —
 	// bytes served zero-copy from the page cache instead of the heap.
-	// Zero on heap loads (DisableMmap), fresh builds, and platforms
-	// without mmap.
+	// Zero on heap loads (core.Oracles.DisableMmap), fresh builds, and
+	// platforms without mmap.
 	MmapBytes int64
 	// WarmStart reports whether the index was loaded from disk instead
 	// of built (the run skipped signing, construction and the first full
@@ -123,14 +123,6 @@ type Run struct {
 	// (core.Options.SnapshotEvery), whose restored iterations precede
 	// the new ones in Iterations.
 	ResumedAt int
-	// ResidentShards, ShardPromotions and ShardDemotions mirror the
-	// memory-budgeted residency manager
-	// (core.Options.ShardMemoryBudget): shards resident at run end, and
-	// the cumulative page-in/page-out transitions. All zero without a
-	// budget.
-	ResidentShards  int
-	ShardPromotions int64
-	ShardDemotions  int64
 	// Iterations holds one entry per pass, in order.
 	Iterations []Iteration
 	// Converged reports whether the run stopped because no item moved
@@ -293,9 +285,6 @@ var csvExempt = map[string]string{
 	"Purity":               "summary-level; rendered by WriteSummaryMarkdown",
 	"WarmStart":            "boolean run mode, implied by index_load_ms > 0; the CLI reports it",
 	"ResumedAt":            "run mode; restored iterations already appear as ordinary rows",
-	"ResidentShards":       "end-state residency snapshot; the CLI reports it with the promote/demote counters",
-	"ShardPromotions":      "residency-manager accounting; the CLI reports it",
-	"ShardDemotions":       "residency-manager accounting; the CLI reports it",
 }
 
 // Header returns the CSV column names, in order.

@@ -30,9 +30,6 @@ func sampleRun() *Run {
 		IndexSaveTime:     8 * time.Millisecond,
 		MmapBytes:         4096,
 		ResumedAt:         1,
-		ResidentShards:    2,
-		ShardPromotions:   9,
-		ShardDemotions:    11,
 		Iterations: []Iteration{
 			{Index: 1, Duration: 50 * time.Millisecond, Moves: 40, Comparisons: 900,
 				CandidatesTotal: 120, AvgShortlist: 1.2, Cost: 420},

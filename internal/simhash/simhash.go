@@ -16,7 +16,6 @@ package simhash
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"lshcluster/internal/core"
@@ -55,15 +54,12 @@ func NewScheme(bits, dim int, seed int64) (*Scheme, error) {
 	return &Scheme{planes: planes, dim: dim, bits: bits}, nil
 }
 
-// Bits returns the signature length.
-func (s *Scheme) Bits() int { return s.bits }
-
 // Dim returns the expected vector dimensionality.
 func (s *Scheme) Dim() int { return s.dim }
 
 // Sign writes the sign-bit signature of vec into dst (one uint64 per
 // bit: 0 or 1, the row-value format the banding index consumes) and
-// returns dst. vec must have length Dim and dst length Bits.
+// returns dst. vec must have length Dim and dst one entry per hyperplane.
 func (s *Scheme) Sign(vec []float64, dst []uint64) []uint64 {
 	if len(vec) != s.dim {
 		panic("simhash: vector dimensionality mismatch")
@@ -95,35 +91,6 @@ func (s *Scheme) Sign(vec []float64, dst []uint64) []uint64 {
 // kernel (false, the default) and its scalar reference (true, the
 // bit-identical oracle). Flip only while no signing is in flight.
 func (s *Scheme) SetScalarKernels(scalar bool) { s.scalarKernels = scalar }
-
-// PackedWords returns the number of uint64 words a packed signature of
-// this scheme occupies.
-func (s *Scheme) PackedWords() int { return kernel.PackedWords(s.bits) }
-
-// PackSignature packs a Sign output (one 0/1 uint64 per sign bit) into
-// 64 bits per word, growing dst as needed and returning the packed
-// signature — the compact form Hamming and EstimateAngle consume.
-// Storing signatures packed costs 1/64th of the Sign format.
-func PackSignature(sig []uint64, dst []uint64) []uint64 {
-	return kernel.PackBits(sig, dst)
-}
-
-// Hamming returns the number of differing sign bits between two packed
-// signatures of equal length, one XOR + popcount per 64 bits
-// (word-at-a-time bits.OnesCount64 via internal/kernel).
-func Hamming(a, b []uint64) int { return kernel.Hamming(a, b) }
-
-// EstimateAngle estimates the angle (radians) between the two vectors
-// behind packed signatures a and b: each hyperplane separates the
-// vectors with probability θ/π (Charikar 2002), so θ̂ = π·hamming/bits —
-// the SimHash analogue of minhash.EstimateJaccard, useful for
-// similarity diagnostics without touching the original vectors.
-func EstimateAngle(a, b []uint64, bits int) float64 {
-	if bits < 1 {
-		return 0
-	}
-	return math.Pi * float64(Hamming(a, b)) / float64(bits)
-}
 
 // Accelerator is the numeric counterpart of core.MinHashAccelerator:
 // SimHash signatures over a kmeans point set, banded into an

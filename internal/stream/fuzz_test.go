@@ -129,13 +129,11 @@ func FuzzStreamMatchesNaive(f *testing.F) {
 		for i := range modes {
 			modes[i] = value(i % m)
 		}
-		c, err := New(Config{
-			Params: p, Seed: seed, InitialModes: modes, NumAttrs: m,
-			ScalarKernels: at(2)%2 == 1,
-		})
+		c, err := New(Config{Params: p, Seed: seed, InitialModes: modes, NumAttrs: m})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.scalar = at(2)%2 == 1
 		ref := newNaiveStream(p, seed, modes, m)
 
 		row := make([]dataset.Value, m)

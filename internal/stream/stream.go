@@ -46,12 +46,6 @@ type Config struct {
 	InitialModes []dataset.Value
 	// NumAttrs is m. Required.
 	NumAttrs int
-	// ScalarKernels routes item-to-mode distance evaluations through
-	// the scalar reference kernels instead of the unrolled ones
-	// (internal/kernel). Assignments are bit-identical either way; the
-	// switch is the correctness oracle for the kernels, mirroring the
-	// batch driver's core.Options.ScalarKernels.
-	ScalarKernels bool
 }
 
 // Stats counts the stream-side behaviour of the index.
@@ -82,11 +76,15 @@ type Clusterer struct {
 	stamps  []uint32
 	epoch   uint32
 	short   []int32
-	scalar  bool // Config.ScalarKernels
+	// scalar routes item-to-mode distances through the scalar
+	// reference kernel instead of the unrolled one (internal/kernel).
+	// Assignments are bit-identical either way; the stream's fuzz test
+	// sets it, mirroring the batch driver's core.Oracles.ScalarKernels.
+	scalar bool
 }
 
-// dist evaluates one item-to-mode distance through the configured
-// kernel (Config.ScalarKernels selects the scalar oracle).
+// dist evaluates one item-to-mode distance through the unrolled kernel,
+// or through the scalar reference when c.scalar is set.
 func (c *Clusterer) dist(row, mode []dataset.Value, present []bool, bound int) int {
 	if c.scalar {
 		return dataset.MismatchesMaskedBoundedScalar(row, mode, present, bound)
@@ -118,7 +116,6 @@ func New(cfg Config) (*Clusterer, error) {
 		freq:   kmodes.NewFreqTable(k, cfg.NumAttrs),
 		sigBuf: make([]uint64, cfg.Params.SignatureLen()),
 		stamps: make([]uint32, k),
-		scalar: cfg.ScalarKernels,
 	}
 	for cl := 0; cl < k; cl++ {
 		c.freq.SetMode(cl, cfg.InitialModes[cl*c.m:(cl+1)*c.m])

@@ -100,11 +100,6 @@ type Config struct {
 	// every shard count. Values < 2 keep the unsharded index (the
 	// oracle). Ignored for exact runs.
 	Shards int
-	// ScalarKernels routes the hot-loop distance and signing kernels
-	// through their scalar references instead of the unrolled versions
-	// (results are bit-identical either way); this switch is the
-	// correctness oracle and A/B baseline for the kernels.
-	ScalarKernels bool
 	// EarlyAbandon stops distance evaluations that provably cannot beat
 	// the best candidate so far.
 	EarlyAbandon bool
@@ -115,51 +110,16 @@ type Config struct {
 	// LowestIndexTies breaks distance ties towards the lowest cluster
 	// index (numpy-argmin style) instead of keeping the current cluster.
 	LowestIndexTies bool
-	// DisableIncremental forces full centroid/cost recomputation each
-	// pass even when the space supports incremental updates. The batch
-	// path is the correctness oracle for the incremental engine
-	// (results are bit-identical either way); it implies
-	// DisableActiveFilter, which needs the engine's change reports.
-	DisableIncremental bool
-	// DisableActiveFilter forces every post-bootstrap assignment pass
-	// to evaluate all n items. By default accelerated runs skip items
-	// whose cluster neighbourhood provably did not change since the
-	// previous pass (results are bit-identical either way); this
-	// switch is the correctness oracle and A/B baseline.
-	DisableActiveFilter bool
-	// DisableParallelBootstrap forces the serial bootstrap — the
-	// per-item sign+insert loop and single-threaded first assignment —
-	// instead of the parallel sign → build → assign pipeline (results
-	// are bit-identical either way); this switch is the correctness
-	// oracle and A/B baseline.
-	DisableParallelBootstrap bool
-	// DisableReorder forces the sharded LSH index to build in original
-	// item order instead of applying the locality-preserving
-	// permutation that makes co-colliding items contiguous (results
-	// are bit-identical either way — assignments, stats and CSV always
-	// report original item IDs); this switch is the correctness oracle
-	// and A/B baseline.
-	DisableReorder bool
 	// IndexDir, when non-empty, makes the LSH bootstrap durable: a cold
 	// run saves the frozen index and the exact first assignment into
 	// this directory, and later runs with the same data, parameters and
 	// seed warm-start from it — skipping signing, index construction and
 	// the first full scan, with bit-identical results. The saved index
-	// is pinned to the dataset fingerprint, parameters, seed, shard
-	// count and reorder setting; any mismatch is an error, never a
-	// silent rebuild. Requires an LSH run with the parallel bootstrap
-	// (not DisableParallelBootstrap).
+	// is memory-mapped zero-copy where the platform supports it, and is
+	// pinned to the dataset fingerprint, parameters, seed and shard
+	// count; any mismatch is an error, never a silent rebuild. Requires
+	// a MinHash-accelerated Cluster run.
 	IndexDir string
-	// DisableMmap loads a persisted index by copying it onto the heap
-	// instead of memory-mapping it zero-copy (results are bit-identical
-	// either way); this switch is the correctness oracle and A/B
-	// baseline for the mapped load. Ignored without IndexDir.
-	DisableMmap bool
-	// ShardMemoryBudget, when > 0, caps the resident bytes of a
-	// memory-mapped persisted index: whole shards page out past the
-	// budget and page back in when queried — slower, never wrong.
-	// Ignored without IndexDir or with DisableMmap.
-	ShardMemoryBudget int64
 	// SnapshotEvery, when > 0, checkpoints the run state into IndexDir
 	// every SnapshotEvery iterations and resumes interrupted runs from
 	// the latest checkpoint. Requires IndexDir.
@@ -176,21 +136,14 @@ type Config struct {
 
 func (c Config) coreOptions() core.Options {
 	opts := core.Options{
-		MaxIterations:            c.MaxIterations,
-		EarlyAbandon:             c.EarlyAbandon,
-		Workers:                  c.Workers,
-		Shards:                   c.Shards,
-		ScalarKernels:            c.ScalarKernels,
-		IndexDir:                 c.IndexDir,
-		DisableMmap:              c.DisableMmap,
-		ShardMemoryBudget:        c.ShardMemoryBudget,
-		SnapshotEvery:            c.SnapshotEvery,
-		OnIteration:              c.OnIteration,
-		Context:                  c.Context,
-		DisableIncremental:       c.DisableIncremental,
-		DisableActiveFilter:      c.DisableActiveFilter,
-		DisableParallelBootstrap: c.DisableParallelBootstrap,
-		DisableReorder:           c.DisableReorder,
+		MaxIterations: c.MaxIterations,
+		EarlyAbandon:  c.EarlyAbandon,
+		Workers:       c.Workers,
+		Shards:        c.Shards,
+		IndexDir:      c.IndexDir,
+		SnapshotEvery: c.SnapshotEvery,
+		OnIteration:   c.OnIteration,
+		Context:       c.Context,
 	}
 	if c.DeferredUpdates || c.Workers > 1 {
 		opts.Update = core.UpdateDeferred

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"lshcluster/internal/core"
+	"lshcluster/internal/kmodes"
 )
 
 func syntheticDataset(t *testing.T) *Dataset {
@@ -72,6 +75,29 @@ func TestClusterOptionsPlumbing(t *testing.T) {
 	}
 }
 
+// runWithOracles runs cfg's MinHash K-Modes clustering through core.Run
+// with the facade's own option plumbing plus the given oracles, which
+// the facade Config does not expose.
+func runWithOracles(t *testing.T, ds *Dataset, cfg Config, oracles core.Oracles) *core.Result {
+	t.Helper()
+	space, err := kmodes.NewSpace(ds, kmodes.Config{K: cfg.K, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accel, err := core.NewMinHashAccelerator(ds, *cfg.LSH, uint64(cfg.Seed)+0x9e37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := cfg.coreOptions()
+	opts.Accelerator = accel
+	opts.Oracles = oracles
+	res, err := core.Run(space, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestClusterParallelBootstrapEquivalence checks the facade-level A/B:
 // the parallel bootstrap pipeline and its serial oracle must produce
 // identical clusterings, and the pipeline must report its phase split.
@@ -82,11 +108,7 @@ func TestClusterParallelBootstrapEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisableParallelBootstrap = true
-	ser, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ser := runWithOracles(t, ds, cfg, core.Oracles{DisableParallelBootstrap: true})
 	for i := range par.Assign {
 		if par.Assign[i] != ser.Assign[i] {
 			t.Fatalf("assign[%d]: parallel %d, serial %d", i, par.Assign[i], ser.Assign[i])
@@ -136,11 +158,7 @@ func TestClusterDisableIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisableIncremental = true
-	oracle, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := runWithOracles(t, ds, cfg, core.Oracles{DisableIncremental: true})
 	for i := range oracle.Assign {
 		if oracle.Assign[i] != fast.Assign[i] {
 			t.Fatalf("assign[%d]: incremental %d, batch oracle %d", i, fast.Assign[i], oracle.Assign[i])
