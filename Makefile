@@ -69,8 +69,6 @@ govulncheck:
 
 fuzz-smoke:
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzBuildFrozenIdentity -fuzztime=30s
-	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzForeignEmptyBitmap -fuzztime=30s
-	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReorderIdentity -fuzztime=30s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzClusterSummaries -fuzztime=30s
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzPersistRoundTrip -fuzztime=30s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s

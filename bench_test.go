@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"lshcluster/internal/core"
 	"lshcluster/internal/datagen"
@@ -348,126 +347,6 @@ func benchBootstrapSigning(b *testing.B, memoized bool) {
 
 func BenchmarkBootstrapSigningPlain(b *testing.B)    { benchBootstrapSigning(b, false) }
 func BenchmarkBootstrapSigningMemoized(b *testing.B) { benchBootstrapSigning(b, true) }
-
-// ---- item-sharded index ----
-
-// benchShardedRun is the shard A/B on the 100k workload: a full-scan
-// accelerated run at the given shard count, reporting the bootstrap
-// build phase (per-shard parallel at S>1), the mean iteration time
-// (the batched-query phase the shards serve) and the cross-shard merge
-// overhead. S=1 is the unsharded oracle — results are bit-identical
-// across shard counts (enforced by the equivalence tests), so the pair
-// isolates the cost/benefit of partitioning alone.
-func benchShardedRun(b *testing.B, shards int) {
-	const k = 1000
-	ds := signWorkload(b)
-	var boot, build, merge, iter time.Duration
-	var iters int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space, err := kmodes.NewSpace(ds, kmodes.Config{K: k, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 5}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:   accel,
-			SkipCost:      true,
-			MaxIterations: 4,
-			Workers:       4,
-			Update:        core.UpdateDeferred,
-			Shards:        shards,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		boot += res.Stats.Bootstrap
-		build += res.Stats.BootstrapBuild
-		merge += res.Stats.CrossShardMerge
-		for _, it := range res.Stats.Iterations {
-			iter += it.Duration
-			iters++
-		}
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(boot.Milliseconds())/n, "bootstrap_ms")
-	b.ReportMetric(float64(build.Milliseconds())/n, "build_ms")
-	b.ReportMetric(float64(merge.Milliseconds())/n, "crossshard_merge_ms")
-	if iters > 0 {
-		b.ReportMetric(float64(iter.Milliseconds())/float64(iters), "iter_ms")
-	}
-}
-
-func BenchmarkShardedRun1(b *testing.B) { benchShardedRun(b, 1) }
-func BenchmarkShardedRun4(b *testing.B) { benchShardedRun(b, 4) }
-
-// ---- locality-preserving item reordering ----
-
-// benchLocality is the reordering A/B on the 100k workload: a
-// full-scan accelerated run at the given shard count with the
-// locality-reordering stage on (default) or off (the DisableReorder
-// original-order oracle). Assignments are bit-identical across the
-// pair — the permutation only changes memory layout — so iter_ms
-// isolates the cache-residency win. reorder_ms prices the stage
-// itself (one permutation pass over the signature arena) and
-// shard_local_frac reports, at S>1, the fraction of fan-out
-// candidates served by the querying item's own shard — the quantity
-// the reordering exists to raise.
-func benchLocality(b *testing.B, shards int, disable bool) {
-	const k = 1000
-	ds := signWorkload(b)
-	var reorder, iter time.Duration
-	var iters int
-	var local, foreign int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space, err := kmodes.NewSpace(ds, kmodes.Config{K: k, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 5}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:   accel,
-			SkipCost:      true,
-			MaxIterations: 4,
-			Workers:       4,
-			Update:        core.UpdateDeferred,
-			Shards:        shards,
-			Oracles:       core.Oracles{DisableReorder: disable},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reorder += res.Stats.ReorderTime
-		local += res.Stats.ShardLocalCands
-		foreign += res.Stats.ShardForeignCands
-		for _, it := range res.Stats.Iterations {
-			iter += it.Duration
-			iters++
-		}
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(reorder.Milliseconds())/n, "reorder_ms")
-	if iters > 0 {
-		b.ReportMetric(float64(iter.Milliseconds())/float64(iters), "iter_ms")
-	}
-	if total := local + foreign; total > 0 {
-		b.ReportMetric(float64(local)/float64(total), "shard_local_frac")
-	}
-}
-
-func BenchmarkLocalityReorderOff1(b *testing.B) { benchLocality(b, 1, true) }
-func BenchmarkLocalityReorderOn1(b *testing.B)  { benchLocality(b, 1, false) }
-func BenchmarkLocalityReorderOff4(b *testing.B) { benchLocality(b, 4, true) }
-func BenchmarkLocalityReorderOn4(b *testing.B)  { benchLocality(b, 4, false) }
 
 // benchCandidates measures the recurring per-iteration collision
 // lookup over every indexed item, on the unfrozen build-phase layout (a

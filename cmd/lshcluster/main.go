@@ -15,9 +15,9 @@
 // Every flag configures the algorithm or its inputs and outputs; none
 // selects a reference implementation. The reference twins of the fast
 // paths (scalar kernels, batch centroid updates, full passes, the serial
-// bootstrap, the original-order index, heap index loads) are reachable
-// only from tests, which check each against the default run
-// (TestOraclesMatchDefault in internal/core).
+// bootstrap, heap index loads) are reachable only from tests, which
+// check each against the default run (TestOraclesMatchDefault in
+// internal/core).
 //
 // Examples:
 //
@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"time"
@@ -67,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	modelOut := fs.String("model", "", "write the trained modes (gob) to this file")
 	statsCSV := fs.String("stats", "", "write per-iteration statistics CSV to this file")
 	workers := fs.Int("workers", 1, "parallel assignment workers (forces deferred updates)")
-	shards := fs.Int("shards", 1, "item-partitioned LSH index shards (1 = unsharded oracle; results are identical for every value)")
 	abandon := fs.Bool("early-abandon", false, "enable early-abandon distance evaluation")
 	lowestTie := fs.Bool("lowest-index-ties", false, "break distance ties to the lowest cluster index (numpy-style)")
 	saveIndex := fs.String("save-index", "", "persist the frozen LSH index (and first assignment) into this directory after a cold bootstrap; later runs warm-start from it")
@@ -152,7 +150,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		MaxIterations: *maxIter,
 		EarlyAbandon:  *abandon,
 		Workers:       *workers,
-		Shards:        *shards,
 		IndexDir:      indexDir,
 		SnapshotEvery: *snapshotEvery,
 		OnIteration: func(it runstats.Iteration) {
@@ -183,26 +180,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		run.BootstrapSign.Round(time.Millisecond),
 		run.BootstrapBuild.Round(time.Millisecond),
 		run.BootstrapAssign.Round(time.Millisecond))
-	if run.Shards > 1 {
-		slowest := 0
-		for s, d := range run.BootstrapBuildShards {
-			if d > run.BootstrapBuildShards[slowest] {
-				slowest = s
-			}
-		}
-		var slowestBuild time.Duration
-		if len(run.BootstrapBuildShards) > 0 {
-			slowestBuild = run.BootstrapBuildShards[slowest]
-		}
-		locality := ""
-		if frac := run.ShardLocalFrac(); !math.IsNaN(frac) {
-			locality = fmt.Sprintf("; shard-local candidate fraction %.2f", frac)
-		}
-		fmt.Fprintf(stderr, "lshcluster: %d index shards (slowest build: shard %d at %v; cross-shard merge %v; foreign-emptiness bitmap %d KiB, key-probe fraction %.4f%s)\n",
-			run.Shards, slowest, slowestBuild.Round(time.Millisecond),
-			run.CrossShardMerge.Round(time.Millisecond),
-			run.ForeignSlotBytes/1024, run.CrossShardProbeFrac(), locality)
-	}
 	if run.WarmStart {
 		fmt.Fprintf(stderr, "lshcluster: warm start: index loaded from %s in %v (skipped signing, build and first scan)\n",
 			indexDir, run.IndexLoadTime.Round(time.Millisecond))
@@ -215,10 +192,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if run.ResumedAt > 1 {
 		fmt.Fprintf(stderr, "lshcluster: resumed from checkpoint at iteration %d\n", run.ResumedAt)
-	}
-	if run.ReorderTime > 0 {
-		fmt.Fprintf(stderr, "lshcluster: locality reorder %v (items permuted so co-colliding IDs are contiguous; output stays in original-ID space)\n",
-			run.ReorderTime.Round(time.Millisecond))
 	}
 	if *exact {
 		run.Name = "K-Modes"

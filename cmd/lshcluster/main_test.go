@@ -116,11 +116,12 @@ func TestClusterFlagsRejected(t *testing.T) {
 		t.Fatal("expected error for unknown init method")
 	}
 	// No flag selects a reference path (those are core.Oracles fields,
-	// which only tests set) or caps the mapped index's residency.
+	// which only tests set), caps the mapped index's residency or shards
+	// the index.
 	for _, removed := range [][]string{
 		{"-scalar-kernels"}, {"-no-incremental"}, {"-no-active-filter"},
 		{"-no-parallel-bootstrap"}, {"-no-reorder"}, {"-mmap-index=false"},
-		{"-shard-memory-budget", "1024"},
+		{"-shard-memory-budget", "1024"}, {"-shards", "3"},
 	} {
 		args := append([]string{"-in", in, "-k", "3"}, removed...)
 		err := run(args, &out, &errw)
@@ -157,47 +158,6 @@ func TestClusterBootstrapModes(t *testing.T) {
 	for _, phase := range []string{"lshcluster: bootstrap ", "(sign ", ", build ", ", assign "} {
 		if !strings.Contains(stderr.String(), phase) {
 			t.Fatalf("stderr missing %q of the bootstrap phase report: %q", phase, stderr.String())
-		}
-	}
-}
-
-// TestClusterShardsMatchUnsharded: a -shards 3 run must report its
-// shards on stderr and otherwise produce the same summary as the
-// unsharded run.
-func TestClusterShardsMatchUnsharded(t *testing.T) {
-	in := writeWorkload(t)
-	runOnce := func(extra ...string) (string, string) {
-		var out, errw bytes.Buffer
-		args := append([]string{"-in", in, "-k", "10", "-bands", "10", "-rows", "2"}, extra...)
-		if err := run(args, &out, &errw); err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), errw.String()
-	}
-	refOut, _ := runOnce()
-	gotOut, gotErr := runOnce("-shards", "3")
-	if !strings.Contains(gotErr, "lshcluster: 3 index shards") {
-		t.Fatalf("stderr missing the shard report:\n%s", gotErr)
-	}
-	// Compare the summary row minus its wall-clock columns (bootstrap,
-	// mean iter, total are indices 4–6 of the markdown row).
-	row := func(out string) []string {
-		for _, line := range strings.Split(out, "\n") {
-			if strings.Contains(line, "MH-K-Modes") {
-				cells := strings.Split(line, "|")
-				return append(cells[:4:4], cells[7:]...)
-			}
-		}
-		t.Fatalf("summary row missing:\n%s", out)
-		return nil
-	}
-	ref, got := row(refOut), row(gotOut)
-	if len(ref) != len(got) {
-		t.Fatalf("summary rows have %d and %d cells", len(ref), len(got))
-	}
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("summaries diverged at cell %d: unsharded %q, sharded %q", i, ref[i], got[i])
 		}
 	}
 }

@@ -68,12 +68,11 @@
 //     probe per band and never freezes its index.
 //
 //   - The bootstrap itself is a parallel pipeline, individually timed
-//     per phase (sign → build → assign): signing shards items across
+//     per phase (sign → build → assign): signing splits items across
 //     Config.Workers goroutines with per-worker scratch into a flat
 //     band-key arena; the direct-to-frozen build parallelises across
-//     bands, each band an independent shard owning a contiguous
-//     bucket-ID range (the groundwork for multi-shard serving); and
-//     the exact first assignment shards items like any parallel pass.
+//     bands, each band owning a contiguous bucket-ID range; and the
+//     exact first assignment splits items like any parallel pass.
 //     Every first assignment — the exact baseline's included — goes
 //     through the space's nearest-centroid capability when it has one:
 //     K-Modes lists, per attribute, the clusters whose mode holds each
@@ -154,64 +153,18 @@
 //     its order and every tie are those of the walk, which the per-item
 //     reference still takes.
 //
-// # Item-sharded index
+// # Frozen index layout
 //
-// The banding index can be partitioned by item into S independent
-// shards (Config.Shards; the default 1 is the unsharded oracle). Each
-// shard owns a contiguous global-ID range — shard s holds items
-// [s·n/S, (s+1)·n/S), a pure function of n and S — with its own band
-// buckets, frozen CSR arrays, key tables and reverse view. Shards
-// build concurrently from disjoint slices of the presigned key arena
-// (routing is a re-slice, not a scatter), stay individually
-// cache-resident where one monolithic table would not, and are
-// independently freezable — the unit a future serving layout evicts or
-// places on separate machines. A multi-shard index answers queries
-// only once every shard is frozen. The streaming clusterer does not
-// shard.
-//
-// Sharding never changes results. A query planner fans each candidate
-// sweep out across shards and merges the shard-local buckets back into
-// ascending global-ID order — free concatenation, since shards own
-// disjoint ascending ranges — and bucket contents are kept in
-// ascending ID order as an index invariant, so candidate enumeration
-// (and therefore tie-breaking, and therefore every assignment) is a
-// function of bucket membership alone, independent of the partition.
-// Full runs are bit-identical across shard counts, enforced by
-// equivalence tests over both spaces, both bootstrap paths (the
-// parallel pipeline and the serial oracle) and worker counts. The
-// cost is an explicit, measured fan-out
-// tax on queries, reported as Run.CrossShardMerge and the
-// crossshard_merge_ms CSV column, alongside the per-shard build
-// breakdown (Run.BootstrapBuildShards).
-//
-// Before the shards are cut, the bulk bootstrap runs a
-// locality-reordering stage: items are permuted so that items sharing
-// band buckets become contiguous, the range partitioner cuts shards
-// over the permuted order, and collisions concentrate in the owning
-// shard — shortlist sweeps then scan near-sequential memory instead of
-// striding the whole assignment array. The permutation is invisible
-// from outside: everything the caller sees stays in original item IDs,
-// every tie-break is kept in original-ID order, and results are
-// bit-identical to the original-order build, which the tests keep as
-// the correctness oracle. See
-// internal/README.md, "ID spaces: locality-preserving item
-// reordering", for the two-ID-space contract; Run.ReorderTime and
-// Run.ShardLocalFrac (reorder_ms, shard_local_frac in the CSV) report
-// the stage's cost and effect.
-//
-// The fan-out reaches foreign shards one way. Per band, the owning
-// shard emits the query item's bucket through its freeze-time slot;
-// the other shards are probed by that bucket's key only when the
-// slot's bit in the foreign-emptiness bitmap is clear. Once every
-// shard is frozen the index records that bitmap — one bit per bucket,
-// set when no other shard holds the same band key — so a set bit
-// stands for S−1 probes that would all miss. After locality
-// reordering nearly every bit is set and a fan-out is one owner-bucket
-// scan. Run.ForeignSlotBytes reports the bitmap's footprint and
-// Run.CrossShardProbes/CrossShardDirect split the cross-shard
-// resolutions into key probes issued and resolutions the bitmap
-// answered (foreignslot_bytes and crossshard_probe_frac in the CSV).
-//
+// The index is one lsh.Index in original item order, as the paper's
+// Algorithm 2 keeps it: b bands, one set of buckets per band. Frozen,
+// it is three flat arrays — every bucket's item IDs concatenated
+// (ascending within a bucket), the bucket offsets, and per item and
+// band the bucket it sits in — plus the inserted flags. A query starts
+// from an inserted item's bucket slots and never hashes, so the frozen
+// layout keeps no band keys; key-addressed lookups belong to the build
+// phase the streaming clusterer uses. A saved index is these arrays in
+// one file.
+
 // # Hot-path distance kernels
 //
 // The innermost distance loops — categorical mismatch counting
@@ -229,8 +182,8 @@
 // accelerator through the scalar references.
 //
 // Every reference twin named above — the scalar kernels, the batch
-// centroid update, the full pass, the serial bootstrap, the
-// original-order build and the heap index load — is a field of
+// centroid update, the full pass, the serial bootstrap and the heap
+// index load — is a field of
 // core.Oracles, which only tests set: none is a Config field or a CLI
 // flag. TestOraclesMatchDefault (internal/core) runs each one, alone
 // and all together, against the default configuration and requires
@@ -239,18 +192,19 @@
 // # Persistent index and warm start
 //
 // Config.IndexDir makes the accelerator's frozen index durable: a cold
-// run signs, builds and saves every frozen shard to
-// <dir>/shard-<i>.lshz — a versioned, checksummed section container
-// (see internal/README.md for the byte layout) — plus a manifest
-// recording the banding, signing seed, shard count, reorder mode and a
-// fingerprint of the dataset. A later run with the same configuration
-// opens the files instead of rebuilding: the frozen arrays are
+// run signs, builds and saves the frozen index to <dir>/shard-0.lshz —
+// a versioned, checksummed section container (see internal/README.md
+// for the byte layout) — plus a manifest recording the banding,
+// signing seed and a fingerprint of the dataset. A later run with the
+// same configuration opens the file instead of rebuilding: the frozen
+// arrays are
 // memory-mapped zero-copy wherever the platform supports it (pages
 // fault in as iterations touch them, and the kernel drops clean pages
 // under memory pressure), or heap-deserialised elsewhere and by the
 // tests' portable oracle — cold, warm-mmap and warm-heap runs are
-// bit-identical. Anything stale (different dataset, banding, seed or
-// shard count) is rejected with an error, never silently reused. The
+// bit-identical. Anything stale (different dataset, banding or seed,
+// or an index an older build saved with several shards or in reordered
+// item order) is rejected with an error, never silently reused. The
 // first full-scan assignment is cached next to the index and validated
 // by spot recomputation on restore, so a warm start skips signing,
 // build and the bootstrap scan entirely. Config.SnapshotEvery

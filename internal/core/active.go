@@ -82,15 +82,13 @@ type BlockQuerier interface {
 // from, so the driver reports every write to that view: it summarises
 // the view once after the bootstrap (or a snapshot resume), reports
 // each immediate-update move in settle, before the next emit, and
-// folds a deferred pass's move log after the pass. The views are
-// indexed by the IDs the index's buckets hold: the internal-ID mirror
-// on a reordered index.
+// folds a deferred pass's move log after the pass, in one call.
 type ClusterSummarizer interface {
 	// SummarizeClusters (re)builds every summary from view.
 	SummarizeClusters(view []int32)
-	// Resummarize refreshes the summaries of the buckets holding item
-	// (an original item ID) after view's entry for item changed.
-	Resummarize(item int32, view []int32)
+	// Resummarize refreshes, once each, the summaries of the buckets
+	// holding any of items after view's entries for items changed.
+	Resummarize(items []int32, view []int32)
 }
 
 // ReverseView is a reverse-collision view over an accelerator's index

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lshcluster/internal/datagen"
+	"lshcluster/internal/dataset"
 	"lshcluster/internal/kmeans"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
@@ -324,8 +325,9 @@ func TestCancellationMidPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opts := range map[string]core.Options{
-		"minhash-s4/immediate":   {Shards: 4},
-		"minhash-s4/deferred-w2": {Shards: 4, Workers: 2, Update: core.UpdateDeferred},
+		// The deprecated Shards setting is ignored; the benchmark sets it.
+		"minhash-s4/immediate":   core.WithShards(core.Options{}, 4),
+		"minhash-s4/deferred-w2": core.WithShards(core.Options{Workers: 2, Update: core.UpdateDeferred}, 4),
 	} {
 		t.Run(name, func(t *testing.T) {
 			space, err := kmodes.NewSpace(ds, kmodes.Config{K: 40, Seed: 5})
@@ -365,18 +367,19 @@ func TestCancellationMidPass(t *testing.T) {
 // colliders inside emit, as an immediate pass's moves do, and reports
 // each write through Resummarize, so every later position of the block
 // must observe those writes. Covered on the per-item Insert index
-// (before and after Freeze) and on bulk-built, reordered indexes at
-// S∈{1,4}.
+// (before and after Freeze) and on the bulk-built index, over the
+// items in generated order and in locality order (bulk-reordered/s=1:
+// each generated cluster contiguous, on the one-shard index).
 func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 	ds := kmodesMatrixWorkload(t)
+	localDs := reorderDataset(t, ds, localityOrder(ds.Labels()))
 	const k = 30
 	n := ds.NumItems()
-	newAccel := func(t *testing.T, shards int) *core.MinHashAccelerator {
+	newAccel := func(t *testing.T, ds *dataset.Dataset) *core.MinHashAccelerator {
 		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		accel.SetShards(shards)
 		if err := accel.Reset(k); err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +387,7 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 	}
 	mapBuilt := func(freeze bool) func(t *testing.T) *core.MinHashAccelerator {
 		return func(t *testing.T) *core.MinHashAccelerator {
-			accel := newAccel(t, 1)
+			accel := newAccel(t, ds)
 			for i := 0; i < n; i++ {
 				if err := accel.Insert(int32(i)); err != nil {
 					t.Fatal(err)
@@ -396,17 +399,14 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 			return accel
 		}
 	}
-	bulkBuilt := func(shards int) func(t *testing.T) *core.MinHashAccelerator {
+	bulkBuilt := func(ds *dataset.Dataset) func(t *testing.T) *core.MinHashAccelerator {
 		return func(t *testing.T) *core.MinHashAccelerator {
-			accel := newAccel(t, shards)
+			accel := newAccel(t, ds)
 			if err := accel.SignAll(2, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := accel.BuildFrozen(2); err != nil {
 				t.Fatal(err)
-			}
-			if perm, _ := accel.ReorderMap(); perm == nil {
-				t.Fatal("bulk build did not reorder")
 			}
 			return accel
 		}
@@ -418,29 +418,20 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 	}{
 		{"frozen=false", mapBuilt(false), false},
 		{"frozen=true", mapBuilt(true), true},
-		{"bulk-reordered/s=1", bulkBuilt(1), true},
-		{"bulk-reordered/s=4", bulkBuilt(4), true},
+		{"bulk", bulkBuilt(ds), true},
+		{"bulk-reordered/s=1", bulkBuilt(localDs), true},
 	}
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
 			for _, mutate := range []bool{false, true} {
 				t.Run(fmt.Sprintf("mutate=%v", mutate), func(t *testing.T) {
 					accel := lay.build(t)
-					// Queries read the internal-ID view on a reordered index;
-					// a write is reported under the item's original ID.
-					perm, inv := accel.ReorderMap()
-					original := func(internal int32) int32 {
-						if inv != nil {
-							return inv[internal]
-						}
-						return internal
-					}
 					ref := accel.NewQuerier()
 					bq, ok := accel.NewQuerier().(core.BlockQuerier)
 					if !ok {
 						t.Fatal("IndexQuerier does not implement BlockQuerier")
 					}
-					colliders := accel.Index().NewQuery()
+					colliders := accel.Index()
 					view := make([]int32, n)
 					for i := range view {
 						view[i] = int32(i % k)
@@ -471,16 +462,13 @@ func TestCandidatesBlockMatchesCandidates(t *testing.T) {
 									return
 								}
 								self := blk[pos]
-								if perm != nil {
-									self = perm[self]
-								}
 								view[self] = (view[self] + 1) % k
-								accel.Resummarize(blk[pos], view)
+								accel.Resummarize([]int32{self}, view)
 								seen := 0
-								colliders.Candidates(blk[pos], func(other int32) {
+								colliders.Candidates(self, func(other int32) {
 									if seen++; seen%3 == 0 {
 										view[other] = (view[other] + 7) % k
-										accel.Resummarize(original(other), view)
+										accel.Resummarize([]int32{other}, view)
 									}
 								})
 							})

@@ -176,13 +176,10 @@ type Options struct {
 	// single-threaded. Requires UpdateDeferred when an Accelerator is
 	// set.
 	Workers int
-	// Shards partitions the accelerator's LSH index into this many
-	// item shards (ShardedIndexer accelerators only; others ignore it).
-	// Values < 2 keep the single-shard index — the bit-identical
-	// oracle. Sharding never changes results: queries fan out across
-	// shards and merge back into the single-index candidate order, so
-	// every shard count produces identical runs (enforced by the
-	// shard-invariance equivalence tests).
+	// Shards is ignored: the index has one shard.
+	//
+	// Deprecated: kept only so that the benchmark module, which still
+	// sets it, builds.
 	Shards int
 	// Oracles selects reference implementations in place of the fast
 	// paths they check (see Oracles). The zero value runs every fast
@@ -249,12 +246,6 @@ type Oracles struct {
 	// loop, even when Workers > 1 or the accelerator implements
 	// BulkIndexer. Run rejects it together with IndexDir.
 	DisableParallelBootstrap bool
-	// DisableReorder forces the sharded index to build in original item
-	// order even when the accelerator supports locality-preserving
-	// reordering (ReorderConfigurer). Reordered runs keep every
-	// externally visible artifact in original-ID space and every
-	// tie-break on original ID.
-	DisableReorder bool
 	// DisableMmap loads a persisted index by copying it onto the heap
 	// instead of memory-mapping it zero-copy (the bytes are identical
 	// either way). Ignored without IndexDir; mapping is also skipped on
@@ -374,7 +365,7 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 	// reference walks every bucket and reads none.
 	if cs, ok := opts.Accelerator.(ClusterSummarizer); ok && !perItem {
 		d.summ = cs
-		cs.SummarizeClusters(d.liveView())
+		cs.SummarizeClusters(d.assign)
 	}
 	if d.inc != nil {
 		d.inc.BeginIncremental(d.assign, !opts.SkipCost)
@@ -444,21 +435,12 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 			d.prepareNextActive()
 		}
 	}
-	if sr, ok := opts.Accelerator.(ShardStatsReporter); ok {
-		ss := sr.ShardStats()
-		res.Stats.Shards = ss.Shards
-		res.Stats.BootstrapBuildShards = ss.BuildTimes
-		res.Stats.CrossShardMerge = ss.CrossShardMerge
-		res.Stats.ForeignSlotBytes = ss.ForeignSlotBytes
-		res.Stats.CrossShardProbes = ss.ProbeOps
-		res.Stats.CrossShardDirect = ss.DirectOps
-		res.Stats.ReorderTime = ss.ReorderTime
-		res.Stats.ShardLocalCands = ss.LocalCands
-		res.Stats.ShardForeignCands = ss.ForeignCands
-		res.Stats.IndexSaveTime = ss.SaveTime
-		res.Stats.IndexLoadTime = ss.LoadTime
-		res.Stats.MmapBytes = ss.MmapBytes
-		res.Stats.WarmStart = ss.WarmStart
+	if ip, ok := opts.Accelerator.(IndexPersister); ok {
+		ps := ip.PersistStats()
+		res.Stats.IndexSaveTime = ps.SaveTime
+		res.Stats.IndexLoadTime = ps.LoadTime
+		res.Stats.MmapBytes = ps.MmapBytes
+		res.Stats.WarmStart = ps.WarmStart
 	}
 	return res, nil
 }
@@ -485,25 +467,15 @@ type driver struct {
 	inc IncrementalSpace
 	// snapshot holds the pass-start assignment under UpdateDeferred.
 	snapshot []int32
-	// perm/assignInt are the locality-reordering view (nil when the
-	// index built in original order): perm[original] = internal, and
-	// assignInt mirrors assign in internal-ID space so shortlist sweeps
-	// — which emit internal IDs on a reordered index — read assignments
-	// in near-sequential order. Every assignment write goes through
-	// setAssign to keep the mirror coherent; d.assign stays the
-	// original-ID source of truth for every externally visible artifact.
-	// inv is perm's inverse (inv[internal] = original), the domain of
-	// unfiltered deferred passes (see pass).
-	perm      []int32
-	inv       []int32
-	assignInt []int32
 	// moves collects a pass's moves for the fold into the incremental
 	// space and the cluster summaries after the pass.
 	moves []moveRec
 	// summ is the accelerator's cluster-summary hook (nil when it keeps
-	// no summaries, and in the per-item reference); every write to the
-	// live view is reported to it (settle, pass).
-	summ ClusterSummarizer
+	// no summaries, and in the per-item reference); every assignment
+	// write is reported to it (settle, pass), through movers, the
+	// reported items' scratch.
+	summ   ClusterSummarizer
+	movers []int32
 	// bootSign/bootBuild/bootAssign split the bootstrap wall time into
 	// its signing, index-construction and first-assignment phases
 	// (runstats.Run.Bootstrap* — see those fields for which phases stay
@@ -567,16 +539,6 @@ func (d *driver) bootstrap() error {
 		d.bootAssign = time.Since(start)
 		return ctxErr(d.opts.Context)
 	}
-	if si, ok := accel.(ShardedIndexer); ok {
-		shards := d.opts.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		si.SetShards(shards)
-	}
-	if ro, ok := accel.(ReorderConfigurer); ok {
-		ro.SetReorder(d.opts.Oracles.DisableReorder)
-	}
 	if ip, ok := accel.(IndexPersister); ok {
 		// Forwarded unconditionally (an empty Dir clears any previous
 		// configuration on a reused accelerator), before Reset, which is
@@ -584,7 +546,6 @@ func (d *driver) bootstrap() error {
 		ip.SetPersist(PersistConfig{
 			Dir:         d.opts.IndexDir,
 			DisableMmap: d.opts.Oracles.DisableMmap,
-			Workers:     workers,
 		})
 	}
 	if err := accel.Reset(d.k); err != nil {
@@ -601,7 +562,7 @@ func (d *driver) bootstrap() error {
 		// scan if its file fails validation).
 		warm := false
 		if ip, ok := accel.(IndexPersister); ok {
-			warm = ip.WarmLoaded()
+			warm = ip.PersistStats().WarmStart
 		}
 		if !warm {
 			start := time.Now()
@@ -649,42 +610,7 @@ func (d *driver) bootstrap() error {
 		d.bootBuild = time.Since(start) // includes interleaved signing
 	}
 	d.querier = accel.NewQuerier()
-	// A reordered index emits candidates in internal-ID space, so the
-	// iteration passes need an internal-ID mirror of the assignment for
-	// their query views. The bootstrap itself never queries the index
-	// (the first assignment is the exact scan), so initialising the
-	// mirror once here is sufficient.
-	if rm, ok := accel.(ReorderMapper); ok {
-		if perm, inv := rm.ReorderMap(); perm != nil {
-			d.perm, d.inv = perm, inv
-			d.assignInt = make([]int32, d.n)
-			for i, c := range d.assign {
-				d.assignInt[perm[i]] = c
-			}
-		}
-	}
 	return ctxErr(d.opts.Context)
-}
-
-// liveView is the assignment as the index's buckets address it: the
-// internal-ID mirror on a reordered index, the assignment otherwise.
-func (d *driver) liveView() []int32 {
-	if d.perm != nil {
-		return d.assignInt
-	}
-	return d.assign
-}
-
-// setAssign records item i's move to cluster c in the original-ID
-// assignment and, when the index is reordered, in the internal-ID
-// mirror. Parallel workers may call it concurrently: each item is
-// decided by exactly one worker and perm is a bijection, so both
-// cells are written by that worker alone.
-func (d *driver) setAssign(i int, c int32) {
-	d.assign[i] = c
-	if d.perm != nil {
-		d.assignInt[d.perm[i]] = c
-	}
 }
 
 // bootstrapScan runs the exact first assignment over all n items —
@@ -829,35 +755,33 @@ func (d *driver) bestOfLowestIndex(item, cur int, candidates []int32, comps *int
 // Three choices shape a pass; one block loop (sweep) runs all of them:
 //
 //   - The view that shortlist queries read. Under UpdateImmediate it is
-//     the live assignment (its internal-ID mirror on a reordered
-//     index), so later items observe earlier moves. Under
+//     the live assignment, so later items observe earlier moves. Under
 //     UpdateDeferred it is a snapshot taken at pass start.
 //   - The domain. Immediate passes walk item IDs in ascending order and
 //     read active flags live, so a move's colliders activate mid-pass.
-//     Filtered deferred passes walk the active list. Unfiltered ones
-//     walk ascending *internal* order on a reordered index — the order
-//     the permuted arena was built in, so slot rows and buckets stream
-//     sequentially — and item IDs otherwise. Exact runs walk item IDs.
+//     Filtered deferred passes walk the active list; unfiltered ones
+//     and exact runs walk item IDs.
 //   - The worker count. Deferred and exact passes split the domain into
 //     Workers contiguous ranges, each with a querier of its own; their
 //     decisions read only the snapshot, so they are independent.
 //     Immediate passes run on one goroutine.
 //
 // Moves are logged and folded into the incremental space after the
-// pass in ascending original-item order. ApplyMove leaves visible
-// centroids unchanged until FinishPass, so folding late changes no
-// decision, and the order — the one an original-order pass decides in
-// — keeps K-Means' floating-point accumulators bit-identical across
-// domains and worker counts. A deferred pass's shortlists read the
-// pass-start snapshot, which the accelerator's cluster summaries still
-// describe; the move log refreshes them from the live view after the
-// pass. (An immediate pass refreshes them move by move, in settle.)
+// pass in ascending item order. ApplyMove leaves visible centroids
+// unchanged until FinishPass, so folding late changes no decision, and
+// the order — the one a serial pass decides in — keeps K-Means'
+// floating-point accumulators bit-identical across domains and worker
+// counts. A deferred pass's shortlists read the pass-start snapshot,
+// which the accelerator's cluster summaries still describe; after the
+// pass the move log's items are reported in one Resummarize call, so a
+// bucket holding several movers is recomputed once. (An immediate pass
+// refreshes them move by move, in settle.)
 func (d *driver) pass() passStats {
 	accel := d.opts.Accelerator
 	immediate := accel != nil && d.opts.Update == UpdateImmediate
 	var view, dom []int32
 	if accel != nil {
-		view = d.liveView()
+		view = d.assign
 		if !immediate {
 			d.snapshot = append(d.snapshot[:0], view...)
 			view = d.snapshot
@@ -865,7 +789,7 @@ func (d *driver) pass() passStats {
 	}
 	total, workers := d.n, 1
 	if !immediate {
-		workers, dom = d.opts.Workers, d.inv
+		workers = d.opts.Workers
 		if d.filtered() {
 			dom = d.act.curList
 			total = len(dom)
@@ -898,10 +822,11 @@ func (d *driver) pass() passStats {
 		}
 	}
 	if d.summ != nil && !immediate {
-		live := d.liveView()
+		d.movers = d.movers[:0]
 		for _, mv := range d.moves {
-			d.summ.Resummarize(mv.item, live)
+			d.movers = append(d.movers, mv.item)
 		}
+		d.summ.Resummarize(d.movers, d.assign)
 	}
 	return ps
 }
@@ -994,12 +919,13 @@ func (d *driver) settle(w *passWorker, i int, best int32) bool {
 	if best == cur {
 		return false
 	}
-	d.setAssign(i, best)
+	d.assign[i] = best
 	if d.inc != nil || d.summ != nil {
 		w.moves = append(w.moves, moveRec{int32(i), cur, best})
 	}
 	if d.summ != nil && d.opts.Update == UpdateImmediate {
-		d.summ.Resummarize(int32(i), d.liveView())
+		d.movers = append(d.movers[:0], int32(i))
+		d.summ.Resummarize(d.movers, d.assign)
 	}
 	w.ps.moves++
 	d.noteMove(i)

@@ -163,17 +163,8 @@ func TestShortlistContainsCurrentCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := accel.NewQuerier()
-	// The bulk bootstrap builds the index locality-reordered, so query
-	// views must be indexed in internal-ID space (ReorderMapper).
-	view := res.Assign
-	if perm, _ := accel.ReorderMap(); perm != nil {
-		view = make([]int32, len(res.Assign))
-		for i, c := range res.Assign {
-			view[perm[i]] = c
-		}
-	}
 	for i := 0; i < ds.NumItems(); i++ {
-		cands := q.Candidates(int32(i), view)
+		cands := q.Candidates(int32(i), res.Assign)
 		found := false
 		for _, c := range cands {
 			if c == res.Assign[i] {

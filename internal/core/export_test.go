@@ -15,3 +15,25 @@ var WriteRunState = writeRunState
 // SummaryReads returns how many cluster summaries q's block queries
 // have read.
 func (q *IndexQuerier) SummaryReads() int64 { return q.summaries }
+
+// ResummarizeCounted is Resummarize, returning how many cluster
+// summaries it recomputed.
+func (b *ShardedIndexBase) ResummarizeCounted(items, view []int32) int {
+	return b.index.Resummarize(items, view)
+}
+
+// WithShards returns o with the deprecated Shards field set, for the
+// tests that pin that Run ignores it.
+func WithShards(o Options, shards int) Options {
+	o.Shards = shards
+	return o
+}
+
+// OffersRetiredCapabilities reports whether a offers every deprecated
+// reorder and shard capability.
+func OffersRetiredCapabilities(a Accelerator) bool {
+	_, configures := a.(ReorderConfigurer)
+	_, maps := a.(ReorderMapper)
+	_, shards := a.(ShardedIndexer)
+	return configures && maps && shards
+}

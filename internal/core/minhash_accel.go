@@ -16,14 +16,9 @@ import (
 // colliding items to their current clusters and deduplicate, yielding the
 // candidate-cluster shortlist (lines 10–12).
 //
-// The index is an item-partitioned lsh.Sharded — a single shard by
-// default (the bit-identical unsharded oracle), S shards under
-// Options.Shards via the ShardedIndexer capability. Shard count never
-// changes results; it changes how the index is built (per-shard
-// parallel, from disjoint arena slices) and laid out (per-shard
-// cache-resident tables). The embedded ShardedIndexBase carries the
-// shared index/arena state machine; this type adds the MinHash
-// signing (with its hash-column memo).
+// The embedded ShardedIndexBase carries the shared index/arena state
+// machine; this type adds the MinHash signing (with its hash-column
+// memo).
 type MinHashAccelerator struct {
 	ShardedIndexBase
 	ds      *dataset.Dataset
@@ -88,7 +83,7 @@ func (a *MinHashAccelerator) Reset(numClusters int) error {
 const memoMinReuse = 8
 
 // Insert MinHashes item (via the memoized hash columns when Reset
-// enabled them) and files it in its owning shard.
+// enabled them) and files it in the index.
 func (a *MinHashAccelerator) Insert(item int32) error {
 	ix := a.Index()
 	if ix == nil {
@@ -140,20 +135,16 @@ func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 	}, stop)
 }
 
-// IndexQuerier adapts a populated lsh.Sharded index into a Querier:
-// colliding items are mapped through the live assignment and
-// deduplicated into a cluster shortlist with an epoch-stamp array (no
-// per-query clearing), one item at a time (Candidates) or per block
-// position just before its emit (CandidatesBlock), where a long
-// bucket's cluster summary stands in for its members. Candidate
-// enumeration goes through the lsh.Query planner, which fans
-// sub-queries out across shards and merges them back into the
-// single-index order — so shortlist contents and first-occurrence
-// order are independent of the shard count. Any LSH family that feeds
-// an lsh.Index — MinHash here, SimHash in the numeric extension — gets
-// shortlist semantics from this adapter.
+// IndexQuerier adapts a populated lsh.Index into a Querier: colliding
+// items are mapped through the live assignment and deduplicated into a
+// cluster shortlist with an epoch-stamp array (no per-query clearing),
+// one item at a time (Candidates) or per block position just before its
+// emit (CandidatesBlock), where a long bucket's cluster summary stands
+// in for its members. Any LSH family that feeds an lsh.Index — MinHash
+// here, SimHash in the numeric extension — gets shortlist semantics
+// from this adapter.
 type IndexQuerier struct {
-	q      *lsh.Query
+	ix     *lsh.Index
 	stamps []uint32
 	epoch  uint32
 	buf    []int32
@@ -175,8 +166,8 @@ type span struct {
 
 // NewIndexQuerier creates a querier over index for a clustering with
 // numClusters clusters.
-func NewIndexQuerier(index *lsh.Sharded, numClusters int) *IndexQuerier {
-	return &IndexQuerier{q: index.NewQuery(), stamps: make([]uint32, numClusters)}
+func NewIndexQuerier(index *lsh.Index, numClusters int) *IndexQuerier {
+	return &IndexQuerier{ix: index, stamps: make([]uint32, numClusters)}
 }
 
 // beginDedup starts a fresh epoch and resets the shortlist buffer.
@@ -213,16 +204,15 @@ func (q *IndexQuerier) add(c int32) {
 // against.
 func (q *IndexQuerier) Candidates(item int32, assign []int32) []int32 {
 	q.beginDedup()
-	q.q.Candidates(item, func(other int32) { q.collect(other, assign) })
+	q.ix.Candidates(item, func(other int32) { q.collect(other, assign) })
 	return q.buf
 }
 
 // CandidatesBlock computes the shortlists of a whole block of items
 // (core.BlockQuerier) in two steps split at the assignment. One
-// band-major index sweep (lsh.Query.CandidatesBatch; see
-// lsh.Index.CandidatesBatch for why that order amortises cache misses)
-// records each position's bucket slices and their cluster-summary
-// handles; no bucket depends on assign. Each position's shortlist is
+// band-major index sweep (lsh.Index.CandidatesBatch, whose order
+// amortises cache misses) records each position's bucket slices and
+// their cluster-summary handles; no bucket depends on assign. Each position's shortlist is
 // then resolved just before its emit (resolve), against assign and the
 // summaries as they stand at that moment, so a move an earlier emit
 // wrote and reported through ClusterSummarizer.Resummarize is seen
@@ -236,7 +226,7 @@ func (q *IndexQuerier) CandidatesBlock(items []int32, assign []int32, emit func(
 	for pos := range spans {
 		spans[pos] = spans[pos][:0]
 	}
-	q.q.CandidatesBatch(items, func(pos int, bucket []int32, sum int32) {
+	q.ix.CandidatesBatch(items, func(pos int, bucket []int32, sum int32) {
 		spans[pos] = append(spans[pos], span{bucket, sum})
 	})
 	for pos, buckets := range spans {
@@ -262,7 +252,7 @@ func (q *IndexQuerier) resolve(spans []span, assign []int32) {
 			continue
 		}
 		q.summaries++
-		for _, c := range q.q.Summary(sp.sum) {
+		for _, c := range q.ix.Summary(sp.sum) {
 			q.add(c)
 		}
 	}

@@ -17,25 +17,16 @@ import (
 	"lshcluster/internal/core"
 )
 
-// The runstats fields an oracle changes by design: its reference path
-// does the work that the fast path exists to skip, or lays the index
-// out differently.
-var (
-	// The S>1 fan-out counters.
-	fanOutStats = []string{"CrossShardProbes", "CrossShardDirect", "ShardLocalCands", "ShardForeignCands"}
-	// Every pass evaluates all n items.
-	fullPassStats = append([]string{"Comparisons", "CandidatesTotal", "AvgShortlist", "ActiveItems", "SkippedItems"},
-		fanOutStats...)
-	// The index is built in original item order, so its S>1 shards hold
-	// other buckets (and bitmaps) and more of the fan-out reaches
-	// foreign shards.
-	originalOrderStats = append([]string{"ForeignSlotBytes"}, fanOutStats...)
-)
+// fullPassStats are the runstats fields an oracle that evaluates all n
+// items every pass changes by design: the work the active-set filter
+// exists to skip.
+var fullPassStats = []string{"Comparisons", "CandidatesTotal", "AvgShortlist", "ActiveItems", "SkippedItems"}
 
 // TestOraclesMatchDefault runs every core.Oracles switch alone, and all
-// six together, against the default configuration: on a small MinHash
+// five together, against the default configuration: on a small MinHash
 // K-Modes input and a small SimHash K-Means input, at Workers 1
-// (immediate updates) and 2 (deferred), and at S=1 and S=3. Each run
+// (immediate updates) and 2 (deferred), and with the deprecated
+// Options.Shards at 1 and 3, which Run ignores. Each run
 // must reproduce the default's assignment, final centroids and every
 // non-timing runstats field, apart from the work counters its oracle
 // changes by design (listed with each oracle).
@@ -55,13 +46,12 @@ func TestOraclesMatchDefault(t *testing.T) {
 		{"ScalarKernels", core.Oracles{ScalarKernels: true}, nil},
 		{"DisableIncremental", core.Oracles{DisableIncremental: true}, fullPassStats},
 		{"DisableActiveFilter", core.Oracles{DisableActiveFilter: true}, fullPassStats},
-		{"DisableParallelBootstrap", core.Oracles{DisableParallelBootstrap: true}, originalOrderStats},
-		{"DisableReorder", core.Oracles{DisableReorder: true}, originalOrderStats},
+		{"DisableParallelBootstrap", core.Oracles{DisableParallelBootstrap: true}, nil},
 		{"DisableMmap", core.Oracles{DisableMmap: true}, nil},
 		{"all", core.Oracles{
 			ScalarKernels: true, DisableIncremental: true, DisableActiveFilter: true,
-			DisableParallelBootstrap: true, DisableReorder: true, DisableMmap: true,
-		}, slices.Concat(fullPassStats, originalOrderStats)},
+			DisableParallelBootstrap: true, DisableMmap: true,
+		}, fullPassStats},
 	}
 	inputs := []struct {
 		name     string
@@ -84,7 +74,8 @@ func TestOraclesMatchDefault(t *testing.T) {
 					run := func(o core.Options) (*core.Result, []byte) {
 						space, accel := in.mk()
 						o.Accelerator = accel
-						o.Update, o.Workers, o.Shards, o.MaxIterations = w.update, w.workers, shards, 12
+						o.Update, o.Workers, o.MaxIterations = w.update, w.workers, 12
+						o = core.WithShards(o, shards)
 						res, err := core.Run(space, o)
 						if err != nil {
 							t.Fatal(err)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -50,10 +51,16 @@ func (q countingQuerier) CandidatesBlock(items []int32, assign []int32, emit fun
 
 // querierLog records the shortlist queriers an accelerator hands out
 // (parallel pass workers create theirs concurrently), so a test can
-// count the cluster summaries its runs read.
+// count the cluster summaries its runs read, and checks the runs'
+// summary upkeep.
 type querierLog struct {
 	mu sync.Mutex
 	qs []*core.IndexQuerier
+	// shared counts the Resummarize calls whose movers shared a long
+	// bucket; wrong lists the calls that recomputed a summary other than
+	// once per long bucket holding a mover.
+	shared int
+	wrong  []string
 }
 
 func (l *querierLog) add(q core.Querier) core.Querier {
@@ -71,8 +78,32 @@ func (l *querierLog) summaryReads() int64 {
 	return n
 }
 
-// loggedMinHash and loggedSimHash log their queriers; embedding
-// forwards every other capability.
+// resummarize forwards one summary upkeep call to b and checks that
+// it recomputed each long bucket holding a mover exactly once: as many
+// summaries as the movers' distinct summary handles.
+func (l *querierLog) resummarize(b *core.ShardedIndexBase, items, view []int32) {
+	handles := map[int32]bool{}
+	held := 0
+	b.Index().CandidatesBatch(items, func(_ int, _ []int32, sum int32) {
+		if sum >= 0 {
+			handles[sum] = true
+			held++
+		}
+	})
+	got := b.ResummarizeCounted(items, view)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if got != len(handles) {
+		l.wrong = append(l.wrong, fmt.Sprintf("%d movers in %d long buckets (%d memberships): %d recomputes",
+			len(items), len(handles), held, got))
+	}
+	if held > len(handles) {
+		l.shared++
+	}
+}
+
+// loggedMinHash and loggedSimHash log their queriers and check their
+// summary upkeep; embedding forwards every other capability.
 type loggedMinHash struct {
 	*core.MinHashAccelerator
 	log *querierLog
@@ -80,12 +111,20 @@ type loggedMinHash struct {
 
 func (a loggedMinHash) NewQuerier() core.Querier { return a.log.add(a.MinHashAccelerator.NewQuerier()) }
 
+func (a loggedMinHash) Resummarize(items, view []int32) {
+	a.log.resummarize(&a.ShardedIndexBase, items, view)
+}
+
 type loggedSimHash struct {
 	*simhash.Accelerator
 	log *querierLog
 }
 
 func (a loggedSimHash) NewQuerier() core.Querier { return a.log.add(a.Accelerator.NewQuerier()) }
+
+func (a loggedSimHash) Resummarize(items, view []int32) {
+	a.log.resummarize(&a.ShardedIndexBase, items, view)
+}
 
 // assertMatchesPerItem runs opts through core.Run and through the
 // per-item reference and asserts bit-identical assignments and
@@ -157,7 +196,7 @@ func TestImmediateBlocksRunWhole(t *testing.T) {
 				return s, countingAccel{a, &positions}
 			}
 			res := assertMatchesPerItem(t, mk, core.Options{
-				Update: core.UpdateImmediate, Shards: 2, MaxIterations: 15,
+				Update: core.UpdateImmediate, MaxIterations: 15,
 				Oracles: core.Oracles{DisableActiveFilter: !active},
 			})
 			var evaluated int64
@@ -174,28 +213,69 @@ func TestImmediateBlocksRunWhole(t *testing.T) {
 	}
 }
 
-// TestPassMatchesPerItem is the equivalence test for the block pass
-// loop: every configuration must match the per-item reference bit for
-// bit — MinHash K-Modes and SimHash K-Means, immediate updates and
-// deferred ones at one and four workers, reordering and the active
-// filter on and off, both tie-breaks. The noblock accelerator's block
-// runs go through the per-item adapter. The long shapes band with few
-// rows, so most buckets pass lsh.SummaryMinLen and the block runs read
-// cluster summaries where the per-item reference walks every bucket;
-// they run at S=1 and at S=4, where some bands have the
-// foreign-emptiness bit clear and reordered merges split buckets into
-// runs, under the default tie-break, and each must have read at least
-// one summary.
-func TestPassMatchesPerItem(t *testing.T) {
-	ds := bootstrapWorkload(t)
-	pts, _, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{Points: 800, Clusters: 40, Dim: 8, Seed: 3})
+// localityOrder returns the item order that makes each generated
+// cluster contiguous (stable in original order). Feeding a run its
+// items in this order gives the pass loop buckets whose members are
+// runs of neighbouring IDs.
+func localityOrder(labels []int32) []int {
+	order := make([]int, len(labels))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return labels[order[a]] < labels[order[b]] })
+	return order
+}
+
+// reorderDataset returns ds with its rows (and labels) in the given
+// order.
+func reorderDataset(t *testing.T, ds *dataset.Dataset, order []int) *dataset.Dataset {
+	t.Helper()
+	values := make([]dataset.Value, 0, len(ds.Values()))
+	labels := make([]int32, 0, len(order))
+	for _, i := range order {
+		values = append(values, ds.Row(i)...)
+		labels = append(labels, ds.Labels()[i])
+	}
+	out, err := dataset.New(ds.AttrNames(), values, labels, ds.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The long shapes' inputs have few large clusters: their buckets
-	// pass SummaryMinLen inside each of four shards, and some pass the
-	// reorder stage's union cap, so components interleave in original
-	// ID and reordered merges split buckets into runs.
+	return out
+}
+
+// reorderPoints returns the dim-wide rows of pts in the given order.
+func reorderPoints(pts []float64, dim int, order []int) []float64 {
+	out := make([]float64, 0, len(pts))
+	for _, i := range order {
+		out = append(out, pts[i*dim:(i+1)*dim]...)
+	}
+	return out
+}
+
+// TestPassMatchesPerItem is the equivalence test for the block pass
+// loop: every configuration must match the per-item reference bit for
+// bit — MinHash K-Modes and SimHash K-Means, immediate updates and
+// deferred ones at one and four workers, items in generated order and
+// in locality order (reorder=true: each generated cluster contiguous),
+// the active filter on and off, both tie-breaks. The noblock
+// accelerator's block runs go through the per-item adapter. The long
+// shapes band with few rows, so most buckets pass lsh.SummaryMinLen and
+// the block runs read cluster summaries where the per-item reference
+// walks every bucket; they run under the default tie-break, and each
+// must have read at least one summary. They also run with the
+// deprecated Options.Shards at 1 and 4, which Run ignores (the
+// benchmark still sets it). Their summary upkeep must recompute each
+// long bucket holding a mover once per report, and a deferred run must
+// have folded a pass whose movers shared a long bucket, recomputed once
+// for all of them.
+func TestPassMatchesPerItem(t *testing.T) {
+	ds := bootstrapWorkload(t)
+	pts, ptsLabels, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{Points: 800, Clusters: 40, Dim: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The long shapes' inputs have few large clusters, so their buckets
+	// pass SummaryMinLen.
 	longDs, err := datagen.Generate(datagen.Config{
 		Items: 2400, Clusters: 10, Attrs: 16, Domain: 200,
 		MinRuleFrac: 0.7, MaxRuleFrac: 0.9, Seed: 11,
@@ -203,10 +283,16 @@ func TestPassMatchesPerItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	longPts, _, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{Points: 600, Clusters: 2, Dim: 8, Seed: 3})
+	longPts, longPtsLabels, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{Points: 600, Clusters: 2, Dim: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each input in generated order (index 0) and in locality order
+	// (index 1).
+	dsIn := [2]*dataset.Dataset{ds, reorderDataset(t, ds, localityOrder(ds.Labels()))}
+	longDsIn := [2]*dataset.Dataset{longDs, reorderDataset(t, longDs, localityOrder(longDs.Labels()))}
+	ptsIn := [2][]float64{pts, reorderPoints(pts, 8, localityOrder(ptsLabels))}
+	longPtsIn := [2][]float64{longPts, reorderPoints(longPts, 8, localityOrder(longPtsLabels))}
 	kmodesRun := func(ds *dataset.Dataset, p lsh.Params) (*kmodes.Space, *core.MinHashAccelerator) {
 		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
 		if err != nil {
@@ -230,28 +316,30 @@ func TestPassMatchesPerItem(t *testing.T) {
 		return s, a
 	}
 	spaces := []struct {
-		name   string
-		mk     func(log *querierLog) (core.Space, core.Accelerator)
+		name string
+		// mk builds the space and accelerator over the input in
+		// generated order (in=0) or locality order (in=1).
+		mk     func(log *querierLog, in int) (core.Space, core.Accelerator)
 		shards []int
 		// summarised requires the block runs to read a summary.
 		summarised bool
 	}{
-		{"kmodes", func(*querierLog) (core.Space, core.Accelerator) {
-			return kmodesRun(ds, lsh.Params{Bands: 8, Rows: 4})
-		}, []int{2}, false},
-		{"kmeans", func(*querierLog) (core.Space, core.Accelerator) {
-			return kmeansRun(pts, 40, lsh.Params{Bands: 8, Rows: 8})
-		}, []int{2}, false},
-		{"noblock", func(*querierLog) (core.Space, core.Accelerator) {
-			s, a := kmodesRun(ds, lsh.Params{Bands: 8, Rows: 4})
+		{"kmodes", func(_ *querierLog, in int) (core.Space, core.Accelerator) {
+			return kmodesRun(dsIn[in], lsh.Params{Bands: 8, Rows: 4})
+		}, []int{1}, false},
+		{"kmeans", func(_ *querierLog, in int) (core.Space, core.Accelerator) {
+			return kmeansRun(ptsIn[in], 40, lsh.Params{Bands: 8, Rows: 8})
+		}, []int{1}, false},
+		{"noblock", func(_ *querierLog, in int) (core.Space, core.Accelerator) {
+			s, a := kmodesRun(dsIn[in], lsh.Params{Bands: 8, Rows: 4})
 			return s, noBlockAccel{a}
-		}, []int{2}, false},
-		{"kmodes-long", func(log *querierLog) (core.Space, core.Accelerator) {
-			s, a := kmodesRun(longDs, lsh.Params{Bands: 6, Rows: 1})
+		}, []int{1}, false},
+		{"kmodes-long", func(log *querierLog, in int) (core.Space, core.Accelerator) {
+			s, a := kmodesRun(longDsIn[in], lsh.Params{Bands: 6, Rows: 1})
 			return s, loggedMinHash{a, log}
 		}, []int{1, 4}, true},
-		{"kmeans-long", func(log *querierLog) (core.Space, core.Accelerator) {
-			s, a := kmeansRun(longPts, 10, lsh.Params{Bands: 4, Rows: 6})
+		{"kmeans-long", func(log *querierLog, in int) (core.Space, core.Accelerator) {
+			s, a := kmeansRun(longPtsIn[in], 10, lsh.Params{Bands: 4, Rows: 6})
 			return s, loggedSimHash{a, log}
 		}, []int{1, 4}, true},
 	}
@@ -277,15 +365,24 @@ func TestPassMatchesPerItem(t *testing.T) {
 							if len(sp.shards) > 1 {
 								name = fmt.Sprintf("%s/s=%d/%s/reorder=%v/active=%v/tb=%d", sp.name, shards, u.name, reorder, active, tb)
 							}
+							in := 0
+							if reorder {
+								in = 1
+							}
 							t.Run(name, func(t *testing.T) {
 								log := &querierLog{}
-								assertMatchesPerItem(t, func() (core.Space, core.Accelerator) { return sp.mk(log) }, core.Options{
-									Update: u.upd, Workers: u.workers, TieBreak: tb, Shards: shards,
-									MaxIterations: 15,
-									Oracles:       core.Oracles{DisableReorder: !reorder, DisableActiveFilter: !active},
-								})
+								assertMatchesPerItem(t, func() (core.Space, core.Accelerator) { return sp.mk(log, in) }, core.WithShards(core.Options{
+									Update: u.upd, Workers: u.workers, TieBreak: tb, MaxIterations: 15,
+									Oracles: core.Oracles{DisableActiveFilter: !active},
+								}, shards))
 								if reads := log.summaryReads(); sp.summarised && reads == 0 {
 									t.Fatal("the block runs read no cluster summary")
+								}
+								if len(log.wrong) > 0 {
+									t.Fatalf("summary upkeep recomputed a bucket other than once per report: %v", log.wrong)
+								}
+								if sp.summarised && u.upd == core.UpdateDeferred && log.shared == 0 {
+									t.Fatal("no deferred pass moved two items sharing a long bucket")
 								}
 							})
 						}

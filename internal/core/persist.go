@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"time"
 	"unsafe"
 
 	"lshcluster/internal/lsh/persist"
@@ -21,8 +22,8 @@ import (
 // assignment is saved alongside it, so a warm run skips signing, index
 // construction AND the full first scan. Everything is
 // validate-or-reject: the index manifest pins seed, dataset
-// fingerprint, shape, shard count and reorder setting (drift is a hard
-// error, never a silent rebuild from stale state), and the restored
+// fingerprint and shape (drift is a hard error, never a silent rebuild
+// from stale state), and the restored
 // bootstrap assignment is spot-checked by recomputing a sample of items
 // exactly (drift falls back to a full rescan that overwrites the stale
 // file). Options.SnapshotEvery additionally checkpoints the run state
@@ -44,20 +45,32 @@ type PersistConfig struct {
 	// byte-identical either way). Mapping is also skipped on platforms
 	// without mmap support.
 	DisableMmap bool
-	// Workers bounds the parallel per-shard file IO.
-	Workers int
+}
+
+// PersistStats is an IndexPersister's report of what its last Reset
+// and frozen build did with the index directory.
+type PersistStats struct {
+	// WarmStart reports whether Reset loaded the index instead of
+	// preparing a fresh build.
+	WarmStart bool
+	// SaveTime and LoadTime are the wall times spent saving the frozen
+	// index after a cold build and loading it on a warm start.
+	SaveTime, LoadTime time.Duration
+	// MmapBytes is the size of the index's live memory mapping (zero on
+	// heap loads and fresh builds).
+	MmapBytes int64
 }
 
 // IndexPersister is an optional Accelerator capability: accelerators
-// whose index supports the versioned on-disk shard format implement it.
-// The driver forwards the persistence options once per Run, before
-// Reset; Reset then warm-starts from the saved index when the directory
-// holds one (stale ⇒ error), or builds cold and saves after the frozen
-// build. WarmLoaded reports which path Reset took, so the driver can
-// skip the signing and build phases on a warm start.
+// whose index supports the versioned on-disk format implement it. The
+// driver forwards the persistence options once per Run, before Reset;
+// Reset then warm-starts from the saved index when the directory holds
+// one (stale ⇒ error), or builds cold and saves after the frozen
+// build. PersistStats reports which path Reset took, so the driver can
+// skip the signing and build phases on a warm start, and what it cost.
 type IndexPersister interface {
 	SetPersist(cfg PersistConfig)
-	WarmLoaded() bool
+	PersistStats() PersistStats
 }
 
 // bootstrapAssignFile holds the exact first assignment inside the index
@@ -193,8 +206,8 @@ func writeRunState(path string, n, k, nextIter int, assign []int32, iters []runs
 }
 
 // restoreRunState loads an iteration checkpoint, overwriting the
-// driver's assignment (and its internal-ID mirror) and returning the
-// iteration to resume from plus the already-completed iteration stats.
+// driver's assignment and returning the iteration to resume from plus
+// the already-completed iteration stats.
 // A missing file returns 0 (start from iteration 1). A corrupt file, a
 // checkpoint for a different run shape, or one whose iteration stats
 // do not run 1…nextIter−1 is an error — damaged or stale state is
@@ -239,11 +252,6 @@ func (d *driver) restoreRunState(path string) (int, []runstats.Iteration, error)
 		}
 	}
 	copy(d.assign, saved)
-	if d.perm != nil {
-		for i, c := range d.assign {
-			d.assignInt[d.perm[i]] = c
-		}
-	}
 	return int(nextIter), iters, nil
 }
 

@@ -39,11 +39,10 @@ func persistSpaceAccel(t *testing.T, seed uint64, params lsh.Params) (core.Space
 	return s, a
 }
 
-func persistOpts(dir string, shards int) core.Options {
+func persistOpts(dir string) core.Options {
 	return core.Options{
 		Update:        core.UpdateDeferred,
 		Workers:       4,
-		Shards:        shards,
 		MaxIterations: 15,
 		IndexDir:      dir,
 	}
@@ -81,14 +80,16 @@ func assertPersistEqual(t *testing.T, label string, ref, got *core.Result, refCe
 // cold run that builds and saves the index, a warm mmap run, and a
 // warm heap run (DisableMmap, the portable oracle) must produce
 // bit-identical assignments, per-iteration moves and costs, and final
-// centroids — at every shard count, including the unsharded case.
+// centroids — with the deprecated Options.Shards at 1, 2 and 4, which
+// Run ignores: every run saves and loads the one-shard index (the
+// benchmark's warm workload sets Shards to 4).
 func TestWarmStartMatchesCold(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		t.Run(map[int]string{1: "shards=1", 2: "shards=2", 4: "shards=4"}[shards], func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			run := func(mut func(*core.Options)) (*core.Result, []byte) {
 				space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-				o := persistOpts(dir, shards)
+				o := core.WithShards(persistOpts(dir), shards)
 				o.Accelerator = accel
 				if mut != nil {
 					mut(&o)
@@ -140,28 +141,74 @@ func TestWarmStartMatchesCold(t *testing.T) {
 
 // TestWarmStartStaleRejected pins the manifest checks: a saved index
 // must be refused — not silently rebuilt — when the accelerator seed,
-// the LSH banding, or the dataset itself has changed underneath it.
+// the LSH banding, or the dataset itself has changed underneath it, and
+// so must a directory the retired multi-shard layout saved (several
+// shards, or items in reordered order) or one whose index file is
+// missing. Each rejection names its cause.
 func TestWarmStartStaleRejected(t *testing.T) {
-	dir := t.TempDir()
-	space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-	o := persistOpts(dir, 4)
-	o.Accelerator = accel
-	if _, err := core.Run(space, o); err != nil {
-		t.Fatal(err)
+	save := func() string {
+		dir := t.TempDir()
+		space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
+		o := persistOpts(dir)
+		o.Accelerator = accel
+		if _, err := core.Run(space, o); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
+	dir := save()
 
-	expectStale := func(label string, space core.Space, accel core.Accelerator) {
+	expectRejected := func(label, dir, cause string, space core.Space, accel core.Accelerator) {
 		t.Helper()
-		o := persistOpts(dir, 4)
+		o := persistOpts(dir)
 		o.Accelerator = accel
 		_, err := core.Run(space, o)
 		if err == nil {
 			t.Fatalf("%s: run accepted a stale index", label)
 		}
-		if !strings.Contains(err.Error(), "stale") {
-			t.Fatalf("%s: error = %v, want a stale-index rejection", label, err)
+		if !strings.Contains(err.Error(), cause) {
+			t.Fatalf("%s: error = %v, want one naming %q", label, err, cause)
 		}
 	}
+	expectStale := func(label string, space core.Space, accel core.Accelerator) {
+		t.Helper()
+		expectRejected(label, dir, "stale", space, accel)
+	}
+	editManifest := func(edit func(*persist.Manifest)) string {
+		dir := save()
+		m, err := persist.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		if err := persist.WriteManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	shardsDir := editManifest(func(m *persist.Manifest) {
+		m.Shards = 4
+		m.ShardFiles = []string{"shard-0.lshz", "shard-1.lshz", "shard-2.lshz", "shard-3.lshz"}
+		m.ShardInserted = []int{150, 150, 150, 150}
+	})
+	s, a := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
+	expectRejected("four shards", shardsDir, "4 item shards", s, a)
+
+	reorderedDir := editManifest(func(m *persist.Manifest) { m.Reordered = true })
+	s, a = persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
+	expectRejected("reordered", reorderedDir, "reordered", s, a)
+
+	missingDir := save()
+	m, err := persist.ReadManifest(missingDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(missingDir, m.ShardFiles[0])); err != nil {
+		t.Fatal(err)
+	}
+	s, a = persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
+	expectRejected("index file missing", missingDir, m.ShardFiles[0], s, a)
 
 	s2, a2 := persistSpaceAccel(t, 8, lsh.Params{Bands: 8, Rows: 4})
 	expectStale("different accelerator seed", s2, a2)
@@ -212,7 +259,7 @@ func TestPersistOptionValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-			o := persistOpts(t.TempDir(), 2)
+			o := persistOpts(t.TempDir())
 			o.Accelerator = accel
 			tc.mut(&o)
 			_, err := core.Run(space, o)
@@ -244,7 +291,7 @@ func TestPersistRequiresFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := persistOpts(t.TempDir(), 2)
+	o := persistOpts(t.TempDir())
 	o.Accelerator = a
 	_, err = core.Run(s, o)
 	if err == nil {
@@ -261,7 +308,7 @@ func TestPersistRequiresFingerprint(t *testing.T) {
 // reaches.
 func TestSnapshotResume(t *testing.T) {
 	baseSpace, baseAccel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-	baseOpts := persistOpts("", 2)
+	baseOpts := persistOpts("")
 	baseOpts.Accelerator = baseAccel
 	base, err := core.Run(baseSpace, baseOpts)
 	if err != nil {
@@ -271,7 +318,7 @@ func TestSnapshotResume(t *testing.T) {
 
 	dir := t.TempDir()
 	space1, accel1 := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-	o1 := persistOpts(dir, 2)
+	o1 := persistOpts(dir)
 	o1.Accelerator = accel1
 	o1.SnapshotEvery = 2
 	o1.MaxIterations = 3
@@ -287,7 +334,7 @@ func TestSnapshotResume(t *testing.T) {
 	}
 
 	space2, accel2 := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-	o2 := persistOpts(dir, 2)
+	o2 := persistOpts(dir)
 	o2.Accelerator = accel2
 	o2.SnapshotEvery = 2
 	resumed, err := core.Run(space2, o2)
@@ -328,7 +375,7 @@ func checkpointAt(t *testing.T) (string, *core.Result) {
 	t.Helper()
 	dir := t.TempDir()
 	space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-	o := persistOpts(dir, 2)
+	o := persistOpts(dir)
 	o.Accelerator = accel
 	o.SnapshotEvery = 1
 	o.MaxIterations = 2
@@ -348,7 +395,7 @@ func checkpointAt(t *testing.T) (string, *core.Result) {
 func resumeCheckpoint(t *testing.T, dir string) (*core.Result, error) {
 	t.Helper()
 	space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-	o := persistOpts(dir, 2)
+	o := persistOpts(dir)
 	o.Accelerator = accel
 	o.SnapshotEvery = 1
 	o.MaxIterations = 2
@@ -460,7 +507,7 @@ func TestBootstrapAssignCorruptRescans(t *testing.T) {
 	dir := t.TempDir()
 	run := func() (*core.Result, []byte) {
 		space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
-		o := persistOpts(dir, 2)
+		o := persistOpts(dir)
 		o.Accelerator = accel
 		res, err := core.Run(space, o)
 		if err != nil {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"lshcluster/internal/kmeans"
@@ -13,18 +14,63 @@ import (
 	"lshcluster/internal/core"
 )
 
-// assertReorderEqual runs the same configuration twice — once with the
-// locality-reordered index build (the default) and once with
-// DisableReorder (the original-order oracle) — and asserts
-// bit-identical outcomes in original-ID space: assignments,
-// per-iteration moves, costs and shortlist totals, convergence, and
-// the final centroids.
-func assertReorderEqual(t *testing.T, mk func() (core.Space, core.Accelerator), fingerprint func(core.Space) []byte, opts core.Options) (reordered *core.Result) {
+// The index is built in original item order. The deprecated reorder
+// and shard capabilities (ReorderConfigurer, ReorderMapper,
+// ShardedIndexer) stay declared for the benchmark module, and Run must
+// not consult them. The tests below offer them on an accelerator, with
+// a permutation that would scramble every result if it were applied,
+// and require runs bit-identical to the plain accelerator's.
+
+// reorderOffer implements the deprecated reorder and shard
+// capabilities and counts the calls it receives.
+type reorderOffer struct {
+	n     int
+	calls *atomic.Int64
+}
+
+func (r reorderOffer) SetReorder(bool) { r.calls.Add(1) }
+func (r reorderOffer) SetShards(int)   { r.calls.Add(1) }
+
+// ReorderMap returns the reversal permutation.
+func (r reorderOffer) ReorderMap() (perm, inv []int32) {
+	r.calls.Add(1)
+	perm = make([]int32, r.n)
+	for i := range perm {
+		perm[i] = int32(r.n - 1 - i)
+	}
+	return perm, perm
+}
+
+// reorderingMinHash and reorderingSimHash offer the deprecated
+// capabilities beside everything their accelerator implements.
+type reorderingMinHash struct {
+	*core.MinHashAccelerator
+	reorderOffer
+}
+
+type reorderingSimHash struct {
+	*simhash.Accelerator
+	reorderOffer
+}
+
+// assertReorderEqual runs the same configuration twice — once on the
+// plain accelerator and once with wrap offering the deprecated
+// capabilities — and asserts the wrapped one received no call and the
+// outcomes are bit-identical: assignments, per-iteration moves, costs,
+// shortlist totals and evaluated items, convergence, and the final
+// centroids.
+func assertReorderEqual(t *testing.T, mk func() (core.Space, core.Accelerator), wrap func(core.Accelerator, reorderOffer) core.Accelerator, fingerprint func(core.Space) []byte, opts core.Options) {
 	t.Helper()
-	run := func(disable bool) (*core.Result, []byte) {
+	var calls atomic.Int64
+	run := func(offer bool) (*core.Result, []byte) {
 		o := opts
-		o.Oracles.DisableReorder = disable
 		space, accel := mk()
+		if offer {
+			accel = wrap(accel, reorderOffer{n: space.NumItems(), calls: &calls})
+			if !core.OffersRetiredCapabilities(accel) {
+				t.Fatalf("%T does not offer the deprecated capabilities", accel)
+			}
+		}
 		o.Accelerator = accel
 		res, err := core.Run(space, o)
 		if err != nil {
@@ -32,53 +78,47 @@ func assertReorderEqual(t *testing.T, mk func() (core.Space, core.Accelerator), 
 		}
 		return res, fingerprint(space)
 	}
-	ord, ordCentroids := run(false)
-	ref, refCentroids := run(true)
-	if ref.Stats.ReorderTime != 0 {
-		t.Fatalf("oracle recorded reorder time %v", ref.Stats.ReorderTime)
+	ref, refCentroids := run(false)
+	got, gotCentroids := run(true)
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("Run called the deprecated reorder capabilities %d times", n)
 	}
 	for i := range ref.Assign {
-		if ref.Assign[i] != ord.Assign[i] {
-			t.Fatalf("assign[%d]: reordered %d, oracle %d", i, ord.Assign[i], ref.Assign[i])
+		if ref.Assign[i] != got.Assign[i] {
+			t.Fatalf("assign[%d]: offered %d, plain %d", i, got.Assign[i], ref.Assign[i])
 		}
 	}
-	if ord.Stats.Converged != ref.Stats.Converged {
-		t.Fatalf("converged: reordered %v, oracle %v", ord.Stats.Converged, ref.Stats.Converged)
+	if got.Stats.Converged != ref.Stats.Converged {
+		t.Fatalf("converged: offered %v, plain %v", got.Stats.Converged, ref.Stats.Converged)
 	}
-	if len(ord.Stats.Iterations) != len(ref.Stats.Iterations) {
-		t.Fatalf("iterations: reordered %d, oracle %d",
-			len(ord.Stats.Iterations), len(ref.Stats.Iterations))
+	if len(got.Stats.Iterations) != len(ref.Stats.Iterations) {
+		t.Fatalf("iterations: offered %d, plain %d", len(got.Stats.Iterations), len(ref.Stats.Iterations))
 	}
 	for i := range ref.Stats.Iterations {
-		a, b := ref.Stats.Iterations[i], ord.Stats.Iterations[i]
-		if a.Moves != b.Moves {
-			t.Fatalf("iteration %d moves: reordered %d, oracle %d", i+1, b.Moves, a.Moves)
-		}
-		if a.Cost != b.Cost {
-			t.Fatalf("iteration %d cost: reordered %v, oracle %v", i+1, b.Cost, a.Cost)
-		}
-		if a.CandidatesTotal != b.CandidatesTotal {
-			t.Fatalf("iteration %d candidates: reordered %d, oracle %d",
-				i+1, b.CandidatesTotal, a.CandidatesTotal)
-		}
-		if a.ActiveItems != b.ActiveItems {
-			t.Fatalf("iteration %d active items: reordered %d, oracle %d",
-				i+1, b.ActiveItems, a.ActiveItems)
+		a, b := ref.Stats.Iterations[i], got.Stats.Iterations[i]
+		if a.Moves != b.Moves || a.Cost != b.Cost || a.CandidatesTotal != b.CandidatesTotal || a.ActiveItems != b.ActiveItems {
+			t.Fatalf("iteration %d: offered (moves %d, cost %v, cands %d, eval %d), plain (moves %d, cost %v, cands %d, eval %d)",
+				i+1, b.Moves, b.Cost, b.CandidatesTotal, b.ActiveItems, a.Moves, a.Cost, a.CandidatesTotal, a.ActiveItems)
 		}
 	}
-	if !bytes.Equal(refCentroids, ordCentroids) {
-		t.Fatal("final centroids differ between reordered and original-order builds")
+	if !bytes.Equal(refCentroids, gotCentroids) {
+		t.Fatal("final centroids differ between the offered and the plain accelerator")
 	}
-	return ord
 }
 
-// TestReorderInvarianceKModes is the headline reorder equivalence
-// matrix for MH-K-Modes: full runs on the locality-reordered index
-// must be bit-identical (in original-ID space) to the DisableReorder
-// oracle across Shards ∈ {1, 2, 4} and workers ∈ {1, 4}.
-func TestReorderInvarianceKModes(t *testing.T) {
+func wrapMinHash(a core.Accelerator, r reorderOffer) core.Accelerator {
+	return reorderingMinHash{a.(*core.MinHashAccelerator), r}
+}
+
+func wrapSimHash(a core.Accelerator, r reorderOffer) core.Accelerator {
+	return reorderingSimHash{a.(*simhash.Accelerator), r}
+}
+
+// reorderKModesInput builds the 600-item MH-K-Modes pair the K-Modes
+// reorder tests run over.
+func reorderKModesInput(t *testing.T) func() (core.Space, core.Accelerator) {
 	ds := bootstrapWorkload(t)
-	mk := func() (core.Space, core.Accelerator) {
+	return func() (core.Space, core.Accelerator) {
 		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -89,6 +129,12 @@ func TestReorderInvarianceKModes(t *testing.T) {
 		}
 		return s, a
 	}
+}
+
+// TestReorderInvarianceKModes is the MH-K-Modes matrix: runs at the
+// deprecated Shards ∈ {1, 2, 4} and workers ∈ {1, 4}.
+func TestReorderInvarianceKModes(t *testing.T) {
+	mk := reorderKModesInput(t)
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
 			upd := core.UpdateImmediate
@@ -96,24 +142,16 @@ func TestReorderInvarianceKModes(t *testing.T) {
 				upd = core.UpdateDeferred
 			}
 			t.Run(fmt.Sprintf("shards=%d/w=%d", shards, workers), func(t *testing.T) {
-				res := assertReorderEqual(t, mk, kmodesFingerprint(t), core.Options{
-					Update: upd, Workers: workers, Shards: shards,
-					MaxIterations: 15,
-				})
-				if res.Stats.ReorderTime <= 0 {
-					t.Fatal("reordered run recorded no reorder time")
-				}
-				if shards > 1 && res.Stats.ShardLocalCands <= 0 {
-					t.Fatal("reordered sharded run recorded no shard-local candidates")
-				}
+				assertReorderEqual(t, mk, wrapMinHash, kmodesFingerprint(t), core.WithShards(core.Options{
+					Update: upd, Workers: workers, MaxIterations: 15,
+				}, shards))
 			})
 		}
 	}
 }
 
-// TestReorderInvarianceKMeans covers the SimHash/K-Means instantiation
-// of the same matrix (the reorder stage lives in the shared sharded
-// index base, so both accelerators must honour the oracle).
+// TestReorderInvarianceKMeans covers the SimHash/K-Means
+// instantiation of the same matrix.
 func TestReorderInvarianceKMeans(t *testing.T) {
 	pts, _, err := kmeans.GenerateBlobs(kmeans.BlobsConfig{
 		Points: 800, Clusters: 40, Dim: 8, Seed: 3,
@@ -132,89 +170,43 @@ func TestReorderInvarianceKMeans(t *testing.T) {
 		}
 		return s, a
 	}
-	fingerprint := func(s core.Space) []byte {
-		var buf bytes.Buffer
-		sp := s.(*kmeans.Space)
-		for c := 0; c < sp.NumClusters(); c++ {
-			fmt.Fprintf(&buf, "%x;", sp.Centroid(c))
-		}
-		return buf.Bytes()
-	}
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/w=%d", shards, workers), func(t *testing.T) {
-				assertReorderEqual(t, mk, fingerprint, core.Options{
-					Update: core.UpdateDeferred, Workers: workers, Shards: shards,
-					MaxIterations: 15,
-				})
+				assertReorderEqual(t, mk, wrapSimHash, kmeansFingerprint, core.WithShards(core.Options{
+					Update: core.UpdateDeferred, Workers: workers, MaxIterations: 15,
+				}, shards))
 			})
 		}
 	}
 }
 
-// TestReorderOracleCrosses pins the reorder oracle against the other
-// hot-path toggle it interacts with: the active filter off (full
-// passes query every item). The combination must still match the
-// DisableReorder oracle bit for bit. Per-item live queries on a
-// reordered index are covered by TestPassMatchesPerItem.
+// TestReorderOracleCrosses crosses the offered capabilities with the
+// active filter off (full passes query every item).
 func TestReorderOracleCrosses(t *testing.T) {
-	ds := bootstrapWorkload(t)
-	mk := func() (core.Space, core.Accelerator) {
-		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, a
-	}
+	mk := reorderKModesInput(t)
 	muts := map[string]func(*core.Options){
 		"no-active-filter": func(o *core.Options) { o.Oracles.DisableActiveFilter = true },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {
-			opts := core.Options{Shards: 4, MaxIterations: 12}
+			opts := core.WithShards(core.Options{MaxIterations: 12}, 4)
 			mut(&opts)
-			assertReorderEqual(t, mk, kmodesFingerprint(t), opts)
+			assertReorderEqual(t, mk, wrapMinHash, kmodesFingerprint(t), opts)
 		})
 	}
 }
 
-// TestReorderDisabledPaths checks the layout that must never reorder:
-// the serial bootstrap oracle's index (per-item Insert, then
-// Freeze). It must run clean and record zero reorder time.
+// TestReorderDisabledPaths covers the serial bootstrap oracle's path
+// (per-item Insert, then Freeze), which never reordered either.
 func TestReorderDisabledPaths(t *testing.T) {
-	ds := bootstrapWorkload(t)
-	mk := func() (core.Space, core.Accelerator) {
-		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, a
-	}
+	mk := reorderKModesInput(t)
 	cases := map[string]core.Options{
-		"serial": {Shards: 4, MaxIterations: 8, Oracles: core.Oracles{DisableParallelBootstrap: true}},
+		"serial": core.WithShards(core.Options{MaxIterations: 8, Oracles: core.Oracles{DisableParallelBootstrap: true}}, 4),
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
-			space, accel := mk()
-			opts.Accelerator = accel
-			res, err := core.Run(space, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.ReorderTime != 0 {
-				t.Fatalf("%s run recorded reorder time %v", name, res.Stats.ReorderTime)
-			}
-			if perm, inv := accel.(core.ReorderMapper).ReorderMap(); perm != nil || inv != nil {
-				t.Fatalf("%s run built a reordered index", name)
-			}
+			assertReorderEqual(t, mk, wrapMinHash, kmodesFingerprint(t), opts)
 		})
 	}
 }

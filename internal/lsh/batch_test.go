@@ -76,7 +76,6 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 // contract the streaming clusterer's sign-once path relies on.
 func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
 	ix := buildTestIndex(t, 200)
-	ix.Freeze()
 	probe := []uint64{100, 101, 102, 103}
 	want := collectOfSet(ix, probe)
 	sig := ix.Scheme().Sign(probe, make([]uint64, ix.Params().SignatureLen()))

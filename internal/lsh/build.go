@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 )
 
 // Frozen index construction. The batch full-scan bootstrap knows every
@@ -16,18 +17,15 @@ import (
 //
 //  1. Per band, resolve every item's key to a local bucket slot with
 //     an open-addressed key table (no sorting, no radix passes),
-//     recording first-occurrence key order and bucket sizes.
-//  2. Per band, turn the sizes into CSR offsets, scatter items into
-//     their buckets in ascending ID order, and build the band's
-//     compact query key table.
+//     recording bucket sizes in first-occurrence key order.
+//  2. Per band, turn the sizes into CSR offsets and scatter items into
+//     their buckets in ascending ID order.
 //
-// Bands are independent shards: each owns a contiguous bucket-ID range
-// and a contiguous region of the items array (every inserted item
-// appears exactly once per band, so with m items band b's occupy
-// [b·m, (b+1)·m)). That is the same per-band sharding a future
-// multi-shard serving layout partitions by, and it is why construction
-// parallelises with no cross-band synchronisation beyond one barrier
-// between the passes.
+// Bands are independent: each owns a contiguous bucket-ID range and a
+// contiguous region of the items array (every inserted item appears
+// exactly once per band, so with m items band b's occupy [b·m,
+// (b+1)·m)), which is why construction parallelises with no
+// cross-band synchronisation beyond one barrier between the passes.
 //
 // Freeze runs the same two passes (freezeKeys) over the build phase's
 // stored per-item keys, skipping IDs never inserted. Bucket IDs follow
@@ -36,12 +34,13 @@ import (
 // 0…n−1 in any order and calling Freeze yields, byte for byte, what
 // BuildFrozen yields from the same keys — enforced by equivalence
 // tests — and every frozen-path consumer (Candidates, CandidatesBatch,
-// Reverse, key-table queries) is oblivious to which construction ran.
+// Reverse) is oblivious to which construction ran.
 
-// bandBuild is one band's state between the two passes.
+// bandBuild is one band's state between the two passes: per local
+// bucket, in first-occurrence key order, its item count, then reused as
+// the scatter cursor.
 type bandBuild struct {
-	counts []int32  // per local bucket: item count, then reused as scatter cursor
-	order  []uint64 // distinct keys in first-occurrence order
+	counts []int32
 }
 
 // buildTable is the pass-1 scratch: a linear-probing key→local-bucket
@@ -173,6 +172,7 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 // arena with every item inserted, Freeze the build phase's stored keys.
 // ix.numInserted must already count the inserted items.
 func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
+	start := time.Now()
 	bands := ix.params.Bands
 	n, m := len(inserted), ix.numInserted
 	if workers > bands {
@@ -182,10 +182,7 @@ func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 		workers = 1
 	}
 
-	fz := &frozenIndex{
-		slots:  make([]int32, n*bands),
-		tables: make([]keyTable, bands),
-	}
+	fz := &frozenIndex{slots: make([]int32, n*bands)}
 	builds := make([]bandBuild, bands)
 
 	// Pass 1: per-band bucket-slot resolution. Bands write disjoint
@@ -206,7 +203,6 @@ func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 				tbl.reset()
 			}
 			var counts []int32
-			var order []uint64
 			for item := 0; item < n; item++ {
 				if !inserted[item] {
 					fz.slots[item*bands+b] = -1
@@ -216,33 +212,29 @@ func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 				s, added := tbl.lookupOrAdd(key, int32(len(counts)))
 				if added {
 					counts = append(counts, 0)
-					order = append(order, key)
 				}
 				counts[s]++
 				fz.slots[item*bands+b] = s
 			}
-			builds[b] = bandBuild{counts: counts, order: order}
+			builds[b] = bandBuild{counts: counts}
 		}
 	})
 
 	// Barrier: assign each band its global bucket-ID base.
-	base := make([]int32, bands+1)
+	base := make([]int32, bands)
 	total := 0
 	for b := range builds {
 		base[b] = int32(total)
 		total += len(builds[b].counts)
 	}
-	base[bands] = int32(total)
-	fz.bandStart = base
 	fz.offsets = make([]int32, total+1)
 	fz.items = make([]int32, m*bands)
-	fz.keys = make([]uint64, total)
 	fz.offsets[total] = int32(m * bands)
 
 	// Pass 2: per-band CSR fill. Each band writes its own offsets
-	// entries [base[b], base[b+1]), its own items region [b·m, (b+1)·m)
-	// and its own strided slots entries (now globalised), so bands
-	// remain write-disjoint.
+	// entries, its own items region [b·m, (b+1)·m) and its own strided
+	// slots entries (now global bucket IDs), so bands remain
+	// write-disjoint.
 	parallelBands(bands, workers, func(bandSeq func() (int, bool)) {
 		for {
 			b, ok := bandSeq()
@@ -263,16 +255,10 @@ func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 				if s < 0 {
 					continue
 				}
-				fz.items[bb.counts[s]] = ix.globalID(int32(item))
+				fz.items[bb.counts[s]] = int32(item)
 				bb.counts[s]++
 				fz.slots[idx] = gb + s
 			}
-			tbl := newKeyTable(len(bb.order))
-			for j, key := range bb.order {
-				tbl.put(key, gb+int32(j))
-				fz.keys[int(gb)+j] = key
-			}
-			fz.tables[b] = tbl
 		}
 	})
 
@@ -281,6 +267,7 @@ func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 	ix.runs = nil
 	ix.arena = nil
 	ix.keys = nil
+	ix.buildTime = time.Since(start)
 }
 
 // parallelBands runs fn on workers goroutines; each invocation pulls

@@ -19,9 +19,8 @@ func setSigner(ix *Index, sets [][]uint64) func() SignFunc {
 }
 
 // assertFrozenIdentical compares every frozen CSR array — offsets,
-// items, slots and the per-band open-addressed key tables — byte for
-// byte.
-func assertFrozenIdentical(t *testing.T, want, got *Index) {
+// items and slots — byte for byte.
+func assertFrozenIdentical(t testing.TB, want, got *Index) {
 	t.Helper()
 	fw, fg := want.frozen, got.frozen
 	if fw == nil || fg == nil {
@@ -35,21 +34,6 @@ func assertFrozenIdentical(t *testing.T, want, got *Index) {
 	}
 	if !reflect.DeepEqual(fw.slots, fg.slots) {
 		t.Fatalf("slots differ:\nwant %v\ngot  %v", fw.slots, fg.slots)
-	}
-	if !reflect.DeepEqual(fw.keys, fg.keys) {
-		t.Fatalf("bucket keys differ:\nwant %v\ngot  %v", fw.keys, fg.keys)
-	}
-	if len(fw.tables) != len(fg.tables) {
-		t.Fatalf("tables: want %d bands, got %d", len(fw.tables), len(fg.tables))
-	}
-	for b := range fw.tables {
-		tw, tg := &fw.tables[b], &fg.tables[b]
-		if tw.mask != tg.mask {
-			t.Fatalf("band %d table mask: want %d, got %d", b, tw.mask, tg.mask)
-		}
-		if !reflect.DeepEqual(tw.entries, tg.entries) {
-			t.Fatalf("band %d table entries differ", b)
-		}
 	}
 }
 
@@ -122,35 +106,26 @@ func TestBuildFrozenErrors(t *testing.T) {
 
 // TestBuildFrozenRejectsInt32Overflow pins the frozen layout's int32
 // limit: a build over n·Bands > MaxInt32 entries is an error raised
-// before the key-count check and before any allocation, on a plain
-// index and through a single-shard Sharded one.
+// before the key-count check and before any allocation.
 func TestBuildFrozenRejectsInt32Overflow(t *testing.T) {
 	p := Params{Bands: 20, Rows: 2}
 	n := math.MaxInt32/p.Bands + 1
 	ix := mustIndex(t, p, 1, 0)
-	sh, err := NewSharded(p, 1, n, 1)
-	if err != nil {
-		t.Fatal(err)
+	build := func() error { return ix.BuildFrozen(nil, n, 1) }
+	if err := build(); err == nil {
+		t.Fatalf("BuildFrozen over %d items × %d bands accepted", n, p.Bands)
 	}
-	for name, build := range map[string]func() error{
-		"index":   func() error { return ix.BuildFrozen(nil, n, 1) },
-		"sharded": func() error { return sh.BuildFrozen(nil, n, 1) },
-	} {
-		if err := build(); err == nil {
-			t.Fatalf("%s: BuildFrozen over %d items × %d bands accepted", name, n, p.Bands)
-		}
-		if allocs := testing.AllocsPerRun(3, func() { _ = build() }); allocs != 0 {
-			t.Fatalf("%s: rejected BuildFrozen allocated %v times", name, allocs)
-		}
+	if allocs := testing.AllocsPerRun(3, func() { _ = build() }); allocs != 0 {
+		t.Fatalf("rejected BuildFrozen allocated %v times", allocs)
 	}
-	if ix.Frozen() || sh.Frozen() {
+	if ix.Frozen() {
 		t.Fatal("rejected BuildFrozen froze the index")
 	}
 }
 
 // TestBuildFrozenQueries double-checks the built index behaves
-// end-to-end: candidate enumeration, out-of-index key-table queries
-// and the reverse view all work on a BuildFrozen index.
+// end-to-end: candidate enumeration and the reverse view both work on
+// a BuildFrozen index.
 func TestBuildFrozenQueries(t *testing.T) {
 	const n = 80
 	p := Params{Bands: 6, Rows: 2}
@@ -171,13 +146,6 @@ func TestBuildFrozenQueries(t *testing.T) {
 		got := collectCandidates(ix, int32(i))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("item %d candidates: want %v, got %v", i, want, got)
-		}
-	}
-	for i := 0; i < n; i += 9 {
-		want := collectOfSet(ref, sets[i])
-		got := collectOfSet(ix, sets[i])
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("set %d of-set candidates: want %v, got %v", i, want, got)
 		}
 	}
 	rv := ix.NewReverse()

@@ -6,6 +6,34 @@ import (
 	"testing"
 )
 
+// CandidatesOfSet MinHashes a value set, inserted or not, and reports
+// the build-phase items colliding with it, with Candidates' duplication
+// semantics.
+func (ix *Index) CandidatesOfSet(presentValues []uint64, fn func(other int32)) {
+	ix.CandidatesOfSignature(ix.scheme.Sign(presentValues, ix.sigBuf), fn)
+}
+
+// CandidatesOfSignature reports the build-phase items colliding with a
+// precomputed signature, band by band, each bucket in ascending ID
+// order: QueryInsert's reference. The frozen layout keeps no band keys,
+// so a frozen index cannot answer it.
+func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
+	if len(sig) != ix.params.SignatureLen() {
+		panic("lsh: CandidatesOfSignature signature length mismatch")
+	}
+	if ix.frozen != nil {
+		panic("lsh: CandidatesOfSignature on a frozen index")
+	}
+	if ix.runs == nil {
+		return // nothing inserted yet (build storage is lazy)
+	}
+	for b := 0; b < ix.params.Bands; b++ {
+		for _, other := range ix.buildBucket(b, ix.bandKey(sig, b)) {
+			fn(other)
+		}
+	}
+}
+
 // bandKeysOf signs sets through ix's scheme into a SignAll key arena,
 // keys[item·Bands+band].
 func bandKeysOf(ix *Index, sets [][]uint64) []uint64 {

@@ -82,25 +82,3 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 		assertFrozenIdentical(t, ref, ix)
 	})
 }
-
-// FuzzForeignEmptyBitmap fuzzes the foreign-emptiness bitmap the
-// cross-shard fan-out trusts to skip key probes: for any shard count,
-// banding shape, signed value sets, reorder setting and construction
-// path (BuildFrozen or build-phase inserts + Freeze), bit u of shard s must be
-// set exactly when no other shard's band table holds slot u's key.
-// Candidate-stream equivalence is pinned separately by the S>1-vs-S=1
-// invariance tests.
-func FuzzForeignEmptyBitmap(f *testing.F) {
-	f.Add(uint8(2), uint8(6), uint8(3), uint16(60), uint64(21), []byte("spans"))
-	f.Add(uint8(3), uint8(4), uint8(2), uint16(90), uint64(7), []byte{1, 2, 3, 4})
-	f.Add(uint8(4), uint8(1), uint8(1), uint16(12), uint64(0), []byte{})
-	f.Fuzz(func(t *testing.T, shards, bands, rows uint8, n uint16, seed uint64, data []byte) {
-		S := 2 + int(shards)%3
-		p := Params{Bands: 1 + int(bands)%8, Rows: 1 + int(rows)%4}
-		nn := 2*S + int(n)%120
-		reorder := byteAt(data, 0)%2 == 1
-		freeze := byteAt(data, 1)%2 == 1
-		sh := buildLayout(t, p, seed, fuzzSets(nn, data), S, freeze, reorder)
-		assertForeignEmptyBitmap(t, sh)
-	})
-}

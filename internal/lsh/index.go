@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"lshcluster/internal/hashfamily"
+	"lshcluster/internal/lsh/persist"
 	"lshcluster/internal/minhash"
 )
 
@@ -23,7 +25,7 @@ import (
 // reference itself for every bucket of at least SummaryMinLen items:
 // the members' distinct clusters, which a block query reads in place of
 // the members (summary.go). Those summaries are refreshed when the
-// caller reports a move (Sharded.Resummarize).
+// caller reports a move (Resummarize).
 //
 // The index has two construction lifecycles. The batch build
 // (BuildFrozen) constructs the frozen layout — flat CSR arrays for
@@ -36,14 +38,11 @@ import (
 // stored per-item keys with BuildFrozen's own passes, so every frozen
 // layout comes from one constructor.
 //
-// An Index is not safe for concurrent mutation. Insert and
-// CandidatesOfSet additionally share internal signing scratch
-// (sigBuf), so neither may run concurrently with the other even
-// though CandidatesOfSet does not mutate buckets; parallel
-// constructions sign with per-worker scratch (SignAll) instead.
-// Concurrent queries via Candidates/CandidatesBatch/
-// CandidatesOfSignature are safe once all insertions (or Freeze /
-// BuildFrozen) are done.
+// An Index is not safe for concurrent mutation, and Insert signs into
+// internal scratch (sigBuf); parallel constructions sign with
+// per-worker scratch (SignAll) instead. Concurrent queries via
+// Candidates/CandidatesBatch are safe once all insertions (or Freeze /
+// BuildFrozen / Open) are done.
 type Index struct {
 	params Params
 	scheme *minhash.Scheme
@@ -58,10 +57,10 @@ type Index struct {
 	// number. Allocated lazily on the first insert (ensureBuild) so the
 	// direct-to-frozen batch build pays nothing for it; nil once frozen.
 	runs []runTable
-	// arena holds every build-phase bucket as a run of ascending global
-	// IDs. A run's room is its length rounded up to a power of two; a
-	// full run moves to the arena's end with twice the room (addToRun),
-	// leaving its old room unused. Nil once frozen.
+	// arena holds every build-phase bucket as a run of ascending IDs. A
+	// run's room is its length rounded up to a power of two; a full run
+	// moves to the arena's end with twice the room (addToRun), leaving
+	// its old room unused. Nil once frozen.
 	arena []int32
 	// maxRun is the longest run's length, which bounds how far one
 	// insert can extend the arena (QueryInsert keeps run offsets inside
@@ -75,17 +74,16 @@ type Index struct {
 	inserted    []bool
 	numInserted int
 	frozen      *frozenIndex
-	sigBuf      []uint64
-	// idBase maps this index's local item IDs to the global IDs stored
-	// in buckets: global = idBase + local. A standalone index uses 0,
-	// where local and global coincide; a shard of a Sharded index uses
-	// its first global item, so bucket scans emit global IDs with no
-	// per-item translation.
-	idBase int32
-	// sums maps this shard's long frozen buckets to their cluster
-	// summaries in the owning Sharded's store (summary.go); empty until
-	// SummarizeClusters.
-	sums summaryTable
+	// buildTime is the wall time the frozen layout took to build (zero
+	// for a loaded index).
+	buildTime time.Duration
+	// file backs the frozen arrays of an index loaded by Open (the
+	// mapping or the heap copy); nil for a built index.
+	file   *persist.File
+	sigBuf []uint64
+	// sums is the cluster-summary store of the long frozen buckets
+	// (summary.go): nil until SummarizeClusters, and never persisted.
+	sums *clusterSummaries
 }
 
 // NewIndex creates an index for the given banding parameters, seeded
@@ -106,25 +104,9 @@ func NewIndex(p Params, seed uint64, numItems int) (*Index, error) {
 	}, nil
 }
 
-// newShardIndex creates one shard of a Sharded index: the scheme is
-// shared (every shard signs identically) and base is the shard's first
-// global item.
-func newShardIndex(p Params, scheme *minhash.Scheme, capHint int, base int32) *Index {
-	return &Index{
-		params:  p,
-		scheme:  scheme,
-		capHint: capHint,
-		sigBuf:  make([]uint64, p.SignatureLen()),
-		idBase:  base,
-	}
-}
-
-// globalID maps a local item ID to the global ID stored in buckets.
-func (ix *Index) globalID(local int32) int32 { return ix.idBase + local }
-
-// isInserted reports whether local item ID has been inserted.
-func (ix *Index) isInserted(local int32) bool {
-	return int(local) < len(ix.inserted) && ix.inserted[local]
+// isInserted reports whether item has been inserted.
+func (ix *Index) isInserted(item int32) bool {
+	return uint(item) < uint(len(ix.inserted)) && ix.inserted[item]
 }
 
 // ensureBuild materialises the build-phase storage on first use.
@@ -184,10 +166,9 @@ func (ix *Index) bandKey(sig []uint64, band int) uint64 {
 // band bucket (Algorithm 2 lines 5–9 applied at index-construction time).
 // Inserting the same item twice is an error.
 //
-// Insert signs into scratch shared with CandidatesOfSet: it must not be
-// called concurrently with itself or with CandidatesOfSet. Parallel
-// batch construction signs with per-worker scratch via SignAll +
-// BuildFrozen instead.
+// Insert signs into internal scratch: it must not be called
+// concurrently with itself. Parallel batch construction signs with
+// per-worker scratch via SignAll + BuildFrozen instead.
 func (ix *Index) Insert(item int32, presentValues []uint64) error {
 	return ix.InsertSignature(item, ix.scheme.Sign(presentValues, ix.sigBuf))
 }
@@ -202,9 +183,8 @@ func (ix *Index) InsertSignature(item int32, sig []uint64) error {
 
 // QueryInsert files item under the band buckets of a precomputed
 // signature and, in the same probe of each band, hands fn (when
-// non-nil) that band's bucket as it stood before item joined it:
-// exactly what CandidatesOfSignature reports before InsertSignature,
-// band by band in ascending band order, buckets in ascending ID order.
+// non-nil) that band's bucket as it stood before item joined it, band
+// by band in ascending band order, buckets in ascending ID order.
 // Empty buckets are not reported. The bucket slice aliases index
 // storage and is valid only during the call; fn must not modify it or
 // touch the index.
@@ -233,7 +213,6 @@ func (ix *Index) QueryInsert(item int32, sig []uint64, fn func(bucket []int32)) 
 	}
 	ix.ensureBuild()
 	ix.grow(int(item) + 1)
-	id := ix.globalID(item)
 	keys := ix.keys[int(item)*ix.params.Bands:][:ix.params.Bands]
 	for b := range keys {
 		key := ix.bandKey(sig, b)
@@ -245,20 +224,19 @@ func (ix *Index) QueryInsert(item int32, sig []uint64, fn func(bucket []int32)) 
 		} else if fn != nil {
 			fn(ix.arena[e.off : e.off+e.n])
 		}
-		ix.addToRun(e, id)
+		ix.addToRun(e, item)
 	}
 	ix.inserted[item] = true
 	ix.numInserted++
 	return nil
 }
 
-// addToRun files id into e's run. Runs are kept in ascending global-ID
-// order — an index invariant that makes candidate enumeration a
-// function of the bucket's *membership*, independent of insertion
-// order, and therefore identical across shard partitions (a sharded
-// query concatenates per-shard buckets in ascending shard order).
-// Ascending insert sequences (the serial bootstrap oracle, streaming)
-// append; only an out-of-order insert pays insertion-sort shifts.
+// addToRun files id into e's run. Runs are kept in ascending ID order —
+// an index invariant that makes candidate enumeration a function of the
+// bucket's *membership*, independent of insertion order, and so
+// identical to the frozen layout's. Ascending insert sequences (the
+// serial bootstrap oracle, streaming) append; only an out-of-order
+// insert pays insertion-sort shifts.
 //
 // A run of n items has room for n rounded up to a power of two. When n
 // is a power of two the run is full: it moves to the arena's end with
@@ -382,7 +360,7 @@ func (ix *Index) buildBucket(b int, key uint64) []int32 {
 // several bands is reported once per shared band — callers dedupe, which
 // the shortlist construction does anyway while mapping items to clusters.
 func (ix *Index) Candidates(item int32, fn func(other int32)) {
-	if int(item) >= len(ix.inserted) || !ix.inserted[item] {
+	if !ix.isInserted(item) {
 		return
 	}
 	base := int(item) * ix.params.Bands
@@ -417,14 +395,15 @@ func (ix *Index) Candidates(item int32, fn func(other int32)) {
 // sequence Candidates(items[pos]) would deliver; handing whole bucket
 // slices to fn additionally removes Candidates' per-colliding-item
 // closure dispatch. sum is the bucket's cluster-summary handle
-// (summary.go), -1 when it keeps none. The bucket slices alias index
-// storage and must not be modified.
+// (Summary), -1 when it keeps none. The bucket slices alias index
+// storage and must not be modified; a frozen index's stay valid for
+// its lifetime, a build-phase index's until the next insert.
 func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32, sum int32)) {
 	bands := ix.params.Bands
 	if fz := ix.frozen; fz != nil {
 		for b := 0; b < bands; b++ {
 			for pos, item := range items {
-				if int(item) >= len(ix.inserted) || !ix.inserted[item] {
+				if !ix.isInserted(item) {
 					continue
 				}
 				slot := fz.slots[int(item)*bands+b]
@@ -443,57 +422,6 @@ func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32,
 	}
 }
 
-// CandidatesOfSet MinHashes an arbitrary (possibly un-inserted) value set
-// and reports colliding items, with the same duplication semantics as
-// Candidates. It is used for out-of-index queries such as assigning new
-// items in a streaming setting.
-//
-// CandidatesOfSet signs into scratch shared with Insert: it must not be
-// called concurrently with itself or with Insert. Callers that need
-// concurrent out-of-index queries sign externally (with private
-// scratch) and use CandidatesOfSignature.
-func (ix *Index) CandidatesOfSet(presentValues []uint64, fn func(other int32)) {
-	ix.CandidatesOfSignature(ix.scheme.Sign(presentValues, ix.sigBuf), fn)
-}
-
-// CandidatesOfSignature reports the items colliding with a precomputed
-// signature of length SignatureLen, with the same duplication semantics
-// as Candidates. It lets callers that sign externally avoid re-hashing
-// the item per use.
-func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
-	if len(sig) != ix.params.SignatureLen() {
-		panic("lsh: CandidatesOfSignature signature length mismatch")
-	}
-	if ix.frozen == nil && ix.runs == nil {
-		return // nothing inserted yet (build storage is lazy)
-	}
-	for b := 0; b < ix.params.Bands; b++ {
-		var bucket []int32
-		if ix.frozen != nil {
-			bucket, _ = ix.lookupBucket(b, ix.bandKey(sig, b))
-		} else {
-			bucket = ix.buildBucket(b, ix.bandKey(sig, b))
-		}
-		for _, other := range bucket {
-			fn(other)
-		}
-	}
-}
-
-// lookupBucket returns band b's bucket filed under key and its slot
-// (nil and −1 when absent) on a frozen index — the cross-shard key
-// probe and the frozen path of CandidatesOfSignature. The returned
-// slice aliases index storage and must not be modified; its entries
-// are global item IDs.
-func (ix *Index) lookupBucket(b int, key uint64) ([]int32, int32) {
-	fz := ix.frozen
-	slot := fz.tables[b].get(key)
-	if slot < 0 {
-		return nil, -1
-	}
-	return fz.items[fz.offsets[slot]:fz.offsets[slot+1]], slot
-}
-
 // Stats summarises bucket occupancy for diagnostics.
 type Stats struct {
 	Bands          int
@@ -508,26 +436,14 @@ type Stats struct {
 func (ix *Index) Stats() Stats {
 	st := Stats{Bands: ix.params.Bands, Items: ix.NumInserted()}
 	singles, total := 0, 0
-	ix.statsInto(&st, &singles, &total)
-	if st.Buckets > 0 {
-		st.MeanBucketLen = float64(total) / float64(st.Buckets)
-		st.SingletonShare = float64(singles) / float64(st.Buckets)
-	}
-	return st
-}
-
-// statsInto folds this index's bucket occupancy into st with the raw
-// singleton/total counters, so a Sharded index can aggregate shards
-// exactly instead of re-deriving counts from per-shard ratios.
-func (ix *Index) statsInto(st *Stats, singles, total *int) {
 	bucketLen := func(n int) {
 		st.Buckets++
-		*total += n
+		total += n
 		if n > st.MaxBucketLen {
 			st.MaxBucketLen = n
 		}
 		if n == 1 {
-			*singles++
+			singles++
 		}
 	}
 	if fz := ix.frozen; fz != nil {
@@ -543,4 +459,9 @@ func (ix *Index) statsInto(st *Stats, singles, total *int) {
 			}
 		}
 	}
+	if st.Buckets > 0 {
+		st.MeanBucketLen = float64(total) / float64(st.Buckets)
+		st.SingletonShare = float64(singles) / float64(st.Buckets)
+	}
+	return st
 }

@@ -7,15 +7,11 @@ import (
 	"os"
 )
 
-// MmapSupported reports whether this build can memory-map shard files.
+// MmapSupported reports whether this build can memory-map files.
 const MmapSupported = false
-
-const adviceRandom = 0
 
 func mmapFile(*os.File, int64) ([]byte, error) {
 	return nil, fmt.Errorf("memory mapping is not supported on this platform")
 }
 
 func munmapFile([]byte) error { return nil }
-
-func madvise([]byte, int) {}

@@ -7,12 +7,10 @@ import (
 	"syscall"
 )
 
-// MmapSupported reports whether this build can memory-map shard files.
+// MmapSupported reports whether this build can memory-map files.
 // When false, callers fall back to the heap Load path, which is always
 // available.
 const MmapSupported = true
-
-const adviceRandom = syscall.MADV_RANDOM
 
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size == 0 {
@@ -26,10 +24,4 @@ func munmapFile(data []byte) error {
 		return nil
 	}
 	return syscall.Munmap(data)
-}
-
-// madvise applies the access-pattern hint; failures are deliberately
-// ignored — advice is an optimisation, never a correctness dependency.
-func madvise(data []byte, advice int) {
-	_ = syscall.Madvise(data, advice)
 }

@@ -1,11 +1,11 @@
 // Package persist is the versioned, checksummed on-disk format for
-// frozen LSH shards: persistent shard storage and mmap'd zero-copy
-// loading. The cluster summaries of long buckets are never persisted;
-// they describe an assignment and are rebuilt per run.
+// the frozen LSH index and the binary datasets: persistent storage and
+// mmap'd zero-copy loading. The cluster summaries of long buckets are
+// never persisted; they describe an assignment and are rebuilt per run.
 //
-// A shard file (<dir>/shard-<i>.lshz) is a fixed 64-byte header, a
-// section table, and the sections themselves, each padded to a 64-byte
-// boundary:
+// A file (a saved index's <dir>/shard-0.lshz, a binary dataset, a
+// run-state snapshot) is a fixed 64-byte header, a section table, and
+// the sections themselves, each padded to a 64-byte boundary:
 //
 //	header   magic "LSHZIDX\x00" · format version · native byte-order
 //	         marker · section count · file size · table CRC · header CRC
@@ -13,12 +13,11 @@
 //	         count, absolute offset, byte length, section CRC
 //	sections raw little-ended slice memory, 64-byte aligned
 //
-// Sections carry the frozen arrays exactly as they sit in memory
-// (offsets/items/slots/keys/key-table entries/bandStart, plus the
-// foreign-emptiness bitmap of multi-shard indexes and the optional
-// reorder permutation), so a mapped section is directly usable as the existing
-// slice field: LoadMmap aliases the mapping with zero copies, while
-// Load reads the same bytes into heap memory — the portable oracle the
+// An index file's sections carry the frozen arrays exactly as they sit
+// in memory (offsets, items, slots and the inserted flags), so a mapped
+// section is directly usable as the existing slice field: a mapped
+// Open aliases the mapping with zero copies, while a heap Open reads
+// the same bytes into heap memory — the portable oracle the
 // equivalence tests pin the mmap path against. Every integrity check
 // is an error, never a panic: bad magic, wrong version, foreign byte
 // order, truncation (stored size ≠ actual size), table corruption and
@@ -26,14 +25,14 @@
 // is handed out, so a crashed or corrupted save can never be partially
 // loaded.
 //
-// Alongside the shard files sits manifest.json (written last, after
-// every shard file has been renamed into place, so a directory with a
+// Alongside the index file sits manifest.json (written last, after the
+// index file has been renamed into place, so a directory with a
 // manifest is complete by construction). The manifest captures the
-// build configuration — shard count, banding parameters, signing seed,
-// item count, partitioner, reorder permutation hash, dataset
-// fingerprint — and loading verifies every field against the caller's
-// expectation: a stale index is rejected with an error, never silently
-// reused.
+// build configuration — banding parameters, signing seed, item count,
+// dataset fingerprint, and the shard count and reorder flag of the
+// retired multi-shard layout, which must read 1 and false — and
+// loading verifies every field against the caller's expectation: a
+// stale index is rejected with an error, never silently reused.
 package persist
 
 import (
@@ -67,8 +66,8 @@ const filePerm = 0o644
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SectionID identifies one array within a shard file. IDs are assigned
-// by the caller (internal/lsh owns the shard layout) and must be
+// SectionID identifies one array within a file. IDs are assigned by
+// the caller (internal/lsh owns the index layout) and must be
 // unique within a file.
 type SectionID uint32
 
@@ -191,7 +190,7 @@ func WriteFile(path string, sections []Section) (err error) {
 	return nil
 }
 
-// File is one opened shard file: either a heap copy (Load, the
+// File is one opened file: either a heap copy (Load, the
 // portable oracle) or a read-only memory mapping (LoadMmap) of the
 // whole file, with sections resolved to subslices. Section data must
 // be treated as immutable; the mmap path enforces it (PROT_READ — a
@@ -333,18 +332,6 @@ func View[T any](f *File, id SectionID) ([]T, error) {
 		return []T{}, nil
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(&f.data[info.off])), info.length/int64(info.elemSize)), nil
-}
-
-// AdviseRandom declares random access on a section (madvise
-// MADV_RANDOM) — applied to the open-addressed key tables, whose probe
-// pattern defeats readahead. No-op on heap copies and non-unix builds.
-func (f *File) AdviseRandom(id SectionID) {
-	if !f.mapped {
-		return
-	}
-	if info, ok := f.sections[id]; ok && info.length > 0 {
-		madvise(f.data[info.off:info.off+info.length], adviceRandom)
-	}
 }
 
 // Close releases the mapping (or the heap copy). Any slice returned by

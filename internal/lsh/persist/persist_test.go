@@ -93,8 +93,6 @@ func TestRoundTrip(t *testing.T) {
 		if _, err := View[int64](f, 1); err == nil {
 			t.Fatal("element-size mismatch did not error")
 		}
-		// Advice must be safe on any section and load mode.
-		f.AdviseRandom(2)
 		_ = want
 	})
 }

@@ -3,175 +3,90 @@ package lsh
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// buildReordered builds a sharded index over sets with locality
-// reordering enabled, returning it and the SignAll arena used.
-func buildReordered(t *testing.T, p Params, seed uint64, sets [][]uint64, shards, workers int) (*Sharded, []uint64) {
-	t.Helper()
-	sh, err := NewSharded(p, seed, len(sets), shards)
+// The index keeps items in the order they are given. The tests below
+// build it over the items in a locality order and check that, mapped
+// back, it answers like the index over the original order: bucket
+// membership depends on the items' sets, not their IDs.
+
+// localityOrder returns the item order that makes every band-0 bucket
+// contiguous (stable in ID order): order[new] = original.
+func localityOrder(p Params, seed uint64, sets [][]uint64) []int {
+	ix, err := NewIndex(p, seed, len(sets))
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	keys := signKeysFor(sh, sets, workers)
-	sh.SetReorder(true)
-	if err := sh.BuildFrozen(keys, len(sets), workers); err != nil {
-		t.Fatal(err)
+	keys := SignAll(p, len(sets), 1, setSigner(ix, sets), nil)
+	order := make([]int, len(sets))
+	for i := range order {
+		order[i] = i
 	}
-	return sh, keys
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]*p.Bands] < keys[order[b]*p.Bands] })
+	return order
 }
 
-// TestReorderMapBijection pins the permutation's shape: perm and inv
-// are inverse bijections over [0, n), within each band-0 bucket
-// internal order preserves ascending original order (the property
-// reorderBucketItems' band-0 skip relies on), and items sharing any
-// small bucket land in the same contiguous component run.
-func TestReorderMapBijection(t *testing.T) {
-	const n = 250
-	p := Params{Bands: 6, Rows: 3}
-	sets := testSets(n, 51)
-	sh, keys := buildReordered(t, p, 7, sets, 3, 2)
-	perm, inv := sh.ReorderMap()
-	if len(perm) != n || len(inv) != n {
-		t.Fatalf("perm/inv lengths %d/%d, want %d", len(perm), len(inv), n)
+// reorderSets returns sets in the given order.
+func reorderSets(sets [][]uint64, order []int) [][]uint64 {
+	out := make([][]uint64, len(order))
+	for i, o := range order {
+		out[i] = sets[o]
 	}
-	for i := 0; i < n; i++ {
-		if perm[inv[i]] != int32(i) || inv[perm[i]] != int32(i) {
-			t.Fatalf("perm/inv not inverse at %d: perm[inv[%d]]=%d inv[perm[%d]]=%d",
-				i, i, perm[inv[i]], i, inv[perm[i]])
-		}
-	}
-	// Within a band-0 bucket, ascending original implies ascending
-	// internal — the exact invariant that lets reorderBucketItems skip
-	// re-scattering band 0.
-	group := map[uint64][]int32{}
-	for i := 0; i < n; i++ {
-		k := keys[i*p.Bands]
-		group[k] = append(group[k], perm[int32(i)])
-	}
-	for k, ids := range group {
-		for j := 1; j < len(ids); j++ {
-			if ids[j] <= ids[j-1] {
-				t.Fatalf("band-0 key %#x: internal IDs %v not ascending with original order", k, ids)
-			}
-		}
-	}
-	// Collision-connected components are contiguous internal runs:
-	// recompute the (uncapped — n is far below maxUnionBucket) closure
-	// and check each component occupies exactly [min, min+size) in
-	// internal space.
-	root := make([]int, n)
-	for i := range root {
-		root[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if root[x] != x {
-			root[x] = find(root[x])
-		}
-		return root[x]
-	}
-	for b := 0; b < p.Bands; b++ {
-		first := map[uint64]int{}
-		for i := 0; i < n; i++ {
-			k := keys[i*p.Bands+b]
-			if f, ok := first[k]; ok {
-				ra, rb := find(f), find(i)
-				if ra != rb {
-					root[rb] = ra
-				}
-			} else {
-				first[k] = i
-			}
-		}
-	}
-	comp := map[int][]int32{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		comp[r] = append(comp[r], perm[i])
-	}
-	for r, ids := range comp {
-		lo, hi := ids[0], ids[0]
-		for _, id := range ids {
-			lo, hi = min(lo, id), max(hi, id)
-		}
-		if int(hi-lo)+1 != len(ids) {
-			t.Fatalf("component of %d: internal IDs span [%d,%d] for %d items — not contiguous", r, lo, hi, len(ids))
-		}
-	}
-	if sh.ReorderTime() <= 0 {
-		t.Fatal("reordered build recorded no reorder time")
-	}
+	return out
 }
 
-// TestReorderedQueriesMatchSingle is the reorder analogue of
-// TestShardedQueriesMatchSingle: on a reordered index every query path
-// emits *internal* IDs, and mapping each through inv must reproduce
-// the unsharded, unreordered oracle's candidate stream exactly — same
-// items, same enumeration order — for every shard count, proving the
-// ascending-original emission contract.
+// TestReorderedQueriesMatchSingle: on an index built by BuildFrozen
+// (one and four workers) over the items in locality order, every query
+// path emits the new IDs, and mapping them back must reproduce the
+// original-order reference bucket by bucket — the same items in each
+// band's bucket. For s>1 the locality order is split into s contiguous
+// ranges, each built as an index of its own with local IDs, and each
+// range's answers must be the reference's restricted to its items.
 func TestReorderedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
 	ref := singleReference(t, p, 7, sets, true)
-	refKeys := signKeysFor(&Sharded{params: p, shards: []*Index{ref}, single: ref}, sets, 1)
+	order := localityOrder(p, 7, sets)
+	if slices.IsSorted(order) {
+		t.Fatal("the locality order is the identity")
+	}
+	ordered := reorderSets(sets, order)
 	for _, shards := range []int{1, 2, 3, 4} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("s=%d/w=%d", shards, workers), func(t *testing.T) {
-				sh, err := NewSharded(p, 7, n, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh.SetReorder(true)
-				if err := sh.BuildFrozen(refKeys, n, workers); err != nil {
-					t.Fatal(err)
-				}
-				_, inv := sh.ReorderMap()
-				if inv == nil {
-					t.Fatal("range BuildFrozen with SetReorder(true) did not reorder")
-				}
-				toOrig := func(ids []int32) []int32 {
-					out := make([]int32, len(ids))
-					for i, id := range ids {
-						out[i] = inv[id]
+				cuts := itemRanges(n, shards)
+				for r := 0; r < shards; r++ {
+					lo, hi := cuts[r], cuts[r+1]
+					ix := buildFrozenIndex(t, p, 7, ordered[lo:hi], workers)
+					toOrig := order[lo:hi]
+					inRange := make([]bool, n)
+					for _, o := range toOrig {
+						inRange[o] = true
 					}
-					return out
-				}
-				q := sh.NewQuery()
-				for i := 0; i < n; i++ {
-					want := collectCandidates(ref, int32(i))
-					got := toOrig(collectQueryCandidates(q, int32(i)))
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("item %d candidates: want %v, got %v", i, want, got)
-					}
-				}
-				// Unknown items stay silent.
-				if got := collectQueryCandidates(q, int32(n+5)); got != nil {
-					t.Fatalf("out-of-range item returned %v", got)
-				}
-				// Batched block sweep.
-				for _, blockLen := range []int{1, 7, 64} {
-					for lo := 0; lo < n; lo += blockLen {
-						hi := min(lo+blockLen, n)
-						blk := make([]int32, 0, hi-lo)
-						for i := lo; i < hi; i++ {
-							blk = append(blk, int32(i))
+					for l, o := range toOrig {
+						want := mappedBuckets(ref, int32(o), nil, inRange)
+						if got := mappedBuckets(ix, int32(l), toOrig, nil); !reflect.DeepEqual(want, got) {
+							t.Fatalf("range %d item %d buckets: want %v, got %v", r, o, want, got)
 						}
-						got := collectBatch(q, blk)
-						for pos, item := range blk {
-							want := collectCandidates(ref, item)
-							if !reflect.DeepEqual(want, toOrig(got[pos])) {
-								t.Fatalf("block item %d: want %v, got %v", item, want, toOrig(got[pos]))
+						var wantAll, gotAll []int32
+						ref.Candidates(int32(o), func(c int32) {
+							if inRange[c] {
+								wantAll = append(wantAll, c)
 							}
+						})
+						ix.Candidates(int32(l), func(c int32) { gotAll = append(gotAll, int32(toOrig[c])) })
+						slices.Sort(wantAll)
+						slices.Sort(gotAll)
+						if !reflect.DeepEqual(wantAll, gotAll) {
+							t.Fatalf("range %d item %d candidates: want %v, got %v", r, o, wantAll, gotAll)
 						}
 					}
-				}
-				if shards > 1 {
-					local, foreign := sh.FanOutLocality()
-					if local <= 0 {
-						t.Fatalf("no shard-local candidates counted (local=%d foreign=%d)", local, foreign)
+					if got := collectCandidates(ix, int32(hi-lo+5)); got != nil {
+						t.Fatalf("out-of-range item returned %v", got)
 					}
 				}
 			})
@@ -179,57 +94,124 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 	}
 }
 
-// TestReorderedReverseMatchesSingle pins the reverse-view boundary:
-// sources are original IDs in, emitted items are original IDs out, and
-// the emitted set equals the unreordered oracle's.
+// mappedBuckets returns item's band buckets on ix, each mapped through
+// toOrig (when set), kept to the items keep marks (when set), and
+// sorted.
+func mappedBuckets(ix *Index, item int32, toOrig []int, keep []bool) [][]int32 {
+	var out [][]int32
+	ix.CandidatesBatch([]int32{item}, func(_ int, bucket []int32, _ int32) {
+		b := []int32{}
+		for _, id := range bucket {
+			if toOrig != nil {
+				id = int32(toOrig[id])
+			}
+			if keep == nil || keep[id] {
+				b = append(b, id)
+			}
+		}
+		slices.Sort(b)
+		out = append(out, b)
+	})
+	return out
+}
+
+// TestReorderedReverseMatchesSingle pins the reverse view on an index
+// over the items in locality order (for s>1, on each range's index of
+// it, with local IDs): sources given as the index's IDs emit, mapped
+// back, the original-order reference's set restricted to the index's
+// items.
 func TestReorderedReverseMatchesSingle(t *testing.T) {
 	const n = 220
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 17)
 	ref := singleReference(t, p, 7, sets, true)
+	order := localityOrder(p, 7, sets)
+	inv := make([]int, n)
+	for i, o := range order {
+		inv[o] = i
+	}
+	ordered := reorderSets(sets, order)
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
-			sh, _ := buildReordered(t, p, 7, sets, shards, 2)
-			rv := sh.NewReverse()
-			if rv == nil {
-				t.Fatal("NewReverse returned nil on a reordered index")
-			}
-			refRv := ref.NewReverse()
-			for _, sources := range [][]int32{{0}, {3, 77, 150}, {n - 1, 0, 42}} {
-				want := map[int32]bool{}
-				got := map[int32]bool{}
-				for _, s := range sources {
-					refRv.AddSource(s)
-					rv.AddSource(s)
-				}
-				refRv.Emit(func(it int32) bool { want[it] = true; return true })
-				rv.Emit(func(it int32) bool { got[it] = true; return true })
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("sources %v: want %d items, got %d (sets differ)", sources, len(want), len(got))
+			cuts := itemRanges(n, shards)
+			for r := 0; r < shards; r++ {
+				lo, hi := cuts[r], cuts[r+1]
+				ix := buildFrozenIndex(t, p, 7, ordered[lo:hi], 2)
+				rv, refRv := ix.NewReverse(), ref.NewReverse()
+				for _, sources := range [][]int32{{0}, {3, 77, 150}, {n - 1, 0, 42}, {int32(order[lo]), int32(order[hi-1])}} {
+					want := map[int32]bool{}
+					got := map[int32]bool{}
+					for _, s := range sources {
+						if l := inv[s] - lo; l >= 0 && l < hi-lo {
+							refRv.AddSource(s)
+							rv.AddSource(int32(l))
+						}
+					}
+					refRv.Emit(func(it int32) bool {
+						if l := inv[it] - lo; l >= 0 && l < hi-lo {
+							want[it] = true
+						}
+						return true
+					})
+					rv.Emit(func(it int32) bool { got[int32(order[lo+int(it)])] = true; return true })
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("range %d sources %v: want %d items, got %d (sets differ)", r, sources, len(want), len(got))
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestReorderInertLayouts pins the layout that must never reorder even
-// with SetReorder(true): the per-item Insert/Freeze path.
+// TestReorderInertLayouts pins that no layout reorders: an index frozen
+// by Insert/Freeze or built by BuildFrozen keeps every item under its
+// own ID (each item's bucket in every band holds it), and the
+// deprecated ReorderTime reads zero beside a one-entry BuildTimes.
 func TestReorderInertLayouts(t *testing.T) {
 	const n = 120
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(n, 9)
-	sh, err := NewSharded(p, 7, n, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.SetReorder(true)
-	for i, s := range sets {
-		if err := sh.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
+	for name, ix := range map[string]*Index{
+		"freeze": singleReference(t, p, 7, sets, true),
+		"build":  buildFrozenIndex(t, p, 7, sets, 2),
+	} {
+		for i := 0; i < n; i++ {
+			ix.CandidatesBatch([]int32{int32(i)}, func(_ int, bucket []int32, _ int32) {
+				if !slices.Contains(bucket, int32(i)) {
+					t.Fatalf("%s: item %d missing from its own bucket %v", name, i, bucket)
+				}
+			})
+		}
+		if d := ix.ReorderTime(); d != 0 {
+			t.Fatalf("%s: ReorderTime = %v, want 0", name, d)
+		}
+		if bt := ix.BuildTimes(); len(bt) != 1 {
+			t.Fatalf("%s: BuildTimes = %v, want one entry", name, bt)
 		}
 	}
-	sh.Freeze()
-	if perm, _ := sh.ReorderMap(); perm != nil {
-		t.Fatal("Insert/Freeze index reordered")
+}
+
+// TestForeignSlotsSkippedLayouts pins that no layout builds a
+// foreign-emptiness bitmap or fans a query out, frozen or not: the
+// deprecated accessors read zero after queries on either.
+func TestForeignSlotsSkippedLayouts(t *testing.T) {
+	p := Params{Bands: 4, Rows: 2}
+	sets := testSets(40, 5)
+	for name, ix := range map[string]*Index{
+		"unfrozen": singleReference(t, p, 7, sets, false),
+		"frozen":   buildFrozenIndex(t, p, 7, sets, 2),
+	} {
+		for _, blk := range blocks(len(sets), 7) {
+			collectBatch(ix, blk)
+		}
+		if b := ix.ForeignSlotBytes(); b != 0 {
+			t.Fatalf("%s: ForeignSlotBytes = %d, want 0", name, b)
+		}
+		if probes, direct := ix.FanOutOps(); probes != 0 || direct != 0 {
+			t.Fatalf("%s: FanOutOps = %d, %d, want 0, 0", name, probes, direct)
+		}
+		if local, foreign := ix.FanOutLocality(); local != 0 || foreign != 0 {
+			t.Fatalf("%s: FanOutLocality = %d, %d, want 0, 0", name, local, foreign)
+		}
 	}
 }

@@ -33,29 +33,18 @@ func (ix *Index) NewReverse() *Reverse {
 }
 
 // AddSource marks every bucket of a previously inserted item hot.
-// Uninserted items are ignored. The item ID is local to this index; a
-// sharded view resolves global sources to (shard, local) pairs and
-// marks non-owning shards by key probe (markSlot).
+// Uninserted items are ignored.
 func (r *Reverse) AddSource(item int32) {
 	ix := r.ix
 	if !ix.isInserted(item) {
 		return
 	}
-	fz := ix.frozen
-	base := int(item) * ix.params.Bands
-	for b := 0; b < ix.params.Bands; b++ {
-		r.markSlot(fz.slots[base+b])
-	}
-}
-
-// markSlot marks one bucket hot by its global (within this index)
-// bucket ID — the cross-shard half of ShardedReverse.AddSource, where
-// a source's buckets in non-owning shards are resolved by key probes
-// rather than through a slots array.
-func (r *Reverse) markSlot(slot int32) {
-	if !r.mark[slot] {
-		r.mark[slot] = true
-		r.marked = append(r.marked, slot)
+	bands := ix.params.Bands
+	for _, slot := range ix.frozen.slots[int(item)*bands:][:bands] {
+		if !r.mark[slot] {
+			r.mark[slot] = true
+			r.marked = append(r.marked, slot)
+		}
 	}
 }
 

@@ -9,22 +9,23 @@ package lsh
 // least SummaryMinLen items also keeps its members' distinct clusters
 // in first-appearance order, under a view of the assignment the caller
 // supplies (SummarizeClusters). A block sweep hands each whole long
-// bucket's summary handle to its consumer (Query.CandidatesBatch), which
+// bucket's summary handle to its consumer (CandidatesBatch), which
 // reads the summary instead of the members. Folding a summary through a
 // shortlist's deduplication yields exactly what folding the bucket's
 // members would: the clusters the bucket contributes, new ones in the
 // order the members first reach them.
 //
 // A summary goes stale when a member's cluster changes. The caller
-// reports every such write (Resummarize), and each of the item's long
-// buckets in its owner shard is recomputed from the view. That reads
-// exactly the entries the mover's own shortlist query read, so upkeep
-// never costs more than the query that found the move.
+// reports the items whose cluster it wrote (Resummarize), and every
+// long bucket holding any of them is recomputed once from the view. A
+// recompute reads exactly the entries the mover's own shortlist query
+// read, so upkeep never costs more than the queries that found the
+// moves.
 //
 // Summaries live on the heap beside the frozen layout and are never
-// persisted: they describe an assignment, not the index. Short buckets,
-// the build phase's buckets and the partial runs of a reordered
-// cross-shard merge keep no summary and are walked member by member.
+// persisted: they describe an assignment, not the index. Short buckets
+// and the build phase's buckets keep no summary and are walked member
+// by member.
 
 import "math/bits"
 
@@ -36,13 +37,15 @@ import "math/bits"
 // and saved nothing.
 const SummaryMinLen = 16
 
-// clusterSummaries is a Sharded index's summary store. Summary IDs are
-// global across shards; each shard's summaryTable maps its long
-// buckets' slots to them. Summary id's region, arena[start[id] :
-// start[id+1]], has room for one cluster per bucket member, which
-// bounds its distinct clusters, so the store is sized by the summarised
-// entries and a recompute never moves a summary.
+// clusterSummaries is an index's summary store. table maps a long
+// bucket's slot to its summary ID, and slots maps the ID back. Summary
+// id's region, arena[start[id] : start[id+1]], has room for one cluster
+// per bucket member, which bounds its distinct clusters, so the store
+// is sized by the summarised entries and a recompute never moves a
+// summary.
 type clusterSummaries struct {
+	table summaryTable
+	slots []int32
 	start []int
 	count []int32
 	arena []int32
@@ -50,13 +53,17 @@ type clusterSummaries struct {
 	// cluster c is in the summary being written.
 	stamps []uint32
 	epoch  uint32
+	// stale flags the summaries a Resummarize has queued, listed in
+	// queue, so each is recomputed once however many movers it holds.
+	stale []bool
+	queue []int32
 }
 
-// summaryTable is one shard's map from a long bucket's slot to its
-// summary ID: linear probing over cells at most half full, keyed by
-// slot+1 so the zero cell is empty, indexed by Fibonacci hashing. The
-// long buckets are few (4,697 of the K-Modes benchmark's 1.78M), so
-// the table stays cache-resident where per-bucket arrays would not.
+// summaryTable maps a long bucket's slot to its summary ID: linear
+// probing over cells at most half full, keyed by slot+1 so the zero
+// cell is empty, indexed by Fibonacci hashing. The long buckets are few
+// (4,697 of the K-Modes benchmark's 1.78M), so the table stays
+// cache-resident where per-bucket arrays would not.
 type summaryTable struct {
 	cells []summaryCell
 	shift uint
@@ -64,8 +71,8 @@ type summaryTable struct {
 
 type summaryCell struct{ key, id int32 }
 
-// newSummaryTable files slots[j] under summary ID first+j.
-func newSummaryTable(slots []int32, first int32) summaryTable {
+// newSummaryTable files slots[j] under summary ID j.
+func newSummaryTable(slots []int32) summaryTable {
 	if len(slots) == 0 {
 		return summaryTable{}
 	}
@@ -80,7 +87,7 @@ func newSummaryTable(slots []int32, first int32) summaryTable {
 		for t.cells[i].key != 0 {
 			i = (i + 1) & mask
 		}
-		t.cells[i] = summaryCell{key: slot + 1, id: first + int32(j)}
+		t.cells[i] = summaryCell{key: slot + 1, id: int32(j)}
 	}
 	return t
 }
@@ -114,10 +121,10 @@ func (t *summaryTable) get(slot int32) int32 {
 //
 //lshvet:noescape
 func (ix *Index) summaryOf(slot int32, n int) int32 {
-	if n < SummaryMinLen {
+	if n < SummaryMinLen || ix.sums == nil {
 		return -1
 	}
-	return ix.sums.get(slot)
+	return ix.sums.table.get(slot)
 }
 
 // longBuckets appends the slots of every bucket of at least
@@ -145,84 +152,83 @@ func longBuckets(offsets []int32, dst []int32) []int32 {
 }
 
 // SummarizeClusters (re)builds the cluster summary of every frozen
-// bucket of at least SummaryMinLen items from view, which maps the IDs
-// buckets hold to clusters (internal IDs on a reordered index; entries
-// < 0 are unassigned and skipped). From then on every write to view
-// must be reported through Resummarize before the next block sweep
-// reads a summary. A no-op unless every shard is frozen; it must not
-// run concurrently with queries.
-func (sh *Sharded) SummarizeClusters(view []int32) {
-	sh.sums = nil
-	for _, ix := range sh.shards {
-		ix.sums = summaryTable{}
-	}
-	if !sh.Frozen() {
+// bucket of at least SummaryMinLen items from view, which maps item IDs
+// to clusters (entries < 0 are unassigned and skipped). From then on
+// every write to view must be reported through Resummarize before the
+// next block sweep reads a summary. A no-op on an unfrozen index; it
+// must not run concurrently with queries.
+func (ix *Index) SummarizeClusters(view []int32) {
+	ix.sums = nil
+	fz := ix.frozen
+	if fz == nil {
 		return
 	}
-	cs := &clusterSummaries{start: []int{0}}
-	long := make([][]int32, len(sh.shards))
-	for s, ix := range sh.shards {
-		fz := ix.frozen
-		long[s] = longBuckets(fz.offsets, nil)
-		ix.sums = newSummaryTable(long[s], int32(len(cs.start)-1))
-		for _, slot := range long[s] {
-			cs.start = append(cs.start, cs.start[len(cs.start)-1]+int(fz.offsets[slot+1]-fz.offsets[slot]))
-		}
+	long := longBuckets(fz.offsets, nil)
+	cs := &clusterSummaries{
+		table: newSummaryTable(long),
+		slots: long,
+		start: make([]int, len(long)+1),
+		count: make([]int32, len(long)),
+		stale: make([]bool, len(long)),
 	}
-	cs.count = make([]int32, len(cs.start)-1)
-	cs.arena = make([]int32, cs.start[len(cs.start)-1])
-	id := int32(0)
-	for s, ix := range sh.shards {
-		fz := ix.frozen
-		for _, slot := range long[s] {
-			cs.compute(id, fz.items[fz.offsets[slot]:fz.offsets[slot+1]], view)
-			id++
-		}
+	for id, slot := range long {
+		cs.start[id+1] = cs.start[id] + int(fz.offsets[slot+1]-fz.offsets[slot])
 	}
-	sh.sums = cs
+	cs.arena = make([]int32, cs.start[len(long)])
+	for id := range long {
+		cs.compute(int32(id), ix.summaryBucket(cs, int32(id)), view)
+	}
+	ix.sums = cs
 }
 
-// Resummarize recomputes from view the summary of each long bucket the
-// original item occupies in its owner shard, after a write to the
-// item's cluster in view. A no-op without summaries; it must not run
-// concurrently with queries.
+// summaryBucket returns the members of summary id's bucket.
 //
 //lshvet:noescape
-func (sh *Sharded) Resummarize(item int32, view []int32) {
-	cs := sh.sums
-	if cs == nil {
-		return
-	}
-	if perm := sh.perm; perm != nil {
-		if item < 0 || int(item) >= len(perm) {
-			return
-		}
-		item = perm[item]
-	}
-	s, local, ok := sh.part.locate(item)
-	if !ok {
-		return
-	}
-	ix := sh.shards[s]
-	if len(ix.sums.cells) == 0 || !ix.isInserted(local) {
-		return
-	}
+func (ix *Index) summaryBucket(cs *clusterSummaries, id int32) []int32 {
 	fz := ix.frozen
-	bands := sh.params.Bands
-	for _, slot := range fz.slots[int(local)*bands:][:bands] {
-		if id := ix.sums.get(slot); id >= 0 {
-			cs.compute(id, fz.items[fz.offsets[slot]:fz.offsets[slot+1]], view)
+	slot := cs.slots[id]
+	return fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
+}
+
+// Resummarize recomputes from view, once each, the summary of every
+// long bucket holding any of items, after writes to those items'
+// clusters in view, and returns how many summaries it recomputed. A
+// no-op without summaries; it must not run concurrently with queries.
+//
+//lshvet:noescape
+func (ix *Index) Resummarize(items []int32, view []int32) int {
+	cs := ix.sums
+	if cs == nil || len(cs.slots) == 0 {
+		return 0
+	}
+	bands := ix.params.Bands
+	queue := cs.queue[:0]
+	for _, item := range items {
+		if !ix.isInserted(item) {
+			continue
+		}
+		for _, slot := range ix.frozen.slots[int(item)*bands:][:bands] {
+			if id := cs.table.get(slot); id >= 0 && !cs.stale[id] {
+				cs.stale[id] = true
+				queue = append(queue, id)
+			}
 		}
 	}
+	for _, id := range queue {
+		cs.stale[id] = false
+		cs.compute(id, ix.summaryBucket(cs, id), view)
+	}
+	cs.queue = queue
+	return len(queue)
 }
 
 // Summary returns the clusters summary h holds, in first-appearance
-// order: the handle a block sweep passed with a whole long bucket. The
+// order: the handle CandidatesBatch passed with a long bucket. The
 // slice aliases the store and changes with the next Resummarize of
 // that bucket.
 //
 //lshvet:noescape
-func (q *Query) Summary(h int32) []int32 { return q.sh.sums.list(h) }
+func (ix *Index) Summary(h int32) []int32 { return ix.sums.list(h) }
 
 //lshvet:noescape
 func (cs *clusterSummaries) list(id int32) []int32 {

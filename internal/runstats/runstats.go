@@ -7,7 +7,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"time"
 )
@@ -64,44 +63,6 @@ type Run struct {
 	BootstrapSign   time.Duration
 	BootstrapBuild  time.Duration
 	BootstrapAssign time.Duration
-	// Shards is the accelerator index's item-shard count (0 when the
-	// run had no shard-capable accelerator; 1 is the unsharded oracle).
-	Shards int
-	// BootstrapBuildShards breaks BootstrapBuild down per shard: entry
-	// s is the wall time shard s spent constructing its frozen layout
-	// (direct build or freeze compaction). Nil when the index never
-	// froze. Shards build concurrently, so the entries overlap and
-	// their sum may exceed BootstrapBuild; the maximum is the build's
-	// critical path (the CLI reports the slowest shard).
-	BootstrapBuildShards []time.Duration
-	// CrossShardMerge is the cumulative wall time query paths spent in
-	// cross-shard candidate sweeps (planning, fan-out and merging
-	// shard-local shortlists), measured at call granularity across the
-	// whole run. Always zero with a single shard, where no fan-out
-	// exists.
-	CrossShardMerge time.Duration
-	// ForeignSlotBytes is the memory the index spent on its cross-shard
-	// foreign-emptiness bitmap (one bit per bucket); 0 with a single
-	// shard.
-	ForeignSlotBytes int64
-	// CrossShardProbes and CrossShardDirect count cross-shard bucket
-	// resolutions, one per (item, band, foreign shard), by path:
-	// key-table probes issued versus resolutions the foreign-emptiness
-	// bitmap answered without a probe. Both zero with a single shard.
-	CrossShardProbes int64
-	CrossShardDirect int64
-	// ReorderTime is the wall time the locality-reordering stage spent
-	// deriving and applying the item permutation during the bootstrap
-	// build (zero when reordering was disabled or inapplicable). Part
-	// of BootstrapBuild, reported separately as the reorder overhead.
-	ReorderTime time.Duration
-	// ShardLocalCands and ShardForeignCands count shortlist candidates
-	// by origin: served by the queried item's owning shard versus fanned
-	// out from the other shards. Their ratio is the locality measure the
-	// reordering stage exists to raise. Both zero with a single shard
-	// (no fan-out).
-	ShardLocalCands   int64
-	ShardForeignCands int64
 	// IndexSaveTime and IndexLoadTime are the wall times spent
 	// persisting the frozen index to disk after a cold bootstrap and
 	// warm-loading it back at the start of a later run
@@ -166,30 +127,6 @@ func (r *Run) TotalMoves() int {
 	return n
 }
 
-// CrossShardProbeFrac returns the share of cross-shard bucket
-// resolutions that needed a key probe — 0 when the foreign-emptiness
-// bitmap answered every one, NaN when no cross-shard resolution ran
-// (single shard).
-func (r *Run) CrossShardProbeFrac() float64 {
-	total := r.CrossShardProbes + r.CrossShardDirect
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(r.CrossShardProbes) / float64(total)
-}
-
-// ShardLocalFrac returns the share of shortlist candidates served by
-// the queried item's owning shard — the locality measure item
-// reordering raises. NaN when no multi-shard fan-out ran (single shard,
-// or no queries).
-func (r *Run) ShardLocalFrac() float64 {
-	total := r.ShardLocalCands + r.ShardForeignCands
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(r.ShardLocalCands) / float64(total)
-}
-
 // Speedup returns how many times faster r completed than other
 // (other.Total / r.Total).
 func (r *Run) Speedup(other *Run) float64 {
@@ -217,9 +154,8 @@ func none(*Run, Iteration) string { return "" }
 
 // columns is the single source of truth for the CSV layout. The
 // pseudo-iteration 0 row carries the bootstrap duration, its per-phase
-// split and the shard layout; iteration rows leave those columns empty.
-// CrossShardMerge spans the whole run but is a run-level aggregate, so
-// it rides on the bootstrap row.
+// split and the index persistence figures; iteration rows leave those
+// columns empty.
 var columns = []column{
 	{"run",
 		func(r *Run) string { return r.Name },
@@ -248,18 +184,6 @@ var columns = []column{
 		func(r *Run) string { return f(ms(r.BootstrapBuild)) }, none},
 	{"bootstrap_assign_ms",
 		func(r *Run) string { return f(ms(r.BootstrapAssign)) }, none},
-	{"shards",
-		func(r *Run) string { return strconv.Itoa(r.Shards) }, none},
-	{"crossshard_merge_ms",
-		func(r *Run) string { return f(ms(r.CrossShardMerge)) }, none},
-	{"foreignslot_bytes",
-		func(r *Run) string { return strconv.FormatInt(r.ForeignSlotBytes, 10) }, none},
-	{"crossshard_probe_frac",
-		func(r *Run) string { return f(r.CrossShardProbeFrac()) }, none},
-	{"reorder_ms",
-		func(r *Run) string { return f(ms(r.ReorderTime)) }, none},
-	{"shard_local_frac",
-		func(r *Run) string { return f(r.ShardLocalFrac()) }, none},
 	{"index_save_ms",
 		func(r *Run) string { return f(ms(r.IndexSaveTime)) }, none},
 	{"index_load_ms",
@@ -274,17 +198,12 @@ func bootNone(*Run) string { return "" }
 // from the columns table, with the reason; statscheck requires every
 // non-rendered field to appear here.
 var csvExempt = map[string]string{
-	"CandidatesTotal":      "reported via its per-item mean, avg_shortlist",
-	"BootstrapBuildShards": "per-shard breakdown; long format has no per-shard rows, the CLI reports the critical path",
-	"CrossShardProbes":     "reported as the crossshard_probe_frac ratio",
-	"CrossShardDirect":     "reported as the crossshard_probe_frac ratio",
-	"ShardLocalCands":      "reported as the shard_local_frac ratio",
-	"ShardForeignCands":    "reported as the shard_local_frac ratio",
-	"Iterations":           "expanded into the per-iteration rows themselves",
-	"Converged":            "summary-level; rendered by WriteSummaryMarkdown",
-	"Purity":               "summary-level; rendered by WriteSummaryMarkdown",
-	"WarmStart":            "boolean run mode, implied by index_load_ms > 0; the CLI reports it",
-	"ResumedAt":            "run mode; restored iterations already appear as ordinary rows",
+	"CandidatesTotal": "reported via its per-item mean, avg_shortlist",
+	"Iterations":      "expanded into the per-iteration rows themselves",
+	"Converged":       "summary-level; rendered by WriteSummaryMarkdown",
+	"Purity":          "summary-level; rendered by WriteSummaryMarkdown",
+	"WarmStart":       "boolean run mode, implied by index_load_ms > 0; the CLI reports it",
+	"ResumedAt":       "run mode; restored iterations already appear as ordinary rows",
 }
 
 // Header returns the CSV column names, in order.

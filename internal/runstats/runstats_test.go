@@ -15,21 +15,9 @@ func sampleRun() *Run {
 		BootstrapSign:   40 * time.Millisecond,
 		BootstrapBuild:  10 * time.Millisecond,
 		BootstrapAssign: 45 * time.Millisecond,
-		Shards:          4,
-		BootstrapBuildShards: []time.Duration{
-			3 * time.Millisecond, 2 * time.Millisecond,
-			4 * time.Millisecond, 3 * time.Millisecond,
-		},
-		CrossShardMerge:   6 * time.Millisecond,
-		ForeignSlotBytes:  2048,
-		CrossShardProbes:  25,
-		CrossShardDirect:  75,
-		ReorderTime:       5 * time.Millisecond,
-		ShardLocalCands:   90,
-		ShardForeignCands: 10,
-		IndexSaveTime:     8 * time.Millisecond,
-		MmapBytes:         4096,
-		ResumedAt:         1,
+		IndexSaveTime:   8 * time.Millisecond,
+		MmapBytes:       4096,
+		ResumedAt:       1,
 		Iterations: []Iteration{
 			{Index: 1, Duration: 50 * time.Millisecond, Moves: 40, Comparisons: 900,
 				CandidatesTotal: 120, AvgShortlist: 1.2, Cost: 420},
@@ -87,20 +75,20 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "run,iteration,duration_ms") {
 		t.Fatalf("header = %q", lines[0])
 	}
-	if !strings.HasSuffix(lines[0], "crossshard_merge_ms,foreignslot_bytes,crossshard_probe_frac,reorder_ms,shard_local_frac,index_save_ms,index_load_ms,mmap_bytes") {
-		t.Fatalf("header missing shard / persistence columns: %q", lines[0])
+	if !strings.HasSuffix(lines[0], "bootstrap_assign_ms,index_save_ms,index_load_ms,mmap_bytes") {
+		t.Fatalf("header missing phase / persistence columns: %q", lines[0])
 	}
 	if !strings.Contains(lines[1], ",0,100") {
 		t.Fatalf("bootstrap row = %q", lines[1])
 	}
-	if !strings.HasSuffix(lines[1], ",40,10,45,4,6,2048,0.25,5,0.9,8,0,4096") {
-		t.Fatalf("bootstrap row missing phase split, shard and persistence columns: %q", lines[1])
+	if !strings.HasSuffix(lines[1], ",40,10,45,8,0,4096") {
+		t.Fatalf("bootstrap row missing phase split and persistence columns: %q", lines[1])
 	}
 	if !strings.Contains(lines[2], ",1,50,40,900,1.2,420") {
 		t.Fatalf("iteration row = %q", lines[2])
 	}
-	if !strings.HasSuffix(lines[2], ",,,,,,,,,,,,") {
-		t.Fatalf("iteration row should leave phase, shard and persistence columns empty: %q", lines[2])
+	if !strings.HasSuffix(lines[2], "420,0,0,,,,,,") {
+		t.Fatalf("iteration row should leave phase and persistence columns empty: %q", lines[2])
 	}
 }
 
@@ -112,10 +100,10 @@ func TestWriteCSVGolden(t *testing.T) {
 	if err := WriteCSV(&buf, []*Run{sampleRun()}); err != nil {
 		t.Fatal(err)
 	}
-	want := "run,iteration,duration_ms,moves,comparisons,avg_shortlist,cost,active_items,skipped_items,bootstrap_sign_ms,bootstrap_build_ms,bootstrap_assign_ms,shards,crossshard_merge_ms,foreignslot_bytes,crossshard_probe_frac,reorder_ms,shard_local_frac,index_save_ms,index_load_ms,mmap_bytes\n" +
-		"MH-K-Modes 20b 5r,0,100,,,,,,,40,10,45,4,6,2048,0.25,5,0.9,8,0,4096\n" +
-		"MH-K-Modes 20b 5r,1,50,40,900,1.2,420,0,0,,,,,,,,,,,,\n" +
-		"MH-K-Modes 20b 5r,2,30,0,800,1.1,400,0,0,,,,,,,,,,,,\n"
+	want := "run,iteration,duration_ms,moves,comparisons,avg_shortlist,cost,active_items,skipped_items,bootstrap_sign_ms,bootstrap_build_ms,bootstrap_assign_ms,index_save_ms,index_load_ms,mmap_bytes\n" +
+		"MH-K-Modes 20b 5r,0,100,,,,,,,40,10,45,8,0,4096\n" +
+		"MH-K-Modes 20b 5r,1,50,40,900,1.2,420,0,0,,,,,,\n" +
+		"MH-K-Modes 20b 5r,2,30,0,800,1.1,400,0,0,,,,,,\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("CSV bytes changed:\ngot:\n%swant:\n%s", got, want)
 	}

@@ -93,12 +93,10 @@ func (s *Scheme) Sign(vec []float64, dst []uint64) []uint64 {
 func (s *Scheme) SetScalarKernels(scalar bool) { s.scalarKernels = scalar }
 
 // Accelerator is the numeric counterpart of core.MinHashAccelerator:
-// SimHash signatures over a kmeans point set, banded into an
-// item-partitioned lsh.Sharded index (a single shard by default — the
-// bit-identical oracle — or S shards via core.ShardedIndexer), queried
-// for candidate-cluster shortlists. The embedded core.ShardedIndexBase
-// carries the shared index/arena state machine; this type adds the
-// SimHash signing.
+// SimHash signatures over a kmeans point set, banded into an lsh.Index,
+// queried for candidate-cluster shortlists. The embedded
+// core.ShardedIndexBase carries the shared index/arena state machine;
+// this type adds the SimHash signing.
 type Accelerator struct {
 	core.ShardedIndexBase
 	space  *kmeans.Space

@@ -55,22 +55,13 @@ func TestPropertyShortlistSelfContainment(t *testing.T) {
 			return false
 		}
 		q := accel.NewQuerier()
-		// The bulk bootstrap builds the index locality-reordered, so
-		// query views must be indexed in internal-ID space.
-		view := res.Assign
-		if perm, _ := accel.ReorderMap(); perm != nil {
-			view = make([]int32, len(res.Assign))
-			for i, c := range res.Assign {
-				view[perm[i]] = c
-			}
-		}
 		for i := 0; i < ds.NumItems(); i++ {
 			c := res.Assign[i]
 			if c < 0 || int(c) >= k {
 				return false
 			}
 			found := false
-			for _, cand := range q.Candidates(int32(i), view) {
+			for _, cand := range q.Candidates(int32(i), res.Assign) {
 				if cand == c {
 					found = true
 					break

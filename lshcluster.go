@@ -92,14 +92,6 @@ type Config struct {
 	// (signing, index construction and the first assignment); values
 	// > 1 imply deferred reference updates.
 	Workers int
-	// Shards partitions the LSH index into this many item shards:
-	// shards build concurrently from disjoint slices of the signing
-	// arena and each keeps its own cache-resident hash tables, while
-	// queries fan out across shards and merge back into the
-	// single-index candidate order — results are bit-identical for
-	// every shard count. Values < 2 keep the unsharded index (the
-	// oracle). Ignored for exact runs.
-	Shards int
 	// EarlyAbandon stops distance evaluations that provably cannot beat
 	// the best candidate so far.
 	EarlyAbandon bool
@@ -116,9 +108,11 @@ type Config struct {
 	// seed warm-start from it — skipping signing, index construction and
 	// the first full scan, with bit-identical results. The saved index
 	// is memory-mapped zero-copy where the platform supports it, and is
-	// pinned to the dataset fingerprint, parameters, seed and shard
-	// count; any mismatch is an error, never a silent rebuild. Requires
-	// a MinHash-accelerated Cluster run.
+	// pinned to the dataset fingerprint, parameters and seed; any
+	// mismatch is an error, never a silent rebuild. An index saved by an
+	// older build with several shards or in reordered item order is
+	// rejected too: rebuild it. Requires a MinHash-accelerated Cluster
+	// run.
 	IndexDir string
 	// SnapshotEvery, when > 0, checkpoints the run state into IndexDir
 	// every SnapshotEvery iterations and resumes interrupted runs from
@@ -139,7 +133,6 @@ func (c Config) coreOptions() core.Options {
 		MaxIterations: c.MaxIterations,
 		EarlyAbandon:  c.EarlyAbandon,
 		Workers:       c.Workers,
-		Shards:        c.Shards,
 		IndexDir:      c.IndexDir,
 		SnapshotEvery: c.SnapshotEvery,
 		OnIteration:   c.OnIteration,

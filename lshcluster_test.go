@@ -120,34 +120,6 @@ func TestClusterParallelBootstrapEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterShardEquivalence checks the facade-level shard A/B: an
-// item-sharded index must produce the identical clustering to the
-// unsharded oracle, with shard stats recorded.
-func TestClusterShardEquivalence(t *testing.T) {
-	ds := syntheticDataset(t)
-	cfg := Config{K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, MaxIterations: 6}
-	oracle, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = 3
-	sharded, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range oracle.Assign {
-		if oracle.Assign[i] != sharded.Assign[i] {
-			t.Fatalf("assign[%d]: sharded %d, oracle %d", i, sharded.Assign[i], oracle.Assign[i])
-		}
-	}
-	if sharded.Stats.Shards != 3 {
-		t.Fatalf("Stats.Shards = %d, want 3", sharded.Stats.Shards)
-	}
-	if len(sharded.Stats.BootstrapBuildShards) != 3 {
-		t.Fatalf("BootstrapBuildShards has %d entries, want 3", len(sharded.Stats.BootstrapBuildShards))
-	}
-}
-
 // TestClusterDisableIncrementalEquivalence checks the facade-level
 // incremental-engine A/B: forcing full recomputation each pass (the
 // batch oracle) must produce the identical clustering.

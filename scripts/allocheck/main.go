@@ -1,7 +1,8 @@
 // Command allocheck is the escape-analysis gate for the repo's
 // zero-allocation hot paths. Functions annotated //lshvet:noescape (the
-// per-query fan-out in internal/lsh and the distance kernels in
-// internal/kernel) are compiled with -gcflags=-m and any "escapes to
+// cluster-summary upkeep in internal/lsh, the shortlist fold in
+// internal/core and the distance kernels in internal/kernel) are
+// compiled with -gcflags=-m and any "escapes to
 // heap" / "moved to heap" diagnostic landing inside an annotated
 // function fails the gate: a heap allocation on a per-item path turns
 // O(1) queries into garbage-collector load that the paper's speedup
