@@ -76,6 +76,9 @@ fuzz-smoke:
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzNearestScan -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzLoadModel -fuzztime=30s
 	$(GO) test ./internal/minhash -run='^$$' -fuzz=FuzzSign -fuzztime=30s
+	$(GO) test ./internal/kernel -run='^$$' -fuzz=FuzzMismatches -fuzztime=30s
+	$(GO) test ./internal/kernel -run='^$$' -fuzz=FuzzHamming -fuzztime=30s
+	$(GO) test ./internal/kernel -run='^$$' -fuzz=FuzzNearestSquaredDot4 -fuzztime=30s
 	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzStreamMatchesNaive -fuzztime=30s
 
 clean:

@@ -173,13 +173,17 @@
 // kernels in internal/kernel: 8-way unrolled branchless mismatch
 // counting, 4-way unrolled floating-point accumulation, and Hamming
 // popcount over bit-packed signature words (64 sign bits per uint64,
-// counted with bits.OnesCount64). Every kernel has a scalar reference
-// twin and
-// the floating-point kernels keep a single accumulator in element
+// counted with bits.OnesCount64). The bootstrap's float loops sweep
+// four rows per pass instead: the K-Means first assignment scans four
+// centroid rows at a time (kernel.NearestSquared) and SimHash signs
+// four hyperplanes at a time (kernel.Dot4), each row with its own
+// accumulator; the MinHash memo folds four cached hash columns per
+// pass over the signature. Every kernel has a scalar reference twin,
+// and every floating-point row keeps a single accumulator in element
 // order, so results are bit-identical to the scalar loops — enforced
-// by property tests over random lengths (including every tail length)
-// and by full-run equivalence tests that route every space and
-// accelerator through the scalar references.
+// by property and fuzz tests over random lengths and row counts
+// (including every tail length) and by full-run equivalence tests that
+// route every space and accelerator through the scalar references.
 //
 // Every reference twin named above — the scalar kernels, the batch
 // centroid update, the full pass, the serial bootstrap and the heap

@@ -101,9 +101,12 @@ type KernelConfigurable interface {
 
 // NearestScanner is an optional Space capability: an exact scan that
 // assigns a range of items to their nearest of all k centroids in one
-// call instead of k Dissimilarity calls per item (K-Modes counts
+// call instead of k Dissimilarity calls per item. K-Modes counts
 // matches through per-attribute posting lists over its modes, or
-// compares every mode when the lists would be long). The driver runs
+// compares every mode when the lists would be long; K-Means sweeps its
+// contiguous centroid array four rows at a time
+// (kernel.NearestSquared), each distance bit-identical to
+// Dissimilarity's. The driver runs
 // every full-scan first assignment through it — the bulk pipeline's, the
 // DisableParallelBootstrap oracle's and the exact baseline's — one
 // ctxPollEvery chunk per call, so cancellation stays bounded. Exact

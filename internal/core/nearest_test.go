@@ -12,40 +12,81 @@ import (
 	"lshcluster/internal/core"
 	"lshcluster/internal/dataset"
 	"lshcluster/internal/kernel"
+	"lshcluster/internal/kmeans"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
+	"lshcluster/internal/simhash"
 )
 
+// scanlessSpace lists the Space capabilities the driver probes for,
+// apart from NearestScanner.
+type scanlessSpace interface {
+	core.Space
+	core.IncrementalSpace
+	core.ChangeReporter
+	core.KernelConfigurable
+}
+
+// scanSpace is a scanlessSpace with its nearest scan, as the K-Modes
+// and K-Means spaces are.
+type scanSpace interface {
+	scanlessSpace
+	core.NearestScanner
+}
+
 // firstAssignSpace records the assignment the incremental engine starts
-// from, which is the bootstrap's first assignment. Embedding keeps every
-// capability of the K-Modes space, the nearest-mode scan included.
+// from, which is the bootstrap's first assignment, and keeps every
+// other capability of the space it wraps, the nearest scan included.
 type firstAssignSpace struct {
-	*kmodes.Space
+	scanSpace
 	first []int32
 }
 
 func (s *firstAssignSpace) BeginIncremental(assign []int32, trackCost bool) {
 	s.first = slices.Clone(assign)
-	s.Space.BeginIncremental(assign, trackCost)
+	s.scanSpace.BeginIncremental(assign, trackCost)
+}
+
+// hiddenScan forwards every capability of a space but its nearest
+// scan, so core.Run makes the first assignment with the per-centroid
+// scan over Dissimilarity (bestExact).
+type hiddenScan struct{ scanlessSpace }
+
+// firstScanInput is one input of TestFirstScanKnobMatrix.
+type firstScanInput struct {
+	n int
+	// ref is a space on the input, for the reference argmin.
+	ref core.Space
+	// newRun returns a fresh space, with an accelerator over it when
+	// accel, and a function that prints its final centroids.
+	newRun func(accel bool) (space scanSpace, a core.Accelerator, fingerprint func() []byte)
 }
 
 // TestFirstScanKnobMatrix runs K-Modes, exact and MinHash-accelerated,
-// on datasets where most items sit at the same distance from several
-// modes, so the first assignment is mostly tie-breaking. Under each
-// TieBreak, every combination of ScalarKernels, EarlyAbandon, Workers
-// {1, 2} and DisableParallelBootstrap must give the same run:
-// assignments, final modes and per-iteration counters. Every run's
-// first assignment must be the lowest-index argmin over Dissimilarity,
-// whatever the TieBreak. The three-value dataset takes the posting
-// scan; the binary one, mostly 0, makes the postings unselective and
-// takes the per-mode loop.
+// and K-Means, exact and SimHash-accelerated, on inputs where most
+// items sit at the same distance from several centroids, so the first
+// assignment is mostly tie-breaking. Under each TieBreak, every
+// combination of ScalarKernels, EarlyAbandon, Workers {1, 2} and
+// DisableParallelBootstrap must give the same run: assignments, final
+// centroids and per-iteration counters, and so must each of them with
+// the space's nearest scan hidden, which makes the driver compare
+// every centroid through Dissimilarity instead. Every run's first
+// assignment must be the lowest-index argmin over Dissimilarity,
+// whatever the TieBreak. The three-value K-Modes dataset takes the
+// posting scan; the binary one, mostly 0, makes the postings
+// unselective and takes the per-mode loop. The K-Means points lie on a
+// 5×5 integer grid, so every squared distance is an exact small
+// integer, and its 48 centroids repeat some of the 25 grid points.
 func TestFirstScanKnobMatrix(t *testing.T) {
 	for _, binary := range []bool{false, true} {
-		t.Run(fmt.Sprintf("binary=%v", binary), func(t *testing.T) { testFirstScanKnobs(t, binary) })
+		t.Run(fmt.Sprintf("binary=%v", binary), func(t *testing.T) {
+			testFirstScanKnobs(t, kmodesFirstScanInput(t, binary))
+		})
 	}
+	t.Run("kmeans", func(t *testing.T) { testFirstScanKnobs(t, kmeansFirstScanInput(t)) })
 }
 
-func testFirstScanKnobs(t *testing.T, binary bool) {
+func kmodesFirstScanInput(t *testing.T, binary bool) firstScanInput {
 	const n, m, k = 480, 6, 48
 	rng := rand.New(rand.NewSource(3))
 	values := make([]dataset.Value, n*m)
@@ -75,12 +116,62 @@ func testFirstScanKnobs(t *testing.T, binary bool) {
 	if kernel.NewPostings(modes, m).Selective() == binary {
 		t.Fatalf("binary=%v: postings selective = %v", binary, !binary)
 	}
-	want := make([]int32, n)
+	return firstScanInput{n: n, ref: ref, newRun: func(accel bool) (scanSpace, core.Accelerator, func() []byte) {
+		space := newSpace()
+		var a core.Accelerator
+		if accel {
+			mh, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 6, Rows: 2}, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a = mh
+		}
+		fingerprint := func() []byte {
+			var buf bytes.Buffer
+			if err := space.Model().Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		return space, a, fingerprint
+	}}
+}
+
+func kmeansFirstScanInput(t *testing.T) firstScanInput {
+	const n, dim, k = 480, 2, 48
+	rng := rand.New(rand.NewSource(4))
+	pts := make([]float64, n*dim)
+	for i := range pts {
+		pts[i] = float64(rng.Intn(5))
+	}
+	newSpace := func() *kmeans.Space {
+		s, err := kmeans.NewSpace(pts, dim, kmeans.Config{K: k, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	return firstScanInput{n: n, ref: newSpace(), newRun: func(accel bool) (scanSpace, core.Accelerator, func() []byte) {
+		space := newSpace()
+		var a core.Accelerator
+		if accel {
+			sh, err := simhash.NewAccelerator(space, lsh.Params{Bands: 6, Rows: 2}, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a = sh
+		}
+		return space, a, func() []byte { return kmeansFingerprint(space) }
+	}}
+}
+
+func testFirstScanKnobs(t *testing.T, in firstScanInput) {
+	want := make([]int32, in.n)
 	ties := 0
 	for i := range want {
-		best, bestD, tied := 0, ref.Dissimilarity(i, 0), false
-		for c := 1; c < k; c++ {
-			switch d := ref.Dissimilarity(i, c); {
+		best, bestD, tied := 0, in.ref.Dissimilarity(i, 0), false
+		for c := 1; c < in.ref.NumClusters(); c++ {
+			switch d := in.ref.Dissimilarity(i, c); {
 			case d < bestD:
 				best, bestD, tied = c, d, false
 			case d == bestD:
@@ -92,14 +183,14 @@ func testFirstScanKnobs(t *testing.T, binary bool) {
 			ties++
 		}
 	}
-	if ties < n/2 {
-		t.Fatalf("only %d of %d items tie for their nearest mode", ties, n)
+	if ties < in.n/2 {
+		t.Fatalf("only %d of %d items tie for their nearest centroid", ties, in.n)
 	}
 	for _, accel := range []bool{false, true} {
 		for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
 			var base *core.Result
 			var basePrint []byte
-			for knobs := 0; knobs < 16; knobs++ {
+			for knobs := 0; knobs < 32; knobs++ {
 				opts := core.Options{
 					TieBreak:      tb,
 					EarlyAbandon:  knobs&2 != 0,
@@ -110,32 +201,34 @@ func testFirstScanKnobs(t *testing.T, binary bool) {
 						DisableParallelBootstrap: knobs&8 != 0,
 					},
 				}
-				if accel {
-					mh, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 6, Rows: 2}, 9)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.Accelerator, opts.Update = mh, core.UpdateDeferred
+				inner, a, fingerprint := in.newRun(accel)
+				if a != nil {
+					opts.Accelerator, opts.Update = a, core.UpdateDeferred
 				}
-				label := fmt.Sprintf("accel=%v/tb=%d/scalar=%v/abandon=%v/w=%d/serial=%v",
-					accel, tb, opts.Oracles.ScalarKernels, opts.EarlyAbandon, opts.Workers, opts.Oracles.DisableParallelBootstrap)
-				space := &firstAssignSpace{Space: newSpace()}
-				res, err := core.Run(space, opts)
+				space := &firstAssignSpace{scanSpace: inner}
+				hide := knobs&16 != 0
+				run := core.Space(space)
+				if hide {
+					run = hiddenScan{space}
+				}
+				if _, ok := run.(core.NearestScanner); ok == hide {
+					t.Fatalf("hide=%v: the run space offers NearestScan = %v", hide, ok)
+				}
+				label := fmt.Sprintf("accel=%v/tb=%d/scalar=%v/abandon=%v/w=%d/serial=%v/hidden=%v",
+					accel, tb, opts.Oracles.ScalarKernels, opts.EarlyAbandon, opts.Workers,
+					opts.Oracles.DisableParallelBootstrap, hide)
+				res, err := core.Run(run, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if !slices.Equal(space.first, want) {
 					t.Fatalf("%s: first assignment is not the lowest-index argmin", label)
 				}
-				var buf bytes.Buffer
-				if err := space.Model().Save(&buf); err != nil {
-					t.Fatal(err)
-				}
 				if base == nil {
-					base, basePrint = res, buf.Bytes()
+					base, basePrint = res, fingerprint()
 					continue
 				}
-				assertSameRun(t, label, base, res, basePrint, buf.Bytes())
+				assertSameRun(t, label, base, res, basePrint, fingerprint())
 			}
 		}
 	}

@@ -8,9 +8,10 @@ import (
 // Kernel micro-benchmarks: each optimised kernel against its scalar
 // reference, at the short row lengths the clustering hot paths use
 // (m ≈ 24 categorical attributes, dim ≈ 32 numeric, 100-bit SimHash
-// signatures) and one longer length for headroom. CI runs these and
-// uploads bench-kernels.txt; the Kernel/Scalar ratio is the measured
-// win the ROADMAP records.
+// signatures, and the kmeans-simhash workload's 500 centroids, 144
+// hyperplanes and dim 16) and one longer length for headroom. CI runs
+// these and uploads bench-kernels.txt; the Kernel/Scalar ratio is the
+// measured win the ROADMAP records.
 
 const (
 	benchShort = 24
@@ -220,3 +221,85 @@ func BenchmarkNearestUnrolledBinary(b *testing.B) {
 	benchNearestLoop(b, nearestBinary, Nearest[uint32])
 }
 func BenchmarkNearestKernelBinary(b *testing.B) { benchNearestPostings(b, nearestBinary) }
+
+// The K-Means first scan at kmeans-simhash's shape: k = 500 centroids
+// of dim 16. The scalar reference computes one SquaredDistanceScalar
+// per centroid, as the driver's per-centroid scan computes one
+// Dissimilarity per centroid; the kernel sweeps four centroid rows per
+// pass over the point.
+const (
+	scanK   = 500
+	scanDim = 16
+	// signBits is kmeans-simhash's signature length (12 bands × 12 rows).
+	signBits = 144
+)
+
+func benchRows(rows, dim int) (centroids, points []float64) {
+	rng := rand.New(rand.NewSource(15))
+	centroids = make([]float64, rows*dim)
+	for i := range centroids {
+		centroids[i] = rng.NormFloat64()
+	}
+	points = make([]float64, nearestRows*dim)
+	for i := range points {
+		points[i] = rng.NormFloat64()
+	}
+	return centroids, points
+}
+
+func benchNearestSquared(b *testing.B, fn func(rows, row []float64) int) {
+	centroids, points := benchRows(scanK, scanDim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % nearestRows * scanDim
+		sinkInt = fn(centroids, points[off:off+scanDim])
+	}
+}
+
+func BenchmarkNearestSquaredScalar500(b *testing.B) {
+	benchNearestSquared(b, NearestSquaredScalar)
+}
+func BenchmarkNearestSquaredKernel500(b *testing.B) {
+	benchNearestSquared(b, NearestSquared)
+}
+
+// The SimHash signing pair at kmeans-simhash's shape: the sign bits of
+// one 16-d point against 144 hyperplanes, one DotScalar per plane
+// against one Dot4 per four planes.
+func BenchmarkSignDotScalar144(b *testing.B) {
+	planes, points := benchRows(signBits, scanDim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % nearestRows * scanDim
+		x := points[off : off+scanDim]
+		n := 0
+		for p := 0; p < signBits; p++ {
+			if DotScalar(planes[p*scanDim:(p+1)*scanDim], x) >= 0 {
+				n++
+			}
+		}
+		sinkInt = n
+	}
+}
+
+func BenchmarkSignDot4_144(b *testing.B) {
+	planes, points := benchRows(signBits, scanDim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % nearestRows * scanDim
+		x := points[off : off+scanDim]
+		n := 0
+		for p := 0; p < signBits; p += 4 {
+			d0, d1, d2, d3 := Dot4(planes[p*scanDim:], x)
+			n += signBit(d0) + signBit(d1) + signBit(d2) + signBit(d3)
+		}
+		sinkInt = n
+	}
+}
+
+func signBit(d float64) int {
+	if d >= 0 {
+		return 1
+	}
+	return 0
+}

@@ -1,9 +1,10 @@
 // Package kernel holds the innermost distance loops of the hot paths —
-// categorical mismatch counting, the nearest-centroid scan over
-// categorical centroids, K-Means squared distance, SimHash dot products
-// and Hamming distance — in two forms each: an optimised kernel (8-way
-// unrolled, branchless, bit-packed or value-indexed) and a plain scalar
-// reference carrying the Scalar suffix.
+// categorical mismatch counting, the nearest-centroid scans over
+// categorical and numeric centroids, K-Means squared distance, SimHash
+// dot products and Hamming distance — in two forms each: an optimised
+// kernel (unrolled, swept four rows at a time, branchless, bit-packed
+// or value-indexed) and a plain scalar reference carrying the Scalar
+// suffix.
 //
 // The scalar references are the oracles. Every optimised kernel is
 // value-identical to its reference — not merely close:
@@ -24,6 +25,15 @@
 //     that reorders the additions and breaks the full-run bit-identity
 //     the equivalence tests pin (core.Oracles.ScalarKernels runs the
 //     references as the oracle).
+//   - Extra accumulators are allowed only across rows. The row sweeps
+//     (Dot4, NearestSquared) give each of four independent rows its own
+//     single accumulator, updated in that row's element order, so every
+//     row's result keeps its bits while the four addition chains
+//     overlap. Splitting one row across accumulators does not keep
+//     them. NearestSquared then compares the four distances in
+//     ascending row order, so its winner is NearestSquaredScalar's.
+//     NaN payloads are outside this contract: Go leaves them
+//     unspecified, and no comparison or sign test can see them.
 //
 // The property/fuzz tests in this package enforce exact equality on
 // random inputs covering every tail remainder; the full-run tests in
@@ -251,7 +261,30 @@ func Dot(x, y []float64) float64 {
 	return sum
 }
 
-// DotScalar is the scalar reference for Dot.
+// Dot4 returns the inner products of x with four rows of len(x)
+// floats, stored row-major at the front of rows: lane r is Dot(rows[r·n
+// : (r+1)·n], x), bit for bit. One pass over x feeds four independent
+// accumulators, one per row, each updated in element order, so the
+// four addition chains overlap instead of running one after another.
+// SimHash signs four hyperplanes per call.
+//
+//lshvet:noescape
+func Dot4(rows, x []float64) (d0, d1, d2, d3 float64) {
+	n := len(x)
+	r0 := rows[:n:n]
+	r1 := rows[n:][:n:n]
+	r2 := rows[2*n:][:n:n]
+	r3 := rows[3*n:][:n:n]
+	for i, v := range x {
+		d0 += r0[i] * v
+		d1 += r1[i] * v
+		d2 += r2[i] * v
+		d3 += r3[i] * v
+	}
+	return d0, d1, d2, d3
+}
+
+// DotScalar is the scalar reference for Dot and for each lane of Dot4.
 //
 //lshvet:noescape
 func DotScalar(x, y []float64) float64 {

@@ -120,8 +120,9 @@ func TestSquaredDistanceBoundedContract(t *testing.T) {
 	}
 }
 
-// TestDotBitIdentical pins the unrolled dot product to the scalar
-// reference bit for bit — SimHash sign bits depend on it.
+// TestDotBitIdentical pins the unrolled dot product, and each lane of
+// the four-row one, to the scalar reference bit for bit — SimHash sign
+// bits depend on it.
 func TestDotBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range lengths {
@@ -132,6 +133,15 @@ func TestDotBitIdentical(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Dot(n=%d) = %x, scalar %x", n,
 					math.Float64bits(got), math.Float64bits(want))
+			}
+			rows, _ := randVecs(rng, 4*n)
+			d0, d1, d2, d3 := Dot4(rows, x)
+			for r, got := range []float64{d0, d1, d2, d3} {
+				want := DotScalar(rows[r*n:(r+1)*n], x)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Dot4(n=%d) lane %d = %x, scalar %x", n, r,
+						math.Float64bits(got), math.Float64bits(want))
+				}
 			}
 		}
 	}
@@ -295,4 +305,130 @@ func TestPostingsSelective(t *testing.T) {
 	if NewPostings(half, m).Selective() {
 		t.Error("two equal lists per attribute: postings selective")
 	}
+}
+
+// TestNearestSquaredMatchesScalar pins the four-row nearest scan to the
+// scalar reference on random centroids over every row-count remainder
+// mod 4, with coordinates on a small integer grid (exact distances,
+// ties everywhere) and Gaussian ones, duplicate centroids, and NaN or
+// infinite coordinates in row 0 or in a later row.
+func TestNearestSquaredMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300}
+	for trial := 0; trial < 2000; trial++ {
+		k, m := rng.Intn(14), rng.Intn(20)
+		value := func() float64 {
+			if trial%2 == 0 {
+				return float64(rng.Intn(3))
+			}
+			return rng.NormFloat64()
+		}
+		rows := make([]float64, k*m)
+		for i := range rows {
+			rows[i] = value()
+		}
+		if k > 1 && trial%3 == 0 {
+			copy(rows[(k-1)*m:], rows[:m]) // a duplicate centroid
+		}
+		if k > 0 && m > 0 && trial%5 == 0 {
+			rows[rng.Intn(k)*m+rng.Intn(m)] = special[rng.Intn(len(special))]
+		}
+		row := make([]float64, m)
+		for r := 0; r < 10; r++ {
+			for a := range row {
+				row[a] = value()
+			}
+			want := NearestSquaredScalar(rows, row)
+			if got := NearestSquared(rows, row); got != want {
+				t.Fatalf("k=%d m=%d: NearestSquared = %d, scalar %d", k, m, got, want)
+			}
+		}
+	}
+}
+
+// decodeFloat maps a class byte and the bytes after it to one float:
+// a small integer (the source of exact ties), NaN, ±Inf, −0, a
+// subnormal, ±1e300 (whose squares overflow to +Inf) or an arbitrary
+// float64 bit pattern.
+func decodeFloat(next func() byte) float64 {
+	switch class := next(); class % 8 {
+	case 0, 1:
+		return float64(int8(next()) % 4)
+	case 2:
+		return math.NaN()
+	case 3:
+		return math.Inf(1 - 2*int(class>>7))
+	case 4:
+		return math.Copysign(0, -1)
+	case 5:
+		return math.SmallestNonzeroFloat64 * float64(next())
+	case 6:
+		return math.Copysign(1e300, float64(int8(next())))
+	default:
+		var bits uint64
+		for i := 0; i < 8; i++ {
+			bits = bits<<8 | uint64(next())
+		}
+		return math.Float64frombits(bits)
+	}
+}
+
+// sameFloat reports whether a and b have the same bits, counting every
+// NaN as the same: Go leaves NaN payloads unspecified (the compiler may
+// swap an addition's operands, and the hardware keeps the payload of
+// the first NaN operand), and neither a comparison nor a sign test can
+// tell two NaNs apart.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// FuzzNearestSquaredDot4 checks the four-row float kernels bit for bit:
+// NearestSquared against NearestSquaredScalar, and each lane of Dot4,
+// over every complete group of four rows, against DotScalar. The
+// decoded input has dimension 0–40 and 0–13 centroid rows, so every row
+// count remainder mod 4 occurs, and its values include NaN, ±Inf, −0,
+// subnormals and ±1e300; a NaN lane must be NaN, with any payload.
+func FuzzNearestSquaredDot4(f *testing.F) {
+	f.Add(uint8(16), uint8(13), []byte{0, 1, 0, 2, 6, 1, 0, 3})
+	f.Add(uint8(0), uint8(5), []byte{})
+	f.Add(uint8(3), uint8(0), []byte{2, 0, 0, 1})
+	// Row 0 at a NaN distance, row 3 at distance 0: the reference keeps
+	// 0. Then a NaN in the point itself, which puts every row at NaN.
+	f.Add(uint8(2), uint8(6), []byte{0, 0, 0, 1, 2, 0, 0, 0, 1, 0, 1, 0, 2, 0, 2, 0, 0, 0, 1, 0, 3, 0, 3, 0, 1, 0, 0})
+	f.Add(uint8(2), uint8(6), []byte{2, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
+	// ±1e300 coordinates: distances overflow to +Inf and tie there.
+	f.Add(uint8(1), uint8(9), []byte{6, 1, 6, 255, 6, 1, 3, 0, 131, 0, 6, 1, 4, 0, 5, 9, 6, 255, 6, 1})
+	f.Add(uint8(40), uint8(7), []byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 5, 200, 4, 0, 3, 1})
+	f.Fuzz(func(t *testing.T, dim, count uint8, data []byte) {
+		m, k := int(dim)%41, int(count)%14
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		row := make([]float64, m)
+		for i := range row {
+			row[i] = decodeFloat(next)
+		}
+		rows := make([]float64, k*m)
+		for i := range rows {
+			rows[i] = decodeFloat(next)
+		}
+		if got, want := NearestSquared(rows, row), NearestSquaredScalar(rows, row); got != want {
+			t.Fatalf("dim %d, %d rows: NearestSquared = %d, scalar %d", m, k, got, want)
+		}
+		for r := 0; r+4 <= k; r += 4 {
+			d0, d1, d2, d3 := Dot4(rows[r*m:], row)
+			for lane, got := range []float64{d0, d1, d2, d3} {
+				want := DotScalar(rows[(r+lane)*m:(r+lane+1)*m], row)
+				if !sameFloat(got, want) {
+					t.Fatalf("dim %d: Dot4 lane %d of rows %d… = %x, scalar %x",
+						m, lane, r, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	})
 }

@@ -131,6 +131,94 @@ func Nearest[E ~uint32](rows, row []E) int {
 	return best
 }
 
+// NearestSquared returns the centroid nearest to row among the
+// len(rows)/len(row) centroid rows (row-major) under the squared
+// Euclidean distance, ties to the lowest index: what
+// NearestSquaredScalar's ascending scan keeping the first strict
+// minimum returns. Row 0 starts as the best whatever its distance, so a
+// NaN there keeps 0 (nothing compares below NaN), and a later row at
+// NaN or +Inf never wins. No rows, or rows of length 0, return 0.
+//
+// After row 0 it sweeps four rows per pass over row, each row with its
+// own single accumulator in element order, so every distance has
+// SquaredDistanceScalar's bits; the four are compared in ascending
+// order. The four addition chains overlap, where one row at a time
+// waits for each addition.
+//
+//lshvet:noescape
+func NearestSquared(rows, row []float64) int {
+	m := len(row)
+	if m == 0 || len(rows) < m {
+		return 0
+	}
+	k := len(rows) / m
+	best, bestD := 0, SquaredDistance(row, rows[:m:m])
+	c := 1
+	for ; c+4 <= k; c += 4 {
+		d0, d1, d2, d3 := squared4(rows[c*m:(c+4)*m:(c+4)*m], row)
+		if d0 < bestD {
+			best, bestD = c, d0
+		}
+		if d1 < bestD {
+			best, bestD = c+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = c+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = c+3, d3
+		}
+	}
+	for ; c < k; c++ {
+		if d := SquaredDistance(row, rows[c*m:(c+1)*m:(c+1)*m]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// squared4 returns the squared distances from x to four rows of len(x)
+// floats stored row-major at the front of rows, each lane accumulated
+// as SquaredDistanceScalar(x, row) accumulates it.
+func squared4(rows, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	r0 := rows[:n:n]
+	r1 := rows[n:][:n:n]
+	r2 := rows[2*n:][:n:n]
+	r3 := rows[3*n:][:n:n]
+	for i, v := range x {
+		d0 := v - r0[i]
+		d1 := v - r1[i]
+		d2 := v - r2[i]
+		d3 := v - r3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
+}
+
+// NearestSquaredScalar is the scalar reference for NearestSquared: an
+// ascending scan of SquaredDistanceScalar that starts from row 0 and
+// keeps the first strict minimum, as the driver's per-centroid scan
+// over Dissimilarity does.
+//
+//lshvet:noescape
+func NearestSquaredScalar(rows, row []float64) int {
+	m := len(row)
+	if m == 0 || len(rows) < m {
+		return 0
+	}
+	best, bestD := 0, SquaredDistanceScalar(row, rows[:m:m])
+	for c, off := 1, m; off+m <= len(rows); c, off = c+1, off+m {
+		if d := SquaredDistanceScalar(row, rows[off:off+m:off+m]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
 // NearestScalar is the scalar reference for Nearest and
 // NearestByPostings: Nearest's loop over MismatchesScalar.
 //

@@ -162,6 +162,31 @@ func (s *Space) Dissimilarity(item, cluster int) float64 {
 	return kernel.SquaredDistance(p, c)
 }
 
+// NearestScan is the core.NearestScanner capability: the exact first
+// assignment in one call per range of items instead of k Dissimilarity
+// calls per item. It returns a function that sets out[i], for every
+// item i of [lo, hi), to the cluster nearest to item i over all k, ties
+// to the lowest index: what an ascending scan of Dissimilarity keeping
+// the first strict minimum returns, NaN and infinite distances
+// included. kernel.NearestSquared sweeps the contiguous centroid array
+// four rows at a time, each distance accumulated in the scalar order.
+//
+// The returned function reads the centroids when called, so it is valid
+// until they next change; calls on disjoint ranges may run concurrently.
+// Under SetScalarKernels(true) it runs kernel.NearestSquaredScalar, the
+// one-centroid-at-a-time reference.
+func (s *Space) NearestScan() func(lo, hi int, out []int32) {
+	nearest := kernel.NearestSquared
+	if s.scalarKernels {
+		nearest = kernel.NearestSquaredScalar
+	}
+	return func(lo, hi int, out []int32) {
+		for i := lo; i < hi; i++ {
+			out[i] = int32(nearest(s.centroids, s.Point(i)))
+		}
+	}
+}
+
 // BoundedDissimilarity accumulates the squared distance but returns as
 // soon as the partial sum reaches bound (the sum is monotone in the
 // coordinates). The unrolled kernel checks the bound once per block,

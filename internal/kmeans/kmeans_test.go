@@ -172,3 +172,47 @@ func TestExactKMeansRecoversBlobs(t *testing.T) {
 		prev = it.Cost
 	}
 }
+
+// TestNearestScanMatchesDissimilarity checks the K-Means first scan
+// against an ascending scan of Dissimilarity keeping the first strict
+// minimum, under both kernel settings, for every k remainder mod 4. The
+// points sit on a small integer grid, so distances are exact and tie
+// often, and a few coordinates are NaN or ±Inf: a centroid copied from
+// such a point has a NaN or infinite distance to every point.
+func TestNearestScanMatchesDissimilarity(t *testing.T) {
+	const n, dim = 60, 3
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	pts := make([]float64, n*dim)
+	for i := range pts {
+		pts[i] = float64(i * 7 % 5)
+		if i%23 == 0 {
+			pts[i] = special[i%len(special)]
+		}
+	}
+	for k := 1; k <= 13; k++ {
+		seeds := make([]int32, k)
+		for c := range seeds {
+			seeds[c] = int32((c*11 + 1) % n)
+		}
+		for _, scalar := range []bool{false, true} {
+			s, err := NewSpaceFromSeeds(pts, dim, seeds, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetScalarKernels(scalar)
+			out := make([]int32, n)
+			s.NearestScan()(0, n, out)
+			for i := range out {
+				best, bestD := 0, s.Dissimilarity(i, 0)
+				for c := 1; c < k; c++ {
+					if d := s.Dissimilarity(i, c); d < bestD {
+						best, bestD = c, d
+					}
+				}
+				if out[i] != int32(best) {
+					t.Fatalf("k=%d scalar=%v: item %d scanned to %d, want %d", k, scalar, i, out[i], best)
+				}
+			}
+		}
+	}
+}

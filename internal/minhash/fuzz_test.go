@@ -78,6 +78,17 @@ func FuzzSign(f *testing.F) {
 	f.Add(uint8(129), uint64(5), uint8(255), signSetBytes(129))
 	f.Add(uint8(99), uint64(6), uint8(1), signSetBytes(200))
 	f.Add(uint8(17), uint64(math.MaxUint64), uint8(3), []byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 3, 0})
+	// The memo's four-column fold and its tails: sets of 1–9 elements
+	// that are all cached (IDs near 0), then an uncached ID (at
+	// memoLimit+5) between cached ones inside one group of four.
+	for count := 1; count <= 9; count++ {
+		var data []byte
+		for i := 0; i < count; i++ {
+			data = append(data, 0, byte(3*i+1))
+		}
+		f.Add(uint8(count*13), uint64(count), uint8(4*count), data)
+	}
+	f.Add(uint8(37), uint64(10), uint8(8), []byte{0, 1, 0, 2, 1, 5, 0, 3, 0, 4, 0, 6})
 	f.Fuzz(func(t *testing.T, sigLen uint8, seed uint64, tableLen uint8, data []byte) {
 		n := 1 + int(sigLen)%130
 		set := decodeSignSet(data)

@@ -94,9 +94,13 @@ func (m *Memo) Len() int { return len(m.cols) }
 
 // Sign computes the MinHash signature of set into dst and returns dst,
 // exactly as Scheme.Sign would, memoizing each distinct element's hash
-// column along the way. Each element costs one branch-free
-// element-wise minimum over its cached column; an element at or above
-// the growth limit is hashed directly, without caching.
+// column along the way. Cached columns are folded four at a time: one
+// pass over dst takes the branch-free minimum of each slot and four
+// columns' entries, so dst is loaded and stored once per four elements.
+// An element at or above the growth limit is hashed directly through
+// fold, without caching, when it is met. A minimum does not depend on
+// the order of its operands, so the signature is the same in any
+// grouping.
 //
 //lshvet:noescape
 func (m *Memo) Sign(set []uint64, dst []uint64) []uint64 {
@@ -106,18 +110,39 @@ func (m *Memo) Sign(set []uint64, dst []uint64) []uint64 {
 	for i := range dst {
 		dst[i] = EmptySlot
 	}
+	var cols [4][]uint64
+	nc := 0
 	for j, x := range set {
 		col := m.col(x)
 		if col == nil {
 			m.scheme.fold(set[j:j+1], dst)
 			continue
 		}
-		col = col[:len(dst)]
-		for i := range dst {
-			dst[i] = min(dst[i], col[i])
+		cols[nc] = col
+		if nc++; nc == len(cols) {
+			fold4(dst, &cols)
+			nc = 0
 		}
 	}
+	if nc > 0 {
+		// Repeat the first pending column in the empty lanes: folding a
+		// column twice leaves the minimum unchanged.
+		for l := nc; l < len(cols); l++ {
+			cols[l] = cols[0]
+		}
+		fold4(dst, &cols)
+	}
 	return dst
+}
+
+// fold4 lowers every dst[i] to the minimum of dst[i] and the four
+// columns' entries i. Every column must be at least len(dst) long.
+func fold4(dst []uint64, cols *[4][]uint64) {
+	n := len(dst)
+	c0, c1, c2, c3 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n]
+	for i, h := range dst {
+		dst[i] = min(h, c0[i], c1[i], c2[i], c3[i])
+	}
 }
 
 // col returns the cached hash column for x, computing it on first use,

@@ -15,6 +15,7 @@
 package simhash
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -22,6 +23,15 @@ import (
 	"lshcluster/internal/kernel"
 	"lshcluster/internal/kmeans"
 	"lshcluster/internal/lsh"
+)
+
+// The panic values of a Sign call with a wrong-length vector or dst.
+// Panicking with package-level values keeps Sign free of the escape
+// diagnostics (a string converted to an interface "escapes") that
+// allocheck fails on.
+var (
+	errSignDim = errors.New("simhash: vector dimensionality mismatch")
+	errSignLen = errors.New("simhash: Sign dst length mismatch")
 )
 
 // Scheme is a seeded set of random hyperplanes producing sign-bit
@@ -33,10 +43,10 @@ type Scheme struct {
 	dim    int
 	bits   int
 	// scalarKernels routes the per-hyperplane dot products through the
-	// scalar reference instead of the unrolled kernel. The unrolled
-	// kernel keeps the scalar accumulation order, so the sign bits —
-	// and every signature-derived structure — are bit-identical either
-	// way; the switch is the oracle for that claim.
+	// scalar reference instead of the four-plane kernel. Each of that
+	// kernel's lanes keeps the scalar accumulation order, so the sign
+	// bits — and every signature-derived structure — are bit-identical
+	// either way; the switch is the oracle for that claim.
 	scalarKernels bool
 }
 
@@ -60,36 +70,49 @@ func (s *Scheme) Dim() int { return s.dim }
 // Sign writes the sign-bit signature of vec into dst (one uint64 per
 // bit: 0 or 1, the row-value format the banding index consumes) and
 // returns dst. vec must have length Dim and dst one entry per hyperplane.
+// kernel.Dot4 computes four hyperplanes' dot products per pass over vec,
+// each bit for bit the one kernel.Dot computes; the planes past the
+// last group of four go through Dot.
+//
+//lshvet:noescape
 func (s *Scheme) Sign(vec []float64, dst []uint64) []uint64 {
 	if len(vec) != s.dim {
-		panic("simhash: vector dimensionality mismatch")
+		panic(errSignDim)
 	}
 	if len(dst) != s.bits {
-		panic("simhash: Sign dst length mismatch")
+		panic(errSignLen)
 	}
+	dim := s.dim
 	if s.scalarKernels {
-		for b := 0; b < s.bits; b++ {
-			if kernel.DotScalar(s.planes[b*s.dim:(b+1)*s.dim], vec) >= 0 {
-				dst[b] = 1
-			} else {
-				dst[b] = 0
-			}
+		for b := range dst {
+			dst[b] = signBit(kernel.DotScalar(s.planes[b*dim:(b+1)*dim], vec))
 		}
 		return dst
 	}
-	for b := 0; b < s.bits; b++ {
-		if kernel.Dot(s.planes[b*s.dim:(b+1)*s.dim], vec) >= 0 {
-			dst[b] = 1
-		} else {
-			dst[b] = 0
-		}
+	b := 0
+	for ; b+4 <= len(dst); b += 4 {
+		d0, d1, d2, d3 := kernel.Dot4(s.planes[b*dim:(b+4)*dim], vec)
+		dst[b], dst[b+1], dst[b+2], dst[b+3] = signBit(d0), signBit(d1), signBit(d2), signBit(d3)
+	}
+	for ; b < len(dst); b++ {
+		dst[b] = signBit(kernel.Dot(s.planes[b*dim:(b+1)*dim], vec))
 	}
 	return dst
 }
 
-// SetScalarKernels switches signing between the unrolled dot-product
-// kernel (false, the default) and its scalar reference (true, the
-// bit-identical oracle). Flip only while no signing is in flight.
+// signBit is a hyperplane's sign bit: 1 when the dot product is ≥ 0,
+// else 0 (a NaN dot product gives 0).
+func signBit(d float64) uint64 {
+	if d >= 0 {
+		return 1
+	}
+	return 0
+}
+
+// SetScalarKernels switches signing between the four-plane dot-product
+// kernel (false, the default) and the scalar reference, one plane at a
+// time (true, the bit-identical oracle). Flip only while no signing is
+// in flight.
 func (s *Scheme) SetScalarKernels(scalar bool) { s.scalarKernels = scalar }
 
 // Accelerator is the numeric counterpart of core.MinHashAccelerator:
@@ -132,8 +155,8 @@ func (a *Accelerator) Reset(numClusters int) error {
 
 // SetScalarKernels forwards the kernel-oracle switch to the signing
 // scheme (core.KernelConfigurable): true signs with the scalar
-// reference dot product, false (the default) with the unrolled kernel —
-// signatures are bit-identical either way.
+// reference dot product, false (the default) with the four-plane
+// kernel — signatures are bit-identical either way.
 func (a *Accelerator) SetScalarKernels(scalar bool) { a.scheme.SetScalarKernels(scalar) }
 
 // SignAll computes every point's band keys into a flat arena, sharding

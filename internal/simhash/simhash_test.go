@@ -39,12 +39,56 @@ func TestSignDeterministicAndBinary(t *testing.T) {
 
 func TestSignPanics(t *testing.T) {
 	s, _ := NewScheme(4, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dim mismatch")
+	for _, c := range []struct {
+		vec  []float64
+		dst  []uint64
+		want error
+	}{
+		{[]float64{1}, make([]uint64, 4), errSignDim},
+		{[]float64{1, 2}, make([]uint64, 3), errSignLen},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Fatalf("Sign(dim %d, dst %d) panicked with %v, want %v", len(c.vec), len(c.dst), got, c.want)
+				}
+			}()
+			s.Sign(c.vec, c.dst)
+		}()
+	}
+}
+
+// TestSignKernelsMatchScalar checks that signing four hyperplanes per
+// pass gives the scalar reference's bits, for every plane count
+// remainder mod 4 and short and long vectors, including vectors whose
+// dot products are 0 (bit 1), NaN (bit 0) and infinite.
+func TestSignKernelsMatchScalar(t *testing.T) {
+	vecs := [][]float64{
+		{0, 0, 0, 0, 0},
+		{1, -2, 3, 0.5, -0.25},
+		{math.NaN(), 1, 2, 3, 4},
+		{math.Inf(1), 0, -1, 2, 5},
+		{1e300, -1e300, 1e-300, 7, -7},
+	}
+	for bits := 1; bits <= 13; bits++ {
+		for _, dim := range []int{1, 2, 5} {
+			s, err := NewScheme(bits, dim, int64(bits*dim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vecs {
+				s.SetScalarKernels(false)
+				got := s.Sign(v[:dim], make([]uint64, bits))
+				s.SetScalarKernels(true)
+				want := s.Sign(v[:dim], make([]uint64, bits))
+				for b := range want {
+					if got[b] != want[b] {
+						t.Fatalf("bits=%d dim=%d vec %v: bit %d = %d, scalar %d", bits, dim, v[:dim], b, got[b], want[b])
+					}
+				}
+			}
 		}
-	}()
-	s.Sign([]float64{1}, make([]uint64, 4))
+	}
 }
 
 // TestAngleCollisionProperty: for random hyperplanes,
