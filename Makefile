@@ -7,13 +7,24 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: build test perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke clean
+.PHONY: build test examples-smoke perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Runs every program under examples/ at its defaults; each must exit 0.
+# The streaming example, the one that drives the index's build phase
+# (QueryInsert), is deterministic, so its output must also match the
+# checked-in examples/streaming/expected_output.txt byte for byte.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+	set -o pipefail; $(GO) run ./examples/streaming | diff -u examples/streaming/expected_output.txt -
 
 # The benchmark (perfbench/) is a nested module that builds against this
 # checkout, so the root ./... patterns never compile it; a driver change

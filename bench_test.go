@@ -348,24 +348,24 @@ func benchBootstrapSigning(b *testing.B, memoized bool) {
 func BenchmarkBootstrapSigningPlain(b *testing.B)    { benchBootstrapSigning(b, false) }
 func BenchmarkBootstrapSigningMemoized(b *testing.B) { benchBootstrapSigning(b, true) }
 
-// benchCandidates measures the recurring per-iteration collision
-// lookup over every indexed item, on the unfrozen build-phase layout (a
-// table probe per band) vs the frozen CSR layout.
-func benchCandidates(b *testing.B, frozen bool) {
+// BenchmarkCandidatesFrozen measures the recurring per-iteration
+// collision lookup over every indexed item on the frozen CSR layout.
+func BenchmarkCandidatesFrozen(b *testing.B) {
 	ds := ablWorkload(b)
-	ix, err := lsh.NewIndex(lsh.Params{Bands: 20, Rows: 5}, 7, ds.NumItems())
+	p := lsh.Params{Bands: 20, Rows: 5}
+	ix, err := lsh.NewIndex(p, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var set []uint64
-	for item := 0; item < ds.NumItems(); item++ {
-		set = ds.PresentValues(item, set[:0])
-		if err := ix.Insert(int32(item), set); err != nil {
-			b.Fatal(err)
+	keys := lsh.SignAll(p, ds.NumItems(), 1, func() lsh.SignFunc {
+		var set []uint64
+		return func(item int32, sig []uint64) {
+			set = ds.PresentValues(int(item), set[:0])
+			ix.Scheme().Sign(set, sig)
 		}
-	}
-	if frozen {
-		ix.Freeze()
+	}, nil)
+	if err := ix.BuildFrozen(keys, ds.NumItems(), 1); err != nil {
+		b.Fatal(err)
 	}
 	var hits int
 	b.ReportAllocs()
@@ -378,6 +378,3 @@ func benchCandidates(b *testing.B, frozen bool) {
 	}
 	_ = hits
 }
-
-func BenchmarkCandidatesBuildPhase(b *testing.B) { benchCandidates(b, false) }
-func BenchmarkCandidatesFrozen(b *testing.B)     { benchCandidates(b, true) }

@@ -14,10 +14,10 @@
 //
 // Every flag configures the algorithm or its inputs and outputs; none
 // selects a reference implementation. The reference twins of the fast
-// paths (scalar kernels, batch centroid updates, full passes, the serial
-// bootstrap, heap index loads) are reachable only from tests, which
-// check each against the default run (TestOraclesMatchDefault in
-// internal/core).
+// paths (scalar kernels, batch centroid updates, full passes, heap
+// index loads) are reachable only from tests, which check each against
+// the default run (TestOraclesMatchDefault in internal/core); the
+// parallel bootstrap's reference is the same run at -workers 1.
 //
 // Examples:
 //

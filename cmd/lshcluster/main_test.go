@@ -146,8 +146,9 @@ func TestClusterInitMethods(t *testing.T) {
 }
 
 // TestClusterBootstrapModes checks the per-phase bootstrap report of
-// the parallel sign → build → assign pipeline. Its serial oracle is no
-// CLI flag: internal/core's TestOraclesMatchDefault checks it.
+// the parallel sign → build → assign pipeline. Its reference is the
+// same pipeline at -workers 1, which internal/core's bootstrap
+// equivalence tests compare it with.
 func TestClusterBootstrapModes(t *testing.T) {
 	in := writeWorkload(t)
 	var stdout, stderr bytes.Buffer

@@ -53,19 +53,15 @@
 //   - The MinHash banding index serves iteration from a frozen layout:
 //     flat CSR arrays (offsets + item IDs, with per-item bucket slots
 //     resolved up front), so the recurring collision lookups are
-//     allocation-free scans of contiguous memory. The batch bootstrap
-//     builds the index once, after the exact first assignment, as in
-//     the paper: it constructs the frozen layout directly from
-//     presigned band keys. Only two users file items one at a time
+//     allocation-free scans of contiguous memory. Every batch run
+//     builds the index once, in one pass over the dataset as in the
+//     paper (Algorithm 2, lines 1–9): it signs every item, then
+//     constructs the frozen layout directly from the presigned band
+//     keys. Only the streaming clusterer files items one at a time,
 //     into the index's build phase — per band a flat, pointer-free key
-//     table locating each bucket's run of item IDs in one shared
-//     arena: the serial bootstrap oracle
-//     (core.Oracles.DisableParallelBootstrap, set only by tests),
-//     which inserts item by item and freezes before the first query
-//     (Freeze lays the stored keys out with the batch build's own
-//     passes), and the streaming
-//     clusterer, which queries and files each arriving item in one
-//     probe per band and never freezes its index.
+//     table locating each bucket's run of item IDs in one shared arena
+//     — querying and filing each arriving item in one probe per band;
+//     it never freezes its index.
 //
 //   - The bootstrap itself is a parallel pipeline, individually timed
 //     per phase (sign → build → assign): signing splits items across
@@ -82,11 +78,10 @@
 //     most modes share, as in binary bag-of-words data — it compares
 //     the item with every mode instead. Exact passes always compare
 //     the item with all k modes, as in the paper.
-//     Results are bit-identical to the serial per-item bootstrap,
-//     which the tests keep as the correctness oracle; per-phase
-//     timings land in
-//     Run.BootstrapSign/BootstrapBuild/BootstrapAssign and the stats
-//     CSV.
+//     Results are bit-identical at every worker count, and the tests
+//     keep the one-worker run as the reference; per-phase timings land
+//     in Run.BootstrapSign/BootstrapBuild/BootstrapAssign and the
+//     stats CSV.
 //
 //   - Bootstrap signing memoizes per-value MinHash columns when values
 //     repeat and the column table is no larger than the band-key arena
@@ -186,12 +181,13 @@
 // route every space and accelerator through the scalar references.
 //
 // Every reference twin named above — the scalar kernels, the batch
-// centroid update, the full pass, the serial bootstrap and the heap
-// index load — is a field of
-// core.Oracles, which only tests set: none is a Config field or a CLI
-// flag. TestOraclesMatchDefault (internal/core) runs each one, alone
-// and all together, against the default configuration and requires
-// identical assignments and statistics.
+// centroid update, the full pass and the heap index load — is a field
+// of core.Oracles, which only tests set: none is a Config field or a
+// CLI flag. TestOraclesMatchDefault (internal/core) runs each one,
+// alone and all together, against the default configuration and
+// requires identical assignments and statistics. The parallel
+// bootstrap's reference is no switch: it is the same pipeline at
+// Config.Workers 1.
 //
 // # Persistent index and warm start
 //

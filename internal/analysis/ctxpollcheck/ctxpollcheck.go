@@ -57,7 +57,7 @@ var WorkMarkers = map[string]bool{
 	"bestOf": true, "bestExact": true, "bestOfLowestIndex": true,
 	"fullScanRange": true, "dist": true,
 	// indexing and signing
-	"Insert": true, "InsertSignature": true, "QueryInsert": true, "insert": true, "sign": true,
+	"QueryInsert": true, "sign": true,
 }
 
 func governed(path string) bool {

@@ -103,8 +103,8 @@ type ReverseView interface {
 
 // ReverseQuerier is an optional Accelerator capability: accelerators
 // whose index supports the reverse-collision view implement it. The
-// driver calls NewReverse once, after Freeze; a nil result declines the
-// capability (e.g. the index could not be frozen).
+// driver calls NewReverse once, after the bootstrap; a nil result
+// declines the capability (e.g. the index is not frozen).
 type ReverseQuerier interface {
 	NewReverse() ReverseView
 }

@@ -16,17 +16,19 @@ import (
 	"lshcluster/internal/core"
 )
 
-// assertBootstrapEqual runs the same configuration twice — once with
-// the parallel sign → build → assign bootstrap pipeline (the default),
-// once with DisableParallelBootstrap (the serial per-item oracle) —
-// and asserts bit-identical outcomes: assignments, per-iteration moves
-// and costs, convergence, and the final centroids (via the
-// caller-provided fingerprint of the space the run mutated).
+// assertBootstrapEqual runs the same configuration twice — once as
+// given, once with Workers: 1, the serial reference, whose sign →
+// build → assign bootstrap runs every phase on one goroutine — and
+// asserts bit-identical outcomes: assignments, per-iteration moves and
+// costs, convergence, and the final centroids (via the caller-provided
+// fingerprint of the space the run mutated).
 func assertBootstrapEqual(t *testing.T, mk func() (core.Space, core.Accelerator), fingerprint func(core.Space) []byte, opts core.Options) {
 	t.Helper()
-	run := func(disable bool) (*core.Result, []byte) {
+	run := func(serial bool) (*core.Result, []byte) {
 		o := opts
-		o.Oracles.DisableParallelBootstrap = disable
+		if serial {
+			o.Workers = 1
+		}
 		space, accel := mk()
 		o.Accelerator = accel
 		res, err := core.Run(space, o)
@@ -59,7 +61,7 @@ func assertBootstrapEqual(t *testing.T, mk func() (core.Space, core.Accelerator)
 		}
 	}
 	if !bytes.Equal(parCentroids, serCentroids) {
-		t.Fatal("final centroids differ between parallel and serial bootstrap")
+		t.Fatal("final centroids differ between the run and its one-worker reference")
 	}
 }
 
@@ -87,8 +89,8 @@ func kmodesFingerprint(t *testing.T) func(core.Space) []byte {
 
 // TestParallelBootstrapMatchesSerialKModes is the headline equivalence
 // matrix: MinHash-accelerated K-Modes across update modes and worker
-// counts (including workers=1, where the pipeline still takes the
-// presign + direct-to-frozen path).
+// counts, each against the one-worker reference (workers=1 is the
+// reference itself).
 func TestParallelBootstrapMatchesSerialKModes(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -174,12 +176,12 @@ func TestParallelBootstrapExactScan(t *testing.T) {
 }
 
 // TestBootstrapPhaseTimings checks the per-phase bootstrap split is
-// recorded: the pipeline path reports a non-zero signing phase, every
-// path reports a non-zero assignment phase, and the phases never
-// exceed the bootstrap total.
+// recorded: every cold accelerated run, at one worker and at two,
+// reports non-zero signing, build and assignment phases, and the
+// phases never exceed the bootstrap total.
 func TestBootstrapPhaseTimings(t *testing.T) {
 	ds := bootstrapWorkload(t)
-	run := func(disable bool) *core.Result {
+	run := func(workers int) *core.Result {
 		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -189,32 +191,26 @@ func TestBootstrapPhaseTimings(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := core.Run(s, core.Options{
-			Accelerator: a, Workers: 2, Update: core.UpdateDeferred,
-			MaxIterations: 3, Oracles: core.Oracles{DisableParallelBootstrap: disable},
+			Accelerator: a, Workers: workers, Update: core.UpdateDeferred, MaxIterations: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	for _, disable := range []bool{false, true} {
-		res := run(disable)
-		st := res.Stats
-		if disable {
-			if st.BootstrapSign != 0 {
-				t.Fatalf("serial oracle reported a signing phase: %v", st.BootstrapSign)
-			}
-		} else if st.BootstrapSign <= 0 {
-			t.Fatal("pipeline reported no signing phase")
+	for _, workers := range []int{1, 2} {
+		st := run(workers).Stats
+		if st.BootstrapSign <= 0 {
+			t.Fatalf("w=%d: no signing phase recorded", workers)
 		}
 		if st.BootstrapBuild <= 0 {
-			t.Fatalf("disable=%v: no build phase recorded", disable)
+			t.Fatalf("w=%d: no build phase recorded", workers)
 		}
 		if st.BootstrapAssign <= 0 {
-			t.Fatalf("disable=%v: no assignment phase recorded", disable)
+			t.Fatalf("w=%d: no assignment phase recorded", workers)
 		}
 		if sum := st.BootstrapSign + st.BootstrapBuild + st.BootstrapAssign; sum > st.Bootstrap {
-			t.Fatalf("disable=%v: phase sum %v exceeds bootstrap %v", disable, sum, st.Bootstrap)
+			t.Fatalf("w=%d: phase sum %v exceeds bootstrap %v", workers, sum, st.Bootstrap)
 		}
 	}
 }

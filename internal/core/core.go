@@ -22,11 +22,11 @@
 // with an Accelerator it is the paper's accelerated variant, identical
 // except that each item is compared only against its shortlist.
 //
-// Two optional capabilities shrink the per-iteration hot path further
-// without changing results: IncrementalSpace (exact O(moves) centroid
-// and objective maintenance in place of full per-pass recomputation)
-// and Freezer (post-bootstrap compaction of the accelerator's index
-// into a read-optimised layout). See incremental.go.
+// Optional capabilities shrink the per-iteration hot path further
+// without changing results, among them IncrementalSpace (exact
+// O(moves) centroid and objective maintenance in place of full
+// per-pass recomputation; see incremental.go) and BlockQuerier (one
+// band-major index sweep per block of items).
 package core
 
 import (
@@ -76,15 +76,41 @@ type Querier interface {
 }
 
 // Accelerator is the search-space reduction component of the framework.
+// Run calls Reset, then — unless Reset warm-loaded a saved index
+// (IndexPersister) — BulkIndexer's SignAll and BuildFrozen, the
+// paper's single pass "applying MinHash to each item" (Algorithm 2
+// lines 1–9), and then takes queriers from NewQuerier.
 type Accelerator interface {
 	// Reset prepares an empty index for a clustering over numClusters
-	// clusters. It is called once per Run before any Insert.
+	// clusters. It is called once per Run, before SignAll.
 	Reset(numClusters int) error
-	// Insert indexes one item (the paper's single pass: "applying
-	// MinHash to each item").
-	Insert(item int32) error
+	BulkIndexer
 	// NewQuerier returns a query handle with private scratch.
 	NewQuerier() Querier
+}
+
+// BulkIndexer is the index-construction half of every Accelerator: a
+// parallel signing pass and a parallel filing pass, which the driver
+// runs as the bootstrap's sign → build phases (see driver.bootstrap),
+// after Reset and before the exact first assignment. The index comes
+// up frozen. Both passes are bit-identical at every worker count —
+// signing is deterministic per item and filing order is fixed — so a
+// Workers: 1 run is the reference for the parallel ones.
+type BulkIndexer interface {
+	// SignAll computes and retains the band keys of every item,
+	// sharding the signing across workers goroutines (values < 2 sign
+	// on the calling goroutine). Keys are identical regardless of
+	// workers. Called once per Run, after Reset and before
+	// BuildFrozen, unless Reset warm-loaded a saved index. stop, when
+	// non-nil, is polled periodically by the signing workers; once it
+	// returns true they abandon the pass (the driver maps it to
+	// context cancellation and discards the partial keys by aborting
+	// the bootstrap).
+	SignAll(workers int, stop func() bool) error
+	// BuildFrozen constructs the accelerator's index directly in its
+	// frozen layout from the keys SignAll computed, parallel across
+	// workers, with every item filed.
+	BuildFrozen(workers int) error
 }
 
 // KernelConfigurable is an optional Space/Accelerator capability:
@@ -106,11 +132,10 @@ type KernelConfigurable interface {
 // compares every mode when the lists would be long; K-Means sweeps its
 // contiguous centroid array four rows at a time
 // (kernel.NearestSquared), each distance bit-identical to
-// Dissimilarity's. The driver runs
-// every full-scan first assignment through it — the bulk pipeline's, the
-// DisableParallelBootstrap oracle's and the exact baseline's — one
-// ctxPollEvery chunk per call, so cancellation stays bounded. Exact
-// passes still compare every centroid (bestExact): they are the
+// Dissimilarity's. The driver runs every full-scan first assignment
+// through it — the accelerated bootstrap's and the exact baseline's —
+// one ctxPollEvery chunk per call, so cancellation stays bounded.
+// Exact passes still compare every centroid (bestExact): they are the
 // paper's baseline.
 type NearestScanner interface {
 	// NearestScan returns a function that sets out[i], for every i in
@@ -195,8 +220,7 @@ type Options struct {
 	// construction and the first full scan — with identical results. The
 	// saved index is validated against the run's parameters, seed and
 	// dataset fingerprint; a mismatch is an error, never a silent
-	// rebuild. Requires an IndexPersister + BulkIndexer accelerator and
-	// the parallel bootstrap.
+	// rebuild. Requires an IndexPersister accelerator.
 	IndexDir string
 	// SnapshotEvery, when > 0, checkpoints the run state (assignment +
 	// iteration stats) into IndexDir every SnapshotEvery iterations, and
@@ -210,12 +234,11 @@ type Options struct {
 	// Context, when non-nil, cancels the run: it is checked between
 	// passes and polled inside every assignment loop (serial and
 	// per-worker, every ctxPollEvery items) and inside the bootstrap
-	// (scan shards, signing workers and the serial insert loop poll at
-	// the same cadence, with a check after each pipeline phase), so
-	// cancellation latency is a fraction of a pass or bootstrap, not a
-	// whole one. Run returns the context error, discarding partial
-	// progress. Large-k runs take minutes to hours; this is the off
-	// switch.
+	// (scan shards and signing workers poll at the same cadence, with a
+	// check after each pipeline phase), so cancellation latency is a
+	// fraction of a pass or bootstrap, not a whole one. Run returns the
+	// context error, discarding partial progress. Large-k runs take
+	// minutes to hours; this is the off switch.
 	Context context.Context
 }
 
@@ -244,11 +267,6 @@ type Oracles struct {
 	// (accelerated, incremental engine on, ChangeReporter space,
 	// ReverseQuerier accelerator — see active.go).
 	DisableActiveFilter bool
-	// DisableParallelBootstrap forces the serial bootstrap: the
-	// single-threaded first assignment and the per-item sign+insert
-	// loop, even when Workers > 1 or the accelerator implements
-	// BulkIndexer. Run rejects it together with IndexDir.
-	DisableParallelBootstrap bool
 	// DisableMmap loads a persisted index by copying it onto the heap
 	// instead of memory-mapping it zero-copy (the bytes are identical
 	// either way). Ignored without IndexDir; mapping is also skipped on
@@ -334,15 +352,6 @@ func run(space Space, opts Options, perItem bool) (*Result, error) {
 	bootStart := time.Now()
 	if err := d.bootstrap(); err != nil {
 		return nil, err
-	}
-	// All items are indexed by now; compact the index for the recurring
-	// per-iteration lookups (no-op for accelerators without the
-	// capability, and for the direct-to-frozen bootstrap, which built
-	// the compact layout up front).
-	if f, ok := opts.Accelerator.(Freezer); ok {
-		freezeStart := time.Now()
-		f.Freeze()
-		d.bootBuild += time.Since(freezeStart)
 	}
 	// Resume point: a checkpointed assignment must be restored before
 	// the incremental engine initialises its centroid accumulators from
@@ -481,8 +490,7 @@ type driver struct {
 	movers []int32
 	// bootSign/bootBuild/bootAssign split the bootstrap wall time into
 	// its signing, index-construction and first-assignment phases
-	// (runstats.Run.Bootstrap* — see those fields for which phases stay
-	// zero on the serial paths, where signing is interleaved).
+	// (runstats.Run.Bootstrap*).
 	bootSign, bootBuild, bootAssign time.Duration
 	// chg and rev are the change-report and reverse-collision
 	// capabilities backing the active-set filter; nil unless
@@ -513,16 +521,13 @@ func (p *passStats) add(o passStats) {
 // the index.
 //
 // The first assignment is the paper's exact scan (§III-B): every item
-// against every centroid, before the index answers any query. With a
-// BulkIndexer accelerator (and unless Oracles.DisableParallelBootstrap
-// selects the serial oracle), the bootstrap runs as an explicit
-// pipeline whose phases are individually parallel and individually
-// timed: sign every item into a flat key arena across Workers
-// goroutines, build the frozen index directly from the keys, then the
-// exact first assignment, itself sharded across Workers. The serial
-// oracle scans on one goroutine and inserts item by item; run then
-// freezes its index. Every phase is bit-identical to its serial
-// counterpart.
+// against every centroid, before the index answers any query. An
+// accelerated bootstrap runs as a pipeline whose phases are
+// individually parallel and individually timed: sign every item into a
+// flat key arena across Workers goroutines, build the frozen index
+// directly from the keys, then the exact first assignment, itself
+// sharded across Workers. Every phase is bit-identical to its
+// one-worker run.
 func (d *driver) bootstrap() error {
 	accel := d.opts.Accelerator
 	workers := d.opts.Workers
@@ -531,18 +536,18 @@ func (d *driver) bootstrap() error {
 	}
 	// Bootstrap is now the dominant wall-clock phase, so it honours
 	// Options.Context like the iteration passes do: every long loop
-	// (scan shards, signing workers, the serial insert loop) polls each
-	// ctxPollEvery items, and each pipeline phase ends with a
-	// cancellation check, keeping latency a fraction of the bootstrap.
+	// (scan shards, signing workers) polls each ctxPollEvery items, and
+	// each pipeline phase ends with a cancellation check, keeping
+	// latency a fraction of the bootstrap.
 	stop := func() bool { return ctxErr(d.opts.Context) != nil }
-	serialOracle := d.opts.Oracles.DisableParallelBootstrap
 	if accel == nil {
 		start := time.Now()
-		d.bootstrapScan(workers, !serialOracle)
+		d.bootstrapScan(workers)
 		d.bootAssign = time.Since(start)
 		return ctxErr(d.opts.Context)
 	}
-	if ip, ok := accel.(IndexPersister); ok {
+	ip, persists := accel.(IndexPersister)
+	if persists {
 		// Forwarded unconditionally (an empty Dir clears any previous
 		// configuration on a reused accelerator), before Reset, which is
 		// where the warm load happens.
@@ -554,84 +559,50 @@ func (d *driver) bootstrap() error {
 	if err := accel.Reset(d.k); err != nil {
 		return fmt.Errorf("core: resetting accelerator: %w", err)
 	}
-	bulk, _ := accel.(BulkIndexer)
-	if serialOracle {
-		bulk = nil
-	}
-	if bulk != nil {
-		// A warm-started Reset loaded the frozen index from disk: signing
-		// and construction have nothing left to do, and the first
-		// assignment restores from the directory too (falling back to the
-		// scan if its file fails validation).
-		warm := false
-		if ip, ok := accel.(IndexPersister); ok {
-			warm = ip.PersistStats().WarmStart
-		}
-		if !warm {
-			start := time.Now()
-			if err := bulk.SignAll(workers, stop); err != nil {
-				return fmt.Errorf("core: signing items: %w", err)
-			}
-			d.bootSign = time.Since(start)
-			if err := ctxErr(d.opts.Context); err != nil {
-				return err // the partially signed arena is discarded with the run
-			}
-			start = time.Now()
-			if err := bulk.BuildFrozen(workers); err != nil {
-				return fmt.Errorf("core: building frozen index: %w", err)
-			}
-			d.bootBuild = time.Since(start)
-			if err := ctxErr(d.opts.Context); err != nil {
-				return err
-			}
-		}
+	// A warm-started Reset loaded the frozen index from disk: signing
+	// and construction have nothing left to do, and the first
+	// assignment restores from the directory too (falling back to the
+	// scan if its file fails validation).
+	if !persists || !ip.PersistStats().WarmStart {
 		start := time.Now()
-		if err := d.bootstrapAssign(workers); err != nil {
-			return err
+		if err := accel.SignAll(workers, stop); err != nil {
+			return fmt.Errorf("core: signing items: %w", err)
 		}
-		d.bootAssign = time.Since(start)
-	} else {
-		start := time.Now()
-		d.bootstrapScan(workers, !serialOracle)
-		d.bootAssign = time.Since(start)
+		d.bootSign = time.Since(start)
+		if err := ctxErr(d.opts.Context); err != nil {
+			return err // the partially signed arena is discarded with the run
+		}
+		start = time.Now()
+		if err := accel.BuildFrozen(workers); err != nil {
+			return fmt.Errorf("core: building frozen index: %w", err)
+		}
+		d.bootBuild = time.Since(start)
 		if err := ctxErr(d.opts.Context); err != nil {
 			return err
 		}
-		start = time.Now()
-		poll := 0
-		for i := 0; i < d.n; i++ {
-			if poll++; poll >= ctxPollEvery {
-				poll = 0
-				if err := ctxErr(d.opts.Context); err != nil {
-					return err
-				}
-			}
-			if err := accel.Insert(int32(i)); err != nil {
-				return fmt.Errorf("core: indexing item %d: %w", i, err)
-			}
-		}
-		d.bootBuild = time.Since(start) // includes interleaved signing
 	}
+	start := time.Now()
+	if err := d.bootstrapAssign(workers); err != nil {
+		return err
+	}
+	d.bootAssign = time.Since(start)
 	d.querier = accel.NewQuerier()
 	return ctxErr(d.opts.Context)
 }
 
 // bootstrapScan runs the exact first assignment over all n items —
 // every item's nearest of all k centroids, current assignment −1 —
-// sharded across workers goroutines when parallel. A NearestScanner
-// space scans through its capability; any other compares every
-// centroid (fullScanRange). Items are independent (Space reads are
+// sharded across workers goroutines. A NearestScanner space scans
+// through its capability; any other compares every centroid
+// (fullScanRange). Items are independent (Space reads are
 // concurrency-safe, each assignment cell written by one worker), so
-// the result is bit-identical to the serial scan. Moves are not
+// the result is bit-identical to the one-worker scan. Moves are not
 // logged: the incremental engine initialises from the complete
 // bootstrap assignment afterwards. Every shard polls Options.Context
 // each ctxPollEvery items and stops early on cancellation; the caller
 // returns the context error, discarding the partial assignment with
 // the run.
-func (d *driver) bootstrapScan(workers int, parallel bool) {
-	if !parallel {
-		workers = 1
-	}
+func (d *driver) bootstrapScan(workers int) {
 	scan := func(lo, hi int, out []int32) { d.fullScanRange(lo, hi, out, nil) }
 	if ns, ok := d.space.(NearestScanner); ok {
 		scan = ns.NearestScan()

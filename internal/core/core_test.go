@@ -118,7 +118,8 @@ func (a *allClustersAccel) Reset(k int) error {
 	}
 	return nil
 }
-func (a *allClustersAccel) Insert(int32) error { return nil }
+func (a *allClustersAccel) SignAll(int, func() bool) error { return nil }
+func (a *allClustersAccel) BuildFrozen(int) error          { return nil }
 func (a *allClustersAccel) NewQuerier() Querier {
 	return allQuerier{buf: a.buf}
 }
@@ -392,8 +393,8 @@ func TestMinHashAcceleratorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Insert(0); err == nil {
-		t.Fatal("expected error inserting before Reset")
+	if err := a.SignAll(1, nil); err == nil {
+		t.Fatal("expected error signing before Reset")
 	}
 	if err := a.Reset(0); err == nil {
 		t.Fatal("expected error for zero clusters")

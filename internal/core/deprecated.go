@@ -6,6 +6,15 @@ package core
 // module uses them. Options.Shards, the one deprecated field, stays in
 // Options' declaration.
 
+// Freezer was the capability through which the driver compacted an
+// index filed item by item into the frozen layout.
+//
+// Deprecated: every index is built frozen (BulkIndexer.BuildFrozen) or
+// loaded frozen.
+type Freezer interface {
+	Freeze()
+}
+
 // ShardedIndexer was the capability through which the driver set the
 // index's item-shard count.
 //

@@ -71,16 +71,6 @@ type ChangeReporter interface {
 	ChangedClusters() []int32
 }
 
-// Freezer is an optional Accelerator capability: accelerators whose
-// index supports compaction into an immutable, cache-friendly layout
-// (lsh.Index.Freeze) implement it. The driver invokes Freeze once, after
-// bootstrap has inserted every item and before the iterative passes, so
-// the recurring Candidates lookups run on the frozen representation.
-// Freeze must be idempotent and must not change query results.
-type Freezer interface {
-	Freeze()
-}
-
 // moveRec is one recorded item move. Every pass logs its moves and
 // folds them into the IncrementalSpace after the pass, in ascending
 // item order (driver.pass), which keeps ApplyMove single-threaded

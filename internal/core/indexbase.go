@@ -9,14 +9,13 @@ import (
 // ShardedIndexBase is the index state machine shared by the
 // accelerators built on lsh.Index (MinHash here, SimHash in
 // internal/simhash): one index plus the presigned-arena lifecycle
-// behind the BulkIndexer, Freezer, ReverseQuerier, IndexPersister and
+// behind BulkIndexer and the ReverseQuerier, IndexPersister and
 // ClusterSummarizer capabilities. Embedding it promotes everything
-// signing-agnostic — Params, Index, BuildFrozen, Freeze, NewQuerier,
+// signing-agnostic — Params, Index, BuildFrozen, NewQuerier,
 // NewReverse — so the arena lifecycle lives in exactly one place; the
-// embedding accelerator supplies only what varies, the signing: the
-// parallel worker factory (SignAllInto) and the serial per-item Insert.
-// (The name predates the one-shard index; the benchmark module names
-// the embedded field.)
+// embedding accelerator supplies only what varies, the signing, as the
+// per-worker signer factory it hands SignAllInto. (The name predates
+// the one-shard index; the benchmark module names the embedded field.)
 type ShardedIndexBase struct {
 	params lsh.Params
 	index  *lsh.Index
@@ -108,7 +107,7 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 			return fmt.Errorf("core: loading persisted index: %w", err)
 		}
 		b.stats = PersistStats{WarmStart: true, LoadTime: rep.Duration}
-	} else if ix, err = lsh.NewIndex(params, seed, numItems); err != nil {
+	} else if ix, err = lsh.NewIndex(params, seed); err != nil {
 		return err
 	}
 	b.params = params
@@ -151,15 +150,6 @@ func (b *ShardedIndexBase) BuildFrozen(workers int) error {
 	return err
 }
 
-// Freeze compacts the index for the iteration phase after the serial
-// per-item Insert loop (core.Freezer); a no-op on an index BuildFrozen
-// or a warm load produced.
-func (b *ShardedIndexBase) Freeze() {
-	if b.index != nil {
-		b.index.Freeze()
-	}
-}
-
 // SummarizeClusters builds the frozen index's cluster summaries from
 // view (core.ClusterSummarizer); a no-op before Reset.
 func (b *ShardedIndexBase) SummarizeClusters(view []int32) {
@@ -183,8 +173,8 @@ func (b *ShardedIndexBase) NewQuerier() Querier {
 }
 
 // NewReverse returns a reverse-collision view over the frozen index
-// (core.ReverseQuerier), or nil before Reset or before the index is
-// frozen — the driver then simply runs without active-set filtering.
+// (core.ReverseQuerier), or nil before Reset or before BuildFrozen —
+// the driver then simply runs without active-set filtering.
 func (b *ShardedIndexBase) NewReverse() ReverseView {
 	if b.index == nil {
 		return nil

@@ -26,8 +26,6 @@ type MinHashAccelerator struct {
 	seed    uint64
 	maxVal  dataset.Value
 	memo    *minhash.Memo
-	setBuf  []uint64
-	sigBuf  []uint64
 }
 
 // NewMinHashAccelerator creates an accelerator for ds with the given
@@ -73,7 +71,6 @@ func (a *MinHashAccelerator) Reset(numClusters int) error {
 	if n*int64(a.ds.NumAttrs()) >= memoMinReuse*values && values <= n/int64(a.mhParam.Rows) {
 		a.memo = a.Index().Scheme().NewMemo(int(values))
 	}
-	a.sigBuf = make([]uint64, a.mhParam.SignatureLen())
 	return nil
 }
 
@@ -82,29 +79,15 @@ func (a *MinHashAccelerator) Reset(numClusters int) error {
 // computation outweighs the per-occurrence saving.
 const memoMinReuse = 8
 
-// Insert MinHashes item (via the memoized hash columns when Reset
-// enabled them) and files it in the index.
-func (a *MinHashAccelerator) Insert(item int32) error {
-	ix := a.Index()
-	if ix == nil {
-		return fmt.Errorf("core: Insert before Reset")
-	}
-	a.setBuf = a.ds.PresentValues(int(item), a.setBuf[:0])
-	if a.memo != nil {
-		return ix.InsertSignature(item, a.memo.Sign(a.setBuf, a.sigBuf))
-	}
-	return ix.Insert(item, a.setBuf)
-}
-
 // SignAll computes every item's band keys into a flat arena, sharding
 // the signing across workers goroutines with per-worker scratch
 // (core.BulkIndexer). When the hash-column memo is enabled, the first
 // signing worker to start fills it — each distinct value's column
 // computed exactly once, in parallel — while the others wait, after
 // which the shared memo is read-only and safe for all of them; without
-// the memo each worker hashes directly. Keys are bit-identical to
-// per-item Insert signing. The memo is released on return: after bulk
-// signing the pipeline signs nothing (BuildFrozen reads the arena).
+// the memo each worker hashes directly. Keys are bit-identical either
+// way. The memo is released on return: after bulk signing the pipeline
+// signs nothing (BuildFrozen reads the arena).
 func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 	ix := a.Index()
 	if ix == nil {

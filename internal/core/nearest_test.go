@@ -66,8 +66,8 @@ type firstScanInput struct {
 // and K-Means, exact and SimHash-accelerated, on inputs where most
 // items sit at the same distance from several centroids, so the first
 // assignment is mostly tie-breaking. Under each TieBreak, every
-// combination of ScalarKernels, EarlyAbandon, Workers {1, 2} and
-// DisableParallelBootstrap must give the same run: assignments, final
+// combination of ScalarKernels, EarlyAbandon and Workers {1, 2} must
+// give the same run: assignments, final
 // centroids and per-iteration counters, and so must each of them with
 // the space's nearest scan hidden, which makes the driver compare
 // every centroid through Dissimilarity instead. Every run's first
@@ -190,23 +190,20 @@ func testFirstScanKnobs(t *testing.T, in firstScanInput) {
 		for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
 			var base *core.Result
 			var basePrint []byte
-			for knobs := 0; knobs < 32; knobs++ {
+			for knobs := 0; knobs < 16; knobs++ {
 				opts := core.Options{
 					TieBreak:      tb,
 					EarlyAbandon:  knobs&2 != 0,
 					Workers:       1 + knobs>>2&1,
 					MaxIterations: 8,
-					Oracles: core.Oracles{
-						ScalarKernels:            knobs&1 != 0,
-						DisableParallelBootstrap: knobs&8 != 0,
-					},
+					Oracles:       core.Oracles{ScalarKernels: knobs&1 != 0},
 				}
 				inner, a, fingerprint := in.newRun(accel)
 				if a != nil {
 					opts.Accelerator, opts.Update = a, core.UpdateDeferred
 				}
 				space := &firstAssignSpace{scanSpace: inner}
-				hide := knobs&16 != 0
+				hide := knobs&8 != 0
 				run := core.Space(space)
 				if hide {
 					run = hiddenScan{space}
@@ -214,9 +211,8 @@ func testFirstScanKnobs(t *testing.T, in firstScanInput) {
 				if _, ok := run.(core.NearestScanner); ok == hide {
 					t.Fatalf("hide=%v: the run space offers NearestScan = %v", hide, ok)
 				}
-				label := fmt.Sprintf("accel=%v/tb=%d/scalar=%v/abandon=%v/w=%d/serial=%v/hidden=%v",
-					accel, tb, opts.Oracles.ScalarKernels, opts.EarlyAbandon, opts.Workers,
-					opts.Oracles.DisableParallelBootstrap, hide)
+				label := fmt.Sprintf("accel=%v/tb=%d/scalar=%v/abandon=%v/w=%d/hidden=%v",
+					accel, tb, opts.Oracles.ScalarKernels, opts.EarlyAbandon, opts.Workers, hide)
 				res, err := core.Run(run, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

@@ -23,7 +23,7 @@ import (
 var fullPassStats = []string{"Comparisons", "CandidatesTotal", "AvgShortlist", "ActiveItems", "SkippedItems"}
 
 // TestOraclesMatchDefault runs every core.Oracles switch alone, and all
-// five together, against the default configuration: on a small MinHash
+// four together, against the default configuration: on a small MinHash
 // K-Modes input and a small SimHash K-Means input, at Workers 1
 // (immediate updates) and 2 (deferred), and with the deprecated
 // Options.Shards at 1 and 3, which Run ignores. Each run
@@ -33,8 +33,7 @@ var fullPassStats = []string{"Comparisons", "CandidatesTotal", "AvgShortlist", "
 //
 // The default K-Modes run saves its index; the DisableMmap run
 // warm-starts from it with a heap load (so its WarmStart differs, and is
-// checked on its own). Every other run, DisableParallelBootstrap among
-// them (Run rejects it with IndexDir), runs without IndexDir. K-Means
+// checked on its own). Every other run runs without IndexDir. K-Means
 // runs never persist: the SimHash accelerator has no dataset
 // fingerprint.
 func TestOraclesMatchDefault(t *testing.T) {
@@ -46,11 +45,10 @@ func TestOraclesMatchDefault(t *testing.T) {
 		{"ScalarKernels", core.Oracles{ScalarKernels: true}, nil},
 		{"DisableIncremental", core.Oracles{DisableIncremental: true}, fullPassStats},
 		{"DisableActiveFilter", core.Oracles{DisableActiveFilter: true}, fullPassStats},
-		{"DisableParallelBootstrap", core.Oracles{DisableParallelBootstrap: true}, nil},
 		{"DisableMmap", core.Oracles{DisableMmap: true}, nil},
 		{"all", core.Oracles{
 			ScalarKernels: true, DisableIncremental: true, DisableActiveFilter: true,
-			DisableParallelBootstrap: true, DisableMmap: true,
+			DisableMmap: true,
 		}, fullPassStats},
 	}
 	inputs := []struct {

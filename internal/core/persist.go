@@ -119,14 +119,14 @@ func rawI64(s []int64) []byte {
 // overwrites it).
 func (d *driver) bootstrapAssign(workers int) error {
 	if d.opts.IndexDir == "" {
-		d.bootstrapScan(workers, true)
+		d.bootstrapScan(workers)
 		return ctxErr(d.opts.Context)
 	}
 	path := filepath.Join(d.opts.IndexDir, bootstrapAssignFile)
 	if d.restoreBootstrapAssign(path) {
 		return nil
 	}
-	d.bootstrapScan(workers, true)
+	d.bootstrapScan(workers)
 	if err := ctxErr(d.opts.Context); err != nil {
 		return err
 	}
@@ -272,12 +272,6 @@ func validatePersistOptions(opts *Options) error {
 	}
 	if _, ok := opts.Accelerator.(IndexPersister); !ok {
 		return fmt.Errorf("core: the accelerator does not support index persistence")
-	}
-	if opts.Oracles.DisableParallelBootstrap {
-		return fmt.Errorf("core: IndexDir requires the parallel bootstrap (drop Oracles.DisableParallelBootstrap)")
-	}
-	if _, ok := opts.Accelerator.(BulkIndexer); !ok {
-		return fmt.Errorf("core: IndexDir requires a bulk-indexing accelerator")
 	}
 	return nil
 }

@@ -252,9 +252,6 @@ func TestPersistOptionValidation(t *testing.T) {
 		{"IndexDir without accelerator", func(o *core.Options) {
 			o.Accelerator = nil
 		}, "IndexDir"},
-		{"IndexDir with serial bootstrap", func(o *core.Options) {
-			o.Oracles.DisableParallelBootstrap = true
-		}, "IndexDir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

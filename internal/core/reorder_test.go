@@ -197,12 +197,12 @@ func TestReorderOracleCrosses(t *testing.T) {
 	}
 }
 
-// TestReorderDisabledPaths covers the serial bootstrap oracle's path
-// (per-item Insert, then Freeze), which never reordered either.
+// TestReorderDisabledPaths covers the serial reference, one worker
+// with immediate updates, which never reordered either.
 func TestReorderDisabledPaths(t *testing.T) {
 	mk := reorderKModesInput(t)
 	cases := map[string]core.Options{
-		"serial": core.WithShards(core.Options{MaxIterations: 8, Oracles: core.Oracles{DisableParallelBootstrap: true}}, 4),
+		"serial": core.WithShards(core.Options{MaxIterations: 8, Workers: 1}, 4),
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {

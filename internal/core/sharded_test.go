@@ -141,8 +141,8 @@ func TestShardInvarianceKMeans(t *testing.T) {
 }
 
 // TestShardInvarianceSerialOracle crosses the Shards setting with the
-// serial bootstrap oracle: the per-item sign+insert path must ignore it
-// too.
+// serial reference, one worker with immediate updates: it must ignore
+// it too.
 func TestShardInvarianceSerialOracle(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -159,7 +159,7 @@ func TestShardInvarianceSerialOracle(t *testing.T) {
 	// boot=0 names the full-scan bootstrap, the only one.
 	t.Run("boot=0", func(t *testing.T) {
 		assertShardsEqual(t, mk, kmodesFingerprint(t), core.Options{
-			MaxIterations: 12, Oracles: core.Oracles{DisableParallelBootstrap: true},
+			MaxIterations: 12, Workers: 1,
 		}, []int{1, 4})
 	})
 }
@@ -224,7 +224,8 @@ func TestShardsIgnoredWithoutCapability(t *testing.T) {
 }
 
 // fixedShortlistAccel always shortlists every cluster (no index, no
-// block queries — the minimal Accelerator surface).
+// block queries — the minimal Accelerator surface, whose SignAll and
+// BuildFrozen do nothing).
 type fixedShortlistAccel struct {
 	k   int
 	buf []int32
@@ -238,7 +239,8 @@ func (a *fixedShortlistAccel) Reset(k int) error {
 	}
 	return nil
 }
-func (a *fixedShortlistAccel) Insert(int32) error { return nil }
+func (a *fixedShortlistAccel) SignAll(int, func() bool) error { return nil }
+func (a *fixedShortlistAccel) BuildFrozen(int) error          { return nil }
 func (a *fixedShortlistAccel) NewQuerier() core.Querier {
 	return fixedShortlistQuerier{buf: a.buf}
 }

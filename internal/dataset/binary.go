@@ -11,7 +11,6 @@ package dataset
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"unsafe"
 
 	"lshcluster/internal/lsh/persist"
@@ -179,24 +178,33 @@ func splitNames(blob string) []string {
 // and cached (datasets are immutable); safe for concurrent use.
 func (ds *Dataset) Fingerprint() uint64 {
 	ds.fpOnce.Do(func() {
-		h := fnv.New64a()
-		var buf [8]byte
-		put := func(v uint64) {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-		put(uint64(ds.NumItems()))
-		put(uint64(ds.m))
+		h := fnvWord(fnvOffset64, uint64(ds.NumItems()))
+		h = fnvWord(h, uint64(ds.m))
 		for _, v := range ds.values {
 			w := uint64(v) << 1
 			if ds.present.present(v) {
 				w |= 1
 			}
-			put(w)
+			h = fnvWord(h, w)
 		}
-		ds.fp = h.Sum64()
+		ds.fp = h
 	})
 	return ds.fp
+}
+
+// The 64-bit FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds w's eight little-endian bytes into the FNV-1a state h:
+// what one 8-byte Write to hash/fnv's New64a does, without the call.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= w & 0xff
+		h *= fnvPrime64
+		w >>= 8
+	}
+	return h
 }

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -139,6 +141,38 @@ func TestBinaryCorruptRejected(t *testing.T) {
 	}
 	if _, _, err := OpenBinary(path, false); err == nil {
 		t.Fatal("OpenBinary accepted a corrupted file")
+	}
+}
+
+// TestFingerprintMatchesFNV pins Fingerprint's value to hash/fnv's
+// 64-bit FNV-1a over the bytes it documents — item count, attribute
+// count, then every value shifted left by one with its presence flag
+// in bit 0, each as eight little-endian bytes — on a dataset with
+// absent values, so every manifest saved before the hash was inlined
+// still matches its dataset.
+func TestFingerprintMatchesFNV(t *testing.T) {
+	ds := buildBinaryFixture(t)
+	absent := 0
+	h := fnv.New64a()
+	word := func(w uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, w)) }
+	word(uint64(ds.NumItems()))
+	word(uint64(ds.NumAttrs()))
+	for i := 0; i < ds.NumItems(); i++ {
+		for _, v := range ds.Row(i) {
+			w := uint64(v) << 1
+			if ds.Present(v) {
+				w |= 1
+			} else {
+				absent++
+			}
+			word(w)
+		}
+	}
+	if absent == 0 {
+		t.Fatal("the fixture has no absent values")
+	}
+	if got, want := ds.Fingerprint(), h.Sum64(); got != want {
+		t.Fatalf("Fingerprint = %#x, hash/fnv over the same bytes = %#x", got, want)
 	}
 }
 

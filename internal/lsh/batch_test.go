@@ -4,61 +4,55 @@ import (
 	"testing"
 )
 
-func buildTestIndex(t *testing.T, n int) *Index {
+// buildTestIndex builds n test sets into a frozen index, or files them
+// into a build-phase one.
+func buildTestIndex(t *testing.T, n int, frozen bool) *Index {
 	t.Helper()
+	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 9)
-	ix, err := NewIndex(Params{Bands: 6, Rows: 3}, 41, n)
-	if err != nil {
-		t.Fatal(err)
+	if frozen {
+		return buildFrozenIndex(t, p, 41, sets, 2)
 	}
-	for i, set := range sets {
-		if err := ix.Insert(int32(i), set); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ix := mustIndex(t, p, 41)
+	fileItems(t, ix, sets, span(0, n))
 	return ix
 }
 
 // TestCandidatesBatchMatchesCandidates pins the batch sweep's per-item
-// contract on both layouts: for every block position, concatenating
-// the emitted buckets reproduces Candidates' enumeration — same items,
-// same order — even though the sweep itself is band-major.
+// contract: for every block position, concatenating the emitted
+// buckets reproduces Candidates' enumeration — same items, same order
+// — even though the sweep itself is band-major.
 func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 	const n = 300
-	ix := buildTestIndex(t, n)
-	for _, frozen := range []bool{false, true} {
-		if frozen {
-			ix.Freeze()
-		}
-		for _, blockLen := range []int{1, 5, 64} {
-			for lo := 0; lo < n; lo += blockLen {
-				hi := min(lo+blockLen, n)
-				blk := make([]int32, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					blk = append(blk, int32(i))
+	ix := buildTestIndex(t, n, true)
+	for _, blockLen := range []int{1, 5, 64} {
+		for lo := 0; lo < n; lo += blockLen {
+			hi := min(lo+blockLen, n)
+			blk := make([]int32, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				blk = append(blk, int32(i))
+			}
+			got := make([][]int32, len(blk))
+			ix.CandidatesBatch(blk, func(pos int, bucket []int32, _ int32) {
+				got[pos] = append(got[pos], bucket...)
+			})
+			for pos, item := range blk {
+				want := collectCandidates(ix, item)
+				if len(want) < ix.Params().Bands || len(got[pos]) != len(want) {
+					t.Fatalf("item %d: batch %d candidates, per-item %d",
+						item, len(got[pos]), len(want))
 				}
-				got := make([][]int32, len(blk))
-				ix.CandidatesBatch(blk, func(pos int, bucket []int32, _ int32) {
-					got[pos] = append(got[pos], bucket...)
-				})
-				for pos, item := range blk {
-					want := collectCandidates(ix, item)
-					if len(got[pos]) != len(want) {
-						t.Fatalf("frozen=%v item %d: batch %d candidates, per-item %d",
-							frozen, item, len(got[pos]), len(want))
-					}
-					for j := range want {
-						if got[pos][j] != want[j] {
-							t.Fatalf("frozen=%v item %d candidate %d: batch %d, per-item %d",
-								frozen, item, j, got[pos][j], want[j])
-						}
+				for j := range want {
+					if got[pos][j] != want[j] {
+						t.Fatalf("item %d candidate %d: batch %d, per-item %d",
+							item, j, got[pos][j], want[j])
 					}
 				}
 			}
 		}
 	}
 	// Uninserted items are skipped, not reported empty-bucketed.
-	ix2 := buildTestIndex(t, 10)
+	ix2 := buildTestIndex(t, 10, true)
 	calls := 0
 	ix2.CandidatesBatch([]int32{3, 1000}, func(pos int, bucket []int32, _ int32) {
 		if pos != 0 {
@@ -75,7 +69,7 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 // and querying by signature reproduces CandidatesOfSet exactly — the
 // contract the streaming clusterer's sign-once path relies on.
 func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
-	ix := buildTestIndex(t, 200)
+	ix := buildTestIndex(t, 200, false)
 	probe := []uint64{100, 101, 102, 103}
 	want := collectOfSet(ix, probe)
 	sig := ix.Scheme().Sign(probe, make([]uint64, ix.Params().SignatureLen()))
@@ -103,11 +97,10 @@ func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
 // drops an item.
 func TestReverseMatchesSymmetricCollisions(t *testing.T) {
 	const n = 300
-	ix := buildTestIndex(t, n)
-	if ix.NewReverse() != nil {
+	if buildTestIndex(t, n, false).NewReverse() != nil {
 		t.Fatal("NewReverse on an unfrozen index must return nil")
 	}
-	ix.Freeze()
+	ix := buildTestIndex(t, n, true)
 	rev := ix.NewReverse()
 	if rev == nil {
 		t.Fatal("NewReverse returned nil on a frozen index")

@@ -8,8 +8,9 @@ func benchSets(n int) [][]uint64 {
 	return testSets(n, 12345)
 }
 
-// BenchmarkBuildPhaseInsert measures the build phase end to end:
-// per-item signing plus filing (Insert) for n items.
+// BenchmarkBuildPhaseInsert measures the build phase end to end, as
+// the stream files items: per-item signing plus probe-and-file
+// (QueryInsert, without a query callback) for n items.
 func BenchmarkBuildPhaseInsert(b *testing.B) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
@@ -17,28 +18,24 @@ func BenchmarkBuildPhaseInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := NewIndex(p, 7, n)
+		ix, err := NewIndex(p, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for item := 0; item < n; item++ {
-			if err := ix.Insert(int32(item), sets[item]); err != nil {
-				b.Fatal(err)
-			}
-		}
+		fileItems(b, ix, sets, span(0, n))
 	}
 }
 
 // BenchmarkBuildPhaseFile isolates the filing half of the build phase
-// — presigned signatures, InsertSignature only, the stream's per-item
-// probe-and-file (QueryInsert) without a query callback — for n items
-// into band tables and an arena pre-sized from the n capacity hint.
-// The batch path never files into the build phase (BuildFrozen).
+// — presigned signatures, the stream's per-item probe-and-file
+// (QueryInsert) without a query callback — for n items into band
+// tables and an arena that grow from empty. The batch path never files
+// into the build phase (BuildFrozen).
 func BenchmarkBuildPhaseFile(b *testing.B) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
 	sets := benchSets(n)
-	seedIx, err := NewIndex(p, 7, n)
+	seedIx, err := NewIndex(p, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,12 +47,12 @@ func BenchmarkBuildPhaseFile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := NewIndex(p, 7, n)
+		ix, err := NewIndex(p, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for item := 0; item < n; item++ {
-			if err := ix.InsertSignature(int32(item), sigs[item*sl:(item+1)*sl]); err != nil {
+			if err := ix.QueryInsert(int32(item), sigs[item*sl:(item+1)*sl], nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -63,35 +60,17 @@ func BenchmarkBuildPhaseFile(b *testing.B) {
 }
 
 // benchBuildFrozen measures the batch construction pipeline end to
-// end — SignAll + BuildFrozen — against the serial oracle of per-item
-// Insert followed by Freeze, at the given worker count.
-func benchBuildFrozen(b *testing.B, workers int, direct bool) {
+// end — SignAll + BuildFrozen — at the given worker count.
+func benchBuildFrozen(b *testing.B, workers int) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
 	sets := benchSets(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := NewIndex(p, 7, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if direct {
-			keys := SignAll(p, n, workers, setSigner(ix, sets), nil)
-			if err := ix.BuildFrozen(keys, n, workers); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			for item := 0; item < n; item++ {
-				if err := ix.Insert(int32(item), sets[item]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ix.Freeze()
-		}
+		buildFrozenIndex(b, p, 7, sets, workers)
 	}
 }
 
-func BenchmarkBuildInsertFreezeSerial(b *testing.B) { benchBuildFrozen(b, 1, false) }
-func BenchmarkBuildFrozenDirect1(b *testing.B)      { benchBuildFrozen(b, 1, true) }
-func BenchmarkBuildFrozenDirect4(b *testing.B)      { benchBuildFrozen(b, 4, true) }
+func BenchmarkBuildFrozenDirect1(b *testing.B) { benchBuildFrozen(b, 1) }
+func BenchmarkBuildFrozenDirect4(b *testing.B) { benchBuildFrozen(b, 4) }

@@ -8,12 +8,10 @@ import (
 	"time"
 )
 
-// Frozen index construction. The batch full-scan bootstrap knows every
-// item's band keys up front (SignAll), so filing items one at a time
-// into a build-phase table only to compact it afterwards is pure
-// overhead. BuildFrozen constructs the frozen CSR layout straight from
-// the flat key arena in two counting passes, each parallel across
-// bands:
+// Frozen index construction. The bootstrap knows every item's band
+// keys up front (SignAll), so BuildFrozen constructs the frozen CSR
+// layout straight from the flat key arena in two counting passes, each
+// parallel across bands:
 //
 //  1. Per band, resolve every item's key to a local bucket slot with
 //     an open-addressed key table (no sorting, no radix passes),
@@ -22,26 +20,12 @@ import (
 //     their buckets in ascending ID order.
 //
 // Bands are independent: each owns a contiguous bucket-ID range and a
-// contiguous region of the items array (every inserted item appears
-// exactly once per band, so with m items band b's occupy [b·m,
-// (b+1)·m)), which is why construction parallelises with no
-// cross-band synchronisation beyond one barrier between the passes.
-//
-// Freeze runs the same two passes (freezeKeys) over the build phase's
-// stored per-item keys, skipping IDs never inserted. Bucket IDs follow
-// each key's first occurrence in ascending item order, so the frozen
-// arrays depend only on which items hold which keys: inserting items
-// 0…n−1 in any order and calling Freeze yields, byte for byte, what
-// BuildFrozen yields from the same keys — enforced by equivalence
-// tests — and every frozen-path consumer (Candidates, CandidatesBatch,
-// Reverse) is oblivious to which construction ran.
-
-// bandBuild is one band's state between the two passes: per local
-// bucket, in first-occurrence key order, its item count, then reused as
-// the scatter cursor.
-type bandBuild struct {
-	counts []int32
-}
+// contiguous region of the items array (every item appears exactly
+// once per band, so with n items band b's occupy [b·n, (b+1)·n)), which
+// is why construction parallelises with no cross-band synchronisation
+// beyond one barrier between the passes. Bucket IDs follow each key's
+// first occurrence in ascending item order, so the frozen arrays depend
+// only on which items hold which keys, never on the worker count.
 
 // buildTable is the pass-1 scratch: a linear-probing key→local-bucket
 // table that doubles as it fills (load factor ≤ 0.5), so scratch
@@ -136,7 +120,7 @@ var errFrozenOverflow = errors.New("lsh: BuildFrozen: n·Bands bucket entries ex
 // BuildFrozen builds the frozen index directly from presigned band
 // keys — the arena SignAll returns, keys[item·Bands+band] for items
 // [0, n) — sharding the per-band work across workers goroutines. The
-// index must be freshly created (no items inserted, not frozen); after
+// index must be freshly created (nothing inserted, not frozen); after
 // BuildFrozen it is frozen with all n items inserted.
 func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	if ix.frozen != nil {
@@ -156,40 +140,20 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	if len(keys) != n*ix.params.Bands {
 		return fmt.Errorf("lsh: %d band keys for %d items × %d bands", len(keys), n, ix.params.Bands)
 	}
-	inserted := make([]bool, n)
-	for i := range inserted {
-		inserted[i] = true
-	}
-	ix.numInserted = n
-	ix.freezeKeys(keys, inserted, workers)
-	return nil
-}
-
-// freezeKeys builds the frozen layout from band keys — keys[item·Bands
-// +band] for items [0, len(inserted)), those with inserted[item] false
-// skipped — and makes it the index's only storage. It is the one
-// constructor of every frozen layout: BuildFrozen passes a presigned
-// arena with every item inserted, Freeze the build phase's stored keys.
-// ix.numInserted must already count the inserted items.
-func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 	start := time.Now()
 	bands := ix.params.Bands
-	n, m := len(inserted), ix.numInserted
 	if workers > bands {
 		workers = bands
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	fz := &frozenIndex{slots: make([]int32, n*bands)}
-	builds := make([]bandBuild, bands)
+	// counts[b] holds band b's bucket sizes in first-occurrence key
+	// order, then serves as its scatter cursors.
+	counts := make([][]int32, bands)
 
 	// Pass 1: per-band bucket-slot resolution. Bands write disjoint
-	// strided entries of slots (local IDs for now, −1 for an item never
-	// inserted) and disjoint builds elements; each worker lazily grows
-	// one table from the same m/Bands cardinality estimate the build
-	// phase sizes its tables with and reuses it across its bands.
+	// strided entries of slots (local IDs for now) and their own counts;
+	// each worker lazily grows one table from an n/Bands cardinality
+	// estimate and reuses it across its bands.
 	parallelBands(bands, workers, func(bandSeq func() (int, bool)) {
 		var tbl *buildTable
 		for {
@@ -198,41 +162,36 @@ func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 				return
 			}
 			if tbl == nil {
-				tbl = newBuildTable(m / bands)
+				tbl = newBuildTable(n / bands)
 			} else {
 				tbl.reset()
 			}
-			var counts []int32
+			var c []int32
 			for item := 0; item < n; item++ {
-				if !inserted[item] {
-					fz.slots[item*bands+b] = -1
-					continue
-				}
-				key := keys[item*bands+b]
-				s, added := tbl.lookupOrAdd(key, int32(len(counts)))
+				s, added := tbl.lookupOrAdd(keys[item*bands+b], int32(len(c)))
 				if added {
-					counts = append(counts, 0)
+					c = append(c, 0)
 				}
-				counts[s]++
+				c[s]++
 				fz.slots[item*bands+b] = s
 			}
-			builds[b] = bandBuild{counts: counts}
+			counts[b] = c
 		}
 	})
 
 	// Barrier: assign each band its global bucket-ID base.
 	base := make([]int32, bands)
 	total := 0
-	for b := range builds {
+	for b, c := range counts {
 		base[b] = int32(total)
-		total += len(builds[b].counts)
+		total += len(c)
 	}
 	fz.offsets = make([]int32, total+1)
-	fz.items = make([]int32, m*bands)
-	fz.offsets[total] = int32(m * bands)
+	fz.items = make([]int32, n*bands)
+	fz.offsets[total] = int32(n * bands)
 
 	// Pass 2: per-band CSR fill. Each band writes its own offsets
-	// entries, its own items region [b·m, (b+1)·m) and its own strided
+	// entries, its own items region [b·n, (b+1)·n) and its own strided
 	// slots entries (now global bucket IDs), so bands remain
 	// write-disjoint.
 	parallelBands(bands, workers, func(bandSeq func() (int, bool)) {
@@ -241,39 +200,41 @@ func (ix *Index) freezeKeys(keys []uint64, inserted []bool, workers int) {
 			if !ok {
 				return
 			}
-			bb := &builds[b]
-			off := int32(b * m)
-			for j, c := range bb.counts {
+			c := counts[b]
+			off := int32(b * n)
+			for j, size := range c {
 				fz.offsets[int(base[b])+j] = off
-				bb.counts[j] = off // becomes the scatter cursor
-				off += c
+				c[j] = off // becomes the scatter cursor
+				off += size
 			}
-			gb := base[b]
 			for item := 0; item < n; item++ {
 				idx := item*bands + b
 				s := fz.slots[idx]
-				if s < 0 {
-					continue
-				}
-				fz.items[bb.counts[s]] = int32(item)
-				bb.counts[s]++
-				fz.slots[idx] = gb + s
+				fz.items[c[s]] = int32(item)
+				c[s]++
+				fz.slots[idx] = base[b] + s
 			}
 		}
 	})
 
-	ix.inserted = inserted
+	ix.inserted = make([]bool, n)
+	for i := range ix.inserted {
+		ix.inserted[i] = true
+	}
+	ix.numInserted = n
 	ix.frozen = fz
-	ix.runs = nil
-	ix.arena = nil
-	ix.keys = nil
 	ix.buildTime = time.Since(start)
+	return nil
 }
 
 // parallelBands runs fn on workers goroutines; each invocation pulls
 // band indices from its private strided sequence (worker g handles
 // bands g, g+workers, …) until exhaustion, so a worker can reuse
-// scratch across the bands it owns.
+// scratch across the bands it owns. Striding, rather than handing each
+// worker a contiguous range of bands (par.Ranges), kept the peak RSS of
+// a 100k-item, 20-band K-Modes bootstrap on two workers about 1.5 MiB
+// lower (10 paired runs on a 2-CPU host), with the same layout and set-up
+// time.
 func parallelBands(bands, workers int, fn func(bandSeq func() (int, bool))) {
 	if workers < 2 {
 		next := 0

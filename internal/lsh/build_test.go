@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -18,29 +19,140 @@ func setSigner(ix *Index, sets [][]uint64) func() SignFunc {
 	}
 }
 
+// buildFrozenIndex builds a frozen index over sets the way the
+// bootstrap does — SignAll, then BuildFrozen — at the given worker
+// count. It is the one builder of the package tests' frozen fixtures.
+func buildFrozenIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, workers int) *Index {
+	t.Helper()
+	ix := mustIndex(t, p, seed)
+	if err := ix.BuildFrozen(SignAll(p, len(sets), workers, setSigner(ix, sets), nil), len(sets), workers); err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// fileItems files the items of order, signed from sets, into ix's
+// build phase through QueryInsert.
+func fileItems(t testing.TB, ix *Index, sets [][]uint64, order []int) {
+	t.Helper()
+	for _, i := range order {
+		if err := fileSet(ix, int32(i), sets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// span returns the IDs [lo, hi) in ascending order.
+func span(lo, hi int) []int {
+	ids := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		ids = append(ids, i)
+	}
+	return ids
+}
+
+// bruteFrozen lays out, by brute force, the frozen index of the items
+// inserted marks, filed under keys[item·Bands+band]: per band, one
+// bucket per distinct key in the order the key first occurs over
+// ascending items, each bucket listing its items in ascending order,
+// bucket IDs running on across bands; an item not inserted has slot −1
+// in every band. It is BuildFrozen's reference, and it builds the
+// fixtures that leave IDs out, which BuildFrozen never does.
+func bruteFrozen(t testing.TB, p Params, seed uint64, keys []uint64, inserted []bool) *Index {
+	t.Helper()
+	bands, n := p.Bands, len(inserted)
+	ix := mustIndex(t, p, seed)
+	fz := &frozenIndex{offsets: []int32{0}, slots: make([]int32, n*bands)}
+	for i := range fz.slots {
+		fz.slots[i] = -1
+	}
+	for b := 0; b < bands; b++ {
+		var order []uint64
+		members := map[uint64][]int32{}
+		for i, ok := range inserted {
+			if !ok {
+				continue
+			}
+			key := keys[i*bands+b]
+			if _, seen := members[key]; !seen {
+				order = append(order, key)
+			}
+			members[key] = append(members[key], int32(i))
+		}
+		for _, key := range order {
+			for _, i := range members[key] {
+				fz.slots[int(i)*bands+b] = int32(len(fz.offsets) - 1)
+			}
+			fz.items = append(fz.items, members[key]...)
+			fz.offsets = append(fz.offsets, int32(len(fz.items)))
+		}
+	}
+	ix.frozen, ix.inserted = fz, inserted
+	for _, ok := range inserted {
+		if ok {
+			ix.numInserted++
+		}
+	}
+	return ix
+}
+
+// bruteIndex is bruteFrozen over sets holding items [lo, hi) of all
+// len(sets) IDs.
+func bruteIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, lo, hi int) *Index {
+	t.Helper()
+	inserted := make([]bool, len(sets))
+	for i := lo; i < hi; i++ {
+		inserted[i] = true
+	}
+	return bruteFrozen(t, p, seed, bandKeysOf(mustIndex(t, p, seed), sets), inserted)
+}
+
 // assertFrozenIdentical compares every frozen CSR array — offsets,
-// items and slots — byte for byte.
+// items and slots — value for value.
 func assertFrozenIdentical(t testing.TB, want, got *Index) {
 	t.Helper()
 	fw, fg := want.frozen, got.frozen
 	if fw == nil || fg == nil {
 		t.Fatalf("frozen: want %v, got %v", fw != nil, fg != nil)
 	}
-	if !reflect.DeepEqual(fw.offsets, fg.offsets) {
+	if !slices.Equal(fw.offsets, fg.offsets) {
 		t.Fatalf("offsets differ:\nwant %v\ngot  %v", fw.offsets, fg.offsets)
 	}
-	if !reflect.DeepEqual(fw.items, fg.items) {
+	if !slices.Equal(fw.items, fg.items) {
 		t.Fatalf("items differ:\nwant %v\ngot  %v", fw.items, fg.items)
 	}
-	if !reflect.DeepEqual(fw.slots, fg.slots) {
+	if !slices.Equal(fw.slots, fg.slots) {
 		t.Fatalf("slots differ:\nwant %v\ngot  %v", fw.slots, fg.slots)
 	}
 }
 
+// assertBuildPhaseMatchesFrozen checks the build phase bp against the
+// frozen index fz over the same band keys: every item bp holds files,
+// under its key in each band, exactly the items of its frozen bucket
+// in that band, in the same order.
+func assertBuildPhaseMatchesFrozen(t testing.TB, bp, fz *Index, keys []uint64) {
+	t.Helper()
+	bands := fz.Params().Bands
+	for i, ok := range bp.inserted {
+		if !ok {
+			continue
+		}
+		for b := 0; b < bands; b++ {
+			slot := fz.frozen.slots[i*bands+b]
+			want := fz.frozen.items[fz.frozen.offsets[slot]:fz.frozen.offsets[slot+1]]
+			if got := bp.buildBucket(b, keys[i*bands+b]); !slices.Equal(got, want) {
+				t.Fatalf("item %d band %d: build phase files %v, frozen bucket %v", i, b, got, want)
+			}
+		}
+	}
+}
+
 // TestBuildFrozenMatchesInsertFreeze is the layout equivalence oracle:
-// BuildFrozen over a presigned key arena must reproduce, byte for
-// byte, the frozen arrays of inserting items 0…n−1 in ascending order
-// and freezing — across banding shapes, sizes and worker counts.
+// BuildFrozen over a presigned key arena must reproduce, value for
+// value, the brute-force layout of the same keys (bruteFrozen), and
+// hold under each key exactly what the build phase files there when
+// items 0…n−1 are filed through QueryInsert — across banding shapes,
+// sizes and worker counts.
 func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 	for _, tc := range []struct{ bands, rows, n int }{
 		{1, 1, 1},
@@ -51,21 +163,18 @@ func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 	} {
 		sets := testSets(tc.n, int64(tc.bands*1000+tc.rows))
 		p := Params{Bands: tc.bands, Rows: tc.rows}
-		ref := mustIndex(t, p, 7, tc.n)
-		for i, s := range sets {
-			if err := ref.Insert(int32(i), s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref.Freeze()
+		ref := bruteIndex(t, p, 7, sets, 0, tc.n)
+		bp := mustIndex(t, p, 7)
+		fileItems(t, bp, sets, span(0, tc.n))
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%db%dr/n=%d/w=%d", tc.bands, tc.rows, tc.n, workers), func(t *testing.T) {
-				ix := mustIndex(t, p, 7, tc.n)
+				ix := mustIndex(t, p, 7)
 				keys := SignAll(p, tc.n, workers, setSigner(ix, sets), nil)
 				if err := ix.BuildFrozen(keys, tc.n, workers); err != nil {
 					t.Fatal(err)
 				}
 				assertFrozenIdentical(t, ref, ix)
+				assertBuildPhaseMatchesFrozen(t, bp, ix, keys)
 				if ix.NumInserted() != tc.n {
 					t.Fatalf("NumInserted = %d, want %d", ix.NumInserted(), tc.n)
 				}
@@ -80,27 +189,23 @@ func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 func TestBuildFrozenErrors(t *testing.T) {
 	p := Params{Bands: 2, Rows: 2}
 	sets := testSets(4, 1)
-	ix := mustIndex(t, p, 1, 4)
+	ix := mustIndex(t, p, 1)
 	if err := ix.BuildFrozen(make([]uint64, 3), 4, 1); err == nil {
 		t.Fatal("wrong arena length accepted")
 	}
-	if err := ix.Insert(0, sets[0]); err != nil {
-		t.Fatal(err)
-	}
+	fileItems(t, ix, sets, []int{0})
 	if err := ix.BuildFrozen(make([]uint64, 4*p.Bands), 4, 1); err == nil {
 		t.Fatal("BuildFrozen on a non-empty index accepted")
 	}
 
-	ix2 := mustIndex(t, p, 1, 4)
+	ix2 := buildFrozenIndex(t, p, 1, sets, 1)
 	keys := SignAll(p, 4, 1, setSigner(ix2, sets), nil)
-	if err := ix2.BuildFrozen(keys, 4, 1); err != nil {
-		t.Fatal(err)
-	}
 	if err := ix2.BuildFrozen(keys, 4, 1); err == nil {
 		t.Fatal("BuildFrozen on a frozen index accepted")
 	}
-	if err := ix2.Insert(5, sets[0]); err == nil {
-		t.Fatal("Insert on a frozen index accepted")
+	sig := ix2.Scheme().Sign(sets[0], make([]uint64, p.SignatureLen()))
+	if err := ix2.QueryInsert(5, sig, nil); err == nil {
+		t.Fatal("QueryInsert on a frozen index accepted")
 	}
 }
 
@@ -110,7 +215,7 @@ func TestBuildFrozenErrors(t *testing.T) {
 func TestBuildFrozenRejectsInt32Overflow(t *testing.T) {
 	p := Params{Bands: 20, Rows: 2}
 	n := math.MaxInt32/p.Bands + 1
-	ix := mustIndex(t, p, 1, 0)
+	ix := mustIndex(t, p, 1)
 	build := func() error { return ix.BuildFrozen(nil, n, 1) }
 	if err := build(); err == nil {
 		t.Fatalf("BuildFrozen over %d items × %d bands accepted", n, p.Bands)
@@ -124,27 +229,25 @@ func TestBuildFrozenRejectsInt32Overflow(t *testing.T) {
 }
 
 // TestBuildFrozenQueries double-checks the built index behaves
-// end-to-end: candidate enumeration and the reverse view both work on
-// a BuildFrozen index.
+// end-to-end: candidate enumeration matches the brute-force candidate
+// lists, the reverse view works, and a build over no items is a valid
+// empty layout whose queries and reverse view report nothing.
 func TestBuildFrozenQueries(t *testing.T) {
 	const n = 80
 	p := Params{Bands: 6, Rows: 2}
 	sets := testSets(n, 5)
-	ref := mustIndex(t, p, 9, n)
-	for i, s := range sets {
-		if err := ref.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix := mustIndex(t, p, 9, n)
+	ix := mustIndex(t, p, 9)
 	keys := SignAll(p, n, 2, setSigner(ix, sets), nil)
 	if err := ix.BuildFrozen(keys, n, 2); err != nil {
 		t.Fatal(err)
 	}
+	all := make([]bool, n)
+	for i := range all {
+		all[i] = true
+	}
 	for i := 0; i < n; i++ {
-		want := collectCandidates(ref, int32(i))
-		got := collectCandidates(ix, int32(i))
-		if !reflect.DeepEqual(want, got) {
+		want := bruteCandidates(keys, p.Bands, all, i)
+		if got := collectCandidates(ix, int32(i)); !reflect.DeepEqual(want, got) {
 			t.Fatalf("item %d candidates: want %v, got %v", i, want, got)
 		}
 	}
@@ -158,4 +261,18 @@ func TestBuildFrozenQueries(t *testing.T) {
 	if !seen[0] {
 		t.Fatal("reverse view missed the source item")
 	}
+
+	empty := buildFrozenIndex(t, p, 9, nil, 2)
+	if got := collectCandidates(empty, 0); len(got) != 0 {
+		t.Fatalf("empty frozen index returned item candidates %v", got)
+	}
+	empty.CandidatesBatch([]int32{0, 1}, func(pos int, _ []int32, _ int32) {
+		t.Fatalf("empty frozen index returned a bucket at pos %d", pos)
+	})
+	erv := empty.NewReverse()
+	erv.AddSource(0)
+	erv.Emit(func(it int32) bool {
+		t.Fatalf("empty frozen index emitted item %d", it)
+		return true
+	})
 }

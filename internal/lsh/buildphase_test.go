@@ -6,11 +6,21 @@ import (
 	"testing"
 )
 
-// CandidatesOfSet MinHashes a value set, inserted or not, and reports
-// the build-phase items colliding with it, with Candidates' duplication
-// semantics.
+// buildBucket returns band b's build-phase bucket filed under key
+// (empty when absent). The slice aliases the arena.
+func (ix *Index) buildBucket(b int, key uint64) []int32 {
+	if ix.runs == nil {
+		return nil // nothing filed yet (the tables are allocated lazily)
+	}
+	e := ix.runs[b].find(key)
+	return ix.arena[e.off : e.off+e.n]
+}
+
+// CandidatesOfSet MinHashes a value set, filed or not, and reports the
+// build-phase items colliding with it, band by band, each bucket in
+// ascending ID order.
 func (ix *Index) CandidatesOfSet(presentValues []uint64, fn func(other int32)) {
-	ix.CandidatesOfSignature(ix.scheme.Sign(presentValues, ix.sigBuf), fn)
+	ix.CandidatesOfSignature(ix.scheme.Sign(presentValues, make([]uint64, ix.params.SignatureLen())), fn)
 }
 
 // CandidatesOfSignature reports the build-phase items colliding with a
@@ -23,9 +33,6 @@ func (ix *Index) CandidatesOfSignature(sig []uint64, fn func(other int32)) {
 	}
 	if ix.frozen != nil {
 		panic("lsh: CandidatesOfSignature on a frozen index")
-	}
-	if ix.runs == nil {
-		return // nothing inserted yet (build storage is lazy)
 	}
 	for b := 0; b < ix.params.Bands; b++ {
 		for _, other := range ix.buildBucket(b, ix.bandKey(sig, b)) {
@@ -55,48 +62,55 @@ func bruteCandidates(keys []uint64, bands int, inserted []bool, item int) []int3
 	return out
 }
 
-// assertBuildPhase checks the unfrozen index's Candidates and
-// CandidatesBatch for every item against bruteCandidates (nothing for
-// an item never inserted).
+// assertBuildPhase checks, for every item the build-phase index holds,
+// the buckets filed under its band keys against bruteCandidates.
 func assertBuildPhase(t *testing.T, ix *Index, keys []uint64, inserted []bool) {
 	t.Helper()
 	if ix.Frozen() {
 		t.Fatal("index frozen before the build-phase check")
 	}
 	bands := ix.Params().Bands
-	block := make([]int32, len(inserted))
-	batch := make([][]int32, len(inserted))
-	for i := range inserted {
-		block[i] = int32(i)
-	}
-	ix.CandidatesBatch(block, func(pos int, bucket []int32, _ int32) {
-		batch[pos] = append(batch[pos], bucket...)
-	})
 	for i, ok := range inserted {
-		var want []int32
-		if ok {
-			want = bruteCandidates(keys, bands, inserted, i)
+		if !ok {
+			continue
 		}
-		if got := collectCandidates(ix, int32(i)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("item %d: Candidates %v, brute force %v", i, got, want)
+		var got []int32
+		for b := 0; b < bands; b++ {
+			got = append(got, ix.buildBucket(b, keys[i*bands+b])...)
 		}
-		if !reflect.DeepEqual(batch[i], want) {
-			t.Fatalf("item %d: CandidatesBatch %v, brute force %v", i, batch[i], want)
+		if want := bruteCandidates(keys, bands, inserted, i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("item %d: build phase files %v, brute force %v", i, got, want)
 		}
 	}
 }
 
-// assertFreezeMatchesBuildFrozen freezes ix, which holds every item of
-// [0, n) under keys, and compares the layout byte for byte with
-// BuildFrozen over the same keys.
-func assertFreezeMatchesBuildFrozen(t *testing.T, ix *Index, keys []uint64, n int) {
+// assertMatchesBuildFrozen builds the frozen index of keys, which ix
+// holds every item of [0, n) under, and checks ix's buckets against it.
+func assertMatchesBuildFrozen(t *testing.T, ix *Index, keys []uint64, n int) {
 	t.Helper()
-	ix.Freeze()
-	ref := mustIndex(t, ix.Params(), 1, n)
-	if err := ref.BuildFrozen(keys, n, 2); err != nil {
+	fz := mustIndex(t, ix.Params(), 1)
+	if err := fz.BuildFrozen(keys, n, 2); err != nil {
 		t.Fatal(err)
 	}
-	assertFrozenIdentical(t, ref, ix)
+	assertBuildPhaseMatchesFrozen(t, ix, fz, keys)
+}
+
+// TestBuildPhaseQueriesReportNothing pins that the item-addressed
+// queries read only the frozen layout: on a build-phase index, whose
+// tables keep no per-item keys, Candidates and CandidatesBatch report
+// nothing for any item, filed or not.
+func TestBuildPhaseQueriesReportNothing(t *testing.T) {
+	ix := mustIndex(t, Params{Bands: 4, Rows: 2}, 3)
+	sets := testSets(50, 2)
+	fileItems(t, ix, sets, span(0, len(sets)))
+	for i := int32(0); i <= int32(len(sets)); i++ {
+		if got := collectCandidates(ix, i); got != nil {
+			t.Fatalf("build-phase Candidates(%d) reported %v", i, got)
+		}
+	}
+	ix.CandidatesBatch([]int32{0, 7, 49, 50}, func(pos int, bucket []int32, _ int32) {
+		t.Fatalf("build-phase CandidatesBatch reported %v at pos %d", bucket, pos)
+	})
 }
 
 // TestBuildPhaseRunGrowsPastThousand files 1,100 identical sets, with a
@@ -106,35 +120,31 @@ func assertFreezeMatchesBuildFrozen(t *testing.T, ix *Index, keys []uint64, n in
 func TestBuildPhaseRunGrowsPastThousand(t *testing.T) {
 	const shared = 1100
 	p := Params{Bands: 3, Rows: 2}
-	ix := mustIndex(t, p, 5, 0)
+	ix := mustIndex(t, p, 5)
 	sets := make([][]uint64, 2*shared)
+	inserted := make([]bool, len(sets))
 	for i := range sets {
 		if i%2 == 0 {
 			sets[i] = []uint64{1, 2, 3, 4, 5}
 		} else {
 			sets[i] = []uint64{uint64(1000 + 3*i), uint64(1001 + 3*i), uint64(1002 + 3*i)}
 		}
-	}
-	inserted := make([]bool, len(sets))
-	for i, s := range sets {
-		if err := ix.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
-		}
 		inserted[i] = true
 	}
+	fileItems(t, ix, sets, span(0, len(sets)))
 	if st := ix.Stats(); st.MaxBucketLen < shared {
 		t.Fatalf("largest bucket holds %d items, want ≥ %d", st.MaxBucketLen, shared)
 	}
 	keys := bandKeysOf(ix, sets)
 	assertBuildPhase(t, ix, keys, inserted)
-	assertFreezeMatchesBuildFrozen(t, ix, keys, len(sets))
+	assertMatchesBuildFrozen(t, ix, keys, len(sets))
 }
 
 // TestBuildPhaseTableDoubles checks every query right after the insert
 // that doubles band 0's key table, then again once all items are in.
 func TestBuildPhaseTableDoubles(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
-	ix := mustIndex(t, p, 9, 0)
+	ix := mustIndex(t, p, 9)
 	sets := testSets(400, 21)
 	keys := bandKeysOf(ix, sets)
 	inserted := make([]bool, len(sets))
@@ -144,7 +154,7 @@ func TestBuildPhaseTableDoubles(t *testing.T) {
 		if before > 0 {
 			before = len(ix.runs[0].cells)
 		}
-		if err := ix.Insert(int32(i), s); err != nil {
+		if err := fileSet(ix, int32(i), s); err != nil {
 			t.Fatal(err)
 		}
 		inserted[i] = true
@@ -157,20 +167,20 @@ func TestBuildPhaseTableDoubles(t *testing.T) {
 		t.Fatalf("band 0's table never doubled (%d cells)", len(ix.runs[0].cells))
 	}
 	assertBuildPhase(t, ix, keys, inserted)
-	assertFreezeMatchesBuildFrozen(t, ix, keys, len(sets))
+	assertMatchesBuildFrozen(t, ix, keys, len(sets))
 }
 
 // TestBuildPhaseOutOfOrderInserts files a shuffled permutation of the
-// items: runs must still list ascending IDs at every step, and Freeze
-// must not depend on the insertion order.
+// items: runs must still list ascending IDs at every step, and so
+// match the frozen layout whatever the insertion order.
 func TestBuildPhaseOutOfOrderInserts(t *testing.T) {
 	p := Params{Bands: 5, Rows: 2}
-	ix := mustIndex(t, p, 3, 0)
+	ix := mustIndex(t, p, 3)
 	sets := testSets(300, 8)
 	keys := bandKeysOf(ix, sets)
 	inserted := make([]bool, len(sets))
 	for step, i := range rand.New(rand.NewSource(4)).Perm(len(sets)) {
-		if err := ix.Insert(int32(i), sets[i]); err != nil {
+		if err := fileSet(ix, int32(i), sets[i]); err != nil {
 			t.Fatal(err)
 		}
 		inserted[i] = true
@@ -179,22 +189,23 @@ func TestBuildPhaseOutOfOrderInserts(t *testing.T) {
 		}
 	}
 	assertBuildPhase(t, ix, keys, inserted)
-	assertFreezeMatchesBuildFrozen(t, ix, keys, len(sets))
+	assertMatchesBuildFrozen(t, ix, keys, len(sets))
 }
 
 // TestQueryInsertReportsBucketsBeforeFiling pins QueryInsert against
-// CandidatesOfSignature followed by InsertSignature on a twin index,
-// and checks that a rejected call leaves the index unchanged.
+// CandidatesOfSignature followed by a QueryInsert without a callback on
+// a twin index, and checks that a rejected call leaves the index
+// unchanged.
 func TestQueryInsertReportsBucketsBeforeFiling(t *testing.T) {
 	p := Params{Bands: 6, Rows: 2}
-	ix := mustIndex(t, p, 7, 0)
-	twin := mustIndex(t, p, 7, 0)
+	ix := mustIndex(t, p, 7)
+	twin := mustIndex(t, p, 7)
 	sig := make([]uint64, p.SignatureLen())
 	for i, s := range testSets(250, 13) {
 		ix.Scheme().Sign(s, sig)
 		var want, got []int32
 		twin.CandidatesOfSignature(sig, func(o int32) { want = append(want, o) })
-		if err := twin.InsertSignature(int32(i), sig); err != nil {
+		if err := twin.QueryInsert(int32(i), sig, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := ix.QueryInsert(int32(i), sig, func(bucket []int32) { got = append(got, bucket...) }); err != nil {

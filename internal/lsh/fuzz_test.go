@@ -46,9 +46,10 @@ func setSignerFor(scheme *minhash.Scheme, sets [][]uint64) func() SignFunc {
 // FuzzBuildFrozenIdentity fuzzes the layout identity: for any banding
 // shape, item count, scheme seed, signed value sets and worker count,
 // building the frozen index directly from the presigned key arena
-// (BuildFrozen) must reproduce, byte for byte, the frozen arrays of
-// inserting every item — in an order shuffled by the scheme seed — and
-// freezing.
+// (BuildFrozen) must reproduce, value for value, the brute-force
+// layout of the same keys (bruteFrozen), and every item filed through
+// QueryInsert — in an order shuffled by the scheme seed — must sit
+// under each of its keys with exactly the items of its frozen bucket.
 func FuzzBuildFrozenIdentity(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(17), uint64(7), []byte("seed-corpus"))
 	f.Add(uint8(1), uint8(1), uint16(1), uint64(0), []byte{})
@@ -60,18 +61,7 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 		workers := 1 + int(byteAt(data, 0))%4
 		sets := fuzzSets(nn, data)
 
-		ref, err := NewIndex(p, seed, nn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, i := range rand.New(rand.NewSource(int64(seed))).Perm(nn) {
-			if err := ref.Insert(int32(i), sets[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref.Freeze()
-
-		ix, err := NewIndex(p, seed, nn)
+		ix, err := NewIndex(p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +69,14 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 		if err := ix.BuildFrozen(keys, nn, workers); err != nil {
 			t.Fatal(err)
 		}
-		assertFrozenIdentical(t, ref, ix)
+		all := make([]bool, nn)
+		for i := range all {
+			all[i] = true
+		}
+		assertFrozenIdentical(t, bruteFrozen(t, p, seed, keys, all), ix)
+
+		bp := mustIndex(t, p, seed)
+		fileItems(t, bp, sets, rand.New(rand.NewSource(int64(seed))).Perm(nn))
+		assertBuildPhaseMatchesFrozen(t, bp, ix, keys)
 	})
 }

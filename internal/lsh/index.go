@@ -12,65 +12,51 @@ import (
 )
 
 // Index is the MinHash banding index of paper Algorithm 2. Items are
-// inserted once (the single pass over the dataset after centroid
+// filed once (the single pass over the dataset after centroid
 // initialisation); each band of an item's signature is hashed to a bucket
-// key, and the item ID is appended to that band's bucket.
+// key, and the item ID is filed in that band's bucket.
 //
-// Band keys for every inserted item are also retained, so the recurring
-// per-iteration query "which items collide with item i" is a pure lookup
-// that never re-hashes the item. Buckets store item IDs, and the
-// caller's assignment slice maps them to clusters at query time, so
-// "updating the cluster reference" after a move (§III-B) starts with a
-// single slice store. The frozen index also keeps the paper's cluster
-// reference itself for every bucket of at least SummaryMinLen items:
-// the members' distinct clusters, which a block query reads in place of
-// the members (summary.go). Those summaries are refreshed when the
-// caller reports a move (Resummarize).
+// Buckets store item IDs, and the caller's assignment slice maps them
+// to clusters at query time, so "updating the cluster reference" after
+// a move (§III-B) starts with a single slice store. The frozen index
+// also keeps the paper's cluster reference itself for every bucket of
+// at least SummaryMinLen items: the members' distinct clusters, which a
+// block query reads in place of the members (summary.go). Those
+// summaries are refreshed when the caller reports a move (Resummarize).
 //
-// The index has two construction lifecycles. The batch build
-// (BuildFrozen) constructs the frozen layout — flat CSR arrays for
-// cache-friendly, allocation-free candidate lookups during iteration —
-// straight from presigned band keys. The *build* phase accepts one
-// insert at a time into a pointer-free banding table (runTable): the
-// streaming clusterer keeps inserting into it and querying it
-// (QueryInsert), and the serial bootstrap oracle inserts every item and
-// then freezes (Freeze) before its first query. Freeze builds from the
-// stored per-item keys with BuildFrozen's own passes, so every frozen
-// layout comes from one constructor.
+// The index has two lifecycles. Batch clustering builds the frozen
+// layout — flat CSR arrays for cache-friendly, allocation-free
+// candidate lookups during iteration — in one pass from presigned band
+// keys (BuildFrozen), or loads a saved one (Open); the recurring
+// per-iteration query "which items collide with item i" (Candidates,
+// CandidatesBatch) then resolves i's buckets without re-hashing it. The
+// streaming clusterer instead files each arriving item into the *build*
+// phase, a pointer-free banding table (runTable), and reads the item's
+// buckets in the same probe (QueryInsert); it never freezes. Candidates
+// and CandidatesBatch read only the frozen layout.
 //
-// An Index is not safe for concurrent mutation, and Insert signs into
-// internal scratch (sigBuf); parallel constructions sign with
-// per-worker scratch (SignAll) instead. Concurrent queries via
-// Candidates/CandidatesBatch are safe once all insertions (or Freeze /
-// BuildFrozen / Open) are done.
+// An Index is not safe for concurrent mutation. Concurrent queries via
+// Candidates/CandidatesBatch are safe once BuildFrozen or Open is done.
 type Index struct {
 	params Params
 	scheme *minhash.Scheme
-	// capHint is the NewIndex numItems capacity hint, consumed when the
-	// build-phase storage is materialised.
-	capHint int
 	// runs[band] is one band's build-phase table: it maps a band key to
 	// the run of arena holding its bucket. Separate tables per band
 	// implement the paper's requirement that "there will be b sets of
 	// buckets to map to, one set for each band so no overlapping between
 	// bands can occur"; keys are additionally salted with the band
-	// number. Allocated lazily on the first insert (ensureBuild) so the
-	// direct-to-frozen batch build pays nothing for it; nil once frozen.
+	// number. Allocated on the first insert (ensureBuild), so a frozen
+	// index has none.
 	runs []runTable
 	// arena holds every build-phase bucket as a run of ascending IDs. A
 	// run's room is its length rounded up to a power of two; a full run
 	// moves to the arena's end with twice the room (addToRun), leaving
-	// its old room unused. Nil once frozen.
+	// its old room unused.
 	arena []int32
 	// maxRun is the longest run's length, which bounds how far one
 	// insert can extend the arena (QueryInsert keeps run offsets inside
 	// int32).
-	maxRun int32
-	// keys[item·bands+band] is the stored band key of an inserted item:
-	// what unfrozen per-item queries look up and what Freeze builds
-	// from. Nil once frozen (the frozen layout resolves items to bucket
-	// slots directly).
-	keys        []uint64
+	maxRun      int32
 	inserted    []bool
 	numInserted int
 	frozen      *frozenIndex
@@ -79,29 +65,19 @@ type Index struct {
 	buildTime time.Duration
 	// file backs the frozen arrays of an index loaded by Open (the
 	// mapping or the heap copy); nil for a built index.
-	file   *persist.File
-	sigBuf []uint64
+	file *persist.File
 	// sums is the cluster-summary store of the long frozen buckets
 	// (summary.go): nil until SummarizeClusters, and never persisted.
 	sums *clusterSummaries
 }
 
-// NewIndex creates an index for the given banding parameters, seeded
-// deterministically; numItems is the capacity hint for stored band keys
-// (items with larger IDs may still be inserted).
-func NewIndex(p Params, seed uint64, numItems int) (*Index, error) {
+// NewIndex creates an empty index for the given banding parameters,
+// seeded deterministically.
+func NewIndex(p Params, seed uint64) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if numItems < 0 {
-		numItems = 0
-	}
-	return &Index{
-		params:  p,
-		scheme:  minhash.NewScheme(p.SignatureLen(), seed),
-		capHint: numItems,
-		sigBuf:  make([]uint64, p.SignatureLen()),
-	}, nil
+	return &Index{params: p, scheme: minhash.NewScheme(p.SignatureLen(), seed)}, nil
 }
 
 // isInserted reports whether item has been inserted.
@@ -109,28 +85,15 @@ func (ix *Index) isInserted(item int32) bool {
 	return uint(item) < uint(len(ix.inserted)) && ix.inserted[item]
 }
 
-// ensureBuild materialises the build-phase storage on first use.
-// Deferred out of NewIndex so BuildFrozen — which resolves buckets
-// straight into the frozen layout — never allocates the tables, the
-// arena or the per-item key store it would immediately discard.
+// ensureBuild allocates the build-phase tables on the first insert.
 func (ix *Index) ensureBuild() {
 	if ix.runs != nil {
 		return
 	}
-	// Distinct keys per band range from ~1 (degenerate all-identical
-	// data) to numItems (all singletons); numItems/Bands is a
-	// middle-ground hint that removes most doublings without reserving
-	// Bands× the worst case.
-	bands := ix.params.Bands
-	ix.runs = make([]runTable, bands)
+	ix.runs = make([]runTable, ix.params.Bands)
 	for b := range ix.runs {
-		ix.runs[b] = newRunTable(ix.capHint / bands)
+		ix.runs[b] = newRunTable()
 	}
-	// Each item takes one arena entry per band, so the hint's items
-	// need at least capHint·Bands.
-	ix.arena = make([]int32, 0, ix.capHint*bands)
-	ix.keys = make([]uint64, ix.capHint*bands)
-	ix.inserted = make([]bool, ix.capHint)
 }
 
 // Params returns the banding configuration.
@@ -160,25 +123,6 @@ func bandKeyOf(p Params, sig []uint64, band int) uint64 {
 // bucket key.
 func (ix *Index) bandKey(sig []uint64, band int) uint64 {
 	return bandKeyOf(ix.params, sig, band)
-}
-
-// Insert MinHashes the given present-value set and files item under every
-// band bucket (Algorithm 2 lines 5–9 applied at index-construction time).
-// Inserting the same item twice is an error.
-//
-// Insert signs into internal scratch: it must not be called
-// concurrently with itself. Parallel batch construction signs with
-// per-worker scratch via SignAll + BuildFrozen instead.
-func (ix *Index) Insert(item int32, presentValues []uint64) error {
-	return ix.InsertSignature(item, ix.scheme.Sign(presentValues, ix.sigBuf))
-}
-
-// InsertSignature files item under the band buckets of a precomputed
-// signature of length SignatureLen. It allows other LSH families — e.g.
-// the random-hyperplane (SimHash) signatures of the numeric extension —
-// to reuse the banding index.
-func (ix *Index) InsertSignature(item int32, sig []uint64) error {
-	return ix.QueryInsert(item, sig, nil)
 }
 
 // QueryInsert files item under the band buckets of a precomputed
@@ -213,10 +157,8 @@ func (ix *Index) QueryInsert(item int32, sig []uint64, fn func(bucket []int32)) 
 	}
 	ix.ensureBuild()
 	ix.grow(int(item) + 1)
-	keys := ix.keys[int(item)*ix.params.Bands:][:ix.params.Bands]
-	for b := range keys {
+	for b := range ix.runs {
 		key := ix.bandKey(sig, b)
-		keys[b] = key
 		t := &ix.runs[b]
 		e := t.find(key)
 		if e.n == 0 {
@@ -232,11 +174,10 @@ func (ix *Index) QueryInsert(item int32, sig []uint64, fn func(bucket []int32)) 
 }
 
 // addToRun files id into e's run. Runs are kept in ascending ID order —
-// an index invariant that makes candidate enumeration a function of the
-// bucket's *membership*, independent of insertion order, and so
-// identical to the frozen layout's. Ascending insert sequences (the
-// serial bootstrap oracle, streaming) append; only an out-of-order
-// insert pays insertion-sort shifts.
+// an index invariant that makes a bucket's enumeration a function of
+// its *membership*, independent of insertion order, and so identical to
+// the frozen layout's. Ascending insert sequences (streaming) append;
+// only an out-of-order insert pays insertion-sort shifts.
 //
 // A run of n items has room for n rounded up to a power of two. When n
 // is a power of two the run is full: it moves to the arena's end with
@@ -259,23 +200,16 @@ func (ix *Index) addToRun(e *runEntry, id int32) {
 	ix.maxRun = max(ix.maxRun, e.n)
 }
 
-// grow extends the per-item storage to hold at least n items, doubling
+// grow extends the inserted flags to hold at least n items, doubling
 // capacity so a stream of ascending inserts stays amortised O(1). The
 // extra tail entries are simply "not inserted".
 func (ix *Index) grow(n int) {
 	if n <= len(ix.inserted) {
 		return
 	}
-	newLen := 2 * len(ix.inserted)
-	if newLen < n {
-		newLen = n
-	}
-	inserted := make([]bool, newLen)
+	inserted := make([]bool, max(2*len(ix.inserted), n))
 	copy(inserted, ix.inserted)
 	ix.inserted = inserted
-	keys := make([]uint64, newLen*ix.params.Bands)
-	copy(keys, ix.keys)
-	ix.keys = keys
 }
 
 // runEntry is one cell of a band's build-phase table: a band key and
@@ -304,13 +238,9 @@ type runTable struct {
 // minRunTable is the smallest table size, in cells.
 const minRunTable = 16
 
-// newRunTable sizes a table for keys distinct keys.
-func newRunTable(keys int) runTable {
-	size := minRunTable
-	for 3*size < 4*keys {
-		size *= 2
-	}
-	return runTable{cells: make([]runEntry, size), mask: uint64(size - 1)}
+// newRunTable returns an empty table of minRunTable cells.
+func newRunTable() runTable {
+	return runTable{cells: make([]runEntry, minRunTable), mask: minRunTable - 1}
 }
 
 // find returns the cell filed under key, or the empty cell where a
@@ -347,77 +277,57 @@ func (t *runTable) claim(empty *runEntry, key uint64) *runEntry {
 	return empty
 }
 
-// buildBucket returns band b's build-phase bucket filed under key
-// (empty when absent). The slice aliases the arena.
-func (ix *Index) buildBucket(b int, key uint64) []int32 {
-	e := ix.runs[b].find(key)
-	return ix.arena[e.off : e.off+e.n]
-}
-
 // Candidates invokes fn for every item sharing at least one band bucket
-// with the previously inserted item. The item itself is reported (it
+// with item on the frozen index. The item itself is reported (it
 // trivially collides with itself in every band), and an item sharing
 // several bands is reported once per shared band — callers dedupe, which
 // the shortlist construction does anyway while mapping items to clusters.
+// Items never inserted, and every item of a build-phase index, report
+// nothing.
 func (ix *Index) Candidates(item int32, fn func(other int32)) {
-	if !ix.isInserted(item) {
+	fz := ix.frozen
+	if fz == nil || !ix.isInserted(item) {
 		return
 	}
-	base := int(item) * ix.params.Bands
-	if fz := ix.frozen; fz != nil {
-		// Frozen fast path: the item's bucket slots were resolved at
-		// Freeze time, so each band is two array reads plus a
-		// contiguous scan — no hashing, no table probes, no allocation.
-		for b := 0; b < ix.params.Bands; b++ {
-			slot := fz.slots[base+b]
-			for _, other := range fz.items[fz.offsets[slot]:fz.offsets[slot+1]] {
-				fn(other)
-			}
-		}
-		return
-	}
-	for b := 0; b < ix.params.Bands; b++ {
-		for _, other := range ix.buildBucket(b, ix.keys[base+b]) {
+	// The item's bucket slots were resolved at build time, so each band
+	// is two array reads plus a contiguous scan — no hashing, no table
+	// probes, no allocation.
+	for _, slot := range fz.slots[int(item)*ix.params.Bands:][:ix.params.Bands] {
+		for _, other := range fz.items[fz.offsets[slot]:fz.offsets[slot+1]] {
 			fn(other)
 		}
 	}
 }
 
 // CandidatesBatch invokes fn once per (item, band) with the whole band
-// bucket of the corresponding block item, skipping items that were
-// never inserted. Enumeration is band-major across the block — every
-// item's band-0 bucket, then every item's band-1 bucket, and so on — so
-// each step of the sweep stays inside one band's contiguous region of
-// the frozen CSR layout, amortising cache and TLB misses that a
-// per-item band sweep pays once per item. For any single pos the
-// buckets still arrive in ascending band order with their build-phase
-// item order intact, so a per-pos consumer observes exactly the
+// bucket of the corresponding block item on the frozen index, skipping
+// items that were never inserted; a build-phase index reports nothing.
+// Enumeration is band-major across the block — every item's band-0
+// bucket, then every item's band-1 bucket, and so on — so each step of
+// the sweep stays inside one band's contiguous region of the frozen CSR
+// layout, amortising cache and TLB misses that a per-item band sweep
+// pays once per item. For any single pos the buckets still arrive in
+// ascending band order, so a per-pos consumer observes exactly the
 // sequence Candidates(items[pos]) would deliver; handing whole bucket
 // slices to fn additionally removes Candidates' per-colliding-item
 // closure dispatch. sum is the bucket's cluster-summary handle
 // (Summary), -1 when it keeps none. The bucket slices alias index
-// storage and must not be modified; a frozen index's stay valid for
-// its lifetime, a build-phase index's until the next insert.
+// storage, stay valid for the index's lifetime and must not be
+// modified.
 func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32, sum int32)) {
-	bands := ix.params.Bands
-	if fz := ix.frozen; fz != nil {
-		for b := 0; b < bands; b++ {
-			for pos, item := range items {
-				if !ix.isInserted(item) {
-					continue
-				}
-				slot := fz.slots[int(item)*bands+b]
-				bucket := fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
-				fn(pos, bucket, ix.summaryOf(slot, len(bucket)))
-			}
-		}
+	fz := ix.frozen
+	if fz == nil {
 		return
 	}
+	bands := ix.params.Bands
 	for b := 0; b < bands; b++ {
 		for pos, item := range items {
-			if ix.isInserted(item) {
-				fn(pos, ix.buildBucket(b, ix.keys[int(item)*bands+b]), -1)
+			if !ix.isInserted(item) {
+				continue
 			}
+			slot := fz.slots[int(item)*bands+b]
+			bucket := fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
+			fn(pos, bucket, ix.summaryOf(slot, len(bucket)))
 		}
 	}
 }

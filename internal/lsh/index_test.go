@@ -3,12 +3,13 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-func mustIndex(t *testing.T, p Params, seed uint64, n int) *Index {
+func mustIndex(t testing.TB, p Params, seed uint64) *Index {
 	t.Helper()
-	ix, err := NewIndex(p, seed, n)
+	ix, err := NewIndex(p, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,13 +23,8 @@ func collect(ix *Index, item int32) map[int32]int {
 }
 
 func TestIndexSelfCollision(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 5, Rows: 2}, 1, 4)
 	sets := [][]uint64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}}
-	for i, s := range sets {
-		if err := ix.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ix := buildFrozenIndex(t, Params{Bands: 5, Rows: 2}, 1, sets, 1)
 	for i := range sets {
 		got := collect(ix, int32(i))
 		// An item collides with itself in every band.
@@ -39,14 +35,8 @@ func TestIndexSelfCollision(t *testing.T) {
 }
 
 func TestIdenticalSetsAlwaysCollide(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 3, Rows: 4}, 9, 2)
 	set := []uint64{100, 200, 300, 400}
-	if err := ix.Insert(0, set); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Insert(1, append([]uint64(nil), set...)); err != nil {
-		t.Fatal(err)
-	}
+	ix := buildFrozenIndex(t, Params{Bands: 3, Rows: 4}, 9, [][]uint64{set, append([]uint64(nil), set...)}, 1)
 	got := collect(ix, 0)
 	if got[1] != 3 {
 		t.Fatalf("identical item collides in %d bands, want all 3", got[1])
@@ -56,49 +46,46 @@ func TestIdenticalSetsAlwaysCollide(t *testing.T) {
 func TestDisjointSetsRarelyCollide(t *testing.T) {
 	// With r=8 rows per band a collision requires 8 simultaneous hash
 	// agreements between disjoint sets — effectively impossible.
-	ix := mustIndex(t, Params{Bands: 4, Rows: 8}, 3, 2)
 	a := make([]uint64, 64)
 	b := make([]uint64, 64)
 	for i := range a {
 		a[i] = uint64(i)
 		b[i] = uint64(i + 100000)
 	}
-	if err := ix.Insert(0, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Insert(1, b); err != nil {
-		t.Fatal(err)
-	}
+	ix := buildFrozenIndex(t, Params{Bands: 4, Rows: 8}, 3, [][]uint64{a, b}, 1)
 	if got := collect(ix, 0); got[1] != 0 {
 		t.Fatalf("disjoint sets collided in %d bands", got[1])
 	}
 }
 
 func TestDoubleInsertRejected(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 1}, 1, 1)
-	if err := ix.Insert(0, []uint64{1}); err != nil {
+	ix := mustIndex(t, Params{Bands: 2, Rows: 1}, 1)
+	if err := fileSet(ix, 0, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert(0, []uint64{1}); err == nil {
+	if err := fileSet(ix, 0, []uint64{1}); err == nil {
 		t.Fatal("expected error on double insert")
 	}
 }
 
 func TestNegativeItemRejected(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 1}, 1, 1)
-	if err := ix.Insert(-1, []uint64{1}); err == nil {
+	ix := mustIndex(t, Params{Bands: 2, Rows: 1}, 1)
+	if err := fileSet(ix, -1, []uint64{1}); err == nil {
 		t.Fatal("expected error on negative item ID")
 	}
 }
 
+// TestGrowBeyondHint files one item far past an empty index's inserted
+// flags: the flags grow to hold it, and it sits in its own bucket in
+// every band.
 func TestGrowBeyondHint(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 3, Rows: 2}, 1, 1)
+	ix := mustIndex(t, Params{Bands: 3, Rows: 2}, 1)
 	set := []uint64{5, 6, 7}
-	if err := ix.Insert(10, set); err != nil {
+	if err := fileSet(ix, 10, set); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(ix, 10); got[10] != 3 {
-		t.Fatalf("grown item self-collisions = %d, want 3", got[10])
+	if got := collectOfSet(ix, set); !slices.Equal(got, []int32{10, 10, 10}) {
+		t.Fatalf("grown item's buckets hold %v, want it in all 3", got)
 	}
 	if ix.NumInserted() != 1 {
 		t.Fatalf("NumInserted = %d, want 1", ix.NumInserted())
@@ -106,23 +93,29 @@ func TestGrowBeyondHint(t *testing.T) {
 }
 
 func TestCandidatesOfUninsertedItemSilent(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 2}, 1, 4)
-	calls := 0
-	ix.Candidates(2, func(int32) { calls++ })
-	if calls != 0 {
-		t.Fatalf("uninserted item produced %d candidates", calls)
+	for _, ix := range []*Index{
+		mustIndex(t, Params{Bands: 2, Rows: 2}, 1),
+		buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 1, testSets(4, 1), 1),
+	} {
+		calls := 0
+		for _, item := range []int32{-1, 4, 9} {
+			ix.Candidates(item, func(int32) { calls++ })
+		}
+		if calls != 0 {
+			t.Fatalf("frozen=%v: uninserted items produced %d candidates", ix.Frozen(), calls)
+		}
 	}
 }
 
+// TestCandidatesOfSetMatchesStored: the build phase's key-addressed
+// lookup of an item's set reports the same collisions, band for band,
+// as the frozen index's per-item query over the same sets.
 func TestCandidatesOfSetMatchesStored(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 6, Rows: 2}, 5, 3)
+	p := Params{Bands: 6, Rows: 2}
 	sets := [][]uint64{{1, 2, 3, 4}, {1, 2, 3, 9}, {50, 60, 70, 80}}
-	for i, s := range sets {
-		if err := ix.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stored := collect(ix, 0)
+	ix := mustIndex(t, p, 5)
+	fileItems(t, ix, sets, span(0, len(sets)))
+	stored := collect(buildFrozenIndex(t, p, 5, sets, 1), 0)
 	viaSet := map[int32]int{}
 	ix.CandidatesOfSet(sets[0], func(o int32) { viaSet[o]++ })
 	if len(stored) != len(viaSet) {
@@ -136,18 +129,20 @@ func TestCandidatesOfSetMatchesStored(t *testing.T) {
 }
 
 func TestInvalidParams(t *testing.T) {
-	if _, err := NewIndex(Params{Bands: 0, Rows: 1}, 1, 1); err == nil {
+	if _, err := NewIndex(Params{Bands: 0, Rows: 1}, 1); err == nil {
 		t.Fatal("expected error for invalid params")
 	}
 }
 
 func TestStats(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 4, Rows: 3}, 11, 3)
+	p := Params{Bands: 4, Rows: 3}
 	common := []uint64{1, 2, 3, 4, 5}
-	for i := 0; i < 3; i++ {
-		if err := ix.Insert(int32(i), common); err != nil {
-			t.Fatal(err)
-		}
+	sets := [][]uint64{common, common, common}
+	ix := buildFrozenIndex(t, p, 11, sets, 1)
+	bp := mustIndex(t, p, 11)
+	fileItems(t, bp, sets, span(0, len(sets)))
+	if ix.Stats() != bp.Stats() {
+		t.Fatalf("frozen stats %+v, build phase %+v", ix.Stats(), bp.Stats())
 	}
 	st := ix.Stats()
 	if st.Items != 3 || st.Bands != 4 {
@@ -194,16 +189,7 @@ func TestEmpiricalCollisionMatchesSCurve(t *testing.T) {
 		const trials = 400
 		hits := 0
 		for trial := 0; trial < trials; trial++ {
-			ix, err := NewIndex(p, uint64(trial)+1, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.Insert(0, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.Insert(1, b); err != nil {
-				t.Fatal(err)
-			}
+			ix := buildFrozenIndex(t, p, uint64(trial)+1, [][]uint64{a, b}, 1)
 			if collect(ix, 0)[1] > 0 {
 				hits++
 			}
@@ -214,39 +200,5 @@ func TestEmpiricalCollisionMatchesSCurve(t *testing.T) {
 			t.Errorf("shared=%d: empirical collision %.3f, formula %.3f (sd %.3f)",
 				shared, got, want, sd)
 		}
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	p := Params{Bands: 20, Rows: 5}
-	set := make([]uint64, 100)
-	for i := range set {
-		set[i] = uint64(i) * 7919
-	}
-	b.ReportAllocs()
-	ix, _ := NewIndex(p, 1, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set[0] = uint64(i) // vary the set slightly
-		_ = ix.Insert(int32(i), set)
-	}
-}
-
-func BenchmarkStoredCandidates(b *testing.B) {
-	p := Params{Bands: 20, Rows: 5}
-	ix, _ := NewIndex(p, 1, 1000)
-	rng := rand.New(rand.NewSource(5))
-	set := make([]uint64, 50)
-	for i := 0; i < 1000; i++ {
-		for j := range set {
-			set[j] = uint64(rng.Intn(200)) // heavy overlap → populated buckets
-		}
-		_ = ix.Insert(int32(i), set)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		ix.Candidates(int32(i%1000), func(int32) { n++ })
 	}
 }

@@ -138,7 +138,7 @@ func Open(dir string, opt OpenOptions) (*Index, OpenReport, error) {
 	if err := checkManifest(m, &opt); err != nil {
 		return nil, OpenReport{}, fmt.Errorf("lsh: stale index in %s: %w", dir, err)
 	}
-	ix, err := NewIndex(opt.Params, opt.Seed, opt.NumItems)
+	ix, err := NewIndex(opt.Params, opt.Seed)
 	if err != nil {
 		return nil, OpenReport{}, err
 	}
@@ -146,7 +146,7 @@ func Open(dir string, opt OpenOptions) (*Index, OpenReport, error) {
 	if err != nil {
 		return nil, OpenReport{}, fmt.Errorf("lsh: index in %s: %w", dir, err)
 	}
-	if err := ix.load(f, m.ShardInserted[0]); err != nil {
+	if err := ix.load(f, opt.NumItems, m.ShardInserted[0]); err != nil {
 		f.Close()
 		return nil, OpenReport{}, fmt.Errorf("lsh: index in %s: %w", dir, err)
 	}
@@ -181,8 +181,9 @@ func checkManifest(m *persist.Manifest, opt *OpenOptions) error {
 
 // load validates f's arrays and installs them, aliasing the file's
 // backing memory (the mapping or the heap copy), as the frozen layout.
-// wantInserted is the manifest's inserted-item count.
-func (ix *Index) load(f *persist.File, wantInserted int) error {
+// numItems is the caller's item count and wantInserted the manifest's
+// inserted-item count.
+func (ix *Index) load(f *persist.File, numItems, wantInserted int) error {
 	fz := &frozenIndex{}
 	var err error
 	if fz.offsets, err = persist.View[int32](f, secOffsets); err != nil {
@@ -198,7 +199,7 @@ func (ix *Index) load(f *persist.File, wantInserted int) error {
 	if err != nil {
 		return err
 	}
-	if err := validateFrozen(fz, inserted, ix.params.Bands, ix.capHint); err != nil {
+	if err := validateFrozen(fz, inserted, ix.params.Bands, numItems); err != nil {
 		return err
 	}
 	numInserted := 0

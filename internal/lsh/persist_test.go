@@ -19,21 +19,6 @@ const (
 	testPersistFP   = uint64(0xfeed)
 )
 
-// buildPersisted builds a frozen index the way the bootstrap does —
-// BuildFrozen from a presigned arena — ready to Save.
-func buildPersisted(t testing.TB, p Params, seed uint64, sets [][]uint64) *Index {
-	t.Helper()
-	ix, err := NewIndex(p, seed, len(sets))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := SignAll(p, len(sets), 2, setSigner(ix, sets), nil)
-	if err := ix.BuildFrozen(keys, len(sets), 2); err != nil {
-		t.Fatal(err)
-	}
-	return ix
-}
-
 // assertLoadedEqual asserts that got reproduces want exactly: every
 // frozen array byte-identical, the same inserted flags, and an
 // identical candidate stream for every item.
@@ -82,7 +67,7 @@ func TestPersistRoundTripEquivalence(t *testing.T) {
 				}
 				var fresh []*Index
 				if shards == 1 {
-					fresh = []*Index{buildPersisted(t, p, testPersistSeed, in)}
+					fresh = []*Index{buildFrozenIndex(t, p, testPersistSeed, in, 2)}
 				} else {
 					cuts := itemRanges(n, shards)
 					for r := 0; r < shards; r++ {
@@ -165,7 +150,7 @@ func TestOpenShardedForeignSections(t *testing.T) {
 		if reorder {
 			in = reorderSets(sets, localityOrder(p, testPersistSeed, sets))
 		}
-		fresh := buildPersisted(t, p, testPersistSeed, in)
+		fresh := buildFrozenIndex(t, p, testPersistSeed, in, 2)
 		fz := fresh.frozen
 		numSlots := len(fz.offsets) - 1
 		base := []persist.Section{
@@ -227,7 +212,7 @@ func writeManifest(t *testing.T, dir string, edit func(*persist.Manifest)) {
 // or items in reordered order) or one whose index file is missing.
 // Each error names its cause, and nothing loads half-way.
 func TestOpenShardedRejectsStale(t *testing.T) {
-	fresh := buildPersisted(t, Params{Bands: 4, Rows: 2}, testPersistSeed, testSets(120, 17))
+	fresh := buildFrozenIndex(t, Params{Bands: 4, Rows: 2}, testPersistSeed, testSets(120, 17), 2)
 	save := func(t *testing.T) string {
 		dir := t.TempDir()
 		if _, err := fresh.Save(dir, testPersistSeed, testPersistFP); err != nil {
@@ -301,7 +286,7 @@ func TestOpenShardedRejectsStale(t *testing.T) {
 // the checksums: a file whose arrays disagree with each other is an
 // error, never a panic in a later query.
 func TestOpenRejectsInconsistentArrays(t *testing.T) {
-	fresh := buildPersisted(t, Params{Bands: 3, Rows: 2}, testPersistSeed, testSets(50, 17))
+	fresh := buildFrozenIndex(t, Params{Bands: 3, Rows: 2}, testPersistSeed, testSets(50, 17), 2)
 	fz := fresh.frozen
 	for name, edit := range map[string]func(offsets, items, slots []int32, inserted []bool){
 		"offsets-start":      func(o, _, _ []int32, _ []bool) { o[0] = 1 },
@@ -368,10 +353,7 @@ func TestPersistGoldenDeterminism(t *testing.T) {
 	)
 	p := Params{Bands: 6, Rows: 3}
 	for _, workers := range []int{1, 4} {
-		ix, err := NewIndex(p, testPersistSeed, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := mustIndex(t, p, testPersistSeed)
 		keys := SignAll(p, n, 2, setSigner(ix, testSets(n, 17)), nil)
 		if err := ix.BuildFrozen(keys, n, workers); err != nil {
 			t.Fatal(err)
@@ -393,7 +375,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bands, rows uint8, n uint16, seed uint64, data []byte) {
 		p := Params{Bands: 1 + int(bands)%8, Rows: 1 + int(rows)%4}
 		sets := fuzzSets(1+int(n)%130, data)
-		ix := buildPersisted(t, p, seed, sets)
+		ix := buildFrozenIndex(t, p, seed, sets, 2)
 		dir := t.TempDir()
 		if _, err := ix.Save(dir, seed, seed^0x5bd1e995); err != nil {
 			t.Fatal(err)
@@ -411,7 +393,8 @@ func FuzzPersistRoundTrip(f *testing.F) {
 
 // TestSaveRejectsUnfrozen pins Save's preconditions.
 func TestSaveRejectsUnfrozen(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 2}, 1, 10)
+	ix := mustIndex(t, Params{Bands: 2, Rows: 2}, 1)
+	fileItems(t, ix, testSets(3, 1), span(0, 3))
 	if _, err := ix.Save(filepath.Join(t.TempDir(), "idx"), 1, 2); err == nil {
 		t.Fatal("Save on an unfrozen index accepted")
 	}

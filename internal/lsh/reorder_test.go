@@ -16,7 +16,7 @@ import (
 // localityOrder returns the item order that makes every band-0 bucket
 // contiguous (stable in ID order): order[new] = original.
 func localityOrder(p Params, seed uint64, sets [][]uint64) []int {
-	ix, err := NewIndex(p, seed, len(sets))
+	ix, err := NewIndex(p, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -49,7 +49,7 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
-	ref := singleReference(t, p, 7, sets, true)
+	ref := singleReference(t, p, 7, sets)
 	order := localityOrder(p, 7, sets)
 	if slices.IsSorted(order) {
 		t.Fatal("the locality order is the identity")
@@ -124,7 +124,7 @@ func TestReorderedReverseMatchesSingle(t *testing.T) {
 	const n = 220
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 17)
-	ref := singleReference(t, p, 7, sets, true)
+	ref := singleReference(t, p, 7, sets)
 	order := localityOrder(p, 7, sets)
 	inv := make([]int, n)
 	for i, o := range order {
@@ -163,17 +163,17 @@ func TestReorderedReverseMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestReorderInertLayouts pins that no layout reorders: an index frozen
-// by Insert/Freeze or built by BuildFrozen keeps every item under its
-// own ID (each item's bucket in every band holds it), and the
-// deprecated ReorderTime reads zero beside a one-entry BuildTimes.
+// TestReorderInertLayouts pins that the build does not reorder: an
+// index built by BuildFrozen, at one worker or four, keeps every item
+// under its own ID (each item's bucket in every band holds it), and
+// the deprecated ReorderTime reads zero beside a one-entry BuildTimes.
 func TestReorderInertLayouts(t *testing.T) {
 	const n = 120
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(n, 9)
 	for name, ix := range map[string]*Index{
-		"freeze": singleReference(t, p, 7, sets, true),
-		"build":  buildFrozenIndex(t, p, 7, sets, 2),
+		"build-w1": buildFrozenIndex(t, p, 7, sets, 1),
+		"build-w4": buildFrozenIndex(t, p, 7, sets, 4),
 	} {
 		for i := 0; i < n; i++ {
 			ix.CandidatesBatch([]int32{int32(i)}, func(_ int, bucket []int32, _ int32) {
@@ -198,7 +198,7 @@ func TestForeignSlotsSkippedLayouts(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(40, 5)
 	for name, ix := range map[string]*Index{
-		"unfrozen": singleReference(t, p, 7, sets, false),
+		"unfrozen": rangeIndex(t, p, 7, sets, 0, len(sets), false),
 		"frozen":   buildFrozenIndex(t, p, 7, sets, 2),
 	} {
 		for _, blk := range blocks(len(sets), 7) {

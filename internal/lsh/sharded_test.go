@@ -3,18 +3,19 @@ package lsh
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// The index has one shard. The tests below check it (s=1) against a
-// reference built item by item (Insert, then Freeze when frozen). Their
-// s>1 cases split the items into s contiguous ranges and index each
-// range on its own. Apart from TestShardedBuildDeterministic, which
-// gives a range local IDs, each range's index spans all n IDs and
-// leaves the other items out: it must answer its own items with the
-// reference's answer restricted to the range, and every other item with
-// nothing.
+// The index has one shard. The tests below check it (s=1) against the
+// brute-force layout of the same band keys (bruteFrozen). Their s>1
+// cases split the items into s contiguous ranges and index each range
+// on its own. Apart from TestShardedBuildDeterministic, which gives a
+// range local IDs, each range's index spans all n IDs and leaves the
+// other items out (a brute-force layout, as BuildFrozen files every
+// ID): it must answer its own items with the reference's answer
+// restricted to the range, and every other item with nothing.
 
 // itemRanges splits [0, n) into s contiguous ranges [cuts[i],
 // cuts[i+1]).
@@ -27,18 +28,15 @@ func itemRanges(n, s int) []int {
 }
 
 // rangeIndex indexes the items of [lo, hi) only, over all len(sets)
-// IDs, frozen on request.
-func rangeIndex(t *testing.T, p Params, seed uint64, sets [][]uint64, lo, hi int, freeze bool) *Index {
+// IDs: frozen, the brute-force layout; otherwise filed into the build
+// phase through QueryInsert.
+func rangeIndex(t *testing.T, p Params, seed uint64, sets [][]uint64, lo, hi int, frozen bool) *Index {
 	t.Helper()
-	ix := mustIndex(t, p, seed, len(sets))
-	for i := lo; i < hi; i++ {
-		if err := ix.Insert(int32(i), sets[i]); err != nil {
-			t.Fatal(err)
-		}
+	if frozen {
+		return bruteIndex(t, p, seed, sets, lo, hi)
 	}
-	if freeze {
-		ix.Freeze()
-	}
+	ix := mustIndex(t, p, seed)
+	fileItems(t, ix, sets, span(lo, hi))
 	return ix
 }
 
@@ -62,34 +60,11 @@ func inRange(want []int32, item int32, lo, hi int) []int32 {
 	return within(want, lo, hi)
 }
 
-// singleReference builds the reference: one Index with every set
-// inserted in ascending order.
-func singleReference(t *testing.T, p Params, seed uint64, sets [][]uint64, freeze bool) *Index {
+// singleReference is the reference: the brute-force layout of every
+// item of sets.
+func singleReference(t *testing.T, p Params, seed uint64, sets [][]uint64) *Index {
 	t.Helper()
-	ix := mustIndex(t, p, seed, len(sets))
-	for i, s := range sets {
-		if err := ix.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if freeze {
-		ix.Freeze()
-	}
-	return ix
-}
-
-// buildFrozenIndex builds a frozen index over sets the way the
-// bootstrap does: BuildFrozen from a presigned arena.
-func buildFrozenIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, workers int) *Index {
-	t.Helper()
-	ix, err := NewIndex(p, seed, len(sets))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.BuildFrozen(SignAll(p, len(sets), workers, setSigner(ix, sets), nil), len(sets), workers); err != nil {
-		t.Fatal(err)
-	}
-	return ix
+	return bruteIndex(t, p, seed, sets, 0, len(sets))
 }
 
 // collectBatch runs one CandidatesBatch sweep over blk and returns each
@@ -127,22 +102,22 @@ func blocks(n, blockLen int) [][]int32 {
 // TestShardedBuildDeterministic pins per-range frozen-array
 // determinism: split one key arena into s contiguous item ranges, and
 // each range's index (local IDs) built directly from its slice of the
-// arena (BuildFrozen, any worker count) must be byte-identical to
-// inserting the range's items in ascending order and freezing, with
-// one build time recorded.
+// arena (BuildFrozen, any worker count) must be value-identical to the
+// brute-force layout of the range's items, with one build time
+// recorded.
 func TestShardedBuildDeterministic(t *testing.T) {
 	const n = 230
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 13)
-	keys := SignAll(p, n, 2, setSigner(mustIndex(t, p, 7, n), sets), nil)
+	keys := SignAll(p, n, 2, setSigner(mustIndex(t, p, 7), sets), nil)
 	for _, shards := range []int{2, 3, 4} {
 		cuts := itemRanges(n, shards)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("s=%d/w=%d", shards, workers), func(t *testing.T) {
 				for r := 0; r < shards; r++ {
 					lo, hi := cuts[r], cuts[r+1]
-					ref := singleReference(t, p, 7, sets[lo:hi], true)
-					ix := mustIndex(t, p, 7, hi-lo)
+					ref := singleReference(t, p, 7, sets[lo:hi])
+					ix := mustIndex(t, p, 7)
 					if err := ix.BuildFrozen(keys[lo*p.Bands:hi*p.Bands], hi-lo, workers); err != nil {
 						t.Fatal(err)
 					}
@@ -162,37 +137,45 @@ func TestShardedBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedQueriesMatchSingle: the per-item and batched block query
-// paths must reproduce the reference's candidate stream exactly (same
-// items, same enumeration order), on the build phase and frozen; for
-// s=1 on one index (frozen: BuildFrozen), for s>1 on each range's index
-// restricted to its range. Unknown and uninserted items are silent. The
-// one-shard build phase also answers an out-of-index signature like the
-// reference.
+// TestShardedQueriesMatchSingle: on the frozen layout, the per-item
+// and batched block query paths must reproduce the reference's
+// candidate stream exactly (same items, same enumeration order); for
+// s=1 on one BuildFrozen index, for s>1 on each range's index
+// restricted to its range. Unknown and uninserted items are silent. On
+// the build phase both paths answer nothing, while each range's items
+// are filed under exactly the reference's buckets restricted to the
+// range, and the one-shard build phase answers an out-of-index
+// signature with the brute-force collisions of its band keys.
 func TestShardedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
-	probe := []uint64{100, 101, 102, 103, 104}
+	keys := bandKeysOf(mustIndex(t, p, 7), sets)
+	ref := singleReference(t, p, 7, sets)
+	want := make([][]int32, n)
+	for i := range want {
+		want[i] = collectCandidates(ref, int32(i))
+	}
+	// An out-of-index set: item 3's with one value replaced.
+	probe := append(slices.Clone(sets[3][:11]), 9999)
 	for _, frozen := range []bool{false, true} {
-		ref := singleReference(t, p, 7, sets, frozen)
-		want := make([][]int32, n)
-		for i := range want {
-			want[i] = collectCandidates(ref, int32(i))
-		}
 		for _, shards := range []int{1, 2, 3, 4} {
 			t.Run(fmt.Sprintf("frozen=%v/s=%d", frozen, shards), func(t *testing.T) {
 				cuts := itemRanges(n, shards)
 				for r := 0; r < shards; r++ {
 					lo, hi := cuts[r], cuts[r+1]
-					var ix *Index
+					ix := rangeIndex(t, p, 7, sets, lo, hi, frozen)
 					if frozen && shards == 1 {
 						ix = buildFrozenIndex(t, p, 7, sets, 2)
-					} else {
-						ix = rangeIndex(t, p, 7, sets, lo, hi, frozen)
+					}
+					answer := func(item int32) []int32 {
+						if !frozen {
+							return nil
+						}
+						return inRange(want[item], item, lo, hi)
 					}
 					for i := 0; i < n; i++ {
-						w := inRange(want[i], int32(i), lo, hi)
+						w := answer(int32(i))
 						if got := collectCandidates(ix, int32(i)); !reflect.DeepEqual(w, got) {
 							t.Fatalf("range %d item %d candidates: want %v, got %v", r, i, w, got)
 						}
@@ -204,7 +187,7 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 						for _, blk := range blocks(n, blockLen) {
 							got := collectBatch(ix, blk)
 							for pos, item := range blk {
-								if w := inRange(want[item], item, lo, hi); !reflect.DeepEqual(w, got[pos]) {
+								if w := answer(item); !reflect.DeepEqual(w, got[pos]) {
 									t.Fatalf("range %d block item %d: want %v, got %v", r, item, w, got[pos])
 								}
 							}
@@ -215,15 +198,34 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 							t.Fatalf("uninserted item produced a bucket at pos %d", pos)
 						}
 					})
+					if frozen {
+						continue
+					}
+					for i := lo; i < hi; i++ {
+						var got []int32
+						for b := 0; b < p.Bands; b++ {
+							got = append(got, ix.buildBucket(b, keys[i*p.Bands+b])...)
+						}
+						if w := within(want[i], lo, hi); !reflect.DeepEqual(w, got) {
+							t.Fatalf("range %d item %d: build phase files %v, want %v", r, i, got, w)
+						}
+					}
 				}
 				if !frozen && shards == 1 {
-					ix := singleReference(t, p, 7, sets, false)
+					ix := rangeIndex(t, p, 7, sets, 0, n, false)
 					sig := make([]uint64, p.SignatureLen())
 					ix.Scheme().Sign(probe, sig)
 					var wantSig, gotSig []int32
-					ref.CandidatesOfSignature(sig, func(o int32) { wantSig = append(wantSig, o) })
+					for b := 0; b < p.Bands; b++ {
+						key := bandKeyOf(p, sig, b)
+						for i := 0; i < n; i++ {
+							if keys[i*p.Bands+b] == key {
+								wantSig = append(wantSig, int32(i))
+							}
+						}
+					}
 					ix.CandidatesOfSignature(sig, func(o int32) { gotSig = append(gotSig, o) })
-					if !reflect.DeepEqual(wantSig, gotSig) {
+					if len(wantSig) == 0 || !reflect.DeepEqual(wantSig, gotSig) {
 						t.Fatalf("of-signature: want %v, got %v", wantSig, gotSig)
 					}
 				}
@@ -242,7 +244,7 @@ func TestShardedReverseMatchesSingle(t *testing.T) {
 	const n = 220
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 17)
-	ref := singleReference(t, p, 7, sets, true)
+	ref := singleReference(t, p, 7, sets)
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
 			cuts := itemRanges(n, shards)
@@ -299,7 +301,7 @@ func TestShardedFanOutMatchesUnsharded(t *testing.T) {
 	const n = 240
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
-	ref := singleReference(t, p, 7, sets, true)
+	ref := singleReference(t, p, 7, sets)
 	wantItems := make([][]int32, n)
 	for i := range wantItems {
 		wantItems[i] = collectCandidates(ref, int32(i))
@@ -432,17 +434,17 @@ func TestShardedReverseEmitsSourceUnion(t *testing.T) {
 func TestShardedInsertErrors(t *testing.T) {
 	p := Params{Bands: 2, Rows: 2}
 	sets := testSets(8, 3)
-	ix := mustIndex(t, p, 1, 8)
-	if err := ix.Insert(-1, sets[0]); err == nil {
+	ix := mustIndex(t, p, 1)
+	if err := fileSet(ix, -1, sets[0]); err == nil {
 		t.Fatal("negative insert accepted")
 	}
-	if err := ix.Insert(3, sets[3]); err != nil {
+	if err := fileSet(ix, 3, sets[3]); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert(3, sets[3]); err == nil {
+	if err := fileSet(ix, 3, sets[3]); err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
-	ix2 := mustIndex(t, p, 1, 8)
+	ix2 := mustIndex(t, p, 1)
 	if err := ix2.BuildFrozen(make([]uint64, 3), 8, 1); err == nil {
 		t.Fatal("wrong arena length accepted")
 	}

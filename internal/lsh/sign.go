@@ -34,9 +34,9 @@ const signPollEvery = 1024
 // arena is partially filled — callers must discard it (the clustering
 // driver maps stop to context cancellation and aborts the run).
 //
-// The arena is exactly what Index.BuildFrozen consumes; keys are
-// identical to what Insert would compute for the same items,
-// regardless of workers.
+// The arena is exactly what Index.BuildFrozen consumes; keys are a
+// function of the items' signatures alone (the band keys QueryInsert
+// files under), regardless of workers.
 func SignAll(p Params, n, workers int, newSigner func() SignFunc, stop func() bool) []uint64 {
 	keys := make([]uint64, n*p.Bands)
 	par.Ranges(n, workers, func(lo, hi int) {

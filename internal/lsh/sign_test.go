@@ -8,23 +8,25 @@ import (
 )
 
 // TestSignAllMatchesInsertKeys pins the arena contents: SignAll must
-// compute exactly the band keys per-item Insert signing stores,
-// independent of the worker count.
+// compute, item-major, exactly the band keys QueryInsert files each
+// item's signature under, independent of the worker count.
 func TestSignAllMatchesInsertKeys(t *testing.T) {
 	const n = 150
 	p := Params{Bands: 10, Rows: 3}
 	sets := testSets(n, 21)
-	ix := mustIndex(t, p, 13, n)
-	for i, s := range sets {
-		if err := ix.Insert(int32(i), s); err != nil {
-			t.Fatal(err)
+	ix := mustIndex(t, p, 13)
+	want := make([]uint64, 0, n*p.Bands)
+	sig := make([]uint64, p.SignatureLen())
+	for _, s := range sets {
+		ix.Scheme().Sign(s, sig)
+		for b := 0; b < p.Bands; b++ {
+			want = append(want, ix.bandKey(sig, b))
 		}
 	}
-	want := ix.keys // retained band keys, item-major — the arena layout
 	for _, workers := range []int{1, 3, 8} {
 		got := SignAll(p, n, workers, setSigner(ix, sets), nil)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: SignAll keys differ from Insert keys", workers)
+			t.Fatalf("workers=%d: SignAll keys differ from the per-item band keys", workers)
 		}
 	}
 }

@@ -54,12 +54,12 @@ type Run struct {
 	Bootstrap time.Duration
 	// BootstrapSign, BootstrapBuild and BootstrapAssign split Bootstrap
 	// into its pipeline phases: signing every item (computing MinHash /
-	// SimHash band keys), constructing the index, and the first
-	// assignment. A phase that a path interleaves into another stays
-	// zero: the serial bootstrap signs inside its insert loop (charged
-	// to BootstrapBuild), so its BootstrapSign is zero.
-	// Their sum is at most Bootstrap; the remainder is untimed setup
-	// (accelerator reset, incremental-engine initialisation).
+	// SimHash band keys), constructing the frozen index, and the first
+	// assignment. A warm start loads the index instead, so its signing
+	// and build phases stay zero; an exact run builds no index, so only
+	// its assignment phase is set. Their sum is at most Bootstrap; the
+	// remainder is untimed setup (accelerator reset or index load,
+	// incremental-engine initialisation).
 	BootstrapSign   time.Duration
 	BootstrapBuild  time.Duration
 	BootstrapAssign time.Duration

@@ -126,7 +126,6 @@ type Accelerator struct {
 	params lsh.Params
 	seed   int64
 	scheme *Scheme
-	sigBuf []uint64
 }
 
 // NewAccelerator creates a SimHash accelerator for the given K-Means
@@ -144,7 +143,6 @@ func NewAccelerator(space *kmeans.Space, params lsh.Params, seed int64) (*Accele
 		params: params,
 		seed:   seed,
 		scheme: scheme,
-		sigBuf: make([]uint64, params.SignatureLen()),
 	}, nil
 }
 
@@ -169,14 +167,4 @@ func (a *Accelerator) SignAll(workers int, stop func() bool) error {
 			a.scheme.Sign(a.space.Point(int(item)), sig)
 		}
 	}, stop)
-}
-
-// Insert signs point item and files it under its band buckets.
-func (a *Accelerator) Insert(item int32) error {
-	ix := a.Index()
-	if ix == nil {
-		return fmt.Errorf("simhash: Insert before Reset")
-	}
-	sig := a.scheme.Sign(a.space.Point(int(item)), a.sigBuf)
-	return ix.InsertSignature(item, sig)
 }

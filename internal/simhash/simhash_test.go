@@ -185,8 +185,8 @@ func TestAcceleratorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Insert(0); err == nil {
-		t.Fatal("expected Insert-before-Reset error")
+	if err := a.SignAll(1, nil); err == nil {
+		t.Fatal("expected SignAll-before-Reset error")
 	}
 	if err := a.Reset(0); err == nil {
 		t.Fatal("expected cluster-count error")

@@ -105,7 +105,7 @@ func New(cfg Config) (*Clusterer, error) {
 			len(cfg.InitialModes), cfg.NumAttrs)
 	}
 	k := len(cfg.InitialModes) / cfg.NumAttrs
-	ix, err := lsh.NewIndex(cfg.Params, cfg.Seed, 0)
+	ix, err := lsh.NewIndex(cfg.Params, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -215,7 +215,8 @@ func (a *fullRecallAccel) Reset(k int) error {
 	}
 	return nil
 }
-func (a *fullRecallAccel) Insert(int32) error { return nil }
+func (a *fullRecallAccel) SignAll(int, func() bool) error { return nil }
+func (a *fullRecallAccel) BuildFrozen(int) error          { return nil }
 func (a *fullRecallAccel) NewQuerier() core.Querier {
 	return fullRecallQuerier{buf: a.buf}
 }

@@ -99,8 +99,9 @@ func runWithOracles(t *testing.T, ds *Dataset, cfg Config, oracles core.Oracles)
 }
 
 // TestClusterParallelBootstrapEquivalence checks the facade-level A/B:
-// the parallel bootstrap pipeline and its serial oracle must produce
-// identical clusterings, and the pipeline must report its phase split.
+// a four-worker run and the serial reference, one worker with the same
+// deferred updates, must produce identical clusterings, and the
+// parallel pipeline must report its phase split.
 func TestClusterParallelBootstrapEquivalence(t *testing.T) {
 	ds := syntheticDataset(t)
 	cfg := Config{K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, Workers: 4, MaxIterations: 6}
@@ -108,7 +109,12 @@ func TestClusterParallelBootstrapEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser := runWithOracles(t, ds, cfg, core.Oracles{DisableParallelBootstrap: true})
+	serCfg := cfg
+	serCfg.Workers, serCfg.DeferredUpdates = 1, true
+	ser, err := Cluster(ds, serCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range par.Assign {
 		if par.Assign[i] != ser.Assign[i] {
 			t.Fatalf("assign[%d]: parallel %d, serial %d", i, par.Assign[i], ser.Assign[i])
