@@ -216,8 +216,8 @@ func (d *driver) noteMove(i int) {
 // members — under the post-pass assignment — of every changed cluster.
 // The reverse view expands the sources into the set of items colliding
 // with any of them; those are exactly the items whose shortlist
-// membership or shortlist distances may differ next pass (each source
-// collides with itself, so sources are always active too). If either
+// membership or shortlist distances may differ next pass (the view
+// emits every source too, so sources are always active). If either
 // the source list or the expansion crosses activeAllPct·n the
 // expansion is abandoned and the next pass simply runs full.
 func (d *driver) prepareNextActive() {

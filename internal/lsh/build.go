@@ -15,15 +15,16 @@ import (
 //
 //  1. Per band, resolve every item's key to a local bucket slot with
 //     an open-addressed key table (no sorting, no radix passes),
-//     recording bucket sizes in first-occurrence key order.
-//  2. Per band, turn the sizes into CSR offsets and scatter items into
-//     their buckets in ascending ID order.
+//     recording bucket sizes in first-occurrence key order, then
+//     number the buckets of two or more items, in the same order.
+//  2. Per band, turn the stored buckets' sizes into CSR offsets and
+//     scatter their items in ascending ID order; an item alone under
+//     its key gets slot −1.
 //
 // Bands are independent: each owns a contiguous bucket-ID range and a
-// contiguous region of the items array (every item appears exactly
-// once per band, so with n items band b's occupy [b·n, (b+1)·n)), which
-// is why construction parallelises with no cross-band synchronisation
-// beyond one barrier between the passes. Bucket IDs follow each key's
+// contiguous region of the items array, sized in pass 1, which is why
+// construction parallelises with no cross-band synchronisation beyond
+// one barrier between the passes. Stored bucket IDs follow each key's
 // first occurrence in ascending item order, so the frozen arrays depend
 // only on which items hold which keys, never on the worker count.
 
@@ -147,8 +148,12 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	}
 	fz := &frozenIndex{slots: make([]int32, n*bands)}
 	// counts[b] holds band b's bucket sizes in first-occurrence key
-	// order, then serves as its scatter cursors.
+	// order, then maps each local bucket to its global ID (−1 for a
+	// bucket of one). stored[b] and entries[b] count band b's stored
+	// buckets and their items.
 	counts := make([][]int32, bands)
+	stored := make([]int32, bands)
+	entries := make([]int32, bands)
 
 	// Pass 1: per-band bucket-slot resolution. Bands write disjoint
 	// strided entries of slots (local IDs for now) and their own counts;
@@ -175,25 +180,36 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 				c[s]++
 				fz.slots[item*bands+b] = s
 			}
+			for _, size := range c {
+				if size > 1 {
+					stored[b]++
+					entries[b] += size
+				}
+			}
 			counts[b] = c
 		}
 	})
 
-	// Barrier: assign each band its global bucket-ID base.
+	// Barrier: assign each band its global bucket-ID base and the start
+	// of its items region.
 	base := make([]int32, bands)
-	total := 0
-	for b, c := range counts {
-		base[b] = int32(total)
-		total += len(c)
+	region := make([]int32, bands)
+	total, totalEntries := 0, 0
+	for b := range counts {
+		base[b], region[b] = int32(total), int32(totalEntries)
+		total += int(stored[b])
+		totalEntries += int(entries[b])
 	}
 	fz.offsets = make([]int32, total+1)
-	fz.items = make([]int32, n*bands)
-	fz.offsets[total] = int32(n * bands)
+	fz.items = make([]int32, totalEntries)
+	fz.offsets[total] = int32(totalEntries)
 
 	// Pass 2: per-band CSR fill. Each band writes its own offsets
-	// entries, its own items region [b·n, (b+1)·n) and its own strided
-	// slots entries (now global bucket IDs), so bands remain
-	// write-disjoint.
+	// entries, its own items region and its own strided slots entries
+	// (now global bucket IDs or −1), so bands remain write-disjoint. A
+	// stored bucket's offset starts at its end and counts down as a
+	// descending item sweep fills it, so it ends at the bucket's start
+	// with the items ascending.
 	parallelBands(bands, workers, func(bandSeq func() (int, bool)) {
 		for {
 			b, ok := bandSeq()
@@ -201,18 +217,25 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 				return
 			}
 			c := counts[b]
-			off := int32(b * n)
+			id, end := base[b], region[b]
 			for j, size := range c {
-				fz.offsets[int(base[b])+j] = off
-				c[j] = off // becomes the scatter cursor
-				off += size
+				if size < 2 {
+					c[j] = -1
+					continue
+				}
+				end += size
+				fz.offsets[id] = end
+				c[j] = id
+				id++
 			}
-			for item := 0; item < n; item++ {
+			for item := n - 1; item >= 0; item-- {
 				idx := item*bands + b
-				s := fz.slots[idx]
-				fz.items[c[s]] = int32(item)
-				c[s]++
-				fz.slots[idx] = base[b] + s
+				g := c[fz.slots[idx]]
+				fz.slots[idx] = g
+				if g >= 0 {
+					fz.offsets[g]--
+					fz.items[fz.offsets[g]] = int32(item)
+				}
 			}
 		}
 	})

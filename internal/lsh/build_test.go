@@ -53,12 +53,28 @@ func span(lo, hi int) []int {
 
 // bruteFrozen lays out, by brute force, the frozen index of the items
 // inserted marks, filed under keys[item·Bands+band]: per band, one
-// bucket per distinct key in the order the key first occurs over
-// ascending items, each bucket listing its items in ascending order,
-// bucket IDs running on across bands; an item not inserted has slot −1
-// in every band. It is BuildFrozen's reference, and it builds the
-// fixtures that leave IDs out, which BuildFrozen never does.
+// bucket per distinct key that two or more inserted items hold, in the
+// order the key first occurs over ascending items, each bucket listing
+// its items in ascending order, bucket IDs running on across bands; an
+// item alone under its key has slot −1 there, and an item not inserted
+// has slot −1 in every band. It is BuildFrozen's reference, and it
+// builds the fixtures that leave IDs out, which BuildFrozen never does.
 func bruteFrozen(t testing.TB, p Params, seed uint64, keys []uint64, inserted []bool) *Index {
+	t.Helper()
+	return bruteLayout(t, p, seed, keys, inserted, 2)
+}
+
+// legacyFrozen is bruteFrozen with every bucket stored, those of one
+// item included: the layout BuildFrozen made, and Save wrote, before
+// singleton buckets were dropped.
+func legacyFrozen(t testing.TB, p Params, seed uint64, keys []uint64, inserted []bool) *Index {
+	t.Helper()
+	return bruteLayout(t, p, seed, keys, inserted, 1)
+}
+
+// bruteLayout is bruteFrozen storing the buckets of at least minLen
+// items.
+func bruteLayout(t testing.TB, p Params, seed uint64, keys []uint64, inserted []bool, minLen int) *Index {
 	t.Helper()
 	bands, n := p.Bands, len(inserted)
 	ix := mustIndex(t, p, seed)
@@ -80,6 +96,9 @@ func bruteFrozen(t testing.TB, p Params, seed uint64, keys []uint64, inserted []
 			members[key] = append(members[key], int32(i))
 		}
 		for _, key := range order {
+			if len(members[key]) < minLen {
+				continue
+			}
 			for _, i := range members[key] {
 				fz.slots[int(i)*bands+b] = int32(len(fz.offsets) - 1)
 			}
@@ -100,11 +119,7 @@ func bruteFrozen(t testing.TB, p Params, seed uint64, keys []uint64, inserted []
 // len(sets) IDs.
 func bruteIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, lo, hi int) *Index {
 	t.Helper()
-	inserted := make([]bool, len(sets))
-	for i := lo; i < hi; i++ {
-		inserted[i] = true
-	}
-	return bruteFrozen(t, p, seed, bandKeysOf(mustIndex(t, p, seed), sets), inserted)
+	return bruteFrozen(t, p, seed, bandKeysOf(mustIndex(t, p, seed), sets), rangeFlags(len(sets), lo, hi))
 }
 
 // assertFrozenIdentical compares every frozen CSR array — offsets,
@@ -129,7 +144,8 @@ func assertFrozenIdentical(t testing.TB, want, got *Index) {
 // assertBuildPhaseMatchesFrozen checks the build phase bp against the
 // frozen index fz over the same band keys: every item bp holds files,
 // under its key in each band, exactly the items of its frozen bucket
-// in that band, in the same order.
+// in that band, in the same order, or only itself where its frozen
+// slot is −1.
 func assertBuildPhaseMatchesFrozen(t testing.TB, bp, fz *Index, keys []uint64) {
 	t.Helper()
 	bands := fz.Params().Bands
@@ -138,8 +154,10 @@ func assertBuildPhaseMatchesFrozen(t testing.TB, bp, fz *Index, keys []uint64) {
 			continue
 		}
 		for b := 0; b < bands; b++ {
-			slot := fz.frozen.slots[i*bands+b]
-			want := fz.frozen.items[fz.frozen.offsets[slot]:fz.frozen.offsets[slot+1]]
+			want := []int32{int32(i)}
+			if slot := fz.frozen.slots[i*bands+b]; slot >= 0 {
+				want = fz.frozen.items[fz.frozen.offsets[slot]:fz.frozen.offsets[slot+1]]
+			}
 			if got := bp.buildBucket(b, keys[i*bands+b]); !slices.Equal(got, want) {
 				t.Fatalf("item %d band %d: build phase files %v, frozen bucket %v", i, b, got, want)
 			}
@@ -150,9 +168,11 @@ func assertBuildPhaseMatchesFrozen(t testing.TB, bp, fz *Index, keys []uint64) {
 // TestBuildFrozenMatchesInsertFreeze is the layout equivalence oracle:
 // BuildFrozen over a presigned key arena must reproduce, value for
 // value, the brute-force layout of the same keys (bruteFrozen), and
-// hold under each key exactly what the build phase files there when
-// items 0…n−1 are filed through QueryInsert — across banding shapes,
-// sizes and worker counts.
+// hold under each key shared by two or more items exactly what the
+// build phase files there when items 0…n−1 are filed through
+// QueryInsert, where the build phase files an item alone exactly when
+// its frozen slot is −1 — across banding shapes, sizes and worker
+// counts.
 func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 	for _, tc := range []struct{ bands, rows, n int }{
 		{1, 1, 1},

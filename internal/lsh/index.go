@@ -278,10 +278,12 @@ func (t *runTable) claim(empty *runEntry, key uint64) *runEntry {
 }
 
 // Candidates invokes fn for every item sharing at least one band bucket
-// with item on the frozen index. The item itself is reported (it
-// trivially collides with itself in every band), and an item sharing
-// several bands is reported once per shared band — callers dedupe, which
-// the shortlist construction does anyway while mapping items to clusters.
+// with item on the frozen index: item itself first, then the members of
+// each of its stored buckets, band by band, each bucket in ascending ID
+// order. A band where item sits alone adds nothing, and item appears
+// again in each bucket it shares; an item sharing several bands with
+// it is reported once per shared band — callers dedupe, which the
+// shortlist construction does anyway while mapping items to clusters.
 // Items never inserted, and every item of a build-phase index, report
 // nothing.
 func (ix *Index) Candidates(item int32, fn func(other int32)) {
@@ -289,35 +291,46 @@ func (ix *Index) Candidates(item int32, fn func(other int32)) {
 	if fz == nil || !ix.isInserted(item) {
 		return
 	}
+	fn(item)
 	// The item's bucket slots were resolved at build time, so each band
 	// is two array reads plus a contiguous scan — no hashing, no table
 	// probes, no allocation.
 	for _, slot := range fz.slots[int(item)*ix.params.Bands:][:ix.params.Bands] {
+		if slot < 0 {
+			continue
+		}
 		for _, other := range fz.items[fz.offsets[slot]:fz.offsets[slot+1]] {
 			fn(other)
 		}
 	}
 }
 
-// CandidatesBatch invokes fn once per (item, band) with the whole band
-// bucket of the corresponding block item on the frozen index, skipping
-// items that were never inserted; a build-phase index reports nothing.
-// Enumeration is band-major across the block — every item's band-0
-// bucket, then every item's band-1 bucket, and so on — so each step of
-// the sweep stays inside one band's contiguous region of the frozen CSR
-// layout, amortising cache and TLB misses that a per-item band sweep
-// pays once per item. For any single pos the buckets still arrive in
-// ascending band order, so a per-pos consumer observes exactly the
-// sequence Candidates(items[pos]) would deliver; handing whole bucket
-// slices to fn additionally removes Candidates' per-colliding-item
-// closure dispatch. sum is the bucket's cluster-summary handle
-// (Summary), -1 when it keeps none. The bucket slices alias index
-// storage, stay valid for the index's lifetime and must not be
-// modified.
+// CandidatesBatch invokes fn for every block item with what
+// Candidates(items[pos]) reports, a whole bucket at a time: first the
+// item itself, as the one-item slice items[pos:pos+1], then each of its
+// stored band buckets. Items never inserted are skipped; a build-phase
+// index reports nothing. Enumeration is band-major across the block —
+// every item itself, then every item's band-0 bucket, then every item's
+// band-1 bucket, and so on — so each step of the sweep stays inside one
+// band's contiguous region of the frozen CSR layout, amortising cache
+// and TLB misses that a per-item band sweep pays once per item. For any
+// single pos the slices still arrive in Candidates' order, so a per-pos
+// consumer observes exactly the sequence Candidates(items[pos]) would
+// deliver; handing whole bucket slices to fn additionally removes
+// Candidates' per-colliding-item closure dispatch. sum is the bucket's
+// cluster-summary handle (Summary), -1 when it keeps none and for the
+// item itself. A bucket slice aliases index storage and stays valid for
+// the index's lifetime; the item's own slice aliases items. Neither may
+// be modified.
 func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32, sum int32)) {
 	fz := ix.frozen
 	if fz == nil {
 		return
+	}
+	for pos, item := range items {
+		if ix.isInserted(item) {
+			fn(pos, items[pos:pos+1], -1)
+		}
 	}
 	bands := ix.params.Bands
 	for b := 0; b < bands; b++ {
@@ -326,6 +339,9 @@ func (ix *Index) CandidatesBatch(items []int32, fn func(pos int, bucket []int32,
 				continue
 			}
 			slot := fz.slots[int(item)*bands+b]
+			if slot < 0 {
+				continue
+			}
 			bucket := fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
 			fn(pos, bucket, ix.summaryOf(slot, len(bucket)))
 		}
@@ -342,36 +358,42 @@ type Stats struct {
 	SingletonShare float64 // fraction of buckets holding exactly one item
 }
 
-// Stats scans the index and returns occupancy statistics.
+// Stats returns the frozen layout's occupancy statistics. The buckets
+// of one item count too: each is the −1 slot of an inserted item (or,
+// in a file saved before they were dropped, a stored bucket). A
+// build-phase index reports its bands and inserted items only.
 func (ix *Index) Stats() Stats {
 	st := Stats{Bands: ix.params.Bands, Items: ix.NumInserted()}
-	singles, total := 0, 0
-	bucketLen := func(n int) {
-		st.Buckets++
-		total += n
-		if n > st.MaxBucketLen {
-			st.MaxBucketLen = n
-		}
+	fz := ix.frozen
+	if fz == nil {
+		return st
+	}
+	singles := 0
+	for s := 0; s+1 < len(fz.offsets); s++ {
+		n := int(fz.offsets[s+1] - fz.offsets[s])
+		st.MaxBucketLen = max(st.MaxBucketLen, n)
 		if n == 1 {
 			singles++
 		}
 	}
-	if fz := ix.frozen; fz != nil {
-		for s := 0; s+1 < len(fz.offsets); s++ {
-			bucketLen(int(fz.offsets[s+1] - fz.offsets[s]))
+	alone, bands := 0, ix.params.Bands
+	for item, ok := range ix.inserted {
+		if !ok {
+			continue
 		}
-	} else {
-		for _, t := range ix.runs {
-			for _, e := range t.cells {
-				if e.n > 0 {
-					bucketLen(int(e.n))
-				}
+		for _, slot := range fz.slots[item*bands:][:bands] {
+			if slot < 0 {
+				alone++
 			}
 		}
 	}
+	if alone > 0 {
+		st.MaxBucketLen = max(st.MaxBucketLen, 1)
+	}
+	st.Buckets = len(fz.offsets) - 1 + alone
 	if st.Buckets > 0 {
-		st.MeanBucketLen = float64(total) / float64(st.Buckets)
-		st.SingletonShare = float64(singles) / float64(st.Buckets)
+		st.MeanBucketLen = float64(len(fz.items)+alone) / float64(st.Buckets)
+		st.SingletonShare = float64(singles+alone) / float64(st.Buckets)
 	}
 	return st
 }

@@ -22,14 +22,20 @@ func collect(ix *Index, item int32) map[int32]int {
 	return got
 }
 
+// TestIndexSelfCollision: Candidates reports the item itself first,
+// then once more in each band whose bucket it shares. Items 0 and 4
+// hold the same set, so they share every band; the other sets are
+// disjoint, so each sits alone in every band.
 func TestIndexSelfCollision(t *testing.T) {
-	sets := [][]uint64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}}
+	sets := [][]uint64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {1, 2, 3}}
 	ix := buildFrozenIndex(t, Params{Bands: 5, Rows: 2}, 1, sets, 1)
-	for i := range sets {
-		got := collect(ix, int32(i))
-		// An item collides with itself in every band.
-		if got[int32(i)] != 5 {
-			t.Fatalf("item %d self-collisions = %d, want 5 (one per band)", i, got[int32(i)])
+	for i, want := range []int{6, 1, 1, 1, 6} {
+		got := collectCandidates(ix, int32(i))
+		if len(got) == 0 || got[0] != int32(i) {
+			t.Fatalf("item %d candidates %v do not start with the item", i, got)
+		}
+		if n := collect(ix, int32(i))[int32(i)]; n != want {
+			t.Fatalf("item %d self-collisions = %d, want %d (itself, then once per shared band)", i, n, want)
 		}
 	}
 }
@@ -108,23 +114,35 @@ func TestCandidatesOfUninsertedItemSilent(t *testing.T) {
 }
 
 // TestCandidatesOfSetMatchesStored: the build phase's key-addressed
-// lookup of an item's set reports the same collisions, band for band,
-// as the frozen index's per-item query over the same sets.
+// lookup of an item's set reports, band for band, the buckets the
+// frozen index's per-item query reports after the item itself: every
+// one that holds another item.
 func TestCandidatesOfSetMatchesStored(t *testing.T) {
 	p := Params{Bands: 6, Rows: 2}
 	sets := [][]uint64{{1, 2, 3, 4}, {1, 2, 3, 9}, {50, 60, 70, 80}}
 	ix := mustIndex(t, p, 5)
 	fileItems(t, ix, sets, span(0, len(sets)))
-	stored := collect(buildFrozenIndex(t, p, 5, sets, 1), 0)
-	viaSet := map[int32]int{}
-	ix.CandidatesOfSet(sets[0], func(o int32) { viaSet[o]++ })
-	if len(stored) != len(viaSet) {
-		t.Fatalf("stored query found %v, set query found %v", stored, viaSet)
-	}
-	for k, v := range stored {
-		if viaSet[k] != v {
-			t.Fatalf("stored query found %v, set query found %v", stored, viaSet)
+	frozen := buildFrozenIndex(t, p, 5, sets, 1)
+	sig := make([]uint64, p.SignatureLen())
+	for i, set := range sets {
+		ix.Scheme().Sign(set, sig)
+		want, filed := []int32{int32(i)}, []int32(nil)
+		for b := 0; b < p.Bands; b++ {
+			bucket := ix.buildBucket(b, ix.bandKey(sig, b))
+			filed = append(filed, bucket...)
+			if len(bucket) > 1 {
+				want = append(want, bucket...)
+			}
 		}
+		if viaSet := collectOfSet(ix, set); !slices.Equal(viaSet, filed) {
+			t.Fatalf("item %d: set query found %v, its band buckets hold %v", i, viaSet, filed)
+		}
+		if got := collectCandidates(frozen, int32(i)); !slices.Equal(got, want) {
+			t.Fatalf("item %d: stored query found %v, set query's shared buckets %v", i, got, want)
+		}
+	}
+	if collect(frozen, 0)[1] == 0 {
+		t.Fatal("items 0 and 1 share no band; the fixture checks nothing")
 	}
 }
 
@@ -134,6 +152,9 @@ func TestInvalidParams(t *testing.T) {
 	}
 }
 
+// TestStats pins Stats on the frozen layout against a count of the
+// build phase's run tables over the same items: the buckets of one
+// item, which the frozen layout leaves to −1 slots, count as buckets.
 func TestStats(t *testing.T) {
 	p := Params{Bands: 4, Rows: 3}
 	common := []uint64{1, 2, 3, 4, 5}
@@ -141,8 +162,8 @@ func TestStats(t *testing.T) {
 	ix := buildFrozenIndex(t, p, 11, sets, 1)
 	bp := mustIndex(t, p, 11)
 	fileItems(t, bp, sets, span(0, len(sets)))
-	if ix.Stats() != bp.Stats() {
-		t.Fatalf("frozen stats %+v, build phase %+v", ix.Stats(), bp.Stats())
+	if ix.Stats() != buildPhaseStats(bp) {
+		t.Fatalf("frozen stats %+v, build phase %+v", ix.Stats(), buildPhaseStats(bp))
 	}
 	st := ix.Stats()
 	if st.Items != 3 || st.Bands != 4 {
@@ -157,6 +178,19 @@ func TestStats(t *testing.T) {
 	}
 	if math.Abs(st.MeanBucketLen-3) > 1e-9 {
 		t.Fatalf("mean bucket len = %v, want 3", st.MeanBucketLen)
+	}
+
+	// A fourth, disjoint set sits alone in every band.
+	sets = append(sets, []uint64{100, 200, 300})
+	ix = buildFrozenIndex(t, p, 11, sets, 1)
+	bp = mustIndex(t, p, 11)
+	fileItems(t, bp, sets, span(0, len(sets)))
+	want := Stats{Bands: 4, Buckets: 8, Items: 4, MaxBucketLen: 3, MeanBucketLen: 2, SingletonShare: 0.5}
+	if st := ix.Stats(); st != want || buildPhaseStats(bp) != want {
+		t.Fatalf("frozen stats %+v, build phase %+v, want %+v", st, buildPhaseStats(bp), want)
+	}
+	if got := len(ix.frozen.offsets) - 1; got != 4 {
+		t.Fatalf("frozen layout stores %d buckets, want the 4 shared ones", got)
 	}
 }
 

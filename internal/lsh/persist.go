@@ -220,19 +220,27 @@ func (ix *Index) load(f *persist.File, numItems, wantInserted int) error {
 // validateFrozen structurally validates loaded frozen arrays. The
 // checksums already reject storage corruption; these checks reject
 // files whose contents are internally inconsistent (a crafted or
-// mismatched file), so no later query can index out of bounds —
-// corruption is an error here, never a panic downstream.
+// mismatched file), so no later query can index out of bounds and no
+// item silently drops out of a bucket — corruption is an error here,
+// never a panic or a wrong answer downstream. A bucket of one item is
+// legal: files saved before such buckets were dropped store them.
 func validateFrozen(fz *frozenIndex, inserted []bool, bands, wantItems int) error {
 	if len(inserted) != wantItems {
 		return fmt.Errorf("%d inserted flags for %d items", len(inserted), wantItems)
+	}
+	// A Go bool must be byte 0 or 1; any other byte reads unpredictably.
+	for i, b := range bytesOf(inserted) {
+		if b > 1 {
+			return fmt.Errorf("inserted flag %d is byte %d", i, b)
+		}
 	}
 	if len(fz.offsets) < 1 || fz.offsets[0] != 0 {
 		return fmt.Errorf("offsets must start at 0")
 	}
 	numBuckets := len(fz.offsets) - 1
 	for i := 0; i < numBuckets; i++ {
-		if fz.offsets[i] > fz.offsets[i+1] {
-			return fmt.Errorf("offsets not monotone at bucket %d", i)
+		if fz.offsets[i] >= fz.offsets[i+1] {
+			return fmt.Errorf("bucket %d is empty or its offsets descend", i)
 		}
 	}
 	if int(fz.offsets[numBuckets]) != len(fz.items) {
@@ -246,11 +254,49 @@ func validateFrozen(fz *frozenIndex, inserted []bool, bands, wantItems int) erro
 	if len(fz.slots) != wantItems*bands {
 		return fmt.Errorf("%d slots for %d items × %d bands", len(fz.slots), wantItems, bands)
 	}
+	// Most slots of a selective banding are −1, at no predictable
+	// positions, so the loop counts the others without branching on
+	// their sign: with that branch, validating the 100k-item K-Modes
+	// benchmark's index took about 15 ms instead of 9 (2-CPU Xeon).
+	stored := 0
 	for item, ok := range inserted {
 		for b, s := range fz.slots[item*bands : (item+1)*bands] {
-			if s < -1 || int(s) >= numBuckets || ok != (s >= 0) {
+			if uint32(s+1) > uint32(numBuckets) { // s outside [−1, numBuckets)
 				return fmt.Errorf("item %d band %d: slot %d out of range", item, b, s)
 			}
+			if !ok && s >= 0 {
+				return fmt.Errorf("item %d band %d: slot %d for an item not inserted", item, b, s)
+			}
+			stored += int(^uint32(s) >> 31) // 1 when s ≥ 0
+		}
+	}
+	if stored != len(fz.items) {
+		return fmt.Errorf("%d stored slots for %d bucket entries", stored, len(fz.items))
+	}
+	// Each bucket's band is the first, at or after the previous
+	// bucket's, in which its first member names it, so bands own
+	// ascending bucket ranges. Every member must name the bucket in that
+	// band, once: then each bucket entry is a distinct stored slot, and
+	// with the count above every stored slot is its item's entry in the
+	// bucket it names.
+	band := 0
+	for s := 0; s < numBuckets; s++ {
+		members := fz.items[fz.offsets[s]:fz.offsets[s+1]]
+		for band < bands && fz.slots[int(members[0])*bands+band] != int32(s) {
+			band++
+		}
+		if band == bands {
+			return fmt.Errorf("bucket %d: item %d names it in no band from the previous bucket's on", s, members[0])
+		}
+		prev := int32(-1)
+		for _, it := range members {
+			if it <= prev {
+				return fmt.Errorf("bucket %d lists item %d after item %d", s, it, prev)
+			}
+			if got := fz.slots[int(it)*bands+band]; got != int32(s) {
+				return fmt.Errorf("bucket %d (band %d) lists item %d, whose slot there is %d", s, band, it, got)
+			}
+			prev = it
 		}
 	}
 	return nil

@@ -284,18 +284,32 @@ func TestOpenShardedRejectsStale(t *testing.T) {
 
 // TestOpenRejectsInconsistentArrays pins the structural checks behind
 // the checksums: a file whose arrays disagree with each other is an
-// error, never a panic in a later query.
+// error, never a panic in a later query, nor an item silently missing
+// from a bucket that lists it.
 func TestOpenRejectsInconsistentArrays(t *testing.T) {
-	fresh := buildFrozenIndex(t, Params{Bands: 3, Rows: 2}, testPersistSeed, testSets(50, 17), 2)
+	const bands = 3
+	fresh := buildFrozenIndex(t, Params{Bands: bands, Rows: 2}, testPersistSeed, testSets(50, 17), 2)
 	fz := fresh.frozen
+	// stored is the first stored slot, which its item's entry in the
+	// bucket it names answers, and alone the first −1 slot, where its
+	// item sits alone.
+	stored := slices.IndexFunc(fz.slots, func(s int32) bool { return s >= 0 })
+	alone := slices.Index(fz.slots, -1)
+	if stored < 0 || alone < 0 || len(fz.offsets) < 3 {
+		t.Fatal("the fixture needs two stored buckets and a −1 slot")
+	}
 	for name, edit := range map[string]func(offsets, items, slots []int32, inserted []bool){
 		"offsets-start":      func(o, _, _ []int32, _ []bool) { o[0] = 1 },
 		"offsets-descending": func(o, _, _ []int32, _ []bool) { o[1], o[2] = o[2], o[1]-1 },
 		"item-range":         func(_, it, _ []int32, _ []bool) { it[7] = int32(len(fresh.inserted)) },
 		"item-negative":      func(_, it, _ []int32, _ []bool) { it[3] = -2 },
 		"slot-range":         func(_, _, s []int32, _ []bool) { s[4] = int32(len(fz.offsets)) },
-		"slot-uninserted":    func(_, _, s []int32, _ []bool) { s[0] = -1 },
-		"inserted-slot":      func(_, _, _ []int32, ins []bool) { ins[0] = false },
+		"slot-uninserted":    func(_, _, s []int32, _ []bool) { s[stored] = -1 },
+		"slot-other-bucket":  func(_, _, s []int32, _ []bool) { s[stored] = (s[stored] + 1) % int32(len(fz.offsets)-1) },
+		"slot-alone-named":   func(_, _, s []int32, _ []bool) { s[alone] = s[stored] },
+		"bucket-order":       func(_, it, _ []int32, _ []bool) { it[0], it[1] = it[1], it[0] },
+		"inserted-slot":      func(_, _, _ []int32, ins []bool) { ins[stored/bands] = false },
+		"inserted-byte":      func(_, _, _ []int32, ins []bool) { bytesOf(ins)[0] = 2 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -325,6 +339,139 @@ func TestOpenRejectsInconsistentArrays(t *testing.T) {
 	}
 }
 
+// shortlistOf returns the distinct clusters, under view, of the items
+// Candidates(item) reports, in first-appearance order, less item's own
+// cluster: the shortlist an assignment pass weighs against it.
+func shortlistOf(ix *Index, item int32, view []int32) []int32 {
+	var out []int32
+	ix.Candidates(item, func(o int32) {
+		if c := view[o]; c != view[item] && !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	})
+	return out
+}
+
+// blockShortlists resolves one CandidatesBatch sweep over blk as a
+// block querier does — a bucket's summary where it keeps one, its
+// members under view otherwise — into each position's shortlistOf.
+func blockShortlists(ix *Index, blk, view []int32) [][]int32 {
+	out := make([][]int32, len(blk))
+	add := func(pos int, c int32) {
+		if c != view[blk[pos]] && !slices.Contains(out[pos], c) {
+			out[pos] = append(out[pos], c)
+		}
+	}
+	ix.CandidatesBatch(blk, func(pos int, bucket []int32, sum int32) {
+		if sum >= 0 {
+			for _, c := range ix.Summary(sum) {
+				add(pos, c)
+			}
+			return
+		}
+		for _, o := range bucket {
+			add(pos, view[o])
+		}
+	})
+	return out
+}
+
+// longSlots counts the distinct stored buckets of item holding at
+// least SummaryMinLen items: what Resummarize(item) must recompute.
+func longSlots(ix *Index, item int32) int {
+	bands := ix.params.Bands
+	var seen []int32
+	for _, slot := range ix.frozen.slots[int(item)*bands:][:bands] {
+		if slot >= 0 && ix.frozen.offsets[slot+1]-ix.frozen.offsets[slot] >= SummaryMinLen && !slices.Contains(seen, slot) {
+			seen = append(seen, slot)
+		}
+	}
+	return len(seen)
+}
+
+// TestLegacyLayoutAnswersAlike pins that an index saved before
+// singleton buckets were dropped — every bucket stored, those of one
+// item included (legacyFrozen) — loads, heap and mmap alike, and
+// answers like the compact build of the same keys: for every item the
+// same shortlist, per item and block sweep, with and without summaries,
+// before and after moves; the same summary upkeep; the same reverse
+// expansion; and the same Stats.
+func TestLegacyLayoutAnswersAlike(t *testing.T) {
+	const n, k = 300, 7
+	p := Params{Bands: 6, Rows: 3}
+	sets := testSets(n, 23)
+	for i := 0; i < 2*SummaryMinLen; i++ { // long buckets, so summaries exist
+		sets[i] = sets[0]
+	}
+	compact := buildFrozenIndex(t, p, testPersistSeed, sets, 2)
+	legacy := legacyFrozen(t, p, testPersistSeed, bandKeysOf(compact, sets), rangeFlags(n, 0, n))
+	if len(legacy.frozen.offsets) <= len(compact.frozen.offsets) {
+		t.Fatal("the fixture has no singleton buckets")
+	}
+	dir := t.TempDir()
+	if _, err := legacy.Save(dir, testPersistSeed, testPersistFP); err != nil {
+		t.Fatal(err)
+	}
+	view := make([]int32, n)
+	for i := range view {
+		view[i] = int32(i % k)
+	}
+	for _, mmap := range []bool{false, true} {
+		t.Run(map[bool]string{false: "heap", true: "mmap"}[mmap], func(t *testing.T) {
+			loaded, _, err := Open(dir, openOptsFor(compact, testPersistSeed, testPersistFP, mmap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.ClosePersist()
+			assertFrozenIdentical(t, legacy, loaded)
+			compact := buildFrozenIndex(t, p, testPersistSeed, sets, 2) // summarised below
+			if loaded.Stats() != compact.Stats() {
+				t.Fatalf("legacy stats %+v, compact %+v", loaded.Stats(), compact.Stats())
+			}
+			v := slices.Clone(view)
+			same := func(stage string) {
+				t.Helper()
+				for i := int32(0); i < n; i++ {
+					if got, want := shortlistOf(loaded, i, v), shortlistOf(compact, i, v); !slices.Equal(got, want) {
+						t.Fatalf("%s: item %d shortlist: legacy %v, compact %v", stage, i, got, want)
+					}
+				}
+				for _, blk := range blocks(n, 64) {
+					got, want := blockShortlists(loaded, blk, v), blockShortlists(compact, blk, v)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: block from item %d: legacy %v, compact %v", stage, blk[0], got, want)
+					}
+				}
+			}
+			same("no summaries")
+			loaded.SummarizeClusters(v)
+			compact.SummarizeClusters(v)
+			same("summarised")
+			for i := int32(0); i < n; i += 3 {
+				v[i] = (v[i] + 1) % k
+				for _, ix := range []*Index{loaded, compact} {
+					if got, want := ix.Resummarize([]int32{i}, v), longSlots(ix, i); got != want {
+						t.Fatalf("item %d: Resummarize recomputed %d summaries, want %d", i, got, want)
+					}
+				}
+			}
+			same("after moves")
+			sources := []int32{0, 40, 150, n - 1}
+			emitted := func(ix *Index) map[int32]bool {
+				rv, got := ix.NewReverse(), map[int32]bool{}
+				for _, s := range sources {
+					rv.AddSource(s)
+				}
+				rv.Emit(func(it int32) bool { got[it] = true; return true })
+				return got
+			}
+			if got, want := emitted(loaded), emitted(compact); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reverse expansion: legacy %d items, compact %d (sets differ)", len(got), len(want))
+			}
+		})
+	}
+}
+
 // hashFrozen folds every frozen array into one platform-independent
 // FNV-1a hash, value by value in little-endian order.
 func hashFrozen(ix *Index) uint64 {
@@ -349,7 +496,7 @@ func hashFrozen(ix *Index) uint64 {
 func TestPersistGoldenDeterminism(t *testing.T) {
 	const (
 		n      = 300
-		golden = uint64(0x331d8451c4a30d9a)
+		golden = uint64(0x160341fee069f60d)
 	)
 	p := Params{Bands: 6, Rows: 3}
 	for _, workers := range []int{1, 4} {

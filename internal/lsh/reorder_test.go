@@ -41,15 +41,16 @@ func reorderSets(sets [][]uint64, order []int) [][]uint64 {
 // TestReorderedQueriesMatchSingle: on an index built by BuildFrozen
 // (one and four workers) over the items in locality order, every query
 // path emits the new IDs, and mapping them back must reproduce the
-// original-order reference bucket by bucket — the same items in each
-// band's bucket. For s>1 the locality order is split into s contiguous
-// ranges, each built as an index of its own with local IDs, and each
-// range's answers must be the reference's restricted to its items.
+// brute-force layout of the same items in original order bucket by
+// bucket — the same items in each shared band bucket. For s>1 the
+// locality order is split into s contiguous ranges, each built as an
+// index of its own with local IDs, and each range's answers must be
+// those of the brute-force layout of its items.
 func TestReorderedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
-	ref := singleReference(t, p, 7, sets)
+	keys := bandKeysOf(mustIndex(t, p, 7), sets)
 	order := localityOrder(p, 7, sets)
 	if slices.IsSorted(order) {
 		t.Fatal("the locality order is the identity")
@@ -67,17 +68,14 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 					for _, o := range toOrig {
 						inRange[o] = true
 					}
+					ref := bruteFrozen(t, p, 7, keys, inRange)
 					for l, o := range toOrig {
-						want := mappedBuckets(ref, int32(o), nil, inRange)
-						if got := mappedBuckets(ix, int32(l), toOrig, nil); !reflect.DeepEqual(want, got) {
+						want := mappedBuckets(ref, int32(o), nil)
+						if got := mappedBuckets(ix, int32(l), toOrig); !reflect.DeepEqual(want, got) {
 							t.Fatalf("range %d item %d buckets: want %v, got %v", r, o, want, got)
 						}
 						var wantAll, gotAll []int32
-						ref.Candidates(int32(o), func(c int32) {
-							if inRange[c] {
-								wantAll = append(wantAll, c)
-							}
-						})
+						ref.Candidates(int32(o), func(c int32) { wantAll = append(wantAll, c) })
 						ix.Candidates(int32(l), func(c int32) { gotAll = append(gotAll, int32(toOrig[c])) })
 						slices.Sort(wantAll)
 						slices.Sort(gotAll)
@@ -95,9 +93,8 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 }
 
 // mappedBuckets returns item's band buckets on ix, each mapped through
-// toOrig (when set), kept to the items keep marks (when set), and
-// sorted.
-func mappedBuckets(ix *Index, item int32, toOrig []int, keep []bool) [][]int32 {
+// toOrig (when set) and sorted.
+func mappedBuckets(ix *Index, item int32, toOrig []int) [][]int32 {
 	var out [][]int32
 	ix.CandidatesBatch([]int32{item}, func(_ int, bucket []int32, _ int32) {
 		b := []int32{}
@@ -105,9 +102,7 @@ func mappedBuckets(ix *Index, item int32, toOrig []int, keep []bool) [][]int32 {
 			if toOrig != nil {
 				id = int32(toOrig[id])
 			}
-			if keep == nil || keep[id] {
-				b = append(b, id)
-			}
+			b = append(b, id)
 		}
 		slices.Sort(b)
 		out = append(out, b)
@@ -165,7 +160,8 @@ func TestReorderedReverseMatchesSingle(t *testing.T) {
 
 // TestReorderInertLayouts pins that the build does not reorder: an
 // index built by BuildFrozen, at one worker or four, keeps every item
-// under its own ID (each item's bucket in every band holds it), and
+// under its own ID (every slice the block sweep reports for it holds
+// it), and
 // the deprecated ReorderTime reads zero beside a one-entry BuildTimes.
 func TestReorderInertLayouts(t *testing.T) {
 	const n = 120

@@ -7,7 +7,9 @@ package lsh
 // enumeration would report a source — the "items touching" relation the
 // clustering driver needs to expand a changed cluster neighbourhood
 // into the set of items whose shortlist (or shortlist distances) may
-// have changed.
+// have changed. Every source collides with itself, so every inserted
+// source is emitted too: through its stored buckets, or on its own when
+// it shares none.
 //
 // Buckets are deduplicated at the bucket level: a bucket shared by many
 // sources is scanned exactly once during Emit, so expanding the members
@@ -19,8 +21,11 @@ package lsh
 // A Reverse owns private scratch and is not safe for concurrent use.
 type Reverse struct {
 	ix     *Index
-	mark   []bool  // per global bucket: hot this round
+	mark   []bool  // per stored bucket: hot this round
 	marked []int32 // hot bucket IDs, first-marked order
+	// alone lists the sources that share no stored bucket, which only
+	// Emit's own report of them reaches.
+	alone []int32
 }
 
 // NewReverse returns a reverse view over the index, or nil when the
@@ -32,28 +37,37 @@ func (ix *Index) NewReverse() *Reverse {
 	return &Reverse{ix: ix, mark: make([]bool, len(ix.frozen.offsets)-1)}
 }
 
-// AddSource marks every bucket of a previously inserted item hot.
-// Uninserted items are ignored.
+// AddSource marks every stored bucket of a previously inserted item
+// hot, or remembers the item when it shares none. Uninserted items are
+// ignored.
 func (r *Reverse) AddSource(item int32) {
 	ix := r.ix
 	if !ix.isInserted(item) {
 		return
 	}
 	bands := ix.params.Bands
+	shared := false
 	for _, slot := range ix.frozen.slots[int(item)*bands:][:bands] {
+		if slot < 0 {
+			continue
+		}
+		shared = true
 		if !r.mark[slot] {
 			r.mark[slot] = true
 			r.marked = append(r.marked, slot)
 		}
 	}
+	if !shared {
+		r.alone = append(r.alone, item)
+	}
 }
 
 // Emit invokes fn for every item in a hot bucket, each bucket scanned
-// once; an item in several hot buckets is reported once per bucket
-// (callers dedupe, typically into a flag array). fn returning false
-// stops the enumeration early. All marks are reset before Emit
-// returns, whether or not it was stopped, so the view is immediately
-// reusable.
+// once, then for every source that shares no stored bucket; an item in
+// several hot buckets is reported once per bucket (callers dedupe,
+// typically into a flag array). fn returning false stops the
+// enumeration early. All marks are reset before Emit returns, whether
+// or not it was stopped, so the view is immediately reusable.
 func (r *Reverse) Emit(fn func(item int32) bool) {
 	fz := r.ix.frozen
 	stopped := false
@@ -68,5 +82,10 @@ func (r *Reverse) Emit(fn func(item int32) bool) {
 		}
 		r.mark[s] = false
 	}
-	r.marked = r.marked[:0]
+	for _, it := range r.alone {
+		if stopped || !fn(it) {
+			break
+		}
+	}
+	r.marked, r.alone = r.marked[:0], r.alone[:0]
 }

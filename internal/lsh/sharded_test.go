@@ -14,8 +14,8 @@ import (
 // on its own. Apart from TestShardedBuildDeterministic, which gives a
 // range local IDs, each range's index spans all n IDs and leaves the
 // other items out (a brute-force layout, as BuildFrozen files every
-// ID): it must answer its own items with the reference's answer
-// restricted to the range, and every other item with nothing.
+// ID): it must answer its own items as the brute force over the
+// range's items does, and every other item with nothing.
 
 // itemRanges splits [0, n) into s contiguous ranges [cuts[i],
 // cuts[i+1]).
@@ -40,24 +40,13 @@ func rangeIndex(t *testing.T, p Params, seed uint64, sets [][]uint64, lo, hi int
 	return ix
 }
 
-// within returns the IDs of ids in [lo, hi), in order.
-func within(ids []int32, lo, hi int) []int32 {
-	var out []int32
-	for _, id := range ids {
-		if int(id) >= lo && int(id) < hi {
-			out = append(out, id)
-		}
+// rangeFlags marks the items of [lo, hi) among n.
+func rangeFlags(n, lo, hi int) []bool {
+	flags := make([]bool, n)
+	for i := lo; i < hi; i++ {
+		flags[i] = true
 	}
-	return out
-}
-
-// inRange returns want[item] restricted to [lo, hi) for an item of the
-// range, and nil for any other item.
-func inRange(want []int32, item int32, lo, hi int) []int32 {
-	if int(item) < lo || int(item) >= hi {
-		return nil
-	}
-	return within(want, lo, hi)
+	return flags
 }
 
 // singleReference is the reference: the brute-force layout of every
@@ -138,24 +127,19 @@ func TestShardedBuildDeterministic(t *testing.T) {
 }
 
 // TestShardedQueriesMatchSingle: on the frozen layout, the per-item
-// and batched block query paths must reproduce the reference's
+// and batched block query paths must reproduce the brute-force
 // candidate stream exactly (same items, same enumeration order); for
-// s=1 on one BuildFrozen index, for s>1 on each range's index
-// restricted to its range. Unknown and uninserted items are silent. On
-// the build phase both paths answer nothing, while each range's items
-// are filed under exactly the reference's buckets restricted to the
-// range, and the one-shard build phase answers an out-of-index
+// s=1 on one BuildFrozen index, for s>1 on each range's index against
+// the brute force over the range's items. Unknown and uninserted items
+// are silent. On the build phase both paths answer nothing, while each
+// range's items are filed under exactly the brute-force buckets of the
+// range's items, and the one-shard build phase answers an out-of-index
 // signature with the brute-force collisions of its band keys.
 func TestShardedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
 	keys := bandKeysOf(mustIndex(t, p, 7), sets)
-	ref := singleReference(t, p, 7, sets)
-	want := make([][]int32, n)
-	for i := range want {
-		want[i] = collectCandidates(ref, int32(i))
-	}
 	// An out-of-index set: item 3's with one value replaced.
 	probe := append(slices.Clone(sets[3][:11]), 9999)
 	for _, frozen := range []bool{false, true} {
@@ -168,11 +152,12 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 					if frozen && shards == 1 {
 						ix = buildFrozenIndex(t, p, 7, sets, 2)
 					}
+					flags := rangeFlags(n, lo, hi)
 					answer := func(item int32) []int32 {
-						if !frozen {
+						if !frozen || !flags[item] {
 							return nil
 						}
-						return inRange(want[item], item, lo, hi)
+						return bruteCandidates(keys, p.Bands, flags, int(item))
 					}
 					for i := 0; i < n; i++ {
 						w := answer(int32(i))
@@ -206,7 +191,7 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 						for b := 0; b < p.Bands; b++ {
 							got = append(got, ix.buildBucket(b, keys[i*p.Bands+b])...)
 						}
-						if w := within(want[i], lo, hi); !reflect.DeepEqual(w, got) {
+						if w := slices.Concat(bruteBuckets(keys, p.Bands, flags, i)...); !reflect.DeepEqual(w, got) {
 							t.Fatalf("range %d item %d: build phase files %v, want %v", r, i, got, w)
 						}
 					}
@@ -289,11 +274,11 @@ func TestShardedReverseMatchesSingle(t *testing.T) {
 }
 
 // TestShardedFanOutMatchesUnsharded pins both query paths — per item
-// and batched block sweep — to the reference's candidate stream: for
+// and batched block sweep — to the brute-force candidate stream: for
 // s=1 on a BuildFrozen index; for s>1 each query fans out to every
 // range's index, and the answers, merged in range order, must be the
-// reference's stream restricted to the item's range (only the item's
-// own range answers). hedged=true runs the check twice at once, on two
+// brute-force stream over the items of the item's range (only the
+// item's own range answers). hedged=true runs the check twice at once, on two
 // goroutines over the same indexes (the concurrent reads a frozen index
 // allows); each must reproduce the stream exactly. The stride=false
 // prefix names the range partition, the only one the tests ever built.
@@ -301,15 +286,19 @@ func TestShardedFanOutMatchesUnsharded(t *testing.T) {
 	const n = 240
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
-	ref := singleReference(t, p, 7, sets)
-	wantItems := make([][]int32, n)
-	for i := range wantItems {
-		wantItems[i] = collectCandidates(ref, int32(i))
-	}
+	keys := bandKeysOf(mustIndex(t, p, 7), sets)
 	for _, shards := range []int{1, 2, 4} {
 		for _, hedged := range []bool{false, true} {
 			t.Run(fmt.Sprintf("stride=false/s=%d/hedged=%v", shards, hedged), func(t *testing.T) {
 				cuts := itemRanges(n, shards)
+				// wantItems[i] is item i's stream over its range's items.
+				wantItems := make([][]int32, n)
+				for r := 0; r < shards; r++ {
+					flags := rangeFlags(n, cuts[r], cuts[r+1])
+					for i := cuts[r]; i < cuts[r+1]; i++ {
+						wantItems[i] = bruteCandidates(keys, p.Bands, flags, i)
+					}
+				}
 				ranges := make([]*Index, shards)
 				for r := range ranges {
 					ranges[r] = rangeIndex(t, p, 7, sets, cuts[r], cuts[r+1], true)
@@ -317,21 +306,13 @@ func TestShardedFanOutMatchesUnsharded(t *testing.T) {
 				if shards == 1 {
 					ranges[0] = buildFrozenIndex(t, p, 7, sets, 2)
 				}
-				rangeOf := func(item int32) int {
-					r := 0
-					for int(item) >= cuts[r+1] {
-						r++
-					}
-					return r
-				}
 				check := func() error {
 					for i := 0; i < n; i++ {
 						var got []int32
 						for _, ix := range ranges {
 							got = append(got, collectCandidates(ix, int32(i))...)
 						}
-						r := rangeOf(int32(i))
-						if want := within(wantItems[i], cuts[r], cuts[r+1]); !reflect.DeepEqual(want, got) {
+						if want := wantItems[i]; !reflect.DeepEqual(want, got) {
 							return fmt.Errorf("item %d: want %v, got %v", i, want, got)
 						}
 					}
@@ -344,8 +325,7 @@ func TestShardedFanOutMatchesUnsharded(t *testing.T) {
 								}
 							}
 							for pos, item := range blk {
-								r := rangeOf(item)
-								if want := within(wantItems[item], cuts[r], cuts[r+1]); !reflect.DeepEqual(want, got[pos]) {
+								if want := wantItems[item]; !reflect.DeepEqual(want, got[pos]) {
 									return fmt.Errorf("block item %d: want %v, got %v", item, want, got[pos])
 								}
 							}

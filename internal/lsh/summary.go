@@ -32,9 +32,9 @@ import "math/bits"
 // SummaryMinLen is the shortest bucket that keeps a cluster summary:
 // 16 int32 item IDs fill one 64-byte cache line. A walk of a shorter
 // bucket reads no more lines than its summary would, and most buckets
-// of a selective banding are singletons: summarising every bucket of
-// the 100k-item K-Modes benchmark's 1.78M added memory and build time
-// and saved nothing.
+// of a selective banding are short: summarising every bucket of the
+// 100k-item K-Modes benchmark's index added memory and build time and
+// saved nothing.
 const SummaryMinLen = 16
 
 // clusterSummaries is an index's summary store. table maps a long
@@ -62,7 +62,8 @@ type clusterSummaries struct {
 // summaryTable maps a long bucket's slot to its summary ID: linear
 // probing over cells at most half full, keyed by slot+1 so the zero
 // cell is empty, indexed by Fibonacci hashing. The long buckets are few
-// (4,697 of the K-Modes benchmark's 1.78M), so the table stays
+// (4,697 of the K-Modes benchmark's 45,037 stored buckets), so the
+// table stays
 // cache-resident where per-bucket arrays would not.
 type summaryTable struct {
 	cells []summaryCell
@@ -128,24 +129,11 @@ func (ix *Index) summaryOf(slot int32, n int) int32 {
 }
 
 // longBuckets appends the slots of every bucket of at least
-// SummaryMinLen items to dst. Every frozen bucket holds an item, so w
-// consecutive buckets that hold fewer than w+SummaryMinLen−1 items
-// include no long one, and one comparison skips the window: on a
-// selective banding nearly every window. (A crafted file's empty
-// bucket can hide a long one; that bucket is then walked, never
-// misread.)
+// SummaryMinLen items to dst.
 func longBuckets(offsets []int32, dst []int32) []int32 {
-	const w = 64
-	n := len(offsets) - 1
-	for s := 0; s < n; {
-		if s+w <= n && offsets[s+w]-offsets[s] < w+SummaryMinLen-1 {
-			s += w
-			continue
-		}
-		for end := min(s+w, n); s < end; s++ {
-			if offsets[s+1]-offsets[s] >= SummaryMinLen {
-				dst = append(dst, int32(s))
-			}
+	for s := 0; s+1 < len(offsets); s++ {
+		if offsets[s+1]-offsets[s] >= SummaryMinLen {
+			dst = append(dst, int32(s))
 		}
 	}
 	return dst
@@ -208,6 +196,11 @@ func (ix *Index) Resummarize(items []int32, view []int32) int {
 			continue
 		}
 		for _, slot := range ix.frozen.slots[int(item)*bands:][:bands] {
+			// −1: item alone in the band. The table's key for it would
+			// be 0, its empty-cell marker, so it must not be looked up.
+			if slot < 0 {
+				continue
+			}
 			if id := cs.table.get(slot); id >= 0 && !cs.stale[id] {
 				cs.stale[id] = true
 				queue = append(queue, id)
