@@ -16,8 +16,9 @@ test:
 	$(GO) test ./...
 
 # Runs every program under examples/ at its defaults; each must exit 0.
-# The streaming example, the one that drives the index's build phase
-# (QueryInsert), is deterministic, so its output must also match the
+# The streaming example, the one that drives the stream's band table
+# (each Add probes every band, scores, then files its cluster) and its
+# mode postings, is deterministic, so its output must also match the
 # checked-in examples/streaming/expected_output.txt byte for byte.
 examples-smoke:
 	@for d in examples/*/; do \

@@ -58,11 +58,16 @@
 //     builds the index once, in one pass over the dataset as in the
 //     paper (Algorithm 2, lines 1–9): it signs every item, then
 //     constructs the frozen layout directly from the presigned band
-//     keys. Only the streaming clusterer files items one at a time,
-//     into the index's build phase — per band a flat, pointer-free key
-//     table locating each bucket's run of item IDs in one shared arena
-//     — querying and filing each arriving item in one probe per band;
-//     it never freezes its index.
+//     keys. Only the streaming clusterer files items one at a time, and
+//     not into an lsh.Index: its lsh.BandTable keeps, per band, a flat,
+//     pointer-free key table whose buckets hold clusters, the paper's
+//     "cluster reference in the MinHash index" — one cluster inline in
+//     its cell, more as a run in one shared arena. Each arriving item
+//     probes every band at once, is scored against the shortlist, and
+//     then files its cluster once in each probed bucket. An empty
+//     shortlist takes the mode sharing the most values with the item,
+//     counted through per-attribute postings that follow the modes as
+//     they change.
 //
 //   - The bootstrap itself is a parallel pipeline, individually timed
 //     per phase (sign → build → assign): signing splits items across
@@ -161,7 +166,7 @@
 // buckets are 97.5% of all, so the layout stores none of them. A query
 // starts from an inserted item's bucket slots and never hashes, so the
 // frozen layout keeps no band keys; key-addressed lookups belong to
-// the build phase the streaming clusterer uses. A saved index is these
+// the streaming clusterer's band table. A saved index is these
 // arrays in one file; files saved when every bucket was stored still
 // load and answer alike.
 

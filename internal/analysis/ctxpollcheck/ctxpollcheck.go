@@ -51,13 +51,13 @@ var GovernedPackages = []string{
 var WorkMarkers = map[string]bool{
 	// shortlist queries
 	"Candidates": true, "CandidatesBlock": true, "CandidatesBatch": true,
-	"CandidatesOfSignature": true, "CandidatesOfSet": true,
+	"Probe": true,
 	// distance evaluation
 	"Dissimilarity": true, "BoundedDissimilarity": true,
 	"bestOf": true, "bestExact": true, "bestOfLowestIndex": true,
 	"fullScanRange": true, "dist": true,
 	// indexing and signing
-	"QueryInsert": true, "sign": true,
+	"File": true, "sign": true,
 }
 
 func governed(path string) bool {

@@ -189,8 +189,8 @@ func TestShardStatsRecorded(t *testing.T) {
 	if diff := statsDiff(want.Stats, got.Stats, nil); diff != "" {
 		t.Fatalf("runstats at Shards=4 differ from Shards=1:\n%s", diff)
 	}
-	if ix := a.Index(); !ix.Frozen() || ix.NumInserted() != ds.NumItems() {
-		t.Fatalf("index frozen %v with %d items, want one frozen index over %d", ix.Frozen(), ix.NumInserted(), ds.NumItems())
+	if ix := a.Index(); ix.NumInserted() != ds.NumItems() {
+		t.Fatalf("index holds %d items, want one index over all %d", ix.NumInserted(), ds.NumItems())
 	}
 }
 

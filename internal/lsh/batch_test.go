@@ -1,21 +1,17 @@
 package lsh
 
 import (
+	"slices"
 	"testing"
 )
 
-// buildTestIndex builds n test sets into a frozen index, or files them
-// into a build-phase one.
-func buildTestIndex(t *testing.T, n int, frozen bool) *Index {
+// testParams is the banding of buildTestIndex.
+var testParams = Params{Bands: 6, Rows: 3}
+
+// buildTestIndex builds n test sets into a frozen index.
+func buildTestIndex(t *testing.T, n int) *Index {
 	t.Helper()
-	p := Params{Bands: 6, Rows: 3}
-	sets := testSets(n, 9)
-	if frozen {
-		return buildFrozenIndex(t, p, 41, sets, 2)
-	}
-	ix := mustIndex(t, p, 41)
-	fileItems(t, ix, sets, span(0, n))
-	return ix
+	return buildFrozenIndex(t, testParams, 41, testSets(n, 9), 2)
 }
 
 // TestCandidatesBatchMatchesCandidates pins the batch sweep's per-item
@@ -25,7 +21,7 @@ func buildTestIndex(t *testing.T, n int, frozen bool) *Index {
 // itself is band-major.
 func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 	const n = 300
-	ix := buildTestIndex(t, n, true)
+	ix := buildTestIndex(t, n)
 	for _, blockLen := range []int{1, 5, 64} {
 		for lo := 0; lo < n; lo += blockLen {
 			hi := min(lo+blockLen, n)
@@ -53,7 +49,7 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 		}
 	}
 	// Uninserted items are skipped, not reported empty-bucketed.
-	ix2 := buildTestIndex(t, 10, true)
+	ix2 := buildTestIndex(t, 10)
 	calls := 0
 	ix2.CandidatesBatch([]int32{3, 1000}, func(pos int, bucket []int32, _ int32) {
 		if pos != 0 {
@@ -66,30 +62,35 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 	}
 }
 
-// TestCandidatesOfSignatureMatchesOfSet pins that signing externally
-// and querying by signature reproduces CandidatesOfSet exactly — the
-// contract the streaming clusterer's sign-once path relies on.
+// TestCandidatesOfSignatureMatchesOfSet pins the streaming clusterer's
+// sign-once path to the batch signing: a band table's Probe of a
+// signature signed by the caller reports, band by band, exactly the
+// items whose SignAll band key is the set's, and a signature of the
+// wrong length is rejected.
 func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
-	ix := buildTestIndex(t, 200, false)
-	probe := []uint64{100, 101, 102, 103}
-	want := collectOfSet(ix, probe)
-	sig := ix.Scheme().Sign(probe, make([]uint64, ix.Params().SignatureLen()))
-	var got []int32
-	ix.CandidatesOfSignature(sig, func(other int32) { got = append(got, other) })
-	if len(got) != len(want) {
-		t.Fatalf("by-signature %d candidates, by-set %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("candidate %d: by-signature %d, by-set %d", i, got[i], want[i])
+	const n = 200
+	sets := testSets(n, 9)
+	ix := buildTestIndex(t, n)
+	// An out-of-index set: item 3's with one value replaced.
+	probe := append(slices.Clone(sets[3][:11]), 9999)
+	keys := bandKeysOf(ix, append(slices.Clone(sets), probe))
+	bt := mustBandTable(t, testParams)
+	fileItems(t, bt, ix.Scheme(), sets, span(0, n))
+	var want []int32
+	for b := 0; b < testParams.Bands; b++ {
+		for i := 0; i < n; i++ {
+			if keys[i*testParams.Bands+b] == keys[n*testParams.Bands+b] {
+				want = append(want, int32(i))
+			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on signature length mismatch")
-		}
-	}()
-	ix.CandidatesOfSignature(sig[:3], func(int32) {})
+	sig := ix.Scheme().Sign(probe, make([]uint64, testParams.SignatureLen()))
+	if got := probeAll(t, bt, sig); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("by-signature %v, by SignAll keys %v", got, want)
+	}
+	if err := bt.Probe(sig[:3], nil); err == nil {
+		t.Fatal("Probe of a 3-long signature accepted")
+	}
 }
 
 // TestReverseMatchesSymmetricCollisions pins the reverse view's
@@ -98,10 +99,10 @@ func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
 // drops an item.
 func TestReverseMatchesSymmetricCollisions(t *testing.T) {
 	const n = 300
-	if buildTestIndex(t, n, false).NewReverse() != nil {
-		t.Fatal("NewReverse on an unfrozen index must return nil")
+	if mustIndex(t, testParams, 41).NewReverse() != nil {
+		t.Fatal("NewReverse on an unbuilt index must return nil")
 	}
-	ix := buildTestIndex(t, n, true)
+	ix := buildTestIndex(t, n)
 	rev := ix.NewReverse()
 	if rev == nil {
 		t.Fatal("NewReverse returned nil on a frozen index")

@@ -1,6 +1,10 @@
 package lsh
 
-import "testing"
+import (
+	"testing"
+
+	"lshcluster/internal/minhash"
+)
 
 // benchSets is a larger testSets variant for construction benchmarks:
 // overlapping sets so buckets have realistic occupancy.
@@ -8,53 +12,61 @@ func benchSets(n int) [][]uint64 {
 	return testSets(n, 12345)
 }
 
-// BenchmarkBuildPhaseInsert measures the build phase end to end, as
-// the stream files items: per-item signing plus probe-and-file
-// (QueryInsert, without a query callback) for n items.
+// benchCluster is the value a band-table benchmark files for a
+// benchSets item: the set's value group, one of the eight ranges
+// testSets draws a set from, much as the stream files an item's
+// cluster.
+func benchCluster(set []uint64) int32 { return int32(set[0] / 100) }
+
+// BenchmarkBuildPhaseInsert measures a band table end to end, as the
+// stream files items: per-item signing, then a Probe (without a
+// callback) and a File of the item's group, for n items.
 func BenchmarkBuildPhaseInsert(b *testing.B) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
 	sets := benchSets(n)
+	scheme := minhash.NewScheme(p.SignatureLen(), 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := NewIndex(p, 7)
+		bt, err := NewBandTable(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fileItems(b, ix, sets, span(0, n))
+		for _, set := range sets {
+			if err := fileSet(bt, scheme, benchCluster(set), set); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
-// BenchmarkBuildPhaseFile isolates the filing half of the build phase
-// — presigned signatures, the stream's per-item probe-and-file
-// (QueryInsert) without a query callback — for n items into band
-// tables and an arena that grow from empty. The batch path never files
-// into the build phase (BuildFrozen).
+// BenchmarkBuildPhaseFile isolates the filing half of a band table —
+// presigned signatures, the stream's Probe (without a callback) and
+// File — for n items into tables and an arena that grow from empty.
+// The batch path never files into a band table (BuildFrozen).
 func BenchmarkBuildPhaseFile(b *testing.B) {
 	const n = 20000
 	p := Params{Bands: 10, Rows: 2}
 	sets := benchSets(n)
-	seedIx, err := NewIndex(p, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
+	scheme := minhash.NewScheme(p.SignatureLen(), 7)
 	sl := p.SignatureLen()
 	sigs := make([]uint64, n*sl)
 	for item := 0; item < n; item++ {
-		seedIx.Scheme().Sign(sets[item], sigs[item*sl:(item+1)*sl])
+		scheme.Sign(sets[item], sigs[item*sl:(item+1)*sl])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := NewIndex(p, 7)
+		bt, err := NewBandTable(p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for item := 0; item < n; item++ {
-			if err := ix.QueryInsert(int32(item), sigs[item*sl:(item+1)*sl], nil); err != nil {
+			if err := bt.Probe(sigs[item*sl:(item+1)*sl], nil); err != nil {
 				b.Fatal(err)
 			}
+			bt.File(benchCluster(sets[item]))
 		}
 	}
 }

@@ -121,20 +121,16 @@ var errFrozenOverflow = errors.New("lsh: BuildFrozen: n·Bands bucket entries ex
 // BuildFrozen builds the frozen index directly from presigned band
 // keys — the arena SignAll returns, keys[item·Bands+band] for items
 // [0, n) — sharding the per-band work across workers goroutines. The
-// index must be freshly created (nothing inserted, not frozen); after
-// BuildFrozen it is frozen with all n items inserted.
+// index must be freshly created (neither built nor loaded); after
+// BuildFrozen it holds all n items.
 func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 	if ix.frozen != nil {
 		return fmt.Errorf("lsh: index is frozen")
 	}
-	if ix.numInserted > 0 {
-		return fmt.Errorf("lsh: BuildFrozen on an index with %d items inserted", ix.numInserted)
-	}
 	if n < 0 {
 		return fmt.Errorf("lsh: BuildFrozen with negative n %d", n)
 	}
-	// The frozen offsets, items and slots are int32-addressed, like the
-	// build phase's arena (QueryInsert).
+	// The frozen offsets, items and slots are int32-addressed.
 	if int64(n)*int64(ix.params.Bands) > math.MaxInt32 {
 		return errFrozenOverflow
 	}

@@ -31,17 +31,6 @@ func buildFrozenIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, work
 	return ix
 }
 
-// fileItems files the items of order, signed from sets, into ix's
-// build phase through QueryInsert.
-func fileItems(t testing.TB, ix *Index, sets [][]uint64, order []int) {
-	t.Helper()
-	for _, i := range order {
-		if err := fileSet(ix, int32(i), sets[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // span returns the IDs [lo, hi) in ascending order.
 func span(lo, hi int) []int {
 	ids := make([]int, 0, hi-lo)
@@ -141,36 +130,12 @@ func assertFrozenIdentical(t testing.TB, want, got *Index) {
 	}
 }
 
-// assertBuildPhaseMatchesFrozen checks the build phase bp against the
-// frozen index fz over the same band keys: every item bp holds files,
-// under its key in each band, exactly the items of its frozen bucket
-// in that band, in the same order, or only itself where its frozen
-// slot is −1.
-func assertBuildPhaseMatchesFrozen(t testing.TB, bp, fz *Index, keys []uint64) {
-	t.Helper()
-	bands := fz.Params().Bands
-	for i, ok := range bp.inserted {
-		if !ok {
-			continue
-		}
-		for b := 0; b < bands; b++ {
-			want := []int32{int32(i)}
-			if slot := fz.frozen.slots[i*bands+b]; slot >= 0 {
-				want = fz.frozen.items[fz.frozen.offsets[slot]:fz.frozen.offsets[slot+1]]
-			}
-			if got := bp.buildBucket(b, keys[i*bands+b]); !slices.Equal(got, want) {
-				t.Fatalf("item %d band %d: build phase files %v, frozen bucket %v", i, b, got, want)
-			}
-		}
-	}
-}
-
 // TestBuildFrozenMatchesInsertFreeze is the layout equivalence oracle:
 // BuildFrozen over a presigned key arena must reproduce, value for
 // value, the brute-force layout of the same keys (bruteFrozen), and
-// hold under each key shared by two or more items exactly what the
-// build phase files there when items 0…n−1 are filed through
-// QueryInsert, where the build phase files an item alone exactly when
+// hold under each key shared by two or more items exactly what a
+// BandTable files there when items 0…n−1 are filed as their own values
+// in ascending order, where the table files an item alone exactly when
 // its frozen slot is −1 — across banding shapes, sizes and worker
 // counts.
 func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
@@ -184,8 +149,8 @@ func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 		sets := testSets(tc.n, int64(tc.bands*1000+tc.rows))
 		p := Params{Bands: tc.bands, Rows: tc.rows}
 		ref := bruteIndex(t, p, 7, sets, 0, tc.n)
-		bp := mustIndex(t, p, 7)
-		fileItems(t, bp, sets, span(0, tc.n))
+		bt := mustBandTable(t, p)
+		fileItems(t, bt, ref.Scheme(), sets, span(0, tc.n))
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%db%dr/n=%d/w=%d", tc.bands, tc.rows, tc.n, workers), func(t *testing.T) {
 				ix := mustIndex(t, p, 7)
@@ -194,12 +159,9 @@ func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertFrozenIdentical(t, ref, ix)
-				assertBuildPhaseMatchesFrozen(t, bp, ix, keys)
+				assertBandTableMatchesFrozen(t, bt, ix, keys, span(0, tc.n))
 				if ix.NumInserted() != tc.n {
 					t.Fatalf("NumInserted = %d, want %d", ix.NumInserted(), tc.n)
-				}
-				if !ix.Frozen() {
-					t.Fatal("index not frozen after BuildFrozen")
 				}
 			})
 		}
@@ -213,19 +175,14 @@ func TestBuildFrozenErrors(t *testing.T) {
 	if err := ix.BuildFrozen(make([]uint64, 3), 4, 1); err == nil {
 		t.Fatal("wrong arena length accepted")
 	}
-	fileItems(t, ix, sets, []int{0})
-	if err := ix.BuildFrozen(make([]uint64, 4*p.Bands), 4, 1); err == nil {
-		t.Fatal("BuildFrozen on a non-empty index accepted")
+	if err := ix.BuildFrozen(make([]uint64, 4*p.Bands), -1, 1); err == nil {
+		t.Fatal("negative item count accepted")
 	}
 
 	ix2 := buildFrozenIndex(t, p, 1, sets, 1)
 	keys := SignAll(p, 4, 1, setSigner(ix2, sets), nil)
 	if err := ix2.BuildFrozen(keys, 4, 1); err == nil {
 		t.Fatal("BuildFrozen on a frozen index accepted")
-	}
-	sig := ix2.Scheme().Sign(sets[0], make([]uint64, p.SignatureLen()))
-	if err := ix2.QueryInsert(5, sig, nil); err == nil {
-		t.Fatal("QueryInsert on a frozen index accepted")
 	}
 }
 
@@ -243,7 +200,7 @@ func TestBuildFrozenRejectsInt32Overflow(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, func() { _ = build() }); allocs != 0 {
 		t.Fatalf("rejected BuildFrozen allocated %v times", allocs)
 	}
-	if ix.Frozen() {
+	if ix.frozen != nil {
 		t.Fatal("rejected BuildFrozen froze the index")
 	}
 }

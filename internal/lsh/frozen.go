@@ -7,7 +7,7 @@ package lsh
 // slots[item·bands+band] resolves an inserted item directly to its
 // bucket, so a query hashes nothing. The layout keeps no band keys:
 // every frozen query starts from an inserted item, and key-addressed
-// lookups (QueryInsert) belong to the build phase.
+// lookups belong to the stream's BandTable.
 //
 // Only buckets that two or more items share are stored. A bucket of
 // one item tells a query nothing beyond the item itself, which every
@@ -19,8 +19,9 @@ package lsh
 // Bucket IDs are global across bands; each band's stored buckets
 // occupy a contiguous ID range, in the order their keys first occur
 // over ascending items, and every bucket lists its items in ascending
-// ID order, as the build phase's runs do, so a stored bucket holds
-// exactly what the build phase files under its key, in the same order.
+// ID order, so a stored bucket holds exactly what a BandTable files
+// under its key when the items are filed as their own values in
+// ascending order.
 // A file saved before singleton buckets were dropped stores them too;
 // it loads and answers every query the same way.
 type frozenIndex struct {
@@ -28,7 +29,3 @@ type frozenIndex struct {
 	items   []int32 // every stored bucket's item IDs, concatenated
 	slots   []int32 // item·bands+band → stored bucket ID; -1 when the item is alone there or not inserted
 }
-
-// Frozen reports whether the index holds the frozen layout (built by
-// BuildFrozen or loaded by Open).
-func (ix *Index) Frozen() bool { return ix.frozen != nil }

@@ -27,74 +27,45 @@ func collectCandidates(ix *Index, item int32) []int32 {
 	return out
 }
 
-func collectOfSet(ix *Index, set []uint64) []int32 {
-	var out []int32
-	ix.CandidatesOfSet(set, func(other int32) { out = append(out, other) })
-	return out
-}
-
-// fileSet files item under set's band buckets through QueryInsert.
-func fileSet(ix *Index, item int32, set []uint64) error {
-	return ix.QueryInsert(item, ix.Scheme().Sign(set, make([]uint64, ix.Params().SignatureLen())), nil)
-}
-
-func TestFrozenIndexRejectsInsert(t *testing.T) {
-	ix := buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 1, [][]uint64{{1, 2, 3}}, 1)
-	if err := fileSet(ix, 1, []uint64{4, 5, 6}); err == nil {
-		t.Fatal("QueryInsert into a frozen index succeeded, want error")
-	}
-}
-
+// TestNumInsertedCounter pins the item count: none before BuildFrozen,
+// every item after, in NumInserted and in Stats alike.
 func TestNumInsertedCounter(t *testing.T) {
 	ix := mustIndex(t, Params{Bands: 2, Rows: 2}, 3)
-	if ix.NumInserted() != 0 {
-		t.Fatalf("fresh index NumInserted = %d", ix.NumInserted())
+	if ix.NumInserted() != 0 || ix.Stats().Items != 0 {
+		t.Fatalf("fresh index NumInserted = %d, Stats.Items = %d", ix.NumInserted(), ix.Stats().Items)
 	}
-	// Sparse ascending IDs force repeated grow calls.
-	ids := []int32{0, 5, 17, 100, 1000}
-	for i, id := range ids {
-		if err := fileSet(ix, id, []uint64{uint64(id), 1}); err != nil {
-			t.Fatal(err)
-		}
-		if got := ix.NumInserted(); got != i+1 {
-			t.Fatalf("after %d inserts NumInserted = %d", i+1, got)
-		}
-	}
-	// A duplicate insert fails and must not bump the counter.
-	if err := fileSet(ix, 5, []uint64{9, 9}); err == nil {
-		t.Fatal("duplicate insert succeeded")
-	}
-	if got := ix.NumInserted(); got != len(ids) {
-		t.Fatalf("NumInserted = %d after failed duplicate, want %d", got, len(ids))
-	}
-	// Stats agrees with the counter.
-	if st := ix.Stats(); st.Items != len(ids) {
-		t.Fatalf("Stats.Items = %d, want %d", st.Items, len(ids))
-	}
-	// So does a frozen index.
-	if got := buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 3, testSets(7, 1), 2).NumInserted(); got != 7 {
-		t.Fatalf("BuildFrozen over 7 items: NumInserted = %d", got)
+	ix = buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 3, testSets(7, 1), 2)
+	if ix.NumInserted() != 7 || ix.Stats().Items != 7 {
+		t.Fatalf("BuildFrozen over 7 items: NumInserted = %d, Stats.Items = %d", ix.NumInserted(), ix.Stats().Items)
 	}
 }
 
-// TestGrowPreservesState files items with ascending IDs from an empty
-// index: every growth of the inserted flags must keep the earlier
-// items inserted (a repeat is rejected), and every item must sit in
-// its own bucket under each of its band keys.
+// TestGrowPreservesState files items with ascending IDs into an empty
+// band table, whose tables double many times on the way: every item
+// must still sit in its bucket under each of its band keys, and filing
+// every item again must leave the table as it was.
 func TestGrowPreservesState(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
 	ix := mustIndex(t, p, 11)
+	bt := mustBandTable(t, p)
 	sets := testSets(200, 3)
-	fileItems(t, ix, sets, span(0, len(sets)))
+	fileItems(t, bt, ix.Scheme(), sets, span(0, len(sets)))
+	if len(bt.tables[0].cells) <= 16 {
+		t.Fatalf("band 0's table never grew (%d cells)", len(bt.tables[0].cells))
+	}
+	before := bandTableStats(bt, len(sets))
 	keys := bandKeysOf(ix, sets)
 	for i, set := range sets {
-		if err := fileSet(ix, int32(i), set); err == nil {
-			t.Fatalf("item %d filed twice (inserted flag lost in a grow?)", i)
+		if err := fileSet(bt, ix.Scheme(), int32(i), set); err != nil {
+			t.Fatal(err)
 		}
 		for b := 0; b < p.Bands; b++ {
-			if !slices.Contains(ix.buildBucket(b, keys[i*p.Bands+b]), int32(i)) {
+			if !slices.Contains(bt.bucketOf(b, keys[i*p.Bands+b]), int32(i)) {
 				t.Fatalf("item %d missing from its band-%d bucket", i, b)
 			}
 		}
+	}
+	if after := bandTableStats(bt, len(sets)); after != before {
+		t.Fatalf("filing every item again changed the table: %+v → %+v", before, after)
 	}
 }

@@ -51,10 +51,12 @@ func setSignerFor(scheme *minhash.Scheme, sets [][]uint64) func() SignFunc {
 // shape, item count, scheme seed, signed value sets and worker count,
 // building the frozen index directly from the presigned key arena
 // (BuildFrozen) must reproduce, value for value, the brute-force
-// layout of the same keys (bruteFrozen), and every item filed through
-// QueryInsert — in an order shuffled by the scheme seed — must sit
-// under each of its keys with exactly the items of its frozen bucket,
-// or alone where its frozen slot is −1.
+// layout of the same keys (bruteFrozen). A BandTable into which every
+// item is filed as its own value must hold under each of the item's
+// keys exactly the items of its frozen bucket, or the item alone where
+// its frozen slot is −1: filed in ascending order, the frozen bucket
+// element for element; filed in an order shuffled by the scheme seed,
+// the same items in that order.
 func FuzzBuildFrozenIdentity(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(17), uint64(7), []byte("seed-corpus"))
 	f.Add(uint8(1), uint8(1), uint16(1), uint64(0), []byte{})
@@ -80,9 +82,11 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 		}
 		assertFrozenIdentical(t, bruteFrozen(t, p, seed, keys, all), ix)
 
-		bp := mustIndex(t, p, seed)
-		fileItems(t, bp, sets, rand.New(rand.NewSource(int64(seed))).Perm(nn))
-		assertBuildPhaseMatchesFrozen(t, bp, ix, keys)
+		for _, order := range [][]int{span(0, nn), rand.New(rand.NewSource(int64(seed))).Perm(nn)} {
+			bt := mustBandTable(t, p)
+			fileItems(t, bt, ix.Scheme(), sets, order)
+			assertBandTableMatchesFrozen(t, bt, ix, keys, order)
+		}
 	})
 }
 

@@ -64,42 +64,8 @@ func TestDisjointSetsRarelyCollide(t *testing.T) {
 	}
 }
 
-func TestDoubleInsertRejected(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 1}, 1)
-	if err := fileSet(ix, 0, []uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fileSet(ix, 0, []uint64{1}); err == nil {
-		t.Fatal("expected error on double insert")
-	}
-}
-
-func TestNegativeItemRejected(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 1}, 1)
-	if err := fileSet(ix, -1, []uint64{1}); err == nil {
-		t.Fatal("expected error on negative item ID")
-	}
-}
-
-// TestGrowBeyondHint files one item far past an empty index's inserted
-// flags: the flags grow to hold it, and it sits in its own bucket in
-// every band.
-func TestGrowBeyondHint(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 3, Rows: 2}, 1)
-	set := []uint64{5, 6, 7}
-	if err := fileSet(ix, 10, set); err != nil {
-		t.Fatal(err)
-	}
-	if got := collectOfSet(ix, set); !slices.Equal(got, []int32{10, 10, 10}) {
-		t.Fatalf("grown item's buckets hold %v, want it in all 3", got)
-	}
-	if ix.NumInserted() != 1 {
-		t.Fatalf("NumInserted = %d, want 1", ix.NumInserted())
-	}
-}
-
 func TestCandidatesOfUninsertedItemSilent(t *testing.T) {
-	for _, ix := range []*Index{
+	for built, ix := range []*Index{
 		mustIndex(t, Params{Bands: 2, Rows: 2}, 1),
 		buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 1, testSets(4, 1), 1),
 	} {
@@ -108,34 +74,34 @@ func TestCandidatesOfUninsertedItemSilent(t *testing.T) {
 			ix.Candidates(item, func(int32) { calls++ })
 		}
 		if calls != 0 {
-			t.Fatalf("frozen=%v: uninserted items produced %d candidates", ix.Frozen(), calls)
+			t.Fatalf("built=%v: uninserted items produced %d candidates", built == 1, calls)
 		}
 	}
 }
 
-// TestCandidatesOfSetMatchesStored: the build phase's key-addressed
-// lookup of an item's set reports, band for band, the buckets the
-// frozen index's per-item query reports after the item itself: every
-// one that holds another item.
+// TestCandidatesOfSetMatchesStored: a band table's key-addressed Probe
+// of an item's set reports, band for band, the buckets the frozen
+// index's per-item query reports after the item itself: every one that
+// holds another item.
 func TestCandidatesOfSetMatchesStored(t *testing.T) {
 	p := Params{Bands: 6, Rows: 2}
 	sets := [][]uint64{{1, 2, 3, 4}, {1, 2, 3, 9}, {50, 60, 70, 80}}
-	ix := mustIndex(t, p, 5)
-	fileItems(t, ix, sets, span(0, len(sets)))
 	frozen := buildFrozenIndex(t, p, 5, sets, 1)
+	bt := mustBandTable(t, p)
+	fileItems(t, bt, frozen.Scheme(), sets, span(0, len(sets)))
 	sig := make([]uint64, p.SignatureLen())
 	for i, set := range sets {
-		ix.Scheme().Sign(set, sig)
+		frozen.Scheme().Sign(set, sig)
 		want, filed := []int32{int32(i)}, []int32(nil)
 		for b := 0; b < p.Bands; b++ {
-			bucket := ix.buildBucket(b, ix.bandKey(sig, b))
+			bucket := bt.bucketOf(b, bandKeyOf(p, sig, b))
 			filed = append(filed, bucket...)
 			if len(bucket) > 1 {
 				want = append(want, bucket...)
 			}
 		}
-		if viaSet := collectOfSet(ix, set); !slices.Equal(viaSet, filed) {
-			t.Fatalf("item %d: set query found %v, its band buckets hold %v", i, viaSet, filed)
+		if viaSet := probeAll(t, bt, sig); !slices.Equal(viaSet, filed) {
+			t.Fatalf("item %d: Probe found %v, its band buckets hold %v", i, viaSet, filed)
 		}
 		if got := collectCandidates(frozen, int32(i)); !slices.Equal(got, want) {
 			t.Fatalf("item %d: stored query found %v, set query's shared buckets %v", i, got, want)
@@ -150,20 +116,24 @@ func TestInvalidParams(t *testing.T) {
 	if _, err := NewIndex(Params{Bands: 0, Rows: 1}, 1); err == nil {
 		t.Fatal("expected error for invalid params")
 	}
+	if _, err := NewBandTable(Params{Bands: 2, Rows: 0}); err == nil {
+		t.Fatal("expected error for invalid band table params")
+	}
 }
 
-// TestStats pins Stats on the frozen layout against a count of the
-// build phase's run tables over the same items: the buckets of one
-// item, which the frozen layout leaves to −1 slots, count as buckets.
+// TestStats pins Stats on the frozen layout against a count of a band
+// table's buckets over the same items, each filed as its own value: the
+// buckets of one item, which the frozen layout leaves to −1 slots,
+// count as buckets.
 func TestStats(t *testing.T) {
 	p := Params{Bands: 4, Rows: 3}
 	common := []uint64{1, 2, 3, 4, 5}
 	sets := [][]uint64{common, common, common}
 	ix := buildFrozenIndex(t, p, 11, sets, 1)
-	bp := mustIndex(t, p, 11)
-	fileItems(t, bp, sets, span(0, len(sets)))
-	if ix.Stats() != buildPhaseStats(bp) {
-		t.Fatalf("frozen stats %+v, build phase %+v", ix.Stats(), buildPhaseStats(bp))
+	bt := mustBandTable(t, p)
+	fileItems(t, bt, ix.Scheme(), sets, span(0, len(sets)))
+	if ix.Stats() != bandTableStats(bt, len(sets)) {
+		t.Fatalf("frozen stats %+v, band table %+v", ix.Stats(), bandTableStats(bt, len(sets)))
 	}
 	st := ix.Stats()
 	if st.Items != 3 || st.Bands != 4 {
@@ -183,11 +153,11 @@ func TestStats(t *testing.T) {
 	// A fourth, disjoint set sits alone in every band.
 	sets = append(sets, []uint64{100, 200, 300})
 	ix = buildFrozenIndex(t, p, 11, sets, 1)
-	bp = mustIndex(t, p, 11)
-	fileItems(t, bp, sets, span(0, len(sets)))
+	bt = mustBandTable(t, p)
+	fileItems(t, bt, ix.Scheme(), sets, span(0, len(sets)))
 	want := Stats{Bands: 4, Buckets: 8, Items: 4, MaxBucketLen: 3, MeanBucketLen: 2, SingletonShare: 0.5}
-	if st := ix.Stats(); st != want || buildPhaseStats(bp) != want {
-		t.Fatalf("frozen stats %+v, build phase %+v, want %+v", st, buildPhaseStats(bp), want)
+	if st := ix.Stats(); st != want || bandTableStats(bt, len(sets)) != want {
+		t.Fatalf("frozen stats %+v, band table %+v, want %+v", st, bandTableStats(bt, len(sets)), want)
 	}
 	if got := len(ix.frozen.offsets) - 1; got != 4 {
 		t.Fatalf("frozen layout stores %d buckets, want the 4 shared ones", got)

@@ -71,7 +71,7 @@ func TestPersistRoundTripEquivalence(t *testing.T) {
 				} else {
 					cuts := itemRanges(n, shards)
 					for r := 0; r < shards; r++ {
-						fresh = append(fresh, rangeIndex(t, p, testPersistSeed, in, cuts[r], cuts[r+1], true))
+						fresh = append(fresh, bruteIndex(t, p, testPersistSeed, in, cuts[r], cuts[r+1]))
 					}
 				}
 				dirs := make([]string, len(fresh))
@@ -118,7 +118,7 @@ func assertOpensEqual(t *testing.T, dir string, fresh *Index, mmap bool) {
 	if loaded.MmapBytes() != orep.MmapBytes {
 		t.Fatalf("MmapBytes() = %d, report says %d", loaded.MmapBytes(), orep.MmapBytes)
 	}
-	if !loaded.Frozen() {
+	if loaded.frozen == nil {
 		t.Fatal("loaded index not frozen")
 	}
 	assertLoadedEqual(t, fresh, loaded)
@@ -538,11 +538,11 @@ func FuzzPersistRoundTrip(f *testing.F) {
 	})
 }
 
-// TestSaveRejectsUnfrozen pins Save's preconditions.
+// TestSaveRejectsUnfrozen pins Save's precondition: an index neither
+// built nor loaded has nothing to save.
 func TestSaveRejectsUnfrozen(t *testing.T) {
 	ix := mustIndex(t, Params{Bands: 2, Rows: 2}, 1)
-	fileItems(t, ix, testSets(3, 1), span(0, 3))
 	if _, err := ix.Save(filepath.Join(t.TempDir(), "idx"), 1, 2); err == nil {
-		t.Fatal("Save on an unfrozen index accepted")
+		t.Fatal("Save on an unbuilt index accepted")
 	}
 }

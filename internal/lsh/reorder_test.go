@@ -187,14 +187,14 @@ func TestReorderInertLayouts(t *testing.T) {
 	}
 }
 
-// TestForeignSlotsSkippedLayouts pins that no layout builds a
-// foreign-emptiness bitmap or fans a query out, frozen or not: the
+// TestForeignSlotsSkippedLayouts pins that no index builds a
+// foreign-emptiness bitmap or fans a query out, built or not: the
 // deprecated accessors read zero after queries on either.
 func TestForeignSlotsSkippedLayouts(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(40, 5)
 	for name, ix := range map[string]*Index{
-		"unfrozen": rangeIndex(t, p, 7, sets, 0, len(sets), false),
+		"unfrozen": mustIndex(t, p, 7),
 		"frozen":   buildFrozenIndex(t, p, 7, sets, 2),
 	} {
 		for _, blk := range blocks(len(sets), 7) {

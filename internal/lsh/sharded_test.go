@@ -27,19 +27,6 @@ func itemRanges(n, s int) []int {
 	return cuts
 }
 
-// rangeIndex indexes the items of [lo, hi) only, over all len(sets)
-// IDs: frozen, the brute-force layout; otherwise filed into the build
-// phase through QueryInsert.
-func rangeIndex(t *testing.T, p Params, seed uint64, sets [][]uint64, lo, hi int, frozen bool) *Index {
-	t.Helper()
-	if frozen {
-		return bruteIndex(t, p, seed, sets, lo, hi)
-	}
-	ix := mustIndex(t, p, seed)
-	fileItems(t, ix, sets, span(lo, hi))
-	return ix
-}
-
 // rangeFlags marks the items of [lo, hi) among n.
 func rangeFlags(n, lo, hi int) []bool {
 	flags := make([]bool, n)
@@ -113,7 +100,7 @@ func TestShardedBuildDeterministic(t *testing.T) {
 					if got := ix.NumInserted(); got != hi-lo {
 						t.Fatalf("range %d: NumInserted = %d, want %d", r, got, hi-lo)
 					}
-					if !ix.Frozen() {
+					if ix.frozen == nil {
 						t.Fatalf("range %d: not frozen after BuildFrozen", r)
 					}
 					if bt := ix.BuildTimes(); len(bt) != 1 {
@@ -126,19 +113,21 @@ func TestShardedBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedQueriesMatchSingle: on the frozen layout, the per-item
-// and batched block query paths must reproduce the brute-force
-// candidate stream exactly (same items, same enumeration order); for
-// s=1 on one BuildFrozen index, for s>1 on each range's index against
-// the brute force over the range's items. Unknown and uninserted items
-// are silent. On the build phase both paths answer nothing, while each
-// range's items are filed under exactly the brute-force buckets of the
-// range's items, and the one-shard build phase answers an out-of-index
-// signature with the brute-force collisions of its band keys.
+// TestShardedQueriesMatchSingle: on the frozen layout (frozen=true),
+// the per-item and batched block query paths must reproduce the
+// brute-force candidate stream exactly (same items, same enumeration
+// order); for s=1 on one BuildFrozen index, for s>1 on each range's
+// index against the brute force over the range's items. Unknown and
+// uninserted items are silent. With frozen=false each range's items are
+// filed instead, as their own values, into a band table of their own,
+// which must hold them under exactly the brute-force buckets of the
+// range's items, and the one-range table's Probe of an out-of-index
+// signature must report the brute-force collisions of its band keys.
 func TestShardedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
+	scheme := mustIndex(t, p, 7).Scheme()
 	keys := bandKeysOf(mustIndex(t, p, 7), sets)
 	// An out-of-index set: item 3's with one value replaced.
 	probe := append(slices.Clone(sets[3][:11]), 9999)
@@ -148,13 +137,27 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 				cuts := itemRanges(n, shards)
 				for r := 0; r < shards; r++ {
 					lo, hi := cuts[r], cuts[r+1]
-					ix := rangeIndex(t, p, 7, sets, lo, hi, frozen)
-					if frozen && shards == 1 {
+					flags := rangeFlags(n, lo, hi)
+					if !frozen {
+						bt := mustBandTable(t, p)
+						fileItems(t, bt, scheme, sets, span(lo, hi))
+						for i := lo; i < hi; i++ {
+							var got []int32
+							for b := 0; b < p.Bands; b++ {
+								got = append(got, bt.bucketOf(b, keys[i*p.Bands+b])...)
+							}
+							if w := slices.Concat(bruteBuckets(keys, p.Bands, flags, i)...); !reflect.DeepEqual(w, got) {
+								t.Fatalf("range %d item %d: band table files %v, want %v", r, i, got, w)
+							}
+						}
+						continue
+					}
+					ix := bruteIndex(t, p, 7, sets, lo, hi)
+					if shards == 1 {
 						ix = buildFrozenIndex(t, p, 7, sets, 2)
 					}
-					flags := rangeFlags(n, lo, hi)
 					answer := func(item int32) []int32 {
-						if !frozen || !flags[item] {
+						if !flags[item] {
 							return nil
 						}
 						return bruteCandidates(keys, p.Bands, flags, int(item))
@@ -183,23 +186,12 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 							t.Fatalf("uninserted item produced a bucket at pos %d", pos)
 						}
 					})
-					if frozen {
-						continue
-					}
-					for i := lo; i < hi; i++ {
-						var got []int32
-						for b := 0; b < p.Bands; b++ {
-							got = append(got, ix.buildBucket(b, keys[i*p.Bands+b])...)
-						}
-						if w := slices.Concat(bruteBuckets(keys, p.Bands, flags, i)...); !reflect.DeepEqual(w, got) {
-							t.Fatalf("range %d item %d: build phase files %v, want %v", r, i, got, w)
-						}
-					}
 				}
 				if !frozen && shards == 1 {
-					ix := rangeIndex(t, p, 7, sets, 0, n, false)
+					bt := mustBandTable(t, p)
+					fileItems(t, bt, scheme, sets, span(0, n))
 					sig := make([]uint64, p.SignatureLen())
-					ix.Scheme().Sign(probe, sig)
+					scheme.Sign(probe, sig)
 					var wantSig, gotSig []int32
 					for b := 0; b < p.Bands; b++ {
 						key := bandKeyOf(p, sig, b)
@@ -209,7 +201,7 @@ func TestShardedQueriesMatchSingle(t *testing.T) {
 							}
 						}
 					}
-					ix.CandidatesOfSignature(sig, func(o int32) { gotSig = append(gotSig, o) })
+					gotSig = probeAll(t, bt, sig)
 					if len(wantSig) == 0 || !reflect.DeepEqual(wantSig, gotSig) {
 						t.Fatalf("of-signature: want %v, got %v", wantSig, gotSig)
 					}
@@ -235,7 +227,7 @@ func TestShardedReverseMatchesSingle(t *testing.T) {
 			cuts := itemRanges(n, shards)
 			for r := 0; r < shards; r++ {
 				lo, hi := cuts[r], cuts[r+1]
-				ix := rangeIndex(t, p, 7, sets, lo, hi, true)
+				ix := bruteIndex(t, p, 7, sets, lo, hi)
 				if shards == 1 {
 					ix = buildFrozenIndex(t, p, 7, sets, 2)
 				}
@@ -301,7 +293,7 @@ func TestShardedFanOutMatchesUnsharded(t *testing.T) {
 				}
 				ranges := make([]*Index, shards)
 				for r := range ranges {
-					ranges[r] = rangeIndex(t, p, 7, sets, cuts[r], cuts[r+1], true)
+					ranges[r] = bruteIndex(t, p, 7, sets, cuts[r], cuts[r+1])
 				}
 				if shards == 1 {
 					ranges[0] = buildFrozenIndex(t, p, 7, sets, 2)
@@ -371,7 +363,7 @@ func TestShardedReverseEmitsSourceUnion(t *testing.T) {
 		t.Run(fmt.Sprintf("s=%d", shards), func(t *testing.T) {
 			cuts := itemRanges(n, shards)
 			for r := 0; r < shards; r++ {
-				ix := rangeIndex(t, p, 7, sets, cuts[r], cuts[r+1], true)
+				ix := bruteIndex(t, p, 7, sets, cuts[r], cuts[r+1])
 				if shards == 1 {
 					ix = buildFrozenIndex(t, p, 7, sets, 2)
 				}
@@ -409,20 +401,13 @@ func TestShardedReverseEmitsSourceUnion(t *testing.T) {
 	}
 }
 
-// TestShardedInsertErrors pins insert validation: negative items and
-// duplicates are rejected, and BuildFrozen enforces the arena shape.
+// TestShardedInsertErrors pins insert validation: a band table rejects
+// a signature of the wrong length, and BuildFrozen enforces the arena
+// shape.
 func TestShardedInsertErrors(t *testing.T) {
 	p := Params{Bands: 2, Rows: 2}
-	sets := testSets(8, 3)
-	ix := mustIndex(t, p, 1)
-	if err := fileSet(ix, -1, sets[0]); err == nil {
-		t.Fatal("negative insert accepted")
-	}
-	if err := fileSet(ix, 3, sets[3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fileSet(ix, 3, sets[3]); err == nil {
-		t.Fatal("duplicate insert accepted")
+	if err := mustBandTable(t, p).Probe(make([]uint64, p.SignatureLen()+1), nil); err == nil {
+		t.Fatal("signature of the wrong length accepted")
 	}
 	ix2 := mustIndex(t, p, 1)
 	if err := ix2.BuildFrozen(make([]uint64, 3), 8, 1); err == nil {

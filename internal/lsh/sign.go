@@ -35,8 +35,8 @@ const signPollEvery = 1024
 // driver maps stop to context cancellation and aborts the run).
 //
 // The arena is exactly what Index.BuildFrozen consumes; keys are a
-// function of the items' signatures alone (the band keys QueryInsert
-// files under), regardless of workers.
+// function of the items' signatures alone (the band keys
+// BandTable.Probe computes), regardless of workers.
 func SignAll(p Params, n, workers int, newSigner func() SignFunc, stop func() bool) []uint64 {
 	keys := make([]uint64, n*p.Bands)
 	par.Ranges(n, workers, func(lo, hi int) {

@@ -8,20 +8,21 @@ import (
 )
 
 // TestSignAllMatchesInsertKeys pins the arena contents: SignAll must
-// compute, item-major, exactly the band keys QueryInsert files each
-// item's signature under, independent of the worker count.
+// compute, item-major, exactly the band keys a BandTable's Probe of
+// each item's signature looks up, independent of the worker count.
 func TestSignAllMatchesInsertKeys(t *testing.T) {
 	const n = 150
 	p := Params{Bands: 10, Rows: 3}
 	sets := testSets(n, 21)
 	ix := mustIndex(t, p, 13)
+	bt := mustBandTable(t, p)
 	want := make([]uint64, 0, n*p.Bands)
 	sig := make([]uint64, p.SignatureLen())
 	for _, s := range sets {
-		ix.Scheme().Sign(s, sig)
-		for b := 0; b < p.Bands; b++ {
-			want = append(want, ix.bandKey(sig, b))
+		if err := bt.Probe(ix.Scheme().Sign(s, sig), nil); err != nil {
+			t.Fatal(err)
 		}
+		want = append(want, bt.keys...)
 	}
 	for _, workers := range []int{1, 3, 8} {
 		got := SignAll(p, n, workers, setSigner(ix, sets), nil)

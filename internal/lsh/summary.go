@@ -24,8 +24,9 @@ package lsh
 //
 // Summaries live on the heap beside the frozen layout and are never
 // persisted: they describe an assignment, not the index. Short buckets
-// and the build phase's buckets keep no summary and are walked member
-// by member.
+// keep no summary and are walked member by member. (The stream's
+// BandTable files clusters, not items, so its buckets are summaries
+// already.)
 
 import "math/bits"
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lshcluster/internal/dataset"
@@ -100,16 +101,26 @@ func (r *naiveStream) add(row []dataset.Value, present []bool) int {
 
 // FuzzStreamMatchesNaive checks the streaming clusterer against
 // naiveStream over fuzzed banding shapes, seeds, cluster counts and
-// presence masks. Attribute a draws from its own few values, so many
-// items share band keys: runs grow past several powers of two (and
-// move in the arena) while the band tables double mid-stream. Every Add
-// must pick the reference's cluster; the counters and the final modes
-// must match too.
+// presence masks. Each attribute draws from a few values, so many items
+// share band keys: buckets grow past several powers of two (and move in
+// the arena) while the band tables double mid-stream. The draws can
+// also give every attribute the same value range, so that two
+// attributes share value IDs (postings keyed by value alone would
+// count a match across attributes), and can start every mode alike, so
+// that every posting list holds all k clusters and the first fallbacks
+// walk the postings at their longest, shorter as the modes part. Every
+// Add must pick the reference's cluster; the counters and the final
+// modes must match too, and the postings must list exactly the final
+// modes.
 func FuzzStreamMatchesNaive(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(5), uint16(300), uint64(1), []byte("masks"))
 	f.Add(uint8(1), uint8(1), uint8(1), uint16(64), uint64(0), []byte{})
 	f.Add(uint8(7), uint8(3), uint8(3), uint16(500), uint64(9), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint8(2), uint8(1), uint8(6), uint16(450), uint64(42), []byte{0xff})
+	// Shared value IDs, fallbacks through the postings.
+	f.Add(uint8(4), uint8(2), uint8(7), uint16(400), uint64(5), []byte{2, 3, 0, 1, 1, 1, 2, 0})
+	// Modes alike: fallbacks through postings that list every cluster.
+	f.Add(uint8(5), uint8(2), uint8(7), uint16(470), uint64(11), []byte{3, 3, 0, 2, 0, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, bands, rows, k uint8, n uint16, seed uint64, data []byte) {
 		at := func(i int) byte {
 			if len(data) == 0 {
@@ -122,12 +133,22 @@ func FuzzStreamMatchesNaive(f *testing.F) {
 		m := 2 + int(at(0))%5
 		domain := 2 + int(at(1))%4
 		items := 32 + int(n)%480
+		shared, alike := at(4)%2 == 1, at(5)%3 == 0
 		rng := rand.New(rand.NewSource(int64(seed)))
-		value := func(a int) dataset.Value { return dataset.Value(a*domain + rng.Intn(domain)) }
+		value := func(a int) dataset.Value {
+			if shared {
+				return dataset.Value(rng.Intn(domain))
+			}
+			return dataset.Value(a*domain + rng.Intn(domain))
+		}
 
 		modes := make([]dataset.Value, kk*m)
 		for i := range modes {
-			modes[i] = value(i % m)
+			if alike && i >= m {
+				modes[i] = modes[i%m]
+			} else {
+				modes[i] = value(i % m)
+			}
 		}
 		c, err := New(Config{Params: p, Seed: seed, InitialModes: modes, NumAttrs: m})
 		if err != nil {
@@ -169,5 +190,38 @@ func FuzzStreamMatchesNaive(f *testing.F) {
 				}
 			}
 		}
+		assertPostings(t, c.post, ref.freq)
 	})
+}
+
+// assertPostings checks p against the modes of freq: each attribute's
+// list of each value holds exactly the clusters whose mode holds that
+// value there, and no other list is filed.
+func assertPostings(t *testing.T, p *modePostings, freq *kmodes.FreqTable) {
+	t.Helper()
+	want := map[uint64][]int32{}
+	for cl := 0; cl < p.k; cl++ {
+		for a, v := range freq.Mode(cl) {
+			want[pairKey(a, v)] = append(want[pairKey(a, v)], int32(cl))
+		}
+	}
+	filed := 0
+	for _, cell := range p.cells {
+		if cell.n == 0 {
+			continue
+		}
+		filed++
+		a := int(cell.key >> 32)
+		var got []int32
+		for cl := cell.head; cl >= 0; cl = p.next[int(cl)*p.m+a] {
+			got = append(got, cl)
+		}
+		slices.Sort(got)
+		if w := want[cell.key]; !slices.Equal(got, w) || int(cell.n) != len(w) {
+			t.Fatalf("attribute %d value %d lists %v (length %d), the modes %v", a, uint32(cell.key), got, cell.n, w)
+		}
+	}
+	if filed != len(want) {
+		t.Fatalf("%d lists filed, the modes hold %d", filed, len(want))
+	}
 }

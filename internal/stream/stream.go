@@ -2,25 +2,25 @@
 // names as further work (§VI: "adapting our algorithm to develop an
 // online streaming clustering framework").
 //
-// A Clusterer holds k modes and the MinHash banding index. Each arriving
-// item is assigned in one shot:
+// A Clusterer holds k modes and a MinHash banding index whose buckets
+// hold clusters: the paper's "cluster reference in the MinHash index"
+// (Algorithm 2). Each arriving item is assigned in one shot, in three
+// phases:
 //
-//  1. MinHash the item's present values and file it in the index with
-//     lsh.Index.QueryInsert, which probes each band once: the bucket
-//     it hands back as it stood — the *previously seen* colliding
-//     items — and the clusters of those items form the shortlist
-//     (exactly the batch framework's candidate construction, applied
-//     to an arriving item);
-//  2. compare the item against the shortlist modes only, falling back
-//     to a full scan when the shortlist is empty (early stream, or an
-//     item unlike anything seen);
-//  3. fold the item into its cluster's frequency table, which
-//     maintains the mode incrementally (Huang's frequency-based
-//     update) — no batch recomputation ever runs.
-//
-// The index stays in its build phase for the life of the stream: per
-// band, a pointer-free key table locating each bucket's run of
-// ascending item IDs in one shared arena.
+//  1. Probe: MinHash the item's present values and look up every band's
+//     bucket (lsh.BandTable.Probe). Each bucket lists the clusters of
+//     the earlier items filed under that key, and together they form
+//     the shortlist — exactly the batch framework's candidate
+//     construction, applied to an arriving item.
+//  2. Score: compare the item against the shortlist modes only. When
+//     the shortlist is empty (early stream, or an item unlike anything
+//     seen), take the mode sharing the most values with it, counted
+//     through per-attribute postings of the current modes.
+//  3. File: add the chosen cluster once to each probed bucket
+//     (lsh.BandTable.File), and fold the item into the cluster's
+//     frequency table, which maintains the mode incrementally (Huang's
+//     frequency-based update) — no batch recomputation ever runs. The
+//     postings follow every mode value that changes.
 //
 // The result is an any-time clusterer: modes, assignments and statistics
 // are valid after every item.
@@ -32,6 +32,7 @@ import (
 	"lshcluster/internal/dataset"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
+	"lshcluster/internal/minhash"
 )
 
 // Config parameterises a streaming clusterer.
@@ -52,23 +53,28 @@ type Config struct {
 type Stats struct {
 	// Items is the number of items assigned so far.
 	Items int
-	// FullScans counts items whose shortlist was empty, forcing an
-	// exact scan over all k modes.
+	// FullScans counts items whose shortlist was empty, so that all k
+	// modes were candidates, weighed through the mode postings.
 	FullScans int
 	// CandidatesTotal sums shortlist sizes (full scans count k).
 	CandidatesTotal int64
-	// Comparisons counts item-to-mode distance evaluations.
+	// Comparisons counts item-to-mode distance evaluations; a full
+	// scan counts k, however its nearest mode is found.
 	Comparisons int64
 }
 
 // Clusterer assigns a stream of categorical items to k evolving modes.
 // It is not safe for concurrent use.
 type Clusterer struct {
-	k, m int
-	// index is the build-phase banding index: each Add queries and
-	// files its item in one QueryInsert; never frozen.
-	index   *lsh.Index
-	freq    *kmodes.FreqTable
+	k, m   int
+	scheme *minhash.Scheme
+	// bands is the banding index: each Add probes it, then files its
+	// cluster under the probed keys.
+	bands *lsh.BandTable
+	freq  *kmodes.FreqTable
+	// post lists the current modes by attribute value for the fallback
+	// of an empty shortlist.
+	post    *modePostings
 	assign  []int32
 	stats   Stats
 	presBuf []uint64
@@ -77,9 +83,11 @@ type Clusterer struct {
 	epoch   uint32
 	short   []int32
 	// scalar routes item-to-mode distances through the scalar
-	// reference kernel instead of the unrolled one (internal/kernel).
-	// Assignments are bit-identical either way; the stream's fuzz test
-	// sets it, mirroring the batch driver's core.Oracles.ScalarKernels.
+	// reference kernel instead of the unrolled one (internal/kernel),
+	// and the fallback through the scan of every mode instead of the
+	// postings. Assignments are bit-identical either way; the stream's
+	// fuzz test sets it, mirroring the batch driver's
+	// core.Oracles.ScalarKernels.
 	scalar bool
 }
 
@@ -105,15 +113,17 @@ func New(cfg Config) (*Clusterer, error) {
 			len(cfg.InitialModes), cfg.NumAttrs)
 	}
 	k := len(cfg.InitialModes) / cfg.NumAttrs
-	ix, err := lsh.NewIndex(cfg.Params, cfg.Seed)
+	bands, err := lsh.NewBandTable(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
 	c := &Clusterer{
 		k:      k,
 		m:      cfg.NumAttrs,
-		index:  ix,
+		scheme: minhash.NewScheme(cfg.Params.SignatureLen(), cfg.Seed),
+		bands:  bands,
 		freq:   kmodes.NewFreqTable(k, cfg.NumAttrs),
+		post:   newModePostings(cfg.InitialModes, k, cfg.NumAttrs),
 		sigBuf: make([]uint64, cfg.Params.SignatureLen()),
 		stamps: make([]uint32, k),
 	}
@@ -184,9 +194,9 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 		}
 	}
 
-	// Shortlist via the index (deduplicated with epoch stamps), filing
-	// the item in the same probe of each band.
-	sig := c.index.Scheme().Sign(c.presBuf, c.sigBuf)
+	// Probe: the shortlist is the clusters of every probed bucket,
+	// deduplicated with epoch stamps in first-appearance order.
+	sig := c.scheme.Sign(c.presBuf, c.sigBuf)
 	c.epoch++
 	if c.epoch == 0 {
 		for i := range c.stamps {
@@ -195,47 +205,55 @@ func (c *Clusterer) Add(row []dataset.Value, present []bool) (int, error) {
 		c.epoch = 1
 	}
 	c.short = c.short[:0]
-	item := int32(len(c.assign))
-	err := c.index.QueryInsert(item, sig, func(bucket []int32) {
-		for _, other := range bucket {
-			cl := c.assign[other]
-			if c.stamps[cl] != c.epoch {
-				c.stamps[cl] = c.epoch
-				c.short = append(c.short, cl)
-			}
-		}
-	})
-	if err != nil {
-		return 0, fmt.Errorf("stream: indexing item %d: %w", item, err)
+	if err := c.bands.Probe(sig, c.foldBucket); err != nil {
+		return 0, fmt.Errorf("stream: indexing item %d: %w", len(c.assign), err)
 	}
 
-	best := -1
-	bestD := c.m + 1
-	if len(c.short) == 0 {
-		c.stats.FullScans++
-		c.stats.CandidatesTotal += int64(c.k)
-		//lshvet:ignore ctxpollcheck Add handles one item; the fallback scan is bounded by k clusters
-		for cl := 0; cl < c.k; cl++ {
-			d := c.dist(row, c.freq.Mode(cl), present, bestD)
-			c.stats.Comparisons++
-			if d < bestD {
-				best, bestD = cl, d
-			}
-		}
-	} else {
-		c.stats.CandidatesTotal += int64(len(c.short))
-		//lshvet:ignore ctxpollcheck Add handles one item; this loop is bounded by its shortlist
-		for _, cl := range c.short {
-			d := c.dist(row, c.freq.Mode(int(cl)), present, bestD)
-			c.stats.Comparisons++
-			if d < bestD {
-				best, bestD = int(cl), d
-			}
-		}
-	}
+	best := c.score(row, present)
 
+	// File.
+	c.bands.File(int32(best))
 	c.assign = append(c.assign, int32(best))
 	c.freq.AddMasked(best, row, present)
+	c.post.follow(best, c.freq.Mode(best))
 	c.stats.Items++
 	return best, nil
+}
+
+// foldBucket adds the clusters of one probed bucket that the shortlist
+// lacks, in bucket order.
+func (c *Clusterer) foldBucket(bucket []int32) {
+	for _, cl := range bucket {
+		if c.stamps[cl] != c.epoch {
+			c.stamps[cl] = c.epoch
+			c.short = append(c.short, cl)
+		}
+	}
+}
+
+// score returns the shortlist mode nearest to row, the first strict
+// minimum in shortlist order. An empty shortlist falls back to every
+// mode, and counts k comparisons whichever way the nearest is found.
+func (c *Clusterer) score(row []dataset.Value, present []bool) int {
+	if len(c.short) == 0 {
+		c.stats.FullScans++
+		if !c.scalar {
+			c.stats.CandidatesTotal += int64(c.k)
+			c.stats.Comparisons += int64(c.k)
+			return c.post.nearest(row, present)
+		}
+		for cl := 0; cl < c.k; cl++ {
+			c.short = append(c.short, int32(cl))
+		}
+	}
+	c.stats.CandidatesTotal += int64(len(c.short))
+	c.stats.Comparisons += int64(len(c.short))
+	best, bestD := -1, c.m+1
+	//lshvet:ignore ctxpollcheck Add handles one item; this loop is bounded by k clusters
+	for _, cl := range c.short {
+		if d := c.dist(row, c.freq.Mode(int(cl)), present, bestD); d < bestD {
+			best, bestD = int(cl), d
+		}
+	}
+	return best
 }
