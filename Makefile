@@ -84,6 +84,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzClusterSummaries -fuzztime=30s
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzPersistRoundTrip -fuzztime=30s
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzOpenCraftedIndex -fuzztime=30s
+	$(GO) test ./internal/lsh/persist -run='^$$' -fuzz=FuzzOpen -fuzztime=30s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreRunState -fuzztime=30s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzFreqTable -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzNearestScan -fuzztime=30s

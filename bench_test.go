@@ -353,18 +353,16 @@ func BenchmarkBootstrapSigningMemoized(b *testing.B) { benchBootstrapSigning(b, 
 func BenchmarkCandidatesFrozen(b *testing.B) {
 	ds := ablWorkload(b)
 	p := lsh.Params{Bands: 20, Rows: 5}
-	ix, err := lsh.NewIndex(p, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
+	scheme := minhash.NewScheme(p.SignatureLen(), 7)
 	keys := lsh.SignAll(p, ds.NumItems(), 1, func() lsh.SignFunc {
 		var set []uint64
 		return func(item int32, sig []uint64) {
 			set = ds.PresentValues(int(item), set[:0])
-			ix.Scheme().Sign(set, sig)
+			scheme.Sign(set, sig)
 		}
 	}, nil)
-	if err := ix.BuildFrozen(keys, ds.NumItems(), 1); err != nil {
+	ix, err := lsh.BuildFrozen(p, keys, ds.NumItems(), 1)
+	if err != nil {
 		b.Fatal(err)
 	}
 	var hits int

@@ -134,7 +134,7 @@
 //     length 1 — which only the tests run.
 //
 //   - The index keeps the cluster reference, as the paper's Algorithm 2
-//     does. Every frozen bucket of at least 16 items (one 64-byte line
+//     does. Every stored bucket of at least 16 items (one 64-byte line
 //     of item IDs; lsh.SummaryMinLen) also holds its members' distinct
 //     clusters in first-appearance order, and the block loop reads that
 //     cluster summary instead of mapping every member through the
@@ -149,26 +149,33 @@
 //     item is decided, and from the pass's move log after a deferred
 //     pass, whose decisions read the pass-start snapshot. A recompute
 //     reads exactly the entries the mover's own shortlist query read.
-//     Summaries live on the heap and are never persisted. The shortlist,
+//     Summaries live on the heap, found through one summary ID (or −1)
+//     per stored bucket, and are never persisted. The shortlist,
 //     its order and every tie are those of the walk, which the per-item
 //     reference still takes.
 //
 // # Frozen index layout
 //
-// The index is one lsh.Index in original item order, as the paper's
-// Algorithm 2 keeps it: b bands, one set of buckets per band. Frozen,
-// it is three flat arrays — the item IDs of every bucket that two or
-// more items share, concatenated (ascending within a bucket), the
-// bucket offsets, and per item and band the bucket it sits in, or −1
-// where it sits alone — plus the inserted flags. A bucket of one item
-// adds nothing to a shortlist but the item's own cluster, which every
-// query reports first anyway, and on the K-Modes benchmark such
-// buckets are 97.5% of all, so the layout stores none of them. A query
-// starts from an inserted item's bucket slots and never hashes, so the
-// frozen layout keeps no band keys; key-addressed lookups belong to
-// the streaming clusterer's band table. A saved index is these
-// arrays in one file; files saved when every bucket was stored still
-// load and answer alike.
+// The index is one lsh.Index over items [0, n), every one of them
+// indexed, in original item order, as the paper's Algorithm 2 keeps
+// it: b bands, one set of buckets per band. It exists only built or
+// loaded: lsh.BuildFrozen makes it from the presigned band keys, in
+// one pass over the dataset after centroid initialisation, lsh.Open
+// loads what a build saved, and nothing is filed after that. It is three flat arrays —
+// the item IDs of every bucket that two or more items share,
+// concatenated (ascending within a bucket), the bucket offsets, and
+// per item and band the bucket it sits in, or −1 where it sits alone.
+// A bucket of one item adds nothing to a shortlist but the item's own
+// cluster, which every query reports first anyway, and on the K-Modes
+// benchmark such buckets are 97.5% of all, so the layout stores none
+// of them. A query starts from an item's bucket slots and never
+// hashes, so the layout keeps no band keys; key-addressed lookups
+// belong to the streaming clusterer's band table. Nor does the index
+// own a hash family: each accelerator keeps its MinHash or SimHash
+// scheme, fixed with its banding, seed and item count when it is made.
+// A saved index is these arrays in one file, beside per-item inserted
+// flags that the format keeps and every build writes as 1; files saved
+// when every bucket was stored still load and answer alike.
 
 // # Hot-path distance kernels
 //
@@ -213,11 +220,16 @@
 // under memory pressure), or heap-deserialised elsewhere and by the
 // tests' portable oracle — cold, warm-mmap and warm-heap runs are
 // bit-identical. Anything stale (different dataset, banding or seed,
-// or an index an older build saved with several shards or in reordered
-// item order) is rejected with an error, never silently reused. The
-// first full-scan assignment is cached next to the index and validated
-// by spot recomputation on restore, so a warm start skips signing,
-// build and the bootstrap scan entirely. Config.SnapshotEvery
+// an index an older build saved with several shards or in reordered
+// item order, or a manifest naming any index file but shard-0.lshz)
+// is rejected with an error, never silently reused. The first
+// full-scan assignment is cached next to the index and validated by
+// spot recomputation on restore, so a warm start skips signing, build
+// and the bootstrap scan entirely. The spot check recomputes 64 items
+// and about 64 more at an even stride, so a cache whose checksums hold
+// but which was altered outside that sample still loads, by design:
+// the cache is a speed-up pinned to the index's dataset and seed, not
+// source data. Config.SnapshotEvery
 // checkpoints assignment state every N iterations and a restarted run
 // resumes from the last checkpoint with final results identical to an
 // uninterrupted run. The CLI wires

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"lshcluster/internal/dataset"
@@ -21,11 +20,10 @@ import (
 // memo).
 type MinHashAccelerator struct {
 	ShardedIndexBase
-	ds      *dataset.Dataset
-	mhParam lsh.Params
-	seed    uint64
-	maxVal  dataset.Value
-	memo    *minhash.Memo
+	ds     *dataset.Dataset
+	scheme *minhash.Scheme
+	maxVal dataset.Value
+	memo   *minhash.Memo
 }
 
 // NewMinHashAccelerator creates an accelerator for ds with the given
@@ -34,25 +32,20 @@ func NewMinHashAccelerator(ds *dataset.Dataset, params lsh.Params, seed uint64) 
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	a := &MinHashAccelerator{
-		ds:      ds,
-		mhParam: params,
-		seed:    seed,
+	return &MinHashAccelerator{
+		// Categorical datasets are fingerprintable, so a saved index can
+		// be pinned to the data it was built from (IndexPersister).
+		ShardedIndexBase: NewShardedIndexBase(params, seed, ds.NumItems(), ds.Fingerprint),
+		ds:               ds,
+		scheme:           minhash.NewScheme(params.SignatureLen(), seed),
 		// Sizes the hash-column memo: interned value IDs are dense.
 		maxVal: ds.MaxValue(),
-	}
-	// Categorical datasets are fingerprintable, so a saved index can be
-	// pinned to the data it was built from (IndexPersister).
-	a.SetFingerprintSource(ds.Fingerprint)
-	return a, nil
+	}, nil
 }
-
-// Params returns the banding configuration (also valid before Reset).
-func (a *MinHashAccelerator) Params() lsh.Params { return a.mhParam }
 
 // Reset discards any previous index and prepares a fresh one.
 func (a *MinHashAccelerator) Reset(numClusters int) error {
-	if err := a.ResetIndex(a.mhParam, a.seed, a.ds.NumItems(), numClusters); err != nil {
+	if err := a.ResetIndex(numClusters); err != nil {
 		return err
 	}
 	// Categorical values repeat across items, so each distinct value's
@@ -68,8 +61,8 @@ func (a *MinHashAccelerator) Reset(numClusters int) error {
 	a.memo = nil
 	values := int64(a.maxVal) + 1
 	n := int64(a.ds.NumItems())
-	if n*int64(a.ds.NumAttrs()) >= memoMinReuse*values && values <= n/int64(a.mhParam.Rows) {
-		a.memo = a.Index().Scheme().NewMemo(int(values))
+	if n*int64(a.ds.NumAttrs()) >= memoMinReuse*values && values <= n/int64(a.Params().Rows) {
+		a.memo = a.scheme.NewMemo(int(values))
 	}
 	return nil
 }
@@ -89,10 +82,6 @@ const memoMinReuse = 8
 // way. The memo is released on return: after bulk signing the pipeline
 // signs nothing (BuildFrozen reads the arena).
 func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
-	ix := a.Index()
-	if ix == nil {
-		return fmt.Errorf("core: SignAll before Reset")
-	}
 	memo := a.memo
 	a.memo = nil
 	// Filling inside the first worker puts the fill after lsh.SignAll
@@ -101,7 +90,6 @@ func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 	// every later heap goal, which cost the 100k-item bootstrap about
 	// 9% of its peak RSS.
 	var fill sync.Once
-	scheme := ix.Scheme()
 	return a.SignAllInto(workers, func() lsh.SignFunc {
 		var set []uint64
 		if memo != nil {
@@ -113,7 +101,7 @@ func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 		}
 		return func(item int32, sig []uint64) {
 			set = a.ds.PresentValues(int(item), set[:0])
-			scheme.Sign(set, sig)
+			a.scheme.Sign(set, sig)
 		}
 	}, stop)
 }

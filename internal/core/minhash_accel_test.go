@@ -66,7 +66,7 @@ func TestMinHashMemoGate(t *testing.T) {
 			if a.memo != nil {
 				t.Fatal("memo still held after SignAll")
 			}
-			scheme := a.Index().Scheme()
+			scheme := a.scheme
 			want := lsh.SignAll(tc.p, tc.n, 1, func() lsh.SignFunc {
 				var set []uint64
 				return func(item int32, sig []uint64) {

@@ -63,20 +63,20 @@ func fileItems(t testing.TB, bt *BandTable, scheme *minhash.Scheme, sets [][]uin
 	}
 }
 
-// bandKeysOf signs sets through ix's scheme into a SignAll key arena,
-// keys[item·Bands+band].
-func bandKeysOf(ix *Index, sets [][]uint64) []uint64 {
-	return SignAll(ix.Params(), len(sets), 1, setSigner(ix, sets), nil)
+// bandKeysOf signs sets through testScheme(p, seed) into a SignAll
+// key arena, keys[item·Bands+band].
+func bandKeysOf(p Params, seed uint64, sets [][]uint64) []uint64 {
+	return SignAll(p, len(sets), 1, setSigner(testScheme(p, seed), sets), nil)
 }
 
 // bruteBuckets lists item's bucket in every band, by brute force: the
-// inserted items whose key in that band is item's, in ascending ID
+// items of [0, n) whose key in that band is item's, in ascending ID
 // order.
-func bruteBuckets(keys []uint64, bands int, inserted []bool, item int) [][]int32 {
+func bruteBuckets(keys []uint64, bands, n, item int) [][]int32 {
 	out := make([][]int32, bands)
 	for b := range out {
-		for other, ok := range inserted {
-			if ok && keys[other*bands+b] == keys[item*bands+b] {
+		for other := 0; other < n; other++ {
+			if keys[other*bands+b] == keys[item*bands+b] {
 				out[b] = append(out[b], int32(other))
 			}
 		}
@@ -85,11 +85,11 @@ func bruteBuckets(keys []uint64, bands int, inserted []bool, item int) [][]int32
 }
 
 // bruteCandidates lists what Candidates(item) must report on the
-// frozen layout of the inserted items, by brute force: item itself,
-// then band by band each of its buckets that holds another item.
-func bruteCandidates(keys []uint64, bands int, inserted []bool, item int) []int32 {
+// index of items [0, n), by brute force: item itself, then band by
+// band each of its buckets that holds another item.
+func bruteCandidates(keys []uint64, bands, n, item int) []int32 {
 	out := []int32{int32(item)}
-	for _, bucket := range bruteBuckets(keys, bands, inserted, item) {
+	for _, bucket := range bruteBuckets(keys, bands, n, item) {
 		if len(bucket) > 1 {
 			out = append(out, bucket...)
 		}
@@ -123,22 +123,24 @@ func bandTableStats(bt *BandTable, items int) Stats {
 	return st
 }
 
-// assertBandTable checks, for every item filed into bt (its ID as the
-// value, in ascending order), the buckets filed under its band keys
-// against bruteBuckets.
-func assertBandTable(t *testing.T, bt *BandTable, keys []uint64, inserted []bool) {
+// assertBandTableFiled checks bt, into which the items of order were
+// filed in that order, each item's ID as its value, by brute force:
+// under each band key of every filed item it holds the filed items
+// with that key, in filing order.
+func assertBandTableFiled(t *testing.T, bt *BandTable, keys []uint64, order []int) {
 	t.Helper()
 	bands := bt.params.Bands
-	for i, ok := range inserted {
-		if !ok {
-			continue
-		}
-		var got []int32
+	for _, i := range order {
 		for b := 0; b < bands; b++ {
-			got = append(got, bt.bucketOf(b, keys[i*bands+b])...)
-		}
-		if want := slices.Concat(bruteBuckets(keys, bands, inserted, i)...); !reflect.DeepEqual(got, want) {
-			t.Fatalf("item %d: band table files %v, brute force %v", i, got, want)
+			var want []int32
+			for _, j := range order {
+				if keys[j*bands+b] == keys[i*bands+b] {
+					want = append(want, int32(j))
+				}
+			}
+			if got := bt.bucketOf(b, keys[i*bands+b]); !slices.Equal(got, want) {
+				t.Fatalf("item %d band %d: band table files %v, brute force %v", i, b, got, want)
+			}
 		}
 	}
 }
@@ -153,7 +155,7 @@ func assertBandTable(t *testing.T, bt *BandTable, keys []uint64, inserted []bool
 func assertBandTableMatchesFrozen(t testing.TB, bt *BandTable, fz *Index, keys []uint64, order []int) {
 	t.Helper()
 	bands := fz.Params().Bands
-	rank := make([]int, len(fz.inserted))
+	rank := make([]int, fz.NumInserted())
 	for r, i := range order {
 		rank[i] = r
 	}
@@ -176,8 +178,8 @@ func assertBandTableMatchesFrozen(t testing.TB, bt *BandTable, fz *Index, keys [
 // it.
 func assertMatchesBuildFrozen(t *testing.T, bt *BandTable, keys []uint64, n int) {
 	t.Helper()
-	fz := mustIndex(t, bt.params, 1)
-	if err := fz.BuildFrozen(keys, n, 2); err != nil {
+	fz, err := BuildFrozen(bt.params, keys, n, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	assertBandTableMatchesFrozen(t, bt, fz, keys, span(0, n))
@@ -190,24 +192,21 @@ func assertMatchesBuildFrozen(t *testing.T, bt *BandTable, keys []uint64, n int)
 func TestBuildPhaseRunGrowsPastThousand(t *testing.T) {
 	const shared = 1100
 	p := Params{Bands: 3, Rows: 2}
-	ix := mustIndex(t, p, 5)
 	bt := mustBandTable(t, p)
 	sets := make([][]uint64, 2*shared)
-	inserted := make([]bool, len(sets))
 	for i := range sets {
 		if i%2 == 0 {
 			sets[i] = []uint64{1, 2, 3, 4, 5}
 		} else {
 			sets[i] = []uint64{uint64(1000 + 3*i), uint64(1001 + 3*i), uint64(1002 + 3*i)}
 		}
-		inserted[i] = true
 	}
-	fileItems(t, bt, ix.Scheme(), sets, span(0, len(sets)))
+	fileItems(t, bt, testScheme(p, 5), sets, span(0, len(sets)))
 	if st := bandTableStats(bt, len(sets)); st.MaxBucketLen < shared {
 		t.Fatalf("largest bucket holds %d values, want ≥ %d", st.MaxBucketLen, shared)
 	}
-	keys := bandKeysOf(ix, sets)
-	assertBandTable(t, bt, keys, inserted)
+	keys := bandKeysOf(p, 5, sets)
+	assertBandTableFiled(t, bt, keys, span(0, len(sets)))
 	assertMatchesBuildFrozen(t, bt, keys, len(sets))
 }
 
@@ -215,57 +214,45 @@ func TestBuildPhaseRunGrowsPastThousand(t *testing.T) {
 // that doubles band 0's table, then again once all items are in.
 func TestBuildPhaseTableDoubles(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
-	ix := mustIndex(t, p, 9)
+	scheme := testScheme(p, 9)
 	bt := mustBandTable(t, p)
 	sets := testSets(400, 21)
-	keys := bandKeysOf(ix, sets)
-	inserted := make([]bool, len(sets))
+	keys := bandKeysOf(p, 9, sets)
 	doubled := false
 	for i, s := range sets {
 		before := len(bt.tables[0].cells)
-		if err := fileSet(bt, ix.Scheme(), int32(i), s); err != nil {
+		if err := fileSet(bt, scheme, int32(i), s); err != nil {
 			t.Fatal(err)
 		}
-		inserted[i] = true
 		if len(bt.tables[0].cells) == 2*before && !doubled {
 			doubled = true
-			assertBandTable(t, bt, keys, inserted)
+			assertBandTableFiled(t, bt, keys, span(0, i+1))
 		}
 	}
 	if !doubled {
 		t.Fatalf("band 0's table never doubled (%d cells)", len(bt.tables[0].cells))
 	}
-	assertBandTable(t, bt, keys, inserted)
+	assertBandTableFiled(t, bt, keys, span(0, len(sets)))
 	assertMatchesBuildFrozen(t, bt, keys, len(sets))
 }
 
 // TestBuildPhaseOutOfOrderInserts files a shuffled permutation of the
-// items, each as its own value: halfway and at the end, every bucket
-// must list the frozen bucket's filed items in the order they were
-// filed.
+// items, each as its own value: halfway, every bucket must list the
+// filed items that hold its key in the order they were filed, and at
+// the end, the frozen bucket's items in that order.
 func TestBuildPhaseOutOfOrderInserts(t *testing.T) {
 	const n = 300
 	p := Params{Bands: 5, Rows: 2}
 	sets := testSets(n, 8)
 	fz := buildFrozenIndex(t, p, 3, sets, 2)
-	keys := bandKeysOf(fz, sets)
+	keys := bandKeysOf(p, 3, sets)
+	scheme := testScheme(p, 3)
 	bt := mustBandTable(t, p)
 	order := rand.New(rand.NewSource(4)).Perm(n)
-	fileItems(t, bt, fz.Scheme(), sets, order[:n/2])
-	assertBandTableMatchesFrozen(t, bt, partialFrozen(t, fz, keys, order[:n/2]), keys, order[:n/2])
-	fileItems(t, bt, fz.Scheme(), sets, order[n/2:])
+	fileItems(t, bt, scheme, sets, order[:n/2])
+	assertBandTableFiled(t, bt, keys, order[:n/2])
+	fileItems(t, bt, scheme, sets, order[n/2:])
 	assertBandTableMatchesFrozen(t, bt, fz, keys, order)
-}
-
-// partialFrozen is the brute-force layout of fz's keys over the items
-// of order only.
-func partialFrozen(t *testing.T, fz *Index, keys []uint64, order []int) *Index {
-	t.Helper()
-	inserted := make([]bool, len(fz.inserted))
-	for _, i := range order {
-		inserted[i] = true
-	}
-	return bruteFrozen(t, fz.Params(), 3, keys, inserted)
 }
 
 // TestDoubleInsertRejected files every item's value a second time
@@ -274,7 +261,7 @@ func partialFrozen(t *testing.T, fz *Index, keys []uint64, order []int) *Index {
 // table is left as it was.
 func TestDoubleInsertRejected(t *testing.T) {
 	p := Params{Bands: 6, Rows: 2}
-	scheme := mustIndex(t, p, 7).Scheme()
+	scheme := testScheme(p, 7)
 	bt := mustBandTable(t, p)
 	sets := testSets(250, 13)
 	for i, s := range sets {
@@ -300,7 +287,7 @@ func TestDoubleInsertRejected(t *testing.T) {
 // File never came.
 func TestProbeReportsBucketsBeforeFiling(t *testing.T) {
 	p := Params{Bands: 6, Rows: 2}
-	scheme := mustIndex(t, p, 7).Scheme()
+	scheme := testScheme(p, 7)
 	bt := mustBandTable(t, p)
 	sig := make([]uint64, p.SignatureLen())
 	sets := testSets(250, 13)

@@ -48,17 +48,17 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 			}
 		}
 	}
-	// Uninserted items are skipped, not reported empty-bucketed.
+	// IDs outside the index are skipped, not reported empty-bucketed.
 	ix2 := buildTestIndex(t, 10)
 	calls := 0
 	ix2.CandidatesBatch([]int32{3, 1000}, func(pos int, bucket []int32, _ int32) {
 		if pos != 0 {
-			t.Fatalf("uninserted item produced a bucket at pos %d", pos)
+			t.Fatalf("an ID outside the index produced a bucket at pos %d", pos)
 		}
 		calls++
 	})
 	if calls == 0 {
-		t.Fatal("inserted item produced no buckets")
+		t.Fatal("an indexed item produced no buckets")
 	}
 }
 
@@ -70,12 +70,12 @@ func TestCandidatesBatchMatchesCandidates(t *testing.T) {
 func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
 	const n = 200
 	sets := testSets(n, 9)
-	ix := buildTestIndex(t, n)
 	// An out-of-index set: item 3's with one value replaced.
 	probe := append(slices.Clone(sets[3][:11]), 9999)
-	keys := bandKeysOf(ix, append(slices.Clone(sets), probe))
+	keys := bandKeysOf(testParams, 41, append(slices.Clone(sets), probe))
+	scheme := testScheme(testParams, 41)
 	bt := mustBandTable(t, testParams)
-	fileItems(t, bt, ix.Scheme(), sets, span(0, n))
+	fileItems(t, bt, scheme, sets, span(0, n))
 	var want []int32
 	for b := 0; b < testParams.Bands; b++ {
 		for i := 0; i < n; i++ {
@@ -84,7 +84,7 @@ func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
 			}
 		}
 	}
-	sig := ix.Scheme().Sign(probe, make([]uint64, testParams.SignatureLen()))
+	sig := scheme.Sign(probe, make([]uint64, testParams.SignatureLen()))
 	if got := probeAll(t, bt, sig); len(want) == 0 || !slices.Equal(got, want) {
 		t.Fatalf("by-signature %v, by SignAll keys %v", got, want)
 	}
@@ -99,14 +99,8 @@ func TestCandidatesOfSignatureMatchesOfSet(t *testing.T) {
 // drops an item.
 func TestReverseMatchesSymmetricCollisions(t *testing.T) {
 	const n = 300
-	if mustIndex(t, testParams, 41).NewReverse() != nil {
-		t.Fatal("NewReverse on an unbuilt index must return nil")
-	}
 	ix := buildTestIndex(t, n)
 	rev := ix.NewReverse()
-	if rev == nil {
-		t.Fatal("NewReverse returned nil on a frozen index")
-	}
 	sources := []int32{3, 50, 51, 120}
 	want := map[int32]bool{}
 	for _, s := range sources {
@@ -119,7 +113,7 @@ func TestReverseMatchesSymmetricCollisions(t *testing.T) {
 		for _, s := range sources {
 			rev.AddSource(s)
 		}
-		rev.AddSource(10_000) // uninserted: ignored
+		rev.AddSource(10_000) // outside the index: ignored
 		rev.Emit(func(item int32) bool {
 			got[item] = true
 			return true

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Frozen index construction. The bootstrap knows every item's band
-// keys up front (SignAll), so BuildFrozen constructs the frozen CSR
-// layout straight from the flat key arena in two counting passes, each
-// parallel across bands:
+// Index construction. The bootstrap knows every item's band keys up
+// front (SignAll), so BuildFrozen constructs the CSR layout
+// (frozen.go) straight from the flat key arena in two counting passes,
+// each parallel across bands:
 //
 //  1. Per band, resolve every item's key to a local bucket slot with
 //     an open-addressed key table (no sorting, no radix passes),
@@ -118,31 +118,30 @@ func (t *buildTable) grow() {
 // the rejection allocates nothing.
 var errFrozenOverflow = errors.New("lsh: BuildFrozen: n·Bands bucket entries exceed the frozen layout's int32 offsets")
 
-// BuildFrozen builds the frozen index directly from presigned band
-// keys — the arena SignAll returns, keys[item·Bands+band] for items
-// [0, n) — sharding the per-band work across workers goroutines. The
-// index must be freshly created (neither built nor loaded); after
-// BuildFrozen it holds all n items.
-func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
-	if ix.frozen != nil {
-		return fmt.Errorf("lsh: index is frozen")
+// BuildFrozen builds the index of items [0, n) directly from their
+// presigned band keys — the arena SignAll returns, keys[item·Bands+band]
+// — sharding the per-band work across workers goroutines. Together
+// with Open it is the only way to get an Index.
+func BuildFrozen(p Params, keys []uint64, n, workers int) (*Index, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	if n < 0 {
-		return fmt.Errorf("lsh: BuildFrozen with negative n %d", n)
+		return nil, fmt.Errorf("lsh: BuildFrozen with negative n %d", n)
 	}
 	// The frozen offsets, items and slots are int32-addressed.
-	if int64(n)*int64(ix.params.Bands) > math.MaxInt32 {
-		return errFrozenOverflow
+	if int64(n)*int64(p.Bands) > math.MaxInt32 {
+		return nil, errFrozenOverflow
 	}
-	if len(keys) != n*ix.params.Bands {
-		return fmt.Errorf("lsh: %d band keys for %d items × %d bands", len(keys), n, ix.params.Bands)
+	if len(keys) != n*p.Bands {
+		return nil, fmt.Errorf("lsh: %d band keys for %d items × %d bands", len(keys), n, p.Bands)
 	}
 	start := time.Now()
-	bands := ix.params.Bands
+	bands := p.Bands
 	if workers > bands {
 		workers = bands
 	}
-	fz := &frozenIndex{slots: make([]int32, n*bands)}
+	fz := frozenIndex{slots: make([]int32, n*bands)}
 	// counts[b] holds band b's bucket sizes in first-occurrence key
 	// order, then maps each local bucket to its global ID (−1 for a
 	// bucket of one). stored[b] and entries[b] count band b's stored
@@ -236,14 +235,7 @@ func (ix *Index) BuildFrozen(keys []uint64, n, workers int) error {
 		}
 	})
 
-	ix.inserted = make([]bool, n)
-	for i := range ix.inserted {
-		ix.inserted[i] = true
-	}
-	ix.numInserted = n
-	ix.frozen = fz
-	ix.buildTime = time.Since(start)
-	return nil
+	return &Index{params: p, n: n, frozen: fz, buildTime: time.Since(start)}, nil
 }
 
 // parallelBands runs fn on workers goroutines; each invocation pulls

@@ -6,29 +6,44 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"lshcluster/internal/minhash"
 )
 
-// setSigner signs sets[item] through the index's scheme — what the
-// MinHash accelerator's SignAll does, minus dataset plumbing. Each
-// SignFunc is stateless here; scheme signing is concurrency-safe.
-func setSigner(ix *Index, sets [][]uint64) func() SignFunc {
+// testScheme is the MinHash scheme the package tests sign value sets
+// with: the family the MinHash accelerator builds from the same
+// banding and seed.
+func testScheme(p Params, seed uint64) *minhash.Scheme {
+	return minhash.NewScheme(p.SignatureLen(), seed)
+}
+
+// setSigner signs sets[item] through scheme — what the MinHash
+// accelerator's SignAll does, minus dataset plumbing. Each SignFunc is
+// stateless here; scheme signing is concurrency-safe.
+func setSigner(scheme *minhash.Scheme, sets [][]uint64) func() SignFunc {
 	return func() SignFunc {
 		return func(item int32, sig []uint64) {
-			ix.Scheme().Sign(sets[item], sig)
+			scheme.Sign(sets[item], sig)
 		}
 	}
 }
 
-// buildFrozenIndex builds a frozen index over sets the way the
-// bootstrap does — SignAll, then BuildFrozen — at the given worker
-// count. It is the one builder of the package tests' frozen fixtures.
-func buildFrozenIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, workers int) *Index {
+// mustBuild builds the index of items [0, n) from keys.
+func mustBuild(t testing.TB, p Params, keys []uint64, n, workers int) *Index {
 	t.Helper()
-	ix := mustIndex(t, p, seed)
-	if err := ix.BuildFrozen(SignAll(p, len(sets), workers, setSigner(ix, sets), nil), len(sets), workers); err != nil {
+	ix, err := BuildFrozen(p, keys, n, workers)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// buildFrozenIndex builds an index over sets the way the bootstrap
+// does — SignAll, then BuildFrozen — at the given worker count. It is
+// the one builder of the package tests' built fixtures.
+func buildFrozenIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, workers int) *Index {
+	t.Helper()
+	return mustBuild(t, p, SignAll(p, len(sets), workers, setSigner(testScheme(p, seed), sets), nil), len(sets), workers)
 }
 
 // span returns the IDs [lo, hi) in ascending order.
@@ -40,44 +55,38 @@ func span(lo, hi int) []int {
 	return ids
 }
 
-// bruteFrozen lays out, by brute force, the frozen index of the items
-// inserted marks, filed under keys[item·Bands+band]: per band, one
-// bucket per distinct key that two or more inserted items hold, in the
-// order the key first occurs over ascending items, each bucket listing
-// its items in ascending order, bucket IDs running on across bands; an
-// item alone under its key has slot −1 there, and an item not inserted
-// has slot −1 in every band. It is BuildFrozen's reference, and it
-// builds the fixtures that leave IDs out, which BuildFrozen never does.
-func bruteFrozen(t testing.TB, p Params, seed uint64, keys []uint64, inserted []bool) *Index {
+// bruteFrozen lays out, by brute force, the index of items [0, n)
+// filed under keys[item·Bands+band]: per band, one bucket per distinct
+// key that two or more items hold, in the order the key first occurs
+// over ascending items, each bucket listing its items in ascending
+// order, bucket IDs running on across bands; an item alone under its
+// key has slot −1 there. It is BuildFrozen's reference.
+func bruteFrozen(t testing.TB, p Params, keys []uint64, n int) *Index {
 	t.Helper()
-	return bruteLayout(t, p, seed, keys, inserted, 2)
+	return bruteLayout(t, p, keys, n, 2)
 }
 
 // legacyFrozen is bruteFrozen with every bucket stored, those of one
 // item included: the layout BuildFrozen made, and Save wrote, before
 // singleton buckets were dropped.
-func legacyFrozen(t testing.TB, p Params, seed uint64, keys []uint64, inserted []bool) *Index {
+func legacyFrozen(t testing.TB, p Params, keys []uint64, n int) *Index {
 	t.Helper()
-	return bruteLayout(t, p, seed, keys, inserted, 1)
+	return bruteLayout(t, p, keys, n, 1)
 }
 
 // bruteLayout is bruteFrozen storing the buckets of at least minLen
 // items.
-func bruteLayout(t testing.TB, p Params, seed uint64, keys []uint64, inserted []bool, minLen int) *Index {
+func bruteLayout(t testing.TB, p Params, keys []uint64, n, minLen int) *Index {
 	t.Helper()
-	bands, n := p.Bands, len(inserted)
-	ix := mustIndex(t, p, seed)
-	fz := &frozenIndex{offsets: []int32{0}, slots: make([]int32, n*bands)}
+	bands := p.Bands
+	fz := frozenIndex{offsets: []int32{0}, slots: make([]int32, n*bands)}
 	for i := range fz.slots {
 		fz.slots[i] = -1
 	}
 	for b := 0; b < bands; b++ {
 		var order []uint64
 		members := map[uint64][]int32{}
-		for i, ok := range inserted {
-			if !ok {
-				continue
-			}
+		for i := 0; i < n; i++ {
 			key := keys[i*bands+b]
 			if _, seen := members[key]; !seen {
 				order = append(order, key)
@@ -95,30 +104,20 @@ func bruteLayout(t testing.TB, p Params, seed uint64, keys []uint64, inserted []
 			fz.offsets = append(fz.offsets, int32(len(fz.items)))
 		}
 	}
-	ix.frozen, ix.inserted = fz, inserted
-	for _, ok := range inserted {
-		if ok {
-			ix.numInserted++
-		}
-	}
-	return ix
+	return &Index{params: p, n: n, frozen: fz}
 }
 
-// bruteIndex is bruteFrozen over sets holding items [lo, hi) of all
-// len(sets) IDs.
-func bruteIndex(t testing.TB, p Params, seed uint64, sets [][]uint64, lo, hi int) *Index {
+// bruteIndex is bruteFrozen over every item of sets.
+func bruteIndex(t testing.TB, p Params, seed uint64, sets [][]uint64) *Index {
 	t.Helper()
-	return bruteFrozen(t, p, seed, bandKeysOf(mustIndex(t, p, seed), sets), rangeFlags(len(sets), lo, hi))
+	return bruteFrozen(t, p, bandKeysOf(p, seed, sets), len(sets))
 }
 
 // assertFrozenIdentical compares every frozen CSR array — offsets,
 // items and slots — value for value.
 func assertFrozenIdentical(t testing.TB, want, got *Index) {
 	t.Helper()
-	fw, fg := want.frozen, got.frozen
-	if fw == nil || fg == nil {
-		t.Fatalf("frozen: want %v, got %v", fw != nil, fg != nil)
-	}
+	fw, fg := &want.frozen, &got.frozen
 	if !slices.Equal(fw.offsets, fg.offsets) {
 		t.Fatalf("offsets differ:\nwant %v\ngot  %v", fw.offsets, fg.offsets)
 	}
@@ -148,16 +147,14 @@ func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 	} {
 		sets := testSets(tc.n, int64(tc.bands*1000+tc.rows))
 		p := Params{Bands: tc.bands, Rows: tc.rows}
-		ref := bruteIndex(t, p, 7, sets, 0, tc.n)
+		scheme := testScheme(p, 7)
+		ref := bruteIndex(t, p, 7, sets)
 		bt := mustBandTable(t, p)
-		fileItems(t, bt, ref.Scheme(), sets, span(0, tc.n))
+		fileItems(t, bt, scheme, sets, span(0, tc.n))
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%db%dr/n=%d/w=%d", tc.bands, tc.rows, tc.n, workers), func(t *testing.T) {
-				ix := mustIndex(t, p, 7)
-				keys := SignAll(p, tc.n, workers, setSigner(ix, sets), nil)
-				if err := ix.BuildFrozen(keys, tc.n, workers); err != nil {
-					t.Fatal(err)
-				}
+				keys := SignAll(p, tc.n, workers, setSigner(scheme, sets), nil)
+				ix := mustBuild(t, p, keys, tc.n, workers)
 				assertFrozenIdentical(t, ref, ix)
 				assertBandTableMatchesFrozen(t, bt, ix, keys, span(0, tc.n))
 				if ix.NumInserted() != tc.n {
@@ -170,38 +167,26 @@ func TestBuildFrozenMatchesInsertFreeze(t *testing.T) {
 
 func TestBuildFrozenErrors(t *testing.T) {
 	p := Params{Bands: 2, Rows: 2}
-	sets := testSets(4, 1)
-	ix := mustIndex(t, p, 1)
-	if err := ix.BuildFrozen(make([]uint64, 3), 4, 1); err == nil {
+	if _, err := BuildFrozen(p, make([]uint64, 3), 4, 1); err == nil {
 		t.Fatal("wrong arena length accepted")
 	}
-	if err := ix.BuildFrozen(make([]uint64, 4*p.Bands), -1, 1); err == nil {
+	if _, err := BuildFrozen(p, make([]uint64, 4*p.Bands), -1, 1); err == nil {
 		t.Fatal("negative item count accepted")
-	}
-
-	ix2 := buildFrozenIndex(t, p, 1, sets, 1)
-	keys := SignAll(p, 4, 1, setSigner(ix2, sets), nil)
-	if err := ix2.BuildFrozen(keys, 4, 1); err == nil {
-		t.Fatal("BuildFrozen on a frozen index accepted")
 	}
 }
 
-// TestBuildFrozenRejectsInt32Overflow pins the frozen layout's int32
-// limit: a build over n·Bands > MaxInt32 entries is an error raised
-// before the key-count check and before any allocation.
+// TestBuildFrozenRejectsInt32Overflow pins the layout's int32 limit: a
+// build over n·Bands > MaxInt32 entries is an error raised before the
+// key-count check and before any allocation.
 func TestBuildFrozenRejectsInt32Overflow(t *testing.T) {
 	p := Params{Bands: 20, Rows: 2}
 	n := math.MaxInt32/p.Bands + 1
-	ix := mustIndex(t, p, 1)
-	build := func() error { return ix.BuildFrozen(nil, n, 1) }
-	if err := build(); err == nil {
+	build := func() (*Index, error) { return BuildFrozen(p, nil, n, 1) }
+	if ix, err := build(); err == nil || ix != nil {
 		t.Fatalf("BuildFrozen over %d items × %d bands accepted", n, p.Bands)
 	}
-	if allocs := testing.AllocsPerRun(3, func() { _ = build() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(3, func() { _, _ = build() }); allocs != 0 {
 		t.Fatalf("rejected BuildFrozen allocated %v times", allocs)
-	}
-	if ix.frozen != nil {
-		t.Fatal("rejected BuildFrozen froze the index")
 	}
 }
 
@@ -213,25 +198,15 @@ func TestBuildFrozenQueries(t *testing.T) {
 	const n = 80
 	p := Params{Bands: 6, Rows: 2}
 	sets := testSets(n, 5)
-	ix := mustIndex(t, p, 9)
-	keys := SignAll(p, n, 2, setSigner(ix, sets), nil)
-	if err := ix.BuildFrozen(keys, n, 2); err != nil {
-		t.Fatal(err)
-	}
-	all := make([]bool, n)
-	for i := range all {
-		all[i] = true
-	}
+	keys := SignAll(p, n, 2, setSigner(testScheme(p, 9), sets), nil)
+	ix := mustBuild(t, p, keys, n, 2)
 	for i := 0; i < n; i++ {
-		want := bruteCandidates(keys, p.Bands, all, i)
+		want := bruteCandidates(keys, p.Bands, n, i)
 		if got := collectCandidates(ix, int32(i)); !reflect.DeepEqual(want, got) {
 			t.Fatalf("item %d candidates: want %v, got %v", i, want, got)
 		}
 	}
 	rv := ix.NewReverse()
-	if rv == nil {
-		t.Fatal("NewReverse returned nil on a BuildFrozen index")
-	}
 	rv.AddSource(0)
 	seen := map[int32]bool{}
 	rv.Emit(func(it int32) bool { seen[it] = true; return true })
@@ -241,15 +216,15 @@ func TestBuildFrozenQueries(t *testing.T) {
 
 	empty := buildFrozenIndex(t, p, 9, nil, 2)
 	if got := collectCandidates(empty, 0); len(got) != 0 {
-		t.Fatalf("empty frozen index returned item candidates %v", got)
+		t.Fatalf("empty index returned item candidates %v", got)
 	}
 	empty.CandidatesBatch([]int32{0, 1}, func(pos int, _ []int32, _ int32) {
-		t.Fatalf("empty frozen index returned a bucket at pos %d", pos)
+		t.Fatalf("empty index returned a bucket at pos %d", pos)
 	})
 	erv := empty.NewReverse()
 	erv.AddSource(0)
 	erv.Emit(func(it int32) bool {
-		t.Fatalf("empty frozen index emitted item %d", it)
+		t.Fatalf("empty index emitted item %d", it)
 		return true
 	})
 }

@@ -12,16 +12,11 @@ import "time"
 // Deprecated: the index has one shard; use Reverse.
 type ShardedReverse = Reverse
 
-// BuildTimes returns the frozen build's wall time as a one-entry list,
-// nil before the index is frozen.
+// BuildTimes returns the build's wall time as a one-entry list (zero
+// for a loaded index).
 //
 // Deprecated: an index builds as one unit; the list has one entry.
-func (ix *Index) BuildTimes() []time.Duration {
-	if ix.frozen == nil {
-		return nil
-	}
-	return []time.Duration{ix.buildTime}
-}
+func (ix *Index) BuildTimes() []time.Duration { return []time.Duration{ix.buildTime} }
 
 // ReorderTime returns 0: the index is built in original item order.
 //

@@ -27,14 +27,10 @@ func collectCandidates(ix *Index, item int32) []int32 {
 	return out
 }
 
-// TestNumInsertedCounter pins the item count: none before BuildFrozen,
-// every item after, in NumInserted and in Stats alike.
+// TestNumInsertedCounter pins the item count: every item after
+// BuildFrozen, in NumInserted and in Stats alike.
 func TestNumInsertedCounter(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 2}, 3)
-	if ix.NumInserted() != 0 || ix.Stats().Items != 0 {
-		t.Fatalf("fresh index NumInserted = %d, Stats.Items = %d", ix.NumInserted(), ix.Stats().Items)
-	}
-	ix = buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 3, testSets(7, 1), 2)
+	ix := buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 3, testSets(7, 1), 2)
 	if ix.NumInserted() != 7 || ix.Stats().Items != 7 {
 		t.Fatalf("BuildFrozen over 7 items: NumInserted = %d, Stats.Items = %d", ix.NumInserted(), ix.Stats().Items)
 	}
@@ -46,17 +42,17 @@ func TestNumInsertedCounter(t *testing.T) {
 // every item again must leave the table as it was.
 func TestGrowPreservesState(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
-	ix := mustIndex(t, p, 11)
+	scheme := testScheme(p, 11)
 	bt := mustBandTable(t, p)
 	sets := testSets(200, 3)
-	fileItems(t, bt, ix.Scheme(), sets, span(0, len(sets)))
+	fileItems(t, bt, scheme, sets, span(0, len(sets)))
 	if len(bt.tables[0].cells) <= 16 {
 		t.Fatalf("band 0's table never grew (%d cells)", len(bt.tables[0].cells))
 	}
 	before := bandTableStats(bt, len(sets))
-	keys := bandKeysOf(ix, sets)
+	keys := bandKeysOf(p, 11, sets)
 	for i, set := range sets {
-		if err := fileSet(bt, ix.Scheme(), int32(i), set); err != nil {
+		if err := fileSet(bt, scheme, int32(i), set); err != nil {
 			t.Fatal(err)
 		}
 		for b := 0; b < p.Bands; b++ {

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"bytes"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -8,7 +9,6 @@ import (
 	"testing"
 
 	"lshcluster/internal/lsh/persist"
-	"lshcluster/internal/minhash"
 )
 
 // byteAt cycles through the fuzz payload, defaulting to 0 on an empty
@@ -37,16 +37,6 @@ func fuzzSets(n int, data []byte) [][]uint64 {
 	return sets
 }
 
-// setSignerFor adapts sets to a SignAll signer through the index
-// scheme, as the accelerators do.
-func setSignerFor(scheme *minhash.Scheme, sets [][]uint64) func() SignFunc {
-	return func() SignFunc {
-		return func(item int32, sig []uint64) {
-			scheme.Sign(sets[item], sig)
-		}
-	}
-}
-
 // FuzzBuildFrozenIdentity fuzzes the layout identity: for any banding
 // shape, item count, scheme seed, signed value sets and worker count,
 // building the frozen index directly from the presigned key arena
@@ -68,23 +58,14 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 		workers := 1 + int(byteAt(data, 0))%4
 		sets := fuzzSets(nn, data)
 
-		ix, err := NewIndex(p, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := SignAll(p, nn, workers, setSignerFor(ix.Scheme(), sets), nil)
-		if err := ix.BuildFrozen(keys, nn, workers); err != nil {
-			t.Fatal(err)
-		}
-		all := make([]bool, nn)
-		for i := range all {
-			all[i] = true
-		}
-		assertFrozenIdentical(t, bruteFrozen(t, p, seed, keys, all), ix)
+		scheme := testScheme(p, seed)
+		keys := SignAll(p, nn, workers, setSigner(scheme, sets), nil)
+		ix := mustBuild(t, p, keys, nn, workers)
+		assertFrozenIdentical(t, bruteFrozen(t, p, keys, nn), ix)
 
 		for _, order := range [][]int{span(0, nn), rand.New(rand.NewSource(int64(seed))).Perm(nn)} {
 			bt := mustBandTable(t, p)
-			fileItems(t, bt, ix.Scheme(), sets, order)
+			fileItems(t, bt, scheme, sets, order)
 			assertBandTableMatchesFrozen(t, bt, ix, keys, order)
 		}
 	})
@@ -95,14 +76,15 @@ func FuzzBuildFrozenIdentity(f *testing.F) {
 // buckets were dropped, its offsets, items, slots and inserted sections
 // then edited by the fuzzer — through persist.WriteFile, so every
 // checksum is valid, with the manifest's inserted count kept in step.
-// Open must reject the file, or load an index that answers every query
-// from its own slots: each item's Candidates stream is the item, then,
-// band by band, the ascending items whose slot in that band names the
-// same bucket; the block sweep reports the same streams; the reverse
-// view emits the union of its sources' streams; and the summaries and
-// their upkeep run. An unedited file must load. Each edit is four
-// bytes: the section (one in five edits resizes it instead), a
-// position, and the new value as a signed byte.
+// Open must reject the file, and must whenever an inserted flag is not
+// 1, or load an index that answers every query from its own slots:
+// each item's Candidates stream is the item, then, band by band, the
+// ascending items whose slot in that band names the same bucket; the
+// block sweep reports the same streams; the reverse view emits the
+// union of its sources' streams; and the summaries and their upkeep
+// run. An unedited file must load. Each edit is four bytes: the
+// section (one in five edits resizes it instead), a position, and the
+// new value as a signed byte.
 func FuzzOpenCraftedIndex(f *testing.F) {
 	f.Add(uint8(3), uint8(40), false, []byte("crafted"), []byte{})
 	f.Add(uint8(2), uint8(60), true, []byte("legacy"), []byte{})
@@ -114,17 +96,15 @@ func FuzzOpenCraftedIndex(f *testing.F) {
 		p := Params{Bands: 1 + int(shape)%4, Rows: 1 + int(shape/4)%3}
 		nn := 1 + int(n)%80
 		bands := p.Bands
-		src := mustIndex(t, p, seed)
-		keys := SignAll(p, nn, 1, setSignerFor(src.Scheme(), fuzzSets(nn, data)), nil)
+		keys := SignAll(p, nn, 1, setSigner(testScheme(p, seed), fuzzSets(nn, data)), nil)
+		src := mustBuild(t, p, keys, nn, 1)
 		if legacy {
-			src = legacyFrozen(t, p, seed, keys, rangeFlags(nn, 0, nn))
-		} else if err := src.BuildFrozen(keys, nn, 1); err != nil {
-			t.Fatal(err)
+			src = legacyFrozen(t, p, keys, nn)
 		}
 		offsets := slices.Clone(src.frozen.offsets)
 		items := slices.Clone(src.frozen.items)
 		slots := slices.Clone(src.frozen.slots)
-		inserted := slices.Clone(bytesOf(src.inserted))
+		inserted := bytes.Repeat([]byte{1}, nn)
 		edited := false
 		for e := 0; e+4 <= len(edits) && e < 4*16; e += 4 {
 			edited = true
@@ -180,12 +160,12 @@ func FuzzOpenCraftedIndex(f *testing.F) {
 				}
 				continue
 			}
-			fz := ix.frozen
+			if !bytes.Equal(inserted, bytes.Repeat([]byte{1}, nn)) {
+				t.Fatalf("mmap=%v: inserted flags %v loaded, want %d ones", mmap, inserted, nn)
+			}
+			fz := &ix.frozen
 			want := make([][]int32, nn)
 			for i := range want {
-				if !ix.inserted[i] {
-					continue
-				}
 				want[i] = []int32{int32(i)}
 				for b := 0; b < bands; b++ {
 					s := fz.slots[i*bands+b]

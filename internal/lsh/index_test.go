@@ -7,15 +7,6 @@ import (
 	"testing"
 )
 
-func mustIndex(t testing.TB, p Params, seed uint64) *Index {
-	t.Helper()
-	ix, err := NewIndex(p, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix
-}
-
 func collect(ix *Index, item int32) map[int32]int {
 	got := map[int32]int{}
 	ix.Candidates(item, func(o int32) { got[o]++ })
@@ -64,18 +55,16 @@ func TestDisjointSetsRarelyCollide(t *testing.T) {
 	}
 }
 
+// TestCandidatesOfUninsertedItemSilent: an ID outside the index's
+// items [0, n) reports nothing.
 func TestCandidatesOfUninsertedItemSilent(t *testing.T) {
-	for built, ix := range []*Index{
-		mustIndex(t, Params{Bands: 2, Rows: 2}, 1),
-		buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 1, testSets(4, 1), 1),
-	} {
-		calls := 0
-		for _, item := range []int32{-1, 4, 9} {
-			ix.Candidates(item, func(int32) { calls++ })
-		}
-		if calls != 0 {
-			t.Fatalf("built=%v: uninserted items produced %d candidates", built == 1, calls)
-		}
+	ix := buildFrozenIndex(t, Params{Bands: 2, Rows: 2}, 1, testSets(4, 1), 1)
+	calls := 0
+	for _, item := range []int32{-1, 4, 9} {
+		ix.Candidates(item, func(int32) { calls++ })
+	}
+	if calls != 0 {
+		t.Fatalf("IDs outside the index produced %d candidates", calls)
 	}
 }
 
@@ -87,11 +76,12 @@ func TestCandidatesOfSetMatchesStored(t *testing.T) {
 	p := Params{Bands: 6, Rows: 2}
 	sets := [][]uint64{{1, 2, 3, 4}, {1, 2, 3, 9}, {50, 60, 70, 80}}
 	frozen := buildFrozenIndex(t, p, 5, sets, 1)
+	scheme := testScheme(p, 5)
 	bt := mustBandTable(t, p)
-	fileItems(t, bt, frozen.Scheme(), sets, span(0, len(sets)))
+	fileItems(t, bt, scheme, sets, span(0, len(sets)))
 	sig := make([]uint64, p.SignatureLen())
 	for i, set := range sets {
-		frozen.Scheme().Sign(set, sig)
+		scheme.Sign(set, sig)
 		want, filed := []int32{int32(i)}, []int32(nil)
 		for b := 0; b < p.Bands; b++ {
 			bucket := bt.bucketOf(b, bandKeyOf(p, sig, b))
@@ -113,7 +103,7 @@ func TestCandidatesOfSetMatchesStored(t *testing.T) {
 }
 
 func TestInvalidParams(t *testing.T) {
-	if _, err := NewIndex(Params{Bands: 0, Rows: 1}, 1); err == nil {
+	if _, err := BuildFrozen(Params{Bands: 0, Rows: 1}, nil, 0, 1); err == nil {
 		t.Fatal("expected error for invalid params")
 	}
 	if _, err := NewBandTable(Params{Bands: 2, Rows: 0}); err == nil {
@@ -131,7 +121,7 @@ func TestStats(t *testing.T) {
 	sets := [][]uint64{common, common, common}
 	ix := buildFrozenIndex(t, p, 11, sets, 1)
 	bt := mustBandTable(t, p)
-	fileItems(t, bt, ix.Scheme(), sets, span(0, len(sets)))
+	fileItems(t, bt, testScheme(p, 11), sets, span(0, len(sets)))
 	if ix.Stats() != bandTableStats(bt, len(sets)) {
 		t.Fatalf("frozen stats %+v, band table %+v", ix.Stats(), bandTableStats(bt, len(sets)))
 	}
@@ -154,7 +144,7 @@ func TestStats(t *testing.T) {
 	sets = append(sets, []uint64{100, 200, 300})
 	ix = buildFrozenIndex(t, p, 11, sets, 1)
 	bt = mustBandTable(t, p)
-	fileItems(t, bt, ix.Scheme(), sets, span(0, len(sets)))
+	fileItems(t, bt, testScheme(p, 11), sets, span(0, len(sets)))
 	want := Stats{Bands: 4, Buckets: 8, Items: 4, MaxBucketLen: 3, MeanBucketLen: 2, SingletonShare: 0.5}
 	if st := ix.Stats(); st != want || bandTableStats(bt, len(sets)) != want {
 		t.Fatalf("frozen stats %+v, band table %+v, want %+v", st, bandTableStats(bt, len(sets)), want)

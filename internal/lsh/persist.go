@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,7 +25,7 @@ const (
 )
 
 // indexFileName is the saved index's one section file; the manifest
-// lists it under its historical shard name.
+// lists it under its historical shard name, and Open reads no other.
 const indexFileName = "shard-0.lshz"
 
 // bytesOf reinterprets a slice as its raw backing bytes (zero-copy).
@@ -50,27 +51,25 @@ type SaveReport struct {
 	Bytes    int64
 }
 
-// Save persists the frozen index to <dir>/shard-0.lshz plus a manifest,
+// Save persists the index to <dir>/shard-0.lshz plus a manifest,
 // creating dir as needed. seed must be the signing seed the index was
 // built with and fingerprint the dataset fingerprint; both go into the
 // manifest so Open can reject a stale index. The index file is written
 // atomically (temp + rename) and the manifest last, so a crashed save
-// leaves no loadable directory.
+// leaves no loadable directory. The file keeps the per-item inserted
+// flags of the format, every one 1.
 func (ix *Index) Save(dir string, seed, fingerprint uint64) (SaveReport, error) {
 	start := time.Now()
-	fz := ix.frozen
-	if fz == nil {
-		return SaveReport{}, fmt.Errorf("lsh: Save before the index is frozen")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return SaveReport{}, fmt.Errorf("lsh: Save: %w", err)
 	}
+	fz := &ix.frozen
 	path := filepath.Join(dir, indexFileName)
 	err := persist.WriteFile(path, []persist.Section{
 		{ID: secOffsets, ElemSize: 4, Data: bytesOf(fz.offsets)},
 		{ID: secItems, ElemSize: 4, Data: bytesOf(fz.items)},
 		{ID: secSlots, ElemSize: 4, Data: bytesOf(fz.slots)},
-		{ID: secInserted, ElemSize: 1, Data: bytesOf(ix.inserted)},
+		{ID: secInserted, ElemSize: 1, Data: bytes.Repeat([]byte{1}, ix.n)},
 	})
 	if err != nil {
 		return SaveReport{}, fmt.Errorf("lsh: saving index: %w", err)
@@ -78,7 +77,7 @@ func (ix *Index) Save(dir string, seed, fingerprint uint64) (SaveReport, error) 
 	m := &persist.Manifest{
 		FormatVersion: persist.FormatVersion,
 		Shards:        1,
-		Items:         len(ix.inserted),
+		Items:         ix.n,
 		Bands:         ix.params.Bands,
 		Rows:          ix.params.Rows,
 		Seed:          persist.Hex64(seed),
@@ -86,16 +85,16 @@ func (ix *Index) Save(dir string, seed, fingerprint uint64) (SaveReport, error) 
 		PermHash:      persist.Hex64(0),
 		Fingerprint:   persist.Hex64(fingerprint),
 		ShardFiles:    []string{indexFileName},
-		ShardInserted: []int{ix.numInserted},
+		ShardInserted: []int{ix.n},
 	}
-	var bytes int64
+	var size int64
 	if st, err := os.Stat(path); err == nil {
-		bytes = st.Size()
+		size = st.Size()
 	}
 	if err := persist.WriteManifest(dir, m); err != nil {
 		return SaveReport{}, fmt.Errorf("lsh: Save: %w", err)
 	}
-	return SaveReport{Duration: time.Since(start), Bytes: bytes}, nil
+	return SaveReport{Duration: time.Since(start), Bytes: size}, nil
 }
 
 // OpenOptions configures Open. Params, Seed, NumItems and Fingerprint
@@ -122,13 +121,12 @@ type OpenReport struct {
 
 // Open loads a saved index from dir, verifying the manifest against opt
 // and the index file's checksums and structure, and returns the index
-// exactly as a fresh build would have left it: the same signing scheme
-// and frozen arrays byte-identical to BuildFrozen's (the persistence
-// equivalence tests pin this). With opt.Mmap the frozen slices alias a
-// read-only mapping (zero-copy); otherwise they live on the heap. A
-// directory saved with several shards or in reordered item order is
-// rejected: its files do not hold this layout, and a reordered index's
-// item IDs are permuted.
+// exactly as a fresh build would have left it: arrays byte-identical
+// to BuildFrozen's (the persistence equivalence tests pin this). With
+// opt.Mmap the arrays alias a read-only mapping (zero-copy); otherwise
+// they live on the heap. A directory saved with several shards or in
+// reordered item order is rejected: its files do not hold this layout,
+// and a reordered index's item IDs are permuted.
 func Open(dir string, opt OpenOptions) (*Index, OpenReport, error) {
 	start := time.Now()
 	m, err := persist.ReadManifest(dir)
@@ -138,35 +136,40 @@ func Open(dir string, opt OpenOptions) (*Index, OpenReport, error) {
 	if err := checkManifest(m, &opt); err != nil {
 		return nil, OpenReport{}, fmt.Errorf("lsh: stale index in %s: %w", dir, err)
 	}
-	ix, err := NewIndex(opt.Params, opt.Seed)
-	if err != nil {
+	if err := opt.Params.Validate(); err != nil {
 		return nil, OpenReport{}, err
 	}
-	f, err := persist.Open(filepath.Join(dir, m.ShardFiles[0]), opt.Mmap)
+	f, err := persist.Open(filepath.Join(dir, indexFileName), opt.Mmap)
 	if err != nil {
 		return nil, OpenReport{}, fmt.Errorf("lsh: index in %s: %w", dir, err)
 	}
-	if err := ix.load(f, opt.NumItems, m.ShardInserted[0]); err != nil {
+	ix := &Index{params: opt.Params, n: opt.NumItems, file: f}
+	if err := ix.load(f); err != nil {
 		f.Close()
 		return nil, OpenReport{}, fmt.Errorf("lsh: index in %s: %w", dir, err)
 	}
-	ix.file = f
 	return ix, OpenReport{Duration: time.Since(start), MmapBytes: ix.MmapBytes()}, nil
 }
 
 // checkManifest verifies every invalidation rule: any configuration
 // drift between the saved index and what the caller would build fresh
-// is an error.
+// is an error, and so is a manifest that names any index file but
+// shard-0.lshz or an inserted count other than its item count — no
+// build ever wrote either.
 func checkManifest(m *persist.Manifest, opt *OpenOptions) error {
 	switch {
 	case m.Shards != 1:
 		return fmt.Errorf("saved as %d item shards, which this build no longer reads; rebuild the index", m.Shards)
 	case m.Reordered:
 		return fmt.Errorf("saved in reordered item order, which this build no longer reads; rebuild the index")
+	case m.ShardFiles[0] != indexFileName:
+		return fmt.Errorf("index file %q, want %s", m.ShardFiles[0], indexFileName)
 	case m.Partitioner != "range":
 		return fmt.Errorf("partitioner %q, want range", m.Partitioner)
 	case m.Items != opt.NumItems:
 		return fmt.Errorf("saved for %d items, dataset has %d", m.Items, opt.NumItems)
+	case m.ShardInserted[0] != m.Items:
+		return fmt.Errorf("%d of %d items indexed, want all", m.ShardInserted[0], m.Items)
 	case m.Bands != opt.Params.Bands || m.Rows != opt.Params.Rows:
 		return fmt.Errorf("saved with bands=%d rows=%d, run wants bands=%d rows=%d",
 			m.Bands, m.Rows, opt.Params.Bands, opt.Params.Rows)
@@ -180,11 +183,9 @@ func checkManifest(m *persist.Manifest, opt *OpenOptions) error {
 }
 
 // load validates f's arrays and installs them, aliasing the file's
-// backing memory (the mapping or the heap copy), as the frozen layout.
-// numItems is the caller's item count and wantInserted the manifest's
-// inserted-item count.
-func (ix *Index) load(f *persist.File, numItems, wantInserted int) error {
-	fz := &frozenIndex{}
+// backing memory (the mapping or the heap copy), as the index layout.
+func (ix *Index) load(f *persist.File) error {
+	fz := &ix.frozen
 	var err error
 	if fz.offsets, err = persist.View[int32](f, secOffsets); err != nil {
 		return err
@@ -195,43 +196,28 @@ func (ix *Index) load(f *persist.File, numItems, wantInserted int) error {
 	if fz.slots, err = persist.View[int32](f, secSlots); err != nil {
 		return err
 	}
-	inserted, err := persist.View[bool](f, secInserted)
+	inserted, err := persist.View[byte](f, secInserted)
 	if err != nil {
 		return err
 	}
-	if err := validateFrozen(fz, inserted, ix.params.Bands, numItems); err != nil {
-		return err
-	}
-	numInserted := 0
-	for _, ok := range inserted {
-		if ok {
-			numInserted++
-		}
-	}
-	if numInserted != wantInserted {
-		return fmt.Errorf("%d inserted items, manifest says %d", numInserted, wantInserted)
-	}
-	ix.frozen = fz
-	ix.inserted = inserted
-	ix.numInserted = numInserted
-	return nil
+	return validateFrozen(fz, inserted, ix.params.Bands, ix.n)
 }
 
-// validateFrozen structurally validates loaded frozen arrays. The
-// checksums already reject storage corruption; these checks reject
-// files whose contents are internally inconsistent (a crafted or
-// mismatched file), so no later query can index out of bounds and no
-// item silently drops out of a bucket — corruption is an error here,
-// never a panic or a wrong answer downstream. A bucket of one item is
-// legal: files saved before such buckets were dropped store them.
-func validateFrozen(fz *frozenIndex, inserted []bool, bands, wantItems int) error {
+// validateFrozen structurally validates loaded arrays. The checksums
+// already reject storage corruption; these checks reject files whose
+// contents are internally inconsistent (a crafted or mismatched file),
+// so no later query can index out of bounds and no item silently drops
+// out of a bucket — corruption is an error here, never a panic or a
+// wrong answer downstream. Every build indexes all its items, so every
+// inserted flag must be 1. A bucket of one item is legal: files saved
+// before such buckets were dropped store them.
+func validateFrozen(fz *frozenIndex, inserted []byte, bands, wantItems int) error {
 	if len(inserted) != wantItems {
 		return fmt.Errorf("%d inserted flags for %d items", len(inserted), wantItems)
 	}
-	// A Go bool must be byte 0 or 1; any other byte reads unpredictably.
-	for i, b := range bytesOf(inserted) {
-		if b > 1 {
-			return fmt.Errorf("inserted flag %d is byte %d", i, b)
+	for i, b := range inserted {
+		if b != 1 {
+			return fmt.Errorf("inserted flag %d is byte %d, want 1", i, b)
 		}
 	}
 	if len(fz.offsets) < 1 || fz.offsets[0] != 0 {
@@ -259,16 +245,11 @@ func validateFrozen(fz *frozenIndex, inserted []bool, bands, wantItems int) erro
 	// their sign: with that branch, validating the 100k-item K-Modes
 	// benchmark's index took about 15 ms instead of 9 (2-CPU Xeon).
 	stored := 0
-	for item, ok := range inserted {
-		for b, s := range fz.slots[item*bands : (item+1)*bands] {
-			if uint32(s+1) > uint32(numBuckets) { // s outside [−1, numBuckets)
-				return fmt.Errorf("item %d band %d: slot %d out of range", item, b, s)
-			}
-			if !ok && s >= 0 {
-				return fmt.Errorf("item %d band %d: slot %d for an item not inserted", item, b, s)
-			}
-			stored += int(^uint32(s) >> 31) // 1 when s ≥ 0
+	for i, s := range fz.slots {
+		if uint32(s+1) > uint32(numBuckets) { // s outside [−1, numBuckets)
+			return fmt.Errorf("item %d band %d: slot %d out of range", i/bands, i%bands, s)
 		}
+		stored += int(^uint32(s) >> 31) // 1 when s ≥ 0
 	}
 	if stored != len(fz.items) {
 		return fmt.Errorf("%d stored slots for %d bucket entries", stored, len(fz.items))

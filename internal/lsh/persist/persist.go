@@ -1,5 +1,5 @@
 // Package persist is the versioned, checksummed on-disk format for
-// the frozen LSH index and the binary datasets: persistent storage and
+// the LSH index and the binary datasets: persistent storage and
 // mmap'd zero-copy loading. The cluster summaries of long buckets are
 // never persisted; they describe an assignment and are rebuilt per run.
 //
@@ -13,24 +13,28 @@
 //	         count, absolute offset, byte length, section CRC
 //	sections raw little-ended slice memory, 64-byte aligned
 //
-// An index file's sections carry the frozen arrays exactly as they sit
-// in memory (offsets, items, slots and the inserted flags), so a mapped
-// section is directly usable as the existing slice field: a mapped
-// Open aliases the mapping with zero copies, while a heap Open reads
-// the same bytes into heap memory — the portable oracle the
-// equivalence tests pin the mmap path against. Every integrity check
-// is an error, never a panic: bad magic, wrong version, foreign byte
-// order, truncation (stored size ≠ actual size), table corruption and
-// per-section CRC32-C mismatches all reject the file before any data
-// is handed out, so a crashed or corrupted save can never be partially
-// loaded.
+// An index file's sections carry the index arrays exactly as they sit
+// in memory (offsets, items and slots), so a mapped section is directly
+// usable as the existing slice field: a mapped Open aliases the
+// mapping with zero copies, while a heap Open reads the same bytes
+// into heap memory — the portable oracle the equivalence tests pin the
+// mmap path against. A fourth section keeps the per-item inserted
+// flags of the format; every index holds all its items, so each flag
+// is written, and must read, 1. Every integrity check is an error,
+// never a panic: bad magic, wrong version, foreign byte order,
+// truncation (stored size ≠ actual size), table corruption, a section
+// whose element count times element size overflows or differs from its
+// length or which reaches past the file, and per-section CRC32-C
+// mismatches all reject the file before any data is handed out, so a
+// crashed or corrupted save can never be partially loaded.
 //
 // Alongside the index file sits manifest.json (written last, after the
 // index file has been renamed into place, so a directory with a
 // manifest is complete by construction). The manifest captures the
 // build configuration — banding parameters, signing seed, item count,
-// dataset fingerprint, and the shard count and reorder flag of the
-// retired multi-shard layout, which must read 1 and false — and
+// dataset fingerprint, and the inserted count, shard count, file name
+// and reorder flag of the retired per-item and multi-shard layouts,
+// which must read the item count, 1, shard-0.lshz and false — and
 // loading verifies every field against the caller's expectation: a
 // stale index is rejected with an error, never silently reused.
 package persist
@@ -40,6 +44,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"unsafe"
@@ -285,7 +290,7 @@ func (f *File) verify(size int64) error {
 		off := binary.LittleEndian.Uint64(e[16:])
 		length := binary.LittleEndian.Uint64(e[24:])
 		crc := binary.LittleEndian.Uint32(e[32:])
-		if elem <= 0 || length != n*uint64(elem) {
+		if hi, bytes := bits.Mul64(n, uint64(elem)); elem <= 0 || hi != 0 || bytes != length {
 			return fmt.Errorf("persist: %s: section %d: inconsistent geometry", f.path, id)
 		}
 		if off%sectionAlig != 0 || off > uint64(size) || length > uint64(size)-off {

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -20,15 +21,15 @@ const (
 )
 
 // assertLoadedEqual asserts that got reproduces want exactly: every
-// frozen array byte-identical, the same inserted flags, and an
-// identical candidate stream for every item.
+// layout array byte-identical, the same item count, and an identical
+// candidate stream for every item.
 func assertLoadedEqual(t testing.TB, want, got *Index) {
 	t.Helper()
 	assertFrozenIdentical(t, want, got)
-	if !reflect.DeepEqual(want.inserted, got.inserted) || want.numInserted != got.numInserted {
-		t.Fatalf("inserted flags differ: %d inserted, want %d", got.numInserted, want.numInserted)
+	if want.n != got.n {
+		t.Fatalf("%d items loaded, want %d", got.n, want.n)
 	}
-	for i := range want.inserted {
+	for i := 0; i < want.n; i++ {
 		w := collectCandidates(want, int32(i))
 		g := collectCandidates(got, int32(i))
 		if !reflect.DeepEqual(w, g) {
@@ -41,7 +42,7 @@ func openOptsFor(ix *Index, seed, fp uint64, mmap bool) OpenOptions {
 	return OpenOptions{
 		Params:      ix.params,
 		Seed:        seed,
-		NumItems:    len(ix.inserted),
+		NumItems:    ix.n,
 		Fingerprint: fp,
 		Mmap:        mmap,
 	}
@@ -52,8 +53,8 @@ func openOptsFor(ix *Index, seed, fp uint64, mmap bool) OpenOptions {
 // indistinguishable from the fresh build in every frozen array and
 // every query answer, over the items in original and in locality order
 // (reorder=true). s=1 saves one BuildFrozen index over every item; s>1
-// saves, for each of s contiguous item ranges, an index that holds only
-// that range (the other items left uninserted), each on its own.
+// saves, for each of s contiguous item ranges, the brute-force index of
+// that range's items under local IDs, each on its own.
 func TestPersistRoundTripEquivalence(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
@@ -71,7 +72,7 @@ func TestPersistRoundTripEquivalence(t *testing.T) {
 				} else {
 					cuts := itemRanges(n, shards)
 					for r := 0; r < shards; r++ {
-						fresh = append(fresh, bruteIndex(t, p, testPersistSeed, in, cuts[r], cuts[r+1]))
+						fresh = append(fresh, bruteIndex(t, p, testPersistSeed, in[cuts[r]:cuts[r+1]]))
 					}
 				}
 				dirs := make([]string, len(fresh))
@@ -118,9 +119,6 @@ func assertOpensEqual(t *testing.T, dir string, fresh *Index, mmap bool) {
 	if loaded.MmapBytes() != orep.MmapBytes {
 		t.Fatalf("MmapBytes() = %d, report says %d", loaded.MmapBytes(), orep.MmapBytes)
 	}
-	if loaded.frozen == nil {
-		t.Fatal("loaded index not frozen")
-	}
 	assertLoadedEqual(t, fresh, loaded)
 }
 
@@ -151,7 +149,7 @@ func TestOpenShardedForeignSections(t *testing.T) {
 			in = reorderSets(sets, localityOrder(p, testPersistSeed, sets))
 		}
 		fresh := buildFrozenIndex(t, p, testPersistSeed, in, 2)
-		fz := fresh.frozen
+		fz := &fresh.frozen
 		numSlots := len(fz.offsets) - 1
 		base := []persist.Section{
 			{ID: secOffsets, ElemSize: 4, Data: bytesOf(fz.offsets)},
@@ -161,9 +159,9 @@ func TestOpenShardedForeignSections(t *testing.T) {
 			{ID: secBandStart, ElemSize: 4, Data: make([]byte, 4*(p.Bands+1))},
 			{ID: secTableSizes, ElemSize: 8, Data: make([]byte, 8*p.Bands)},
 			{ID: secTableEntries, ElemSize: 16, Data: make([]byte, 16*4)},
-			{ID: secInserted, ElemSize: 1, Data: bytesOf(fresh.inserted)},
-			{ID: secPerm, ElemSize: 4, Data: make([]byte, 4*len(fresh.inserted))},
-			{ID: secInv, ElemSize: 4, Data: make([]byte, 4*len(fresh.inserted))},
+			{ID: secInserted, ElemSize: 1, Data: bytes.Repeat([]byte{1}, fresh.n)},
+			{ID: secPerm, ElemSize: 4, Data: make([]byte, 4*fresh.n)},
+			{ID: secInv, ElemSize: 4, Data: make([]byte, 4*fresh.n)},
 		}
 		bitmap := func(words int) persist.Section {
 			return persist.Section{ID: secForeignEmpty, ElemSize: 8, Data: make([]byte, 8*words)}
@@ -209,8 +207,11 @@ func writeManifest(t *testing.T, dir string, edit func(*persist.Manifest)) {
 // between the saved index and what the caller would build fresh —
 // seed, dataset, shape — is an error, never a silent reuse, and so is a
 // directory the retired multi-shard layout saved (several shard files,
-// or items in reordered order) or one whose index file is missing.
-// Each error names its cause, and nothing loads half-way.
+// or items in reordered order), one whose index file is missing, one
+// whose manifest names an index file other than shard-0.lshz (here a
+// valid one outside the directory), or one whose manifest counts fewer
+// indexed items than items. Each error names its cause, and nothing
+// loads half-way.
 func TestOpenShardedRejectsStale(t *testing.T) {
 	fresh := buildFrozenIndex(t, Params{Bands: 4, Rows: 2}, testPersistSeed, testSets(120, 17), 2)
 	save := func(t *testing.T) string {
@@ -277,19 +278,37 @@ func TestOpenShardedRejectsStale(t *testing.T) {
 		}
 		reject(t, dir, base, indexFileName)
 	})
+	t.Run("shard-file-name", func(t *testing.T) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "index")
+		if _, err := fresh.Save(dir, testPersistSeed, testPersistFP); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(filepath.Join(dir, indexFileName), filepath.Join(root, "x.lshz")); err != nil {
+			t.Fatal(err)
+		}
+		writeManifest(t, dir, func(m *persist.Manifest) { m.ShardFiles = []string{"../x.lshz"} })
+		reject(t, dir, base, "../x.lshz")
+	})
+	t.Run("inserted-count", func(t *testing.T) {
+		dir := save(t)
+		writeManifest(t, dir, func(m *persist.Manifest) { m.ShardInserted = []int{m.Items - 1} })
+		reject(t, dir, base, "items indexed")
+	})
 	t.Run("missing", func(t *testing.T) {
 		reject(t, t.TempDir(), base, persist.ManifestName)
 	})
 }
 
 // TestOpenRejectsInconsistentArrays pins the structural checks behind
-// the checksums: a file whose arrays disagree with each other is an
-// error, never a panic in a later query, nor an item silently missing
-// from a bucket that lists it.
+// the checksums: a file whose arrays disagree with each other, or whose
+// inserted flags are anything but 1, is an error, never a panic in a
+// later query, nor an item silently missing from a bucket that lists
+// it.
 func TestOpenRejectsInconsistentArrays(t *testing.T) {
 	const bands = 3
 	fresh := buildFrozenIndex(t, Params{Bands: bands, Rows: 2}, testPersistSeed, testSets(50, 17), 2)
-	fz := fresh.frozen
+	fz := &fresh.frozen
 	// stored is the first stored slot, which its item's entry in the
 	// bucket it names answers, and alone the first −1 slot, where its
 	// item sits alone.
@@ -298,18 +317,18 @@ func TestOpenRejectsInconsistentArrays(t *testing.T) {
 	if stored < 0 || alone < 0 || len(fz.offsets) < 3 {
 		t.Fatal("the fixture needs two stored buckets and a −1 slot")
 	}
-	for name, edit := range map[string]func(offsets, items, slots []int32, inserted []bool){
-		"offsets-start":      func(o, _, _ []int32, _ []bool) { o[0] = 1 },
-		"offsets-descending": func(o, _, _ []int32, _ []bool) { o[1], o[2] = o[2], o[1]-1 },
-		"item-range":         func(_, it, _ []int32, _ []bool) { it[7] = int32(len(fresh.inserted)) },
-		"item-negative":      func(_, it, _ []int32, _ []bool) { it[3] = -2 },
-		"slot-range":         func(_, _, s []int32, _ []bool) { s[4] = int32(len(fz.offsets)) },
-		"slot-uninserted":    func(_, _, s []int32, _ []bool) { s[stored] = -1 },
-		"slot-other-bucket":  func(_, _, s []int32, _ []bool) { s[stored] = (s[stored] + 1) % int32(len(fz.offsets)-1) },
-		"slot-alone-named":   func(_, _, s []int32, _ []bool) { s[alone] = s[stored] },
-		"bucket-order":       func(_, it, _ []int32, _ []bool) { it[0], it[1] = it[1], it[0] },
-		"inserted-slot":      func(_, _, _ []int32, ins []bool) { ins[stored/bands] = false },
-		"inserted-byte":      func(_, _, _ []int32, ins []bool) { bytesOf(ins)[0] = 2 },
+	for name, edit := range map[string]func(offsets, items, slots []int32, inserted []byte){
+		"offsets-start":      func(o, _, _ []int32, _ []byte) { o[0] = 1 },
+		"offsets-descending": func(o, _, _ []int32, _ []byte) { o[1], o[2] = o[2], o[1]-1 },
+		"item-range":         func(_, it, _ []int32, _ []byte) { it[7] = int32(fresh.n) },
+		"item-negative":      func(_, it, _ []int32, _ []byte) { it[3] = -2 },
+		"slot-range":         func(_, _, s []int32, _ []byte) { s[4] = int32(len(fz.offsets)) },
+		"slot-uninserted":    func(_, _, s []int32, _ []byte) { s[stored] = -1 },
+		"slot-other-bucket":  func(_, _, s []int32, _ []byte) { s[stored] = (s[stored] + 1) % int32(len(fz.offsets)-1) },
+		"slot-alone-named":   func(_, _, s []int32, _ []byte) { s[alone] = s[stored] },
+		"bucket-order":       func(_, it, _ []int32, _ []byte) { it[0], it[1] = it[1], it[0] },
+		"inserted-slot":      func(_, _, _ []int32, ins []byte) { ins[stored/bands] = 0 },
+		"inserted-byte":      func(_, _, _ []int32, ins []byte) { ins[0] = 2 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -319,13 +338,13 @@ func TestOpenRejectsInconsistentArrays(t *testing.T) {
 			offsets := append([]int32(nil), fz.offsets...)
 			items := append([]int32(nil), fz.items...)
 			slots := append([]int32(nil), fz.slots...)
-			inserted := append([]bool(nil), fresh.inserted...)
+			inserted := bytes.Repeat([]byte{1}, fresh.n)
 			edit(offsets, items, slots, inserted)
 			err := persist.WriteFile(filepath.Join(dir, indexFileName), []persist.Section{
 				{ID: secOffsets, ElemSize: 4, Data: bytesOf(offsets)},
 				{ID: secItems, ElemSize: 4, Data: bytesOf(items)},
 				{ID: secSlots, ElemSize: 4, Data: bytesOf(slots)},
-				{ID: secInserted, ElemSize: 1, Data: bytesOf(inserted)},
+				{ID: secInserted, ElemSize: 1, Data: inserted},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -404,7 +423,7 @@ func TestLegacyLayoutAnswersAlike(t *testing.T) {
 		sets[i] = sets[0]
 	}
 	compact := buildFrozenIndex(t, p, testPersistSeed, sets, 2)
-	legacy := legacyFrozen(t, p, testPersistSeed, bandKeysOf(compact, sets), rangeFlags(n, 0, n))
+	legacy := legacyFrozen(t, p, bandKeysOf(p, testPersistSeed, sets), n)
 	if len(legacy.frozen.offsets) <= len(compact.frozen.offsets) {
 		t.Fatal("the fixture has no singleton buckets")
 	}
@@ -499,12 +518,9 @@ func TestPersistGoldenDeterminism(t *testing.T) {
 		golden = uint64(0x160341fee069f60d)
 	)
 	p := Params{Bands: 6, Rows: 3}
+	keys := SignAll(p, n, 2, setSigner(testScheme(p, testPersistSeed), testSets(n, 17)), nil)
 	for _, workers := range []int{1, 4} {
-		ix := mustIndex(t, p, testPersistSeed)
-		keys := SignAll(p, n, 2, setSigner(ix, testSets(n, 17)), nil)
-		if err := ix.BuildFrozen(keys, n, workers); err != nil {
-			t.Fatal(err)
-		}
+		ix := mustBuild(t, p, keys, n, workers)
 		if got := hashFrozen(ix); got != golden {
 			t.Fatalf("workers=%d: frozen-layout hash %#x, golden %#x — the persisted layout drifted",
 				workers, got, golden)
@@ -536,13 +552,4 @@ func FuzzPersistRoundTrip(f *testing.F) {
 			loaded.ClosePersist()
 		}
 	})
-}
-
-// TestSaveRejectsUnfrozen pins Save's precondition: an index neither
-// built nor loaded has nothing to save.
-func TestSaveRejectsUnfrozen(t *testing.T) {
-	ix := mustIndex(t, Params{Bands: 2, Rows: 2}, 1)
-	if _, err := ix.Save(filepath.Join(t.TempDir(), "idx"), 1, 2); err == nil {
-		t.Fatal("Save on an unbuilt index accepted")
-	}
 }

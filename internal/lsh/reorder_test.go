@@ -16,11 +16,7 @@ import (
 // localityOrder returns the item order that makes every band-0 bucket
 // contiguous (stable in ID order): order[new] = original.
 func localityOrder(p Params, seed uint64, sets [][]uint64) []int {
-	ix, err := NewIndex(p, seed)
-	if err != nil {
-		panic(err)
-	}
-	keys := SignAll(p, len(sets), 1, setSigner(ix, sets), nil)
+	keys := bandKeysOf(p, seed, sets)
 	order := make([]int, len(sets))
 	for i := range order {
 		order[i] = i
@@ -45,12 +41,11 @@ func reorderSets(sets [][]uint64, order []int) [][]uint64 {
 // bucket — the same items in each shared band bucket. For s>1 the
 // locality order is split into s contiguous ranges, each built as an
 // index of its own with local IDs, and each range's answers must be
-// those of the brute-force layout of its items.
+// those of the brute-force layout of its items in original order.
 func TestReorderedQueriesMatchSingle(t *testing.T) {
 	const n = 260
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 21)
-	keys := bandKeysOf(mustIndex(t, p, 7), sets)
 	order := localityOrder(p, 7, sets)
 	if slices.IsSorted(order) {
 		t.Fatal("the locality order is the identity")
@@ -64,18 +59,19 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 					lo, hi := cuts[r], cuts[r+1]
 					ix := buildFrozenIndex(t, p, 7, ordered[lo:hi], workers)
 					toOrig := order[lo:hi]
-					inRange := make([]bool, n)
-					for _, o := range toOrig {
-						inRange[o] = true
-					}
-					ref := bruteFrozen(t, p, 7, keys, inRange)
+					// The reference holds the range's items in original
+					// order: its item j is original item origIDs[j].
+					origIDs := slices.Clone(toOrig)
+					slices.Sort(origIDs)
+					ref := bruteIndex(t, p, 7, reorderSets(sets, origIDs))
 					for l, o := range toOrig {
-						want := mappedBuckets(ref, int32(o), nil)
+						j, _ := slices.BinarySearch(origIDs, o)
+						want := mappedBuckets(ref, int32(j), origIDs)
 						if got := mappedBuckets(ix, int32(l), toOrig); !reflect.DeepEqual(want, got) {
 							t.Fatalf("range %d item %d buckets: want %v, got %v", r, o, want, got)
 						}
 						var wantAll, gotAll []int32
-						ref.Candidates(int32(o), func(c int32) { wantAll = append(wantAll, c) })
+						ref.Candidates(int32(j), func(c int32) { wantAll = append(wantAll, int32(origIDs[c])) })
 						ix.Candidates(int32(l), func(c int32) { gotAll = append(gotAll, int32(toOrig[c])) })
 						slices.Sort(wantAll)
 						slices.Sort(gotAll)
@@ -93,16 +89,13 @@ func TestReorderedQueriesMatchSingle(t *testing.T) {
 }
 
 // mappedBuckets returns item's band buckets on ix, each mapped through
-// toOrig (when set) and sorted.
+// toOrig and sorted.
 func mappedBuckets(ix *Index, item int32, toOrig []int) [][]int32 {
 	var out [][]int32
 	ix.CandidatesBatch([]int32{item}, func(_ int, bucket []int32, _ int32) {
 		b := []int32{}
 		for _, id := range bucket {
-			if toOrig != nil {
-				id = int32(toOrig[id])
-			}
-			b = append(b, id)
+			b = append(b, int32(toOrig[id]))
 		}
 		slices.Sort(b)
 		out = append(out, b)
@@ -119,7 +112,7 @@ func TestReorderedReverseMatchesSingle(t *testing.T) {
 	const n = 220
 	p := Params{Bands: 6, Rows: 3}
 	sets := testSets(n, 17)
-	ref := singleReference(t, p, 7, sets)
+	ref := bruteIndex(t, p, 7, sets)
 	order := localityOrder(p, 7, sets)
 	inv := make([]int, n)
 	for i, o := range order {
@@ -188,26 +181,22 @@ func TestReorderInertLayouts(t *testing.T) {
 }
 
 // TestForeignSlotsSkippedLayouts pins that no index builds a
-// foreign-emptiness bitmap or fans a query out, built or not: the
-// deprecated accessors read zero after queries on either.
+// foreign-emptiness bitmap or fans a query out: the deprecated
+// accessors read zero after queries.
 func TestForeignSlotsSkippedLayouts(t *testing.T) {
 	p := Params{Bands: 4, Rows: 2}
 	sets := testSets(40, 5)
-	for name, ix := range map[string]*Index{
-		"unfrozen": mustIndex(t, p, 7),
-		"frozen":   buildFrozenIndex(t, p, 7, sets, 2),
-	} {
-		for _, blk := range blocks(len(sets), 7) {
-			collectBatch(ix, blk)
-		}
-		if b := ix.ForeignSlotBytes(); b != 0 {
-			t.Fatalf("%s: ForeignSlotBytes = %d, want 0", name, b)
-		}
-		if probes, direct := ix.FanOutOps(); probes != 0 || direct != 0 {
-			t.Fatalf("%s: FanOutOps = %d, %d, want 0, 0", name, probes, direct)
-		}
-		if local, foreign := ix.FanOutLocality(); local != 0 || foreign != 0 {
-			t.Fatalf("%s: FanOutLocality = %d, %d, want 0, 0", name, local, foreign)
-		}
+	ix := buildFrozenIndex(t, p, 7, sets, 2)
+	for _, blk := range blocks(len(sets), 7) {
+		collectBatch(ix, blk)
+	}
+	if b := ix.ForeignSlotBytes(); b != 0 {
+		t.Fatalf("ForeignSlotBytes = %d, want 0", b)
+	}
+	if probes, direct := ix.FanOutOps(); probes != 0 || direct != 0 {
+		t.Fatalf("FanOutOps = %d, %d, want 0, 0", probes, direct)
+	}
+	if local, foreign := ix.FanOutLocality(); local != 0 || foreign != 0 {
+		t.Fatalf("FanOutLocality = %d, %d, want 0, 0", local, foreign)
 	}
 }

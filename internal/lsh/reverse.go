@@ -1,22 +1,20 @@
 package lsh
 
-// Reverse is a reusable reverse-collision view over a frozen index:
-// mark a set of *source* items, then enumerate every indexed item that
-// shares at least one band bucket with any source. Collision is
-// symmetric, so the emitted items are exactly those whose candidate
-// enumeration would report a source — the "items touching" relation the
-// clustering driver needs to expand a changed cluster neighbourhood
-// into the set of items whose shortlist (or shortlist distances) may
-// have changed. Every source collides with itself, so every inserted
-// source is emitted too: through its stored buckets, or on its own when
-// it shares none.
+// Reverse is a reusable reverse-collision view over an index: mark a
+// set of *source* items, then enumerate every item that shares at
+// least one band bucket with any source. Collision is symmetric, so the
+// emitted items are exactly those whose candidate enumeration would
+// report a source — the "items touching" relation the clustering
+// driver needs to expand a changed cluster neighbourhood into the set
+// of items whose shortlist (or shortlist distances) may have changed.
+// Every source collides with itself, so every source is emitted too:
+// through its stored buckets, or on its own when it shares none.
 //
 // Buckets are deduplicated at the bucket level: a bucket shared by many
 // sources is scanned exactly once during Emit, so expanding the members
 // of a cluster costs O(distinct hot buckets' contents) rather than
-// O(sources × bands × bucket size). This is only possible on the frozen
-// CSR layout, where buckets have stable global IDs (see frozenIndex);
-// NewReverse returns nil for an unfrozen index.
+// O(sources × bands × bucket size). The CSR layout makes this possible:
+// its buckets have stable global IDs (see frozenIndex).
 //
 // A Reverse owns private scratch and is not safe for concurrent use.
 type Reverse struct {
@@ -28,21 +26,16 @@ type Reverse struct {
 	alone []int32
 }
 
-// NewReverse returns a reverse view over the index, or nil when the
-// index has not been frozen.
+// NewReverse returns a reverse view over the index.
 func (ix *Index) NewReverse() *Reverse {
-	if ix.frozen == nil {
-		return nil
-	}
 	return &Reverse{ix: ix, mark: make([]bool, len(ix.frozen.offsets)-1)}
 }
 
-// AddSource marks every stored bucket of a previously inserted item
-// hot, or remembers the item when it shares none. Uninserted items are
-// ignored.
+// AddSource marks every stored bucket of item hot, or remembers the
+// item when it shares none. IDs outside [0, n) are ignored.
 func (r *Reverse) AddSource(item int32) {
 	ix := r.ix
-	if !ix.isInserted(item) {
+	if !ix.indexed(item) {
 		return
 	}
 	bands := ix.params.Bands
@@ -69,7 +62,7 @@ func (r *Reverse) AddSource(item int32) {
 // enumeration early. All marks are reset before Emit returns, whether
 // or not it was stopped, so the view is immediately reusable.
 func (r *Reverse) Emit(fn func(item int32) bool) {
-	fz := r.ix.frozen
+	fz := &r.ix.frozen
 	stopped := false
 	for _, s := range r.marked {
 		if !stopped {

@@ -34,7 +34,7 @@ const signPollEvery = 1024
 // arena is partially filled — callers must discard it (the clustering
 // driver maps stop to context cancellation and aborts the run).
 //
-// The arena is exactly what Index.BuildFrozen consumes; keys are a
+// The arena is exactly what BuildFrozen consumes; keys are a
 // function of the items' signatures alone (the band keys
 // BandTable.Probe computes), regardless of workers.
 func SignAll(p Params, n, workers int, newSigner func() SignFunc, stop func() bool) []uint64 {

@@ -3,8 +3,6 @@ package lsh
 import (
 	"reflect"
 	"testing"
-
-	"lshcluster/internal/minhash"
 )
 
 // TestSignAllMatchesInsertKeys pins the arena contents: SignAll must
@@ -14,18 +12,18 @@ func TestSignAllMatchesInsertKeys(t *testing.T) {
 	const n = 150
 	p := Params{Bands: 10, Rows: 3}
 	sets := testSets(n, 21)
-	ix := mustIndex(t, p, 13)
+	scheme := testScheme(p, 13)
 	bt := mustBandTable(t, p)
 	want := make([]uint64, 0, n*p.Bands)
 	sig := make([]uint64, p.SignatureLen())
 	for _, s := range sets {
-		if err := bt.Probe(ix.Scheme().Sign(s, sig), nil); err != nil {
+		if err := bt.Probe(scheme.Sign(s, sig), nil); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, bt.keys...)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		got := SignAll(p, n, workers, setSigner(ix, sets), nil)
+		got := SignAll(p, n, workers, setSigner(scheme, sets), nil)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: SignAll keys differ from the per-item band keys", workers)
 		}
@@ -36,8 +34,8 @@ func TestSignAllMatchesInsertKeys(t *testing.T) {
 // accelerator uses — a shared, pre-filled memo read by every worker —
 // under the race detector, and checks the keys are identical to
 // direct serial signing. This is the concurrent-signing regression
-// test for the shared-sigBuf hazard: the parallel path must never
-// touch Index scratch.
+// test for the shared-sigBuf hazard: the parallel path must share no
+// signing scratch.
 func TestSignAllConcurrentMemo(t *testing.T) {
 	const n, maxVal = 400, 64
 	p := Params{Bands: 8, Rows: 4}
@@ -47,7 +45,7 @@ func TestSignAllConcurrentMemo(t *testing.T) {
 			sets[i][j] %= maxVal // keep IDs inside the memo table
 		}
 	}
-	scheme := minhash.NewScheme(p.SignatureLen(), 41)
+	scheme := testScheme(p, 41)
 	memo := scheme.NewMemo(maxVal)
 	memo.Fill(4)
 

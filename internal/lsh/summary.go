@@ -5,7 +5,7 @@ package lsh
 // shortlist query maps every member through the caller's assignment and
 // deduplicates, yet a long bucket's members fall into few clusters (on
 // the SimHash K-Means benchmark an item's buckets hold about 1,350
-// entries in about 20 distinct clusters). So every frozen bucket of at
+// entries in about 20 distinct clusters). So every stored bucket of at
 // least SummaryMinLen items also keeps its members' distinct clusters
 // in first-appearance order, under a view of the assignment the caller
 // supplies (SummarizeClusters). A block sweep hands each whole long
@@ -22,13 +22,11 @@ package lsh
 // read, so upkeep never costs more than the queries that found the
 // moves.
 //
-// Summaries live on the heap beside the frozen layout and are never
+// Summaries live on the heap beside the CSR layout and are never
 // persisted: they describe an assignment, not the index. Short buckets
 // keep no summary and are walked member by member. (The stream's
 // BandTable files clusters, not items, so its buckets are summaries
 // already.)
-
-import "math/bits"
 
 // SummaryMinLen is the shortest bucket that keeps a cluster summary:
 // 16 int32 item IDs fill one 64-byte cache line. A walk of a shorter
@@ -38,14 +36,15 @@ import "math/bits"
 // saved nothing.
 const SummaryMinLen = 16
 
-// clusterSummaries is an index's summary store. table maps a long
-// bucket's slot to its summary ID, and slots maps the ID back. Summary
-// id's region, arena[start[id] : start[id+1]], has room for one cluster
-// per bucket member, which bounds its distinct clusters, so the store
-// is sized by the summarised entries and a recompute never moves a
-// summary.
+// clusterSummaries is an index's summary store. ids maps every stored
+// bucket to its summary ID, −1 for a bucket that keeps none — one
+// int32 per stored bucket, 176 KiB for the 45,037 of the 100k-item
+// K-Modes benchmark — and slots maps the ID back. Summary id's region,
+// arena[start[id] : start[id+1]], has room for one cluster per bucket
+// member, which bounds its distinct clusters, so the arena is sized by
+// the summarised entries and a recompute never moves a summary.
 type clusterSummaries struct {
-	table summaryTable
+	ids   []int32
 	slots []int32
 	start []int
 	count []int32
@@ -60,111 +59,44 @@ type clusterSummaries struct {
 	queue []int32
 }
 
-// summaryTable maps a long bucket's slot to its summary ID: linear
-// probing over cells at most half full, keyed by slot+1 so the zero
-// cell is empty, indexed by Fibonacci hashing. The long buckets are few
-// (4,697 of the K-Modes benchmark's 45,037 stored buckets), so the
-// table stays
-// cache-resident where per-bucket arrays would not.
-type summaryTable struct {
-	cells []summaryCell
-	shift uint
-}
-
-type summaryCell struct{ key, id int32 }
-
-// newSummaryTable files slots[j] under summary ID j.
-func newSummaryTable(slots []int32) summaryTable {
-	if len(slots) == 0 {
-		return summaryTable{}
-	}
-	size := 2
-	for size < 2*len(slots) {
-		size *= 2
-	}
-	t := summaryTable{cells: make([]summaryCell, size), shift: uint(32 - bits.TrailingZeros(uint(size)))}
-	mask := size - 1
-	for j, slot := range slots {
-		i := t.home(slot)
-		for t.cells[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		t.cells[i] = summaryCell{key: slot + 1, id: int32(j)}
-	}
-	return t
-}
-
-func (t *summaryTable) home(slot int32) int {
-	return int((uint32(slot) * 0x9e3779b1) >> t.shift)
-}
-
-// get returns the summary ID of bucket slot, or -1 when the bucket
-// keeps none.
-//
-//lshvet:noescape
-func (t *summaryTable) get(slot int32) int32 {
-	if len(t.cells) == 0 {
-		return -1
-	}
-	mask := len(t.cells) - 1
-	for i := t.home(slot); ; i = (i + 1) & mask {
-		c := t.cells[i]
-		if c.key == slot+1 {
-			return c.id
-		}
-		if c.key == 0 {
-			return -1
-		}
-	}
-}
-
-// summaryOf returns the summary handle of frozen bucket slot, which
-// holds n items: -1 for a short bucket or one without a summary.
+// summaryOf returns the summary handle of stored bucket slot, which
+// holds n items: -1 for a short bucket or one without a summary. The
+// length test spares the ids read for the short buckets, which are
+// most of them.
 //
 //lshvet:noescape
 func (ix *Index) summaryOf(slot int32, n int) int32 {
 	if n < SummaryMinLen || ix.sums == nil {
 		return -1
 	}
-	return ix.sums.table.get(slot)
+	return ix.sums.ids[slot]
 }
 
-// longBuckets appends the slots of every bucket of at least
-// SummaryMinLen items to dst.
-func longBuckets(offsets []int32, dst []int32) []int32 {
-	for s := 0; s+1 < len(offsets); s++ {
-		if offsets[s+1]-offsets[s] >= SummaryMinLen {
-			dst = append(dst, int32(s))
-		}
-	}
-	return dst
-}
-
-// SummarizeClusters (re)builds the cluster summary of every frozen
+// SummarizeClusters (re)builds the cluster summary of every stored
 // bucket of at least SummaryMinLen items from view, which maps item IDs
 // to clusters (entries < 0 are unassigned and skipped). From then on
 // every write to view must be reported through Resummarize before the
-// next block sweep reads a summary. A no-op on an unfrozen index; it
-// must not run concurrently with queries.
+// next block sweep reads a summary. It must not run concurrently with
+// queries.
 func (ix *Index) SummarizeClusters(view []int32) {
 	ix.sums = nil
-	fz := ix.frozen
-	if fz == nil {
-		return
+	fz := &ix.frozen
+	cs := &clusterSummaries{ids: make([]int32, len(fz.offsets)-1)}
+	for s := range cs.ids {
+		cs.ids[s] = -1
+		if fz.offsets[s+1]-fz.offsets[s] >= SummaryMinLen {
+			cs.ids[s] = int32(len(cs.slots))
+			cs.slots = append(cs.slots, int32(s))
+		}
 	}
-	long := longBuckets(fz.offsets, nil)
-	cs := &clusterSummaries{
-		table: newSummaryTable(long),
-		slots: long,
-		start: make([]int, len(long)+1),
-		count: make([]int32, len(long)),
-		stale: make([]bool, len(long)),
-	}
-	for id, slot := range long {
+	cs.start = make([]int, len(cs.slots)+1)
+	for id, slot := range cs.slots {
 		cs.start[id+1] = cs.start[id] + int(fz.offsets[slot+1]-fz.offsets[slot])
 	}
-	cs.arena = make([]int32, cs.start[len(long)])
-	for id := range long {
+	cs.count = make([]int32, len(cs.slots))
+	cs.stale = make([]bool, len(cs.slots))
+	cs.arena = make([]int32, cs.start[len(cs.slots)])
+	for id := range cs.slots {
 		cs.compute(int32(id), ix.summaryBucket(cs, int32(id)), view)
 	}
 	ix.sums = cs
@@ -174,7 +106,7 @@ func (ix *Index) SummarizeClusters(view []int32) {
 //
 //lshvet:noescape
 func (ix *Index) summaryBucket(cs *clusterSummaries, id int32) []int32 {
-	fz := ix.frozen
+	fz := &ix.frozen
 	slot := cs.slots[id]
 	return fz.items[fz.offsets[slot]:fz.offsets[slot+1]]
 }
@@ -193,16 +125,14 @@ func (ix *Index) Resummarize(items []int32, view []int32) int {
 	bands := ix.params.Bands
 	queue := cs.queue[:0]
 	for _, item := range items {
-		if !ix.isInserted(item) {
+		if !ix.indexed(item) {
 			continue
 		}
 		for _, slot := range ix.frozen.slots[int(item)*bands:][:bands] {
-			// −1: item alone in the band. The table's key for it would
-			// be 0, its empty-cell marker, so it must not be looked up.
-			if slot < 0 {
+			if slot < 0 { // item alone in the band
 				continue
 			}
-			if id := cs.table.get(slot); id >= 0 && !cs.stale[id] {
+			if id := cs.ids[slot]; id >= 0 && !cs.stale[id] {
 				cs.stale[id] = true
 				queue = append(queue, id)
 			}

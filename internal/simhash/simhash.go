@@ -123,8 +123,6 @@ func (s *Scheme) SetScalarKernels(scalar bool) { s.scalarKernels = scalar }
 type Accelerator struct {
 	core.ShardedIndexBase
 	space  *kmeans.Space
-	params lsh.Params
-	seed   int64
 	scheme *Scheme
 }
 
@@ -139,17 +137,16 @@ func NewAccelerator(space *kmeans.Space, params lsh.Params, seed int64) (*Accele
 		return nil, err
 	}
 	return &Accelerator{
-		space:  space,
-		params: params,
-		seed:   seed,
-		scheme: scheme,
+		// A point set has no dataset fingerprint, so the index cannot
+		// be persisted.
+		ShardedIndexBase: core.NewShardedIndexBase(params, uint64(seed), space.NumItems(), nil),
+		space:            space,
+		scheme:           scheme,
 	}, nil
 }
 
-// Reset prepares an empty index.
-func (a *Accelerator) Reset(numClusters int) error {
-	return a.ResetIndex(a.params, uint64(a.seed), a.space.NumItems(), numClusters)
-}
+// Reset discards any previous index and prepares a fresh one.
+func (a *Accelerator) Reset(numClusters int) error { return a.ResetIndex(numClusters) }
 
 // SetScalarKernels forwards the kernel-oracle switch to the signing
 // scheme (core.KernelConfigurable): true signs with the scalar
