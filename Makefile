@@ -7,13 +7,21 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: build test examples-smoke perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke clean
+.PHONY: build test test-procs examples-smoke perfbench-test perfbench-smoke lint gofmt lshvet allocheck staticcheck govulncheck fuzz-smoke clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# core.Run's set-up (signing, index build, first assignment) runs on
+# GOMAXPROCS goroutines, so the core, facade and CLI tests run at fixed
+# CPU counts, whatever the machine: one goroutine, and an uneven
+# three-way split.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core/ . ./cmd/lshcluster/
+	GOMAXPROCS=3 $(GO) test -count=1 ./internal/core/ . ./cmd/lshcluster/
 
 # Runs every program under examples/ at its defaults; each must exit 0.
 # The streaming example, the one that drives the stream's band table
@@ -87,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lsh/persist -run='^$$' -fuzz=FuzzOpen -fuzztime=30s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreRunState -fuzztime=30s
 	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s
+	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzOpenBinary -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzFreqTable -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzNearestScan -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzLoadModel -fuzztime=30s

@@ -5,6 +5,11 @@
 // -scale 1 for paper-sized runs (hours of CPU). Raw per-iteration series
 // can additionally be dumped as CSV with -csv.
 //
+// Timings include the bootstrap, whose signing, index construction and
+// first assignment run on every CPU the Go runtime uses; the passes run
+// on one goroutine. Run under GOMAXPROCS=1 to reproduce the one-core
+// setting of the paper's figures.
+//
 // Examples:
 //
 //	experiments -all

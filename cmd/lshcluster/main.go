@@ -16,8 +16,10 @@
 // selects a reference implementation. The reference twins of the fast
 // paths (scalar kernels, batch centroid updates, full passes, heap
 // index loads) are reachable only from tests, which check each against
-// the default run (TestOraclesMatchDefault in internal/core); the
-// parallel bootstrap's reference is the same run at -workers 1.
+// the default run (TestOraclesMatchDefault in internal/core). The
+// bootstrap (signing, index construction, first assignment) runs on
+// every CPU the Go runtime uses, whatever -workers says, which sizes
+// only the passes; its reference is the same run under GOMAXPROCS=1.
 //
 // Examples:
 //

@@ -70,8 +70,11 @@
 //     they change.
 //
 //   - The bootstrap itself is a parallel pipeline, individually timed
-//     per phase (sign → build → assign): signing splits items across
-//     Config.Workers goroutines with per-worker scratch into a flat
+//     per phase (sign → build → assign), on runtime.GOMAXPROCS(0)
+//     goroutines under either update policy: every phase treats each
+//     item independently, so unlike a pass it needs no deferred
+//     updates, and Config.Workers sizes only the passes. Signing splits
+//     items across the goroutines with per-worker buffers into a flat
 //     band-key arena; the direct-to-frozen build parallelises across
 //     bands, each band owning a contiguous bucket-ID range; and the
 //     exact first assignment splits items like any parallel pass.
@@ -79,15 +82,17 @@
 //     through the space's nearest-centroid capability when it has one:
 //     K-Modes lists, per attribute, the clusters whose mode holds each
 //     value, and walking an item's m lists counts its matches with
-//     every cluster at once, instead of k row comparisons. Where the
-//     lists would be long — few values per attribute, or one value
-//     most modes share, as in binary bag-of-words data — it compares
-//     the item with every mode instead. Exact passes always compare
+//     every cluster at once, instead of k row comparisons; each list
+//     is found by one probe of an open-addressed table keyed by
+//     (attribute, value). Where the lists would be long — few values
+//     per attribute, or one value most modes share, as in binary
+//     bag-of-words data — it compares the item with every mode
+//     instead. Exact passes always compare
 //     the item with all k modes, as in the paper.
 //     Results are bit-identical at every worker count, and the tests
-//     keep the one-worker run as the reference; per-phase timings land
-//     in Run.BootstrapSign/BootstrapBuild/BootstrapAssign and the
-//     stats CSV.
+//     keep the run under GOMAXPROCS=1 as the reference; per-phase
+//     timings land in Run.BootstrapSign/BootstrapBuild/BootstrapAssign
+//     and the stats CSV.
 //
 //   - Bootstrap signing memoizes per-value MinHash columns when values
 //     repeat and the column table is no larger than the band-key arena
@@ -203,8 +208,9 @@
 // CLI flag. TestOraclesMatchDefault (internal/core) runs each one,
 // alone and all together, against the default configuration and
 // requires identical assignments and statistics. The parallel
-// bootstrap's reference is no switch: it is the same pipeline at
-// Config.Workers 1.
+// bootstrap's reference is no switch: it is the same pipeline under
+// GOMAXPROCS=1, which runs every set-up phase on one goroutine (make
+// test-procs runs the core, facade and CLI tests at one and at three).
 //
 // # Persistent index and warm start
 //

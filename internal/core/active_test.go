@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -284,12 +285,14 @@ func TestCancellationMidPass(t *testing.T) {
 			space := &countingSpace{n: n, k: k}
 			// Bootstrap's full scan runs before the countdown matters:
 			// budget the pre-bootstrap Err call, the bootstrap scan's
-			// in-shard polls (one per 1024-item chunk per worker, see
-			// ctxPollEvery) plus its phase-end check, the iteration-top
-			// call, and cancel at the first in-pass poll.
+			// in-shard polls (one per 1024-item chunk per set-up
+			// worker, one per GOMAXPROCS; see ctxPollEvery) plus its
+			// phase-end check, the iteration-top call, and cancel at the
+			// first in-pass poll.
 			bootPolls := int32(0)
-			for g := 0; g < workers; g++ {
-				lo, hi := g*n/workers, (g+1)*n/workers
+			procs := runtime.GOMAXPROCS(0)
+			for g := 0; g < procs; g++ {
+				lo, hi := g*n/procs, (g+1)*n/procs
 				bootPolls += int32((hi - lo + 1023) / 1024)
 			}
 			ctx := newCountdownCtx(1 + bootPolls + 1 + 1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"lshcluster/internal/datagen"
@@ -16,18 +17,31 @@ import (
 	"lshcluster/internal/core"
 )
 
+// setProcs sets GOMAXPROCS to procs, restoring the previous value when
+// the test ends. The bootstrap's worker count is GOMAXPROCS.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // assertBootstrapEqual runs the same configuration twice — once as
-// given, once with Workers: 1, the serial reference, whose sign →
-// build → assign bootstrap runs every phase on one goroutine — and
-// asserts bit-identical outcomes: assignments, per-iteration moves and
-// costs, convergence, and the final centroids (via the caller-provided
-// fingerprint of the space the run mutated).
+// given under GOMAXPROCS 4, once as the serial reference: Workers: 1
+// under GOMAXPROCS 1, whose sign → build → assign bootstrap runs every
+// phase on one goroutine — and asserts bit-identical outcomes:
+// assignments, per-iteration moves and costs, convergence, and the
+// final centroids (via the caller-provided fingerprint of the space the
+// run mutated).
 func assertBootstrapEqual(t *testing.T, mk func() (core.Space, core.Accelerator), fingerprint func(core.Space) []byte, opts core.Options) {
 	t.Helper()
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	run := func(serial bool) (*core.Result, []byte) {
 		o := opts
+		runtime.GOMAXPROCS(4)
 		if serial {
 			o.Workers = 1
+			runtime.GOMAXPROCS(1)
 		}
 		space, accel := mk()
 		o.Accelerator = accel
@@ -89,8 +103,8 @@ func kmodesFingerprint(t *testing.T) func(core.Space) []byte {
 
 // TestParallelBootstrapMatchesSerialKModes is the headline equivalence
 // matrix: MinHash-accelerated K-Modes across update modes and worker
-// counts, each against the one-worker reference (workers=1 is the
-// reference itself).
+// counts, each against the one-goroutine reference (at workers=1 the
+// two runs differ only in GOMAXPROCS, so only in the set-up).
 func TestParallelBootstrapMatchesSerialKModes(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -159,8 +173,8 @@ func TestParallelBootstrapMatchesSerialKMeans(t *testing.T) {
 }
 
 // TestParallelBootstrapExactScan covers the non-accelerated run: the
-// bootstrap full scan shards across workers and must stay
-// bit-identical to the serial scan.
+// bootstrap full scan shards across GOMAXPROCS goroutines and must
+// stay bit-identical to the serial scan.
 func TestParallelBootstrapExactScan(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -217,24 +231,26 @@ func TestBootstrapPhaseTimings(t *testing.T) {
 
 // TestBootstrapCancellation checks the bootstrap honours
 // Options.Context: a cancelled context stops the bootstrap scan after
-// at most one poll interval per worker instead of completing the whole
+// at most one poll interval per set-up worker — one per GOMAXPROCS,
+// whatever Options.Workers says — instead of completing the whole
 // first assignment, and the accelerated pipeline aborts cleanly at a
 // phase boundary.
 func TestBootstrapCancellation(t *testing.T) {
 	const n, k = 40_000, 4
-	for _, workers := range []int{1, 4} {
+	for _, c := range []struct{ procs, workers int }{{1, 4}, {4, 1}} {
+		setProcs(t, c.procs)
 		space := &countingSpace{n: n, k: k}
 		ctx := newCountdownCtx(1) // pre-bootstrap check passes; first in-scan poll cancels
 		_, err := core.Run(space, core.Options{
-			Workers: workers, SkipCost: true, MaxIterations: 2, Context: ctx,
+			Workers: c.workers, SkipCost: true, MaxIterations: 2, Context: ctx,
 		})
 		if err != context.Canceled {
-			t.Fatalf("w=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("procs=%d: err = %v, want context.Canceled", c.procs, err)
 		}
-		// Each worker evaluates at most one poll chunk (1024 items × k
-		// distances) before observing the cancellation.
-		if calls, budget := space.calls.Load(), int64(workers)*1024*k; calls > budget {
-			t.Fatalf("w=%d: %d distance calls after cancellation, want ≤ %d", workers, calls, budget)
+		// Each set-up worker evaluates at most one poll chunk (1024
+		// items × k distances) before observing the cancellation.
+		if calls, budget := space.calls.Load(), int64(c.procs)*1024*k; calls > budget {
+			t.Fatalf("procs=%d: %d distance calls after cancellation, want ≤ %d", c.procs, calls, budget)
 		}
 	}
 
@@ -254,5 +270,54 @@ func TestBootstrapCancellation(t *testing.T) {
 	})
 	if err != context.Canceled {
 		t.Fatalf("accelerated: err = %v, want context.Canceled", err)
+	}
+}
+
+// workerRecorder is a MinHash accelerator that records the worker
+// counts Run hands its set-up phases.
+type workerRecorder struct {
+	*core.MinHashAccelerator
+	sign, build int
+}
+
+func (a *workerRecorder) SignAll(workers int, stop func() bool) error {
+	a.sign = workers
+	return a.MinHashAccelerator.SignAll(workers, stop)
+}
+
+func (a *workerRecorder) BuildFrozen(workers int) error {
+	a.build = workers
+	return a.MinHashAccelerator.BuildFrozen(workers)
+}
+
+// TestBootstrapWorkersFollowGOMAXPROCS checks that the set-up's worker
+// count is the host's, not the passes': signing and the build run on
+// GOMAXPROCS goroutines under immediate updates (Workers 0 or 1) and
+// under deferred updates with more pass workers alike.
+func TestBootstrapWorkersFollowGOMAXPROCS(t *testing.T) {
+	setProcs(t, 3)
+	ds := bootstrapWorkload(t)
+	for _, opts := range []core.Options{
+		{Workers: 0},
+		{Workers: 1},
+		{Workers: 4, Update: core.UpdateDeferred},
+	} {
+		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mh, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &workerRecorder{MinHashAccelerator: mh}
+		opts.Accelerator, opts.MaxIterations = a, 2
+		if _, err := core.Run(s, opts); err != nil {
+			t.Fatal(err)
+		}
+		if a.sign != 3 || a.build != 3 {
+			t.Fatalf("Workers %d, update %d: SignAll got %d workers, BuildFrozen %d, want 3 (GOMAXPROCS)",
+				opts.Workers, opts.Update, a.sign, a.build)
+		}
 	}
 }

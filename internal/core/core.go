@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -94,8 +95,10 @@ type Accelerator interface {
 // runs as the bootstrap's sign → build phases (see driver.bootstrap),
 // after Reset and before the exact first assignment. The index comes
 // up frozen. Both passes are bit-identical at every worker count —
-// signing is deterministic per item and filing order is fixed — so a
-// Workers: 1 run is the reference for the parallel ones.
+// signing is deterministic per item and filing order is fixed — so Run
+// passes both runtime.GOMAXPROCS(0), whatever Options.Workers and the
+// update policy say, and a run under GOMAXPROCS=1 is the reference for
+// the parallel ones.
 type BulkIndexer interface {
 	// SignAll computes and retains the band keys of every item,
 	// sharding the signing across workers goroutines (values < 2 sign
@@ -200,9 +203,12 @@ type Options struct {
 	// SkipCost disables per-iteration objective evaluation (saves an
 	// O(n·m) pass per iteration when only timings are needed).
 	SkipCost bool
-	// Workers parallelises the assignment pass. Values < 2 mean
+	// Workers parallelises the assignment passes. Values < 2 mean
 	// single-threaded. Requires UpdateDeferred when an Accelerator is
-	// set.
+	// set. The bootstrap does not read it: signing, index construction
+	// and the first assignment give the same result at any worker
+	// count, so they run on runtime.GOMAXPROCS(0) goroutines under
+	// either update policy.
 	Workers int
 	// Shards is ignored: the index has one shard.
 	//
@@ -524,16 +530,15 @@ func (p *passStats) add(o passStats) {
 // against every centroid, before the index answers any query. An
 // accelerated bootstrap runs as a pipeline whose phases are
 // individually parallel and individually timed: sign every item into a
-// flat key arena across Workers goroutines, build the frozen index
-// directly from the keys, then the exact first assignment, itself
-// sharded across Workers. Every phase is bit-identical to its
-// one-worker run.
+// flat key arena, build the frozen index directly from the keys, then
+// the exact first assignment. Each phase treats every item
+// independently of the others and is bit-identical to its one-worker
+// run, so each runs on runtime.GOMAXPROCS(0) goroutines: the host's
+// parallelism, not Options.Workers, which sizes the passes and must
+// stay at most one for the paper's immediate updates.
 func (d *driver) bootstrap() error {
 	accel := d.opts.Accelerator
-	workers := d.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := runtime.GOMAXPROCS(0)
 	// Bootstrap is now the dominant wall-clock phase, so it honours
 	// Options.Context like the iteration passes do: every long loop
 	// (scan shards, signing workers) polls each ctxPollEvery items, and

@@ -248,23 +248,25 @@ func (s *scanningSpace) NearestScan() func(lo, hi int, out []int32) {
 
 // TestNearestScanCancellation checks that the capability's first scan
 // stays cancellable: the driver hands it one poll interval per call, so
-// a context cancelled at the first in-scan poll stops each worker after
-// one chunk, and no Dissimilarity call is made.
+// a context cancelled at the first in-scan poll stops each set-up
+// worker (one per GOMAXPROCS) after one chunk, and no Dissimilarity
+// call is made.
 func TestNearestScanCancellation(t *testing.T) {
 	const n, k = 40_000, 4
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
 		space := &scanningSpace{countingSpace: countingSpace{n: n, k: k}}
 		_, err := core.Run(space, core.Options{
-			Workers: workers, SkipCost: true, MaxIterations: 2, Context: newCountdownCtx(1),
+			SkipCost: true, MaxIterations: 2, Context: newCountdownCtx(1),
 		})
 		if err != context.Canceled {
-			t.Fatalf("w=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("procs=%d: err = %v, want context.Canceled", procs, err)
 		}
-		if got, budget := space.scanned.Load(), int64(workers)*1024; got == 0 || got > budget {
-			t.Fatalf("w=%d: scan assigned %d items before cancellation, want 1…%d", workers, got, budget)
+		if got, budget := space.scanned.Load(), int64(procs)*1024; got == 0 || got > budget {
+			t.Fatalf("procs=%d: scan assigned %d items before cancellation, want 1…%d", procs, got, budget)
 		}
 		if calls := space.calls.Load(); calls != 0 {
-			t.Fatalf("w=%d: %d Dissimilarity calls during the scan", workers, calls)
+			t.Fatalf("procs=%d: %d Dissimilarity calls during the scan", procs, calls)
 		}
 	}
 }

@@ -118,28 +118,33 @@ func OpenBinary(path string, useMmap bool) (*Dataset, func() error, error) {
 	if len(hdr) != 4 {
 		return fail(fmt.Errorf("dataset: binary header has %d fields, want 4", len(hdr)))
 	}
-	n, m, hasLabels, hasPresent := int(hdr[0]), int(hdr[1]), hdr[2] == 1, hdr[3] == 1
+	if hdr[2]>>1 != 0 || hdr[3]>>1 != 0 {
+		return fail(fmt.Errorf("dataset: binary header flags %d and %d, want 0 or 1", hdr[2], hdr[3]))
+	}
+	n, hasLabels, hasPresent := hdr[0], hdr[2] == 1, hdr[3] == 1
 	names, err := persist.View[byte](f, secNames)
 	if err != nil {
 		return fail(err)
 	}
 	attrNames := splitNames(string(names))
-	if m < 1 || len(attrNames) != m {
-		return fail(fmt.Errorf("dataset: binary file names %d attributes, header says %d", len(attrNames), m))
+	if hdr[1] < 1 || int64(len(attrNames)) != hdr[1] {
+		return fail(fmt.Errorf("dataset: binary file names %d attributes, header says %d", len(attrNames), hdr[1]))
 	}
+	m := len(attrNames)
 	values, err := persist.View[Value](f, secValues)
 	if err != nil {
 		return fail(err)
 	}
-	if len(values) != n*m {
-		return fail(fmt.Errorf("dataset: binary file holds %d values for %d×%d items", len(values), n, m))
+	// n·m may wrap; the quotient may not.
+	if len(values)%m != 0 || int64(len(values)/m) != n {
+		return fail(fmt.Errorf("dataset: binary file holds %d values for %d items of %d attributes", len(values), n, m))
 	}
 	ds := &Dataset{attrNames: attrNames, m: m, values: values, present: allPresent{}}
 	if hasLabels {
 		if ds.labels, err = persist.View[int32](f, secLabels); err != nil {
 			return fail(err)
 		}
-		if len(ds.labels) != n {
+		if int64(len(ds.labels)) != n {
 			return fail(fmt.Errorf("dataset: binary file holds %d labels for %d items", len(ds.labels), n))
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // buildBinaryFixture makes a labelled dataset with a mix of present and
 // absent feature values, so a round trip has to preserve the presence
 // bitmap as well as the columnar payload.
-func buildBinaryFixture(t *testing.T) *Dataset {
+func buildBinaryFixture(t testing.TB) *Dataset {
 	t.Helper()
 	b := NewBuilder([]string{"a", "b", "c", "d"})
 	for i := 0; i < 37; i++ {
@@ -201,5 +201,40 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	}
 	if a.Fingerprint() == shifted.Fingerprint() {
 		t.Fatal("fingerprint ignored a presence-flag change")
+	}
+}
+
+// TestOpenBinaryRejectsHeader writes files whose sections carry valid
+// checksums but whose header disagrees with them: each must be
+// rejected. The first is a header whose n·m wraps around 2^64 to the
+// value count, which used to load as one item.
+func TestOpenBinaryRejectsHeader(t *testing.T) {
+	names := []byte("a\x00b\x00c\x00d")
+	values := rawBytes([]Value{1, 2, 3, 4, 5, 6, 7, 8})
+	for name, c := range map[string]struct {
+		hdr    []int64
+		values []byte
+	}{
+		"wrapping-n":         {[]int64{1<<62 + 2, 4, 0, 0}, values},
+		"negative-n":         {[]int64{-2, 4, 0, 0}, values},
+		"n-too-small":        {[]int64{1, 4, 0, 0}, values},
+		"n-too-large":        {[]int64{3, 4, 0, 0}, values},
+		"partial-row":        {[]int64{2, 4, 0, 0}, rawBytes([]Value{1, 2, 3, 4, 5, 6, 7, 8, 9})},
+		"label-flag-2":       {[]int64{2, 4, 2, 0}, values},
+		"presence-flag-neg":  {[]int64{2, 4, 0, -1}, values},
+		"presence-flag-high": {[]int64{2, 4, 0, 1 << 40}, values},
+	} {
+		path := filepath.Join(t.TempDir(), "data.lshz")
+		if err := persist.WriteFile(path, []persist.Section{
+			{ID: secHeader, ElemSize: 8, Data: rawBytes(c.hdr)},
+			{ID: secNames, ElemSize: 1, Data: names},
+			{ID: secValues, ElemSize: 4, Data: c.values},
+			{ID: secPresent, ElemSize: 8, Data: rawBytes([]uint64{0xff})},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ds, _, err := OpenBinary(path, false); err == nil {
+			t.Errorf("%s: loaded %d items", name, ds.NumItems())
+		}
 	}
 }

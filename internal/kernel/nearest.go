@@ -3,32 +3,59 @@ package kernel
 import "slices"
 
 // Postings is an inverted index over k centroid rows of m categorical
-// attributes: for every attribute, the distinct values the centroids
-// hold there, ascending, and for each such value the centroids holding
-// it, ascending. Its size is O(k·m) whatever the value IDs are — a
-// value is found by binary search, never by indexing a table sized by
-// the largest ID.
+// attributes: for every (attribute, value) pair some centroid holds,
+// the centroids holding it, ascending. Each pair's list is found by one
+// probe of an open-addressed table keyed by PairKey, so its size is
+// O(k·m) whatever the value IDs are, never a table sized by the
+// largest ID.
 type Postings[E ~uint32] struct {
-	// attrStart[a]..attrStart[a+1] delimits attribute a's values in vals.
-	attrStart []int32
-	// vals holds each attribute's distinct centroid values, ascending.
-	vals []E
-	// listStart[j]..listStart[j+1] delimits, in lists, the centroids
-	// holding vals[j].
-	listStart []int32
-	lists     []int32
+	// cells holds one cell per listed pair, at most half full, probed
+	// linearly from PairHome.
+	cells []postingCell
+	shift uint
+	// lists holds every list, each pair's centroids in one span.
+	lists []int32
 	// selective records whether the index beats row comparisons (see
 	// Selective).
 	selective bool
 }
 
+// postingCell is the list of one (attribute, value) pair: lists[lo:hi].
+// Every list is non-empty, so hi == 0 marks an empty cell, and an empty
+// cell's span is empty.
+type postingCell struct {
+	key    uint64
+	lo, hi int32
+}
+
+// PairKey packs attribute a and value v into one key of a table over
+// (attribute, value) pairs.
+func PairKey[E ~uint32](a int, v E) uint64 { return uint64(a)<<32 | uint64(v) }
+
+// PairTableSize returns the cell count and home-slot shift of an
+// open-addressed table that holds pairs keys at most half full: the
+// smallest power of two, at least 2, of at least 2·pairs cells.
+func PairTableSize(pairs int) (size int, shift uint) {
+	size, shift = 2, 63
+	for size < 2*pairs {
+		size, shift = 2*size, shift-1
+	}
+	return size, shift
+}
+
+// PairHome is key's first probe in a table of PairTableSize's shift:
+// Fibonacci hashing, which spreads the consecutive values of one
+// attribute over the whole table.
+func PairHome(key uint64, shift uint) int { return int(key * 0x9e3779b97f4a7c15 >> shift) }
+
 // NewPostings indexes k = len(rows)/m centroid rows stored row-major.
 func NewPostings[E ~uint32](rows []E, m int) *Postings[E] {
 	k := len(rows) / m
-	p := &Postings[E]{
-		attrStart: make([]int32, m+1),
-		lists:     make([]int32, 0, k*m),
-	}
+	lists := make([]int32, 0, k*m)
+	// keys[j] is the j-th list's pair, listStart[j]..listStart[j+1] its
+	// span in lists.
+	var keys []uint64
+	var listStart []int32
 	// Per attribute, sort (value, centroid) pairs packed into one word:
 	// values ascend, and each value's centroids ascend behind it.
 	pairs := make([]uint64, k)
@@ -38,22 +65,28 @@ func NewPostings[E ~uint32](rows []E, m int) *Postings[E] {
 		}
 		slices.Sort(pairs)
 		for j, pc := range pairs {
-			if v := E(pc >> 32); j == 0 || v != E(pairs[j-1]>>32) {
-				p.vals = append(p.vals, v)
-				p.listStart = append(p.listStart, int32(len(p.lists)))
+			if j == 0 || pc>>32 != pairs[j-1]>>32 {
+				keys = append(keys, PairKey(a, uint32(pc>>32)))
+				listStart = append(listStart, int32(len(lists)))
 			}
-			p.lists = append(p.lists, int32(uint32(pc)))
+			lists = append(lists, int32(uint32(pc)))
 		}
-		p.attrStart[a+1] = int32(len(p.vals))
 	}
-	p.listStart = append(p.listStart, int32(len(p.lists)))
+	listStart = append(listStart, int32(len(lists)))
+	size, shift := PairTableSize(len(keys))
+	p := &Postings[E]{cells: make([]postingCell, size), shift: shift, lists: lists}
 	// A row whose values are spread like the centroids' holds a value
 	// shared by l centroids with probability l/k, and then walks its l
 	// entries: Σl²/k entries per row in all. Nearest compares k·m values
 	// per row; an entry costs about twice a compared value.
 	walk := 0
-	for j := 0; j+1 < len(p.listStart); j++ {
-		l := int(p.listStart[j+1] - p.listStart[j])
+	for j, key := range keys {
+		i := PairHome(key, shift)
+		for p.cells[i].hi != 0 {
+			i = (i + 1) & (size - 1)
+		}
+		p.cells[i] = postingCell{key: key, lo: listStart[j], hi: listStart[j+1]}
+		l := int(listStart[j+1] - listStart[j])
 		walk += l * l
 	}
 	p.selective = 2*walk < k*k*m
@@ -73,7 +106,7 @@ func (p *Postings[E]) Selective() bool { return p.selective }
 // with it (its mismatches are m minus those matches), ties to the lowest
 // index, and centroid 0 when row matches none. Walking row's m posting
 // lists counts its matches with every centroid at once, so the cost is
-// m binary searches plus one increment per match instead of k row
+// m table probes plus one increment per match instead of k row
 // comparisons. counts (all zero, one entry per centroid) and touched (at
 // least one entry per centroid) are the caller's scratch; counts is all
 // zero again on return.
@@ -81,20 +114,15 @@ func (p *Postings[E]) Selective() bool { return p.selective }
 //lshvet:noescape
 func NearestByPostings[E ~uint32](p *Postings[E], row []E, counts, touched []int32) int {
 	nt := 0
+	mask := len(p.cells) - 1
 	for a, v := range row {
-		lo, hi := int(p.attrStart[a]), int(p.attrStart[a+1])
-		for lo < hi {
-			h := int(uint(lo+hi) >> 1)
-			if p.vals[h] < v {
-				lo = h + 1
-			} else {
-				hi = h
-			}
+		key := PairKey(a, v)
+		i := PairHome(key, p.shift)
+		for p.cells[i].hi != 0 && p.cells[i].key != key {
+			i = (i + 1) & mask
 		}
-		if lo == int(p.attrStart[a+1]) || p.vals[lo] != v {
-			continue
-		}
-		for _, c := range p.lists[p.listStart[lo]:p.listStart[lo+1]] {
+		cell := p.cells[i]
+		for _, c := range p.lists[cell.lo:cell.hi] {
 			if counts[c] == 0 {
 				touched[nt] = c
 				nt++

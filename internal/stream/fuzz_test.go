@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lshcluster/internal/dataset"
+	"lshcluster/internal/kernel"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
 	"lshcluster/internal/minhash"
@@ -202,7 +203,7 @@ func assertPostings(t *testing.T, p *modePostings, freq *kmodes.FreqTable) {
 	want := map[uint64][]int32{}
 	for cl := 0; cl < p.k; cl++ {
 		for a, v := range freq.Mode(cl) {
-			want[pairKey(a, v)] = append(want[pairKey(a, v)], int32(cl))
+			want[kernel.PairKey(a, v)] = append(want[kernel.PairKey(a, v)], int32(cl))
 		}
 	}
 	filed := 0

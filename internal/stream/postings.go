@@ -1,6 +1,9 @@
 package stream
 
-import "lshcluster/internal/dataset"
+import (
+	"lshcluster/internal/dataset"
+	"lshcluster/internal/kernel"
+)
 
 // modePostings lists, for every (attribute, value) pair some current
 // mode holds, the clusters whose mode holds it: the per-attribute
@@ -19,7 +22,7 @@ import "lshcluster/internal/dataset"
 type modePostings struct {
 	k, m  int
 	cells []postCell
-	// shift maps a key to its home cell by Fibonacci hashing.
+	// shift maps a key to its home cell (kernel.PairHome).
 	shift uint
 	// val[c·m+a] is the value cluster c is listed under for attribute a
 	// (its mode's value there); next and prev link c to the other
@@ -31,8 +34,9 @@ type modePostings struct {
 	counts, touched []int32
 }
 
-// postCell is the list of one (attribute, value) pair, packed into key:
-// its first cluster and its length, n == 0 marking an empty cell.
+// postCell is the list of one (attribute, value) pair, packed into key
+// by kernel.PairKey: its first cluster and its length, n == 0 marking an
+// empty cell.
 type postCell struct {
 	key  uint64
 	head int32
@@ -41,10 +45,7 @@ type postCell struct {
 
 // newModePostings lists the k modes of m attributes stored row-major.
 func newModePostings(modes []dataset.Value, k, m int) *modePostings {
-	size, shift := 2, uint(63)
-	for size < 2*k*m {
-		size, shift = 2*size, shift-1
-	}
+	size, shift := kernel.PairTableSize(k * m)
 	p := &modePostings{
 		k:       k,
 		m:       m,
@@ -62,11 +63,8 @@ func newModePostings(modes []dataset.Value, k, m int) *modePostings {
 	return p
 }
 
-// pairKey packs attribute a and value v into one table key.
-func pairKey(a int, v dataset.Value) uint64 { return uint64(a)<<32 | uint64(v) }
-
 // home is key's first probe.
-func (p *modePostings) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> p.shift) }
+func (p *modePostings) home(key uint64) int { return kernel.PairHome(key, p.shift) }
 
 // find returns the position of key's cell, or of the empty cell where a
 // probe for key ends.
@@ -82,10 +80,10 @@ func (p *modePostings) find(key uint64) int {
 // add lists pair j = c·m+a under value v.
 func (p *modePostings) add(j int, v dataset.Value) {
 	c, a := int32(j/p.m), j%p.m
-	cell := &p.cells[p.find(pairKey(a, v))]
+	cell := &p.cells[p.find(kernel.PairKey(a, v))]
 	p.val[j], p.prev[j], p.next[j] = v, -1, -1
 	if cell.n == 0 {
-		cell.key = pairKey(a, v)
+		cell.key = kernel.PairKey(a, v)
 	} else {
 		p.next[j] = cell.head
 		p.prev[int(cell.head)*p.m+a] = c
@@ -98,7 +96,7 @@ func (p *modePostings) add(j int, v dataset.Value) {
 // when it empties.
 func (p *modePostings) remove(j int) {
 	a := j % p.m
-	i := p.find(pairKey(a, p.val[j]))
+	i := p.find(kernel.PairKey(a, p.val[j]))
 	cell := &p.cells[i]
 	if prev := p.prev[j]; prev >= 0 {
 		p.next[int(prev)*p.m+a] = p.next[j]
@@ -153,7 +151,7 @@ func (p *modePostings) nearest(row []dataset.Value, present []bool) int {
 		if present != nil && !present[a] {
 			continue
 		}
-		cell := &p.cells[p.find(pairKey(a, v))]
+		cell := &p.cells[p.find(kernel.PairKey(a, v))]
 		if cell.n == 0 {
 			continue
 		}

@@ -88,9 +88,11 @@ type Config struct {
 	Seed int64
 	// MaxIterations caps the iteration count (0 = 100).
 	MaxIterations int
-	// Workers parallelises the assignment step and the bootstrap
-	// (signing, index construction and the first assignment); values
-	// > 1 imply deferred reference updates.
+	// Workers parallelises the assignment passes; values > 1 imply
+	// deferred reference updates. The bootstrap (signing, index
+	// construction and the first assignment) does not read it: it gives
+	// the same result at any worker count, so it runs on
+	// runtime.GOMAXPROCS(0) goroutines under either update policy.
 	Workers int
 	// EarlyAbandon stops distance evaluations that provably cannot beat
 	// the best candidate so far.

@@ -2,6 +2,7 @@ package lshcluster
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -99,10 +100,13 @@ func runWithOracles(t *testing.T, ds *Dataset, cfg Config, oracles core.Oracles)
 }
 
 // TestClusterParallelBootstrapEquivalence checks the facade-level A/B:
-// a four-worker run and the serial reference, one worker with the same
-// deferred updates, must produce identical clusterings, and the
-// parallel pipeline must report its phase split.
+// a four-worker run under GOMAXPROCS 4 and the serial reference, one
+// worker with the same deferred updates under GOMAXPROCS 1, whose
+// bootstrap runs on one goroutine, must produce identical clusterings,
+// and the parallel pipeline must report its phase split.
 func TestClusterParallelBootstrapEquivalence(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	ds := syntheticDataset(t)
 	cfg := Config{K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, Workers: 4, MaxIterations: 6}
 	par, err := Cluster(ds, cfg)
@@ -111,6 +115,7 @@ func TestClusterParallelBootstrapEquivalence(t *testing.T) {
 	}
 	serCfg := cfg
 	serCfg.Workers, serCfg.DeferredUpdates = 1, true
+	runtime.GOMAXPROCS(1)
 	ser, err := Cluster(ds, serCfg)
 	if err != nil {
 		t.Fatal(err)
