@@ -15,13 +15,14 @@ build:
 test:
 	$(GO) test ./...
 
-# core.Run's set-up (signing, index build, first assignment) runs on
-# GOMAXPROCS goroutines, so the core, facade and CLI tests run at fixed
-# CPU counts, whatever the machine: one goroutine, and an uneven
-# three-way split.
+# core.Run's set-up (signing, index build, first assignment) and the
+# K-Modes engine's table build and per-pass fold run on GOMAXPROCS
+# goroutines, so the core, kmodes, stream (whose training runs the
+# engine), facade and CLI tests run at fixed CPU counts, whatever the
+# machine: one goroutine, and an uneven three-way split.
 test-procs:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core/ . ./cmd/lshcluster/
-	GOMAXPROCS=3 $(GO) test -count=1 ./internal/core/ . ./cmd/lshcluster/
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core/ ./internal/kmodes/ ./internal/stream/ . ./cmd/lshcluster/
+	GOMAXPROCS=3 $(GO) test -count=1 ./internal/core/ ./internal/kmodes/ ./internal/stream/ . ./cmd/lshcluster/
 
 # Runs every program under examples/ at its defaults; each must exit 0.
 # The streaming example, the one that drives the stream's band table

@@ -6,9 +6,10 @@
 // can additionally be dumped as CSV with -csv.
 //
 // Timings include the bootstrap, whose signing, index construction and
-// first assignment run on every CPU the Go runtime uses; the passes run
-// on one goroutine. Run under GOMAXPROCS=1 to reproduce the one-core
-// setting of the paper's figures.
+// first assignment run on every CPU the Go runtime uses, as do the
+// K-Modes mode update's table build and each pass's fold of the moves;
+// the passes run on one goroutine. Run under GOMAXPROCS=1 to reproduce
+// the one-core setting of the paper's figures.
 //
 // Examples:
 //

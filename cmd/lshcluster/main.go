@@ -17,9 +17,11 @@
 // paths (scalar kernels, batch centroid updates, full passes, heap
 // index loads) are reachable only from tests, which check each against
 // the default run (TestOraclesMatchDefault in internal/core). The
-// bootstrap (signing, index construction, first assignment) runs on
-// every CPU the Go runtime uses, whatever -workers says, which sizes
-// only the passes; its reference is the same run under GOMAXPROCS=1.
+// bootstrap (signing, index construction, first assignment) and the
+// mode update (the frequency tables' build and each pass's fold of the
+// moves) run on every CPU the Go runtime uses, whatever -workers says,
+// which sizes only the passes; their reference is the same run under
+// GOMAXPROCS=1, which also reproduces the paper's one-core timings.
 //
 // Examples:
 //

@@ -40,15 +40,19 @@
 // changed rather than to the dataset:
 //
 //   - Both clustering spaces implement the internal IncrementalSpace
-//     capability: item moves are folded into per-cluster state as they
-//     happen (Huang's frequency-based mode update for K-Modes, over a
-//     small hash table of value counts per cluster and attribute; running
-//     counts with a dirty-cluster refresh for K-Means), and only the
-//     clusters whose membership changed have their centroids refreshed
-//     at the end of each pass. The per-iteration objective is maintained
-//     incrementally too. The incremental path is exact — bit-identical
-//     assignments, centroids and costs versus the full-recompute batch
-//     path, which is retained as a correctness oracle.
+//     capability: item moves are folded into per-cluster state (Huang's
+//     frequency-based mode update for K-Modes, over a small hash table
+//     of value counts per cluster and attribute; running counts with a
+//     dirty-cluster refresh for K-Means), and only the clusters whose
+//     membership changed have their centroids refreshed at the end of
+//     each pass. The per-iteration objective is maintained
+//     incrementally too. K-Modes builds its tables and folds each
+//     pass's moves on runtime.GOMAXPROCS(0) goroutines, each owning a
+//     range of clusters and one of items, and rescans a table only when
+//     its mode's count falls to a cached bound on every other value's
+//     count. The incremental path is exact — bit-identical assignments,
+//     centroids and costs versus the full-recompute batch path, which
+//     is retained as a correctness oracle, and at every GOMAXPROCS.
 //
 //   - The MinHash banding index serves iteration from a frozen layout:
 //     flat CSR arrays (offsets + item IDs of the buckets two or more
@@ -209,8 +213,9 @@
 // alone and all together, against the default configuration and
 // requires identical assignments and statistics. The parallel
 // bootstrap's reference is no switch: it is the same pipeline under
-// GOMAXPROCS=1, which runs every set-up phase on one goroutine (make
-// test-procs runs the core, facade and CLI tests at one and at three).
+// GOMAXPROCS=1, which runs every set-up phase and the K-Modes mode
+// update on one goroutine (make test-procs runs the core, kmodes,
+// stream, facade and CLI tests at one and at three).
 //
 // # Persistent index and warm start
 //

@@ -208,7 +208,10 @@ type Options struct {
 	// set. The bootstrap does not read it: signing, index construction
 	// and the first assignment give the same result at any worker
 	// count, so they run on runtime.GOMAXPROCS(0) goroutines under
-	// either update policy.
+	// either update policy. Nor does an IncrementalSpace, which may
+	// build its state and fold each pass's moves on GOMAXPROCS
+	// goroutines too (K-Modes does). A run under GOMAXPROCS=1 does all
+	// of that on one goroutine and is the reference.
 	Workers int
 	// Shards is ignored: the index has one shard.
 	//

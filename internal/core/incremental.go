@@ -28,13 +28,23 @@ package core
 //     assignment pass, in ascending item order, after the assignment
 //     slice was updated. Centroids visible through Dissimilarity must
 //     NOT change until FinishPass (Lloyd semantics: centroids are
-//     frozen during a pass). Never called concurrently.
+//     frozen during a pass). Never called concurrently. A space may
+//     only log the move here and fold the log at FinishPass.
 //  3. FinishPass(assign) — once per pass, after all moves. Publishes
 //     the new centroids; equivalent to RecomputeCentroids(assign).
 //  4. IncrementalCost(assign) — after FinishPass, when the driver needs
 //     the objective; equivalent to Cost(assign). Only meaningful when
 //     BeginIncremental was called with trackCost=true (spaces may fall
 //     back to a full Cost scan otherwise).
+//
+// A cancelled run returns between a pass's ApplyMove calls and its
+// FinishPass, so BeginIncremental must drop any moves a space logged
+// and never folded. Every method is called on the driver's goroutine,
+// but BeginIncremental and FinishPass may split their work across
+// runtime.GOMAXPROCS(0) goroutines of their own (K-Modes builds its
+// frequency tables and folds each pass's moves that way). Their
+// results may not depend on the split: the run under GOMAXPROCS=1 is
+// the reference.
 type IncrementalSpace interface {
 	Space
 	// BeginIncremental initialises incremental state from a complete
@@ -44,7 +54,8 @@ type IncrementalSpace interface {
 	// (Options.SkipCost).
 	BeginIncremental(assign []int32, trackCost bool)
 	// ApplyMove folds one item's move from cluster from to cluster to
-	// into the incremental state without touching visible centroids.
+	// into the incremental state, or logs it for FinishPass to fold,
+	// without touching visible centroids.
 	ApplyMove(item int, from, to int32)
 	// FinishPass refreshes the centroids of every cluster affected
 	// since the previous FinishPass (or BeginIncremental), exactly as

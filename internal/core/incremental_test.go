@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"lshcluster/internal/datagen"
@@ -9,6 +11,7 @@ import (
 	"lshcluster/internal/kmeans"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
+	"lshcluster/internal/runstats"
 	"lshcluster/internal/simhash"
 
 	"lshcluster/internal/core"
@@ -349,4 +352,106 @@ func TestIncrementalSkipCost(t *testing.T) {
 		return s
 	}
 	assertRunsEqual(t, mkSpace, nil, core.Options{SkipCost: true, MaxIterations: 15})
+}
+
+// moveCounter counts the moves the driver logs into a K-Modes space.
+type moveCounter struct {
+	*kmodes.Space
+	moves int
+}
+
+func (s *moveCounter) ApplyMove(item int, from, to int32) {
+	s.moves++
+	s.Space.ApplyMove(item, from, to)
+}
+
+// maskedStats renders a run's statistics with every timing zeroed.
+func maskedStats(st runstats.Run) string {
+	st.Bootstrap, st.BootstrapSign, st.BootstrapBuild, st.BootstrapAssign = 0, 0, 0, 0
+	st.IndexSaveTime, st.IndexLoadTime = 0, 0
+	st.Iterations = slices.Clone(st.Iterations)
+	for i := range st.Iterations {
+		st.Iterations[i].Duration = 0
+	}
+	return fmt.Sprintf("%+v", st)
+}
+
+// TestRerunAfterCancelledPass: a run cancelled mid-pass returns after
+// the pass's ApplyMove calls and before their FinishPass, so its space
+// holds moves that were never folded. A second run on the same
+// kmodes.Space must give what a run on a fresh space holding the same
+// modes gives: the assignment, the final modes and the statistics, with
+// timings masked.
+func TestRerunAfterCancelledPass(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Items: 8000, Clusters: 40, Attrs: 16, Domain: 200,
+		MinRuleFrac: 0.7, MaxRuleFrac: 0.9, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkSpace := func() *kmodes.Space {
+		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 40, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	mkAccel := func() *core.MinHashAccelerator {
+		a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	for name, opts := range map[string]core.Options{
+		"immediate":   {},
+		"deferred-w2": {Workers: 2, Update: core.UpdateDeferred},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts.MaxIterations = 8
+			reused := mkSpace()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cancelled := opts
+			cancelled.Accelerator = &cancellingAccel{MinHashAccelerator: mkAccel(), cancel: cancel}
+			cancelled.Context = ctx
+			counter := &moveCounter{Space: reused}
+			if res, err := core.Run(counter, cancelled); err != context.Canceled {
+				t.Fatalf("Run = %v, %v; want context.Canceled", res, err)
+			}
+			if counter.moves == 0 {
+				t.Fatal("the cancelled pass logged no move")
+			}
+
+			// The cancellation landed in pass 1, so the reused space's
+			// modes are those BeginIncremental published from the exact
+			// first assignment; the fresh space recomputes them.
+			fresh := mkSpace()
+			first := make([]int32, ds.NumItems())
+			fresh.NearestScan()(0, len(first), first)
+			fresh.RecomputeCentroids(first)
+			for c := 0; c < fresh.NumClusters(); c++ {
+				if !slices.Equal(reused.Mode(c), fresh.Mode(c)) {
+					t.Fatalf("mode %d after the cancelled run: %v, recomputed %v", c, reused.Mode(c), fresh.Mode(c))
+				}
+			}
+
+			opts.Accelerator = mkAccel()
+			got, err := core.Run(reused, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Accelerator = mkAccel()
+			want, err := core.Run(fresh, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := kmodesFingerprint(t)
+			assertSameRun(t, "rerun against fresh", got, want, fp(reused), fp(fresh))
+			if g, w := maskedStats(got.Stats), maskedStats(want.Stats); g != w {
+				t.Fatalf("statistics with timings masked:\nrerun %s\nfresh %s", g, w)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package kmodes
 
 import (
+	"math/rand"
 	"testing"
 
 	"lshcluster/internal/datagen"
@@ -81,10 +82,10 @@ func benchFreqTableMove(b *testing.B, n, k, m int) {
 	}
 }
 
-// BenchmarkFreqTableBuild prices BeginIncremental's table build, one
-// Add per item, on the kmodes-cold shape: 100k items × 24 attributes
-// over a domain of 200, k = 1000, from the exact first assignment.
-func BenchmarkFreqTableBuild(b *testing.B) {
+// coldShape is the kmodes-cold shape — 100k items × 24 attributes over
+// a domain of 200, k = 1000 — with its exact first assignment.
+func coldShape(b *testing.B) (*Space, []int32) {
+	b.Helper()
 	ds, err := datagen.Generate(datagen.Config{
 		Items: 100_000, Clusters: 1000, Attrs: 24, Domain: 200, Seed: 1,
 	})
@@ -97,9 +98,49 @@ func BenchmarkFreqTableBuild(b *testing.B) {
 	}
 	assign := make([]int32, ds.NumItems())
 	s.NearestScan()(0, len(assign), assign)
+	return s, assign
+}
+
+// BenchmarkFreqTableBuild prices BeginIncremental's counting build on
+// the kmodes-cold shape: each cluster's member columns counted in a
+// scratch table and copied into cells carved from slabs, on GOMAXPROCS
+// goroutines.
+func BenchmarkFreqTableBuild(b *testing.B) {
+	s, assign := coldShape(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.BeginIncremental(assign, false)
+	}
+}
+
+// BenchmarkFinishPassFold prices one pass of the engine's update on the
+// kmodes-cold shape: 20,000 logged moves of distinct items to random
+// clusters, then the FinishPass that folds them on GOMAXPROCS
+// goroutines, publishes the modes and refreshes the costs. Passes
+// alternate between moving the items out and moving them back.
+func BenchmarkFinishPassFold(b *testing.B) {
+	s, assign := coldShape(b)
+	s.BeginIncremental(assign, true)
+	rng := rand.New(rand.NewSource(1))
+	items := rng.Perm(len(assign))[:20_000]
+	home := make([]int32, len(items))
+	away := make([]int32, len(items))
+	for j, i := range items {
+		home[j] = assign[i]
+		away[j] = (home[j] + 1 + int32(rng.Intn(s.k-1))) % int32(s.k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		from, to := home, away
+		if n%2 == 1 {
+			from, to = away, home
+		}
+		for j, i := range items {
+			assign[i] = to[j]
+			s.ApplyMove(i, from[j], to[j])
+		}
+		s.FinishPass(assign)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"lshcluster/internal/dataset"
+	"lshcluster/internal/par"
 )
 
 // FreqTable maintains per-cluster per-attribute value frequencies and
@@ -13,11 +14,14 @@ import (
 //
 // Each (cluster, attribute) cell is a small open-addressed hash table of
 // (value, count) entries — linear probing, at most 3/4 full, a zero
-// count marking a free slot — and the table caches the count of each
-// cell's mode. An update costs one expected-O(1) probe per attribute
+// count marking a free slot — and the table caches, per cell, the count
+// of its mode and a runner-up bound: a count no value other than the
+// mode exceeds. An update costs one expected-O(1) probe per attribute
 // however many distinct values a cell holds; a cell is rescanned only
-// when the count of its mode value drops. Memory is at most four slots
-// per distinct value a cell holds, whatever the value IDs are.
+// when the count of its mode value drops to the runner-up bound or
+// below, where another value may tie or pass it. Memory is at most
+// four slots per distinct value a cell holds, whatever the value IDs
+// are.
 //
 // The maintained mode matches Space.RecomputeCentroids exactly: per
 // attribute, the most frequent value among members, ties to the smallest
@@ -30,7 +34,11 @@ type FreqTable struct {
 	// modeN[j] is the count of modes[j] in cell j, 0 when the value is
 	// absent — an emptied cell, or a SetMode placeholder no member holds.
 	modeN []int32
-	sizes []int32
+	// runnerUp[j] bounds from above the count of every value in cell j
+	// other than modes[j]. inc and SetMode raise it; addAll and rescan
+	// set it to the exact runner-up count.
+	runnerUp []int32
+	sizes    []int32
 }
 
 // freqEntry is one value's member count within a cell; n == 0 marks a
@@ -43,31 +51,40 @@ type freqEntry struct {
 // NewFreqTable creates an empty table for k clusters over m attributes.
 func NewFreqTable(k, m int) *FreqTable {
 	return &FreqTable{
-		k:     k,
-		m:     m,
-		cells: make([][]freqEntry, k*m),
-		live:  make([]int32, k*m),
-		modes: make([]dataset.Value, k*m),
-		modeN: make([]int32, k*m),
-		sizes: make([]int32, k),
+		k:        k,
+		m:        m,
+		cells:    make([][]freqEntry, k*m),
+		live:     make([]int32, k*m),
+		modes:    make([]dataset.Value, k*m),
+		modeN:    make([]int32, k*m),
+		runnerUp: make([]int32, k*m),
+		sizes:    make([]int32, k),
 	}
 }
 
+// slabLen is the length, in entries, of the slabs addAll carves cell
+// tables from (256 KiB). On kmodes-cold's input a build fills 50 of
+// them, and the tails it leaves unused come to a tenth of one.
+const slabLen = 1 << 15
+
 // addAll adds every item of ds to its cluster in assign, leaving the
-// counts and modes n·m Adds would, on a table no item was added to yet.
-// It groups the items by cluster and counts each member column of a
-// cluster in a scratch table, then copies the counts into a cell table
-// of its final size — no table grows, and the scratch is sized by the
-// largest cluster, never by value ID.
-func (t *FreqTable) addAll(ds *dataset.Dataset, assign []int32) {
+// counts, modes and exact runner-up counts n·m Adds would leave (the
+// bounds as tight as they can be), on a table no item was added to
+// yet. It groups the items by cluster, then splits the clusters into
+// workers contiguous ranges, each built on a goroutine of its own: a
+// member column of a cluster is counted in the goroutine's scratch
+// table, and the counts are copied into a cell table of its final size
+// carved from the goroutine's slabs — no table grows, no cell is
+// allocated on its own, and the scratch is sized by the largest
+// cluster, never by value ID. A cell that does not fit in what is left
+// of a slab starts the next slab, and that tail stays unused.
+func (t *FreqTable) addAll(ds *dataset.Dataset, assign []int32, workers int) {
 	start := make([]int32, t.k+1) // cluster c's members are members[start[c]:start[c+1]]
 	for _, c := range assign {
 		start[c+1]++
 	}
-	largest := int32(0)
 	for c := 0; c < t.k; c++ {
 		t.sizes[c] = start[c+1]
-		largest = max(largest, start[c+1])
 		start[c+1] += start[c]
 	}
 	members := make([]int32, len(assign))
@@ -76,40 +93,56 @@ func (t *FreqTable) addAll(ds *dataset.Dataset, assign []int32) {
 		members[next[c]] = int32(i)
 		next[c]++
 	}
-	scratch := make([]freqEntry, tableLen(int(largest)))
-	used := make([]int32, largest) // the scratch slots holding a value
-	for c := 0; c < t.k; c++ {
-		items := members[start[c]:start[c+1]]
-		if len(items) == 0 {
-			continue // its cells stay empty, keeping the placeholder mode
+	par.Ranges(t.k, workers, func(lo, hi int) {
+		largest := int32(0)
+		for c := lo; c < hi; c++ {
+			largest = max(largest, t.sizes[c])
 		}
-		tab := scratch[:tableLen(len(items))]
-		for a := 0; a < t.m; a++ {
-			live := 0
-			for _, it := range items {
-				v := ds.Row(int(it))[a]
-				i, ok := slot(tab, v)
-				if !ok {
-					tab[i].v = v
-					used[live] = int32(i)
-					live++
-				}
-				tab[i].n++
+		scratch := make([]freqEntry, tableLen(int(largest)))
+		used := make([]int32, largest) // the scratch slots holding a value
+		var slab []freqEntry
+		for c := lo; c < hi; c++ {
+			items := members[start[c]:start[c+1]]
+			if len(items) == 0 {
+				continue // its cells stay empty, keeping the placeholder mode
 			}
-			j := c*t.m + a
-			cell := make([]freqEntry, tableLen(live))
-			for _, i := range used[:live] {
-				e := tab[i]
-				tab[i] = freqEntry{}
-				p, _ := slot(cell, e.v)
-				cell[p] = e
-				if e.n > t.modeN[j] || (e.n == t.modeN[j] && e.v < t.modes[j]) {
-					t.modes[j], t.modeN[j] = e.v, e.n
+			tab := scratch[:tableLen(len(items))]
+			for a := 0; a < t.m; a++ {
+				live := 0
+				for _, it := range items {
+					v := ds.Row(int(it))[a]
+					i, ok := slot(tab, v)
+					if !ok {
+						tab[i].v = v
+						used[live] = int32(i)
+						live++
+					}
+					tab[i].n++
 				}
+				size := tableLen(live)
+				if len(slab) < size {
+					slab = make([]freqEntry, max(slabLen, size))
+				}
+				cell := slab[:size:size]
+				slab = slab[size:]
+				j := c*t.m + a
+				best, runnerUp := freqEntry{v: t.modes[j]}, int32(0)
+				for _, i := range used[:live] {
+					e := tab[i]
+					tab[i] = freqEntry{}
+					p, _ := slot(cell, e.v)
+					cell[p] = e
+					if e.n > best.n || (e.n == best.n && e.v < best.v) {
+						runnerUp, best = best.n, e
+					} else {
+						runnerUp = max(runnerUp, e.n)
+					}
+				}
+				t.cells[j], t.live[j] = cell, int32(live)
+				t.modes[j], t.modeN[j], t.runnerUp[j] = best.v, best.n, runnerUp
 			}
-			t.cells[j], t.live[j] = cell, int32(live)
 		}
-	}
+	})
 }
 
 // tableLen is the cell table length for live entries: the smallest
@@ -138,20 +171,26 @@ func (t *FreqTable) Mode(c int) []dataset.Value {
 }
 
 // SetMode overwrites cluster c's mode without touching frequencies —
-// used to install initial centroids before any member is added.
+// used to install initial centroids before any member is added. A
+// replaced mode value becomes one of the others, so the runner-up
+// bound rises to its count.
 func (t *FreqTable) SetMode(c int, mode []dataset.Value) {
 	if len(mode) != t.m {
 		panic("kmodes: SetMode arity mismatch")
 	}
 	base := c * t.m
 	for a, v := range mode {
-		t.modes[base+a] = v
-		t.modeN[base+a] = 0
-		if cell := t.cells[base+a]; len(cell) > 0 {
+		j := base + a
+		n := int32(0)
+		if cell := t.cells[j]; len(cell) > 0 {
 			if i, ok := slot(cell, v); ok {
-				t.modeN[base+a] = cell[i].n
+				n = cell[i].n
 			}
 		}
+		if v != t.modes[j] {
+			t.runnerUp[j] = max(t.runnerUp[j], t.modeN[j])
+		}
+		t.modes[j], t.modeN[j] = v, n
 	}
 }
 
@@ -219,9 +258,10 @@ func (t *FreqTable) AddMasked(c int, row []dataset.Value, present []bool) {
 
 // inc counts one more v in cell j. Only v's count rises, so the mode
 // changes only if v now beats the mode's cached count, or ties it with
-// a smaller ID (v == mode always beats it, keeping the cache exact). A
-// mode no member holds has count 0, so the first value counted into an
-// emptied or placeholder cell always takes over.
+// a smaller ID. A mode no member holds has count 0, so the first value
+// counted into an emptied or placeholder cell always takes over. The
+// runner-up bound rises to v's count when v stays below the mode, and
+// to the old mode's count when v takes over.
 func (t *FreqTable) inc(j int, v dataset.Value) {
 	cell := t.cells[j]
 	i, ok := 0, false
@@ -236,8 +276,14 @@ func (t *FreqTable) inc(j int, v dataset.Value) {
 		cell[i].v = v
 	}
 	cell[i].n++
-	if n := cell[i].n; n > t.modeN[j] || (n == t.modeN[j] && v < t.modes[j]) {
+	switch n := cell[i].n; {
+	case v == t.modes[j]:
+		t.modeN[j] = n
+	case n > t.modeN[j] || (n == t.modeN[j] && v < t.modes[j]):
+		t.runnerUp[j] = max(t.runnerUp[j], t.modeN[j])
 		t.modes[j], t.modeN[j] = v, n
+	default:
+		t.runnerUp[j] = max(t.runnerUp[j], n)
 	}
 }
 
@@ -275,9 +321,14 @@ func (t *FreqTable) Remove(c int, row []dataset.Value) {
 			}
 		}
 		// Only a decrement of the current mode value can change the
-		// argmax; rescan that cell.
+		// argmax, and only if its count no longer stays strictly above
+		// every other value's; rescan that cell then.
 		if t.modes[j] == v {
-			t.rescan(j)
+			if t.modeN[j]-1 > t.runnerUp[j] {
+				t.modeN[j]--
+			} else {
+				t.rescan(j)
+			}
 		}
 	}
 	t.sizes[c]--
@@ -307,19 +358,21 @@ func free(cell []freqEntry, i int) {
 }
 
 // rescan recomputes the argmax of cell j: the highest count, ties to the
-// smallest ID. An emptied cell keeps the previous mode value (KeepMode
-// semantics) with a count of 0.
+// smallest ID, and the exact runner-up count beside it. An emptied cell
+// keeps the previous mode value (KeepMode semantics) with a count of 0.
 func (t *FreqTable) rescan(j int) {
-	best := freqEntry{}
+	best, runnerUp := freqEntry{}, int32(0)
 	for _, e := range t.cells[j] {
 		if e.n > best.n || (e.n == best.n && e.n != 0 && e.v < best.v) {
-			best = e
+			runnerUp, best = best.n, e
+		} else {
+			runnerUp = max(runnerUp, e.n)
 		}
 	}
 	if best.n != 0 {
 		t.modes[j] = best.v
 	}
-	t.modeN[j] = best.n
+	t.modeN[j], t.runnerUp[j] = best.n, runnerUp
 }
 
 // Model snapshots the current modes.

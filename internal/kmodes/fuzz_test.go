@@ -48,14 +48,26 @@ func (c *refCell) recount() {
 // AddMasked, Remove, Move and SetMode (on empty clusters only, the way
 // the engine and the stream call it) over at most 4 clusters × 3
 // attributes and 6 values, so ties and emptied cells are common. After
-// every operation each Mode and Size must equal a naive recount. It then
-// checks that BeginIncremental publishes the modes RecomputeCentroids
-// computes, under both empty-cluster policies.
+// every operation each Mode and Size must equal a naive recount, and no
+// value but a cell's mode may count more than the cell's runner-up
+// bound. It then checks that BeginIncremental publishes the modes
+// RecomputeCentroids computes, under both empty-cluster policies.
 func FuzzFreqTable(f *testing.F) {
 	f.Add([]byte{3, 2, 5, 0, 1, 2, 3, 0, 1, 4, 5, 3, 0, 1, 2, 0, 0, 4, 1, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 2, 0, 0, 4, 0, 1})
 	f.Add([]byte{1, 2, 3, 1, 0, 5, 4, 3, 1, 1, 2, 2, 1, 3, 0, 3, 1, 0, 2, 7, 3, 2, 3, 4, 4, 0})
 	f.Add([]byte{0, 0, 2, 0, 0, 1, 2, 0, 0, 0, 0, 2}) // refill an emptied cell with a larger ID
+	// One cluster, one attribute, six values; each Remove takes the
+	// first member, a copy of the mode. The mode (value 2) and its
+	// runner-up (value 1) count 3 and 1, then 2 and 1: the mode stays
+	// strictly ahead, so Remove skips the rescan.
+	f.Add([]byte{0, 0, 5, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0, 1, 2, 0, 0})
+	// The mode (value 2, count 2) falls to tie its runner-up (value 1,
+	// count 1), whose ID is smaller: the runner-up takes over.
+	f.Add([]byte{0, 0, 5, 0, 0, 2, 0, 0, 2, 0, 0, 1, 2, 0, 0})
+	// The mode (value 1, count 2) falls to tie its runner-up (value 2),
+	// whose ID is larger: the mode stays.
+	f.Add([]byte{0, 0, 5, 0, 0, 1, 0, 0, 1, 0, 0, 2, 2, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		k, m, nv := 1+in.next()%4, 1+in.next()%3, 1+in.next()%6
@@ -140,8 +152,15 @@ func FuzzFreqTable(f *testing.F) {
 					t.Fatalf("step %d: Size(%d) = %d, recount %d", step, cl, ft.Size(cl), sizes[cl])
 				}
 				for a, v := range ft.Mode(cl) {
-					if want := ref[cl*m+a].mode; v != want {
+					j := cl*m + a
+					if want := ref[j].mode; v != want {
 						t.Fatalf("step %d: Mode(%d)[%d] = %d, recount %d", step, cl, a, v, want)
+					}
+					for u, n := range ref[j].counts {
+						if u != v && n > int(ft.runnerUp[j]) {
+							t.Fatalf("step %d: cell (%d, %d) counts %d × value %d beside mode %d, above its runner-up bound %d",
+								step, cl, a, n, u, v, ft.runnerUp[j])
+						}
 					}
 				}
 			}

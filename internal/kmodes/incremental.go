@@ -1,7 +1,11 @@
 package kmodes
 
 import (
+	"runtime"
 	"slices"
+	"sync/atomic"
+
+	"lshcluster/internal/par"
 )
 
 // This file implements core.IncrementalSpace for the K-Modes space:
@@ -11,20 +15,33 @@ import (
 // bookkeeping, instead of the O(n·m) full RecomputeCentroids + O(n·m)
 // full Cost the batch path pays. A move costs one hash probe per
 // attribute in each of its two clusters' count tables, plus a rescan of
-// a table only when the count of its mode value drops.
+// a table only when the count of its mode value drops to the table's
+// runner-up bound.
+//
+// The engine runs on runtime.GOMAXPROCS(0) goroutines. BeginIncremental
+// builds the tables with each goroutine owning a contiguous range of
+// clusters, and splits its cost scan by item range. ApplyMove only logs
+// the move; FinishPass folds the pass's log with each goroutine owning a
+// contiguous range of clusters and one of items: it walks the whole log
+// in order, applies the halves of the moves that touch its clusters,
+// and updates the cached costs of its items, in log order, so an item
+// moved twice ends with the cost of its last move.
 //
 // Exactness contract: the published modes and the incremental cost are
 // bit-identical to RecomputeCentroids/Cost on the same assignment —
 // FreqTable maintains the same argmax (highest count, ties to the
 // smallest value ID), all objective arithmetic is integral, and the
 // empty-cluster policy is replayed with the same rand draws in the same
-// cluster order as the batch path. The equivalence tests in
-// internal/core assert this across tie-break modes, update modes and
-// worker counts.
+// cluster order as the batch path. None of this depends on how the
+// clusters and items are split, so every result is bit-identical at
+// every GOMAXPROCS, and the run under GOMAXPROCS=1 is the reference.
+// The equivalence tests in internal/core assert this across tie-break
+// modes, update modes and worker counts.
 
 // incremental is the engine state attached to a Space.
 type incremental struct {
 	freq      *FreqTable
+	log       []move  // the moves ApplyMove logged since the last publish
 	dirty     []bool  // clusters whose membership changed this pass
 	dirtyList []int32 // the same clusters, in first-touched order
 	changed   []bool  // clusters whose visible mode changed at FinishPass
@@ -37,12 +54,19 @@ type incremental struct {
 	total       int64   // Σ itemCost, maintained exactly in integers
 }
 
+// move is one logged ApplyMove.
+type move struct {
+	item, from, to int32
+}
+
 // BeginIncremental builds the frequency tables from a complete
 // assignment and publishes the induced modes — the incremental
 // equivalent of the first RecomputeCentroids(assign) call, including the
 // empty-cluster policy (with identical rand draws). trackCost=false
 // skips objective bookkeeping; IncrementalCost then falls back to a
-// full Cost scan.
+// full Cost scan. Moves logged since the last publish are dropped: a
+// cancelled run returns between its ApplyMoves and FinishPass, and the
+// next run on the space must not fold them.
 func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 	n := s.NumItems()
 	if len(assign) != n {
@@ -53,7 +77,9 @@ func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 		inc = &incremental{}
 		s.inc = inc
 	}
+	workers := runtime.GOMAXPROCS(0)
 	inc.freq = NewFreqTable(s.k, s.m)
+	inc.log = inc.log[:0]
 	inc.dirty = make([]bool, s.k)
 	inc.changed = make([]bool, s.k)
 	inc.dirtyList = inc.dirtyList[:0]
@@ -62,7 +88,7 @@ func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 		// Current modes become the placeholders an empty cluster keeps.
 		inc.freq.SetMode(c, s.mode(c))
 	}
-	inc.freq.addAll(s.ds, assign)
+	inc.freq.addAll(s.ds, assign, workers)
 	if s.policy == ReseedRandomItem {
 		for c := 0; c < s.k; c++ {
 			if inc.freq.Size(c) == 0 {
@@ -70,9 +96,7 @@ func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 			}
 		}
 	}
-	for c := 0; c < s.k; c++ {
-		copy(s.mode(c), inc.freq.Mode(c))
-	}
+	copy(s.modes, inc.freq.modes)
 	// Every mode was just (re)published from scratch; report them all
 	// changed so a consumer never treats pre-Begin state as current.
 	inc.changedList = inc.changedList[:0]
@@ -84,31 +108,26 @@ func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 			inc.itemCost = make([]int32, n)
 		}
 		inc.itemCost = inc.itemCost[:n]
-		inc.total = 0
-		for i, c := range assign {
-			d := int32(s.mismatches(s.ds.Row(i), s.mode(int(c))))
-			inc.itemCost[i] = d
-			inc.total += int64(d)
-		}
+		inc.total = sumRanges(n, workers, func(lo, hi int) (sum int64) {
+			for i := lo; i < hi; i++ {
+				d := int32(s.mismatches(s.ds.Row(i), s.mode(int(assign[i]))))
+				inc.itemCost[i] = d
+				sum += int64(d)
+			}
+			return sum
+		})
 	}
 }
 
-// ApplyMove transfers one item between cluster frequency tables. The
-// visible modes are untouched until FinishPass, so moves applied during
-// a pass cannot perturb later assignment decisions in that pass.
+// ApplyMove logs one item's move between clusters and marks both dirty;
+// FinishPass folds the log. The visible modes are untouched until
+// FinishPass, so moves applied during a pass cannot perturb later
+// assignment decisions in that pass.
 func (s *Space) ApplyMove(item int, from, to int32) {
 	inc := s.inc
-	row := s.ds.Row(item)
-	inc.freq.Move(int(from), int(to), row)
+	inc.log = append(inc.log, move{int32(item), from, to})
 	s.markDirty(from)
 	s.markDirty(to)
-	if inc.trackCost {
-		// Cost against the pass-frozen mode of the new cluster; if that
-		// mode changes at FinishPass the member rescan refreshes it.
-		d := int32(s.mismatches(row, s.mode(int(to))))
-		inc.total += int64(d - inc.itemCost[item])
-		inc.itemCost[item] = d
-	}
 }
 
 func (s *Space) markDirty(c int32) {
@@ -118,11 +137,55 @@ func (s *Space) markDirty(c int32) {
 	}
 }
 
-// FinishPass publishes the modes of every cluster whose membership
-// changed since the last pass — the incremental equivalent of
-// RecomputeCentroids(assign).
+// fold applies the logged moves to the frequency tables and the cost
+// cache, then empties the log. Goroutine g of workers owns clusters
+// [lo, hi) and items [lo·n/k, hi·n/k): it walks the whole log in order,
+// removing each row from a cluster it owns and adding each row to one,
+// and updating the cost of each item it owns against the pass-frozen
+// mode of its new cluster (if that mode changes at FinishPass, the
+// member refresh updates it again). Each goroutine sums its cost
+// changes in integers.
+func (s *Space) fold(workers int) {
+	inc := s.inc
+	n, k := int64(s.NumItems()), int64(s.k)
+	inc.total += sumRanges(s.k, workers, func(lo, hi int) (sum int64) {
+		first, last := int32(int64(lo)*n/k), int32(int64(hi)*n/k)
+		for _, mv := range inc.log {
+			row := s.ds.Row(int(mv.item))
+			if mv.from != mv.to {
+				if int(mv.from) >= lo && int(mv.from) < hi {
+					inc.freq.Remove(int(mv.from), row)
+				}
+				if int(mv.to) >= lo && int(mv.to) < hi {
+					inc.freq.Add(int(mv.to), row)
+				}
+			}
+			if inc.trackCost && mv.item >= first && mv.item < last {
+				d := int32(s.mismatches(row, s.mode(int(mv.to))))
+				sum += int64(d - inc.itemCost[mv.item])
+				inc.itemCost[mv.item] = d
+			}
+		}
+		return sum
+	})
+	inc.log = inc.log[:0]
+}
+
+// sumRanges runs fn on the shards of par.Ranges(n, workers) and
+// returns the sum of what they return.
+func sumRanges(n, workers int, fn func(lo, hi int) int64) int64 {
+	var total atomic.Int64
+	par.Ranges(n, workers, func(lo, hi int) { total.Add(fn(lo, hi)) })
+	return total.Load()
+}
+
+// FinishPass folds the pass's logged moves, then publishes the modes of
+// every cluster whose membership changed since the last pass — the
+// incremental equivalent of RecomputeCentroids(assign).
 func (s *Space) FinishPass(assign []int32) {
 	inc := s.inc
+	workers := runtime.GOMAXPROCS(0)
+	s.fold(workers)
 	inc.changedList = inc.changedList[:0]
 	if s.policy == ReseedRandomItem {
 		// The batch path redraws a random item for every empty cluster
@@ -156,15 +219,19 @@ func (s *Space) FinishPass(assign []int32) {
 		}
 	}
 	if inc.trackCost && changedAny {
-		// One light O(n) scan; the O(m) distance refresh touches only
-		// members of clusters whose mode actually changed.
-		for i, c := range assign {
-			if inc.changed[c] {
-				d := int32(s.mismatches(s.ds.Row(i), s.mode(int(c))))
-				inc.total += int64(d - inc.itemCost[i])
-				inc.itemCost[i] = d
+		// One light O(n) scan, split by item range; the O(m) distance
+		// refresh touches only members of clusters whose mode actually
+		// changed.
+		inc.total += sumRanges(len(assign), workers, func(lo, hi int) (sum int64) {
+			for i := lo; i < hi; i++ {
+				if c := assign[i]; inc.changed[c] {
+					d := int32(s.mismatches(s.ds.Row(i), s.mode(int(c))))
+					sum += int64(d - inc.itemCost[i])
+					inc.itemCost[i] = d
+				}
 			}
-		}
+			return sum
+		})
 	}
 	for _, c := range inc.dirtyList {
 		inc.dirty[c] = false

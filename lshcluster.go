@@ -90,9 +90,11 @@ type Config struct {
 	MaxIterations int
 	// Workers parallelises the assignment passes; values > 1 imply
 	// deferred reference updates. The bootstrap (signing, index
-	// construction and the first assignment) does not read it: it gives
-	// the same result at any worker count, so it runs on
-	// runtime.GOMAXPROCS(0) goroutines under either update policy.
+	// construction and the first assignment) and the K-Modes mode
+	// update (building its frequency tables, folding each pass's moves)
+	// do not read it: they give the same result at any worker count,
+	// so they run on runtime.GOMAXPROCS(0) goroutines under either
+	// update policy. GOMAXPROCS=1 runs them on one goroutine.
 	Workers int
 	// EarlyAbandon stops distance evaluations that provably cannot beat
 	// the best candidate so far.
